@@ -59,4 +59,12 @@ net-smoke:
 	# checked-in baseline drifts to.
 	go run ./cmd/concord-bench -assert bench-out/BENCH_live_net.json 'allocs_per_req_text<8.15' 'allocs_per_req_binary<7.33'
 
-.PHONY: tier1 race vet bench obs-smoke bench-json bench-smoke net-smoke
+# The repo benchmark (BENCHMARK.json) is its own module under
+# benchmark/, so `go build ./... && go test ./...` never compiles it.
+# This target does: it fails when an internal/ API the benchmark imports
+# (obs.QuantileSketch, obs.NewTailTracker, netsrv.Options, live.Options,
+# ...) changes shape.
+bench-module:
+	cd benchmark && go vet . && go test .
+
+.PHONY: tier1 race vet bench obs-smoke bench-json bench-smoke net-smoke bench-module

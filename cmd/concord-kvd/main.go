@@ -40,13 +40,17 @@
 // breakdowns partition the full wire-to-wire time — and without it
 // tracing costs one branch per event.
 //
-// -obs also turns on time-windowed tail tracking: rolling
-// p50/p99/p99.9 latency over the -windows horizons (default
-// 1s/10s/60s) and SLO error-budget accounting against -slotarget /
-// -sloobjective with Google-SRE-style multi-window (5m+1h) burn rates.
-// Both surface as gauges on /metrics (concord_rolling_latency_us,
-// concord_slo_*) and as extra STATS fields (p50_1s=..., burn_short=,
-// burn_long=, slo_alerting=).
+// -obs, -adaptive and -classes each turn on time-windowed tail
+// tracking: rolling p50/p99/p99.9 latency over 1s/10s/60s horizons and
+// SLO error-budget accounting against -slotarget (99.9% objective) with
+// Google-SRE-style multi-window (5m+1h) burn rates. Both surface as
+// gauges on /metrics (concord_rolling_latency_us, concord_slo_*) and as
+// STATS fields (p50_1s=..., burn_short=, burn_long=, slo_alerting=).
+//
+// Every number the server reports is registered once (metrics.go) and
+// rendered twice from that table — /metrics and the STATS line — from
+// one snapshot of the server's counters per render; a STATS field is
+// present exactly when its source is configured.
 //
 // -adaptive runs the scheduling control plane (internal/adapt): a
 // 50ms-period controller that walks the preemption quantum by AIMD
@@ -104,10 +108,11 @@ import (
 	"concord/internal/live"
 	"concord/internal/netsrv"
 	"concord/internal/obs"
-	"concord/internal/proto"
 	"concord/internal/shadow"
-	"concord/internal/trace"
 )
+
+// traceRingEvents is the per-writer trace ring capacity with -obs.
+const traceRingEvents = 4096
 
 func main() {
 	var (
@@ -126,12 +131,8 @@ func main() {
 		drain      = flag.Duration("drain", 5*time.Second, "graceful-drain bound on shutdown (0 waits for all in-flight)")
 		wtimeout   = flag.Duration("wtimeout", 5*time.Second, "per-response connection write deadline (0 disables)")
 		obsAddr    = flag.String("obs", "", "serve Prometheus /metrics and /debug/pprof on this address and enable lifecycle tracing (empty disables)")
-		traceBuf   = flag.Int("tracebuf", 4096, "per-writer trace ring capacity in events (rounded up to a power of two)")
 		traceDump  = flag.String("tracedump", "", "on shutdown, write the trace rings as Chrome trace_event JSON (Perfetto-loadable) to this file; needs -obs")
-		windows    = flag.String("windows", "1s,10s,60s", "rolling tail-quantile windows, comma-separated durations (needs -obs)")
-		sloTarget  = flag.Duration("slotarget", 200*time.Microsecond, "SLO latency target: requests served within it count good (0 disables SLO tracking; needs -obs)")
-		sloObj     = flag.Float64("sloobjective", 0.999, "SLO good-ratio objective; the error budget is 1-objective")
-		sloBurn    = flag.Float64("sloburn", 14.4, "SLO burn-rate alert threshold over the 5m+1h windows")
+		sloTarget  = flag.Duration("slotarget", 200*time.Microsecond, "SLO latency target: requests served within it count good against a 99.9% objective (0 disables SLO tracking)")
 		adaptive   = flag.Bool("adaptive", false, "run the scheduling control plane: adjust the preemption quantum against -slotarget, set per-class quanta, and switch fcfs<->srpt as the workload's service-time dispersion drifts")
 		adaptEvery = flag.Duration("adapt-interval", 50*time.Millisecond, "control-plane period (needs -adaptive)")
 		adaptMinQ  = flag.Duration("adapt-minq", 5*time.Microsecond, "adaptive quantum floor (needs -adaptive)")
@@ -164,93 +165,69 @@ func main() {
 		store.Put([]byte(fmt.Sprintf("key%08d", i)), []byte(val))
 	}
 
-	var tracer *obs.Tracer
-	var tail *obs.TailTracker
-	// The tail tracker feeds both the obs surface and the adaptive
-	// controller's quantum loop, so either flag brings it up.
-	if *obsAddr != "" || *adaptive {
-		wins, err := parseWindows(*windows)
-		if err != nil {
-			log.Fatalf("-windows: %v", err)
-		}
+	ob := &kvObs{}
+	if *obsAddr != "" {
+		ob.tracer = obs.NewTracerSharded(*workers, effShards, traceRingEvents)
+	}
+	// The tail tracker feeds the obs surface, the adaptive controller's
+	// quantum loop and the per-class SLO accounting, so any of the three
+	// flags brings it up. The per-class children let each class measure
+	// against its own latency objective.
+	if *obsAddr != "" || *adaptive || *classes {
 		var slo *obs.SLOTracker
 		if *sloTarget > 0 {
-			slo = obs.NewSLOTracker(obs.SLOConfig{
-				Target:    *sloTarget,
-				Objective: *sloObj,
-				BurnAlert: *sloBurn,
-			})
+			slo = obs.NewSLOTracker(obs.SLOConfig{Target: *sloTarget})
 		}
-		tail = obs.NewTailTracker(wins, slo)
-	}
-	if *obsAddr != "" {
-		tracer = obs.NewTracerSharded(*workers, effShards, *traceBuf)
+		ob.tail = obs.NewTailTracker(nil, slo)
+		if *obsAddr != "" || *classes {
+			ob.tail.Classes = live.NewClassTrackers()
+		}
 	}
 	// Per-class service-time sketches feed the svc_time/hint-error
-	// metric families and give the adaptive controller measured
-	// quantiles to derive class quanta from; any observer or control
-	// surface wants them.
-	var sketches *obs.ClassSketches
+	// metric families and give the adaptive controller its dispersion
+	// estimate and the measured quantiles it derives class quanta from;
+	// any observer or control surface wants them.
 	if *obsAddr != "" || *adaptive || *shadowOn {
-		sketches = obs.NewClassSketches(live.NumClasses)
+		ob.sketches = obs.NewClassSketches(live.NumClasses)
 	}
 	var capRing *live.CaptureRing
 	if *shadowOn {
 		capRing = live.NewCaptureRing(4096, *shadowRate)
 	}
-	// Per-class tail/SLO trackers: each class measures against its own
-	// latency objective, so "critical met its SLO, sheddable burned" is a
-	// direct read rather than an inference from the aggregate tail.
-	var ctails *obs.ClassTails
-	if *classes || *obsAddr != "" {
-		slos := make([]obs.ClassSLO, live.NumClasses)
-		for c := live.SLOClass(0); c < live.NumClasses; c++ {
-			slos[c] = obs.ClassSLO{Target: c.DefaultObjective(), Objective: *sloObj}
-		}
-		ctails = obs.NewClassTails(slos, nil)
-	}
-	var cvEst *adapt.CVEstimator
-	liveOpts := live.Options{
+	ob.srv = live.New(&netsrv.KVHandler{Store: store, ScanBatch: *scanStep}, live.Options{
 		Workers:        *workers,
 		Shards:         effShards,
 		Policy:         *policyName,
 		Quantum:        *quantum,
+		Adaptive:       *adaptive,
 		QueueBound:     *bound,
 		WorkConserving: *steal,
 		RequestTimeout: *reqTimeout,
 		DrainTimeout:   *drain,
-		Tracer:         tracer,
-		Tail:           tail,
-		Sketches:       sketches,
+		Tracer:         ob.tracer,
+		Tail:           ob.tail,
+		Sketches:       ob.sketches,
 		Capture:        capRing,
 		ClassAdmission: *classes,
-		ClassTails:     ctails,
-	}
-	if *adaptive {
-		cvEst = &adapt.CVEstimator{}
-		liveOpts.Adaptive = true
-		liveOpts.ServiceObserver = cvEst.Observe
-	}
-	srv := live.New(&netsrv.KVHandler{Store: store, ScanBatch: *scanStep}, liveOpts)
-	srv.Start()
+	})
+	ob.srv.Start()
 
-	var replayer *shadow.Replayer
 	if *shadowOn {
-		replayer = shadow.NewReplayer(capRing, shadow.Config{
+		ob.replayer = shadow.NewReplayer(capRing, shadow.Config{
 			Workers:        *workers,
 			QuantumUS:      float64(*quantum) / float64(time.Microsecond),
 			QueueBound:     *bound,
 			WorkConserving: *steal,
 		}, *shadowInt)
-		replayer.Start()
+		ob.replayer.Start()
 		log.Printf("shadow replay: 1-in-%d capture, %v windows, policies %s",
 			*shadowRate, *shadowInt, strings.Join(shadow.Policies(), "/"))
 	}
 
-	var ctrl *adapt.Controller
 	var adaptStop chan struct{}
 	if *adaptive {
-		acfg := adapt.Config{
+		sketches := ob.sketches
+		ob.ctrl = adapt.New(ob.srv, adapt.Config{
 			Interval:   *adaptEvery,
 			MinQuantum: *adaptMinQ,
 			MaxQuantum: *adaptMaxQ,
@@ -264,51 +241,44 @@ func main() {
 				int(live.ClassCritical):  live.ClassCritical.Tier(),
 				int(live.ClassSheddable): live.ClassSheddable.Tier(),
 			},
-		}
-		if sketches != nil {
 			// Measured per-class p90 service times replace the static
 			// ratios once traffic has primed the sketches; ClassScales
 			// stays as the cold-start fallback.
-			acfg.ClassSvcNS = func() []float64 { return sketches.ServiceQuantilesNS(0.90) }
-		}
-		ctrl = adapt.New(srv, acfg)
+			ClassSvcNS: func() []float64 { return sketches.ServiceQuantilesNS(0.90) },
+		})
 		adaptStop = make(chan struct{})
-		src := adapt.Sources{Tail: tail, CV: cvEst}
-		if replayer != nil {
+		src := adapt.Sources{Tail: ob.tail, Service: sketches}
+		if replayer := ob.replayer; replayer != nil {
 			src.Regret = func() float64 { return replayer.Latest().RegretRatio() }
 		}
-		go ctrl.Run(src, adaptStop)
+		go ob.ctrl.Run(src, adaptStop)
 		log.Printf("adaptive control plane: interval %v, quantum bounds [%v, %v], slo target %v",
 			*adaptEvery, *adaptMinQ, *adaptMaxQ, *sloTarget)
 	}
 
-	var ob *kvObs
 	nopts := netsrv.Options{
 		MaxReq:       *maxReq,
 		WriteTimeout: *wtimeout,
-		Tracer:       tracer,
+		Tracer:       ob.tracer,
+		Control:      ob.control,
 	}
-	var ns *netsrv.Server
-	nopts.Control = func(out io.Writer, line string, obsOn *bool) bool {
-		return serveControl(out, line, srv, ns, ob, ctrl, sketches, ctails, replayer, obsOn)
-	}
-	if tracer != nil {
-		nopts.Observe = func(op byte, resp live.Response) { ob.observe(proto.OpString(op), resp) }
-		nopts.ObserveEgress = func(op byte, egress time.Duration) { ob.observeEgress(proto.OpString(op), egress) }
+	if ob.tracer != nil {
+		nopts.Observe = ob.observe
+		nopts.ObserveEgress = ob.observeEgress
 		nopts.Trailer = obsTrailer
 	}
-	ns = netsrv.New(srv, nopts)
+	ob.ns = netsrv.New(ob.srv, nopts)
+	ob.register()
 
 	// draining flips before the listener closes so /healthz readiness
 	// goes false the moment the drain begins, not after it completes.
 	var draining atomic.Bool
-	if tracer != nil {
-		ob = newKVObs(tracer, tail, ctails, ctrl, srv, ns, sketches, replayer, *workers, effShards)
+	if *obsAddr != "" {
 		obsLn, err := net.Listen("tcp", *obsAddr)
 		if err != nil {
 			log.Fatalf("obs listen: %v", err)
 		}
-		http.Handle("/metrics", ob.metrics)
+		http.Handle("/metrics", &ob.metrics)
 		http.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 			if draining.Load() {
 				http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -321,7 +291,7 @@ func main() {
 				log.Printf("obs server: %v", err)
 			}
 		}()
-		log.Printf("obs: metrics+pprof+healthz on %s, trace rings %d events/writer", obsLn.Addr(), *traceBuf)
+		log.Printf("obs: metrics+pprof+healthz on %s, trace rings %d events/writer", obsLn.Addr(), traceRingEvents)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -340,394 +310,67 @@ func main() {
 		ln.Close()           // unblocks Accept; Serve returns and the drain begins
 	}()
 
-	ns.Serve(ln)
+	ob.ns.Serve(ln)
 
 	if adaptStop != nil {
 		close(adaptStop) // stop steering before the drain begins
 	}
-	if replayer != nil {
-		replayer.Stop() // periodic loop off; the final window scores below
+	if ob.replayer != nil {
+		ob.replayer.Stop() // periodic loop off; the final window scores below
 	}
 	// Drain: complete every accepted request (bounded by -drain; late
 	// submissions answer STOPPED), then give connection readers a short
 	// grace window — requests already in flight from clients get a
 	// STOPPED response instead of a connection reset — and wait for
 	// them to finish writing their final responses.
-	srv.Stop()
-	ns.Drain(200 * time.Millisecond)
-	st := srv.Stats()
-	nst := ns.NetStats()
+	ob.srv.Stop()
+	ob.ns.Drain(200 * time.Millisecond)
+	st := ob.srv.Stats()
+	nst := ob.ns.NetStats()
 	log.Printf("drained: submitted=%d completed=%d rejected=%d expired=%d aborted=%d frames_in=%d frames_out=%d flushes=%d",
 		st.Submitted, st.Completed, st.Rejected, st.Expired, st.Aborted, nst.FramesIn, nst.FramesOut, nst.Flushes)
-	if tracer != nil && *traceDump != "" {
-		f, err := os.Create(*traceDump)
-		if err != nil {
-			log.Fatalf("tracedump: %v", err)
-		}
-		events := tracer.Snapshot()
-		if err := obs.WriteChromeTrace(f, events); err != nil {
-			log.Fatalf("tracedump: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("tracedump: %v", err)
-		}
-		log.Printf("tracedump: wrote %d events to %s (open in https://ui.perfetto.dev)", len(events), *traceDump)
+	if ob.tracer != nil {
+		writeDump("tracedump", *traceDump, func(w io.Writer) (string, error) {
+			events := ob.tracer.Snapshot()
+			return fmt.Sprintf("%d events (open in https://ui.perfetto.dev)", len(events)), obs.WriteChromeTrace(w, events)
+		})
 	}
-	if replayer != nil {
+	if ob.replayer != nil {
 		// Score whatever the capture ring still holds so short runs and
 		// the shutdown dump see at least one window.
-		replayer.ReplayOnce()
-		if *shadowDump != "" {
-			f, err := os.Create(*shadowDump)
-			if err != nil {
-				log.Fatalf("shadowdump: %v", err)
-			}
-			if err := replayer.WriteDump(f); err != nil {
-				log.Fatalf("shadowdump: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("shadowdump: %v", err)
-			}
-			windows, skipped := replayer.Counts()
-			log.Printf("shadowdump: wrote %d windows (%d skipped) to %s", windows, skipped, *shadowDump)
-		}
+		ob.replayer.ReplayOnce()
+		writeDump("shadowdump", *shadowDump, func(w io.Writer) (string, error) {
+			windows, skipped := ob.replayer.Counts()
+			return fmt.Sprintf("%d windows (%d skipped)", windows, skipped), ob.replayer.WriteDump(w)
+		})
 	}
-	if ctrl != nil && *decDump != "" {
-		f, err := os.Create(*decDump)
-		if err != nil {
-			log.Fatalf("decisiondump: %v", err)
-		}
-		decs := ctrl.Decisions(0)
-		if err := adapt.WriteDecisionDump(f, *adaptEvery, decs); err != nil {
-			log.Fatalf("decisiondump: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("decisiondump: %v", err)
-		}
-		log.Printf("decisiondump: wrote %d decisions to %s", len(decs), *decDump)
+	if ob.ctrl != nil {
+		writeDump("decisiondump", *decDump, func(w io.Writer) (string, error) {
+			decs := ob.ctrl.Decisions(0)
+			return fmt.Sprintf("%d decisions", len(decs)), adapt.WriteDecisionDump(w, *adaptEvery, decs)
+		})
 	}
 }
 
-// parseWindows parses a comma-separated duration list, ascending
-// de-dup not required (obs sorts); empty entries are rejected.
-func parseWindows(s string) ([]time.Duration, error) {
-	var out []time.Duration
-	for _, part := range strings.Split(s, ",") {
-		d, err := time.ParseDuration(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		if d <= 0 {
-			return nil, fmt.Errorf("window %q must be positive", part)
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-// fmtWindow renders a window for STATS keys and metric labels: whole
-// seconds as "10s"/"60s" (time.Duration.String would say "1m0s"),
-// anything else via Duration.String.
-func fmtWindow(d time.Duration) string {
-	if d%time.Second == 0 {
-		return fmt.Sprintf("%ds", int(d/time.Second))
-	}
-	return d.String()
-}
-
-// kvObs bundles the optional observability surface: the lifecycle
-// tracer, the rolling tail/SLO tracker, the metrics registry, and
-// per-op latency-component histograms fed from completed responses.
-type kvObs struct {
-	tracer  *obs.Tracer
-	tail    *obs.TailTracker
-	metrics *obs.Metrics
-	perOp   map[string]*opHists // fixed key set; read-only after init
-}
-
-type opHists struct {
-	total, handoff, queue, service, preempted trace.Histogram
-	ingress, egress                           trace.Histogram // wire phases
-}
-
-// classNames labels the SLO classes (live.SLOClass values, in index
-// order) on per-class metric families and STATS fields.
-var classNames = []string{"standard", "critical", "sheddable"}
-
-func newKVObs(tracer *obs.Tracer, tail *obs.TailTracker, ctails *obs.ClassTails, ctrl *adapt.Controller, srv *live.Server, ns *netsrv.Server, sketches *obs.ClassSketches, replayer *shadow.Replayer, workers, shards int) *kvObs {
-	ob := &kvObs{tracer: tracer, tail: tail, metrics: &obs.Metrics{}, perOp: map[string]*opHists{}}
-	m := ob.metrics
-	counter := func(name, help string, f func(live.Stats) uint64) {
-		m.RegisterCounter(name, help, func() float64 { return float64(f(srv.Stats())) })
-	}
-	counter("concord_submitted_total", "requests accepted", func(s live.Stats) uint64 { return s.Submitted })
-	counter("concord_completed_total", "responses delivered", func(s live.Stats) uint64 { return s.Completed })
-	counter("concord_rejected_total", "requests never accepted", func(s live.Stats) uint64 { return s.Rejected })
-	counter("concord_expired_total", "requests past their deadline", func(s live.Stats) uint64 { return s.Expired })
-	counter("concord_aborted_total", "requests failed by drain abort", func(s live.Stats) uint64 { return s.Aborted })
-	counter("concord_preemptions_total", "request yields", func(s live.Stats) uint64 { return s.Preemptions })
-	counter("concord_dispatcher_run_total", "requests completed by a work-conserving dispatcher (own-queue or stolen)", func(s live.Stats) uint64 { return s.DispatcherRun })
-	counter("concord_steals_total", "never-started requests migrated between shards", func(s live.Stats) uint64 { return s.Steals })
-	counter("concord_shed_total", "sheddable requests dropped by class admission", func(s live.Stats) uint64 { return s.Shed })
-	for class, name := range classNames {
-		class, name := class, name
-		counter(fmt.Sprintf(`concord_class_requests_total{class="%s",result="submitted"}`, name),
-			"per-SLO-class request outcomes", func(s live.Stats) uint64 { return s.ClassSubmitted[class] })
-		counter(fmt.Sprintf(`concord_class_requests_total{class="%s",result="completed"}`, name),
-			"per-SLO-class request outcomes", func(s live.Stats) uint64 { return s.ClassCompleted[class] })
-		counter(fmt.Sprintf(`concord_class_requests_total{class="%s",result="rejected"}`, name),
-			"per-SLO-class request outcomes", func(s live.Stats) uint64 { return s.ClassRejected[class] })
-	}
-	if ctails != nil {
-		for class, name := range classNames {
-			ct, name := ctails.Tail(class), name
-			if ct == nil {
-				continue
-			}
-			win := ct.Windows()[0]
-			for _, q := range []struct {
-				label string
-				q     float64
-			}{{"p50", 0.50}, {"p99", 0.99}} {
-				q := q
-				m.RegisterGauge(
-					fmt.Sprintf(`concord_class_latency_us{class="%s",quantile="%s"}`, name, q.label),
-					"per-SLO-class rolling latency quantiles in microseconds (shortest window)",
-					func() float64 { return ct.Quantile(win, q.q) })
-			}
-			if slo := ct.SLO(); slo != nil {
-				m.RegisterGauge(fmt.Sprintf(`concord_class_slo_attainment{class="%s"}`, name),
-					"per-SLO-class good-request ratio over the long SLO window (1 = every request within the class objective)",
-					func() float64 {
-						s := slo.Snapshot()
-						if s.LongTotal == 0 {
-							return 1
-						}
-						return float64(s.LongGood) / float64(s.LongTotal)
-					})
-			}
-		}
-	}
-	m.RegisterGauge(`concord_queue_depth{queue="submit"}`, "live queue occupancy",
-		func() float64 { return float64(srv.Depths().Submit) })
-	m.RegisterGauge(`concord_queue_depth{queue="central"}`, "live queue occupancy",
-		func() float64 { return float64(srv.Depths().Central) })
-	for w := 0; w < workers; w++ {
-		w := w
-		m.RegisterGauge(fmt.Sprintf(`concord_worker_occupancy{worker="%d"}`, w),
-			"JBSQ occupancy incl. in-service", func() float64 { return float64(srv.Depths().Workers[w]) })
-	}
-	for sh := 0; sh < shards; sh++ {
-		sh := sh
-		m.RegisterGauge(fmt.Sprintf(`concord_shard_queue_depth{shard="%d"}`, sh),
-			"per-shard central-queue length", func() float64 { return float64(srv.Depths().ShardQueues[sh]) })
-		m.RegisterGauge(fmt.Sprintf(`concord_shard_occupancy{shard="%d"}`, sh),
-			"per-shard sum of worker JBSQ occupancy", func() float64 { return float64(srv.Depths().ShardOcc[sh]) })
-	}
-	if ns != nil {
-		netCounter := func(name, help string, f func(netsrv.NetStats) float64) {
-			m.RegisterCounter(name, help, func() float64 { return f(ns.NetStats()) })
-		}
-		m.RegisterGauge("concord_net_connections", "currently open client connections",
-			func() float64 { return float64(ns.NetStats().Conns) })
-		m.RegisterGauge("concord_net_pipeline_depth", "binary frames submitted whose response has not yet flushed",
-			func() float64 { return float64(ns.NetStats().Pipeline) })
-		netCounter(`concord_net_frames_total{dir="in"}`, "binary frames decoded/written",
-			func(s netsrv.NetStats) float64 { return float64(s.FramesIn) })
-		netCounter(`concord_net_frames_total{dir="out"}`, "binary frames decoded/written",
-			func(s netsrv.NetStats) float64 { return float64(s.FramesOut) })
-		netCounter("concord_net_flushes_total", "batched response writes",
-			func(s netsrv.NetStats) float64 { return float64(s.Flushes) })
-		netCounter("concord_net_text_lines_total", "text-protocol lines served",
-			func(s netsrv.NetStats) float64 { return float64(s.TextLines) })
-		netCounter("concord_net_toolarge_total", "requests rejected for exceeding -maxreq",
-			func(s netsrv.NetStats) float64 { return float64(s.TooLarge) })
-		netCounter("concord_net_bad_frames_total", "frames with unknown opcode or undecodable body",
-			func(s netsrv.NetStats) float64 { return float64(s.BadFrames) })
-		m.RegisterHistogram("concord_net_flush_batch", "responses coalesced per flush", ns.FlushBatch())
-		for _, fq := range []struct {
-			label string
-			q     float64
-		}{{"p50", 0.50}, {"p99", 0.99}} {
-			fq := fq
-			m.RegisterGauge(fmt.Sprintf(`concord_net_flush_batch_quantile{quantile="%s"}`, fq.label),
-				"flush-batch size quantiles (responses coalesced per flush)",
-				func() float64 {
-					s := ns.FlushBatch().Snapshot()
-					if s.Count == 0 {
-						return 0
-					}
-					return s.Quantile(fq.q)
-				})
-		}
-	}
-	if tail != nil {
-		for _, w := range tail.Windows() {
-			w := w
-			for _, q := range []struct {
-				label string
-				q     float64
-			}{{"p50", 0.50}, {"p99", 0.99}, {"p999", 0.999}} {
-				q := q
-				m.RegisterGauge(
-					fmt.Sprintf(`concord_rolling_latency_us{window="%s",quantile="%s"}`, fmtWindow(w), q.label),
-					"rolling latency quantiles over trailing windows in microseconds",
-					func() float64 { return tail.Quantile(w, q.q) })
-			}
-		}
-		if slo := tail.SLO(); slo != nil {
-			m.RegisterGauge(`concord_slo_burn_rate{window="short"}`,
-				"SLO error-budget burn rate (bad ratio / budget) over the short and long windows",
-				func() float64 { return slo.Snapshot().ShortBurn })
-			m.RegisterGauge(`concord_slo_burn_rate{window="long"}`,
-				"SLO error-budget burn rate (bad ratio / budget) over the short and long windows",
-				func() float64 { return slo.Snapshot().LongBurn })
-			m.RegisterGauge(`concord_slo_requests{window="short",result="good"}`,
-				"windowed SLO request counts",
-				func() float64 { return float64(slo.Snapshot().ShortGood) })
-			m.RegisterGauge(`concord_slo_requests{window="short",result="total"}`,
-				"windowed SLO request counts",
-				func() float64 { return float64(slo.Snapshot().ShortTotal) })
-			m.RegisterGauge(`concord_slo_requests{window="long",result="good"}`,
-				"windowed SLO request counts",
-				func() float64 { return float64(slo.Snapshot().LongGood) })
-			m.RegisterGauge(`concord_slo_requests{window="long",result="total"}`,
-				"windowed SLO request counts",
-				func() float64 { return float64(slo.Snapshot().LongTotal) })
-			m.RegisterGauge("concord_slo_alerting",
-				"1 while both burn-rate windows exceed the alert threshold",
-				func() float64 {
-					if slo.Snapshot().Alerting {
-						return 1
-					}
-					return 0
-				})
-		}
-	}
-	if ctrl != nil {
-		m.RegisterGauge("concord_adapt_policy",
-			"active central-queue discipline: 0 fcfs, 1 srpt",
-			func() float64 {
-				if ctrl.Status().Policy == live.PolicySRPT {
-					return 1
-				}
-				return 0
-			})
-		m.RegisterGauge("concord_adapt_quantum_us",
-			"adaptive base preemption quantum in microseconds",
-			func() float64 { return float64(ctrl.Status().Quantum) / float64(time.Microsecond) })
-		m.RegisterGauge("concord_adapt_cv",
-			"smoothed service-time coefficient of variation",
-			func() float64 { return ctrl.Status().CV })
-		m.RegisterCounter("concord_adapt_switches_total",
-			"policy switches performed by the control plane",
-			func() float64 { return float64(ctrl.Status().Switches) })
-		m.RegisterCounter("concord_adapt_quantum_changes_total",
-			"base-quantum adjustments performed by the control plane",
-			func() float64 { return float64(ctrl.Status().QuantumChanges) })
-		for a := adapt.Action(0); a < adapt.NumActions; a++ {
-			a := a
-			m.RegisterCounter(fmt.Sprintf(`concord_adapt_decisions_total{action="%s"}`, a),
-				"control-plane ticks by the action each recorded",
-				func() float64 { return float64(ctrl.DecisionCounts()[a]) })
-		}
-	}
-	if sketches != nil {
-		for class, name := range classNames {
-			class, name := class, name
-			for _, q := range []struct {
-				label string
-				q     float64
-			}{{"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}} {
-				q := q
-				m.RegisterGauge(
-					fmt.Sprintf(`concord_svc_time_us{class="%s",quantile="%s"}`, name, q.label),
-					"measured per-class service-time quantiles in microseconds (log-bucket sketch)",
-					func() float64 { return sketches.ServiceQuantileNS(class, q.q) / 1e3 })
-			}
-			m.RegisterCounter(fmt.Sprintf(`concord_svc_time_samples_total{class="%s"}`, name),
-				"service-time observations folded into each class sketch",
-				func() float64 { return float64(sketches.Service(class).Snapshot().Count) })
-			m.RegisterHistogram(fmt.Sprintf(`concord_hint_error{class="%s"}`, name),
-				"hint/actual service-time ratio x100 per class (100 = exact hint)",
-				sketches.HintError(class))
-		}
-	}
-	if replayer != nil {
-		for _, policy := range shadow.Policies() {
-			policy := policy
-			m.RegisterGauge(fmt.Sprintf(`concord_regret_p99_ratio{policy="%s"}`, policy),
-				"last shadow window: counterfactual p99 over achieved p99 per policy (<1 = that policy would have won)",
-				func() float64 { return replayer.Latest().PolicyRatio(policy) })
-			m.RegisterGauge(fmt.Sprintf(`concord_regret_best_policy{policy="%s"}`, policy),
-				"1 on the policy that won the last shadow window",
-				func() float64 {
-					if r := replayer.Latest(); r != nil && r.Best == policy {
-						return 1
-					}
-					return 0
-				})
-		}
-		m.RegisterGauge("concord_regret_ratio",
-			"last shadow window: achieved p99 over the best counterfactual p99 (1 = already optimal)",
-			func() float64 { return replayer.Latest().RegretRatio() })
-		m.RegisterCounter("concord_regret_windows_total", "shadow windows replayed",
-			func() float64 { w, _ := replayer.Counts(); return float64(w) })
-		m.RegisterCounter("concord_regret_skipped_total", "shadow windows skipped for too few samples",
-			func() float64 { _, s := replayer.Counts(); return float64(s) })
-		m.RegisterCounter(`concord_shadow_captures_total{result="offered"}`,
-			"completions seen by the capture ring vs sampled into it",
-			func() float64 { o, _ := replayer.Ring().Stats(); return float64(o) })
-		m.RegisterCounter(`concord_shadow_captures_total{result="kept"}`,
-			"completions seen by the capture ring vs sampled into it",
-			func() float64 { _, k := replayer.Ring().Stats(); return float64(k) })
-	}
-	for _, op := range []string{"GET", "PUT", "DEL", "SCAN", "SPIN"} {
-		h := &opHists{}
-		ob.perOp[op] = h
-		lop := strings.ToLower(op)
-		m.RegisterHistogram(fmt.Sprintf(`concord_request_us{op="%s",component="total"}`, lop),
-			"per-op latency components in microseconds", &h.total)
-		m.RegisterHistogram(fmt.Sprintf(`concord_request_us{op="%s",component="handoff"}`, lop),
-			"per-op latency components in microseconds", &h.handoff)
-		m.RegisterHistogram(fmt.Sprintf(`concord_request_us{op="%s",component="queue"}`, lop),
-			"per-op latency components in microseconds", &h.queue)
-		m.RegisterHistogram(fmt.Sprintf(`concord_request_us{op="%s",component="service"}`, lop),
-			"per-op latency components in microseconds", &h.service)
-		m.RegisterHistogram(fmt.Sprintf(`concord_request_us{op="%s",component="preempted"}`, lop),
-			"per-op latency components in microseconds", &h.preempted)
-		m.RegisterHistogram(fmt.Sprintf(`concord_request_us{op="%s",component="ingress"}`, lop),
-			"per-op latency components in microseconds", &h.ingress)
-		m.RegisterHistogram(fmt.Sprintf(`concord_request_us{op="%s",component="egress"}`, lop),
-			"per-op latency components in microseconds", &h.egress)
-	}
-	obs.RegisterBuildInfo(m)
-	obs.RegisterGoRuntime(m)
-	return ob
-}
-
-// observe feeds one completed response into the per-op histograms.
-func (ob *kvObs) observe(op string, resp live.Response) {
-	h := ob.perOp[op]
-	if h == nil || resp.Breakdown == nil {
+// writeDump writes one shutdown artefact to path (skipped when the flag
+// is unset): create, write, close, and log what was written. Any
+// failure is fatal — the operator asked for the file.
+func writeDump(flagName, path string, write func(io.Writer) (what string, err error)) {
+	if path == "" {
 		return
 	}
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	h.total.ObserveDuration(resp.Latency)
-	h.handoff.ObserveUS(us(resp.Breakdown.Handoff))
-	h.queue.ObserveUS(us(resp.Breakdown.Queue))
-	h.service.ObserveUS(us(resp.Breakdown.Service))
-	h.preempted.ObserveUS(us(resp.Breakdown.Preempted))
-	h.ingress.ObserveUS(us(resp.Breakdown.Ingress))
-}
-
-// observeEgress feeds the flush-side wire phase; it arrives separately
-// from observe because egress is only known once the response batch hits
-// the socket, after the completion callback has already run.
-func (ob *kvObs) observeEgress(op string, egress time.Duration) {
-	if h := ob.perOp[op]; h != nil {
-		h.egress.ObserveDuration(egress)
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatalf("%s: %v", flagName, err)
 	}
+	what, err := write(f)
+	if err == nil {
+		err = f.Close()
+	}
+	if err != nil {
+		log.Fatalf("%s: %v", flagName, err)
+	}
+	log.Printf("%s: wrote %s to %s", flagName, what, path)
 }
 
 // obsTrailer renders the per-request breakdown clients opt into with
@@ -756,324 +399,73 @@ func obsTrailer(resp live.Response) string {
 		us(b.Ingress), egress, resp.Preemptions, disp)
 }
 
-// serveControl handles the non-request text commands (STATS, TRACE,
-// OBS); it reports whether the line was one of them. netsrv calls it
-// for any text line the data protocol does not recognize.
-func serveControl(out io.Writer, line string, srv *live.Server, ns *netsrv.Server, ob *kvObs, ctrl *adapt.Controller, sketches *obs.ClassSketches, ctails *obs.ClassTails, replayer *shadow.Replayer, obsOn *bool) bool {
-	switch {
-	case line == "STATS":
-		fmt.Fprintf(out, "%s\n", statsLine(srv, ns, ob, ctrl, sketches, ctails, replayer))
+// control handles the non-request text commands (STATS, OBS, and the
+// listing verbs SHADOW / TRACE / DECISIONS); it reports whether the
+// line was one of them. netsrv calls it for any text line the data
+// protocol does not recognize.
+func (ob *kvObs) control(out io.Writer, line string, obsOn *bool) bool {
+	switch line {
+	case "STATS":
+		fmt.Fprintf(out, "STATS %s\n", ob.metrics.StatsLine())
 		return true
-	case line == "SHADOW" || strings.HasPrefix(line, "SHADOW "):
-		if replayer == nil {
-			fmt.Fprintln(out, "ERR shadow replay disabled (start with -shadow)")
-			return true
-		}
-		n := 5
-		if rest := strings.TrimPrefix(line, "SHADOW"); strings.TrimSpace(rest) != "" {
-			v, err := strconv.Atoi(strings.TrimSpace(rest))
-			if err != nil || v <= 0 {
-				fmt.Fprintf(out, "ERR bad SHADOW count %q\n", strings.TrimSpace(rest))
-				return true
-			}
-			n = v
-		}
-		results := replayer.Results(n)
-		for _, r := range results {
-			fmt.Fprintln(out, r.String())
-		}
-		fmt.Fprintf(out, "END %d\n", len(results))
-		return true
-	case line == "TRACE" || strings.HasPrefix(line, "TRACE "):
-		if ob == nil {
-			fmt.Fprintln(out, "ERR tracing disabled (start with -obs)")
-			return true
-		}
-		n := 10
-		if rest := strings.TrimPrefix(line, "TRACE"); strings.TrimSpace(rest) != "" {
-			v, err := strconv.Atoi(strings.TrimSpace(rest))
-			if err != nil || v <= 0 {
-				fmt.Fprintf(out, "ERR bad TRACE count %q\n", strings.TrimSpace(rest))
-				return true
-			}
-			n = v
-		}
-		printed := obs.WriteTimelines(out, ob.tracer.Snapshot(), n)
-		fmt.Fprintf(out, "END %d\n", printed)
-		return true
-	case line == "DECISIONS" || strings.HasPrefix(line, "DECISIONS "):
-		if ctrl == nil {
-			fmt.Fprintln(out, "ERR adaptive control disabled (start with -adaptive)")
-			return true
-		}
-		n := 20
-		if rest := strings.TrimPrefix(line, "DECISIONS"); strings.TrimSpace(rest) != "" {
-			v, err := strconv.Atoi(strings.TrimSpace(rest))
-			if err != nil || v <= 0 {
-				fmt.Fprintf(out, "ERR bad DECISIONS count %q\n", strings.TrimSpace(rest))
-				return true
-			}
-			n = v
-		}
-		decs := ctrl.Decisions(n)
-		for _, d := range decs {
-			fmt.Fprintln(out, d.String())
-		}
-		fmt.Fprintf(out, "END %d\n", len(decs))
-		return true
-	case line == "OBS ON":
-		if ob == nil {
+	case "OBS ON":
+		if ob.tracer == nil {
 			fmt.Fprintln(out, "ERR tracing disabled (start with -obs)")
 			return true
 		}
 		*obsOn = true
 		fmt.Fprintln(out, "OK")
 		return true
-	case line == "OBS OFF":
+	case "OBS OFF":
 		*obsOn = false
 		fmt.Fprintln(out, "OK")
 		return true
 	}
+	// Listing verbs: "VERB [n]" streams the last n entries (a default
+	// count when omitted), one per line, terminated by "END <printed>".
+	for _, v := range []struct {
+		verb     string
+		count    int
+		enabled  bool
+		disabled string
+		list     func(n int) int
+	}{
+		{"SHADOW", 5, ob.replayer != nil, "shadow replay disabled (start with -shadow)", func(n int) int {
+			results := ob.replayer.Results(n)
+			for i := range results {
+				fmt.Fprintln(out, results[i].String())
+			}
+			return len(results)
+		}},
+		{"TRACE", 10, ob.tracer != nil, "tracing disabled (start with -obs)", func(n int) int {
+			return obs.WriteTimelines(out, ob.tracer.Snapshot(), n)
+		}},
+		{"DECISIONS", 20, ob.ctrl != nil, "adaptive control disabled (start with -adaptive)", func(n int) int {
+			decs := ob.ctrl.Decisions(n)
+			for _, d := range decs {
+				fmt.Fprintln(out, d.String())
+			}
+			return len(decs)
+		}},
+	} {
+		arg, ok := strings.CutPrefix(line, v.verb)
+		if !ok || (arg != "" && arg[0] != ' ') {
+			continue
+		}
+		if !v.enabled {
+			fmt.Fprintf(out, "ERR %s\n", v.disabled)
+			return true
+		}
+		n := v.count
+		if arg = strings.TrimSpace(arg); arg != "" {
+			var err error
+			if n, err = strconv.Atoi(arg); err != nil || n <= 0 {
+				fmt.Fprintf(out, "ERR bad %s count %q\n", v.verb, arg)
+				return true
+			}
+		}
+		fmt.Fprintf(out, "END %d\n", v.list(n))
+		return true
+	}
 	return false
-}
-
-// statsLine renders the STATS response. Every key here must map to a
-// /metrics family via metricFamilyForStatsKey — the consistency test
-// asserts it, so the text protocol and the Prometheus surface cannot
-// drift apart.
-func statsLine(srv *live.Server, ns *netsrv.Server, ob *kvObs, ctrl *adapt.Controller, sketches *obs.ClassSketches, ctails *obs.ClassTails, replayer *shadow.Replayer) string {
-	st := srv.Stats()
-	d := srv.Depths()
-	occ := make([]string, len(d.Workers))
-	for i, o := range d.Workers {
-		occ[i] = strconv.Itoa(o)
-	}
-	var b strings.Builder
-	b.WriteString("STATS")
-	field := func(key, val string) {
-		b.WriteByte(' ')
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(val)
-	}
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	field("submitted", u(st.Submitted))
-	field("completed", u(st.Completed))
-	field("rejected", u(st.Rejected))
-	field("expired", u(st.Expired))
-	field("aborted", u(st.Aborted))
-	field("preemptions", u(st.Preemptions))
-	field("dispatcher_run", u(st.DispatcherRun))
-	field("steals", u(st.Steals))
-	field("shed", u(st.Shed))
-	// Comma-joined per class in classNames order, like occ/shardq.
-	classJoin := func(vals [live.NumClasses]uint64) string {
-		parts := make([]string, len(classNames))
-		for class := range classNames {
-			parts[class] = u(vals[class])
-		}
-		return strings.Join(parts, ",")
-	}
-	field("class_submitted", classJoin(st.ClassSubmitted))
-	field("class_completed", classJoin(st.ClassCompleted))
-	field("class_rejected", classJoin(st.ClassRejected))
-	field("central", strconv.Itoa(d.Central))
-	field("submitq", strconv.Itoa(d.Submit))
-	field("occ", strings.Join(occ, ","))
-	shardq := make([]string, len(d.ShardQueues))
-	shardocc := make([]string, len(d.ShardOcc))
-	for i := range d.ShardQueues {
-		shardq[i] = strconv.Itoa(d.ShardQueues[i])
-		shardocc[i] = strconv.Itoa(d.ShardOcc[i])
-	}
-	field("shardq", strings.Join(shardq, ","))
-	field("shardocc", strings.Join(shardocc, ","))
-	if ns != nil {
-		nst := ns.NetStats()
-		field("conns", strconv.FormatInt(nst.Conns, 10))
-		field("pipeline", strconv.FormatInt(nst.Pipeline, 10))
-		field("frames_in", u(nst.FramesIn))
-		field("frames_out", u(nst.FramesOut))
-		field("flushes", u(nst.Flushes))
-		field("text_lines", u(nst.TextLines))
-		field("toolarge", u(nst.TooLarge))
-		field("badframes", u(nst.BadFrames))
-		batch := 0.0
-		if nst.Flushes > 0 {
-			batch = float64(nst.FramesOut) / float64(nst.Flushes)
-		}
-		field("flush_batch_mean", fmt.Sprintf("%.2f", batch))
-		// The mean hides bimodal batching (many 1s plus a few huge
-		// coalesced writes); the histogram quantiles do not.
-		fb := ns.FlushBatch().Snapshot()
-		p50, p99 := 0.0, 0.0
-		if fb.Count > 0 {
-			p50, p99 = fb.Quantile(0.50), fb.Quantile(0.99)
-		}
-		field("flush_batch_p50", fmt.Sprintf("%.2f", p50))
-		field("flush_batch_p99", fmt.Sprintf("%.2f", p99))
-	}
-	if ob != nil && ob.tail != nil {
-		for _, w := range ob.tail.Windows() {
-			suffix := fmtWindow(w)
-			field("p50_"+suffix, fmt.Sprintf("%.1f", ob.tail.Quantile(w, 0.50)))
-			field("p99_"+suffix, fmt.Sprintf("%.1f", ob.tail.Quantile(w, 0.99)))
-			field("p999_"+suffix, fmt.Sprintf("%.1f", ob.tail.Quantile(w, 0.999)))
-		}
-		if slo := ob.tail.SLO(); slo != nil {
-			s := slo.Snapshot()
-			field("burn_short", fmt.Sprintf("%.2f", s.ShortBurn))
-			field("burn_long", fmt.Sprintf("%.2f", s.LongBurn))
-			alerting := "0"
-			if s.Alerting {
-				alerting = "1"
-			}
-			field("slo_alerting", alerting)
-		}
-	}
-	if ctails != nil {
-		p99s := make([]string, len(classNames))
-		attain := make([]string, len(classNames))
-		for class := range classNames {
-			ct := ctails.Tail(class)
-			if ct == nil {
-				p99s[class], attain[class] = "0.0", "1.000"
-				continue
-			}
-			p99s[class] = fmt.Sprintf("%.1f", ct.Quantile(ct.Windows()[0], 0.99))
-			ratio := 1.0
-			if slo := ct.SLO(); slo != nil {
-				if s := slo.Snapshot(); s.LongTotal > 0 {
-					ratio = float64(s.LongGood) / float64(s.LongTotal)
-				}
-			}
-			attain[class] = fmt.Sprintf("%.3f", ratio)
-		}
-		field("class_p99_us", strings.Join(p99s, ","))
-		field("class_slo", strings.Join(attain, ","))
-	}
-	if sketches != nil {
-		// Comma-joined per class in classNames order, like occ/shardq.
-		quant := func(q float64) string {
-			vals := make([]string, len(classNames))
-			for class := range classNames {
-				vals[class] = fmt.Sprintf("%.1f", sketches.ServiceQuantileNS(class, q)/1e3)
-			}
-			return strings.Join(vals, ",")
-		}
-		field("svc_p50_us", quant(0.50))
-		field("svc_p99_us", quant(0.99))
-	}
-	if replayer != nil {
-		windows, skipped := replayer.Counts()
-		field("regret_windows", u(windows))
-		field("regret_skipped", u(skipped))
-		_, kept := replayer.Ring().Stats()
-		field("shadow_captured", u(kept))
-		last := replayer.Latest()
-		best := "none"
-		if last != nil && last.Best != "" {
-			best = last.Best
-		}
-		field("regret_best", best)
-		field("regret", fmt.Sprintf("%.2f", last.RegretRatio()))
-		for _, policy := range shadow.Policies() {
-			field("regret_ratio_"+policy, fmt.Sprintf("%.2f", last.PolicyRatio(policy)))
-		}
-	}
-	if ctrl != nil {
-		s := ctrl.Status()
-		pol := "0"
-		if s.Policy == live.PolicySRPT {
-			pol = "1"
-		}
-		field("adapt_policy", pol)
-		field("adapt_quantum_us", fmt.Sprintf("%.1f", float64(s.Quantum)/float64(time.Microsecond)))
-		field("adapt_cv", fmt.Sprintf("%.3f", s.CV))
-		field("adapt_switches", u(s.Switches))
-		field("adapt_quantum_changes", u(s.QuantumChanges))
-		var decisions uint64
-		for _, c := range ctrl.DecisionCounts() {
-			decisions += c
-		}
-		field("adapt_decisions", u(decisions))
-	}
-	return b.String()
-}
-
-// metricFamilyForStatsKey maps a STATS field to the /metrics family
-// exposing the same quantity; "" means unmapped (a drift bug the
-// consistency test turns into a failure).
-func metricFamilyForStatsKey(key string) string {
-	switch key {
-	case "submitted", "completed", "rejected", "expired", "aborted", "preemptions", "dispatcher_run", "steals", "shed":
-		return "concord_" + key + "_total"
-	case "class_submitted", "class_completed", "class_rejected":
-		return "concord_class_requests_total"
-	case "class_p99_us":
-		return "concord_class_latency_us"
-	case "class_slo":
-		return "concord_class_slo_attainment"
-	case "central", "submitq":
-		return "concord_queue_depth"
-	case "occ":
-		return "concord_worker_occupancy"
-	case "shardq":
-		return "concord_shard_queue_depth"
-	case "shardocc":
-		return "concord_shard_occupancy"
-	case "conns":
-		return "concord_net_connections"
-	case "pipeline":
-		return "concord_net_pipeline_depth"
-	case "frames_in", "frames_out":
-		return "concord_net_frames_total"
-	case "flushes":
-		return "concord_net_flushes_total"
-	case "text_lines":
-		return "concord_net_text_lines_total"
-	case "toolarge":
-		return "concord_net_toolarge_total"
-	case "badframes":
-		return "concord_net_bad_frames_total"
-	case "flush_batch_mean":
-		return "concord_net_flush_batch"
-	case "flush_batch_p50", "flush_batch_p99":
-		return "concord_net_flush_batch_quantile"
-	case "burn_short", "burn_long":
-		return "concord_slo_burn_rate"
-	case "slo_alerting":
-		return "concord_slo_alerting"
-	case "adapt_policy":
-		return "concord_adapt_policy"
-	case "adapt_quantum_us":
-		return "concord_adapt_quantum_us"
-	case "adapt_cv":
-		return "concord_adapt_cv"
-	case "adapt_switches":
-		return "concord_adapt_switches_total"
-	case "adapt_quantum_changes":
-		return "concord_adapt_quantum_changes_total"
-	case "adapt_decisions":
-		return "concord_adapt_decisions_total"
-	case "svc_p50_us", "svc_p99_us":
-		return "concord_svc_time_us"
-	case "regret_windows":
-		return "concord_regret_windows_total"
-	case "regret_skipped":
-		return "concord_regret_skipped_total"
-	case "shadow_captured":
-		return "concord_shadow_captures_total"
-	case "regret_best":
-		return "concord_regret_best_policy"
-	case "regret":
-		return "concord_regret_ratio"
-	}
-	if strings.HasPrefix(key, "regret_ratio_") {
-		return "concord_regret_p99_ratio"
-	}
-	if strings.HasPrefix(key, "p50_") || strings.HasPrefix(key, "p99_") || strings.HasPrefix(key, "p999_") {
-		return "concord_rolling_latency_us"
-	}
-	return ""
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"fmt"
-	"io"
+	"os"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -16,31 +18,27 @@ import (
 	"concord/internal/shadow"
 )
 
-// testEnv bundles the surfaces main wires together with -obs, -adaptive
-// and -shadow, so tests exercise statsLine/serveControl exactly as the
-// daemon calls them.
-type testEnv struct {
-	srv      *live.Server
-	ns       *netsrv.Server
-	ob       *kvObs
-	ctrl     *adapt.Controller
-	sketches *obs.ClassSketches
-	ctails   *obs.ClassTails
-	replayer *shadow.Replayer
+// testEnv is the operator surface exactly as main wires it with -obs,
+// -adaptive, -shadow and -classes.
+type testEnv struct{ *kvObs }
+
+func (e *testEnv) stats() string { return "STATS " + e.metrics.StatsLine() }
+
+func (e *testEnv) exposition() string {
+	var sb strings.Builder
+	e.metrics.WritePrometheus(&sb)
+	return sb.String()
 }
 
-func (e *testEnv) stats() string {
-	return statsLine(e.srv, e.ns, e.ob, e.ctrl, e.sketches, e.ctails, e.replayer)
-}
-
-func (e *testEnv) control(out io.Writer, line string, obsOn *bool) bool {
-	return serveControl(out, line, e.srv, e.ns, e.ob, e.ctrl, e.sketches, e.ctails, e.replayer, obsOn)
+// bareStats is the STATS line of a server started with no observability
+// or control flag: only the runtime itself is configured.
+func bareStats(srv *live.Server) string {
+	return "STATS " + (&kvObs{srv: srv}).register().metrics.StatsLine()
 }
 
 // newTestObs boots an in-process server with the full observability
-// and control-plane surface, exactly as main wires it with -obs,
-// -adaptive and -shadow. The controller and replayer are built but not
-// run: tests drive them (or ignore them) deterministically.
+// and control-plane surface. The controller and replayer are built but
+// not run: tests drive them (or ignore them) deterministically.
 func newTestObs(t *testing.T) *testEnv {
 	return newTestObsSharded(t, 1)
 }
@@ -48,43 +46,29 @@ func newTestObs(t *testing.T) *testEnv {
 func newTestObsSharded(t *testing.T, shards int) *testEnv {
 	t.Helper()
 	const workers = 2
-	tracer := obs.NewTracerSharded(workers, shards, 1024)
-	slo := obs.NewSLOTracker(obs.SLOConfig{Target: 200 * time.Microsecond, Objective: 0.999})
-	tail := obs.NewTailTracker(nil, slo)
-	cvEst := &adapt.CVEstimator{}
-	sketches := obs.NewClassSketches(live.NumClasses)
-	slos := make([]obs.ClassSLO, live.NumClasses)
-	for c := live.SLOClass(0); c < live.NumClasses; c++ {
-		slos[c] = obs.ClassSLO{Target: c.DefaultObjective(), Objective: 0.999}
+	ob := &kvObs{
+		tracer:   obs.NewTracerSharded(workers, shards, 1024),
+		tail:     obs.NewTailTracker(nil, obs.NewSLOTracker(obs.SLOConfig{Target: 200 * time.Microsecond})),
+		sketches: obs.NewClassSketches(live.NumClasses),
 	}
-	ctails := obs.NewClassTails(slos, nil)
+	ob.tail.Classes = live.NewClassTrackers()
 	ring := live.NewCaptureRing(1024, 1)
-	srv := live.New(&netsrv.KVHandler{Store: kv.New(), ScanBatch: 64}, live.Options{
-		Workers:         workers,
-		Shards:          shards,
-		PinThreads:      false,
-		Tracer:          tracer,
-		Tail:            tail,
-		Adaptive:        true,
-		ServiceObserver: cvEst.Observe,
-		Sketches:        sketches,
-		Capture:         ring,
-		ClassTails:      ctails,
+	ob.srv = live.New(&netsrv.KVHandler{Store: kv.New(), ScanBatch: 64}, live.Options{
+		Workers:    workers,
+		Shards:     shards,
+		PinThreads: false,
+		Tracer:     ob.tracer,
+		Tail:       ob.tail,
+		Adaptive:   true,
+		Sketches:   ob.sketches,
+		Capture:    ring,
 	})
-	srv.Start()
-	t.Cleanup(srv.Stop)
-	ns := netsrv.New(srv, netsrv.Options{})
-	ctrl := adapt.New(srv, adapt.Config{SLOTarget: 200 * time.Microsecond})
-	replayer := shadow.NewReplayer(ring, shadow.Config{Workers: workers, QuantumUS: 100, MinRecs: 4}, time.Hour)
-	return &testEnv{
-		srv:      srv,
-		ns:       ns,
-		ob:       newKVObs(tracer, tail, ctails, ctrl, srv, ns, sketches, replayer, workers, shards),
-		ctrl:     ctrl,
-		sketches: sketches,
-		ctails:   ctails,
-		replayer: replayer,
-	}
+	ob.srv.Start()
+	t.Cleanup(ob.srv.Stop)
+	ob.ns = netsrv.New(ob.srv, netsrv.Options{})
+	ob.ctrl = adapt.New(ob.srv, adapt.Config{SLOTarget: 200 * time.Microsecond})
+	ob.replayer = shadow.NewReplayer(ring, shadow.Config{Workers: workers, QuantumUS: 100, MinRecs: 4}, time.Hour)
+	return &testEnv{ob.register()}
 }
 
 func put(t *testing.T, srv *live.Server, key, val string) {
@@ -95,42 +79,101 @@ func put(t *testing.T, srv *live.Server, key, val string) {
 	}
 }
 
-// TestStatsMetricsConsistency asserts every STATS field has a /metrics
-// counterpart: the drift that used to require cross-referencing
-// central=/submitq= by hand now fails the build. The connection-layer
-// fields (frames, flushes, pipeline depth) ride the same check.
-func TestStatsMetricsConsistency(t *testing.T) {
-	e := newTestObs(t)
-	put(t, e.srv, "k", "v")
-
-	line := e.stats()
-	if !strings.HasPrefix(line, "STATS ") {
-		t.Fatalf("statsLine = %q", line)
+// statsKeys returns a STATS line's keys in order.
+func statsKeys(line string) []string {
+	var keys []string
+	for _, f := range strings.Fields(line)[1:] {
+		k, _, _ := strings.Cut(f, "=")
+		keys = append(keys, k)
 	}
-	var sb strings.Builder
-	e.ob.metrics.WritePrometheus(&sb)
-	exposition := sb.String()
+	return keys
+}
 
-	fields := strings.Fields(line)[1:]
-	if len(fields) < 20 {
-		t.Fatalf("expected the full field set (counters+depths+net+windows+slo), got %d: %v", len(fields), fields)
-	}
-	for _, f := range fields {
-		key, _, okSplit := strings.Cut(f, "=")
-		if !okSplit {
-			t.Fatalf("malformed STATS field %q", f)
-		}
-		family := metricFamilyForStatsKey(key)
-		if family == "" {
-			t.Errorf("STATS field %q has no /metrics family mapping", key)
+// metricSeries reduces an exposition to its TYPE lines plus the sorted
+// set of series names with their label sets. Values, histogram le
+// bounds (a function of the traffic), the build-info label values and
+// the Go-runtime families (a function of the toolchain) are dropped.
+func metricSeries(exposition string) []string {
+	set := map[string]bool{}
+	for _, ln := range strings.Split(exposition, "\n") {
+		if ln == "" || strings.HasPrefix(ln, "# HELP ") || strings.Contains(ln, "concord_go_") {
 			continue
 		}
-		// Strip any label selector before matching the TYPE line.
-		if i := strings.IndexByte(family, '{'); i >= 0 {
-			family = family[:i]
+		if strings.HasPrefix(ln, "# TYPE ") {
+			set[ln] = true
+			continue
 		}
-		if !strings.Contains(exposition, "# TYPE "+family+" ") {
-			t.Errorf("STATS field %q maps to family %q, absent from /metrics exposition", key, family)
+		name, labels, _ := strings.Cut(ln[:strings.LastIndexByte(ln, ' ')], "{")
+		var kept []string
+		for _, l := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+			k, _, _ := strings.Cut(l, "=")
+			switch {
+			case l == "" || k == "le":
+			case name == "concord_build_info":
+				kept = append(kept, k)
+			default:
+				kept = append(kept, l)
+			}
+		}
+		if len(kept) > 0 {
+			name += "{" + strings.Join(kept, ",") + "}"
+		}
+		set[name] = true
+	}
+	out := make([]string, 0, len(set))
+	for s := range set {
+		out = append(out, s)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestRegistryGoldens pins the operator surface to the one captured
+// from the last commit that rendered STATS and /metrics separately
+// (statsLine + newKVObs, stitched by a consistency test): every STATS
+// key in the same order, every /metrics family with its type and label
+// sets, at one and at two shards with -obs -adaptive -shadow -classes.
+// The goldens were produced by these same two reductions.
+func TestRegistryGoldens(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		e := newTestObsSharded(t, shards)
+		put(t, e.srv, "k", "v")
+		for name, got := range map[string][]string{
+			"stats_keys":     statsKeys(e.stats()),
+			"metrics_series": metricSeries(e.exposition()),
+		} {
+			file := fmt.Sprintf("testdata/%s_shards%d.golden", name, shards)
+			want, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(got, "\n") + "\n"; got != string(want) {
+				t.Errorf("%s differs from the golden:\n got: %s\nwant: %s", file,
+					strings.ReplaceAll(got, "\n", " "), strings.ReplaceAll(string(want), "\n", " "))
+			}
+		}
+	}
+}
+
+// TestFamiliesSpelledOnce: a STATS field cannot exist without the
+// /metrics series it is a view of — both come from one registration.
+// What can still be checked is that every family name is spelled exactly
+// once in the registry source, so each has a single definition.
+func TestFamiliesSpelledOnce(t *testing.T) {
+	src, err := os.ReadFile("metrics.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, name := range regexp.MustCompile(`"concord_[a-z0-9_]+"`).FindAllString(string(src), -1) {
+		seen[name]++
+	}
+	if len(seen) < 40 {
+		t.Fatalf("found only %d family names in metrics.go", len(seen))
+	}
+	for name, n := range seen {
+		if n != 1 {
+			t.Errorf("family %s spelled %d times in metrics.go, want once", name, n)
 		}
 	}
 }
@@ -149,7 +192,7 @@ func TestStatsNetFields(t *testing.T) {
 			t.Errorf("STATS line missing %q: %s", want, line)
 		}
 	}
-	bare := statsLine(e.srv, nil, nil, nil, nil, nil, nil)
+	bare := bareStats(e.srv)
 	if strings.Contains(bare, "frames_in=") || strings.Contains(bare, "conns=") {
 		t.Errorf("bare STATS line has net fields: %s", bare)
 	}
@@ -165,14 +208,14 @@ func TestStatsLineWindowedFields(t *testing.T) {
 		}
 	}
 	line := e.stats()
-	for _, want := range []string{"p50_1s=", "p99_10s=", "p999_60s=", "burn_short=", "burn_long=", "slo_alerting=0"} {
+	for _, want := range []string{"p50_1s=", "p99_10s=", "p999_60s=", "burn_short=", "burn_long=", "slo_alerting="} {
 		if !strings.Contains(line, want) {
 			t.Errorf("STATS line missing %q: %s", want, line)
 		}
 	}
 	// Without the obs surface the windowed fields must be absent but
 	// the counter fields still render.
-	bare := statsLine(e.srv, nil, nil, nil, nil, nil, nil)
+	bare := bareStats(e.srv)
 	if strings.Contains(bare, "p50_") || strings.Contains(bare, "burn_") {
 		t.Errorf("bare STATS line has windowed fields: %s", bare)
 	}
@@ -182,21 +225,19 @@ func TestStatsLineWindowedFields(t *testing.T) {
 }
 
 // TestStatsShardedFields: with two shards the STATS line carries one
-// comma-separated slot per shard, the steals counter renders, and every
-// new key maps to a /metrics family (consistency loop above only checks
-// the keys present, so sharded keys get their own pass here).
+// comma-separated slot per shard and the steals counter renders (its
+// value depends on whether the idle sibling shard got to the one PUT
+// first), with the per-shard series on /metrics.
 func TestStatsShardedFields(t *testing.T) {
 	e := newTestObsSharded(t, 2)
 	put(t, e.srv, "k", "v")
 	line := e.stats()
-	for _, want := range []string{"steals=0", "shardq=0,0", "shardocc=0,0"} {
+	for _, want := range []string{" steals=", "shardq=0,0", "shardocc=0,0"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("STATS line missing %q: %s", want, line)
 		}
 	}
-	var sb strings.Builder
-	e.ob.metrics.WritePrometheus(&sb)
-	exposition := sb.String()
+	exposition := e.exposition()
 	for _, family := range []string{
 		"concord_steals_total",
 		`concord_shard_queue_depth{shard="0"}`,
@@ -223,9 +264,7 @@ func TestStatsAdaptiveFields(t *testing.T) {
 			t.Errorf("STATS line missing %q: %s", want, line)
 		}
 	}
-	var sb strings.Builder
-	e.ob.metrics.WritePrometheus(&sb)
-	exposition := sb.String()
+	exposition := e.exposition()
 	for _, family := range []string{
 		"concord_adapt_policy", "concord_adapt_quantum_us", "concord_adapt_cv",
 		"concord_adapt_switches_total", "concord_adapt_quantum_changes_total",
@@ -247,7 +286,7 @@ func TestStatsAdaptiveFields(t *testing.T) {
 	if line := e.stats(); !strings.Contains(line, "adapt_decisions=31") {
 		t.Errorf("STATS line did not count decisions: %s", line)
 	}
-	bare := statsLine(e.srv, nil, nil, nil, nil, nil, nil)
+	bare := bareStats(e.srv)
 	if strings.Contains(bare, "adapt_") {
 		t.Errorf("bare STATS line has adaptive fields: %s", bare)
 	}
@@ -328,7 +367,7 @@ func TestDecisionsControlVerb(t *testing.T) {
 		t.Fatalf("bad count reply = %q", out.String())
 	}
 	out.Reset()
-	if !serveControl(&out, "DECISIONS", e.srv, e.ns, e.ob, nil, e.sketches, e.ctails, e.replayer, &obsOn) {
+	if !(&kvObs{srv: e.srv}).control(&out, "DECISIONS", &obsOn) {
 		t.Fatal("DECISIONS without controller not handled")
 	}
 	if !strings.HasPrefix(out.String(), "ERR ") {
@@ -341,9 +380,7 @@ func TestDecisionsControlVerb(t *testing.T) {
 // components exist alongside the scheduler ones.
 func TestRuntimeHealthFamilies(t *testing.T) {
 	e := newTestObs(t)
-	var sb strings.Builder
-	e.ob.metrics.WritePrometheus(&sb)
-	exposition := sb.String()
+	exposition := e.exposition()
 	for _, family := range []string{
 		"concord_go_goroutines", "concord_go_gomaxprocs",
 		"concord_go_heap_live_bytes", "concord_go_gc_cycles_total",
@@ -413,27 +450,6 @@ func TestServiceHints(t *testing.T) {
 	}
 }
 
-func TestParseWindows(t *testing.T) {
-	got, err := parseWindows("1s, 10s,60s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []time.Duration{time.Second, 10 * time.Second, time.Minute}
-	if len(got) != len(want) {
-		t.Fatalf("parseWindows = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseWindows = %v, want %v", got, want)
-		}
-	}
-	for _, bad := range []string{"", "1s,", "0s", "-5s", "1s,banana"} {
-		if _, err := parseWindows(bad); err == nil {
-			t.Errorf("parseWindows(%q) accepted", bad)
-		}
-	}
-}
-
 func TestFmtWindow(t *testing.T) {
 	for _, tc := range []struct {
 		d    time.Duration
@@ -490,9 +506,7 @@ func TestStatsSketchAndRegretFields(t *testing.T) {
 			t.Errorf("standard-class p50 still zero after 30 GETs: %q", f)
 		}
 	}
-	var sb strings.Builder
-	e.ob.metrics.WritePrometheus(&sb)
-	exposition := sb.String()
+	exposition := e.exposition()
 	for _, family := range []string{
 		`concord_svc_time_us{class="standard",quantile="p99"}`,
 		`concord_hint_error_count{class="standard"}`,
@@ -506,7 +520,7 @@ func TestStatsSketchAndRegretFields(t *testing.T) {
 		}
 	}
 	// Without -shadow/-obs the bare line must carry none of the block.
-	bare := statsLine(e.srv, nil, nil, nil, nil, nil, nil)
+	bare := bareStats(e.srv)
 	if strings.Contains(bare, "svc_p50_us=") || strings.Contains(bare, "regret") {
 		t.Errorf("bare STATS line has sketch/regret fields: %s", bare)
 	}
@@ -548,7 +562,7 @@ func TestShadowControlVerb(t *testing.T) {
 		t.Fatalf("bad count reply = %q", out.String())
 	}
 	out.Reset()
-	if !serveControl(&out, "SHADOW", e.srv, e.ns, e.ob, e.ctrl, e.sketches, e.ctails, nil, &obsOn) {
+	if !(&kvObs{srv: e.srv}).control(&out, "SHADOW", &obsOn) {
 		t.Fatal("SHADOW without replayer not handled")
 	}
 	if !strings.HasPrefix(out.String(), "ERR ") {

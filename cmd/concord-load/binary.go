@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"concord/internal/obs"
 	"concord/internal/proto"
 	"concord/internal/trace"
 )
@@ -29,7 +30,7 @@ type binFleet struct {
 	wg    sync.WaitGroup
 
 	lg    *trace.Log
-	hist  *trace.Histogram
+	hist  *obs.QuantileSketch
 	fails *failures
 }
 
@@ -54,7 +55,7 @@ type binSlot struct {
 	busy  bool
 }
 
-func dialBinary(addr string, nconns, depth int, lg *trace.Log, hist *trace.Histogram, fails *failures) (*binFleet, error) {
+func dialBinary(addr string, nconns, depth int, lg *trace.Log, hist *obs.QuantileSketch, fails *failures) (*binFleet, error) {
 	f := &binFleet{
 		total: nconns * depth,
 		avail: make(chan *binSlot, nconns*depth),
@@ -154,7 +155,7 @@ func (bc *binConn) readLoop() {
 				ServiceUS: o.serviceUS,
 				SojournUS: float64(lat) / float64(time.Microsecond),
 			})
-			f.hist.ObserveDuration(lat)
+			f.hist.Observe(int64(lat))
 		default:
 			f.fails.record(nil, proto.StatusString(resp.Status))
 		}

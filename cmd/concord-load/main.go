@@ -47,6 +47,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -58,6 +59,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"concord/internal/obs"
 	"concord/internal/proto"
 	"concord/internal/trace"
 )
@@ -344,7 +346,7 @@ func main() {
 	}
 
 	lg := trace.NewLog(int(*rate * duration.Seconds()))
-	var hist trace.Histogram
+	var hist obs.QuantileSketch
 	var fails failures
 
 	// Launch path: the text pool lends one lockstep connection per
@@ -448,7 +450,7 @@ func main() {
 				r.Preemptions, r.OnDispatcher = b.preempts, b.dispatcher
 			}
 			lg.Add(r)
-			hist.ObserveDuration(lat)
+			hist.Observe(int64(lat))
 		}(o, rw, time.Now())
 		// Reap completions without blocking the arrival process.
 		for {
@@ -501,7 +503,7 @@ func main() {
 	if !math.IsNaN(sum.P999) {
 		fmt.Printf("p99.9 slowdown %.1fx %s the 50x SLO\n", sum.P999, meets(sum.P999))
 	}
-	fmt.Print(hist.String())
+	printHistogram(os.Stdout, hist.Snapshot())
 	if *brkdown {
 		printBreakdown(steady.Snapshot())
 	}
@@ -720,15 +722,35 @@ func parseObsTrailer(resp string) (obsTrailer, bool) {
 	return b, true
 }
 
+// printHistogram renders a latency sketch's non-empty octaves with
+// proportional bars.
+func printHistogram(w io.Writer, snap obs.SketchSnapshot) {
+	octaves := snap.Octaves()
+	var max uint64
+	for _, c := range octaves {
+		if c > max {
+			max = c
+		}
+	}
+	for k, c := range octaves {
+		if c == 0 {
+			continue
+		}
+		lo := math.Ldexp(1, k) / 1e3 // octave k covers [2^k, 2^(k+1)) ns
+		bar := strings.Repeat("#", int(math.Ceil(float64(c)/float64(max)*40)))
+		fmt.Fprintf(w, "%10.1f-%-10.1fµs %8d %s\n", lo, 2*lo, c, bar)
+	}
+}
+
 // printBreakdown renders the Table-1-style per-class component table
-// from server-measured breakdowns, aggregated into log-2 histograms so
-// the quantiles match what the server's /metrics endpoint exposes.
+// from server-measured breakdowns, aggregated into the same sketch the
+// server's own surface uses, so the quantiles match what it reports.
 func printBreakdown(recs []trace.Record) {
+	rows := [...]string{"total", "ingress", "handoff", "queueing", "service", "preempted", "egress"}
 	type comps struct {
-		total, handoff, queue, service, preempted trace.Histogram
-		ingress, egress                           trace.Histogram
-		sojournUS, serverUS                       []float64 // paired, per request
-		preempts, n                               int
+		rows                [len(rows)]obs.QuantileSketch // ns
+		sojournUS, serverUS []float64                     // paired, per request
+		preempts, n         int
 	}
 	byClass := map[string]*comps{}
 	var classes []string
@@ -747,13 +769,9 @@ func printBreakdown(recs []trace.Record) {
 		// client-side open-loop wait) is in the latency summary above
 		// and in the gap table below.
 		server := r.HandoffUS + r.QueueUS + r.RunUS + r.PreemptedUS + r.IngressUS + r.EgressUS
-		c.total.ObserveUS(server)
-		c.handoff.ObserveUS(r.HandoffUS)
-		c.queue.ObserveUS(r.QueueUS)
-		c.service.ObserveUS(r.RunUS)
-		c.preempted.ObserveUS(r.PreemptedUS)
-		c.ingress.ObserveUS(r.IngressUS)
-		c.egress.ObserveUS(r.EgressUS)
+		for i, us := range [len(rows)]float64{server, r.IngressUS, r.HandoffUS, r.QueueUS, r.RunUS, r.PreemptedUS, r.EgressUS} {
+			c.rows[i].Observe(int64(us * 1e3))
+		}
 		c.sojournUS = append(c.sojournUS, r.SojournUS)
 		c.serverUS = append(c.serverUS, server)
 		c.preempts += r.Preemptions
@@ -768,25 +786,10 @@ func printBreakdown(recs []trace.Record) {
 	fmt.Printf("%-15s %-10s %10s %10s %10s %10s\n", "class", "component", "p50", "p99", "p99.9", "mean")
 	for _, cl := range classes {
 		c := byClass[cl]
-		for _, row := range []struct {
-			name string
-			h    *trace.Histogram
-		}{
-			{"total", &c.total},
-			{"ingress", &c.ingress},
-			{"handoff", &c.handoff},
-			{"queueing", &c.queue},
-			{"service", &c.service},
-			{"preempted", &c.preempted},
-			{"egress", &c.egress},
-		} {
-			s := row.h.Snapshot()
-			mean := 0.0
-			if s.Count > 0 {
-				mean = s.SumUS / float64(s.Count)
-			}
+		for i, name := range rows {
+			s := c.rows[i].Snapshot()
 			fmt.Printf("%-15s %-10s %10.1f %10.1f %10.1f %10.1f\n",
-				cl, row.name, s.Quantile(0.50), s.Quantile(0.99), s.Quantile(0.999), mean)
+				cl, name, s.Quantile(0.50)/1e3, s.Quantile(0.99)/1e3, s.Quantile(0.999)/1e3, s.Mean()/1e3)
 		}
 		fmt.Printf("%-15s %-10s %10.2f preempts/req over %d requests\n", cl, "preempt", float64(c.preempts)/float64(c.n), c.n)
 	}

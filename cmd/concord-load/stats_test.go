@@ -3,7 +3,32 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"concord/internal/obs"
 )
+
+// TestPrintHistogram: one bar line per non-empty octave of the latency
+// sketch, bounds in µs, bars proportional to the fullest octave.
+func TestPrintHistogram(t *testing.T) {
+	var sk obs.QuantileSketch
+	for i := 0; i < 4; i++ {
+		sk.Observe(1500) // [1024, 2048) ns
+	}
+	sk.Observe(3_000_000) // [2097152, 4194304) ns
+	sk.Observe(-1)        // clamps into the lowest octave
+	var b strings.Builder
+	printHistogram(&b, sk.Snapshot())
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("%d lines, want one per non-empty octave (3):\n%s", len(lines), b.String())
+	}
+	if !strings.Contains(lines[1], "1.0-2.0") || !strings.Contains(lines[1], " 4 "+strings.Repeat("#", 40)) {
+		t.Errorf("fullest octave line = %q", lines[1])
+	}
+	if !strings.Contains(lines[2], "2097.2-4194.3") || !strings.HasSuffix(lines[2], " 1 "+strings.Repeat("#", 10)) {
+		t.Errorf("millisecond octave line = %q", lines[2])
+	}
+}
 
 func TestParseStatsLine(t *testing.T) {
 	line := "STATS submitted=10 completed=9 rejected=0 expired=0 aborted=0 " +

@@ -3,6 +3,8 @@ package adapt
 import (
 	"testing"
 	"time"
+
+	"concord/internal/obs"
 )
 
 // fakeRuntime records actuator calls; Step is deterministic against it.
@@ -22,43 +24,68 @@ func (f *fakeRuntime) SetClassQuantum(c int, d time.Duration) { f.class[c] = d }
 func (f *fakeRuntime) SetPolicy(name string) error            { f.policy = name; return nil }
 func (f *fakeRuntime) Policy() string                         { return f.policy }
 
-func TestCVEstimatorConstantAndBimodal(t *testing.T) {
-	var e CVEstimator
+// TestGatherServiceWindow: each gather reads the service times completed
+// since the previous one — count, exact mean, midpoint CV — from the
+// runtime's cumulative class sketches, without draining them.
+func TestGatherServiceWindow(t *testing.T) {
+	sk := obs.NewClassSketches(2)
+	src := Sources{Service: sk}
+	var prev obs.SketchSnapshot
+
 	for i := 0; i < 100; i++ {
-		e.Observe(10_000) // constant 10µs
+		sk.Observe(i%2, 10_000, 0) // constant 10µs, spread over both classes
 	}
-	n, mean, cv := e.TakeWindow()
-	if n != 100 {
-		t.Fatalf("count = %d, want 100", n)
+	sig := gather(src, &prev)
+	if sig.SvcCount != 100 {
+		t.Fatalf("count = %d, want 100", sig.SvcCount)
 	}
-	if mean < 9_000 || mean > 11_000 {
-		t.Fatalf("mean = %.0fns, want ~10000", mean)
+	if sig.SvcMeanNS != 10_000 {
+		t.Fatalf("mean = %.0fns, want 10000", sig.SvcMeanNS)
 	}
-	if cv > 0.05 {
-		t.Fatalf("constant samples CV = %.3f, want ~0", cv)
-	}
-
-	// Drained: the next window starts empty.
-	if n, _, _ := e.TakeWindow(); n != 0 {
-		t.Fatalf("drained estimator still has %d samples", n)
+	if sig.SvcCV != 0 {
+		t.Fatalf("constant samples CV = %.3f, want 0", sig.SvcCV)
 	}
 
-	// 95% short / 5% very long — the dispersion SRPT exists for.
+	// Nothing completed since: the next window is empty.
+	if sig := gather(src, &prev); sig.SvcCount != 0 || sig.SvcCV != 0 {
+		t.Fatalf("idle window read %d samples, CV %.3f", sig.SvcCount, sig.SvcCV)
+	}
+
+	// 95% short / 5% very long — the dispersion SRPT exists for. The
+	// constant samples of the first window must not dilute it.
 	for i := 0; i < 100; i++ {
 		if i%20 == 0 {
-			e.Observe(1_000_000) // 1ms scan
+			sk.Observe(0, 1_000_000, 0) // 1ms scan
 		} else {
-			e.Observe(5_000) // 5µs point op
+			sk.Observe(0, 5_000, 0) // 5µs point op
 		}
 	}
-	_, _, cv = e.TakeWindow()
-	if cv < 1.5 {
-		t.Fatalf("bimodal CV = %.3f, want > 1.5", cv)
+	if sig := gather(src, &prev); sig.SvcCount != 100 || sig.SvcCV < 1.5 {
+		t.Fatalf("bimodal window: count %d CV %.3f, want 100 samples at CV > 1.5", sig.SvcCount, sig.SvcCV)
 	}
-	e.Observe(-5) // dropped
-	e.Observe(0)  // dropped
-	if n, _, _ := e.TakeWindow(); n != 0 {
-		t.Fatalf("non-positive samples were counted: %d", n)
+	// The sketches themselves were never reset.
+	if n := sk.ServiceSnapshot().Count; n != 200 {
+		t.Fatalf("cumulative sketch count = %d, want 200", n)
+	}
+}
+
+// TestGatherTail: the tail signals are the shortest window's p99/p99.9
+// as durations plus its completion rate.
+func TestGatherTail(t *testing.T) {
+	tail := obs.NewTailTracker([]time.Duration{time.Second}, nil)
+	var prev obs.SketchSnapshot
+	if sig := gather(Sources{Tail: tail}, &prev); sig.P999 != 0 || sig.Rate != 0 {
+		t.Fatalf("idle tail read p99.9 %v rate %v, want zeros", sig.P999, sig.Rate)
+	}
+	for i := 0; i < 50; i++ {
+		tail.Observe(200*time.Microsecond, true)
+	}
+	sig := gather(Sources{Tail: tail}, &prev)
+	if sig.P999 < 190*time.Microsecond || sig.P999 > 210*time.Microsecond || sig.P99 != sig.P999 {
+		t.Fatalf("p99 %v / p99.9 %v, want ≈200µs", sig.P99, sig.P999)
+	}
+	if sig.Rate != 50 {
+		t.Fatalf("rate = %v req/s, want 50 over the 1s window", sig.Rate)
 	}
 }
 

@@ -1,3 +1,12 @@
+// Package adapt is the scheduling control plane: a slow-path controller
+// that watches the observability layer's rolling tail quantiles, SLO
+// burn rates, and an online service-time dispersion estimate, and
+// steers the live runtime's fast-path knobs — the preemption quantum,
+// per-class quanta, and the fcfs↔srpt queue discipline. The fast path
+// never blocks on the controller: every actuator is an atomic the
+// dispatcher reads at its own pace (§2's model selects the discipline;
+// the controller merely re-evaluates that selection as the workload
+// drifts).
 package adapt
 
 import (
@@ -143,7 +152,8 @@ type Signals struct {
 	ShortBurn, LongBurn float64
 	// Rate is the completion rate over the window, req/s.
 	Rate float64
-	// SvcCount/SvcMeanNS/SvcCV are the drained service-time window.
+	// SvcCount/SvcMeanNS/SvcCV describe the service times completed
+	// since the previous reading.
 	SvcCount  int64
 	SvcMeanNS float64
 	SvcCV     float64
@@ -167,7 +177,7 @@ type Status struct {
 
 // Controller owns the control loop state. Construct with New, then
 // either call Step per period with externally gathered Signals, or Run
-// it against a TailTracker/CVEstimator pair.
+// it against a TailTracker and the runtime's service-time sketches.
 type Controller struct {
 	rt  Runtime
 	cfg Config
@@ -211,9 +221,6 @@ func New(rt Runtime, cfg Config) *Controller {
 	c.applyClassQuanta(q)
 	return c
 }
-
-// Config returns the controller's resolved configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Status snapshots the controller state for metrics export.
 func (c *Controller) Status() Status {
@@ -406,14 +413,18 @@ func (c *Controller) classScales() map[int]float64 {
 	return scales
 }
 
-// Sources are the sensors Run samples each period. Tail may be nil
-// (no quantum adaptation signal); CV must be set. Regret, when set,
-// supplies the shadow replayer's latest regret ratio for the decision
-// log (e.g. a closure over shadow.Replayer.Latest).
+// Sources are the sensors Run samples each period; any may be nil.
+// Tail supplies the rolling tail, rate and burn signals (without it the
+// quantum holds still), Service the per-class service-time sketches the
+// runtime feeds — each tick reads the mean and CV of the completions
+// since the previous tick as a snapshot delta, so nothing on the
+// completion path is drained or reset. Regret, when set, supplies the
+// shadow replayer's latest regret ratio for the decision log (e.g. a
+// closure over shadow.Replayer.Latest).
 type Sources struct {
-	Tail   *obs.TailTracker
-	CV     *CVEstimator
-	Regret func() float64
+	Tail    *obs.TailTracker
+	Service *obs.ClassSketches
+	Regret  func() float64
 }
 
 // Run drives the control loop on a ticker until stop closes. The
@@ -421,37 +432,42 @@ type Sources struct {
 func (c *Controller) Run(src Sources, stop <-chan struct{}) {
 	tick := time.NewTicker(c.cfg.Interval)
 	defer tick.Stop()
+	var prev obs.SketchSnapshot // service sketch at the previous tick
 	for {
 		select {
 		case <-stop:
 			return
 		case <-tick.C:
-			c.Step(c.gather(src))
+			c.Step(gather(src, &prev))
 		}
 	}
 }
 
-// gather samples the sensors into one Signals reading.
-func (c *Controller) gather(src Sources) Signals {
+// gather samples the sensors into one Signals reading, advancing prev
+// to the service sketch it read.
+func gather(src Sources, prev *obs.SketchSnapshot) Signals {
 	var sig Signals
-	if src.CV != nil {
-		sig.SvcCount, sig.SvcMeanNS, sig.SvcCV = src.CV.TakeWindow()
+	if src.Service != nil {
+		cur := src.Service.ServiceSnapshot()
+		if window := cur.Since(*prev); window.Count > 0 {
+			sig.SvcCount, sig.SvcMeanNS, sig.SvcCV = int64(window.Count), window.Mean(), window.CV()
+		}
+		*prev = cur
 	}
 	if src.Regret != nil {
 		sig.RegretRatio = src.Regret()
 	}
 	if t := src.Tail; t != nil {
 		win := t.Windows()[0]
-		if p99 := t.Quantile(win, 0.99); p99 > 0 {
-			sig.P99 = time.Duration(p99 * float64(time.Microsecond))
+		snap := t.Snapshot(win)
+		if snap.Count > 0 {
+			sig.P99 = time.Duration(snap.Quantile(0.99))
+			sig.P999 = time.Duration(snap.Quantile(0.999))
 		}
-		if p999 := t.Quantile(win, 0.999); p999 > 0 {
-			sig.P999 = time.Duration(p999 * float64(time.Microsecond))
-		}
-		sig.Rate = t.Window().Rate(win)
+		sig.Rate = float64(snap.Count) / win.Seconds()
 		if slo := t.SLO(); slo != nil {
-			snap := slo.Snapshot()
-			sig.ShortBurn, sig.LongBurn = snap.ShortBurn, snap.LongBurn
+			burn := slo.Snapshot()
+			sig.ShortBurn, sig.LongBurn = burn.ShortBurn, burn.LongBurn
 		}
 	}
 	return sig

@@ -174,7 +174,7 @@ func runLiveAdaptive() (map[string]float64, error) {
 // runAdaptiveSweep runs one server through every phase back to back and
 // returns the per-phase p99 in µs. With adaptive set, the server runs
 // under a live controller (policy switching + quantum AIMD) fed by the
-// tail tracker and CV estimator, and the controller's switch count is
+// tail tracker and the service-time sketch, and the controller's switch count is
 // returned too.
 func runAdaptiveSweep(policy string, quantum time.Duration, adaptive bool) ([]float64, uint64, error) {
 	opts := live.Options{
@@ -183,19 +183,13 @@ func runAdaptiveSweep(policy string, quantum time.Duration, adaptive bool) ([]fl
 		Quantum:    quantum,
 		PinThreads: false,
 	}
-	var (
-		tail *obs.TailTracker
-		cv   *adapt.CVEstimator
-	)
 	if adaptive {
 		slo := obs.NewSLOTracker(obs.SLOConfig{Target: adaptiveSLOTarget, Objective: 0.999})
 		// A short horizon so the quantum loop reacts to the current
 		// phase, not the previous one.
-		tail = obs.NewTailTracker([]time.Duration{100 * time.Millisecond}, slo)
-		cv = &adapt.CVEstimator{}
+		opts.Tail = obs.NewTailTracker([]time.Duration{100 * time.Millisecond}, slo)
+		opts.Sketches = obs.NewClassSketches(1)
 		opts.Adaptive = true
-		opts.ServiceObserver = cv.Observe
-		opts.Tail = tail
 	}
 	s := live.New(adaptiveSpinHandler{}, opts)
 	s.Start()
@@ -212,7 +206,7 @@ func runAdaptiveSweep(policy string, quantum time.Duration, adaptive bool) ([]fl
 		})
 		stop := make(chan struct{})
 		defer close(stop)
-		go ctrl.Run(adapt.Sources{Tail: tail, CV: cv}, stop)
+		go ctrl.Run(adapt.Sources{Tail: opts.Tail, Service: opts.Sketches}, stop)
 	}
 
 	p99s := make([]float64, 0, len(adaptivePhases))

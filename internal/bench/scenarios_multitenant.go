@@ -285,13 +285,10 @@ func mtDisabledOverhead() (float64, error) {
 			PinThreads:   false,
 		}
 		if enabled {
-			slos := make([]obs.ClassSLO, live.NumClasses)
-			for c := live.SLOClass(0); c < live.NumClasses; c++ {
-				slos[c] = obs.ClassSLO{Target: c.DefaultObjective(), Objective: 0.999}
-			}
 			opts.Policy = live.PolicyCascade
 			opts.ClassAdmission = true
-			opts.ClassTails = obs.NewClassTails(slos, nil)
+			opts.Tail = obs.NewTailTracker(nil, nil)
+			opts.Tail.Classes = live.NewClassTrackers()
 		}
 		s := live.New(mtHandler{}, opts)
 		s.Start()

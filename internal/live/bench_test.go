@@ -39,7 +39,7 @@ func BenchmarkRoundTripTraced(b *testing.B) {
 
 // BenchmarkRoundTripTailTracked is BenchmarkRoundTrip with the rolling
 // tail window and SLO accounting enabled: the delta is the enabled cost
-// of windowed tail tracking per request (one mutexed histogram insert
+// of windowed tail tracking per request (one sketch insert under the ring lock
 // plus one SLO count).
 func BenchmarkRoundTripTailTracked(b *testing.B) {
 	o := testOptions(2, 0)

@@ -128,10 +128,7 @@ func (s *Server) reject(t *task, err error, status int64) {
 		s.tr.Record(obs.WriterClient, obs.EvReject, t.id, status)
 	}
 	if s.tail != nil {
-		s.tail.ObserveRejected()
-	}
-	if s.ctails != nil {
-		s.ctails.ObserveRejected(int(t.class))
+		s.tail.ObserveRejected(int(t.class))
 	}
 	t.deliver(Response{ID: t.id, Err: err, Req: t.payload, Done: time.Now()})
 	t.release()

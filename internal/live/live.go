@@ -153,12 +153,6 @@ type Options struct {
 	// later switch into SRPT orders requests submitted before the
 	// switch too.
 	Adaptive bool
-	// ServiceObserver, when non-nil, receives every successfully
-	// completed request's accumulated service time in nanoseconds — the
-	// feed for an online service-time estimator (e.g. the adaptive
-	// controller's CV estimate). It runs on the completing executor's
-	// hot path and must not block. Enables run-time tracking.
-	ServiceObserver func(serviceNS int64)
 	// QueueBound is k in JBSQ(k), counting the in-service request.
 	// Default 2. 1 degenerates to a synchronous single queue.
 	QueueBound int
@@ -202,14 +196,20 @@ type Options struct {
 	Tracer *obs.Tracer
 	// Tail, when non-nil, receives every delivered response's latency
 	// and success at completion, feeding rolling-window tail quantiles
-	// and SLO burn-rate accounting. Independent of Tracer.
+	// and SLO burn-rate accounting. Independent of Tracer. When the
+	// tracker has per-class children (Tail.Classes, e.g. from
+	// NewClassTrackers) each response also feeds its SLOClass's tracker
+	// — the per-tenant counterpart of the server-wide tail — and
+	// rejections (ErrShed, ErrQueueFull, ErrServerStopped) count against
+	// the rejected class's SLO; that enables class capture.
 	Tail *obs.TailTracker
 	// Sketches, when non-nil, receives every successfully completed
 	// request's (class, measured service ns, hint ns) — the per-class
 	// service-time quantile sketches plus hint-error attribution that
-	// the adaptive controller's class-quantum derivation and the
-	// concord_svc_time_us / concord_hint_error metric families read.
-	// Enables run-time tracking, hint capture, and class capture.
+	// the adaptive controller's dispersion estimate and class-quantum
+	// derivation and the concord_svc_time_us / concord_hint_error metric
+	// families read. Enables run-time tracking, hint capture, and class
+	// capture.
 	Sketches *obs.ClassSketches
 	// Capture, when non-nil, samples successfully completed requests
 	// (arrival offset, class, hint, measured service time, achieved
@@ -224,17 +224,10 @@ type Options struct {
 	// is rejected before the critical reserve is touched. Enables class
 	// capture. Off, every class sees the uniform ErrQueueFull contract.
 	ClassAdmission bool
-	// ClassTails, when non-nil, receives every delivered response's
-	// latency and success keyed by SLOClass — one TailTracker/SLOTracker
-	// per class, the per-tenant counterpart of Tail. Rejections
-	// (ErrShed, ErrQueueFull, ErrServerStopped) count against the
-	// rejected class's SLO. Enables class capture.
-	ClassTails *obs.ClassTails
 	//
-	// Tail, ServiceObserver, Sketches, Capture, and ClassTails are
-	// composed into one multiplexed completion observer at New, so the
-	// completion path pays a single branch whether zero or all of them
-	// are set.
+	// Tail, Sketches, and Capture are composed into one multiplexed
+	// completion observer at New, so the completion path pays a single
+	// branch whether zero or all of them are set.
 }
 
 func (o Options) withDefaults() Options {
@@ -405,14 +398,12 @@ type Server struct {
 
 	// tr is Options.Tracer, kept as a concrete pointer so the disabled
 	// path is one nil-check branch per event site. comp is the composed
-	// completion observer (Tail + ServiceObserver + Sketches + Capture +
-	// ClassTails) under the same contract: one nil check per completion.
-	// tail and ctails are kept separately for the rejection paths, which
-	// bypass finish.
-	tr     *obs.Tracer
-	tail   *obs.TailTracker
-	ctails *obs.ClassTails
-	comp   *compObserver
+	// completion observer (Tail + Sketches + Capture) under the same
+	// contract: one nil check per completion. tail is kept separately
+	// for the rejection path, which bypasses finish.
+	tr   *obs.Tracer
+	tail *obs.TailTracker
+	comp *compObserver
 
 	// classLimit is the per-class ingress occupancy watermark (per
 	// shard): a class is rejected once len(shard.submit) reaches its
@@ -422,7 +413,7 @@ type Server struct {
 
 	// trackRun enables per-task service-time accumulation: needed for
 	// Breakdown (tracer set), for SRPT's remaining-work keys, and for
-	// ServiceObserver. Atomic because SetPolicy(srpt) enables it at
+	// the service-time sinks. Atomic because SetPolicy(srpt) enables it at
 	// runtime; once on it stays on.
 	trackRun atomic.Bool
 	// hinted enables the Hinted type assertion on Submit; SRPT (current
@@ -496,7 +487,6 @@ func New(h Handler, opts Options) *Server {
 		opts:    opts,
 		tr:      opts.Tracer,
 		tail:    opts.Tail,
-		ctails:  opts.ClassTails,
 		comp:    newCompObserver(opts),
 		handler: h,
 		locals:  make([]chan *task, opts.Workers),
@@ -509,9 +499,10 @@ func New(h Handler, opts Options) *Server {
 	// (for hint-error attribution and replay), and scheduling classes.
 	estimating := opts.Sketches != nil || opts.Capture != nil
 	s.trackRun.Store(opts.Tracer != nil || policyHinted(opts.Policy) ||
-		opts.Adaptive || opts.ServiceObserver != nil || estimating)
+		opts.Adaptive || estimating)
 	s.hinted.Store(policyHinted(opts.Policy) || opts.Adaptive || estimating)
-	if estimating || opts.ClassAdmission || opts.ClassTails != nil || policyClassed(opts.Policy) {
+	classTails := opts.Tail != nil && len(opts.Tail.Classes) > 0
+	if estimating || opts.ClassAdmission || classTails || policyClassed(opts.Policy) {
 		s.classed.Store(true)
 	}
 	// Per-class admission watermarks (ingress occupancy at which the

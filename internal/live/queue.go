@@ -71,9 +71,12 @@ func (c *centralQueue) Push(t *task) {
 		t.inDL = true
 		c.dlPush(dlEntry{at: t.deadline, t: t})
 	}
+	// Read the class before unlocking: from then on a sibling shard may
+	// steal, finish and recycle t.
+	critical := SLOClass(t.class) == ClassCritical
 	c.mu.Unlock()
 	c.length.Add(1)
-	if SLOClass(t.class) == ClassCritical {
+	if critical {
 		c.critical.Add(1)
 	}
 }

@@ -48,14 +48,15 @@ func TestTailTrackerWiring(t *testing.T) {
 		t.Skipf("only %d of %d fast requests met the target; host too loaded to judge SLO accounting", good, short)
 	}
 
-	if got := tail.Window().WindowSnapshot(10 * time.Second).Count; got != short+long {
-		t.Fatalf("window Count = %d, want %d (every response observed)", got, short+long)
+	win := tail.Snapshot(10 * time.Second)
+	if win.Count != short+long {
+		t.Fatalf("window Count = %d, want %d (every response observed)", win.Count, short+long)
 	}
 	// The rolling p99.9 must reflect the 2ms class, the p50 the 20µs one.
-	if q := tail.Quantile(10*time.Second, 0.999); q < 1000 {
+	if q := win.Quantile(0.999) / 1e3; q < 1000 {
 		t.Fatalf("rolling p99.9 = %vµs, want ≥1000 (the slow class)", q)
 	}
-	if q := tail.Quantile(10*time.Second, 0.5); math.IsNaN(q) || q > 1000 {
+	if q := win.Quantile(0.5) / 1e3; math.IsNaN(q) || q > 1000 {
 		t.Fatalf("rolling p50 = %vµs, want the fast class", q)
 	}
 	snap := slo.Snapshot()
@@ -67,11 +68,13 @@ func TestTailTrackerWiring(t *testing.T) {
 	}
 }
 
-// TestTailTrackerCountsRejections: a rejected submission is SLO-bad but
-// never pollutes the latency window.
+// TestTailTrackerCountsRejections: a rejected submission is SLO-bad —
+// for the server and for its class's tracker — but never pollutes the
+// latency window.
 func TestTailTrackerCountsRejections(t *testing.T) {
 	slo := obs.NewSLOTracker(obs.SLOConfig{Target: time.Second, Objective: 0.99})
 	tail := obs.NewTailTracker(nil, slo)
+	tail.Classes = NewClassTrackers()
 	o := testOptions(1, 0)
 	o.Tail = tail
 	s := New(&spinHandler{}, o)
@@ -88,7 +91,21 @@ func TestTailTrackerCountsRejections(t *testing.T) {
 	if snap.ShortTotal != 2 || snap.ShortGood != 1 {
 		t.Fatalf("SLO good/total = %d/%d, want 1/2 (rejection counted bad)", snap.ShortGood, snap.ShortTotal)
 	}
-	if got := tail.Window().WindowSnapshot(time.Minute).Count; got != 1 {
+	if got := tail.Snapshot(time.Minute).Count; got != 1 {
 		t.Fatalf("window Count = %d, want 1 (rejections stay out of the latency window)", got)
+	}
+	// Unclassed payloads are ClassStandard: its tracker saw the same two
+	// events, the other classes none.
+	for c, ct := range tail.Classes {
+		want := uint64(0)
+		if SLOClass(c) == ClassStandard {
+			want = 1
+		}
+		if got := ct.Snapshot(time.Second).Count; got != want {
+			t.Errorf("class %d window Count = %d, want %d", c, got, want)
+		}
+		if got := ct.SLO().Snapshot().ShortTotal; got != 2*want {
+			t.Errorf("class %d SLO total = %d, want %d", c, got, 2*want)
+		}
 	}
 }

@@ -216,7 +216,7 @@ func (fl *flusher) flush() {
 	}
 	fl.s.flushes.Add(1)
 	fl.s.framesOut.Add(uint64(len(batch)))
-	fl.s.flushBatch.ObserveUS(float64(len(batch)))
+	fl.s.flushBatch.Observe(int64(len(batch)))
 	if tr, obsEg := fl.s.tr, fl.s.opts.ObserveEgress; wrote && (tr != nil || obsEg != nil) {
 		// One clock read covers the whole batch: every response in it
 		// reached the socket in the same write.

@@ -34,7 +34,6 @@ import (
 	"concord/internal/live"
 	"concord/internal/obs"
 	"concord/internal/proto"
-	"concord/internal/trace"
 )
 
 // Options configures the connection layer.
@@ -122,7 +121,7 @@ type Server struct {
 	badFrames atomic.Uint64
 	// flushBatch is the distribution of responses per flush: depth of
 	// coalescing under load (1 everywhere means no pipelining benefit).
-	flushBatch trace.Histogram
+	flushBatch obs.QuantileSketch
 
 	mu     sync.Mutex
 	open   map[net.Conn]struct{}
@@ -157,9 +156,9 @@ func (s *Server) NetStats() NetStats {
 	}
 }
 
-// FlushBatch is the histogram of responses coalesced per flush, for
-// metrics registration.
-func (s *Server) FlushBatch() *trace.Histogram { return &s.flushBatch }
+// FlushBatch is the sketch of responses coalesced per flush (observed
+// as plain counts), for metrics registration.
+func (s *Server) FlushBatch() *obs.QuantileSketch { return &s.flushBatch }
 
 // Serve accepts connections until ln is closed, serving each on its
 // own goroutine. It returns after the accept loop exits; in-flight

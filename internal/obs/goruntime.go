@@ -35,24 +35,21 @@ func RegisterGoRuntime(m *Metrics) {
 		return ""
 	}
 
-	gauge := func(pname, help, rname string) {
+	scalar := func(kind MetricKind, pname, help, rname string) {
 		if exists[rname] {
-			m.RegisterGauge(pname, help, sampleScalar(rname))
+			m.Register(Metric{Name: pname, Help: help, Kind: kind, Value: sampleScalar(rname)})
 		}
 	}
-	counter := func(pname, help, rname string) {
-		if exists[rname] {
-			m.RegisterCounter(pname, help, sampleScalar(rname))
-		}
-	}
+	gauge := func(pname, help, rname string) { scalar(Gauge, pname, help, rname) }
+	counter := func(pname, help, rname string) { scalar(Counter, pname, help, rname) }
 	histGauges := func(pname, help string, rnames ...string) {
 		rname := firstExisting(rnames...)
 		if rname == "" {
 			return
 		}
 		for _, q := range goQuantiles {
-			m.RegisterGauge(fmt.Sprintf("%s{quantile=%q}", pname, fmt.Sprintf("%g", q)),
-				help, sampleHistQuantile(rname, q))
+			m.Register(Metric{Name: pname, Help: help, Kind: Gauge,
+				Labels: Labels("quantile", fmt.Sprintf("%g", q)), Value: sampleHistQuantile(rname, q)})
 		}
 	}
 
@@ -82,13 +79,13 @@ func RegisterBuildInfo(m *Metrics) {
 			}
 		}
 	}
-	m.RegisterGauge(fmt.Sprintf("concord_build_info{version=%q,goversion=%q}", version, runtime.Version()),
-		"Build metadata; constant 1.", func() float64 { return 1 })
+	m.Register(Metric{Name: "concord_build_info", Help: "Build metadata; constant 1.", Kind: Gauge,
+		Labels: Labels("version", version, "goversion", runtime.Version()), Value: func() float64 { return 1 }})
 }
 
 // sampleScalar reads one runtime/metrics sample per scrape. The small
 // per-call slice keeps concurrent scrapes race-free.
-func sampleScalar(rname string) SampleFunc {
+func sampleScalar(rname string) func() float64 {
 	return func() float64 {
 		s := []rtm.Sample{{Name: rname}}
 		rtm.Read(s)
@@ -104,7 +101,7 @@ func sampleScalar(rname string) SampleFunc {
 
 // sampleHistQuantile reads a Float64Histogram metric (unit: seconds)
 // and reports the q-quantile in microseconds.
-func sampleHistQuantile(rname string, q float64) SampleFunc {
+func sampleHistQuantile(rname string, q float64) func() float64 {
 	return func() float64 {
 		s := []rtm.Sample{{Name: rname}}
 		rtm.Read(s)

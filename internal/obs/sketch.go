@@ -1,34 +1,33 @@
-// Per-class service-time estimation: a lock-free, mergeable log-bucket
-// quantile sketch fed from the runtime's completion path, and the
-// per-scheduling-class bundle (service-time sketch + hint-error
-// attribution) the adaptive controller and the /metrics surface read.
+// The one accumulator of the live measurement stack: a lock-free,
+// mergeable log-bucket sketch over positive int64 values. Latencies and
+// service times are observed in nanoseconds, flush batches as counts,
+// hint-error ratios as fixed-point percentages — the geometry does not
+// care about the unit. Rolling windows (tail.go) are rings of sketches,
+// the adaptive controller's mean/CV is a view of a snapshot delta, and
+// /metrics histograms are snapshots collapsed to octaves, so every
+// quantile anyone reads comes from SketchSnapshot.Quantile.
 //
-// The sketch is the scheduling-quality counterpart of trace.Histogram:
-// where the histogram's base-2 buckets are fine enough for latency
-// *display*, the controller derives per-class preemption quanta from
-// these quantiles, so the sketch subdivides every octave into 8
-// sub-buckets (growth factor 2^(1/8) ≈ 1.0905). Reporting the geometric
-// midpoint of the winning bucket bounds the relative error by
-// 2^(1/16)−1 ≈ 4.4% — inside the 5% the actuation contract asks for —
-// while keeping observation completely lock-free: one atomic add on a
-// fixed-size bucket array, no allocation, no mutex, mergeable by
-// summing counts.
+// Each octave is subdivided into 8 sub-buckets (growth factor 2^(1/8) ≈
+// 1.0905). Reporting the geometric midpoint of the winning bucket
+// bounds the relative error by 2^(1/16)−1 ≈ 4.4% — inside the 5% the
+// actuation contract asks for — while keeping observation wait-free:
+// one atomic add on a fixed-size bucket array, no allocation, no mutex,
+// mergeable by summing counts.
 package obs
 
 import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-
-	"concord/internal/trace"
 )
 
 const (
 	// sketchSubBuckets subdivides each power-of-two octave.
 	sketchSubBuckets = 8
-	// SketchBuckets is the fixed bucket count: 64 octaves cover every
-	// positive int64 nanosecond value.
-	SketchBuckets = 64 * sketchSubBuckets
+	// SketchOctaves covers every positive int64 value.
+	SketchOctaves = 64
+	// SketchBuckets is the fixed bucket count.
+	SketchBuckets = SketchOctaves * sketchSubBuckets
 )
 
 // sketchBounds[j] = 2^(j/8): the sub-bucket thresholds within an
@@ -41,15 +40,24 @@ var sketchBounds = func() [sketchSubBuckets]float64 {
 	return b
 }()
 
-// sketchIndex maps a nanosecond value to its bucket: bucket i covers
-// [2^(i/8), 2^((i+1)/8)) ns, with everything below 1ns clamped into
-// bucket 0.
-func sketchIndex(ns int64) int {
-	if ns <= 1 {
+// sketchMids[i] = 2^((i+0.5)/8): bucket i's geometric midpoint, the
+// value every quantile and dispersion estimate reports for it.
+var sketchMids = func() [SketchBuckets]float64 {
+	var m [SketchBuckets]float64
+	for i := range m {
+		m[i] = math.Pow(2, (float64(i)+0.5)/sketchSubBuckets)
+	}
+	return m
+}()
+
+// sketchIndex maps a value to its bucket: bucket i covers
+// [2^(i/8), 2^((i+1)/8)), with everything below 1 clamped into bucket 0.
+func sketchIndex(v int64) int {
+	if v <= 1 {
 		return 0
 	}
-	octave := bits.Len64(uint64(ns)) - 1
-	frac := float64(ns) / float64(uint64(1)<<uint(octave)) // [1, 2)
+	octave := bits.Len64(uint64(v)) - 1
+	frac := float64(v) / float64(uint64(1)<<uint(octave)) // [1, 2)
 	sub := sketchSubBuckets - 1
 	for j := 1; j < sketchSubBuckets; j++ {
 		if frac < sketchBounds[j] {
@@ -60,38 +68,42 @@ func sketchIndex(ns int64) int {
 	return octave*sketchSubBuckets + sub
 }
 
-// SketchBucketLowerNS returns bucket i's lower bound in nanoseconds.
-func SketchBucketLowerNS(i int) float64 {
-	return math.Pow(2, float64(i)/sketchSubBuckets)
-}
-
-// QuantileSketch is a lock-free log-bucket quantile sketch over
-// nanosecond values. Observe is wait-free (one atomic add on a fixed
-// array); Snapshot and quantile queries run off the hot path. The zero
-// value is ready to use.
+// QuantileSketch is a lock-free log-bucket quantile sketch. Observe is
+// wait-free (one atomic add on a fixed array); Snapshot and every query
+// on it run off the hot path. The zero value is ready to use.
 type QuantileSketch struct {
 	buckets [SketchBuckets]atomic.Uint64
-	sumNS   atomic.Int64
+	sum     atomic.Int64
 }
 
-// Observe adds one observation in nanoseconds. Non-positive values
-// clamp into the lowest bucket (they still count).
-func (s *QuantileSketch) Observe(ns int64) {
-	s.buckets[sketchIndex(ns)].Add(1)
-	if ns > 0 {
-		s.sumNS.Add(ns)
+// Observe adds one observation. Non-positive values clamp into the
+// lowest bucket (they still count).
+func (s *QuantileSketch) Observe(v int64) {
+	s.buckets[sketchIndex(v)].Add(1)
+	if v > 0 {
+		s.sum.Add(v)
 	}
+}
+
+// Reset discards every observation. It is not atomic with respect to
+// concurrent Observe calls; the rolling-window ring calls it under the
+// lock that also serialises that ring's observers.
+func (s *QuantileSketch) Reset() {
+	for i := range s.buckets {
+		s.buckets[i].Store(0)
+	}
+	s.sum.Store(0)
 }
 
 // SketchSnapshot is a point-in-time copy of a sketch, mergeable with
 // other snapshots by summing counts. Concurrent observation during a
-// snapshot can split a racing observation between Count and SumNS; the
+// snapshot can split a racing observation between Count and Sum; the
 // skew is bounded by the in-flight writes, never accumulates, and is
 // irrelevant at quantile-query granularity.
 type SketchSnapshot struct {
 	Buckets [SketchBuckets]uint64
 	Count   uint64
-	SumNS   int64
+	Sum     int64
 }
 
 // Snapshot copies the live bucket counts.
@@ -102,25 +114,39 @@ func (s *QuantileSketch) Snapshot() SketchSnapshot {
 		out.Buckets[i] = c
 		out.Count += c
 	}
-	out.SumNS = s.sumNS.Load()
+	out.Sum = s.sum.Load()
 	return out
 }
 
 // Merge folds another snapshot into this one: the result describes the
 // union of the two observation sets (the sketch's mergeability
-// contract — per-worker or per-process sketches combine exactly).
+// contract — per-class, per-epoch or per-process sketches combine
+// exactly).
 func (s *SketchSnapshot) Merge(o SketchSnapshot) {
 	for i, c := range o.Buckets {
 		s.Buckets[i] += c
 	}
 	s.Count += o.Count
-	s.SumNS += o.SumNS
+	s.Sum += o.Sum
 }
 
-// QuantileNS estimates the q-quantile (q in [0,1]) in nanoseconds,
-// reporting the geometric midpoint of the bucket containing the target
-// rank (relative error ≤ 2^(1/16)−1 ≈ 4.4%). NaN when empty.
-func (s SketchSnapshot) QuantileNS(q float64) float64 {
+// Since returns the observations added after prev, an earlier snapshot
+// of the same sketch — the drain-free way to read a cumulative sketch
+// one interval at a time. Bucket counts only grow, so the difference is
+// well defined even when either snapshot raced an observer.
+func (s SketchSnapshot) Since(prev SketchSnapshot) SketchSnapshot {
+	out := SketchSnapshot{Sum: s.Sum - prev.Sum}
+	for i, c := range s.Buckets {
+		out.Buckets[i] = c - prev.Buckets[i]
+		out.Count += out.Buckets[i]
+	}
+	return out
+}
+
+// Quantile estimates the q-quantile (q in [0,1]), reporting the
+// geometric midpoint of the bucket containing the target rank (relative
+// error ≤ 2^(1/16)−1 ≈ 4.4%). NaN when empty.
+func (s SketchSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return math.NaN()
 	}
@@ -131,46 +157,73 @@ func (s SketchSnapshot) QuantileNS(q float64) float64 {
 	}
 	cum := 0.0
 	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
 		cum += float64(c)
-		if cum >= target {
-			// Geometric midpoint of [2^(i/8), 2^((i+1)/8)).
-			return math.Pow(2, (float64(i)+0.5)/sketchSubBuckets)
+		if c > 0 && cum >= target {
+			return sketchMids[i]
 		}
 	}
-	return SketchBucketLowerNS(SketchBuckets - 1)
+	return sketchMids[SketchBuckets-1]
 }
 
-// MeanNS returns the exact mean of all positive observations; NaN when
+// Mean returns the exact mean of all positive observations; NaN when
 // empty.
-func (s SketchSnapshot) MeanNS() float64 {
+func (s SketchSnapshot) Mean() float64 {
 	if s.Count == 0 {
 		return math.NaN()
 	}
-	return float64(s.SumNS) / float64(s.Count)
+	return float64(s.Sum) / float64(s.Count)
+}
+
+// CV returns the coefficient of variation (stddev/mean) with every
+// observation taken at its bucket's midpoint, so a constant stream reads
+// exactly 0 and no sum-of-squares accumulator — with its overflow and
+// cancellation hazards — rides the hot path. 0 when empty.
+func (s SketchSnapshot) CV() float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	n := float64(s.Count)
+	mean := 0.0
+	for i, c := range s.Buckets {
+		mean += float64(c) * sketchMids[i]
+	}
+	mean /= n
+	variance := 0.0
+	for i, c := range s.Buckets {
+		d := sketchMids[i] - mean
+		variance += float64(c) * d * d
+	}
+	return math.Sqrt(variance/n) / mean
+}
+
+// Octaves collapses the sub-buckets: element k counts the observations
+// in [2^k, 2^(k+1)) — the resolution histograms are exposed and printed
+// at.
+func (s SketchSnapshot) Octaves() [SketchOctaves]uint64 {
+	var out [SketchOctaves]uint64
+	for i, c := range s.Buckets {
+		out[i/sketchSubBuckets] += c
+	}
+	return out
 }
 
 // HintErrorScale is the fixed-point scale hint-error ratios are
-// observed at in the concord_hint_error histograms: a recorded value of
-// 100 means hint == actual, 10 means the hint undershot 10×, 1000 means
-// it overshot 10×. The scale exists because trace.Histogram's log-2
-// buckets collapse everything below 1 into one bucket; ×100 spreads the
-// under-estimation half of the ratio range across real buckets.
+// observed at: a recorded value of 100 means hint == actual, 10 means
+// the hint undershot 10×, 1000 means it overshot 10×. The sketch clamps
+// everything below 1 into one bucket; ×100 spreads the under-estimation
+// half of the ratio range across real buckets.
 const HintErrorScale = 100
 
 // classSketch is one scheduling class's estimator pair.
 type classSketch struct {
-	svc     QuantileSketch
-	hintErr trace.Histogram
+	svc, hintErr QuantileSketch
 }
 
 // ClassSketches bundles a per-scheduling-class service-time sketch and
-// hint-error histogram, fed from the runtime's completion path (one
-// call per successfully completed request). Class indices follow the
-// live runtime's SLOClass taxonomy; out-of-range classes fold into
-// class 0 rather than being dropped.
+// hint-error sketch, fed from the runtime's completion path (one call
+// per successfully completed request). Class indices follow the live
+// runtime's SLOClass taxonomy; out-of-range classes fold into class 0
+// rather than being dropped.
 type ClassSketches struct {
 	classes []classSketch
 }
@@ -184,13 +237,10 @@ func NewClassSketches(n int) *ClassSketches {
 	return &ClassSketches{classes: make([]classSketch, n)}
 }
 
-// Classes returns the number of scheduling classes tracked.
-func (c *ClassSketches) Classes() int { return len(c.classes) }
-
 // Observe records one completed request: its scheduling class, its
 // measured service time, and the service hint it was submitted with
 // (0 = unhinted; unhinted requests feed the service sketch but not the
-// hint-error histogram). Safe for concurrent use from every executor.
+// hint-error sketch). Safe for concurrent use from every executor.
 func (c *ClassSketches) Observe(class int, serviceNS, hintNS int64) {
 	if class < 0 || class >= len(c.classes) {
 		class = 0
@@ -198,7 +248,7 @@ func (c *ClassSketches) Observe(class int, serviceNS, hintNS int64) {
 	cs := &c.classes[class]
 	cs.svc.Observe(serviceNS)
 	if hintNS > 0 && serviceNS > 0 {
-		cs.hintErr.ObserveUS(float64(hintNS) / float64(serviceNS) * HintErrorScale)
+		cs.hintErr.Observe(int64(float64(hintNS) / float64(serviceNS) * HintErrorScale))
 	}
 }
 
@@ -211,13 +261,24 @@ func (c *ClassSketches) Service(class int) *QuantileSketch {
 	return &c.classes[class].svc
 }
 
-// HintError returns the class's hint/actual ratio histogram (values
-// scaled by HintErrorScale); nil when out of range.
-func (c *ClassSketches) HintError(class int) *trace.Histogram {
+// HintError returns the class's hint/actual ratio sketch (values scaled
+// by HintErrorScale); nil when out of range.
+func (c *ClassSketches) HintError(class int) *QuantileSketch {
 	if class < 0 || class >= len(c.classes) {
 		return nil
 	}
 	return &c.classes[class].hintErr
+}
+
+// ServiceSnapshot merges every class's service-time sketch: the
+// server-wide service distribution the adaptive controller reads its
+// per-tick mean and CV from.
+func (c *ClassSketches) ServiceSnapshot() SketchSnapshot {
+	var out SketchSnapshot
+	for i := range c.classes {
+		out.Merge(c.classes[i].svc.Snapshot())
+	}
+	return out
 }
 
 // ServiceQuantileNS returns the class's q-quantile service time in
@@ -232,7 +293,7 @@ func (c *ClassSketches) ServiceQuantileNS(class int, q float64) float64 {
 	if snap.Count == 0 {
 		return 0
 	}
-	return snap.QuantileNS(q)
+	return snap.Quantile(q)
 }
 
 // ServiceQuantilesNS returns every class's q-quantile service time in

@@ -49,7 +49,7 @@ func TestSketchQuantileAccuracy(t *testing.T) {
 		}
 		for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 			exact := exactQuantile(vals, q)
-			got := snap.QuantileNS(q)
+			got := snap.Quantile(q)
 			if relErr := math.Abs(got-exact) / exact; relErr > 0.05 {
 				t.Errorf("%s p%g: sketch %.0f vs exact %.0f (rel err %.2f%% > 5%%)",
 					name, q*100, got, exact, relErr*100)
@@ -63,14 +63,14 @@ func TestSketchMean(t *testing.T) {
 	for _, v := range []int64{100, 200, 300} {
 		sk.Observe(v)
 	}
-	if m := sk.Snapshot().MeanNS(); m != 200 {
+	if m := sk.Snapshot().Mean(); m != 200 {
 		t.Fatalf("mean = %v, want 200 (means are exact, not bucketed)", m)
 	}
 }
 
 func TestSketchEmptyAndClamping(t *testing.T) {
 	var sk QuantileSketch
-	if q := sk.Snapshot().QuantileNS(0.99); !math.IsNaN(q) {
+	if q := sk.Snapshot().Quantile(0.99); !math.IsNaN(q) {
 		t.Fatalf("empty sketch quantile = %v, want NaN", q)
 	}
 	sk.Observe(0)
@@ -81,6 +81,132 @@ func TestSketchEmptyAndClamping(t *testing.T) {
 	}
 	if snap.Buckets[0] != 2 {
 		t.Fatalf("non-positive observations must clamp into bucket 0, got %v", snap.Buckets)
+	}
+	// The other end: the largest int64 lands in the last octave.
+	sk.Observe(math.MaxInt64)
+	if oct := sk.Snapshot().Octaves(); oct[SketchOctaves-2] != 1 {
+		t.Fatalf("MaxInt64 not in octave %d: %v", SketchOctaves-2, oct)
+	}
+}
+
+// exactCV is the population coefficient of variation of vals.
+func exactCV(vals []float64) (mean, cv float64) {
+	for _, v := range vals {
+		mean += v
+	}
+	mean /= float64(len(vals))
+	var ss float64
+	for _, v := range vals {
+		ss += (v - mean) * (v - mean)
+	}
+	return mean, math.Sqrt(ss/float64(len(vals))) / mean
+}
+
+// The controller's dispersion signal is a view of the sketch: mean is
+// exact, CV is taken at bucket midpoints. It must read ≈0 on a constant
+// stream, track the exact CV on dispersed ones (each midpoint is off by
+// up to 4.4%, so a few-valued stream can read several percent off; the
+// hysteresis band 0.85..1.15 is wider than that), and stay finite at
+// second-scale values where an int64 sum of squares would overflow.
+func TestSketchMeanAndCV(t *testing.T) {
+	rng := sim.NewRNG(3)
+	dists := map[string]func(i int) float64{
+		"constant": func(int) float64 { return 10_000 },
+		"bimodal": func(i int) float64 { // 95% 5µs point ops, 5% 1ms scans
+			if i%20 == 0 {
+				return 1_000_000
+			}
+			return 5_000
+		},
+		"lognormal": func(int) float64 { return math.Floor(rng.Lognormal(math.Log(20_000), 1.0)) + 1 },
+		"seconds":   func(i int) float64 { return float64(1+i%3) * 1e9 }, // Σx² ≈ 4e22 ≫ 2^63
+	}
+	for name, draw := range dists {
+		var sk QuantileSketch
+		vals := make([]float64, 10000)
+		for i := range vals {
+			vals[i] = draw(i)
+			sk.Observe(int64(vals[i]))
+		}
+		snap := sk.Snapshot()
+		mean, cv := exactCV(vals)
+		if got := snap.Mean(); math.Abs(got-mean)/mean > 1e-9 {
+			t.Errorf("%s: mean = %v, want exactly %v", name, got, mean)
+		}
+		got := snap.CV()
+		if math.IsNaN(got) || math.IsInf(got, 0) {
+			t.Fatalf("%s: CV = %v", name, got)
+		}
+		if name == "constant" {
+			if got != 0 {
+				t.Errorf("constant stream CV = %v, want exactly 0", got)
+			}
+			continue
+		}
+		if math.Abs(got-cv) > 0.10*cv {
+			t.Errorf("%s: CV = %.4f, exact %.4f (off by more than 10%%)", name, got, cv)
+		}
+	}
+	if cv := (SketchSnapshot{}).CV(); cv != 0 {
+		t.Errorf("empty snapshot CV = %v, want 0", cv)
+	}
+}
+
+// Since is how the controller reads a cumulative sketch one tick at a
+// time: the difference of two snapshots describes exactly the
+// observations made between them.
+func TestSketchSince(t *testing.T) {
+	var sk, second QuantileSketch
+	for i := 0; i < 100; i++ {
+		sk.Observe(10_000)
+	}
+	prev := sk.Snapshot()
+	for i := 0; i < 40; i++ {
+		v := int64(50_000 + 1000*i)
+		sk.Observe(v)
+		second.Observe(v)
+	}
+	if got, want := sk.Snapshot().Since(prev), second.Snapshot(); got != want {
+		t.Fatalf("Since = count %d sum %d, want the second batch alone (count %d sum %d)",
+			got.Count, got.Sum, want.Count, want.Sum)
+	}
+	if got := sk.Snapshot().Since(sk.Snapshot()); got.Count != 0 || got.Sum != 0 {
+		t.Fatalf("Since(self) = %+v, want empty", got)
+	}
+}
+
+// Flush batches are small integers observed as plain counts. The
+// geometry separates n from n+1 while (n+1)/n exceeds the bucket growth
+// factor 2^(1/8) — through 11 — and above that two neighbours may share
+// a bucket, but every value from 1 to 32 still reads back within the
+// sketch's error and in order.
+func TestSketchSmallIntegers(t *testing.T) {
+	last := -1
+	for n := int64(1); n <= 32; n++ {
+		i := sketchIndex(n)
+		if n <= 11 && i == last {
+			t.Errorf("%d shares bucket %d with %d", n, i, n-1)
+		}
+		if i < last {
+			t.Errorf("bucket order inverted at %d", n)
+		}
+		last = i
+		var sk QuantileSketch
+		sk.Observe(n)
+		if got := sk.Snapshot().Quantile(0.5); math.Abs(got-float64(n))/float64(n) > 0.0443 {
+			t.Errorf("constant %d reads back as %.3f", n, got)
+		}
+	}
+	// Octaves, the exposition resolution: 1 | 2,3 | 4..7 | 8..15 | 16..31 | 32.
+	var sk QuantileSketch
+	for n := int64(1); n <= 32; n++ {
+		sk.Observe(n)
+	}
+	oct := sk.Snapshot().Octaves()
+	for k, want := range []uint64{1, 2, 4, 8, 16, 1} {
+		if oct[k] != want {
+			t.Errorf("octave %d holds %d values, want %d", k, oct[k], want)
+		}
 	}
 }
 
@@ -103,6 +229,10 @@ func TestSketchMerge(t *testing.T) {
 	want := union.Snapshot()
 	if merged != want {
 		t.Fatal("merged snapshot differs from union sketch")
+	}
+	merged.Merge(SketchSnapshot{})
+	if merged != want {
+		t.Fatal("merging an empty snapshot changed the result")
 	}
 }
 
@@ -151,13 +281,13 @@ func TestClassSketchesObserve(t *testing.T) {
 	}
 	// Hint-error: class 1 sits at the exact-hint mark, class 2 at 10×
 	// over; unhinted class-0 observations record no ratio at all.
-	if p50 := cs.HintError(1).Quantile(0.5); math.Abs(p50-HintErrorScale)/HintErrorScale > 0.5 {
+	if p50 := cs.HintError(1).Snapshot().Quantile(0.5); math.Abs(p50-HintErrorScale)/HintErrorScale > 0.5 {
 		t.Errorf("class 1 hint-error p50 = %v, want ≈%d (exact hints)", p50, HintErrorScale)
 	}
-	if p50 := cs.HintError(2).Quantile(0.5); p50 < 5*HintErrorScale {
+	if p50 := cs.HintError(2).Snapshot().Quantile(0.5); p50 < 5*HintErrorScale {
 		t.Errorf("class 2 hint-error p50 = %v, want ≥%d (10× overshoot)", p50, 5*HintErrorScale)
 	}
-	if n := cs.HintError(0).Count(); n != 0 {
+	if n := cs.HintError(0).Snapshot().Count; n != 0 {
 		t.Errorf("unhinted observations must not feed hint-error: count = %d", n)
 	}
 	qs := cs.ServiceQuantilesNS(0.5)

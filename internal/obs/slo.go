@@ -8,11 +8,7 @@
 // one keeps a brief spike from paging.
 package obs
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "time"
 
 // SLOConfig describes one latency SLO.
 type SLOConfig struct {
@@ -47,25 +43,21 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	return c
 }
 
-// sloEpoch is one rotation slot of windowed good/total counts.
-type sloEpoch struct {
-	num         int64
+// sloCounts is one epoch of windowed good/total counts.
+type sloCounts struct {
 	good, total uint64
 }
 
 // SLOTracker accounts requests against an SLOConfig and derives
 // multi-window burn rates. It is safe for concurrent use.
 type SLOTracker struct {
-	cfg SLOConfig
-
-	mu      sync.Mutex
-	epochNS int64
-	ring    []sloEpoch
+	cfg  SLOConfig
+	ring *epochRing[sloCounts]
 	// alerting latches between Snapshot calls: it fires when both
 	// windows burn at or above BurnAlert and clears as soon as the
-	// short window cools below it (the SRE reset condition).
+	// short window cools below it (the SRE reset condition). Guarded by
+	// ring.mu.
 	alerting bool
-	now      func() int64 // monotonic ns; injected by tests
 }
 
 // NewSLOTracker builds a tracker; zero-valued config fields take the
@@ -74,35 +66,20 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	cfg = cfg.withDefaults()
 	// Epochs at 1/20 of the short window bound the quantization error
 	// of both horizons to ≤5% of the short window.
-	epoch := cfg.ShortWindow / 20
-	if epoch < time.Millisecond {
-		epoch = time.Millisecond
-	}
-	n := int(cfg.LongWindow/epoch) + 1
-	t := &SLOTracker{cfg: cfg, epochNS: int64(epoch), ring: make([]sloEpoch, n), now: monotonicNS}
-	for i := range t.ring {
-		t.ring[i].num = -1
-	}
-	return t
+	return &SLOTracker{cfg: cfg, ring: newEpochRing(cfg.ShortWindow/20, cfg.LongWindow,
+		func(c *sloCounts) { *c = sloCounts{} })}
 }
-
-// Config returns the tracker's resolved configuration.
-func (t *SLOTracker) Config() SLOConfig { return t.cfg }
 
 // Observe accounts one completed request: good when ok and within the
 // latency target.
 func (t *SLOTracker) Observe(latency time.Duration, ok bool) {
-	t.mu.Lock()
-	e := t.now() / t.epochNS
-	s := &t.ring[e%int64(len(t.ring))]
-	if s.num != e {
-		s.num, s.good, s.total = e, 0, 0
-	}
-	s.total++
+	t.ring.mu.Lock()
+	c := t.ring.current()
+	c.total++
 	if ok && latency <= t.cfg.Target {
-		s.good++
+		c.good++
 	}
-	t.mu.Unlock()
+	t.ring.mu.Unlock()
 }
 
 // SLOSnapshot is a point-in-time view of the SLO accounting.
@@ -114,30 +91,17 @@ type SLOSnapshot struct {
 	// Good/Total counts over each window.
 	ShortGood, ShortTotal uint64
 	LongGood, LongTotal   uint64
-	// BudgetUsed is the fraction of the long window's error budget
-	// already consumed (LongBurn, equivalently — kept separate so
-	// dashboards can gauge it 0..1+).
-	BudgetUsed float64
 	// Alerting reports the latched multi-window alert state.
 	Alerting bool
 }
 
-// counts sums good/total over the trailing window. Callers hold t.mu.
-func (t *SLOTracker) counts(e int64, window time.Duration) (good, total uint64) {
-	k := (int64(window) + t.epochNS - 1) / t.epochNS
-	if max := int64(len(t.ring)); k > max {
-		k = max
-	}
-	for i := e - k + 1; i <= e; i++ {
-		if i < 0 {
-			continue
-		}
-		s := &t.ring[i%int64(len(t.ring))]
-		if s.num == i {
-			good += s.good
-			total += s.total
-		}
-	}
+// counts sums good/total over the trailing window. Callers hold
+// ring.mu.
+func (t *SLOTracker) counts(window time.Duration) (good, total uint64) {
+	t.ring.each(window, func(_ int, c *sloCounts) {
+		good += c.good
+		total += c.total
+	})
 	return good, total
 }
 
@@ -153,15 +117,13 @@ func (t *SLOTracker) burnRate(good, total uint64) float64 {
 // Snapshot computes both windows' burn rates and updates the latched
 // alert state.
 func (t *SLOTracker) Snapshot() SLOSnapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.now() / t.epochNS
+	t.ring.mu.Lock()
+	defer t.ring.mu.Unlock()
 	var snap SLOSnapshot
-	snap.ShortGood, snap.ShortTotal = t.counts(e, t.cfg.ShortWindow)
-	snap.LongGood, snap.LongTotal = t.counts(e, t.cfg.LongWindow)
+	snap.ShortGood, snap.ShortTotal = t.counts(t.cfg.ShortWindow)
+	snap.LongGood, snap.LongTotal = t.counts(t.cfg.LongWindow)
 	snap.ShortBurn = t.burnRate(snap.ShortGood, snap.ShortTotal)
 	snap.LongBurn = t.burnRate(snap.LongGood, snap.LongTotal)
-	snap.BudgetUsed = snap.LongBurn
 	if t.alerting {
 		if snap.ShortBurn < t.cfg.BurnAlert {
 			t.alerting = false
@@ -171,10 +133,4 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 	}
 	snap.Alerting = t.alerting
 	return snap
-}
-
-// String renders the SLO target, e.g. "p99.9 ≤ 200µs" for a 0.999
-// objective at 200µs.
-func (c SLOConfig) String() string {
-	return fmt.Sprintf("p%g ≤ %v", 100*c.Objective, c.Target)
 }

@@ -198,9 +198,9 @@ func TestObsSmoke(t *testing.T) {
 		`concord_net_flush_batch_quantile{quantile="p99"}`,
 		`concord_adapt_decisions_total{action="hold"}`,
 		// Per-class service-time sketches and hint-error histograms.
-		`concord_svc_time_us{class="short",quantile="p99"}`,
-		`concord_svc_time_samples_total{class="short"}`,
-		`concord_hint_error_bucket{class="short",le="`,
+		`concord_svc_time_us{class="standard",quantile="p99"}`,
+		`concord_svc_time_samples_total{class="standard"}`,
+		`concord_hint_error_bucket{class="standard",le="`,
 		// Shadow-replay regret surface.
 		`concord_regret_p99_ratio{policy="srpt_oracle"}`,
 		`concord_regret_best_policy{policy="fcfs"}`,

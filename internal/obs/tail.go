@@ -1,8 +1,8 @@
 // TailTracker is the single hook the serving path carries for the
 // time-windowed observability layer: one Observe per delivered response
-// feeds both the rolling-window latency histogram and the SLO
-// burn-rate accounting. The live runtime guards the call with one nil
-// check, the same disabled-cost contract as the lifecycle tracer.
+// feeds the rolling-window latency sketch and the SLO burn-rate
+// accounting. The live runtime guards the call with one nil check, the
+// same disabled-cost contract as the lifecycle tracer.
 package obs
 
 import (
@@ -17,18 +17,29 @@ func DefaultWindows() []time.Duration {
 	return []time.Duration{time.Second, 10 * time.Second, time.Minute}
 }
 
-// TailTracker bundles a WindowedHistogram sized to a set of query
-// windows with an optional SLOTracker. It is safe for concurrent use.
+// TailTracker is a rolling latency sketch — a ring of QuantileSketch
+// epochs sized to a set of query windows — with an optional SLOTracker
+// and optional per-class children. It is safe for concurrent use.
+//
+// The ring holds one 4 KiB sketch per epoch: 241 epochs (≈1 MiB) at the
+// default 1s/10s/60s windows, 5 (≈20 KiB) for a 1s-only tracker.
 type TailTracker struct {
-	win     *WindowedHistogram
+	// Classes, when set before the tracker is shared, are per-SLO-class
+	// trackers indexed by the live runtime's SLOClass values:
+	// ObserveClass and ObserveRejected feed the class's child as well as
+	// this tracker. Out-of-range classes fold into class 0 (the
+	// ClassSketches convention).
+	Classes []*TailTracker
+
+	ring    *epochRing[QuantileSketch]
 	windows []time.Duration
 	slo     *SLOTracker
 }
 
 // NewTailTracker builds a tracker for the given query windows (nil
-// means DefaultWindows) and an optional SLO. The backing ring's epoch
-// is a quarter of the shortest window and its span the longest one;
-// the SLO horizons live in the SLOTracker's own (counts-only) ring.
+// means DefaultWindows) and an optional SLO. The ring's epoch is a
+// quarter of the shortest window and its span the longest one; the SLO
+// horizons live in the SLOTracker's own (counts-only) ring.
 func NewTailTracker(windows []time.Duration, slo *SLOTracker) *TailTracker {
 	if len(windows) == 0 {
 		windows = DefaultWindows()
@@ -36,7 +47,7 @@ func NewTailTracker(windows []time.Duration, slo *SLOTracker) *TailTracker {
 	windows = append([]time.Duration(nil), windows...)
 	sort.Slice(windows, func(i, j int) bool { return windows[i] < windows[j] })
 	return &TailTracker{
-		win:     NewWindowedHistogram(windows[0]/4, windows[len(windows)-1]),
+		ring:    newEpochRing(windows[0]/4, windows[len(windows)-1], (*QuantileSketch).Reset),
 		windows: windows,
 		slo:     slo,
 	}
@@ -48,28 +59,83 @@ func (t *TailTracker) Windows() []time.Duration { return t.windows }
 // SLO returns the tracker's SLO accounting, or nil.
 func (t *TailTracker) SLO() *SLOTracker { return t.slo }
 
-// Window returns the backing rolling histogram.
-func (t *TailTracker) Window() *WindowedHistogram { return t.win }
-
 // Observe accounts one delivered response.
 func (t *TailTracker) Observe(latency time.Duration, ok bool) {
-	t.win.ObserveDuration(latency)
+	t.ring.mu.Lock()
+	t.ring.current().Observe(int64(latency))
+	t.ring.mu.Unlock()
 	if t.slo != nil {
 		t.slo.Observe(latency, ok)
 	}
 }
 
-// ObserveRejected accounts a rejected submission as an SLO-bad event
-// without touching the latency window: the request was never served,
-// so it has no meaningful latency, but it certainly did not meet the
-// objective.
-func (t *TailTracker) ObserveRejected() {
-	if t.slo != nil {
-		t.slo.Observe(0, false)
+// class returns the child tracker for class, or nil without Classes.
+func (t *TailTracker) class(class int) *TailTracker {
+	if len(t.Classes) == 0 {
+		return nil
+	}
+	if class < 0 || class >= len(t.Classes) {
+		class = 0
+	}
+	return t.Classes[class]
+}
+
+// ObserveClass accounts one delivered response against this tracker and
+// its class's child.
+func (t *TailTracker) ObserveClass(class int, latency time.Duration, ok bool) {
+	t.Observe(latency, ok)
+	if c := t.class(class); c != nil {
+		c.Observe(latency, ok)
 	}
 }
 
-// Quantile estimates the q-quantile in µs over the trailing window.
-func (t *TailTracker) Quantile(window time.Duration, q float64) float64 {
-	return t.win.Quantile(window, q)
+// ObserveRejected accounts a rejected submission (shed, queue-full, or
+// stopped) as an SLO-bad event, for the server and for its class,
+// without touching the latency windows: the request was never served,
+// so it has no meaningful latency, but it certainly did not meet the
+// objective.
+func (t *TailTracker) ObserveRejected(class int) {
+	if t.slo != nil {
+		t.slo.Observe(0, false)
+	}
+	if c := t.class(class); c != nil && c.slo != nil {
+		c.slo.Observe(0, false)
+	}
+}
+
+// Snapshot merges the epochs covering the trailing window into one
+// latency snapshot in nanoseconds. A window longer than the longest
+// configured one is clamped to it; an idle window yields an empty
+// snapshot (Count 0, NaN quantiles).
+//
+// A minute's window is 241 sketches of 512 counters, a third of a
+// millisecond to copy — far too long to stall every completing worker
+// on the ring lock. So the lock is held only to pick the live epochs;
+// each sketch is then copied without it (its counters are atomics) and
+// kept only if its slot still holds the same epoch afterwards. A slot
+// is reset and renumbered in one critical section and epoch numbers
+// only grow, so an unchanged number means no reset began before the
+// copy ended; a changed one means the epoch has just aged out of every
+// window anyway.
+func (t *TailTracker) Snapshot(window time.Duration) SketchSnapshot {
+	r := t.ring
+	type epochRef struct {
+		slot int
+		num  int64
+	}
+	var live []epochRef
+	r.mu.Lock()
+	r.each(window, func(i int, _ *QuantileSketch) { live = append(live, epochRef{i, r.nums[i]}) })
+	r.mu.Unlock()
+	var out SketchSnapshot
+	for _, e := range live {
+		snap := r.slots[e.slot].Snapshot()
+		r.mu.Lock()
+		unchanged := r.nums[e.slot] == e.num
+		r.mu.Unlock()
+		if unchanged {
+			out.Merge(snap)
+		}
+	}
+	return out
 }

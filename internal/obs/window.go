@@ -1,17 +1,15 @@
-// Time-windowed tail estimation: a rolling latency histogram built from
-// a ring of rotating trace.Histogram epochs. Cumulative histograms
-// answer "what has the tail been since process start"; WindowedHistogram
-// answers "what is p99.9 *right now*" — the real-time estimate that
-// microsecond-scale scheduling decisions (RackSched, LibPreemptible) and
-// SLO burn-rate accounting both need.
+// Time-windowed accounting: a ring of rotating per-epoch accumulators.
+// Cumulative counters answer "what has happened since process start";
+// an epochRing answers "what happened over the last W" — the real-time
+// view that microsecond-scale scheduling decisions (RackSched,
+// LibPreemptible) and SLO burn-rate accounting both need. The rolling
+// latency sketch (TailTracker) and the SLO good/total counts
+// (SLOTracker) are the two instantiations.
 package obs
 
 import (
-	"math"
 	"sync"
 	"time"
-
-	"concord/internal/trace"
 )
 
 // procStart anchors the package's monotonic clock; readings are
@@ -21,39 +19,33 @@ var procStart = time.Now()
 // monotonicNS is the default clock for windowed estimators.
 func monotonicNS() int64 { return int64(time.Since(procStart)) }
 
-// winEpoch is one rotation slot: the absolute epoch number it currently
-// holds (-1 when never used) and that epoch's observations. Slots are
-// reused in place — rotation resets a stale slot rather than allocating,
-// so the steady state allocates nothing.
-type winEpoch struct {
-	num  int64
-	hist trace.Histogram
-}
-
-// WindowedHistogram is a rolling log-2 latency histogram: observations
-// land in the epoch covering "now", and a window snapshot merges the
-// epochs spanning the window, dropping anything older. Epochs stale
-// after an idle gap are discarded lazily on reuse, so idle periods cost
-// nothing and never leak old samples into fresh windows.
+// epochRing is a rolling window over accumulators of type T:
+// observations land in the epoch covering "now", and a window query
+// visits the epochs spanning the window, skipping anything older. Slots
+// are reused in place — rotation resets a stale slot rather than
+// allocating, so the steady state allocates nothing, idle periods cost
+// nothing, and old samples never leak into fresh windows.
 //
-// The estimate is conservative in time: a window of W merges the
+// The view is conservative in time: a window of W visits the
 // ceil(W/epoch) most recent epochs including the partially-filled
-// current one, so it covers between W-epoch and W of history (mean
-// W-epoch/2). Choose the epoch duration a small fraction of the
-// shortest window queried (NewTailTracker uses a quarter).
+// current one, so it covers between W-epoch and W of history.
 //
-// It is safe for concurrent use.
-type WindowedHistogram struct {
+// mu guards the slot numbers and serialises rotation against both
+// observers and readers; callers hold it around current and each. (A
+// reader whose accumulator is safe to read concurrently may copy slots
+// outside the lock and revalidate their numbers — TailTracker.Snapshot.)
+type epochRing[T any] struct {
 	mu      sync.Mutex
 	epochNS int64
-	ring    []winEpoch
+	nums    []int64 // absolute epoch each slot holds; -1 when never used
+	slots   []T
+	reset   func(*T)
 	now     func() int64 // monotonic ns; injected by tests
 }
 
-// NewWindowedHistogram returns a rolling histogram with the given epoch
-// granularity covering at least span of history. Epoch is clamped to
-// ≥1ms; span to ≥epoch.
-func NewWindowedHistogram(epoch, span time.Duration) *WindowedHistogram {
+// newEpochRing returns a ring with the given epoch granularity covering
+// at least span of history. Epoch is clamped to ≥1ms; span to ≥epoch.
+func newEpochRing[T any](epoch, span time.Duration, reset func(*T)) *epochRing[T] {
 	if epoch < time.Millisecond {
 		epoch = time.Millisecond
 	}
@@ -63,83 +55,43 @@ func NewWindowedHistogram(epoch, span time.Duration) *WindowedHistogram {
 	// +1 slot so the current partial epoch never evicts a slot still
 	// inside the longest window.
 	n := int(span/epoch) + 1
-	w := &WindowedHistogram{epochNS: int64(epoch), ring: make([]winEpoch, n), now: monotonicNS}
-	for i := range w.ring {
-		w.ring[i].num = -1
+	r := &epochRing[T]{epochNS: int64(epoch), nums: make([]int64, n), slots: make([]T, n), reset: reset, now: monotonicNS}
+	for i := range r.nums {
+		r.nums[i] = -1
 	}
-	return w
+	return r
 }
 
-// Epoch returns the rotation granularity.
-func (w *WindowedHistogram) Epoch() time.Duration { return time.Duration(w.epochNS) }
-
-// Span returns the longest history the ring can cover.
-func (w *WindowedHistogram) Span() time.Duration {
-	return time.Duration(int64(len(w.ring)-1) * w.epochNS)
-}
-
-// slot returns the ring slot for absolute epoch e, resetting it in
-// place if it still holds an older epoch. Callers hold w.mu.
-func (w *WindowedHistogram) slot(e int64) *winEpoch {
-	s := &w.ring[e%int64(len(w.ring))]
-	if s.num != e {
-		s.hist.Reset()
-		s.num = e
+// current returns the slot for the epoch covering now, resetting it in
+// place if it still holds an older epoch.
+func (r *epochRing[T]) current() *T {
+	e := r.now() / r.epochNS
+	i := e % int64(len(r.slots))
+	if r.nums[i] != e {
+		r.reset(&r.slots[i])
+		r.nums[i] = e
 	}
-	return s
+	return &r.slots[i]
 }
 
-// ObserveUS adds one latency observation in µs to the current epoch.
-func (w *WindowedHistogram) ObserveUS(us float64) {
-	w.mu.Lock()
-	w.slot(w.now() / w.epochNS).hist.ObserveUS(us)
-	w.mu.Unlock()
-}
-
-// ObserveDuration adds one latency observation to the current epoch.
-func (w *WindowedHistogram) ObserveDuration(d time.Duration) {
-	w.ObserveUS(float64(d) / float64(time.Microsecond))
-}
-
-// WindowSnapshot merges the epochs covering the trailing window into
-// one snapshot. A window longer than Span() is clamped to it; an idle
-// window yields an empty snapshot (Count 0, NaN quantiles).
-func (w *WindowedHistogram) WindowSnapshot(window time.Duration) trace.HistSnapshot {
-	k := (int64(window) + w.epochNS - 1) / w.epochNS
+// each visits the live epochs covering the trailing window, oldest
+// first, with each one's slot index. A window longer than the ring is
+// clamped to it; slots stale after an idle gap are skipped, not visited.
+func (r *epochRing[T]) each(window time.Duration, visit func(i int, slot *T)) {
+	k := (int64(window) + r.epochNS - 1) / r.epochNS
 	if k < 1 {
 		k = 1
 	}
-	if max := int64(len(w.ring)); k > max {
+	if max := int64(len(r.slots)); k > max {
 		k = max
 	}
-	var merged trace.Histogram
-	w.mu.Lock()
-	e := w.now() / w.epochNS
-	for i := e - k + 1; i <= e; i++ {
-		if i < 0 {
+	e := r.now() / r.epochNS
+	for n := e - k + 1; n <= e; n++ {
+		if n < 0 {
 			continue
 		}
-		s := &w.ring[i%int64(len(w.ring))]
-		if s.num == i {
-			merged.Merge(s.hist.Snapshot())
+		if i := int(n % int64(len(r.slots))); r.nums[i] == n {
+			visit(i, &r.slots[i])
 		}
 	}
-	w.mu.Unlock()
-	return merged.Snapshot()
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) in µs over the
-// trailing window; NaN when the window holds no observations.
-func (w *WindowedHistogram) Quantile(window time.Duration, q float64) float64 {
-	return w.WindowSnapshot(window).Quantile(q)
-}
-
-// Rate returns the observation throughput over the trailing window in
-// events/second (count divided by the window, so a partially idle
-// window reads low rather than extrapolating).
-func (w *WindowedHistogram) Rate(window time.Duration) float64 {
-	if window <= 0 {
-		return math.NaN()
-	}
-	return float64(w.WindowSnapshot(window).Count) / window.Seconds()
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"concord/internal/trace"
+	"concord/internal/sim"
 )
 
 // fakeClock is a hand-advanced monotonic clock for window tests.
@@ -27,71 +27,78 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newClockedWindow(epoch, span time.Duration) (*WindowedHistogram, *fakeClock) {
-	w := NewWindowedHistogram(epoch, span)
+// newClockedWindow builds a tracker whose ring has the given epoch and
+// span (the shortest window is 4 epochs) on a hand-advanced clock.
+func newClockedWindow(epoch, span time.Duration) (*TailTracker, *fakeClock) {
+	w := NewTailTracker([]time.Duration{4 * epoch, span}, nil)
 	clk := &fakeClock{}
-	w.now = clk.now
+	w.ring.now = clk.now
 	return w, clk
 }
 
-func TestWindowedHistogramEmpty(t *testing.T) {
+// observeUS records one latency given in microseconds.
+func observeUS(w *TailTracker, us int64) { w.Observe(time.Duration(us)*time.Microsecond, true) }
+
+// quantileUS is the trailing window's q-quantile in microseconds.
+func quantileUS(w *TailTracker, window time.Duration, q float64) float64 {
+	return w.Snapshot(window).Quantile(q) / 1e3
+}
+
+func TestWindowEmpty(t *testing.T) {
 	w, _ := newClockedWindow(250*time.Millisecond, time.Minute)
-	s := w.WindowSnapshot(10 * time.Second)
+	s := w.Snapshot(10 * time.Second)
 	if s.Count != 0 {
 		t.Fatalf("empty window Count = %d", s.Count)
 	}
-	if q := w.Quantile(10*time.Second, 0.999); !math.IsNaN(q) {
+	if q := quantileUS(w, 10*time.Second, 0.999); !math.IsNaN(q) {
 		t.Fatalf("empty window quantile = %v, want NaN", q)
-	}
-	if r := w.Rate(10 * time.Second); r != 0 {
-		t.Fatalf("empty window rate = %v, want 0", r)
 	}
 }
 
-// TestWindowedHistogramRotation: observations age out of short windows
+// TestWindowRotation: observations age out of short windows
 // while remaining visible in longer ones.
-func TestWindowedHistogramRotation(t *testing.T) {
+func TestWindowRotation(t *testing.T) {
 	w, clk := newClockedWindow(250*time.Millisecond, time.Minute)
 	for i := 0; i < 100; i++ {
-		w.ObserveUS(100)
+		observeUS(w, 100)
 	}
 	clk.advance(2 * time.Second)
 	for i := 0; i < 50; i++ {
-		w.ObserveUS(3000)
+		observeUS(w, 3000)
 	}
 
-	if got := w.WindowSnapshot(time.Second).Count; got != 50 {
+	if got := w.Snapshot(time.Second).Count; got != 50 {
 		t.Fatalf("1s window Count = %d, want only the recent 50", got)
 	}
-	if got := w.WindowSnapshot(10 * time.Second).Count; got != 150 {
+	if got := w.Snapshot(10 * time.Second).Count; got != 150 {
 		t.Fatalf("10s window Count = %d, want all 150", got)
 	}
 	// The 1s view must not see the old 100µs mass at all.
-	if q := w.Quantile(time.Second, 0.5); q < 2048 || q > 4096 {
-		t.Fatalf("1s p50 = %v, want within the 3000µs bucket (2048,4096]", q)
+	if q := quantileUS(w, time.Second, 0.5); math.Abs(q-3000)/3000 > 0.045 {
+		t.Fatalf("1s p50 = %vµs, want 3000µs within the sketch error", q)
 	}
 }
 
-// TestWindowedHistogramIdleGap: after an idle gap longer than the span,
+// TestWindowIdleGap: after an idle gap longer than the span,
 // every window is empty again, and stale slots reused after wraparound
 // never leak old observations into fresh windows.
-func TestWindowedHistogramIdleGap(t *testing.T) {
+func TestWindowIdleGap(t *testing.T) {
 	w, clk := newClockedWindow(250*time.Millisecond, 10*time.Second)
 	for i := 0; i < 100; i++ {
-		w.ObserveUS(42)
+		observeUS(w, 42)
 	}
 	clk.advance(time.Hour) // idle gap, many full ring wraparounds
-	if got := w.WindowSnapshot(10 * time.Second).Count; got != 0 {
+	if got := w.Snapshot(10 * time.Second).Count; got != 0 {
 		t.Fatalf("post-gap window Count = %d, want 0 (stale epochs must drop)", got)
 	}
-	w.ObserveUS(7)
-	s := w.WindowSnapshot(10 * time.Second)
-	if s.Count != 1 || s.SumUS != 7 {
-		t.Fatalf("post-gap observation: Count=%d SumUS=%v, want 1/7", s.Count, s.SumUS)
+	observeUS(w, 7)
+	s := w.Snapshot(10 * time.Second)
+	if s.Count != 1 || s.Sum != 7_000 {
+		t.Fatalf("post-gap observation: Count=%d Sum=%vns, want 1/7000", s.Count, s.Sum)
 	}
 }
 
-// TestWindowedHistogramIdleGapEpochAliasing: the adversarial idle-gap
+// TestWindowIdleGapEpochAliasing: the adversarial idle-gap
 // case for lazy slot reuse. The ring addresses slots as epoch mod len,
 // so a clock jump of exactly k×len×epoch lands every new epoch on a
 // slot whose stale occupant has the *same index* but an older epoch
@@ -100,14 +107,15 @@ func TestWindowedHistogramIdleGap(t *testing.T) {
 // must be lazily reset on write (slot()) and skipped on read
 // (WindowSnapshot's s.num != i check), so merged quantiles carry no
 // ghost samples.
-func TestWindowedHistogramIdleGapEpochAliasing(t *testing.T) {
+func TestWindowIdleGapEpochAliasing(t *testing.T) {
 	const epoch = 250 * time.Millisecond
 	w, clk := newClockedWindow(epoch, 10*time.Second)
-	ringLen := len(w.ring)
+	ringLen := len(w.ring.slots)
+	span := w.Windows()[1]
 
 	// Fill every slot with old 5000µs samples so any leak is visible.
 	for i := 0; i < ringLen; i++ {
-		w.ObserveUS(5000)
+		observeUS(w, 5000)
 		clk.advance(epoch)
 	}
 
@@ -117,7 +125,7 @@ func TestWindowedHistogramIdleGapEpochAliasing(t *testing.T) {
 
 	// Read-side laziness: without a single new write, every stale slot
 	// must be skipped during the merge.
-	if got := w.WindowSnapshot(w.Span()).Count; got != 0 {
+	if got := w.Snapshot(span).Count; got != 0 {
 		t.Fatalf("full-span window after aliasing jump: Count = %d, want 0", got)
 	}
 
@@ -125,105 +133,107 @@ func TestWindowedHistogramIdleGapEpochAliasing(t *testing.T) {
 	// slot; the merged window must hold exactly that sample, and the
 	// quantile must sit in the new sample's bucket, nowhere near the
 	// stale 5000µs mass.
-	w.ObserveUS(10)
-	s := w.WindowSnapshot(w.Span())
-	if s.Count != 1 || s.SumUS != 10 {
-		t.Fatalf("post-jump window: Count=%d SumUS=%v, want 1/10 (ghost samples leaked)", s.Count, s.SumUS)
+	observeUS(w, 10)
+	s := w.Snapshot(span)
+	if s.Count != 1 || s.Sum != 10_000 {
+		t.Fatalf("post-jump window: Count=%d Sum=%vns, want 1/10000 (ghost samples leaked)", s.Count, s.Sum)
 	}
-	if q := s.Quantile(0.999); q > 16 {
+	if q := s.Quantile(0.999) / 1e3; q > 16 {
 		t.Fatalf("post-jump p99.9 = %vµs, want within the 10µs bucket (stale 5000µs mass leaked)", q)
 	}
 
 	// A second partial-gap jump (shorter than the span) must keep the
 	// surviving epoch visible and still expose no stale slots.
 	clk.advance(4 * time.Second)
-	w.ObserveUS(20)
-	s = w.WindowSnapshot(w.Span())
-	if s.Count != 2 || s.SumUS != 30 {
-		t.Fatalf("partial-gap window: Count=%d SumUS=%v, want 2/30", s.Count, s.SumUS)
+	observeUS(w, 20)
+	s = w.Snapshot(span)
+	if s.Count != 2 || s.Sum != 30_000 {
+		t.Fatalf("partial-gap window: Count=%d Sum=%vns, want 2/30000", s.Count, s.Sum)
 	}
 	// But a window shorter than the partial gap must only see the
 	// newest sample.
-	if got := w.WindowSnapshot(time.Second); got.Count != 1 || got.SumUS != 20 {
-		t.Fatalf("1s window after partial gap: Count=%d SumUS=%v, want 1/20", got.Count, got.SumUS)
+	if got := w.Snapshot(time.Second); got.Count != 1 || got.Sum != 20_000 {
+		t.Fatalf("1s window after partial gap: Count=%d Sum=%vns, want 1/20000", got.Count, got.Sum)
 	}
 }
 
-// TestWindowedHistogramSteadyLoad: under steady load the windowed
-// quantiles agree with a cumulative histogram of the same distribution
-// (both are log-2 bucketed, so agreement is exact per bucket).
-func TestWindowedHistogramSteadyLoad(t *testing.T) {
+// TestWindowMergeKeepsQuantileError: the sketch's ≤4.4% quantile error
+// survives a windowed merge. Lognormal latencies spread over 80 epochs
+// are read back through one merged window and compared against the
+// exact quantiles of the same samples; a shorter window must agree with
+// the exact quantiles of just the samples it covers.
+func TestWindowMergeKeepsQuantileError(t *testing.T) {
 	w, clk := newClockedWindow(250*time.Millisecond, time.Minute)
-	var cum trace.Histogram
-	// 20s of steady bimodal load at 100 req/s: 98% at ~10µs, 2% at
-	// ~1ms. (2%, not 1%: the tested quantiles must sit in bucket
-	// interiors, away from the distribution breakpoint where subsample
-	// phase flips the containing bucket.)
-	for tick := 0; tick < 200; tick++ {
-		for i := 0; i < 10; i++ {
-			us := 10.0
-			if (tick*10+i)%100 >= 98 {
-				us = 1000
+	rng := sim.NewRNG(11)
+	var all, recent []float64
+	for tick := 0; tick < 200; tick++ { // 20s at 100ms per tick
+		for i := 0; i < 50; i++ {
+			ns := int64(rng.Lognormal(math.Log(20_000), 1.5)) + 1
+			w.Observe(time.Duration(ns), true)
+			all = append(all, float64(ns))
+			if tick >= 160 { // the last 4s: epochs 64..79
+				recent = append(recent, float64(ns))
 			}
-			w.ObserveUS(us)
-			cum.ObserveUS(us)
 		}
 		clk.advance(100 * time.Millisecond)
 	}
-	for _, q := range []float64{0.50, 0.99, 0.999} {
-		got := w.Quantile(15*time.Second, q)
-		want := cum.Quantile(q)
-		// The window holds a large steady subsample of the same
-		// distribution: quantiles must land in the same log-2 bucket,
-		// i.e. within 2x (and typically much closer).
-		if got < want/2 || got > want*2 {
-			t.Fatalf("steady-load q%v: windowed %v vs cumulative %v", q, got, want)
+	clk.advance(-100 * time.Millisecond) // stand inside the last written epoch
+	bound := math.Pow(2, 1.0/16) - 1 + 1e-6
+	for _, c := range []struct {
+		window time.Duration
+		vals   []float64
+	}{{time.Minute, all}, {4 * time.Second, recent}} {
+		snap := w.Snapshot(c.window)
+		if snap.Count != uint64(len(c.vals)) {
+			t.Fatalf("%v window Count = %d, want %d", c.window, snap.Count, len(c.vals))
 		}
-	}
-	// The full-span view holds every sample still in range; the count
-	// over 60s is everything (only 20s elapsed).
-	if got, want := w.WindowSnapshot(time.Minute).Count, cum.Count(); got != want {
-		t.Fatalf("60s window Count = %d, cumulative = %d", got, want)
+		for _, q := range []float64{0.50, 0.99, 0.999} {
+			exact := exactQuantile(c.vals, q)
+			if got := snap.Quantile(q); math.Abs(got-exact)/exact > bound {
+				t.Errorf("%v window p%g: merged %.0f vs exact %.0f (rel err %.2f%% > 4.4%%)",
+					c.window, q*100, got, exact, 100*math.Abs(got-exact)/exact)
+			}
+		}
 	}
 }
 
-// TestWindowedHistogramPartialEpochCoverage: a window merges the
+// TestWindowPartialEpochCoverage: a window merges the
 // current partial epoch plus enough whole epochs to cover it.
-func TestWindowedHistogramPartialEpochCoverage(t *testing.T) {
+func TestWindowPartialEpochCoverage(t *testing.T) {
 	w, clk := newClockedWindow(time.Second, time.Minute)
-	w.ObserveUS(1) // epoch 0
+	observeUS(w, 1) // epoch 0
 	clk.advance(1100 * time.Millisecond)
-	w.ObserveUS(2) // epoch 1
+	observeUS(w, 2) // epoch 1
 	// Now at t=1.1s: a 1s window spans epochs 1 and 0... epoch 0 is
 	// within ceil(1s/1s)=1 epoch back including current, so only
 	// epoch 1 is merged.
-	if got := w.WindowSnapshot(time.Second).Count; got != 1 {
+	if got := w.Snapshot(time.Second).Count; got != 1 {
 		t.Fatalf("1s window Count = %d, want 1 (current epoch only)", got)
 	}
-	if got := w.WindowSnapshot(2 * time.Second).Count; got != 2 {
+	if got := w.Snapshot(2 * time.Second).Count; got != 2 {
 		t.Fatalf("2s window Count = %d, want 2", got)
 	}
 }
 
-func TestWindowedHistogramClamps(t *testing.T) {
-	w := NewWindowedHistogram(0, 0)
-	if w.Epoch() < time.Millisecond {
-		t.Fatalf("epoch not clamped: %v", w.Epoch())
+func TestWindowClamps(t *testing.T) {
+	w := NewTailTracker([]time.Duration{0}, nil)
+	if e := time.Duration(w.ring.epochNS); e < time.Millisecond {
+		t.Fatalf("epoch not clamped: %v", e)
 	}
-	if len(w.ring) < 2 {
-		t.Fatalf("ring too small: %d", len(w.ring))
+	if n := len(w.ring.slots); n < 2 {
+		t.Fatalf("ring too small: %d", n)
 	}
 	// A window far beyond the span is clamped, not a panic.
-	w.ObserveUS(5)
-	if got := w.WindowSnapshot(time.Hour).Count; got != 1 {
+	observeUS(w, 5)
+	if got := w.Snapshot(time.Hour).Count; got != 1 {
 		t.Fatalf("over-span window Count = %d, want 1", got)
 	}
 }
 
-// TestWindowedHistogramConcurrent exercises concurrent observers and
+// TestWindowConcurrent exercises concurrent observers and
 // readers across rotations under -race.
-func TestWindowedHistogramConcurrent(t *testing.T) {
-	w := NewWindowedHistogram(time.Millisecond, 50*time.Millisecond)
+func TestWindowConcurrent(t *testing.T) {
+	w := NewTailTracker([]time.Duration{4 * time.Millisecond, 50 * time.Millisecond}, nil)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -231,7 +241,7 @@ func TestWindowedHistogramConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
-				w.ObserveUS(float64(i % 1000))
+				observeUS(w, int64(i%1000))
 			}
 		}(g)
 	}
@@ -241,8 +251,8 @@ func TestWindowedHistogramConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				w.WindowSnapshot(25 * time.Millisecond)
-				w.Quantile(10*time.Millisecond, 0.99)
+				w.Snapshot(25 * time.Millisecond)
+				quantileUS(w, 10*time.Millisecond, 0.99)
 			}
 		}
 	}()
@@ -265,15 +275,19 @@ func TestTailTrackerDefaults(t *testing.T) {
 	if tt.SLO() != nil {
 		t.Fatal("unexpected SLO tracker")
 	}
-	if e := tt.Window().Epoch(); e != want[0]/4 {
+	if e := time.Duration(tt.ring.epochNS); e != want[0]/4 {
 		t.Fatalf("epoch = %v, want %v", e, want[0]/4)
 	}
+	// The documented footprint: 241 epochs at 1s/10s/60s.
+	if n := len(tt.ring.slots); n != 241 {
+		t.Fatalf("ring = %d epochs, want 241", n)
+	}
 	tt.Observe(100*time.Microsecond, true)
-	if got := tt.Window().WindowSnapshot(time.Minute).Count; got != 1 {
+	if got := tt.Snapshot(time.Minute).Count; got != 1 {
 		t.Fatalf("observation not recorded: Count = %d", got)
 	}
-	if q := tt.Quantile(time.Minute, 0.5); q < 64 || q > 128 {
-		t.Fatalf("p50 = %v, want within the 100µs bucket (64,128]", q)
+	if q := quantileUS(tt, time.Minute, 0.5); math.Abs(q-100)/100 > 0.045 {
+		t.Fatalf("p50 = %vµs, want 100µs within the sketch error", q)
 	}
 }
 
@@ -286,5 +300,47 @@ func TestTailTrackerWithSLO(t *testing.T) {
 	s := slo.Snapshot()
 	if s.ShortTotal != 3 || s.ShortGood != 1 {
 		t.Fatalf("SLO counts good/total = %d/%d, want 1/3", s.ShortGood, s.ShortTotal)
+	}
+}
+
+// TestTailTrackerClasses: per-class tails are child trackers of the
+// same type. ObserveClass feeds the parent and the class's child,
+// out-of-range classes fold into class 0, a rejection is SLO-bad for
+// both without touching either latency window, and a tracker without
+// children takes the same calls as a plain Observe.
+func TestTailTrackerClasses(t *testing.T) {
+	newTracker := func(target time.Duration) *TailTracker {
+		return NewTailTracker([]time.Duration{time.Second}, NewSLOTracker(SLOConfig{Target: target}))
+	}
+	tt := newTracker(time.Millisecond)
+	tt.Classes = []*TailTracker{newTracker(time.Millisecond), newTracker(50 * time.Microsecond)}
+
+	tt.ObserveClass(1, 100*time.Microsecond, true) // over class 1's own target
+	tt.ObserveClass(0, 100*time.Microsecond, true)
+	tt.ObserveClass(7, 100*time.Microsecond, true) // folds into class 0
+	tt.ObserveRejected(1)
+
+	for _, c := range []struct {
+		name                      string
+		tr                        *TailTracker
+		window, sloGood, sloTotal uint64
+	}{
+		{"server", tt, 3, 3, 4},
+		{"class 0", tt.Classes[0], 2, 2, 2},
+		{"class 1", tt.Classes[1], 1, 0, 2},
+	} {
+		if got := c.tr.Snapshot(time.Second).Count; got != c.window {
+			t.Errorf("%s window Count = %d, want %d", c.name, got, c.window)
+		}
+		if s := c.tr.SLO().Snapshot(); s.ShortGood != c.sloGood || s.ShortTotal != c.sloTotal {
+			t.Errorf("%s SLO good/total = %d/%d, want %d/%d", c.name, s.ShortGood, s.ShortTotal, c.sloGood, c.sloTotal)
+		}
+	}
+
+	plain := NewTailTracker(nil, nil)
+	plain.ObserveClass(2, time.Microsecond, true)
+	plain.ObserveRejected(2)
+	if got := plain.Snapshot(time.Second).Count; got != 1 {
+		t.Errorf("classless tracker Count = %d, want 1", got)
 	}
 }

@@ -1,6 +1,7 @@
 // Package trace records per-request latency observations and renders
-// them as CSV or as log-bucketed histograms — the measurement layer the
-// live load generator and the examples share.
+// them as CSV and slowdown summaries — the record layer the live load
+// generator and the examples share. (Latency distributions live in
+// obs.QuantileSketch.)
 package trace
 
 import (
@@ -8,9 +9,7 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 	"sync"
-	"time"
 )
 
 // Record is one completed request observation. The breakdown fields
@@ -153,156 +152,4 @@ func (s Summary) String() string {
 	return fmt.Sprintf(
 		"n=%d p50=%.1f p90=%.1f p99=%.1f p99.9=%.1f mean-slowdown=%.1f mean-sojourn=%.1fµs preempts/req=%.2f dispatcher=%.1f%%",
 		s.Count, s.P50, s.P90, s.P99, s.P999, s.MeanSlowdown, s.MeanSojournUS, s.MeanPreemptions, 100*s.DispatcherFrac)
-}
-
-// Histogram is a base-2 log-bucketed latency histogram. It is safe for
-// concurrent use: load generators observe from per-request goroutines.
-type Histogram struct {
-	mu      sync.Mutex
-	buckets [64]int
-	count   int
-	sum     float64
-}
-
-// ObserveUS adds one latency observation in µs.
-func (h *Histogram) ObserveUS(us float64) {
-	if us < 0 {
-		return
-	}
-	b := 0
-	if us >= 1 {
-		b = int(math.Log2(us)) + 1
-		if b >= len(h.buckets) {
-			b = len(h.buckets) - 1
-		}
-	}
-	h.mu.Lock()
-	h.buckets[b]++
-	h.count++
-	h.sum += us
-	h.mu.Unlock()
-}
-
-// ObserveDuration adds one latency observation.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.ObserveUS(float64(d) / float64(time.Microsecond))
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// HistSnapshot is a consistent point-in-time copy of a Histogram,
-// suitable for quantile queries and metrics export without holding the
-// histogram lock.
-type HistSnapshot struct {
-	Buckets [64]int
-	Count   int
-	SumUS   float64
-}
-
-// Snapshot copies the histogram state under the lock.
-func (h *Histogram) Snapshot() HistSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistSnapshot{Buckets: h.buckets, Count: h.count, SumUS: h.sum}
-}
-
-// Merge folds a snapshot into the histogram, bucket by bucket. It is
-// how per-worker or per-epoch histograms combine into one view: the
-// merged count, sum, and quantiles are those of the union of the two
-// observation sets.
-func (h *Histogram) Merge(s HistSnapshot) {
-	h.mu.Lock()
-	for i, c := range s.Buckets {
-		h.buckets[i] += c
-	}
-	h.count += s.Count
-	h.sum += s.SumUS
-	h.mu.Unlock()
-}
-
-// Reset discards every observation, returning the histogram to its
-// zero state. Used by windowed estimators that rotate epochs in place.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.buckets = [64]int{}
-	h.count = 0
-	h.sum = 0
-	h.mu.Unlock()
-}
-
-// BucketUpperUS returns bucket i's upper bound in µs: bucket 0 covers
-// [0,1) and bucket i covers [2^(i-1), 2^i).
-func BucketUpperUS(i int) float64 {
-	if i <= 0 {
-		return 1
-	}
-	return math.Pow(2, float64(i))
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) in µs by linear
-// interpolation inside the log-2 bucket containing the target rank.
-// The estimate is exact to within the bucket's width. It returns NaN
-// for an empty snapshot; q is clamped to [0,1].
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	q = math.Min(1, math.Max(0, q))
-	target := q * float64(s.Count)
-	if target < 1 {
-		target = 1
-	}
-	cum := 0.0
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		if cum+float64(c) >= target {
-			lo := 0.0
-			if i > 0 {
-				lo = math.Pow(2, float64(i-1))
-			}
-			hi := BucketUpperUS(i)
-			return lo + (hi-lo)*(target-cum)/float64(c)
-		}
-		cum += float64(c)
-	}
-	return BucketUpperUS(len(s.Buckets) - 1)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) of the live histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Snapshot().Quantile(q)
-}
-
-// String renders non-empty buckets with proportional bars.
-func (h *Histogram) String() string {
-	h.mu.Lock()
-	buckets := h.buckets
-	h.mu.Unlock()
-	var b strings.Builder
-	max := 0
-	for _, c := range buckets {
-		if c > max {
-			max = c
-		}
-	}
-	for i, c := range buckets {
-		if c == 0 {
-			continue
-		}
-		lo, hi := 0.0, 1.0
-		if i > 0 {
-			lo = math.Pow(2, float64(i-1))
-			hi = math.Pow(2, float64(i))
-		}
-		bar := strings.Repeat("#", int(math.Ceil(float64(c)/float64(max)*40)))
-		fmt.Fprintf(&b, "%10.0f-%-10.0fµs %8d %s\n", lo, hi, c, bar)
-	}
-	return b.String()
 }

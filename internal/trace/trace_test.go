@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestRecordSlowdown(t *testing.T) {
@@ -79,274 +78,11 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	h.ObserveUS(0.5)  // bucket 0
-	h.ObserveUS(1.5)  // 1-2
-	h.ObserveUS(3)    // 2-4
-	h.ObserveUS(1000) // 512-1024
-	h.ObserveDuration(2 * time.Millisecond)
-	h.ObserveUS(-1) // dropped
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-	out := h.String()
-	if !strings.Contains(out, "#") {
-		t.Fatalf("histogram bars missing:\n%s", out)
-	}
-	lines := strings.Count(out, "\n")
-	if lines != 5 {
-		t.Fatalf("%d non-empty buckets, want 5:\n%s", lines, out)
-	}
-}
-
-func TestHistogramOverflowClamped(t *testing.T) {
-	var h Histogram
-	h.ObserveUS(math.MaxFloat64)
-	if h.Count() != 1 {
-		t.Fatal("overflow observation lost")
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	l := NewLog(1)
 	l.Add(Record{ServiceUS: 1, SojournUS: 2})
 	s := l.Summarize().String()
 	if !strings.Contains(s, "p99.9=") || !strings.Contains(s, "n=1") {
 		t.Fatalf("summary string = %q", s)
-	}
-}
-
-func TestHistogramSnapshot(t *testing.T) {
-	var h Histogram
-	h.ObserveUS(0.5)
-	h.ObserveUS(3)
-	h.ObserveUS(100)
-	s := h.Snapshot()
-	if s.Count != 3 {
-		t.Fatalf("snapshot count = %d", s.Count)
-	}
-	if s.SumUS != 103.5 {
-		t.Fatalf("snapshot sum = %v, want 103.5", s.SumUS)
-	}
-	total := 0
-	for _, c := range s.Buckets {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("bucket counts sum to %d", total)
-	}
-	// Snapshot is a copy: further observations don't mutate it.
-	h.ObserveUS(1)
-	if s.Count != 3 {
-		t.Fatal("snapshot aliased live histogram")
-	}
-}
-
-func TestBucketUpperUS(t *testing.T) {
-	if BucketUpperUS(0) != 1 || BucketUpperUS(1) != 2 || BucketUpperUS(10) != 1024 {
-		t.Fatalf("bucket bounds: %v %v %v", BucketUpperUS(0), BucketUpperUS(1), BucketUpperUS(10))
-	}
-}
-
-// TestQuantileKnownDistributions checks Quantile against distributions
-// whose true quantiles are known. Log-2 bucketing bounds the error by
-// the bucket width: an estimate must land within a factor of 2 of the
-// true value, and interpolation keeps it inside the right bucket.
-func TestQuantileKnownDistributions(t *testing.T) {
-	if !math.IsNaN((HistSnapshot{}).Quantile(0.5)) {
-		t.Fatal("empty snapshot must give NaN")
-	}
-
-	// Point mass: every observation is 100µs → bucket [64,128).
-	var point Histogram
-	for i := 0; i < 1000; i++ {
-		point.ObserveUS(100)
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		got := point.Quantile(q)
-		if got < 64 || got > 128 {
-			t.Fatalf("point-mass Quantile(%v) = %v, want within bucket [64,128]", q, got)
-		}
-	}
-
-	// Uniform integers 1..1024: true quantile(q) = 1024q.
-	var uni Histogram
-	for i := 1; i <= 1024; i++ {
-		uni.ObserveUS(float64(i))
-	}
-	for _, q := range []float64{0.25, 0.5, 0.9, 0.99} {
-		truth := 1024 * q
-		got := uni.Quantile(q)
-		if got < truth/2 || got > truth*2 {
-			t.Fatalf("uniform Quantile(%v) = %v, want within factor 2 of %v", q, got, truth)
-		}
-	}
-
-	// Bimodal 99% at 5µs, 1% at 500µs: p50 in the short mode's bucket
-	// [4,8], p99.9 in the long mode's bucket (256,512].
-	var bi Histogram
-	for i := 0; i < 990; i++ {
-		bi.ObserveUS(5)
-	}
-	for i := 0; i < 10; i++ {
-		bi.ObserveUS(500)
-	}
-	if p50 := bi.Quantile(0.5); p50 < 4 || p50 > 8 {
-		t.Fatalf("bimodal p50 = %v, want in [4,8]", p50)
-	}
-	if p999 := bi.Quantile(0.999); p999 < 256 || p999 > 512 {
-		t.Fatalf("bimodal p99.9 = %v, want in (256,512]", p999)
-	}
-
-	// Monotonicity and clamping.
-	if bi.Quantile(0.1) > bi.Quantile(0.9) {
-		t.Fatal("quantiles not monotone")
-	}
-	if bi.Quantile(-1) > bi.Quantile(2) {
-		t.Fatal("out-of-range q not clamped")
-	}
-}
-
-// TestHistogramConcurrentObserve is the regression test for the
-// concord-load data race: per-request goroutines observe into one
-// histogram. Pre-fix, ObserveUS had no synchronization — this test
-// fails under -race and typically undercounts.
-func TestHistogramConcurrentObserve(t *testing.T) {
-	var h Histogram
-	const goroutines, perG = 8, 2000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				h.ObserveUS(float64((g*perG + i) % 4096))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := h.Count(); got != goroutines*perG {
-		t.Fatalf("Count = %d after %d concurrent observations", got, goroutines*perG)
-	}
-	if h.String() == "" {
-		t.Fatal("histogram rendered empty")
-	}
-}
-
-// TestHistogramMerge checks that merging two histograms preserves the
-// union's count, sum, and per-bucket totals: merged quantiles are those
-// of observing both sample sets into one histogram.
-func TestHistogramMerge(t *testing.T) {
-	var a, b, union Histogram
-	for i := 0; i < 1000; i++ {
-		us := float64(i % 100)
-		a.ObserveUS(us)
-		union.ObserveUS(us)
-	}
-	for i := 0; i < 500; i++ {
-		us := float64(1000 + i%4000)
-		b.ObserveUS(us)
-		union.ObserveUS(us)
-	}
-	a.Merge(b.Snapshot())
-
-	got, want := a.Snapshot(), union.Snapshot()
-	if got.Count != want.Count {
-		t.Fatalf("merged Count = %d, want %d", got.Count, want.Count)
-	}
-	if math.Abs(got.SumUS-want.SumUS) > 1e-6 {
-		t.Fatalf("merged SumUS = %v, want %v", got.SumUS, want.SumUS)
-	}
-	if got.Buckets != want.Buckets {
-		t.Fatalf("merged buckets differ from union:\n got %v\nwant %v", got.Buckets, want.Buckets)
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if g, w := got.Quantile(q), want.Quantile(q); g != w {
-			t.Fatalf("merged Quantile(%v) = %v, union = %v", q, g, w)
-		}
-	}
-}
-
-// TestHistogramMergeEmpty: merging an empty snapshot is a no-op, and
-// merging into an empty histogram reproduces the source exactly.
-func TestHistogramMergeEmpty(t *testing.T) {
-	var src, dst, empty Histogram
-	for i := 0; i < 100; i++ {
-		src.ObserveUS(float64(i))
-	}
-	before := src.Snapshot()
-	src.Merge(empty.Snapshot())
-	if after := src.Snapshot(); after != before {
-		t.Fatal("merging an empty snapshot changed the histogram")
-	}
-	dst.Merge(before)
-	if got := dst.Snapshot(); got != before {
-		t.Fatal("merge into empty histogram did not reproduce the source")
-	}
-}
-
-// TestHistogramReset returns the histogram to its zero state; the
-// count/sum invariants hold across an observe-reset-observe cycle.
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 100; i++ {
-		h.ObserveUS(float64(i))
-	}
-	h.Reset()
-	s := h.Snapshot()
-	if s.Count != 0 || s.SumUS != 0 {
-		t.Fatalf("after Reset: Count=%d SumUS=%v, want zeros", s.Count, s.SumUS)
-	}
-	if s.Buckets != ([64]int{}) {
-		t.Fatalf("after Reset: non-empty buckets %v", s.Buckets)
-	}
-	if !math.IsNaN(s.Quantile(0.5)) {
-		t.Fatal("quantile of reset histogram should be NaN")
-	}
-	h.ObserveUS(7)
-	if got := h.Snapshot(); got.Count != 1 || got.SumUS != 7 {
-		t.Fatalf("observe after Reset: Count=%d SumUS=%v, want 1/7", got.Count, got.SumUS)
-	}
-}
-
-// TestHistogramConcurrentMergeReset exercises Merge/Reset racing with
-// observers under -race. Note snapshot-then-reset is inherently lossy
-// while observers run (a window between the two calls drops samples —
-// windowed estimators avoid the pattern by resetting only epochs that
-// are out of the observation path), so concurrent-phase merges assert
-// sanity bounds only; the exact invariant is checked after quiescence.
-func TestHistogramConcurrentMergeReset(t *testing.T) {
-	var h, agg Histogram
-	const goroutines, perG = 4, 2000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				h.ObserveUS(float64(i % 512))
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			agg.Merge(h.Snapshot())
-			h.Reset()
-		}
-	}()
-	wg.Wait()
-	<-done
-	if got := agg.Count(); got > goroutines*perG {
-		t.Fatalf("aggregate Count = %d exceeds %d observations", got, goroutines*perG)
-	}
-	// Quiesced: one more drain must account for exactly the remainder.
-	before := agg.Count()
-	rest := h.Snapshot()
-	agg.Merge(rest)
-	if got := agg.Count(); got != before+rest.Count {
-		t.Fatalf("quiesced merge: Count = %d, want %d", got, before+rest.Count)
 	}
 }
