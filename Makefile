@@ -37,9 +37,16 @@ bench-json:
 # Short-rep suite run compared against the checked-in baselines on the
 # hermetic metrics only (deterministic simulator quantiles, allocation
 # counts — safe across machines). Exits non-zero on a regression beyond
-# the noise band; machine-bound movements print as advisory.
-bench-smoke:
+# the noise band; machine-bound movements print as advisory. Each smoke
+# target is a run step plus a compare step so CI can call the two
+# separately (the compare is advisory on pull requests, the run is not)
+# without re-typing either command list.
+bench-smoke: bench-smoke-run bench-smoke-compare
+
+bench-smoke-run:
 	go run ./cmd/concord-bench -short -scenarios core,live,live_sharded,live_adaptive,live_regret,live_multitenant -outdir bench-out
+
+bench-smoke-compare:
 	go run ./cmd/concord-bench -compare -hermetic BENCH_core.json bench-out/BENCH_core.json
 	go run ./cmd/concord-bench -compare -hermetic BENCH_live.json bench-out/BENCH_live.json
 	go run ./cmd/concord-bench -compare -hermetic BENCH_live_sharded.json bench-out/BENCH_live_sharded.json
@@ -51,8 +58,12 @@ bench-smoke:
 # (text + pipelined binary, up to 10k connections), gated hermetically
 # on allocations per request — the contract that the zero-copy binary
 # path stays strictly leaner than the text path.
-net-smoke:
+net-smoke: net-smoke-run net-smoke-compare
+
+net-smoke-run:
 	go run ./cmd/concord-bench -short -scenarios live_net -outdir bench-out
+
+net-smoke-compare:
 	go run ./cmd/concord-bench -compare -hermetic BENCH_live_net.json bench-out/BENCH_live_net.json
 	# Task-pooling floor: allocs/req must stay strictly below the
 	# pre-pooling baselines (text 8.15, binary 7.33) no matter what the
@@ -67,4 +78,4 @@ net-smoke:
 bench-module:
 	cd benchmark && go vet . && go test .
 
-.PHONY: tier1 race vet bench obs-smoke bench-json bench-smoke net-smoke bench-module
+.PHONY: tier1 race vet bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare net-smoke net-smoke-run net-smoke-compare bench-module

@@ -108,6 +108,7 @@ import (
 	"concord/internal/live"
 	"concord/internal/netsrv"
 	"concord/internal/obs"
+	"concord/internal/policy"
 	"concord/internal/shadow"
 )
 
@@ -147,7 +148,7 @@ func main() {
 	flag.Parse()
 
 	if !live.ValidPolicy(*policyName) {
-		log.Fatalf("-policy: unknown discipline %q (have fcfs, srpt, cascade, cascade-srpt)", *policyName)
+		log.Fatalf("-policy: unknown discipline %q (have %s)", *policyName, strings.Join(policy.Names(), ", "))
 	}
 	// The server clamps Shards to [1,Workers]; mirror that here so the
 	// tracer's ring layout matches the shard count live actually uses.
@@ -199,7 +200,6 @@ func main() {
 		Shards:         effShards,
 		Policy:         *policyName,
 		Quantum:        *quantum,
-		Adaptive:       *adaptive,
 		QueueBound:     *bound,
 		WorkConserving: *steal,
 		RequestTimeout: *reqTimeout,

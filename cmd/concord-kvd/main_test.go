@@ -59,7 +59,6 @@ func newTestObsSharded(t *testing.T, shards int) *testEnv {
 		PinThreads: false,
 		Tracer:     ob.tracer,
 		Tail:       ob.tail,
-		Adaptive:   true,
 		Sketches:   ob.sketches,
 		Capture:    ring,
 	})

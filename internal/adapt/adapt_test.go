@@ -114,7 +114,7 @@ func TestControllerPolicyHysteresisAndDwell(t *testing.T) {
 	if rt.policy != PolicyFCFS {
 		t.Fatalf("switched before MinDwell: policy %q at tick 2", rt.policy)
 	}
-	// Tick 3: dwell satisfied, smoothed CV well above CVHigh → SRPT.
+	// Tick 3: dwell satisfied, smoothed CV well above cvHigh → SRPT.
 	c.Step(cvSignals(2.0))
 	if rt.policy != PolicySRPT {
 		t.Fatalf("policy %q after sustained high CV, want srpt", rt.policy)
@@ -123,7 +123,7 @@ func TestControllerPolicyHysteresisAndDwell(t *testing.T) {
 		t.Fatalf("switches = %d, want 1", got)
 	}
 
-	// In-band CV (between CVLow and CVHigh): the incumbent stays, no
+	// In-band CV (between cvLow and cvHigh): the incumbent stays, no
 	// matter how many ticks pass.
 	for i := 0; i < 10; i++ {
 		c.Step(cvSignals(1.0))
@@ -132,7 +132,7 @@ func TestControllerPolicyHysteresisAndDwell(t *testing.T) {
 		t.Fatalf("in-band CV flipped policy to %q", rt.policy)
 	}
 
-	// Sustained low CV: back to FCFS once the EWMA crosses CVLow.
+	// Sustained low CV: back to FCFS once the EWMA crosses cvLow.
 	for i := 0; i < 20; i++ {
 		c.Step(cvSignals(0.1))
 	}

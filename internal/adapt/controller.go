@@ -54,22 +54,10 @@ type Config struct {
 	// and relaxes it (slower multiplicative increase) while p99.9 sits
 	// below half the target. 0 disables quantum adaptation.
 	SLOTarget time.Duration
-	// CVHigh/CVLow are the service-time CV hysteresis thresholds for
-	// policy switching around the §2 crossover at CV≈1 (exponential
-	// service times): above CVHigh sustained dispersion favors SRPT,
-	// below CVLow FCFS's no-reordering simplicity wins. Defaults
-	// 1.15 / 0.85.
-	CVHigh, CVLow float64
 	// MinDwell is the shortest time between policy switches, so a
 	// workload sitting near the threshold cannot thrash the queues.
 	// Default 20×Interval.
 	MinDwell time.Duration
-	// Smoothing is the EWMA weight of the newest window's CV sample.
-	// Default 0.3.
-	Smoothing float64
-	// MinSamples is the fewest service-time samples a window needs
-	// before its CV moves the estimate. Default 16.
-	MinSamples int64
 	// ClassScales maps a scheduling class to a multiplier on the base
 	// quantum (e.g. live.ClassCritical→0.5, live.ClassSheddable→4).
 	// Scaled quanta are re-derived and clamped to [MinQuantum,
@@ -109,20 +97,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxQuantum < c.MinQuantum {
 		c.MaxQuantum = 100 * c.MinQuantum
 	}
-	if c.CVHigh <= 0 {
-		c.CVHigh = 1.15
-	}
-	if c.CVLow <= 0 || c.CVLow > c.CVHigh {
-		c.CVLow = 0.85
-	}
 	if c.MinDwell <= 0 {
 		c.MinDwell = 20 * c.Interval
-	}
-	if c.Smoothing <= 0 || c.Smoothing > 1 {
-		c.Smoothing = 0.3
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
 	}
 	if c.DecisionLog == 0 {
 		c.DecisionLog = 512
@@ -138,6 +114,19 @@ func (c Config) withDefaults() Config {
 const (
 	quantumDecrease = 0.7
 	quantumIncrease = 1.25
+)
+
+// Dispersion estimate and policy hysteresis around the §2 crossover at
+// CV≈1 (exponential service times): above cvHigh sustained dispersion
+// favors SRPT, below cvLow FCFS's no-reordering simplicity wins.
+const (
+	cvHigh = 1.15
+	cvLow  = 0.85
+	// cvSmoothing is the EWMA weight of the newest window's CV sample.
+	cvSmoothing = 0.3
+	// cvMinSamples is the fewest service-time samples a window needs
+	// before its CV moves the estimate.
+	cvMinSamples = 16
 )
 
 // Signals is one control period's sensor readings. Step is a pure
@@ -248,12 +237,11 @@ func (c *Controller) Step(sig Signals) {
 	act := ActHold
 
 	// 1. Dispersion estimate: EWMA over windows with enough samples.
-	if sig.SvcCount >= c.cfg.MinSamples {
+	if sig.SvcCount >= cvMinSamples {
 		if !c.mu.cvPrimed {
 			c.mu.cv, c.mu.cvPrimed = sig.SvcCV, true
 		} else {
-			a := c.cfg.Smoothing
-			c.mu.cv = a*sig.SvcCV + (1-a)*c.mu.cv
+			c.mu.cv = cvSmoothing*sig.SvcCV + (1-cvSmoothing)*c.mu.cv
 		}
 	}
 
@@ -263,13 +251,13 @@ func (c *Controller) Step(sig Signals) {
 	// band the incumbent stays.
 	if c.mu.cvPrimed && c.mu.ticks-c.mu.lastSwitchTick >= c.mu.dwellTicks {
 		switch pol := c.rt.Policy(); {
-		case pol == PolicyFCFS && c.mu.cv > c.cfg.CVHigh:
+		case pol == PolicyFCFS && c.mu.cv > cvHigh:
 			if c.rt.SetPolicy(PolicySRPT) == nil {
 				c.mu.switches++
 				c.mu.lastSwitchTick = c.mu.ticks
 				act = ActSwitchSRPT
 			}
-		case pol == PolicySRPT && c.mu.cv < c.cfg.CVLow:
+		case pol == PolicySRPT && c.mu.cv < cvLow:
 			if c.rt.SetPolicy(PolicyFCFS) == nil {
 				c.mu.switches++
 				c.mu.lastSwitchTick = c.mu.ticks

@@ -189,7 +189,6 @@ func runAdaptiveSweep(policy string, quantum time.Duration, adaptive bool) ([]fl
 		// phase, not the previous one.
 		opts.Tail = obs.NewTailTracker([]time.Duration{100 * time.Millisecond}, slo)
 		opts.Sketches = obs.NewClassSketches(1)
-		opts.Adaptive = true
 	}
 	s := live.New(adaptiveSpinHandler{}, opts)
 	s.Start()

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"concord/internal/obs"
 )
 
 // TestSetQuantumTakesEffect: a server built with no quantum never
@@ -87,6 +89,79 @@ func TestSetClassQuantumOverridesBase(t *testing.T) {
 	}
 }
 
+// TestObserversDoNotArmClassPreemption pins what arms the ÷4 quantum
+// shrink applied to non-critical requests while critical work is queued:
+// admission control, a cascade discipline (at New or at a swap) or a
+// class quantum — configuration that is about scheduling classes. A
+// server that only measures per class (Tracer, Tail with class
+// children, Sketches, Capture) must hold every request to the same
+// quantum as a plain one.
+func TestObserversDoNotArmClassPreemption(t *testing.T) {
+	const base = 400 * time.Microsecond
+	tail := obs.NewTailTracker(nil, obs.NewSLOTracker(obs.SLOConfig{Target: time.Millisecond}))
+	tail.Classes = NewClassTrackers()
+	observed := Options{Tracer: obs.NewTracer(2, 64), Tail: tail,
+		Sketches: obs.NewClassSketches(NumClasses), Capture: NewCaptureRing(16, 1)}
+	classQuantum := func(s *Server) { s.SetClassQuantum(int(ClassSheddable), time.Millisecond) }
+	swapToCascade := func(s *Server) {
+		s.Start()
+		if err := s.SetPolicy(PolicyCascadeSRPT); err != nil {
+			t.Fatal(err)
+		}
+		// The second request is ingested by a dispatcher iteration that
+		// began after the first was answered, hence after SetPolicy: the
+		// swap has been applied by then. Stop orders the read below
+		// after the dispatcher's writes.
+		s.Do(time.Duration(0))
+		s.Do(time.Duration(0))
+		s.Stop()
+	}
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		setup func(*Server)
+		armed bool
+	}{
+		{"plain", Options{}, nil, false},
+		{"observed", observed, nil, false},
+		{"admission", Options{ClassAdmission: true}, nil, true},
+		{"cascade", Options{Policy: PolicyCascade}, nil, true},
+		{"swap-to-cascade", Options{}, swapToCascade, true},
+		{"class-quantum", Options{}, classQuantum, true},
+		{"class-quantum-removed", Options{}, func(s *Server) {
+			classQuantum(s)
+			s.SetClassQuantum(int(ClassSheddable), 0)
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Quantum = base
+			s := New(&spinHandler{}, tc.opts)
+			if tc.setup != nil {
+				tc.setup(s)
+			}
+			sh := s.shards[0]
+			if s.critShrink(sh) {
+				t.Fatal("shrink on with no critical request queued")
+			}
+			sh.q.Push(&task{class: uint8(ClassCritical)})
+			shrink := s.critShrink(sh)
+			if shrink != tc.armed {
+				t.Fatalf("critShrink with a critical request queued = %v, want %v", shrink, tc.armed)
+			}
+			want := base
+			if tc.armed {
+				want = base / critQuantumShrink
+			}
+			if got := s.quantumFor(uint8(ClassStandard), shrink); got != want {
+				t.Fatalf("standard request held to %v, want %v", got, want)
+			}
+			if got := s.quantumFor(uint8(ClassCritical), shrink); got != base {
+				t.Fatalf("critical request held to %v, want %v", got, base)
+			}
+		})
+	}
+}
+
 // TestSetPolicyValidates: unknown names are rejected without touching
 // the queues; same-name sets are no-ops.
 func TestSetPolicyValidates(t *testing.T) {
@@ -102,15 +177,15 @@ func TestSetPolicyValidates(t *testing.T) {
 	}
 }
 
-// TestSetPolicySwapReordersQueuedWork: requests queued under FCFS are
-// re-ordered by remaining work when the control plane swaps to SRPT
-// mid-flight. Options.Adaptive keeps hint capture on from the start, so
-// pre-swap submissions carry their hints into the new queue.
+// TestSetPolicySwapReordersQueuedWork: requests queued under FCFS on a
+// plain server (no control plane, no observer) are re-ordered by
+// remaining work when SetPolicy swaps to SRPT mid-flight: Submit reads
+// hints whatever the discipline, so pre-swap submissions carry theirs
+// into the new queue instead of running last as unhinted.
 func TestSetPolicySwapReordersQueuedWork(t *testing.T) {
 	h := &orderRecHandler{release: make(chan struct{})}
 	o := testOptions(1, 0)
 	o.QueueBound = 1
-	o.Adaptive = true
 	s := New(h, o)
 	s.Start()
 
@@ -304,7 +379,7 @@ func TestSRPTShardedMixInvariants(t *testing.T) {
 // balance after Stop.
 func TestPolicyFlipChaos(t *testing.T) {
 	o := Options{Workers: 4, Shards: 2, Quantum: 100 * time.Microsecond,
-		QueueBound: 2, Adaptive: true, WorkConserving: true,
+		QueueBound: 2, WorkConserving: true,
 		DrainTimeout: 500 * time.Millisecond, PinThreads: false}
 	s := New(chaosHandler{}, o)
 	s.Start()

@@ -99,9 +99,9 @@ func (obsSpinHandler) Handle(ctx *Ctx, payload any) (any, error) {
 }
 
 // TestSketchesAndCaptureFedFromCompletions: a server built with
-// Sketches+Capture (and nothing else observer-shaped) must classify,
-// hint-track, and measure every completion — the options alone flip the
-// classed/hinted/trackRun switches.
+// Sketches+Capture (and nothing else observer-shaped) sees every
+// completion classified, hinted, and measured — class, hint and run
+// time are always on the task, the sinks only read them.
 func TestSketchesAndCaptureFedFromCompletions(t *testing.T) {
 	sk := obs.NewClassSketches(NumClasses)
 	ring := NewCaptureRing(256, 1)

@@ -18,7 +18,11 @@ import (
 // critQuantumShrink divides a running lower-tier request's effective
 // quantum while ClassCritical work is queued on its shard, so critical
 // requests reach a CPU within a fraction of the normal quantum instead
-// of a full one.
+// of a full one — the dispatch-layer half of the priority cascade (the
+// queue half is the cascade discipline's tier order). It is armed only
+// by configuration that is itself about scheduling classes — see
+// Server.critShrink — never by an observer: a server that merely
+// measures per class schedules exactly like one that does not.
 const critQuantumShrink = 4
 
 // shard is one dispatcher: policy queue, ingress buffer, worker subset,
@@ -38,6 +42,9 @@ type shard struct {
 	// lastFlagged dedups preemption signals per local worker (parallel
 	// to workers).
 	lastFlagged []uint64
+	// cascade reports that q currently orders by SLOClass tier; set with
+	// q, at New and at each policy swap.
+	cascade bool
 	// polEpoch is the policy-change epoch this shard last applied; when
 	// Server.polState moves past it the loop drain-and-swaps its queue
 	// at the top of the iteration (a quiesce point: no dispatch
@@ -66,6 +73,7 @@ func (s *Server) dispatcherLoop(sh *shard) {
 		if ps := s.polState.Load(); ps.epoch != sh.polEpoch {
 			sh.polEpoch = ps.epoch
 			sh.q.SwapPolicy(ps.name)
+			sh.cascade = policyClassed(ps.name)
 			progress = true
 		}
 
@@ -90,73 +98,57 @@ func (s *Server) dispatcherLoop(sh *shard) {
 			break
 		}
 
-		if aborting {
-			// Drain deadline expired: fail everything queued or parked,
-			// and signal every running local request so it parks (and is
-			// then failed by its worker) at its next Poll.
+		// 2. Preemption signaling: write the flag of any local worker
+		// whose current request outlived its quantum (quantumFor). Once
+		// the drain deadline has expired every running request is
+		// overdue, whatever its quantum: it parks at its next Poll and
+		// its worker retires it. The flag carries the epoch being
+		// preempted, so a signal aimed at a finished request is inert
+		// for its successor — no check-then-act retraction window. With
+		// no quantum in force the pass is skipped, and with it the reads
+		// of the running records the workers are busy writing.
+		if aborting || s.quantum.Load() > 0 || s.anyClassQuantum() {
+			shrink := !aborting && s.critShrink(sh)
+			var now time.Time // read once, and only if a request is running
 			for i, w := range sh.workers {
-				if info := s.running[w].Load(); info != nil {
-					s.workers[w].flag.Store(info.epoch)
-					if s.tr != nil && info.epoch != sh.lastFlagged[i] {
-						sh.lastFlagged[i] = info.epoch
-						s.tr.Record(sh.writer, obs.EvPreemptSignal, info.id, int64(w))
+				ex := s.workers[w]
+				info := ex.running.Load()
+				if info == nil || info.epoch == sh.lastFlagged[i] {
+					continue
+				}
+				if !aborting {
+					q := s.quantumFor(info.class, shrink)
+					if q <= 0 {
+						continue
+					}
+					if now.IsZero() {
+						now = time.Now()
+					}
+					if now.Sub(info.start) < q {
+						continue
 					}
 				}
+				ex.flag.Store(info.epoch)
+				sh.lastFlagged[i] = info.epoch
+				if s.tr != nil {
+					s.tr.Record(sh.writer, obs.EvPreemptSignal, info.id, int64(w))
+				}
+				progress = true
 			}
+		}
+
+		if aborting {
+			// Fail everything queued or parked.
 			if s.failPending(sh) {
 				progress = true
 			}
 		} else {
-			// 2. Preemption signaling: write the flag of any local
-			// worker whose current request outlived its quantum — the
-			// class's override when one is set, the runtime-adjustable
-			// global quantum otherwise. While ClassCritical work waits
-			// in this shard's queue, running lower-tier requests get
-			// their quantum tightened by critQuantumShrink so a CPU
-			// frees up sooner — the dispatch-layer half of the priority
-			// cascade (the queue half is the cascade discipline's tier
-			// order). The flag carries the epoch being preempted, so a
-			// signal aimed at a finished request is inert for its
-			// successor — no check-then-act retraction window.
-			baseQ := time.Duration(s.quantum.Load())
-			classed := s.classed.Load()
-			if baseQ > 0 || classed {
-				now := time.Now()
-				critWaiting := classed && sh.q.CriticalLen() > 0
-				for i, w := range sh.workers {
-					info := s.running[w].Load()
-					if info == nil || info.epoch == sh.lastFlagged[i] {
-						continue
-					}
-					q := baseQ
-					if classed {
-						if cq := s.classQuanta[info.class].Load(); cq > 0 {
-							q = time.Duration(cq)
-						}
-						if critWaiting && SLOClass(info.class) != ClassCritical {
-							q /= critQuantumShrink
-						}
-					}
-					if q <= 0 {
-						continue
-					}
-					if now.Sub(info.start) >= q {
-						s.workers[w].flag.Store(info.epoch)
-						sh.lastFlagged[i] = info.epoch
-						if s.tr != nil {
-							s.tr.Record(sh.writer, obs.EvPreemptSignal, info.id, int64(w))
-						}
-						progress = true
-					}
-				}
-			}
-
 			// 2b. Deadline sweep: requests stuck behind full worker
 			// queues still expire. The heap head check is O(1), so this
 			// runs every iteration instead of on a coarse timer.
 			if s.opts.RequestTimeout > 0 && sh.q.Len() > 0 {
 				for _, t := range sh.q.SweepExpired(time.Now()) {
-					s.expire(sh, t)
+					s.retire(sh.ex, t, ErrDeadlineExceeded)
 					progress = true
 				}
 			}
@@ -177,7 +169,7 @@ func (s *Server) dispatcherLoop(sh *shard) {
 					break
 				}
 				if !t.deadline.IsZero() && t.expired(time.Now()) {
-					s.expire(sh, t)
+					s.retire(sh.ex, t, ErrDeadlineExceeded)
 					progress = true
 					continue
 				}
@@ -192,16 +184,12 @@ func (s *Server) dispatcherLoop(sh *shard) {
 			// 4. Work conservation (also during graceful drain — the
 			// dispatcher helping finishes the backlog sooner).
 			if s.opts.WorkConserving && !progress {
-				if t := sh.saved; t != nil {
-					sh.saved = nil
-					if t.expired(time.Now()) {
-						s.expire(sh, t)
-					} else {
-						s.runSlice(sh, t) // re-sets saved if the task parks again
-					}
-					progress = true
-				} else if t := s.takeNonStarted(sh); t != nil {
-					s.runSlice(sh, t)
+				t := sh.saved
+				if t == nil {
+					t = s.takeNonStarted(sh)
+				}
+				if t != nil {
+					s.dispatcherRun(sh, t)
 					progress = true
 				}
 			}
@@ -263,114 +251,103 @@ func (s *Server) steal(sh *shard) (*task, bool) {
 
 // takeNonStarted pops the next never-started request from the shard's
 // queue — the only kind the dispatcher may run itself (§3.3) — but only
-// when every local worker queue is full. Expired requests found on the
-// way are completed with ErrDeadlineExceeded.
+// when every local worker queue is full.
 func (s *Server) takeNonStarted(sh *shard) *task {
 	for _, w := range sh.workers {
 		if s.occ[w].Load() < int32(s.opts.QueueBound) {
 			return nil
 		}
 	}
+	t, _ := sh.q.PopNonStarted()
+	return t
+}
+
+// dispatcherRun gives t — fresh from the queue, or the shard's saved
+// request — its next slice on the work-conserving dispatcher itself
+// (§3.3): what is specific to a dispatcher is the trigger (nobody
+// writes its flag, so Poll self-preempts on the slice timer) and where
+// a preempted request goes (the saved slot: dispatcher-run requests
+// never migrate).
+func (s *Server) dispatcherRun(sh *shard, t *task) {
+	sh.saved = nil
 	now := time.Now()
-	for {
-		t, ok := sh.q.PopNonStarted()
-		if !ok {
-			return nil
-		}
-		if t.expired(now) {
-			s.expire(sh, t)
-			continue
-		}
-		return t
+	if t.expired(now) {
+		s.retire(sh.ex, t, ErrDeadlineExceeded)
+		return
+	}
+	sh.ex.sliceStart = now
+	if s.runSlice(sh.ex, t, now) {
+		sh.saved = t
+	} else {
+		s.stats.dispatcherRun.Add(1)
 	}
 }
 
-// runSlice executes one dispatcher slice of a task the work-conserving
-// dispatcher runs itself (§3.3).
-func (s *Server) runSlice(sh *shard, t *task) {
-	ex := sh.ex
-	ex.sliceStart = time.Now()
-	ex.sliceLen = s.opts.DispatcherSlice
-	first := !t.started
-	if !t.started {
-		t.started = true
-		t.onDispatcher = true
-		s.startTask(t)
+// quantumFor is the quantum a running request of the given class is
+// held to: the class's override when one is set, the
+// runtime-adjustable global quantum otherwise, divided by
+// critQuantumShrink for a non-critical request when shrink is on. 0
+// means the request is not preempted.
+func (s *Server) quantumFor(class uint8, shrink bool) time.Duration {
+	q := s.classQuanta[class].Load()
+	if q <= 0 {
+		q = s.quantum.Load()
 	}
-	if s.tr != nil {
-		if t.firstRunTS.IsZero() {
-			t.firstRunTS = ex.sliceStart
+	if shrink && SLOClass(class) != ClassCritical {
+		q /= critQuantumShrink
+	}
+	return time.Duration(q)
+}
+
+// critShrink reports whether running non-critical requests get the
+// tightened quantum on this pass: ClassCritical work is waiting in the
+// shard's queue and class-aware preemption is armed — by admission
+// control, by the shard's discipline being a cascade, or by a class
+// quantum being set.
+func (s *Server) critShrink(sh *shard) bool {
+	return sh.q.CriticalLen() > 0 &&
+		(s.opts.ClassAdmission || sh.cascade || s.anyClassQuantum())
+}
+
+// anyClassQuantum reports whether any class has a quantum override.
+func (s *Server) anyClassQuantum() bool {
+	for c := range s.classQuanta {
+		if s.classQuanta[c].Load() > 0 {
+			return true
 		}
-		kind := obs.EvResume
-		if first {
-			kind = obs.EvStart
-		}
-		s.tr.Record(sh.writer, kind, t.id, 0)
 	}
-	// Capture trackRun once per slice: it can flip on mid-slice
-	// (SetPolicy srpt), and charging Since(runStart) against a zero
-	// runStart would corrupt runNS.
-	track := s.trackRun.Load()
-	if track {
-		t.runStart = ex.sliceStart
-	}
-	t.resume <- ex
-	ev := <-t.parked
-	if track {
-		t.runNS += int64(time.Since(t.runStart))
-	}
-	if ev.done {
-		ev.resp.OnDispatcher = true
-		s.finish(sh.writer, t, ev.resp)
-		s.stats.dispatcherRun.Add(1)
-		return
-	}
-	t.preempts++
-	s.stats.preemptions.Add(1)
-	if s.tr != nil {
-		s.tr.Record(sh.writer, obs.EvYield, t.id, 0)
-	}
-	// Dispatcher-run requests cannot migrate: park in the dedicated
-	// buffer.
-	sh.saved = t
+	return false
 }
 
 // failPending completes every queued or parked request of this shard
 // with ErrServerStopped; it reports whether it failed anything.
 func (s *Server) failPending(sh *shard) bool {
-	failed := false
-	for _, t := range sh.q.DrainAll() {
-		s.failTask(t, ErrServerStopped, sh.ex)
-		s.stats.aborted.Add(1)
-		failed = true
-	}
-	if t := sh.saved; t != nil {
+	pending := sh.q.DrainAll()
+	if sh.saved != nil {
+		pending = append(pending, sh.saved)
 		sh.saved = nil
-		s.failTask(t, ErrServerStopped, sh.ex)
-		s.stats.aborted.Add(1)
-		failed = true
 	}
-	return failed
-}
-
-// expire completes a queued or parked request with ErrDeadlineExceeded.
-func (s *Server) expire(sh *shard, t *task) {
-	s.stats.expired.Add(1)
-	s.failTask(t, ErrDeadlineExceeded, sh.ex)
+	for _, t := range pending {
+		s.retire(sh.ex, t, ErrServerStopped)
+	}
+	return len(pending) > 0
 }
 
 // drained reports whether this shard has no pending work anywhere:
-// ingress, central queue, saved slot, or local worker queues. A stolen
+// local worker queues, ingress, central queue, or saved slot. A stolen
 // task never floats unaccounted between shards (see steal), so every
-// shard observing its own drain implies the server has drained.
+// shard observing its own drain implies the server has drained. The
+// occupancies are read first: a worker re-submits a preempted task
+// before it releases its occupancy, so once they all read zero whatever
+// a worker was holding is already in the ingress buffer read after
+// them. Read the other way round, a hand-off landing between the two
+// reads shows an empty buffer and then an idle worker, and the
+// dispatcher exits with the task in the buffer.
 func (s *Server) drained(sh *shard) bool {
-	if len(sh.submit) > 0 || sh.q.Len() > 0 || sh.saved != nil {
-		return false
-	}
 	for _, w := range sh.workers {
 		if s.occ[w].Load() != 0 {
 			return false
 		}
 	}
-	return true
+	return len(sh.submit) == 0 && sh.q.Len() == 0 && sh.saved == nil
 }

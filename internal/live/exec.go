@@ -31,12 +31,17 @@ type executor struct {
 	// hit its successor and no retraction handshake is needed.
 	flag atomic.Uint64
 	_    [cacheLinePad - 8]byte
+	// running is the worker's "currently running" record the owning
+	// dispatcher compares against the quantum; nil between slices (and
+	// always, on a dispatcher's own executor: nobody signals it).
+	running atomic.Pointer[runInfo]
 	// epoch is the worker's current scheduling epoch. Written by the
 	// worker loop between requests, read by the request goroutine; the
 	// resume/parked channel handshake orders the accesses.
 	epoch uint64
 	// sliceStart/sliceLen drive time-based self-preemption when a
-	// dispatcher runs tasks (there is nobody to write its flag, §3.3).
+	// dispatcher runs tasks (there is nobody to write its flag, §3.3);
+	// sliceLen is fixed at New.
 	sliceStart time.Time
 	sliceLen   time.Duration
 }
@@ -49,98 +54,101 @@ func (s *Server) workerLoop(w int) {
 	}
 	s.handler.SetupWorker(w)
 	ex := s.workers[w]
-	var epoch uint64
 	for t := range s.locals[w] {
-		if s.abort.Load() {
-			s.failTask(t, ErrServerStopped, ex)
-			s.stats.aborted.Add(1)
-			s.occ[w].Add(-1)
-			continue
-		}
-		// Deadline check at local dequeue: a request whose deadline
-		// passed while it sat in this worker's JBSQ queue (behind a slow
-		// request) must answer ErrDeadlineExceeded, not run to a
-		// too-late success. The central-queue sweep cannot see it here —
-		// this is the only enforcement point once a task is dispatched.
-		if !t.deadline.IsZero() && t.expired(time.Now()) {
-			s.stats.expired.Add(1)
-			s.failTask(t, ErrDeadlineExceeded, ex)
-			s.occ[w].Add(-1)
-			continue
-		}
-		epoch++ // epochs start at 1; flag value 0 means "no signal"
-		ex.epoch = epoch
-		now := time.Now()
-		s.running[w].Store(&runInfo{epoch: epoch, id: t.id, start: now, class: t.class})
-		first := !t.started
-		if !t.started {
-			t.started = true
-			s.startTask(t)
-		}
-		if s.tr != nil {
-			if t.firstRunTS.IsZero() {
-				t.firstRunTS = now
-			}
-			kind := obs.EvResume
-			if first {
-				kind = obs.EvStart
-			}
-			s.tr.Record(w, kind, t.id, int64(epoch))
-		}
-		// One capture per slice: trackRun can flip on mid-slice
-		// (SetPolicy srpt) and must not charge against a zero runStart.
-		track := s.trackRun.Load()
-		if track {
-			t.runStart = now
-		}
-		t.resume <- ex
-		ev := <-t.parked
-		s.running[w].Store(nil)
-		if track {
-			t.runNS += int64(time.Since(t.runStart))
-		}
-		if ev.done {
-			s.finish(w, t, ev.resp)
-			s.occ[w].Add(-1)
-			continue
-		}
-		t.preempts++
-		s.stats.preemptions.Add(1)
-		if s.tr != nil {
-			s.tr.Record(w, obs.EvYield, t.id, 0)
-		}
-		if s.abort.Load() {
-			s.failTask(t, ErrServerStopped, ex)
-			s.stats.aborted.Add(1)
-			s.occ[w].Add(-1)
-			continue
-		}
-		// Re-place the preempted request on the owning shard's ingress.
-		// occ is held across the hand-off so drained() can never observe
-		// an idle shard while the task is between queues — releasing occ
-		// first opened a window where the dispatcher shut down and the
-		// task was lost (and this send blocked forever). Started tasks
-		// keep the affinity of the shard that ran them: they re-enter
-		// through its submit buffer, never through ingest round-robin.
-		if testRequeueGate != nil {
-			testRequeueGate()
-		}
-		if s.tr != nil {
-			s.tr.Record(w, obs.EvRequeue, t.id, 0)
-		}
-		s.shards[s.shardOf[w]].submit <- t
+		s.workerRun(ex, t)
+		// occ is held until the request is answered or back on the
+		// shard's ingress, so drained() can never observe an idle shard
+		// while a task is between queues: released before the requeue
+		// hand-off, the dispatcher could shut down with the task in
+		// flight (lost, and this worker blocked on the send forever).
 		s.occ[w].Add(-1)
 	}
+}
+
+// workerRun gives one locally dequeued request its next slice on worker
+// ex: what is specific to a worker is the trigger (publish a runInfo
+// for the dispatcher to flag) and where a preempted request goes (back
+// to the owning shard's ingress).
+func (s *Server) workerRun(ex *executor, t *task) {
+	now := time.Now()
+	// Abort and deadline checks at local dequeue: a request whose
+	// deadline passed while it sat in this worker's JBSQ queue (behind a
+	// slow request) must answer ErrDeadlineExceeded, not run to a
+	// too-late success. The central-queue sweep cannot see it here —
+	// this is the only enforcement point once a task is dispatched.
+	if s.abort.Load() {
+		s.retire(ex, t, ErrServerStopped)
+		return
+	}
+	if t.expired(now) {
+		s.retire(ex, t, ErrDeadlineExceeded)
+		return
+	}
+	ex.epoch++ // epochs start at 1; flag value 0 means "no signal"
+	ex.running.Store(&runInfo{epoch: ex.epoch, id: t.id, start: now, class: t.class})
+	if !s.runSlice(ex, t, now) {
+		return
+	}
+	if s.abort.Load() {
+		s.retire(ex, t, ErrServerStopped)
+		return
+	}
+	// Started tasks keep the affinity of the shard that ran them: they
+	// re-enter through its submit buffer, never through ingest
+	// round-robin.
+	if testRequeueGate != nil {
+		testRequeueGate()
+	}
+	if s.tr != nil {
+		s.tr.Record(ex.writer, obs.EvRequeue, t.id, 0)
+	}
+	s.shards[s.shardOf[ex.id]].submit <- t
+}
+
+// runSlice is the one place a request runs: it hands t the CPU context
+// ex for one slice starting at start (launching the request's goroutine
+// on its first slice), waits for it to finish or yield, charges the
+// slice to runNS and either delivers the response or counts a
+// preemption. It reports whether t was preempted; the caller decides
+// where a preempted request waits for its next slice. What ends the
+// slice early is the caller's business too: it arms ex's trigger (a
+// published runInfo or a slice timer) before calling.
+func (s *Server) runSlice(ex *executor, t *task, start time.Time) (preempted bool) {
+	first := !t.started
+	if first {
+		t.started = true
+		t.onDispatcher = ex.id < 0
+		s.startTask(t)
+	}
+	if s.tr != nil {
+		kind := obs.EvResume
+		if first {
+			t.firstRunTS = start
+			kind = obs.EvStart
+		}
+		s.tr.Record(ex.writer, kind, t.id, int64(ex.epoch))
+	}
+	t.resume <- ex
+	ev := <-t.parked
+	ex.running.Store(nil)
+	end := time.Now()
+	t.runNS += int64(end.Sub(start))
+	if ev.done {
+		s.finish(ex.writer, t, ev.resp, end)
+		return false
+	}
+	t.preempts++
+	s.stats.preemptions.Add(1)
+	if s.tr != nil {
+		s.tr.Record(ex.writer, obs.EvYield, t.id, 0)
+	}
+	return true
 }
 
 // startTask launches the request's goroutine (its user-level context).
 func (s *Server) startTask(t *task) {
 	go func() {
 		ex := <-t.resume
-		if err := t.abortErr; err != nil {
-			t.parked <- parkEvent{done: true, resp: Response{ID: t.id, Err: err}}
-			return
-		}
 		// The Ctx lives inside the task (one fewer allocation per
 		// request); the pool reset zeroes it with the rest of the task.
 		ctx := &t.ctx
@@ -165,29 +173,36 @@ func (s *Server) startTask(t *task) {
 	}()
 }
 
-// failTask completes a request with err: directly when it never
-// started, through the abort handshake (so handler defers run) when it
-// did.
-func (s *Server) failTask(t *task, err error, ex *executor) {
-	if !t.started {
-		s.finish(ex.writer, t, Response{ID: t.id, Err: err})
-		return
+// retire is the one place a request that will not run again is
+// answered: err is ErrDeadlineExceeded (it expired while queued or
+// parked) or ErrServerStopped (the drain deadline passed), and picks
+// the Expired or Aborted counter. A request that never started is
+// answered directly; one that did is resumed with abortErr set, so its
+// handler unwinds from Poll and its defers run before the response goes
+// out.
+func (s *Server) retire(ex *executor, t *task, err error) {
+	if err == ErrDeadlineExceeded {
+		s.stats.expired.Add(1)
+	} else {
+		s.stats.aborted.Add(1)
 	}
-	t.abortErr = err
-	t.resume <- ex
-	ev := <-t.parked
-	s.finish(ex.writer, t, ev.resp)
+	resp := Response{ID: t.id, Err: err}
+	if t.started {
+		t.abortErr = err
+		t.resume <- ex
+		resp = (<-t.parked).resp
+	}
+	s.finish(ex.writer, t, resp, time.Now())
 }
 
-// finish delivers a request's single response; writer identifies the
-// executor completing it (a worker index or a dispatcher writer id) for
-// event attribution. After delivery the task is recycled when nothing
-// can still alias it (see task.release).
-func (s *Server) finish(writer int, t *task, resp Response) {
+// finish delivers a request's single response, finalized at end; writer
+// identifies the executor completing it (a worker index or a dispatcher
+// writer id) for event attribution. After delivery the task is recycled
+// when nothing can still alias it (see task.release).
+func (s *Server) finish(writer int, t *task, resp Response, end time.Time) {
 	resp.Preemptions = t.preempts
-	resp.OnDispatcher = resp.OnDispatcher || t.onDispatcher
+	resp.OnDispatcher = t.onDispatcher
 	resp.Req = t.payload
-	end := time.Now()
 	resp.Done = end
 	resp.Latency = end.Sub(t.arrival)
 	if s.tr != nil {

@@ -1,7 +1,9 @@
 // Ingest layer: admission control. Submit builds the task, applies the
-// deadline, captures the SRPT service hint and the SLOClass, checks the
-// stop gate, and places the task on a shard's ingress buffer —
-// round-robin across shards with fallback to any sibling with room.
+// deadline, reads the payload's service hint and SLOClass (always: what
+// consumes them — the discipline, a class quantum — can change while
+// the request is queued), checks the stop gate, and places the task on
+// a shard's ingress buffer — round-robin across shards with fallback to
+// any sibling with room.
 //
 // Admission is class-aware when Options.ClassAdmission is on: each
 // class has an ingress-occupancy watermark (Server.classLimit) and is
@@ -59,18 +61,14 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response)) {
 	if d := s.opts.RequestTimeout; d > 0 {
 		t.deadline = t.arrival.Add(d)
 	}
-	if s.hinted.Load() {
-		if h, ok := payload.(Hinted); ok {
-			if hint := int64(h.ServiceHint()); hint > 0 {
-				t.hintNS = hint
-			}
+	if h, ok := payload.(Hinted); ok {
+		if hint := int64(h.ServiceHint()); hint > 0 {
+			t.hintNS = hint
 		}
 	}
-	if s.classed.Load() {
-		if c, ok := payload.(SLOClassed); ok {
-			if cl := c.SLOClass(); cl > 0 && cl < NumClasses {
-				t.class = uint8(cl)
-			}
+	if c, ok := payload.(SLOClassed); ok {
+		if cl := c.SLOClass(); cl > 0 && cl < NumClasses {
+			t.class = uint8(cl)
 		}
 	}
 	if s.tr != nil {

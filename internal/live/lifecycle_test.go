@@ -2,7 +2,9 @@ package live
 
 import (
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -395,5 +397,158 @@ func TestGracefulStopCompletesAccepted(t *testing.T) {
 	}
 	if st := s.Stats(); st.Submitted != 50 || st.Completed != 50 {
 		t.Fatalf("stats = %+v, want 50/50", st)
+	}
+}
+
+// savedReq spins for d and reports the executor it started and ended
+// on. It carries a hint and a class so the srpt and cascade rows order
+// it by something.
+type savedReq struct {
+	d     time.Duration
+	class SLOClass
+}
+
+func (r savedReq) ServiceHint() time.Duration { return r.d }
+func (r savedReq) SLOClass() SLOClass         { return r.class }
+
+// savedHandler blocks on "block" payloads (holding a worker without
+// polling) and spins savedReq payloads behind a deferred call, so a test
+// can tell that an aborted handler unwound.
+type savedHandler struct {
+	release chan struct{}
+	unwound atomic.Int32
+}
+
+func (h *savedHandler) Setup()          {}
+func (h *savedHandler) SetupWorker(int) {}
+func (h *savedHandler) Handle(ctx *Ctx, payload any) (any, error) {
+	req, ok := payload.(savedReq)
+	if !ok {
+		<-h.release
+		return payload, nil
+	}
+	defer h.unwound.Add(1)
+	first := ctx.Worker()
+	ctx.Spin(req.d)
+	return [2]int{first, ctx.Worker()}, nil
+}
+
+// TestDispatcherRunLifecycle drives the slice runner and the retire path
+// through the work-conserving dispatcher: with every worker held by a
+// blocker at QueueBound 1, a request can only run on its shard's
+// dispatcher, outlives the dispatcher slice, and is preempted into the
+// saved slot — from where it completes, expires, or is aborted by the
+// drain deadline. Every row checks the same invariants: exactly one
+// response per submission, Submitted == Completed, Expired and Aborted
+// equal to the number of responses carrying the matching error, handler
+// defers run, and the request never leaves the dispatcher that started
+// it.
+func TestDispatcherRunLifecycle(t *testing.T) {
+	outcomes := []struct {
+		name    string
+		spin    time.Duration
+		tune    func(*Options)
+		wantErr error
+	}{
+		{"completes", 2 * time.Millisecond, func(*Options) {}, nil},
+		{"expires", 10 * time.Second, func(o *Options) { o.RequestTimeout = 50 * time.Millisecond }, ErrDeadlineExceeded},
+		{"aborted", 10 * time.Second, func(o *Options) { o.DrainTimeout = 20 * time.Millisecond }, ErrServerStopped},
+	}
+	for _, pol := range []string{PolicyFCFS, PolicySRPT, PolicyCascade, PolicyCascadeSRPT} {
+		for _, shards := range []int{1, 2} {
+			for _, oc := range outcomes {
+				t.Run(fmt.Sprintf("%s/shards%d/%s", pol, shards, oc.name), func(t *testing.T) {
+					h := &savedHandler{release: make(chan struct{})}
+					opts := Options{Workers: shards, Shards: shards, Policy: pol,
+						Quantum: 100 * time.Microsecond, QueueBound: 1, WorkConserving: true}
+					oc.tune(&opts)
+					s := New(h, opts)
+					s.Start()
+
+					var chans []<-chan Response
+					for i := 0; i < shards; i++ {
+						chans = append(chans, s.Submit("block"))
+					}
+					waitUntil(t, "a blocker on every worker", func() bool {
+						d := s.Depths()
+						for _, occ := range d.Workers {
+							if occ != 1 {
+								return false
+							}
+						}
+						return d.Central == 0 && d.Submit == 0
+					})
+					for i := 0; i < shards; i++ {
+						chans = append(chans, s.Submit(savedReq{d: oc.spin, class: ClassCritical}))
+					}
+
+					stopDone := make(chan struct{})
+					if oc.wantErr == ErrServerStopped {
+						go func() { s.Stop(); close(stopDone) }()
+					}
+					byErr := map[error]uint64{}
+					var dispatcherOK uint64
+					receive := func(i int) (resp Response) {
+						select {
+						case resp = <-chans[i]:
+						case <-time.After(15 * time.Second):
+							t.Fatalf("submission %d never answered", i)
+						}
+						select {
+						case <-chans[i]:
+							t.Fatalf("submission %d answered twice", i)
+						default:
+						}
+						byErr[resp.Err]++
+						return resp
+					}
+					for i := shards; i < len(chans); i++ {
+						resp := receive(i)
+						if resp.Err != oc.wantErr {
+							t.Fatalf("target %d: err = %v, want %v", i, resp.Err, oc.wantErr)
+						}
+						if !resp.OnDispatcher || resp.Preemptions == 0 {
+							t.Fatalf("target %d: OnDispatcher=%v Preemptions=%d, want a dispatcher-run request preempted into the saved slot",
+								i, resp.OnDispatcher, resp.Preemptions)
+						}
+						if resp.Err == nil {
+							dispatcherOK++
+							if on := resp.Payload.([2]int); on[0] >= 0 || on[1] != on[0] {
+								t.Fatalf("target %d started on executor %d and ended on %d: dispatcher-run requests must not migrate", i, on[0], on[1])
+							}
+						}
+					}
+					close(h.release)
+					for i := 0; i < shards; i++ {
+						if resp := receive(i); resp.Err != nil {
+							t.Fatalf("blocker %d: %v", i, resp.Err)
+						}
+					}
+					if oc.wantErr != ErrServerStopped {
+						go func() { s.Stop(); close(stopDone) }()
+					}
+					select {
+					case <-stopDone:
+					case <-time.After(15 * time.Second):
+						t.Fatal("Stop hung")
+					}
+
+					st := s.Stats()
+					if st.Submitted != uint64(len(chans)) || st.Submitted != st.Completed {
+						t.Fatalf("submitted %d, completed %d, want both %d", st.Submitted, st.Completed, len(chans))
+					}
+					if st.Expired != byErr[ErrDeadlineExceeded] || st.Aborted != byErr[ErrServerStopped] {
+						t.Fatalf("Expired=%d Aborted=%d, responses carried %d deadline / %d stopped errors",
+							st.Expired, st.Aborted, byErr[ErrDeadlineExceeded], byErr[ErrServerStopped])
+					}
+					if st.DispatcherRun != dispatcherOK {
+						t.Fatalf("DispatcherRun = %d, want %d (requests the dispatcher completed)", st.DispatcherRun, dispatcherOK)
+					}
+					if got := h.unwound.Load(); got != int32(shards) {
+						t.Fatalf("%d handler defers ran, want %d", got, shards)
+					}
+				})
+			}
+		}
 	}
 }

@@ -1,5 +1,6 @@
 // Package live is a working Go implementation of the Concord runtime: a
-// dispatcher thread plus pinned worker threads serving µs-to-ms-scale
+// dispatcher loop plus worker loops (goroutines; Options.PinThreads
+// locks them to OS threads, off by default) serving µs-to-ms-scale
 // requests with
 //
 //   - cooperative preemption via per-worker padded atomic flags that
@@ -31,8 +32,10 @@
 //	dispatch (dispatch.go)  per-shard dispatcher loops: JBSQ placement,
 //	                        preemption signaling, work conservation,
 //	                        cross-shard stealing
-//	execution (exec.go)     worker loops, request goroutines, Ctx and
-//	                        its Poll probe
+//	execution (exec.go)     worker loops, the slice runner both they and
+//	                        the work-conserving dispatcher call, the
+//	                        single retire path for requests that fail,
+//	                        request goroutines, Ctx and its Poll probe
 //
 // live.go holds the public surface (Options, Server lifecycle, Stats)
 // and task.go the request object that flows through the layers.
@@ -63,11 +66,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"concord/internal/obs"
+	"concord/internal/policy"
 )
 
 // Handler is the application callback interface, mirroring the paper's
@@ -99,30 +104,18 @@ const (
 	PolicyCascadeSRPT = "cascade-srpt" // class tiers, SRPT within a tier
 )
 
-// policyHinted reports whether the discipline consumes service hints
-// (and therefore needs run-time tracking and hint capture).
-func policyHinted(name string) bool {
-	return name == PolicySRPT || name == PolicyCascadeSRPT
-}
-
 // policyClassed reports whether the discipline orders by SLOClass tier.
 func policyClassed(name string) bool {
 	return name == PolicyCascade || name == PolicyCascadeSRPT
 }
 
-// ValidPolicy reports whether name is a discipline SetPolicy accepts.
-func ValidPolicy(name string) bool {
-	switch name {
-	case PolicyFCFS, PolicySRPT, PolicyCascade, PolicyCascadeSRPT:
-		return true
-	}
-	return false
-}
+// ValidPolicy reports whether name is a discipline SetPolicy accepts:
+// one of policy.Names().
+func ValidPolicy(name string) bool { return slices.Contains(policy.Names(), name) }
 
 // Options configures a Server.
 type Options struct {
-	// Workers is the number of worker goroutines (each pinned to an OS
-	// thread). Default 2.
+	// Workers is the number of worker loops. Default 2.
 	Workers int
 	// Shards is the number of dispatcher shards. Each shard owns a
 	// disjoint contiguous subset of the workers and runs its own
@@ -141,30 +134,26 @@ type Options struct {
 	// payloads run last among queued peers, FIFO among themselves (the
 	// runtime knows nothing about them, so it must not let them starve
 	// genuinely short hinted work). The policy can be switched at
-	// runtime with SetPolicy.
+	// runtime with SetPolicy; hints and classes are read on every Submit
+	// whatever the discipline, so a switch re-orders requests that were
+	// already queued.
 	Policy string
 	// Quantum is the initial scheduling quantum; 0 disables preemption.
 	// Adjustable at runtime with SetQuantum, and refined per scheduling
 	// class with SetClassQuantum.
 	Quantum time.Duration
-	// Adaptive declares that a control plane may retune this server at
-	// runtime (SetPolicy / SetQuantum / SetClassQuantum). It enables
-	// service-hint capture and run-time tracking from the start, so a
-	// later switch into SRPT orders requests submitted before the
-	// switch too.
-	Adaptive bool
 	// QueueBound is k in JBSQ(k), counting the in-service request.
 	// Default 2. 1 degenerates to a synchronous single queue.
 	QueueBound int
 	// WorkConserving lets a shard's dispatcher run requests when every
-	// one of its worker queues is full.
+	// one of its worker queues is full. It works on such a request for
+	// one Quantum (100µs when Quantum is 0) before checking for
+	// dispatcher duties again.
 	WorkConserving bool
-	// DispatcherSlice is how long a dispatcher works on a stolen
-	// request before checking for dispatcher duties. Default: Quantum,
-	// or 100µs if Quantum is 0.
-	DispatcherSlice time.Duration
-	// PinThreads locks workers and dispatchers to OS threads. Default
-	// true; tests disable it to run many servers concurrently.
+	// PinThreads locks each worker-loop and dispatcher-loop goroutine to
+	// an OS thread (runtime.LockOSThread). Off unless set. Handlers run
+	// on per-request goroutines, which the Go scheduler places freely
+	// either way, so this pins the scheduling loops, not request code.
 	PinThreads bool
 	// CoopTimeshare makes request code call runtime.Gosched every N
 	// polls so the dispatchers and workers make progress when there are
@@ -201,33 +190,33 @@ type Options struct {
 	// NewClassTrackers) each response also feeds its SLOClass's tracker
 	// — the per-tenant counterpart of the server-wide tail — and
 	// rejections (ErrShed, ErrQueueFull, ErrServerStopped) count against
-	// the rejected class's SLO; that enables class capture.
+	// the rejected class's SLO.
 	Tail *obs.TailTracker
 	// Sketches, when non-nil, receives every successfully completed
 	// request's (class, measured service ns, hint ns) — the per-class
 	// service-time quantile sketches plus hint-error attribution that
 	// the adaptive controller's dispersion estimate and class-quantum
 	// derivation and the concord_svc_time_us / concord_hint_error metric
-	// families read. Enables run-time tracking, hint capture, and class
-	// capture.
+	// families read.
 	Sketches *obs.ClassSketches
 	// Capture, when non-nil, samples successfully completed requests
 	// (arrival offset, class, hint, measured service time, achieved
 	// latency, deadline) into a replayable window for counterfactual
-	// shadow replay (internal/shadow). Enables run-time tracking, hint
-	// capture, and class capture.
+	// shadow replay (internal/shadow).
 	Capture *CaptureRing
 	// ClassAdmission enables per-SLOClass admission control on the
 	// ingress buffers: a slice of every shard's SubmitBuffer is held in
 	// reserve for ClassCritical, ClassSheddable is shed (ErrShed) at a
 	// lower watermark than standard's ErrQueueFull point, and standard
-	// is rejected before the critical reserve is touched. Enables class
-	// capture. Off, every class sees the uniform ErrQueueFull contract.
+	// is rejected before the critical reserve is touched. It also arms
+	// class-aware preemption (see critQuantumShrink). Off, every class
+	// sees the uniform ErrQueueFull contract.
 	ClassAdmission bool
 	//
 	// Tail, Sketches, and Capture are composed into one multiplexed
 	// completion observer at New, so the completion path pays a single
-	// branch whether zero or all of them are set.
+	// branch whether zero or all of them are set. They observe only:
+	// none of them changes a scheduling decision.
 }
 
 func (o Options) withDefaults() Options {
@@ -245,13 +234,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueBound <= 0 {
 		o.QueueBound = 2
-	}
-	if o.DispatcherSlice <= 0 {
-		if o.Quantum > 0 {
-			o.DispatcherSlice = o.Quantum
-		} else {
-			o.DispatcherSlice = 100 * time.Microsecond
-		}
 	}
 	if o.SubmitBuffer <= 0 {
 		o.SubmitBuffer = 4096
@@ -393,7 +375,6 @@ type Server struct {
 	locals  []chan *task
 	occ     []atomic.Int32 // per-worker occupancy incl. in-service
 	workers []*executor
-	running []atomic.Pointer[runInfo]
 	shardOf []int // worker index → owning shard
 
 	// tr is Options.Tracer, kept as a concrete pointer so the disabled
@@ -411,16 +392,6 @@ type Server struct {
 	// the check degenerates to the channel's own capacity.
 	classLimit [NumClasses]int
 
-	// trackRun enables per-task service-time accumulation: needed for
-	// Breakdown (tracer set), for SRPT's remaining-work keys, and for
-	// the service-time sinks. Atomic because SetPolicy(srpt) enables it at
-	// runtime; once on it stays on.
-	trackRun atomic.Bool
-	// hinted enables the Hinted type assertion on Submit; SRPT (current
-	// or reachable via SetPolicy on an Adaptive server) consumes
-	// service hints. Like trackRun, it only ever turns on.
-	hinted atomic.Bool
-
 	// quantum is the live preemption quantum in nanoseconds,
 	// runtime-adjustable via SetQuantum; 0 disables preemption.
 	quantum atomic.Int64
@@ -428,11 +399,6 @@ type Server struct {
 	// global quantum. Consulted at preemption-signal time in the
 	// dispatch layer.
 	classQuanta [NumClasses]atomic.Int64
-	// classed is set once anything consumes classes (a class quantum, a
-	// cascade policy, admission control, class tails, or an estimator
-	// sink); until then Submit skips the SLOClassed type assertion
-	// entirely.
-	classed atomic.Bool
 	// polState is the target policy and its change epoch; each shard's
 	// dispatcher swaps its queue at a quiesce point when the epoch
 	// moves past the one it last applied. policyMu serializes writers.
@@ -492,18 +458,13 @@ func New(h Handler, opts Options) *Server {
 		locals:  make([]chan *task, opts.Workers),
 		occ:     make([]atomic.Int32, opts.Workers),
 		workers: make([]*executor, opts.Workers),
-		running: make([]atomic.Pointer[runInfo], opts.Workers),
 		shardOf: make([]int, opts.Workers),
 	}
-	// The estimator sinks need measured service times, submitted hints
-	// (for hint-error attribution and replay), and scheduling classes.
-	estimating := opts.Sketches != nil || opts.Capture != nil
-	s.trackRun.Store(opts.Tracer != nil || policyHinted(opts.Policy) ||
-		opts.Adaptive || estimating)
-	s.hinted.Store(policyHinted(opts.Policy) || opts.Adaptive || estimating)
-	classTails := opts.Tail != nil && len(opts.Tail.Classes) > 0
-	if estimating || opts.ClassAdmission || classTails || policyClassed(opts.Policy) {
-		s.classed.Store(true)
+	// How long a work-conserving dispatcher runs a request before
+	// checking for dispatcher duties.
+	dispSlice := opts.Quantum
+	if dispSlice <= 0 {
+		dispSlice = 100 * time.Microsecond
 	}
 	// Per-class admission watermarks (ingress occupancy at which the
 	// class is rejected). Critical admits to the brim; standard stops at
@@ -540,12 +501,13 @@ func New(h Handler, opts Options) *Server {
 			panic("live: " + err.Error())
 		}
 		sh := &shard{
-			id:     sid,
-			writer: obs.DispatcherWriter(sid),
-			q:      q,
-			submit: make(chan *task, opts.SubmitBuffer),
-			ex:     &executor{id: -(sid + 1), writer: obs.DispatcherWriter(sid)},
-			done:   make(chan struct{}),
+			id:      sid,
+			writer:  obs.DispatcherWriter(sid),
+			q:       q,
+			cascade: policyClassed(opts.Policy),
+			submit:  make(chan *task, opts.SubmitBuffer),
+			ex:      &executor{id: -(sid + 1), writer: obs.DispatcherWriter(sid), sliceLen: dispSlice},
+			done:    make(chan struct{}),
 		}
 		// Contiguous worker partition: shard i owns [i·W/S, (i+1)·W/S).
 		lo, hi := sid*opts.Workers/opts.Shards, (sid+1)*opts.Workers/opts.Shards
@@ -714,9 +676,6 @@ func (s *Server) SetClassQuantum(class int, d time.Duration) {
 		d = 0
 	}
 	s.classQuanta[class].Store(int64(d))
-	if d > 0 {
-		s.classed.Store(true)
-	}
 }
 
 // ClassQuantum returns the class's quantum override (0 = none).
@@ -730,33 +689,19 @@ func (s *Server) ClassQuantum(class int) time.Duration {
 // SetPolicy switches the central-queue discipline at runtime: each
 // shard's dispatcher drains its policy queue into a fresh one of the
 // new discipline at a quiesce point (between dispatch decisions, under
-// the queue lock), so queued requests are re-ordered rather than lost.
-// Switching to SRPT enables service-hint capture and run-time tracking
-// for subsequently submitted requests; on a server built without
-// Options.Adaptive, requests submitted before the switch carry no hint
-// and therefore run last, FIFO, under the new discipline. Safe to call
-// while serving; returns an error for unknown names.
+// the queue lock), so queued requests are re-ordered rather than lost —
+// by the hints and classes they were submitted with, whichever
+// discipline was in force then. Safe to call while serving; returns an
+// error for unknown names.
 func (s *Server) SetPolicy(name string) error {
 	if !ValidPolicy(name) {
-		return fmt.Errorf("live: unknown policy %q (have %s, %s, %s, %s)",
-			name, PolicyFCFS, PolicySRPT, PolicyCascade, PolicyCascadeSRPT)
+		return fmt.Errorf("live: unknown policy %q (have %v)", name, policy.Names())
 	}
 	s.policyMu.Lock()
 	defer s.policyMu.Unlock()
 	cur := s.polState.Load()
 	if cur.name == name {
 		return nil
-	}
-	if policyHinted(name) {
-		// Order matters: hint capture must be live before any dispatcher
-		// applies the SRPT queue, or a racing Submit could enqueue a
-		// hinted payload without its key.
-		s.trackRun.Store(true)
-		s.hinted.Store(true)
-	}
-	if policyClassed(name) {
-		// Same ordering argument for the class byte the cascade tiers on.
-		s.classed.Store(true)
 	}
 	s.polState.Store(&policyState{epoch: cur.epoch + 1, name: name})
 	return nil

@@ -65,67 +65,78 @@ func (c *centralQueue) CriticalLen() int { return int(c.critical.Load()) }
 // task: once inside, a sibling shard may pop it.
 func (c *centralQueue) Push(t *task) {
 	c.mu.Lock()
+	c.put(t)
+	c.mu.Unlock()
+}
+
+// put is the one place a task enters the policy queue: membership flag,
+// deadline-heap entry and the length/critical mirrors. Callers hold mu.
+func (c *centralQueue) put(t *task) {
 	t.inQueue = true
 	c.q.Push(t, t.started)
 	if !t.deadline.IsZero() && !t.inDL {
 		t.inDL = true
 		c.dlPush(dlEntry{at: t.deadline, t: t})
 	}
-	// Read the class before unlocking: from then on a sibling shard may
-	// steal, finish and recycle t.
-	critical := SLOClass(t.class) == ClassCritical
-	c.mu.Unlock()
-	c.length.Add(1)
-	if critical {
-		c.critical.Add(1)
+	c.mirror(t, 1)
+}
+
+// mirror moves the lock-free length/critical counts by n (±1) for one
+// live task.
+func (c *centralQueue) mirror(t *task, n int64) {
+	c.length.Add(n)
+	if SLOClass(t.class) == ClassCritical {
+		c.critical.Add(n)
 	}
 }
 
-// Pop removes and returns the next live task per the discipline,
-// discarding tombstones on the way.
-func (c *centralQueue) Pop() (*task, bool) {
-	c.mu.Lock()
+// take is the one place a live task leaves the policy queue: it pops by
+// the discipline — never-started tasks only when nonStarted, what the
+// work-conserving dispatcher may run (§3.3) and sibling shards may steal
+// — discarding tombstones (expired by the sweep while queued) on the
+// way. Callers hold mu.
+func (c *centralQueue) take(nonStarted bool) (*task, bool) {
 	for {
-		t, ok := c.q.Pop()
+		var t *task
+		var ok bool
+		if nonStarted {
+			t, ok = c.q.PopNonStarted()
+		} else {
+			t, ok = c.q.Pop()
+		}
 		if !ok {
-			c.mu.Unlock()
-			return nil, false
-		}
-		if t.dead {
-			continue // expired by the sweep while queued
-		}
-		t.inQueue = false
-		c.mu.Unlock()
-		c.length.Add(-1)
-		if SLOClass(t.class) == ClassCritical {
-			c.critical.Add(-1)
-		}
-		return t, true
-	}
-}
-
-// PopNonStarted removes and returns the next live never-started task —
-// what the work-conserving dispatcher may run (§3.3) and what sibling
-// shards may steal.
-func (c *centralQueue) PopNonStarted() (*task, bool) {
-	c.mu.Lock()
-	for {
-		t, ok := c.q.PopNonStarted()
-		if !ok {
-			c.mu.Unlock()
 			return nil, false
 		}
 		if t.dead {
 			continue
 		}
 		t.inQueue = false
-		c.mu.Unlock()
-		c.length.Add(-1)
-		if SLOClass(t.class) == ClassCritical {
-			c.critical.Add(-1)
-		}
+		c.mirror(t, -1)
 		return t, true
 	}
+}
+
+// Pop removes and returns the next live task per the discipline.
+func (c *centralQueue) Pop() (*task, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.take(false)
+}
+
+// PopNonStarted removes and returns the next live never-started task.
+func (c *centralQueue) PopNonStarted() (*task, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.take(true)
+}
+
+// drain takes every live task in discipline order. Callers hold mu.
+func (c *centralQueue) drain() []*task {
+	var out []*task
+	for t, ok := c.take(false); ok; t, ok = c.take(false) {
+		out = append(out, t)
+	}
+	return out
 }
 
 // SweepExpired pops every deadline at or before now off the heap and
@@ -140,10 +151,7 @@ func (c *centralQueue) SweepExpired(now time.Time) []*task {
 		e.t.inDL = false
 		if e.t.inQueue && !e.t.dead {
 			e.t.dead = true
-			c.length.Add(-1)
-			if SLOClass(e.t.class) == ClassCritical {
-				c.critical.Add(-1)
-			}
+			c.mirror(e.t, -1)
 			out = append(out, e.t)
 		}
 	}
@@ -156,25 +164,22 @@ func (c *centralQueue) SweepExpired(now time.Time) []*task {
 // dispatcher's quiesce point for runtime policy switching). Tombstoned
 // tasks are dropped on the way — their deadline-sweep completion
 // already happened — and the deadline heap is untouched: it orders by
-// time, not discipline. Unknown names panic: SetPolicy validated the
-// name, so reaching here with a bad one is a programming error.
+// time, not discipline. The lock-free mirrors dip while the tasks are
+// between queues; only Depths and a sibling's steal-victim choice can
+// see that, and both tolerate a stale length. Unknown names panic:
+// SetPolicy validated the name, so reaching here with a bad one is a
+// programming error.
 func (c *centralQueue) SwapPolicy(name string) {
 	nq, err := policy.NewQueue[*task](name)
 	if err != nil {
 		panic("live: " + err.Error())
 	}
 	c.mu.Lock()
-	for {
-		t, ok := c.q.Pop()
-		if !ok {
-			break
-		}
-		if t.dead {
-			continue
-		}
-		nq.Push(t, t.started)
-	}
+	live := c.drain()
 	c.q = nq
+	for _, t := range live {
+		c.put(t)
+	}
 	c.mu.Unlock()
 }
 
@@ -182,22 +187,9 @@ func (c *centralQueue) SwapPolicy(name string) {
 // abort-mode failPending.
 func (c *centralQueue) DrainAll() []*task {
 	c.mu.Lock()
-	var out []*task
-	for {
-		t, ok := c.q.Pop()
-		if !ok {
-			break
-		}
-		if t.dead {
-			continue
-		}
-		t.inQueue = false
+	out := c.drain()
+	for _, t := range out {
 		t.inDL = false
-		c.length.Add(-1)
-		if SLOClass(t.class) == ClassCritical {
-			c.critical.Add(-1)
-		}
-		out = append(out, t)
 	}
 	c.dl = c.dl[:0]
 	c.mu.Unlock()

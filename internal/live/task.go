@@ -11,9 +11,9 @@ import (
 )
 
 // Hinted is implemented by payloads that can estimate their own service
-// time. Under Options.Policy PolicySRPT the estimate orders the central
-// queue by remaining work (hint minus accumulated service); FCFS
-// ignores it. Hints are advisory: a wrong hint reorders the queue but
+// time. Submit always reads the estimate; under Options.Policy
+// PolicySRPT it orders the central queue by remaining work (hint minus
+// accumulated service), FCFS ignores it. Hints are advisory: a wrong hint reorders the queue but
 // never affects correctness. A request that outruns its hint orders by
 // elapsed overage behind every in-budget request, and unhinted payloads
 // run last among queued peers (FIFO among themselves) — see
@@ -30,10 +30,12 @@ type Hinted interface {
 //   - ClassStandard (the zero value) is every request that doesn't
 //     declare a class — v1 wire frames, classless payloads, existing
 //     callers. Baseline admission and the middle priority tier.
-//   - ClassCritical is protected traffic: a slice of every ingress
-//     buffer is reserved for it, it occupies the top priority tier
-//     under the cascade discipline, and the dispatcher tightens other
-//     classes' quanta while critical work is queued.
+//   - ClassCritical is protected traffic: under Options.ClassAdmission
+//     a slice of every ingress buffer is reserved for it, it occupies
+//     the top priority tier under the cascade discipline, and once
+//     class-aware preemption is armed (see critQuantumShrink) the
+//     dispatcher tightens other classes' quanta while critical work is
+//     queued.
 //   - ClassSheddable is best-effort traffic: it is dropped first under
 //     pressure (ErrShed, before standard feels any backpressure) and
 //     occupies the bottom priority tier.
@@ -120,8 +122,8 @@ type SLOClassed interface {
 // wire timestamps retroactively as EvFrameRead/EvParsed events (writer
 // obs.WriterNet) and the response Breakdown gains the Ingress
 // component. Zero times mean the frontend did not stamp the request
-// (tracing off at the connection layer); the assertion is skipped
-// entirely on untraced servers.
+// (tracing off at the connection layer). Untraced servers have nowhere
+// to record the timestamps and do not ask for them.
 type NetTimed interface {
 	NetTimes() (read, parsed time.Time)
 }
@@ -154,12 +156,12 @@ type task struct {
 	onDispatcher bool
 	preempts     int
 
-	// hintNS is the payload's service-time estimate (0 when absent or
-	// the policy is hint-blind); with runNS it yields the SRPT key.
+	// hintNS is the payload's service-time estimate (0 when it has
+	// none); with runNS it yields the SRPT key.
 	hintNS int64
 	// class is the payload's SLOClass (admission, cascade tier,
-	// per-class quanta, per-class tails); ClassStandard when the payload
-	// is not SLOClassed or class handling is off.
+	// per-class quanta, per-class stats and tails); ClassStandard when
+	// the payload is not SLOClassed.
 	class uint8
 
 	// Centralqueue bookkeeping, guarded by the owning centralQueue's
@@ -168,15 +170,16 @@ type task struct {
 	dead    bool
 	inDL    bool
 
-	// Observability timestamps, written only when the server tracks
-	// service time (tracer set or SRPT policy). All writes happen on
-	// the goroutine that owns the task at that moment; the channel
-	// hand-offs order them.
+	// runNS is the accumulated running time: every slice charges the
+	// interval between its two clock reads (SRPT's remaining-work key,
+	// Breakdown.Service, the service-time sinks). The timestamps are
+	// written on traced servers only. All writes happen on the goroutine
+	// that owns the task at that moment; the channel hand-offs order
+	// them.
+	runNS      int64
 	enqueueTS  time.Time // first dispatcher ingest
 	firstRunTS time.Time // first CPU hand-off
-	runStart   time.Time // current running interval's start
-	runNS      int64     // accumulated running time
-	readTS     time.Time // wire read (NetTimed payloads on traced servers)
+	readTS     time.Time // wire read (NetTimed payloads)
 
 	// ctx is the request's Ctx, embedded so startTask doesn't allocate
 	// one per request. Only the handler goroutine touches it, between
@@ -287,8 +290,8 @@ type runInfo struct {
 	epoch uint64
 	id    uint64 // request id, for preempt-signal attribution
 	start time.Time
-	// class selects the effective quantum at signal time when per-class
-	// quanta are configured.
+	// class selects the effective quantum at signal time (see
+	// Server.quantumFor).
 	class uint8
 }
 
