@@ -12,6 +12,13 @@ tier1:
 race:
 	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/trace ./internal/obs ./internal/adapt ./internal/shadow ./internal/bench ./internal/proto ./internal/netsrv ./internal/policy
 
+# Stress for the live runtime's concurrency-critical suites — lifecycle
+# tables, chaos, drain windows, sharded stealing, the identity hand-off —
+# repeated under the race detector: a lost request or a leaked goroutine
+# in the hand-off shows as a rare interleaving, not on the first run.
+live-stress:
+	go test -race -count=20 -run 'Lifecycle|Chaos|Drain|Sharded|Handoff' ./internal/live
+
 vet:
 	go vet ./...
 
@@ -56,8 +63,11 @@ bench-smoke-compare:
 
 # Wire-protocol smoke: the live_net scenario over real loopback TCP
 # (text + pipelined binary, up to 10k connections), gated hermetically
-# on allocations per request — the contract that the zero-copy binary
-# path stays strictly leaner than the text path.
+# on allocations per request, whole process (server and the in-process
+# load clients). Since the runtime stopped allocating per request the
+# lockstep text path (live.Do, reused buffers) reads ≈ 0.18 and the
+# pipelined binary path ≈ 1.69 — what is left is the connection layer's
+# and the client's, not the scheduler's.
 net-smoke: net-smoke-run net-smoke-compare
 
 net-smoke-run:
@@ -65,10 +75,12 @@ net-smoke-run:
 
 net-smoke-compare:
 	go run ./cmd/concord-bench -compare -hermetic BENCH_live_net.json bench-out/BENCH_live_net.json
-	# Task-pooling floor: allocs/req must stay strictly below the
-	# pre-pooling baselines (text 8.15, binary 7.33) no matter what the
-	# checked-in baseline drifts to.
-	go run ./cmd/concord-bench -assert bench-out/BENCH_live_net.json 'allocs_per_req_text<8.15' 'allocs_per_req_binary<7.33'
+	# Inline-execution floor: allocs/req must stay within one allocation
+	# of the figures measured when the per-request goroutine, running
+	# record and response channel went (text 0.18, binary 1.69) no matter
+	# what the checked-in baseline drifts to — one allocation creeping
+	# back onto the request path fails here.
+	go run ./cmd/concord-bench -assert bench-out/BENCH_live_net.json 'allocs_per_req_text<1.18' 'allocs_per_req_binary<2.69'
 
 # The repo benchmark (BENCHMARK.json) is its own module under
 # benchmark/, so `go build ./... && go test ./...` never compiles it.
@@ -78,4 +90,4 @@ net-smoke-compare:
 bench-module:
 	cd benchmark && go vet . && go test .
 
-.PHONY: tier1 race vet bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare net-smoke net-smoke-run net-smoke-compare bench-module
+.PHONY: tier1 race live-stress vet bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare net-smoke net-smoke-run net-smoke-compare bench-module

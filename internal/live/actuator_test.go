@@ -18,52 +18,41 @@ import (
 )
 
 // TestSetQuantumTakesEffect: a server built with no quantum never
-// preempts; after SetQuantum a long request is preempted mid-flight.
+// preempts; after SetQuantum the signalling pass flags a running
+// request. The request that must be preempted waits for that signal
+// (awaitSignal) instead of spinning for a time a 100µs quantum "must"
+// interrupt, and the ones that must not be are never signalled however
+// slowly they spin, so a starved dispatcher makes the test slower, not
+// wrong.
 func TestSetQuantumTakesEffect(t *testing.T) {
-	h := &spinHandler{}
-	s := New(h, testOptions(1, 0))
+	s := New(&yieldHandler{}, testOptions(1, 0))
 	s.Start()
 	defer s.Stop()
 
-	if resp := s.Do(1500 * time.Microsecond); resp.Err != nil || resp.Preemptions != 0 {
+	unsignalled := yieldReq{spin: 1500 * time.Microsecond}
+	if resp := s.Do(unsignalled); resp.Err != nil || resp.Preemptions != 0 {
 		t.Fatalf("quantum 0: err %v, preemptions %d, want none", resp.Err, resp.Preemptions)
 	}
 	s.SetQuantum(100 * time.Microsecond)
 	if got := s.Quantum(); got != 100*time.Microsecond {
 		t.Fatalf("Quantum() = %v after SetQuantum(100µs)", got)
 	}
-	if resp := s.Do(1500 * time.Microsecond); resp.Err != nil || resp.Preemptions == 0 {
-		t.Fatalf("quantum 100µs: err %v, preemptions %d, want > 0", resp.Err, resp.Preemptions)
+	if resp := s.Do(yieldReq{yields: 1, await: true}); resp.Err != nil || resp.Preemptions != 1 {
+		t.Fatalf("quantum 100µs: err %v, preemptions %d, want the one it waited for", resp.Err, resp.Preemptions)
 	}
 	// Back to 0 disables preemption again.
 	s.SetQuantum(0)
-	if resp := s.Do(1500 * time.Microsecond); resp.Err != nil || resp.Preemptions != 0 {
+	if resp := s.Do(unsignalled); resp.Err != nil || resp.Preemptions != 0 {
 		t.Fatalf("quantum reset to 0: err %v, preemptions %d, want none", resp.Err, resp.Preemptions)
 	}
 }
 
-// classedSpin spins for d under an SLO class.
-type classedSpin struct {
-	d     time.Duration
-	class SLOClass
-}
-
-func (p classedSpin) SLOClass() SLOClass { return p.class }
-
-type classedSpinHandler struct{}
-
-func (classedSpinHandler) Setup()          {}
-func (classedSpinHandler) SetupWorker(int) {}
-func (classedSpinHandler) Handle(ctx *Ctx, payload any) (any, error) {
-	ctx.Spin(payload.(classedSpin).d)
-	return nil, nil
-}
-
-// TestSetClassQuantumOverridesBase: with a loose base quantum, a tight
-// class override preempts that class's requests while default-class
-// requests run unpreempted.
+// TestSetClassQuantumOverridesBase: a tight class override preempts
+// that class's requests while default-class requests are held to the
+// base quantum — an hour here, so that a standard request descheduled
+// for longer than any plausible base is still not a false failure.
 func TestSetClassQuantumOverridesBase(t *testing.T) {
-	s := New(classedSpinHandler{}, testOptions(1, 5*time.Millisecond))
+	s := New(&yieldHandler{}, testOptions(1, time.Hour))
 	s.Start()
 	defer s.Stop()
 
@@ -72,13 +61,13 @@ func TestSetClassQuantumOverridesBase(t *testing.T) {
 		t.Fatalf("ClassQuantum(ClassCritical) = %v, want 100µs", got)
 	}
 
-	crit := s.Submit(classedSpin{d: 1500 * time.Microsecond, class: ClassCritical})
-	if resp := <-crit; resp.Err != nil || resp.Preemptions == 0 {
-		t.Fatalf("ClassCritical under 100µs override: err %v, preemptions %d, want > 0", resp.Err, resp.Preemptions)
+	crit := s.Do(yieldReq{yields: 1, await: true, class: ClassCritical})
+	if crit.Err != nil || crit.Preemptions != 1 {
+		t.Fatalf("ClassCritical under 100µs override: err %v, preemptions %d, want the one it waited for", crit.Err, crit.Preemptions)
 	}
-	std := s.Submit(classedSpin{d: 1500 * time.Microsecond, class: ClassStandard})
-	if resp := <-std; resp.Err != nil || resp.Preemptions != 0 {
-		t.Fatalf("ClassStandard under 5ms base: err %v, preemptions %d, want none", resp.Err, resp.Preemptions)
+	std := s.Do(yieldReq{spin: 1500 * time.Microsecond, class: ClassStandard})
+	if std.Err != nil || std.Preemptions != 0 {
+		t.Fatalf("ClassStandard under the base quantum: err %v, preemptions %d, want none", std.Err, std.Preemptions)
 	}
 
 	// Out-of-range classes are ignored, not a panic.

@@ -22,6 +22,26 @@ func BenchmarkRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkRoundTripSubmitFunc is BenchmarkRoundTrip through the
+// callback path connection layers use: no response channel of the
+// server's, so its allocs/op is the runtime's own (0 in steady state).
+func BenchmarkRoundTripSubmitFunc(b *testing.B) {
+	s := New(&spinHandler{}, testOptions(2, 0))
+	s.Start()
+	defer s.Stop()
+	answered := make(chan error, 1)
+	done := func(r Response) { answered <- r.Err }
+	var payload any = time.Duration(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SubmitFunc(payload, done)
+		if err := <-answered; err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRoundTripTraced is BenchmarkRoundTrip with the obs tracer
 // enabled: the delta is the full per-request cost of lifecycle tracing
 // (ring records plus breakdown timestamps).

@@ -166,7 +166,13 @@ func TestChaosLifecycle(t *testing.T) {
 // invariant must survive the three-way race between class admission
 // (ErrShed), backpressure (ErrQueueFull), and the stop gate
 // (ErrServerStopped), across shard counts like the lifecycle suites.
-// ErrShed must only ever land on sheddable submissions.
+// ErrShed must only ever land on sheddable submissions. That admission
+// sheds at all is asserted first and without a race: before Start
+// nothing drains the ingress buffers, so sheddable submissions fill every
+// shard to the sheddable watermark and the next one must be shed while a
+// standard one still fits. (It used to be inferred from the chaos phase —
+// eight clients outrunning the dispatchers into 8-slot buffers — and
+// failed about one run in four, more often the faster the runtime.)
 func TestChaosSheddingOverloadStop(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
@@ -181,7 +187,25 @@ func TestChaosSheddingOverloadStop(t *testing.T) {
 				DrainTimeout:   500 * time.Millisecond,
 				PinThreads:     false,
 			})
+			var early []<-chan Response
+			for i := 0; i < shards*s.classLimit[ClassSheddable]; i++ {
+				early = append(early, s.Submit(chaosReq{kind: "quick", class: ClassSheddable}))
+			}
+			if resp := <-s.Submit(chaosReq{kind: "quick", class: ClassSheddable}); resp.Err != ErrShed {
+				t.Fatalf("sheddable submission past the watermark on every shard: err = %v, want ErrShed", resp.Err)
+			}
+			early = append(early, s.Submit(chaosReq{kind: "quick", class: ClassStandard}))
 			s.Start()
+			for i, ch := range early {
+				select {
+				case resp := <-ch:
+					if resp.Err != nil {
+						t.Fatalf("submission %d admitted below its watermark: %v", i, resp.Err)
+					}
+				case <-time.After(15 * time.Second):
+					t.Fatalf("submission %d admitted before Start never answered", i)
+				}
+			}
 
 			const clients, perClient = 8, 60
 			var wg sync.WaitGroup
@@ -267,7 +291,7 @@ func TestChaosSheddingOverloadStop(t *testing.T) {
 					st.Submitted, st.Completed, st)
 			}
 			if st.Shed == 0 {
-				t.Error("chaos: flooded a tiny buffer with sheddable-heavy load and nothing was shed — admission inert")
+				t.Error("chaos: Stats.Shed = 0 after a submission was answered ErrShed")
 			}
 		})
 	}

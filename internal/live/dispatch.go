@@ -53,12 +53,23 @@ type shard struct {
 	done     chan struct{} // this shard's dispatcher exited
 }
 
+// dispatcherLoop is the first holder of shard sh's dispatcher identity:
+// once-per-identity setup, then the loop.
 func (s *Server) dispatcherLoop(sh *shard) {
 	if s.opts.PinThreads {
 		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
 	}
 	s.handler.SetupWorker(sh.ex.id)
+	s.serveDispatcher(sh)
+}
+
+// serveDispatcher is shard sh's dispatcher loop, run by whichever
+// goroutine holds the identity: like a worker's, it changes hands when a
+// request the dispatcher is running inline yields (work conservation
+// only). sh.done belongs to the identity and is closed by the holder
+// that sees the shard drained; a goroutine that detached mid-loop
+// returns without touching the shard again.
+func (s *Server) serveDispatcher(sh *shard) {
 	multi := len(s.shards) > 1
 
 	for {
@@ -101,37 +112,49 @@ func (s *Server) dispatcherLoop(sh *shard) {
 		// 2. Preemption signaling: write the flag of any local worker
 		// whose current request outlived its quantum (quantumFor). Once
 		// the drain deadline has expired every running request is
-		// overdue, whatever its quantum: it parks at its next Poll and
+		// overdue, whatever its quantum: it yields at its next Poll and
 		// its worker retires it. The flag carries the epoch being
 		// preempted, so a signal aimed at a finished request is inert
-		// for its successor — no check-then-act retraction window. With
-		// no quantum in force the pass is skipped, and with it the reads
-		// of the running records the workers are busy writing.
+		// for its successor — no check-then-act retraction window. That
+		// is also what makes the unlocked read of the running record
+		// safe: the worker stores the start before it publishes the
+		// epoch word, so a start read after the word is that slice's or a
+		// later one's — at worst the pass waits a round, or flags an
+		// epoch that has already ended. Re-reading the word and skipping
+		// on a change just saves the wasted signal and keeps the traced
+		// request id honest. With no quantum in force the pass is
+		// skipped, and with it the reads of the records the workers are
+		// busy writing.
 		if aborting || s.quantum.Load() > 0 || s.anyClassQuantum() {
 			shrink := !aborting && s.critShrink(sh)
-			var now time.Time // read once, and only if a request is running
+			var now int64 // ns since t0; read once, and only if a request is running
 			for i, w := range sh.workers {
 				ex := s.workers[w]
-				info := ex.running.Load()
-				if info == nil || info.epoch == sh.lastFlagged[i] {
+				run := ex.running.Load()
+				epoch := run >> 8
+				if run == 0 || epoch == sh.lastFlagged[i] {
+					continue
+				}
+				start, id := ex.runStart.Load(), ex.runID.Load()
+				if ex.running.Load() != run {
 					continue
 				}
 				if !aborting {
-					q := s.quantumFor(info.class, shrink)
+					q := s.quantumFor(uint8(run), shrink)
 					if q <= 0 {
 						continue
 					}
-					if now.IsZero() {
-						now = time.Now()
+					if now == 0 {
+						now = int64(time.Since(s.t0))
 					}
-					if now.Sub(info.start) < q {
+					if now-start < int64(q) {
 						continue
 					}
 				}
-				ex.flag.Store(info.epoch)
-				sh.lastFlagged[i] = info.epoch
+				ex.flag.Store(epoch)
+				sh.lastFlagged[i] = epoch
 				if s.tr != nil {
-					s.tr.Record(sh.writer, obs.EvPreemptSignal, info.id, int64(w))
+					s.tr.Record(sh.writer, obs.EvPreemptSignal, id, int64(w))
 				}
 				progress = true
 			}
@@ -189,13 +212,18 @@ func (s *Server) dispatcherLoop(sh *shard) {
 					t = s.takeNonStarted(sh)
 				}
 				if t != nil {
-					s.dispatcherRun(sh, t)
+					if s.dispatcherRun(sh, t) {
+						return
+					}
 					progress = true
 				}
 			}
 		}
 
 		if s.stopped.Load() && s.drained(sh) {
+			if s.opts.PinThreads {
+				runtime.UnlockOSThread()
+			}
 			close(sh.done)
 			return
 		}
@@ -265,22 +293,28 @@ func (s *Server) takeNonStarted(sh *shard) *task {
 // dispatcherRun gives t — fresh from the queue, or the shard's saved
 // request — its next slice on the work-conserving dispatcher itself
 // (§3.3): what is specific to a dispatcher is the trigger (nobody
-// writes its flag, so Poll self-preempts on the slice timer) and where
-// a preempted request goes (the saved slot: dispatcher-run requests
-// never migrate).
-func (s *Server) dispatcherRun(sh *shard, t *task) {
+// writes its flag, so Poll self-preempts on the slice timer runSlice
+// starts) and where a preempted request goes (the saved slot:
+// dispatcher-run requests never migrate). It reports whether the
+// calling goroutine detached from the dispatcher identity (see
+// runSlice) and must leave the loop.
+func (s *Server) dispatcherRun(sh *shard, t *task) (detached bool) {
 	sh.saved = nil
 	now := time.Now()
 	if t.expired(now) {
 		s.retire(sh.ex, t, ErrDeadlineExceeded)
-		return
+		return false
 	}
-	sh.ex.sliceStart = now
-	if s.runSlice(sh.ex, t, now) {
+	preempted, detached := s.runSlice(sh.ex, t, now)
+	switch {
+	case detached:
+		return true
+	case preempted:
 		sh.saved = t
-	} else {
+	default:
 		s.stats.dispatcherRun.Add(1)
 	}
+	return false
 }
 
 // quantumFor is the quantum a running request of the given class is

@@ -1,8 +1,22 @@
-// Execution layer: worker loops, the per-request goroutine, completion
-// delivery, and the Ctx cooperative-preemption surface handlers program
-// against. Nothing here knows about queue disciplines or shard counts —
-// a worker's only scheduling relationship is with its owning shard's
-// dispatcher (via locals[w] in, shard.submit out).
+// Execution layer: worker loops, the slice runner, the identity hand-off
+// a preemption triggers, completion delivery, and the Ctx
+// cooperative-preemption surface handlers program against. Nothing here
+// knows about queue disciplines or shard counts — a worker's only
+// scheduling relationship is with its owning shard's dispatcher (via
+// locals[w] in, shard.submit out).
+//
+// A request's first slice runs inline: the goroutine that holds the
+// executor identity (a worker loop, or a work-conserving dispatcher)
+// calls the handler directly, and a request that finishes inside its
+// first slice — nearly all of them — costs no goroutine, no channel
+// rendezvous and no allocation. Only a request that actually yields
+// needs a stack of its own, and it already has one: the goroutine it is
+// running on. That goroutine keeps the request and parks; a successor
+// goroutine adopts the identity (executor, local queue, occupancy,
+// pinned thread, Stop accounting) and carries on serving. From then on
+// the request is resumed and parked through the resume/parked channel
+// rendezvous, and when its handler finally returns its goroutine hands
+// over the response and exits.
 package live
 
 import (
@@ -16,7 +30,9 @@ import (
 )
 
 // executor is a CPU context a task can run on: a worker or a shard's
-// dispatcher in work-conserving mode.
+// dispatcher in work-conserving mode. It is an identity, not a
+// goroutine: whichever goroutine holds it runs its serve loop, and a
+// preemption during an inline slice passes it to a successor (adopt).
 type executor struct {
 	id int // worker index, or -(shard+1) for a dispatcher
 	// writer is the obs ring this executor records to: equal to id for
@@ -31,45 +47,76 @@ type executor struct {
 	// hit its successor and no retraction handshake is needed.
 	flag atomic.Uint64
 	_    [cacheLinePad - 8]byte
-	// running is the worker's "currently running" record the owning
-	// dispatcher compares against the quantum; nil between slices (and
-	// always, on a dispatcher's own executor: nobody signals it).
-	running atomic.Pointer[runInfo]
-	// epoch is the worker's current scheduling epoch. Written by the
-	// worker loop between requests, read by the request goroutine; the
-	// resume/parked channel handshake orders the accesses.
+	// running, runStart and runID are the worker's "currently running"
+	// record, which the owning dispatcher compares against the quantum.
+	// running packs epoch<<8 | class and is 0 between slices (and always,
+	// on a dispatcher's own executor: nobody signals it); runStart is
+	// the slice start in ns since Server.t0 and runID the request id,
+	// kept on traced servers only. The worker stores running last and
+	// the dispatcher reads it first and again last (see the signalling
+	// pass), so publishing a slice is plain stores, not an allocation.
+	running  atomic.Uint64
+	runStart atomic.Int64
+	runID    atomic.Uint64
+	// epoch is the worker's current scheduling epoch. Written between
+	// requests by the goroutine holding the identity, read by Poll —
+	// on that same goroutine during an inline slice, otherwise on the
+	// request's own goroutine, ordered by the resume/parked handshake.
+	// A successor inherits it through the go statement that starts it.
 	epoch uint64
-	// sliceStart/sliceLen drive time-based self-preemption when a
-	// dispatcher runs tasks (there is nobody to write its flag, §3.3);
-	// sliceLen is fixed at New.
+	// sliceStart is when the current slice began (set by runSlice): the
+	// slice's end charges runNS from it, and on a dispatcher it drives
+	// time-based self-preemption, there being nobody to write its flag
+	// (§3.3). sliceLen is how long a dispatcher slice lasts; fixed at
+	// New.
 	sliceStart time.Time
 	sliceLen   time.Duration
 }
 
+// workerLoop is the first holder of worker w's identity: it does the
+// once-per-identity setup and then serves. SetupWorker is not called
+// again however many goroutines the identity passes through.
 func (s *Server) workerLoop(w int) {
-	defer s.wg.Done()
 	if s.opts.PinThreads {
 		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
 	}
 	s.handler.SetupWorker(w)
-	ex := s.workers[w]
-	for t := range s.locals[w] {
-		s.workerRun(ex, t)
+	s.serveWorker(s.workers[w])
+}
+
+// serveWorker is worker ex's serve loop, run by whichever goroutine
+// holds the identity. It ends in one of two ways: the local queue was
+// closed (Stop), and the holder releases the identity — Start's
+// WaitGroup count belongs to the identity, not to a goroutine, so there
+// is no deferred Done in a frame a detached goroutine unwinds through —
+// or a request this goroutine was running inline yielded, a successor
+// has the identity, and this goroutine, having just delivered that
+// request's response, leaves without touching anything the identity
+// owns.
+func (s *Server) serveWorker(ex *executor) {
+	for t := range s.locals[ex.id] {
+		if s.workerRun(ex, t) {
+			return
+		}
 		// occ is held until the request is answered or back on the
 		// shard's ingress, so drained() can never observe an idle shard
 		// while a task is between queues: released before the requeue
 		// hand-off, the dispatcher could shut down with the task in
 		// flight (lost, and this worker blocked on the send forever).
-		s.occ[w].Add(-1)
+		s.occ[ex.id].Add(-1)
 	}
+	if s.opts.PinThreads {
+		runtime.UnlockOSThread()
+	}
+	s.wg.Done()
 }
 
 // workerRun gives one locally dequeued request its next slice on worker
-// ex: what is specific to a worker is the trigger (publish a runInfo
-// for the dispatcher to flag) and where a preempted request goes (back
-// to the owning shard's ingress).
-func (s *Server) workerRun(ex *executor, t *task) {
+// ex: what is specific to a worker is the trigger (publish the running
+// record for the dispatcher to flag) and where a preempted request goes
+// (requeue). It reports whether the calling goroutine detached from ex
+// (see runSlice).
+func (s *Server) workerRun(ex *executor, t *task) (detached bool) {
 	now := time.Now()
 	// Abort and deadline checks at local dequeue: a request whose
 	// deadline passed while it sat in this worker's JBSQ queue (behind a
@@ -78,17 +125,30 @@ func (s *Server) workerRun(ex *executor, t *task) {
 	// this is the only enforcement point once a task is dispatched.
 	if s.abort.Load() {
 		s.retire(ex, t, ErrServerStopped)
-		return
+		return false
 	}
 	if t.expired(now) {
 		s.retire(ex, t, ErrDeadlineExceeded)
-		return
+		return false
 	}
 	ex.epoch++ // epochs start at 1; flag value 0 means "no signal"
-	ex.running.Store(&runInfo{epoch: ex.epoch, id: t.id, start: now, class: t.class})
-	if !s.runSlice(ex, t, now) {
-		return
+	ex.runStart.Store(int64(now.Sub(s.t0)))
+	if s.tr != nil {
+		ex.runID.Store(t.id)
 	}
+	ex.running.Store(ex.epoch<<8 | uint64(t.class))
+	preempted, detached := s.runSlice(ex, t, now)
+	if preempted {
+		s.requeue(ex, t)
+	}
+	return detached
+}
+
+// requeue is a worker's post-yield step: the preempted request goes back
+// to the owning shard's ingress — or, once the drain deadline has
+// passed, is retired. The caller releases the worker's occupancy after
+// it, never before (see serveWorker).
+func (s *Server) requeue(ex *executor, t *task) {
 	if s.abort.Load() {
 		s.retire(ex, t, ErrServerStopped)
 		return
@@ -105,34 +165,77 @@ func (s *Server) workerRun(ex *executor, t *task) {
 	s.shards[s.shardOf[ex.id]].submit <- t
 }
 
-// runSlice is the one place a request runs: it hands t the CPU context
-// ex for one slice starting at start (launching the request's goroutine
-// on its first slice), waits for it to finish or yield, charges the
-// slice to runNS and either delivers the response or counts a
-// preemption. It reports whether t was preempted; the caller decides
-// where a preempted request waits for its next slice. What ends the
-// slice early is the caller's business too: it arms ex's trigger (a
-// published runInfo or a slice timer) before calling.
-func (s *Server) runSlice(ex *executor, t *task, start time.Time) (preempted bool) {
-	first := !t.started
-	if first {
-		t.started = true
-		t.onDispatcher = ex.id < 0
-		s.startTask(t)
-	}
-	if s.tr != nil {
-		kind := obs.EvResume
-		if first {
-			t.firstRunTS = start
-			kind = obs.EvStart
+// runSlice is the one place a request runs: it gives t the CPU context
+// ex for one slice starting at start and reports how the slice ended.
+// What ends a slice early is the caller's business: it arms ex's trigger
+// (a published running record, or the slice timer sliceStart feeds)
+// before calling, and decides where a preempted request waits.
+//
+// The first slice calls the handler on the calling goroutine. If it
+// returns without having yielded, the slice ends here: (false, false).
+// If Poll yields during it, the calling goroutine stops being ex — Poll
+// started a successor (adopt) that ended the slice on ex's behalf — and
+// stays with the request as its private stack until the handler
+// returns, possibly many slices and executors later; it then sends the
+// response to whichever executor is running that last slice and reports
+// detached, upon which every frame above returns without touching ex,
+// the shard or the Start/Stop accounting. Later slices resume that
+// goroutine and wait for it to park again (preempted) or finish.
+func (s *Server) runSlice(ex *executor, t *task, start time.Time) (preempted, detached bool) {
+	ex.sliceStart = start
+	if t.started {
+		if s.tr != nil {
+			s.tr.Record(ex.writer, obs.EvResume, t.id, int64(ex.epoch))
 		}
-		s.tr.Record(ex.writer, kind, t.id, int64(ex.epoch))
+		t.resume <- ex
+		return s.endSlice(ex, t, <-t.parked), false
 	}
-	t.resume <- ex
-	ev := <-t.parked
-	ex.running.Store(nil)
+	t.started = true
+	t.onDispatcher = ex.id < 0
+	if s.tr != nil {
+		t.firstRunTS = start
+		s.tr.Record(ex.writer, obs.EvStart, t.id, int64(ex.epoch))
+	}
+	// The Ctx lives inside the task (no allocation per request); the
+	// pool reset zeroes it with the rest of the task.
+	ctx := &t.ctx
+	*ctx = Ctx{srv: s, task: t, ex: ex, yieldEvery: s.opts.CoopTimeshare}
+	resp := s.handle(ctx, t)
+	// The executor that receives the final park event recycles the task,
+	// and ctx with it, the moment the send completes: read the flag
+	// first and touch neither t nor ctx afterwards.
+	if ctx.detached {
+		t.parked <- parkEvent{done: true, resp: resp}
+		return false, true
+	}
+	return s.endSlice(ex, t, parkEvent{done: true, resp: resp}), false
+}
+
+// handle runs t's handler to completion on the calling goroutine and
+// turns its return values — or its panic: a handler bug, or the
+// taskAbort retire unwinds a parked request with — into the response.
+func (s *Server) handle(ctx *Ctx, t *task) (resp Response) {
+	resp.ID = t.id
+	defer func() {
+		if r := recover(); r != nil {
+			if ab, ok := r.(taskAbort); ok {
+				resp.Err = ab.err
+			} else {
+				resp.Err = fmt.Errorf("live: handler panicked: %v", r)
+			}
+		}
+	}()
+	resp.Payload, resp.Err = s.handler.Handle(ctx, t.payload)
+	return resp
+}
+
+// endSlice closes the slice ex gave t: it clears the running record,
+// charges the slice to runNS and, by what ended it, delivers the
+// response or counts a preemption.
+func (s *Server) endSlice(ex *executor, t *task, ev parkEvent) (preempted bool) {
+	ex.running.Store(0)
 	end := time.Now()
-	t.runNS += int64(end.Sub(start))
+	t.runNS += int64(end.Sub(ex.sliceStart))
 	if ev.done {
 		s.finish(ex.writer, t, ev.resp, end)
 		return false
@@ -145,39 +248,37 @@ func (s *Server) runSlice(ex *executor, t *task, start time.Time) (preempted boo
 	return true
 }
 
-// startTask launches the request's goroutine (its user-level context).
-func (s *Server) startTask(t *task) {
-	go func() {
-		ex := <-t.resume
-		// The Ctx lives inside the task (one fewer allocation per
-		// request); the pool reset zeroes it with the rest of the task.
-		ctx := &t.ctx
-		*ctx = Ctx{task: t, ex: ex, yieldEvery: s.opts.CoopTimeshare}
-		out, err := func() (out any, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					if ab, ok := r.(taskAbort); ok {
-						err = ab.err
-					} else {
-						err = fmt.Errorf("live: handler panicked: %v", r)
-					}
-				}
-			}()
-			return s.handler.Handle(ctx, t.payload)
-		}()
-		t.parked <- parkEvent{done: true, resp: Response{
-			ID:      t.id,
-			Payload: out,
-			Err:     err,
-		}}
-	}()
+// adopt is the successor goroutine Poll starts when request t yields
+// during its inline slice: the goroutine that was ex keeps t, and this
+// one takes over the identity where that one left off — it ends the
+// slice as preempted, does the caller's post-yield step (a worker
+// requeues t and only then releases its occupancy, so drained() still
+// cannot see the shard idle with t in flight; a dispatcher parks t in
+// its saved slot) and carries on serving. The identity's one-time setup
+// is not repeated; only the thread pin is taken again, the yielding
+// goroutine having dropped its own.
+func (s *Server) adopt(ex *executor, t *task) {
+	if s.opts.PinThreads {
+		runtime.LockOSThread()
+	}
+	s.endSlice(ex, t, parkEvent{})
+	if ex.id >= 0 {
+		s.requeue(ex, t)
+		s.occ[ex.id].Add(-1)
+		s.serveWorker(ex)
+		return
+	}
+	sh := s.shards[-ex.id-1]
+	sh.saved = t
+	s.serveDispatcher(sh)
 }
 
 // retire is the one place a request that will not run again is
 // answered: err is ErrDeadlineExceeded (it expired while queued or
 // parked) or ErrServerStopped (the drain deadline passed), and picks
 // the Expired or Aborted counter. A request that never started is
-// answered directly; one that did is resumed with abortErr set, so its
+// answered directly; one that did is parked on its own goroutine (its
+// first yield gave it one) and is resumed with abortErr set, so its
 // handler unwinds from Poll and its defers run before the response goes
 // out.
 func (s *Server) retire(ex *executor, t *task, err error) {
@@ -239,8 +340,13 @@ func completionEvent(err error) (obs.Kind, int64) {
 // Ctx is the per-request context handlers receive. It is only valid on
 // the goroutine running the handler.
 type Ctx struct {
-	task       *task
-	ex         *executor
+	srv  *Server
+	task *task
+	ex   *executor
+	// detached is set by the request's first yield: from then on the
+	// goroutine running the handler belongs to the request, not to an
+	// executor, and parks and resumes through the task's channels.
+	detached   bool
 	noPreempt  int
 	yieldEvery int
 	polls      int
@@ -256,10 +362,15 @@ func (c *Ctx) Worker() int { return c.ex.id }
 // pass inserts at function entries and loop back-edges. If the
 // dispatcher has signaled preemption of this request's epoch (or the
 // dispatcher's self-check slice has expired) and no no-preempt section
-// is open, the request yields: its goroutine parks and the worker picks
-// up its next request. If the server aborted the request while it was
-// parked (drain deadline or request deadline), Poll panics with an
-// internal value that unwinds the handler — its defers run — and
+// is open, the request yields and its executor picks up its next
+// request. The first yield is the identity hand-off: until then the
+// handler has been running on the executor's own goroutine, which now
+// keeps the request — its stack is the request's continuation — drops
+// its thread pin and starts the successor that carries the executor on
+// (adopt). Later yields park on the task's channels. Either way the
+// goroutine then waits to be resumed, and if the server aborted the
+// request meanwhile (drain deadline or request deadline), Poll panics
+// with an internal value that unwinds the handler — its defers run — and
 // becomes the response error.
 func (c *Ctx) Poll() {
 	if c.yieldEvery > 0 {
@@ -285,7 +396,15 @@ func (c *Ctx) Poll() {
 			return
 		}
 	}
-	c.task.parked <- parkEvent{done: false}
+	if c.detached {
+		c.task.parked <- parkEvent{done: false}
+	} else {
+		c.detached = true
+		if c.srv.opts.PinThreads {
+			runtime.UnlockOSThread()
+		}
+		go c.srv.adopt(c.ex, c.task)
+	}
 	c.ex = <-c.task.resume
 	if err := c.task.abortErr; err != nil {
 		panic(taskAbort{err})

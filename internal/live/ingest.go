@@ -39,12 +39,15 @@ func (s *Server) Submit(payload any) <-chan Response {
 // SubmitFunc is Submit with a completion callback instead of a response
 // channel: done is invoked exactly once with the request's Response —
 // synchronously on the submitting goroutine when the request is
-// rejected (stop or backpressure), on the completing executor's
-// goroutine otherwise. done must not block: it runs on the worker or
-// dispatcher hot path. Connection layers use it to coalesce completions
-// into batched flushes without a channel allocation per request; the
-// Response's Req field carries the submitted payload back so a single
-// shared callback can correlate without a per-request closure.
+// rejected (stop or backpressure), otherwise on the goroutine serving
+// the executor that completes it — the worker's or dispatcher's own,
+// between two requests, whether the handler ran inline there or on a
+// detached goroutine it resumed. done must not block: it runs on the
+// worker or dispatcher hot path. Connection layers use it to coalesce
+// completions into batched flushes without a channel allocation per
+// request; the Response's Req field carries the submitted payload back
+// so a single shared callback can correlate without a per-request
+// closure.
 func (s *Server) SubmitFunc(payload any, done func(Response)) {
 	s.submit(payload, nil, done)
 }
@@ -97,12 +100,15 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response)) {
 	// Snapshot the fields needed after enqueue: the moment enqueue
 	// succeeds a worker may complete the task and release it to the
 	// pool, so touching t again would race with its reset.
-	id, class := t.id, t.class
+	id, class, arrival := t.id, t.class, t.arrival
 	if s.enqueue(t) {
 		s.stats.submitted.Add(1)
 		s.stats.classSubmitted[class].Add(1)
 		if s.tr != nil {
-			s.tr.Record(obs.WriterClient, obs.EvSubmit, id, 0)
+			// Stamped at arrival, not now: by now the dispatcher may have
+			// ingested the task, and an EvEnqueueCentral that sorts before
+			// its EvSubmit makes the analyzer count the ingress twice.
+			s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, id, 0, arrival)
 		}
 		s.submitMu.RUnlock()
 	} else {

@@ -3,6 +3,8 @@ package live
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,12 +121,14 @@ func TestDrainWindowNoTaskLoss(t *testing.T) {
 }
 
 // TestDrainWindowNoTaskLossGated is the deterministic version of the
-// drain-window regression: the requeue gate holds the worker between
-// its preemption park and the re-submit while Stop runs. Pre-fix the
-// worker had already released its occupancy, so the dispatcher declared
-// the server drained, exited, and the task was lost — this test then
-// fails its 10s receive. Post-fix the occupancy is held across the
-// hand-off, so the dispatcher waits and the request completes.
+// drain-window regression: the requeue gate holds the worker identity
+// between a request's yield and its re-submit while Stop runs. Pre-fix
+// the worker had already released its occupancy, so the dispatcher
+// declared the server drained, exited, and the task was lost — this test
+// then fails its 10s receive. Post-fix the occupancy is held across the
+// hand-off, so the dispatcher waits and the request completes. The gate
+// needs a preemption, not a quantum: the request signals itself
+// (yieldNow), so no clock decides whether the test runs.
 func TestDrainWindowNoTaskLossGated(t *testing.T) {
 	entered := make(chan struct{}, 64)
 	release := make(chan struct{})
@@ -134,16 +138,16 @@ func TestDrainWindowNoTaskLossGated(t *testing.T) {
 	}
 	defer func() { testRequeueGate = nil }()
 
-	opts := testOptions(1, 50*time.Microsecond)
+	opts := testOptions(1, time.Hour)
 	opts.SubmitBuffer = 1
-	s := New(&spinHandler{}, opts)
+	s := New(&yieldHandler{}, opts)
 	s.Start()
 
-	ch := s.Submit(500 * time.Microsecond)
+	ch := s.Submit(yieldReq{yields: 1})
 	select {
-	case <-entered: // the task parked and is mid-hand-off
+	case <-entered: // the request yielded and is mid-hand-off
 	case <-time.After(10 * time.Second):
-		t.Skip("no preemption observed; host too slow for wall-clock quanta")
+		t.Fatal("a self-signalled yield never reached the requeue gate")
 	}
 	stopDone := make(chan struct{})
 	go func() { s.Stop(); close(stopDone) }()
@@ -239,14 +243,17 @@ func TestStaleEpochFlagIgnored(t *testing.T) {
 	}
 }
 
-// TestCurrentEpochFlagYields: the matching epoch still preempts.
+// TestCurrentEpochFlagYields: the matching epoch still preempts. The
+// Ctx is a detached one (a request past its first yield), so the yield
+// is the channel rendezvous and needs no server; the first yield — the
+// identity hand-off — is what the self-signalling lifecycle rows drive.
 func TestCurrentEpochFlagYields(t *testing.T) {
 	ex := &executor{id: 0}
 	ex.epoch = 2
 	ex.flag.Store(2)
 	c := &Ctx{
 		task: &task{resume: make(chan *executor), parked: make(chan parkEvent)},
-		ex:   ex, yieldEvery: -1,
+		ex:   ex, yieldEvery: -1, detached: true,
 	}
 	returned := make(chan struct{})
 	go func() {
@@ -400,155 +407,348 @@ func TestGracefulStopCompletesAccepted(t *testing.T) {
 	}
 }
 
-// savedReq spins for d and reports the executor it started and ended
-// on. It carries a hint and a class so the srpt and cascade rows order
-// it by something.
-type savedReq struct {
-	d     time.Duration
-	class SLOClass
+// yieldReq is a request that yields exactly when told to, so the
+// lifecycle rows need no wall-clock quantum: it yields `yields` times and
+// completes, or — negative — keeps yielding until the server retires it.
+// With expire set its deadline passes while it is parked after its first
+// yield, whatever the clock says: the handler backdates it on the way
+// out. With await set it does not signal itself but waits, however long
+// the host makes that, for the dispatcher's signalling pass to flag it —
+// for tests that are about the real signal. With spin set it first
+// spins that long, polling: time in which a request that must not be
+// signalled would be. It carries a hint and a class so the srpt and
+// cascade rows order it by something.
+type yieldReq struct {
+	yields int
+	expire bool
+	await  bool
+	spin   time.Duration
+	class  SLOClass
 }
 
-func (r savedReq) ServiceHint() time.Duration { return r.d }
-func (r savedReq) SLOClass() SLOClass         { return r.class }
+func (r yieldReq) ServiceHint() time.Duration { return time.Millisecond }
+func (r yieldReq) SLOClass() SLOClass         { return r.class }
 
-// savedHandler blocks on "block" payloads (holding a worker without
-// polling) and spins savedReq payloads behind a deferred call, so a test
-// can tell that an aborted handler unwound.
-type savedHandler struct {
+// yieldNow makes this Poll yield whatever the clock says, by doing the
+// signaller's job itself: a request on a worker writes its own epoch
+// into the worker's flag, one on a dispatcher backdates the slice timer
+// nobody else reads while it runs. The servers these handlers run under
+// have an hour-long quantum, so nothing else ever signals.
+func yieldNow(ctx *Ctx) {
+	if ctx.ex.id >= 0 {
+		ctx.ex.flag.Store(ctx.ex.epoch)
+	} else {
+		ctx.ex.sliceStart = time.Now().Add(-ctx.ex.sliceLen)
+	}
+	ctx.Poll()
+}
+
+// awaitSignal yields when the dispatcher says so: it waits for the
+// signalling pass to flag this request's epoch instead of trying to
+// outlast a quantum, so a starved dispatcher makes the test slower, not
+// wrong; half a minute without one is a dispatcher that does not signal,
+// reported as the request's error. Worker-run requests only.
+func awaitSignal(ctx *Ctx) error {
+	for deadline := time.Now().Add(30 * time.Second); ctx.ex.flag.Load() != ctx.ex.epoch; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return errors.New("no preemption signal in 30s")
+		}
+	}
+	ctx.Poll()
+	return nil
+}
+
+// yieldHandler blocks on "block" payloads (holding a worker without
+// polling), panics on "panic", and runs yieldReq payloads behind a
+// deferred call, so a test can tell that a retired handler unwound. It
+// counts SetupWorker calls per identity.
+type yieldHandler struct {
 	release chan struct{}
 	unwound atomic.Int32
+	mu      sync.Mutex
+	setups  map[int]int
 }
 
-func (h *savedHandler) Setup()          {}
-func (h *savedHandler) SetupWorker(int) {}
-func (h *savedHandler) Handle(ctx *Ctx, payload any) (any, error) {
-	req, ok := payload.(savedReq)
+func (h *yieldHandler) Setup() {}
+func (h *yieldHandler) SetupWorker(id int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.setups == nil {
+		h.setups = map[int]int{}
+	}
+	h.setups[id]++
+}
+func (h *yieldHandler) Handle(ctx *Ctx, payload any) (any, error) {
+	req, ok := payload.(yieldReq)
 	if !ok {
+		if payload == "panic" {
+			panic("yieldHandler: told to")
+		}
 		<-h.release
 		return payload, nil
 	}
 	defer h.unwound.Add(1)
 	first := ctx.Worker()
-	ctx.Spin(req.d)
+	if req.expire {
+		// The running request owns its task, and nothing reads a
+		// deadline but the executor that next dequeues it.
+		ctx.task.deadline = time.Now().Add(-time.Hour)
+	}
+	ctx.Spin(req.spin)
+	for i := 0; i != req.yields; i++ {
+		if !req.await {
+			yieldNow(ctx)
+		} else if err := awaitSignal(ctx); err != nil {
+			return nil, err
+		}
+	}
 	return [2]int{first, ctx.Worker()}, nil
 }
 
-// TestDispatcherRunLifecycle drives the slice runner and the retire path
-// through the work-conserving dispatcher: with every worker held by a
-// blocker at QueueBound 1, a request can only run on its shard's
-// dispatcher, outlives the dispatcher slice, and is preempted into the
-// saved slot — from where it completes, expires, or is aborted by the
-// drain deadline. Every row checks the same invariants: exactly one
-// response per submission, Submitted == Completed, Expired and Aborted
-// equal to the number of responses carrying the matching error, handler
-// defers run, and the request never leaves the dispatcher that started
-// it.
-func TestDispatcherRunLifecycle(t *testing.T) {
+// checkIdentities asserts what must hold of a stopped server however
+// many times its identities changed hands: SetupWorker ran exactly once
+// per worker and per dispatcher, and every goroutine the server started
+// — loops, successors, detached request goroutines — is gone (the last
+// of them may still be returning when Stop does, hence the wait).
+func checkIdentities(t *testing.T, h *yieldHandler, opts Options, goroutinesBefore int) {
+	t.Helper()
+	opts = opts.withDefaults()
+	h.mu.Lock()
+	for id := -opts.Shards; id < opts.Workers; id++ {
+		if h.setups[id] != 1 {
+			t.Errorf("SetupWorker(%d) ran %d times, want once per identity", id, h.setups[id])
+		}
+	}
+	if len(h.setups) != opts.Shards+opts.Workers {
+		t.Errorf("SetupWorker ran for identities %v, want %d dispatchers and %d workers", h.setups, opts.Shards, opts.Workers)
+	}
+	h.mu.Unlock()
+	waitUntil(t, "the server's goroutines to exit", func() bool {
+		return runtime.NumGoroutine() <= goroutinesBefore
+	})
+}
+
+// TestDispatcherRunLifecycle drives the slice runner, the identity
+// hand-off and the retire path through the work-conserving dispatcher:
+// with every worker held by a blocker at QueueBound 1, a request can
+// only run on its shard's dispatcher, yields there — the goroutine that
+// was the dispatcher keeps it, a successor carries the loop on — and is
+// parked in the saved slot, from where it completes after a set number
+// of yields, expires, or is aborted by the drain deadline. Every row
+// checks the same invariants: exactly one response per submission,
+// Submitted == Completed, Expired and Aborted equal to the number of
+// responses carrying the matching error, handler defers run, the
+// request never leaves the dispatcher that started it, SetupWorker once
+// per identity, and no goroutine left behind.
+func TestDispatcherRunLifecycle(t *testing.T) { runLifecycleRows(t, true) }
+
+// TestWorkerRunLifecycle is the same table with the requests on the
+// workers: a yield hands the worker identity to a successor, the request
+// goes back through its shard's ingress, and it completes, expires or is
+// aborted from wherever it is at the time.
+func TestWorkerRunLifecycle(t *testing.T) { runLifecycleRows(t, false) }
+
+func runLifecycleRows(t *testing.T, onDispatcher bool) {
+	const yields = 3
+	// Neither timeout is a measurement: the hour-long RequestTimeout only
+	// makes every task deadline-bearing (the expiring request backdates
+	// its own), and the drain deadline's length changes how long the
+	// aborted rows take, not what happens.
 	outcomes := []struct {
 		name    string
-		spin    time.Duration
+		req     yieldReq
 		tune    func(*Options)
 		wantErr error
 	}{
-		{"completes", 2 * time.Millisecond, func(*Options) {}, nil},
-		{"expires", 10 * time.Second, func(o *Options) { o.RequestTimeout = 50 * time.Millisecond }, ErrDeadlineExceeded},
-		{"aborted", 10 * time.Second, func(o *Options) { o.DrainTimeout = 20 * time.Millisecond }, ErrServerStopped},
+		{"completes", yieldReq{yields: yields}, func(*Options) {}, nil},
+		{"expires", yieldReq{yields: -1, expire: true}, func(o *Options) { o.RequestTimeout = time.Hour }, ErrDeadlineExceeded},
+		{"aborted", yieldReq{yields: -1}, func(o *Options) { o.DrainTimeout = 5 * time.Millisecond }, ErrServerStopped},
 	}
 	for _, pol := range []string{PolicyFCFS, PolicySRPT, PolicyCascade, PolicyCascadeSRPT} {
 		for _, shards := range []int{1, 2} {
 			for _, oc := range outcomes {
-				t.Run(fmt.Sprintf("%s/shards%d/%s", pol, shards, oc.name), func(t *testing.T) {
-					h := &savedHandler{release: make(chan struct{})}
-					opts := Options{Workers: shards, Shards: shards, Policy: pol,
-						Quantum: 100 * time.Microsecond, QueueBound: 1, WorkConserving: true}
-					oc.tune(&opts)
-					s := New(h, opts)
-					s.Start()
-
-					var chans []<-chan Response
-					for i := 0; i < shards; i++ {
-						chans = append(chans, s.Submit("block"))
+				for _, pin := range []bool{false, true} {
+					name := fmt.Sprintf("%s/shards%d/%s", pol, shards, oc.name)
+					if pin {
+						name += "/pinned"
 					}
-					waitUntil(t, "a blocker on every worker", func() bool {
-						d := s.Depths()
-						for _, occ := range d.Workers {
-							if occ != 1 {
-								return false
+					t.Run(name, func(t *testing.T) {
+						goroutines := runtime.NumGoroutine()
+						h := &yieldHandler{release: make(chan struct{})}
+						opts := Options{Workers: shards, Shards: shards, Policy: pol, Quantum: time.Hour,
+							QueueBound: 1, WorkConserving: onDispatcher, PinThreads: pin}
+						oc.tune(&opts)
+						s := New(h, opts)
+						s.Start()
+
+						var chans []<-chan Response
+						blockers := 0
+						if onDispatcher {
+							blockers = shards
+							for i := 0; i < blockers; i++ {
+								chans = append(chans, s.Submit("block"))
+							}
+							waitUntil(t, "a blocker on every worker", func() bool {
+								d := s.Depths()
+								for _, occ := range d.Workers {
+									if occ != 1 {
+										return false
+									}
+								}
+								return d.Central == 0 && d.Submit == 0
+							})
+						}
+						target := oc.req
+						target.class = ClassCritical
+						for i := 0; i < shards; i++ {
+							chans = append(chans, s.Submit(target))
+						}
+
+						stopDone := make(chan struct{})
+						if oc.wantErr == ErrServerStopped {
+							waitUntil(t, "every target to have yielded", func() bool {
+								return s.Stats().Preemptions >= uint64(shards)
+							})
+							go func() { s.Stop(); close(stopDone) }()
+						}
+						byErr := map[error]uint64{}
+						var dispatcherOK uint64
+						receive := func(i int) (resp Response) {
+							select {
+							case resp = <-chans[i]:
+							case <-time.After(15 * time.Second):
+								t.Fatalf("submission %d never answered", i)
+							}
+							select {
+							case <-chans[i]:
+								t.Fatalf("submission %d answered twice", i)
+							default:
+							}
+							byErr[resp.Err]++
+							return resp
+						}
+						for i := blockers; i < len(chans); i++ {
+							resp := receive(i)
+							if resp.Err != oc.wantErr {
+								t.Fatalf("target %d: err = %v, want %v", i, resp.Err, oc.wantErr)
+							}
+							if resp.OnDispatcher != onDispatcher || resp.Preemptions == 0 {
+								t.Fatalf("target %d: OnDispatcher=%v Preemptions=%d, want OnDispatcher=%v and at least one yield",
+									i, resp.OnDispatcher, resp.Preemptions, onDispatcher)
+							}
+							if resp.Err != nil {
+								continue
+							}
+							if resp.Preemptions != yields {
+								t.Fatalf("target %d: Preemptions = %d, want exactly the %d it signalled itself", i, resp.Preemptions, yields)
+							}
+							on := resp.Payload.([2]int)
+							if onDispatcher {
+								dispatcherOK++
+								if on[0] >= 0 || on[1] != on[0] {
+									t.Fatalf("target %d started on executor %d and ended on %d: dispatcher-run requests must not migrate", i, on[0], on[1])
+								}
+							} else if on[0] < 0 || on[1] != on[0] {
+								// One worker per shard: shard affinity is worker affinity.
+								t.Fatalf("target %d started on executor %d and ended on %d: a started request stays with its shard's worker", i, on[0], on[1])
 							}
 						}
-						return d.Central == 0 && d.Submit == 0
-					})
-					for i := 0; i < shards; i++ {
-						chans = append(chans, s.Submit(savedReq{d: oc.spin, class: ClassCritical}))
-					}
-
-					stopDone := make(chan struct{})
-					if oc.wantErr == ErrServerStopped {
-						go func() { s.Stop(); close(stopDone) }()
-					}
-					byErr := map[error]uint64{}
-					var dispatcherOK uint64
-					receive := func(i int) (resp Response) {
+						close(h.release)
+						for i := 0; i < blockers; i++ {
+							if resp := receive(i); resp.Err != nil {
+								t.Fatalf("blocker %d: %v", i, resp.Err)
+							}
+						}
+						if oc.wantErr != ErrServerStopped {
+							go func() { s.Stop(); close(stopDone) }()
+						}
 						select {
-						case resp = <-chans[i]:
+						case <-stopDone:
 						case <-time.After(15 * time.Second):
-							t.Fatalf("submission %d never answered", i)
+							t.Fatal("Stop hung")
 						}
-						select {
-						case <-chans[i]:
-							t.Fatalf("submission %d answered twice", i)
-						default:
-						}
-						byErr[resp.Err]++
-						return resp
-					}
-					for i := shards; i < len(chans); i++ {
-						resp := receive(i)
-						if resp.Err != oc.wantErr {
-							t.Fatalf("target %d: err = %v, want %v", i, resp.Err, oc.wantErr)
-						}
-						if !resp.OnDispatcher || resp.Preemptions == 0 {
-							t.Fatalf("target %d: OnDispatcher=%v Preemptions=%d, want a dispatcher-run request preempted into the saved slot",
-								i, resp.OnDispatcher, resp.Preemptions)
-						}
-						if resp.Err == nil {
-							dispatcherOK++
-							if on := resp.Payload.([2]int); on[0] >= 0 || on[1] != on[0] {
-								t.Fatalf("target %d started on executor %d and ended on %d: dispatcher-run requests must not migrate", i, on[0], on[1])
-							}
-						}
-					}
-					close(h.release)
-					for i := 0; i < shards; i++ {
-						if resp := receive(i); resp.Err != nil {
-							t.Fatalf("blocker %d: %v", i, resp.Err)
-						}
-					}
-					if oc.wantErr != ErrServerStopped {
-						go func() { s.Stop(); close(stopDone) }()
-					}
-					select {
-					case <-stopDone:
-					case <-time.After(15 * time.Second):
-						t.Fatal("Stop hung")
-					}
 
-					st := s.Stats()
-					if st.Submitted != uint64(len(chans)) || st.Submitted != st.Completed {
-						t.Fatalf("submitted %d, completed %d, want both %d", st.Submitted, st.Completed, len(chans))
-					}
-					if st.Expired != byErr[ErrDeadlineExceeded] || st.Aborted != byErr[ErrServerStopped] {
-						t.Fatalf("Expired=%d Aborted=%d, responses carried %d deadline / %d stopped errors",
-							st.Expired, st.Aborted, byErr[ErrDeadlineExceeded], byErr[ErrServerStopped])
-					}
-					if st.DispatcherRun != dispatcherOK {
-						t.Fatalf("DispatcherRun = %d, want %d (requests the dispatcher completed)", st.DispatcherRun, dispatcherOK)
-					}
-					if got := h.unwound.Load(); got != int32(shards) {
-						t.Fatalf("%d handler defers ran, want %d", got, shards)
-					}
-				})
+						st := s.Stats()
+						if st.Submitted != uint64(len(chans)) || st.Submitted != st.Completed {
+							t.Fatalf("submitted %d, completed %d, want both %d", st.Submitted, st.Completed, len(chans))
+						}
+						if st.Expired != byErr[ErrDeadlineExceeded] || st.Aborted != byErr[ErrServerStopped] {
+							t.Fatalf("Expired=%d Aborted=%d, responses carried %d deadline / %d stopped errors",
+								st.Expired, st.Aborted, byErr[ErrDeadlineExceeded], byErr[ErrServerStopped])
+						}
+						if st.DispatcherRun != dispatcherOK {
+							t.Fatalf("DispatcherRun = %d, want %d (requests the dispatcher completed)", st.DispatcherRun, dispatcherOK)
+						}
+						if got := h.unwound.Load(); got != int32(shards) {
+							t.Fatalf("%d handler defers ran, want %d", got, shards)
+						}
+						checkIdentities(t, h, opts, goroutines)
+					})
+				}
 			}
 		}
+	}
+}
+
+// TestHandoffSelfSignalled drives the identity hand-off at volume and
+// without a clock: every request yields exactly three times — the first
+// yield passes its worker to a successor goroutine, the other two park
+// on the task's channels — and must report exactly those three
+// preemptions. However many times the identities changed hands,
+// SetupWorker ran once for each, the server leaves no goroutine behind,
+// and under PinThreads the hand-offs reuse threads instead of creating
+// one each. A handler panic on the inline path — the worker's own stack
+// — becomes that request's error and the worker keeps serving.
+func TestHandoffSelfSignalled(t *testing.T) {
+	for _, pin := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pinned=%v", pin), func(t *testing.T) {
+			const requests, yields, clients = 2000, 3, 2
+			goroutines := runtime.NumGoroutine()
+			threads := pprof.Lookup("threadcreate").Count()
+			h := &yieldHandler{}
+			opts := testOptions(2, time.Hour)
+			opts.PinThreads = pin
+			s := New(h, opts)
+			s.Start()
+
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < requests/clients; i++ {
+						if i%100 == 0 {
+							if resp := s.Do("panic"); resp.Err == nil || resp.Preemptions != 0 {
+								t.Errorf("panicking request: err=%v preemptions=%d, want an error and no yield", resp.Err, resp.Preemptions)
+							}
+						}
+						resp := s.Do(yieldReq{yields: yields})
+						if resp.Err != nil || resp.Preemptions != yields {
+							t.Errorf("request: err=%v preemptions=%d, want %d", resp.Err, resp.Preemptions, yields)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			s.Stop()
+
+			st := s.Stats()
+			if st.Submitted != st.Completed || st.Preemptions != requests*yields {
+				t.Fatalf("submitted %d completed %d preemptions %d, want equal and %d", st.Submitted, st.Completed, st.Preemptions, requests*yields)
+			}
+			if got := h.unwound.Load(); got != requests {
+				t.Fatalf("%d handler defers ran, want %d", got, requests)
+			}
+			checkIdentities(t, h, opts, goroutines)
+			// One thread per hand-off would be 2000 here; measured, the
+			// first pinned server grows the pool by about six threads and
+			// later ones by none — the thread a yielding goroutine unpins
+			// is the next successor's. The bound only has to tell those
+			// apart.
+			if grew := pprof.Lookup("threadcreate").Count() - threads; pin && grew > 64 {
+				t.Fatalf("%d threads created over %d pinned hand-offs", grew, requests)
+			}
+		})
 	}
 }

@@ -15,8 +15,13 @@
 //
 // Go cannot hold 2µs quanta (timer and scheduler jitter are comparable),
 // so realistic quanta here are ≥ 50µs; the scheduling *structure* is
-// exactly the paper's. Each request runs on its own goroutine that parks
-// cooperatively, mirroring Shinjuku-style user-level contexts.
+// exactly the paper's. A request starts inline on its worker's own
+// goroutine, and one that finishes within its first slice — nearly all
+// do — never has another. Only a request that is actually preempted
+// gets a context of its own, lazily and for free: the goroutine it is
+// running on stays with it, parking cooperatively like a Shinjuku-style
+// user-level context, and a successor goroutine adopts the worker
+// identity and carries the loop on.
 //
 // # Layering
 //
@@ -33,9 +38,10 @@
 //	                        preemption signaling, work conservation,
 //	                        cross-shard stealing
 //	execution (exec.go)     worker loops, the slice runner both they and
-//	                        the work-conserving dispatcher call, the
-//	                        single retire path for requests that fail,
-//	                        request goroutines, Ctx and its Poll probe
+//	                        the work-conserving dispatcher call (first
+//	                        slice inline, identity hand-off on a yield),
+//	                        the single retire path for requests that
+//	                        fail, Ctx and its Poll probe
 //
 // live.go holds the public surface (Options, Server lifecycle, Stats)
 // and task.go the request object that flows through the layers.
@@ -84,12 +90,24 @@ type Handler interface {
 	// SetupWorker initializes per-worker state; negative workers are
 	// dispatchers (they run application code too when work-conserving):
 	// -1 for shard 0 — the only dispatcher at Shards 1 — and -(s+1) for
-	// shard s.
+	// shard s. It is called exactly once per worker or dispatcher
+	// identity, on the goroutine that first holds it; the identity may
+	// later move to other goroutines (see Handle), for which it is not
+	// called again, so state it sets up must be keyed by the worker
+	// index, not by the goroutine.
 	SetupWorker(worker int)
 	// Handle processes one request. Long handlers must call ctx.Poll()
 	// regularly (or be instrumented with cmd/concordc) so preemption
 	// works; they may bracket lock-held regions with ctx.BeginNoPreempt /
-	// ctx.EndNoPreempt.
+	// ctx.EndNoPreempt. Handle is called on the goroutine serving the
+	// worker (or work-conserving dispatcher) the request was placed on,
+	// and stays on that goroutine for the whole request: if the request
+	// is preempted, the worker moves to a fresh goroutine and this one
+	// parks in Poll until the request's next slice. A handler that
+	// blocks without polling therefore stalls its worker, exactly as one
+	// that spins without polling does. Handle must return or panic (a
+	// panic becomes the response error); it must not call
+	// runtime.Goexit, which would take the worker down with it.
 	Handle(ctx *Ctx, payload any) (any, error)
 }
 
@@ -150,10 +168,13 @@ type Options struct {
 	// one Quantum (100µs when Quantum is 0) before checking for
 	// dispatcher duties again.
 	WorkConserving bool
-	// PinThreads locks each worker-loop and dispatcher-loop goroutine to
-	// an OS thread (runtime.LockOSThread). Off unless set. Handlers run
-	// on per-request goroutines, which the Go scheduler places freely
-	// either way, so this pins the scheduling loops, not request code.
+	// PinThreads locks the goroutine serving each worker and dispatcher
+	// to an OS thread (runtime.LockOSThread). Off unless set. The first
+	// slice of every handler runs on that pinned goroutine, so a request
+	// that is never preempted runs entirely on its worker's thread. When
+	// a request is preempted its goroutine gives the pin up and the
+	// worker's successor goroutine takes one (on whichever thread it
+	// starts on), so only preempted continuations float.
 	PinThreads bool
 	// CoopTimeshare makes request code call runtime.Gosched every N
 	// polls so the dispatchers and workers make progress when there are
@@ -366,7 +387,12 @@ var (
 	testStealGate   func() // between a steal's pop and its local dispatch
 )
 
-// Server is a running Concord scheduling runtime.
+// Server is a running Concord scheduling runtime. Its fields are laid
+// out by writer, on cacheLinePad-spaced lines, so that the state every
+// dispatcher iteration and every Poll reads is never invalidated by the
+// counters every request writes (layout_test.go pins the distances):
+// read-mostly scheduler state first, then what Submit writes, then what
+// a completion writes, then the cold lifecycle state.
 type Server struct {
 	opts    Options
 	handler Handler
@@ -392,6 +418,9 @@ type Server struct {
 	// the check degenerates to the channel's own capacity.
 	classLimit [NumClasses]int
 
+	// t0 is the origin of the monotonic nanosecond clock the executors'
+	// running records are stamped in (executor.runStart).
+	t0 time.Time
 	// quantum is the live preemption quantum in nanoseconds,
 	// runtime-adjustable via SetQuantum; 0 disables preemption.
 	quantum atomic.Int64
@@ -403,25 +432,13 @@ type Server struct {
 	// dispatcher swaps its queue at a quiesce point when the epoch
 	// moves past the one it last applied. policyMu serializes writers.
 	polState atomic.Pointer[policyState]
-	policyMu sync.Mutex
+	stopped  atomic.Bool // dispatcher-visible mirror of stopping
+	abort    atomic.Bool // drain deadline expired: fail pending work
+
+	_ [cacheLinePad]byte // ---- written by every Submit ----
 
 	rr     atomic.Uint64 // round-robin ingest cursor (multi-shard only)
 	nextID atomic.Uint64
-	stats  struct {
-		submitted      atomic.Uint64
-		completed      atomic.Uint64
-		rejected       atomic.Uint64
-		shed           atomic.Uint64
-		expired        atomic.Uint64
-		aborted        atomic.Uint64
-		preemptions    atomic.Uint64
-		dispatcherRun  atomic.Uint64
-		steals         atomic.Uint64
-		classSubmitted [NumClasses]atomic.Uint64
-		classCompleted [NumClasses]atomic.Uint64
-		classRejected  [NumClasses]atomic.Uint64
-	}
-
 	// submitMu orders Submit against Stop: Submit holds the read lock
 	// across the stopping check and the enqueue, so once Stop has taken
 	// the write lock and set stopping, no further task can enter any
@@ -429,12 +446,31 @@ type Server struct {
 	// ErrServerStopped.
 	submitMu sync.RWMutex
 	stopping bool // guarded by submitMu
+	stats    struct {
+		submitted      atomic.Uint64
+		rejected       atomic.Uint64
+		shed           atomic.Uint64
+		classSubmitted [NumClasses]atomic.Uint64
+		classRejected  [NumClasses]atomic.Uint64
 
-	started atomic.Bool
-	stopped atomic.Bool // dispatcher-visible mirror of stopping
-	abort   atomic.Bool // drain deadline expired: fail pending work
-	wg      sync.WaitGroup
+		_ [cacheLinePad]byte // ---- written by every completion ----
 
+		completed      atomic.Uint64
+		classCompleted [NumClasses]atomic.Uint64
+		expired        atomic.Uint64
+		aborted        atomic.Uint64
+		preemptions    atomic.Uint64
+		dispatcherRun  atomic.Uint64
+		steals         atomic.Uint64
+	}
+
+	_ [cacheLinePad]byte // ---- cold: control plane and lifecycle ----
+
+	policyMu sync.Mutex
+	started  atomic.Bool
+	// wg counts worker identities, not goroutines: whichever goroutine
+	// holds a worker's identity when its local queue closes releases it.
+	wg        sync.WaitGroup
 	startOnce sync.Once
 	stopOnce  sync.Once
 }
@@ -455,6 +491,7 @@ func New(h Handler, opts Options) *Server {
 		tail:    opts.Tail,
 		comp:    newCompObserver(opts),
 		handler: h,
+		t0:      time.Now(),
 		locals:  make([]chan *task, opts.Workers),
 		occ:     make([]atomic.Int32, opts.Workers),
 		workers: make([]*executor, opts.Workers),
@@ -712,7 +749,18 @@ func (s *Server) SetPolicy(name string) error {
 // point).
 func (s *Server) Policy() string { return s.polState.Load().name }
 
+// respChans recycles Do's response channels. Submit's make is two
+// allocations (the channel and its pointerful buffer); Do owns its
+// channel from submit to receive and, a request being answered exactly
+// once, gets it back empty, so only Do may pool — Submit's callers own
+// theirs.
+var respChans = sync.Pool{New: func() any { return make(chan Response, 1) }}
+
 // Do submits a request and waits for its response.
 func (s *Server) Do(payload any) Response {
-	return <-s.Submit(payload)
+	ch := respChans.Get().(chan Response)
+	s.submit(payload, ch, nil)
+	resp := <-ch
+	respChans.Put(ch)
+	return resp
 }

@@ -16,18 +16,21 @@ func tracedOptions(workers int, quantum time.Duration, ringSize int) Options {
 }
 
 // TestTracerLifecycleEvents runs one preempted request and checks the
-// snapshot holds its full event sequence.
+// snapshot holds its full event sequence. The request waits for the
+// dispatcher's signal twice (awaitSignal) rather than spinning for a
+// duration a 100µs quantum "must" interrupt, so the signal events are the
+// real signalling pass's and no clock decides the outcome.
 func TestTracerLifecycleEvents(t *testing.T) {
 	opts := tracedOptions(1, 100*time.Microsecond, 1024)
-	s := New(&spinHandler{}, opts)
+	s := New(&yieldHandler{}, opts)
 	s.Start()
-	resp := s.Do(2 * time.Millisecond) // long enough to be preempted
+	resp := s.Do(yieldReq{yields: 2, await: true})
 	s.Stop()
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
-	if resp.Preemptions == 0 {
-		t.Fatal("request was never preempted; quantum not enforced")
+	if resp.Preemptions != 2 {
+		t.Fatalf("request waited for two signals and reports %d preemptions", resp.Preemptions)
 	}
 	kinds := map[obs.Kind]int{}
 	for _, e := range opts.Tracer.Snapshot() {

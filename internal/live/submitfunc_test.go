@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,5 +90,47 @@ func TestSubmitFuncDrainAbort(t *testing.T) {
 	wg.Wait()
 	if calls.Load() != n {
 		t.Fatalf("%d callbacks for %d requests", calls.Load(), n)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestSubmitFuncZeroAllocs: a SubmitFunc round trip allocates nothing in
+// steady state — the task comes from the pool, the first slice runs on
+// the worker's own stack, the running record is published with stores,
+// and the caller brought its own callback. (The race detector makes
+// sync.Pool drop a quarter of what it is given, so the figure only means
+// something without it.)
+func TestSubmitFuncZeroAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool discards at random under the race detector")
+	}
+	s := New(&spinHandler{}, testOptions(2, 0))
+	s.Start()
+	defer s.Stop()
+	answered := make(chan struct{}, 1)
+	done := func(Response) { answered <- struct{}{} }
+	var payload any = time.Duration(0)
+	roundTrip := func() {
+		s.SubmitFunc(payload, done)
+		<-answered
+	}
+	if allocs := testing.AllocsPerRun(1000, roundTrip); allocs != 0 {
+		t.Fatalf("SubmitFunc round trip: %v allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { s.Do(payload) }); allocs != 0 {
+		t.Fatalf("Do round trip: %v allocs, want 0", allocs)
 	}
 }

@@ -133,7 +133,8 @@ type parkEvent struct {
 	resp Response
 }
 
-// task is one in-flight request and its suspended continuation.
+// task is one in-flight request and, once it has yielded, the handle on
+// its suspended continuation (the goroutine parked on resume).
 type task struct {
 	id       uint64
 	payload  any
@@ -181,9 +182,10 @@ type task struct {
 	firstRunTS time.Time // first CPU hand-off
 	readTS     time.Time // wire read (NetTimed payloads)
 
-	// ctx is the request's Ctx, embedded so startTask doesn't allocate
-	// one per request. Only the handler goroutine touches it, between
-	// the first resume and the final parked send.
+	// ctx is the request's Ctx, embedded so the first slice doesn't
+	// allocate one per request. Only the goroutine running the handler
+	// touches it, from the start of the first slice to the handler's
+	// return.
 	ctx Ctx
 }
 
@@ -281,19 +283,8 @@ func (t *task) RemainingCycles() sim.Cycles {
 }
 
 // taskAbort is the panic payload used to unwind an aborted request's
-// handler; startTask's recover converts it to a Response error.
+// handler; Server.handle's recover converts it to a Response error.
 type taskAbort struct{ err error }
-
-// runInfo is the per-worker "currently running" record a dispatcher
-// reads to detect expired quanta.
-type runInfo struct {
-	epoch uint64
-	id    uint64 // request id, for preempt-signal attribution
-	start time.Time
-	// class selects the effective quantum at signal time (see
-	// Server.quantumFor).
-	class uint8
-}
 
 // breakdown attributes the sojourn to components from the task's
 // observability timestamps. Preempted absorbs the remainder, so the
