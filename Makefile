@@ -34,53 +34,33 @@ bench:
 obs-smoke:
 	go test -tags obssmoke -run TestObsSmoke -v -timeout 120s ./internal/obs/smoke
 
-# Continuous benchmark harness: full run of the standardized scenario
-# suite. Writes into the gitignored bench-out/ scratch directory; to
-# refresh the checked-in baselines, copy the BENCH_*.json you mean to
-# re-baseline to the repo root and commit them deliberately.
+# The hermetic gate: four scenarios whose every metric compares across
+# machines (bit-identical simulator and shadow-replay quantities;
+# same-repetition ratios of the live runtime). Throughput and latency
+# are the repo benchmark's (benchmark/run.sh), allocation floors are
+# tier-1 tests. bench-json is the full run, into the gitignored
+# bench-out/ scratch directory; to refresh the checked-in baselines,
+# copy the BENCH_*.json you mean to re-baseline to the repo root and
+# commit them deliberately.
 bench-json:
 	go run ./cmd/concord-bench -reps 5 -warmup 1 -outdir bench-out
 
-# Short-rep suite run compared against the checked-in baselines on the
-# hermetic metrics only (deterministic simulator quantiles, allocation
-# counts — safe across machines). Exits non-zero on a regression beyond
-# the noise band; machine-bound movements print as advisory. Each smoke
-# target is a run step plus a compare step so CI can call the two
-# separately (the compare is advisory on pull requests, the run is not)
-# without re-typing either command list.
+# Short-rep suite run compared against the checked-in baselines. Exits
+# non-zero on a regression beyond the noise band (relative change past
+# the threshold and disjoint confidence intervals). A run step plus a
+# compare step so CI can call the two separately (the compare is
+# advisory on pull requests, the run is not) without re-typing either
+# command list.
 bench-smoke: bench-smoke-run bench-smoke-compare
 
 bench-smoke-run:
-	go run ./cmd/concord-bench -short -scenarios core,live,live_sharded,live_adaptive,live_regret,live_multitenant -outdir bench-out
+	go run ./cmd/concord-bench -short -scenarios core,live_regret,live_adaptive,live_multitenant -outdir bench-out
 
 bench-smoke-compare:
-	go run ./cmd/concord-bench -compare -hermetic BENCH_core.json bench-out/BENCH_core.json
-	go run ./cmd/concord-bench -compare -hermetic BENCH_live.json bench-out/BENCH_live.json
-	go run ./cmd/concord-bench -compare -hermetic BENCH_live_sharded.json bench-out/BENCH_live_sharded.json
-	go run ./cmd/concord-bench -compare -hermetic BENCH_live_adaptive.json bench-out/BENCH_live_adaptive.json
-	go run ./cmd/concord-bench -compare -hermetic BENCH_live_regret.json bench-out/BENCH_live_regret.json
-	go run ./cmd/concord-bench -compare -hermetic BENCH_live_multitenant.json bench-out/BENCH_live_multitenant.json
-
-# Wire-protocol smoke: the live_net scenario over real loopback TCP
-# (text + pipelined binary, up to 10k connections), gated hermetically
-# on allocations per request, whole process (server and the in-process
-# load clients). Since the runtime stopped allocating per request the
-# lockstep text path (live.Do, reused buffers) reads ≈ 0.18 and the
-# pipelined binary path ≈ 1.69 — what is left is the connection layer's
-# and the client's, not the scheduler's.
-net-smoke: net-smoke-run net-smoke-compare
-
-net-smoke-run:
-	go run ./cmd/concord-bench -short -scenarios live_net -outdir bench-out
-
-net-smoke-compare:
-	go run ./cmd/concord-bench -compare -hermetic BENCH_live_net.json bench-out/BENCH_live_net.json
-	# Inline-execution floor: allocs/req must stay within one allocation
-	# of the figures measured when the per-request goroutine, running
-	# record and response channel went (text 0.18, binary 1.69) no matter
-	# what the checked-in baseline drifts to — one allocation creeping
-	# back onto the request path fails here.
-	go run ./cmd/concord-bench -assert bench-out/BENCH_live_net.json 'allocs_per_req_text<1.18' 'allocs_per_req_binary<2.69'
+	go run ./cmd/concord-bench -compare BENCH_core.json bench-out/BENCH_core.json
+	go run ./cmd/concord-bench -compare BENCH_live_regret.json bench-out/BENCH_live_regret.json
+	go run ./cmd/concord-bench -compare BENCH_live_adaptive.json bench-out/BENCH_live_adaptive.json
+	go run ./cmd/concord-bench -compare BENCH_live_multitenant.json bench-out/BENCH_live_multitenant.json
 
 # The repo benchmark (BENCHMARK.json) is its own module under
 # benchmark/, so `go build ./... && go test ./...` never compiles it.
@@ -90,4 +70,4 @@ net-smoke-compare:
 bench-module:
 	cd benchmark && go vet . && go test .
 
-.PHONY: tier1 race live-stress vet bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare net-smoke net-smoke-run net-smoke-compare bench-module
+.PHONY: tier1 race live-stress vet bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare bench-module

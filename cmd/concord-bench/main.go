@@ -1,5 +1,7 @@
-// concord-bench runs the standardized benchmark scenario suite and
-// gates regressions.
+// concord-bench runs the hermetic scenario suite — bit-identical
+// simulator quantities and same-repetition ratios, nothing that depends
+// on how fast the host is — and gates regressions. Throughput and
+// latency are measured by the repo benchmark (benchmark/run.sh).
 //
 // Run mode executes each selected scenario (warmup repetitions
 // discarded, then N measured repetitions), aggregates every metric into
@@ -13,18 +15,11 @@
 // noise band (relative change past -threshold AND 95% confidence
 // intervals disjoint):
 //
-//	concord-bench -compare BENCH_live.json new/BENCH_live.json
-//
-// With -hermetic only machine-independent metrics (deterministic
-// simulator quantiles, allocation counts) gate the exit code;
-// machine-bound movements (wall-clock throughput, live latency) are
-// printed as advisory. Use it when old and new come from different
-// hardware, e.g. comparing a CI run against a checked-in baseline.
+//	concord-bench -compare BENCH_core.json new/BENCH_core.json
 //
 // -short reduces repetitions only — never per-repetition workload
-// sizes — so hermetic metrics from a short run remain comparable to
-// full-run baselines, just with wider confidence intervals on the
-// machine-bound ones.
+// sizes — so a short run remains comparable to the full-run baselines,
+// just with wider confidence intervals on the live ratios.
 package main
 
 import (
@@ -32,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"concord/internal/bench"
@@ -46,9 +40,7 @@ func main() {
 		outdir    = flag.String("outdir", ".", "directory for BENCH_<scenario>.json reports")
 		short     = flag.Bool("short", false, "cap repetitions at 2 and warmup at 1 (sizes unchanged)")
 		compare   = flag.Bool("compare", false, "compare two reports: concord-bench -compare old.json new.json")
-		assert    = flag.Bool("assert", false, "assert absolute metric bounds: concord-bench -assert report.json 'metric<value'...")
 		threshold = flag.Float64("threshold", 0.10, "relative worse-direction change required to flag")
-		hermetic  = flag.Bool("hermetic", false, "gate only hermetic metrics (cross-machine compare)")
 		list      = flag.Bool("list", false, "list scenarios and their metrics")
 	)
 	flag.Parse()
@@ -58,21 +50,14 @@ func main() {
 			fmt.Printf("%-6s %s\n", s.Name, s.Describe)
 			for _, m := range scenarioMetricNames(s) {
 				meta := s.Metrics[m]
-				herm := "machine-bound"
-				if meta.Hermetic {
-					herm = "hermetic"
-				}
-				fmt.Printf("       %-18s %-7s %s-is-better, %s\n", m, meta.Unit, meta.Better, herm)
+				fmt.Printf("       %-18s %-7s %s-is-better\n", m, meta.Unit, meta.Better)
 			}
 		}
 		return
 	}
 
 	if *compare {
-		os.Exit(runCompare(flag.Args(), *threshold, *hermetic))
-	}
-	if *assert {
-		os.Exit(runAssert(flag.Args()))
+		os.Exit(runCompare(flag.Args(), *threshold))
 	}
 	os.Exit(runSuite(*scenarios, *reps, *warmup, *outdir, *short))
 }
@@ -133,52 +118,7 @@ func runSuite(scenarios string, reps, warmup int, outdir string, short bool) int
 	return 0
 }
 
-// runAssert checks absolute bounds of the form "metric<value" against
-// one report — compare gates drift relative to a moving baseline, while
-// assert pins an invariant to a fixed number (e.g. "allocs/req stays
-// strictly below the pre-task-pooling count, whatever the baseline
-// currently says").
-func runAssert(args []string) int {
-	if len(args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: concord-bench -assert report.json 'metric<value'...")
-		return 2
-	}
-	r, err := bench.ReadFile(args[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	failed := 0
-	for _, bound := range args[1:] {
-		name, limStr, ok := strings.Cut(bound, "<")
-		if !ok {
-			fmt.Fprintf(os.Stderr, "concord-bench: malformed bound %q (want metric<value)\n", bound)
-			return 2
-		}
-		lim, err := strconv.ParseFloat(limStr, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "concord-bench: bad bound value in %q: %v\n", bound, err)
-			return 2
-		}
-		m, ok := r.Metrics[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "concord-bench: report %s has no metric %q\n", args[0], name)
-			return 2
-		}
-		if m.Mean < lim {
-			fmt.Printf("  ok: %s = %.4g < %g %s\n", name, m.Mean, lim, m.Unit)
-		} else {
-			fmt.Printf("  ASSERT FAILED: %s = %.4g, want < %g %s\n", name, m.Mean, lim, m.Unit)
-			failed++
-		}
-	}
-	if failed > 0 {
-		return 1
-	}
-	return 0
-}
-
-func runCompare(args []string, threshold float64, hermetic bool) int {
+func runCompare(args []string, threshold float64) int {
 	if len(args) != 2 {
 		fmt.Fprintln(os.Stderr, "usage: concord-bench -compare old.json new.json")
 		return 2
@@ -209,24 +149,11 @@ func runCompare(args []string, threshold float64, hermetic bool) int {
 	for _, d := range res.Improvements {
 		fmt.Printf("  improved:   %s\n", d)
 	}
-
-	gating := res.Regressions
-	if hermetic {
-		var advisory []bench.Delta
-		gating, advisory = bench.FilterHermetic(res.Regressions)
-		for _, d := range advisory {
-			fmt.Printf("  advisory (machine-bound, not gated): %s\n", d)
-		}
-	}
-	for _, d := range gating {
+	for _, d := range res.Regressions {
 		fmt.Printf("  REGRESSION: %s\n", d)
 	}
-	fmt.Printf("  %d stable, %d improved, %d regressed", res.Stable, len(res.Improvements), len(gating))
-	if hermetic {
-		fmt.Printf(" (hermetic gate)")
-	}
-	fmt.Println()
-	if len(gating) > 0 {
+	fmt.Printf("  %d stable, %d improved, %d regressed\n", res.Stable, len(res.Improvements), len(res.Regressions))
+	if len(res.Regressions) > 0 {
 		return 1
 	}
 	return 0

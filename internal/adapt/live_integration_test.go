@@ -43,16 +43,19 @@ func TestLiveClassQuantaFollowMeasuredService(t *testing.T) {
 		Interval:   50 * time.Millisecond,
 		MinQuantum: 5 * time.Microsecond,
 		MaxQuantum: 2 * time.Millisecond,
-		ClassSvcNS: func() []float64 { return sk.ServiceQuantilesNS(0.9) },
+		// The median, not a tail quantile: of 30 short spins it takes
+		// three descheduled ones to own the p90 (seen under
+		// package-parallel load: short 78µs, long 121µs) but fifteen to
+		// move the median, so the host's load stays out of the verdict.
+		ClassSvcNS: func() []float64 { return sk.ServiceQuantilesNS(0.5) },
 	}
 	c := New(s, cfg)
 
 	// A 300× true separation: on a contended 1-vCPU machine wall-clock
 	// spins measure inflated — a 20µs spin descheduled behind a long
-	// spin can read ~600µs at p90 — so the long class must dwarf not
-	// just the short class's true service but its worst-case inflated
-	// reading, or scheduler jitter closes the measured ratio below the
-	// asserted one.
+	// spin can read ~600µs — so the long class must dwarf not just the
+	// short class's true service but its inflated reading, or scheduler
+	// jitter closes the measured ratio below the asserted one.
 	var chans []<-chan live.Response
 	for i := 0; i < 30; i++ {
 		chans = append(chans, s.Submit(classedSpin{d: 20 * time.Microsecond, class: live.ClassCritical}))

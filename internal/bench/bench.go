@@ -1,16 +1,15 @@
-// Package bench is the continuous benchmark harness: it runs a
-// standardized scenario suite (deterministic simulator sweeps plus an
-// in-process live-runtime loopback), aggregates repetitions into
-// mean ± CI95 per metric, and emits schema-versioned BENCH_<name>.json
-// reports that Compare can gate against — "did this commit regress p99
-// beyond the noise band?" becomes a CI check instead of a judgement
-// call.
+// Package bench is the hermetic regression gate: it runs a small
+// scenario suite whose every metric can be compared across machines —
+// bit-identical simulator and shadow-replay quantities, and ratios whose
+// numerator and denominator come from the same repetition on the same
+// host — aggregates repetitions into mean ± CI95 per metric, and emits
+// schema-versioned BENCH_<name>.json reports that Compare gates against.
 //
-// Metrics are tagged hermetic or not. Hermetic metrics (deterministic
-// simulator quantiles, allocation counts) are machine-independent and
-// safe to compare against a baseline produced elsewhere; non-hermetic
-// ones (wall-clock throughput, live latency) only compare meaningfully
-// on the same machine.
+// It produces no throughput or latency figure. Those are machine-bound
+// and belong to the repo benchmark (benchmark/, BENCHMARK.json), which
+// measures them open-loop over calm phases; allocation floors are
+// deterministic counts and live in tier-1 (internal/live's
+// TestSubmitFuncZeroAllocs, internal/netsrv's TestWireAllocsPerRequest).
 package bench
 
 import (
@@ -22,9 +21,11 @@ import (
 	"sort"
 )
 
-// Schema versions the report format. Compare refuses reports written by
-// a different schema rather than guessing at field semantics.
-const Schema = 1
+// Schema versions the report format. ReadFile refuses reports written
+// by a different schema rather than guessing at field semantics. In
+// schema 2 every metric is comparable across machines, so none carries
+// a tag saying so, and the report records the host's core counts.
+const Schema = 2
 
 // MetricMeta describes a metric independent of any measured values.
 type MetricMeta struct {
@@ -32,17 +33,13 @@ type MetricMeta struct {
 	Unit string
 	// Better is "higher" or "lower": the direction of improvement.
 	Better string
-	// Hermetic marks the metric machine-independent: safe to gate
-	// against a baseline produced on different hardware.
-	Hermetic bool
 }
 
 // Metric is one aggregated measurement in a report.
 type Metric struct {
-	Unit     string  `json:"unit"`
-	Better   string  `json:"better"`
-	Hermetic bool    `json:"hermetic"`
-	Mean     float64 `json:"mean"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Mean   float64 `json:"mean"`
 	// CI95 is the half-width of the 95% confidence interval on the
 	// mean (Student-t); 0 when there is a single repetition or the
 	// metric is exactly reproducible.
@@ -53,12 +50,17 @@ type Metric struct {
 
 // Report is the persisted result of running one scenario.
 type Report struct {
-	Schema   int               `json:"schema"`
-	Scenario string            `json:"scenario"`
-	Go       string            `json:"go"`
-	Reps     int               `json:"reps"`
-	Warmup   int               `json:"warmup"`
-	Metrics  map[string]Metric `json:"metrics"`
+	Schema   int    `json:"schema"`
+	Scenario string `json:"scenario"`
+	Go       string `json:"go"`
+	// NProc and GOMAXPROCS record the host the ratios were measured on:
+	// a live ratio taken with one P is a different experiment from one
+	// taken with two, and nothing else in the report would say so.
+	NProc      int               `json:"nproc"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
+	Reps       int               `json:"reps"`
+	Warmup     int               `json:"warmup"`
+	Metrics    map[string]Metric `json:"metrics"`
 }
 
 // Scenario is one standardized benchmark: a fixed per-repetition
@@ -109,12 +111,14 @@ func Run(s Scenario, warmup, reps int, progress func(string)) (Report, error) {
 		}
 	}
 	r := Report{
-		Schema:   Schema,
-		Scenario: s.Name,
-		Go:       runtime.Version(),
-		Reps:     reps,
-		Warmup:   warmup,
-		Metrics:  map[string]Metric{},
+		Schema:     Schema,
+		Scenario:   s.Name,
+		Go:         runtime.Version(),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Reps:       reps,
+		Warmup:     warmup,
+		Metrics:    map[string]Metric{},
 	}
 	for name, meta := range s.Metrics {
 		vals := samples[name]
@@ -122,10 +126,7 @@ func Run(s Scenario, warmup, reps int, progress func(string)) (Report, error) {
 			return Report{}, fmt.Errorf("bench: scenario %s metric %q present in %d/%d reps", s.Name, name, len(vals), reps)
 		}
 		mean, ci := meanCI95(vals)
-		r.Metrics[name] = Metric{
-			Unit: meta.Unit, Better: meta.Better, Hermetic: meta.Hermetic,
-			Mean: mean, CI95: ci, N: len(vals),
-		}
+		r.Metrics[name] = Metric{Unit: meta.Unit, Better: meta.Better, Mean: mean, CI95: ci, N: len(vals)}
 	}
 	return r, nil
 }
@@ -223,7 +224,7 @@ func ReadFile(path string) (Report, error) {
 		return Report{}, fmt.Errorf("bench: %s: %w", path, err)
 	}
 	if r.Schema != Schema {
-		return Report{}, fmt.Errorf("bench: %s has schema %d, this tool reads schema %d", path, r.Schema, Schema)
+		return Report{}, fmt.Errorf("bench: %s has schema %d, this tool reads schema %d; regenerate it (make bench-json)", path, r.Schema, Schema)
 	}
 	if r.Scenario == "" {
 		return Report{}, fmt.Errorf("bench: %s has no scenario name", path)

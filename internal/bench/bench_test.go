@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -45,11 +48,11 @@ func TestQuantileSorted(t *testing.T) {
 
 // metric builds a lower-better metric for compare tests.
 func metric(mean, ci float64) Metric {
-	return Metric{Unit: "us", Better: "lower", Hermetic: false, Mean: mean, CI95: ci, N: 5}
+	return Metric{Unit: "us", Better: "lower", Mean: mean, CI95: ci, N: 5}
 }
 
 func report(name string, metrics map[string]Metric) Report {
-	return Report{Schema: Schema, Scenario: name, Go: "go1.24.0", Reps: 5, Warmup: 1, Metrics: metrics}
+	return Report{Schema: Schema, Scenario: name, Go: "go1.24.0", NProc: 2, GOMAXPROCS: 2, Reps: 5, Warmup: 1, Metrics: metrics}
 }
 
 // TestCompareInjectedP99Regression is the acceptance scenario: a 20%
@@ -134,10 +137,10 @@ func TestCompareNoiseBand(t *testing.T) {
 	}
 }
 
-// TestCompareDeterministicMetric: hermetic metrics with zero CI gate on
-// any change beyond the threshold, and identical values never fire.
+// TestCompareDeterministicMetric: bit-identical metrics with zero CI gate
+// on any change beyond the threshold, and identical values never fire.
 func TestCompareDeterministicMetric(t *testing.T) {
-	det := Metric{Unit: "x", Better: "lower", Hermetic: true, Mean: 4.321, CI95: 0, N: 5}
+	det := Metric{Unit: "x", Better: "lower", Mean: 4.321, CI95: 0, N: 5}
 	worse := det
 	worse.Mean = 5.5
 	res, err := Compare(
@@ -183,18 +186,6 @@ func TestCompareMissingAndMismatch(t *testing.T) {
 	}
 }
 
-func TestFilterHermetic(t *testing.T) {
-	h := Delta{Metric: "allocs_per_req", New: Metric{Hermetic: true}}
-	a := Delta{Metric: "p99_us", New: Metric{Hermetic: false}}
-	herm, adv := FilterHermetic([]Delta{h, a})
-	if len(herm) != 1 || herm[0].Metric != "allocs_per_req" {
-		t.Errorf("hermetic = %+v", herm)
-	}
-	if len(adv) != 1 || adv[0].Metric != "p99_us" {
-		t.Errorf("advisory = %+v", adv)
-	}
-}
-
 func TestReportRoundTrip(t *testing.T) {
 	r := report("live", map[string]Metric{"p99_us": metric(123.4, 5.6)})
 	path := filepath.Join(t.TempDir(), "BENCH_live.json")
@@ -205,18 +196,22 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Scenario != r.Scenario || back.Reps != r.Reps || back.Metrics["p99_us"] != r.Metrics["p99_us"] {
+	if !reflect.DeepEqual(back, r) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", back, r)
 	}
 
-	// Future-schema reports are refused, not misread.
-	future := r
-	future.Schema = Schema + 1
-	if err := future.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(path); err == nil {
-		t.Error("future schema accepted")
+	// Reports of another schema — the checked-in baselines of an older
+	// tool, or a future one — are refused, not misread, and the message
+	// says what to do about it.
+	for _, schema := range []int{1, Schema + 1} {
+		other := r
+		other.Schema = schema
+		if err := other.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "regenerate") {
+			t.Errorf("schema %d: err = %v, want a refusal that says to regenerate", schema, err)
+		}
 	}
 }
 
@@ -227,7 +222,7 @@ func TestRunAggregation(t *testing.T) {
 	calls := 0
 	s := Scenario{
 		Name:    "stub",
-		Metrics: map[string]MetricMeta{"v": {Unit: "x", Better: "lower", Hermetic: true}},
+		Metrics: map[string]MetricMeta{"v": {Unit: "x", Better: "lower"}},
 		Run: func() (map[string]float64, error) {
 			calls++
 			return map[string]float64{"v": float64(calls)}, nil
@@ -243,7 +238,8 @@ func TestRunAggregation(t *testing.T) {
 	}
 	// Warmup values 1,2 discarded; measured 3,4,5.
 	approx(t, r.Metrics["v"].Mean, 4, 1e-12, "mean over measured reps")
-	if r.Metrics["v"].N != 3 || r.Reps != 3 || r.Warmup != 2 || r.Schema != Schema {
+	if r.Metrics["v"].N != 3 || r.Reps != 3 || r.Warmup != 2 || r.Schema != Schema ||
+		r.NProc != runtime.NumCPU() || r.GOMAXPROCS != runtime.GOMAXPROCS(0) {
 		t.Fatalf("report header = %+v", r)
 	}
 	if len(progress) != 5 {
@@ -270,7 +266,7 @@ func TestRunAggregation(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, want := range []string{"core", "live"} {
+	for _, want := range []string{"core", "live_regret", "live_adaptive", "live_multitenant"} {
 		s, err := ByName(want)
 		if err != nil || s.Name != want {
 			t.Errorf("ByName(%q) = %v, %v", want, s.Name, err)

@@ -116,16 +116,3 @@ func disjointWorse(old, new Metric) bool {
 	}
 	return new.Mean-new.CI95 > old.Mean+old.CI95
 }
-
-// FilterHermetic returns the subset of deltas whose metric is hermetic
-// (gateable across machines) and the advisory remainder.
-func FilterHermetic(deltas []Delta) (hermetic, advisory []Delta) {
-	for _, d := range deltas {
-		if d.New.Hermetic {
-			hermetic = append(hermetic, d)
-		} else {
-			advisory = append(advisory, d)
-		}
-	}
-	return hermetic, advisory
-}

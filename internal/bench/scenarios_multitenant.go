@@ -18,9 +18,9 @@
 //     multitenancy-enabled and a plain server, holding the machinery
 //     to the standing ≤2% loopback budget.
 //
-// The gated ratios (slo_gap_x, goodput_ratio, mt_overhead_x) are
-// properties of the design rather than of the clock, so they are
-// hermetic; raw rates are machine-bound and advisory.
+// The three metrics (slo_gap_x, goodput_ratio, mt_overhead_x) are
+// ratios of two measurements from the same repetition, so host speed
+// divides out; the rates they are built from are not reported.
 package bench
 
 import (
@@ -90,14 +90,9 @@ func LiveMultitenantScenario() Scenario {
 		Describe: fmt.Sprintf("mixed-class overload at %.1fx measured capacity: %d workers, %d submissions (20%% critical / 40%% standard / 40%% sheddable, %v spins), cascade+admission vs classless fcfs, plus %d×%d interleaved disabled-overhead batches",
 			mtOverloadFactor, mtWorkers, mtRequests, mtSpin, mtABBatches, mtABPerBatch),
 		Metrics: map[string]MetricMeta{
-			"capacity_rps":          {Unit: "req/s", Better: "higher", Hermetic: false},
-			"goodput_classed_rps":   {Unit: "req/s", Better: "higher", Hermetic: false},
-			"goodput_classless_rps": {Unit: "req/s", Better: "higher", Hermetic: false},
-			"goodput_ratio":         {Unit: "x", Better: "higher", Hermetic: true},
-			"slo_gap_x":             {Unit: "x", Better: "higher", Hermetic: true},
-			"crit_slo_attainment":   {Unit: "frac", Better: "higher", Hermetic: false},
-			"shed_frac":             {Unit: "frac", Better: "higher", Hermetic: false},
-			"mt_overhead_x":         {Unit: "x", Better: "lower", Hermetic: true},
+			"goodput_ratio": {Unit: "x", Better: "higher"},
+			"slo_gap_x":     {Unit: "x", Better: "higher"},
+			"mt_overhead_x": {Unit: "x", Better: "lower"},
 		},
 		Run: runLiveMultitenant,
 	}
@@ -123,37 +118,46 @@ func runLiveMultitenant() (map[string]float64, error) {
 		return nil, err
 	}
 
-	critAtt := classed.attainment(live.ClassCritical)
 	shedAtt := classed.attainment(live.ClassSheddable)
 	if shedAtt < 0.01 {
 		shedAtt = 0.01 // floor: an all-shed run must not divide by zero
 	}
-	gap := critAtt / shedAtt
+	gap := classed.attainment(live.ClassCritical) / shedAtt
 	if gap > mtGapCap {
 		gap = mtGapCap
 	}
 	return map[string]float64{
-		"capacity_rps":          capacity,
-		"goodput_classed_rps":   classed.goodputRPS,
-		"goodput_classless_rps": classless.goodputRPS,
-		"goodput_ratio":         classed.goodputRPS / classless.goodputRPS,
-		"slo_gap_x":             gap,
-		"crit_slo_attainment":   critAtt,
-		"shed_frac":             classed.shedFrac(),
-		"mt_overhead_x":         overhead,
+		"goodput_ratio": classed.goodputRPS / classless.goodputRPS,
+		"slo_gap_x":     gap,
+		"mt_overhead_x": overhead,
 	}, nil
+}
+
+// mtServer starts one of the scenario's servers: plain fcfs, or with the
+// class machinery on (cascade queue and per-class admission). tail is
+// nil except where the per-class tail observe is part of what is
+// measured.
+func mtServer(classed bool, tail *obs.TailTracker) *live.Server {
+	opts := live.Options{
+		Workers:      mtWorkers,
+		Quantum:      mtQuantum,
+		SubmitBuffer: mtSubmitBuffer,
+		PinThreads:   false,
+		Tail:         tail,
+	}
+	if classed {
+		opts.Policy = live.PolicyCascade
+		opts.ClassAdmission = true
+	}
+	s := live.New(mtHandler{}, opts)
+	s.Start()
+	return s
 }
 
 // mtMeasureCapacity runs the classless closed loop and returns its
 // achieved rate — the definition of "capacity" the overload multiplies.
 func mtMeasureCapacity() (float64, error) {
-	s := live.New(mtHandler{}, live.Options{
-		Workers:      mtWorkers,
-		Quantum:      mtQuantum,
-		SubmitBuffer: mtSubmitBuffer,
-		PinThreads:   false,
-	})
-	s.Start()
+	s := mtServer(false, nil)
 	defer s.Stop()
 
 	var failed atomic.Int64
@@ -181,10 +185,9 @@ func mtMeasureCapacity() (float64, error) {
 // mtRunResult is one overload run's tally.
 type mtRunResult struct {
 	goodputRPS float64
-	// submitted / completed-within-objective / shed, per class.
+	// submitted / completed-within-objective, per class.
 	submitted [live.NumClasses]int
 	withinSLO [live.NumClasses]int
-	shed      int
 }
 
 // attainment is the fraction of a class's submissions that completed
@@ -197,30 +200,12 @@ func (r *mtRunResult) attainment(c live.SLOClass) float64 {
 	return float64(r.withinSLO[c]) / float64(r.submitted[c])
 }
 
-func (r *mtRunResult) shedFrac() float64 {
-	if n := r.submitted[live.ClassSheddable]; n > 0 {
-		return float64(r.shed) / float64(n)
-	}
-	return 0
-}
-
 // mtOverloadRun paces mtRequests submissions open-loop at the given
 // rate. With classed=false every request is standard against a plain
 // fcfs server (the goodput baseline); with classed=true the 20/40/40
 // mix runs against cascade + per-class admission.
 func mtOverloadRun(rate float64, classed bool) (*mtRunResult, error) {
-	opts := live.Options{
-		Workers:      mtWorkers,
-		Quantum:      mtQuantum,
-		SubmitBuffer: mtSubmitBuffer,
-		PinThreads:   false,
-	}
-	if classed {
-		opts.Policy = live.PolicyCascade
-		opts.ClassAdmission = true
-	}
-	s := live.New(mtHandler{}, opts)
-	s.Start()
+	s := mtServer(classed, nil)
 	defer s.Stop()
 
 	// Open-loop pacing: submit in mtPaceTick batches regardless of
@@ -252,14 +237,11 @@ func mtOverloadRun(rate float64, classed bool) (*mtRunResult, error) {
 		resp := <-ch
 		cl := classes[i]
 		res.submitted[cl]++
-		switch {
-		case resp.Err == nil:
+		if resp.Err == nil {
 			completed++
 			if resp.Latency <= cl.DefaultObjective() {
 				res.withinSLO[cl]++
 			}
-		case resp.Err == live.ErrShed:
-			res.shed++
 		}
 	}
 	wall := time.Since(start)
@@ -277,24 +259,9 @@ func mtOverloadRun(rate float64, classed bool) (*mtRunResult, error) {
 // tier lookup, and the per-class tail observe — the ratio holds them
 // to the standing ≤2% loopback budget.
 func mtDisabledOverhead() (float64, error) {
-	newServer := func(enabled bool) *live.Server {
-		opts := live.Options{
-			Workers:      mtWorkers,
-			Quantum:      mtQuantum,
-			SubmitBuffer: mtSubmitBuffer,
-			PinThreads:   false,
-		}
-		if enabled {
-			opts.Policy = live.PolicyCascade
-			opts.ClassAdmission = true
-			opts.Tail = obs.NewTailTracker(nil, nil)
-			opts.Tail.Classes = live.NewClassTrackers()
-		}
-		s := live.New(mtHandler{}, opts)
-		s.Start()
-		return s
-	}
-	plain, full := newServer(false), newServer(true)
+	tail := obs.NewTailTracker(nil, nil)
+	tail.Classes = live.NewClassTrackers()
+	plain, full := mtServer(false, nil), mtServer(true, tail)
 	defer plain.Stop()
 	defer full.Stop()
 

@@ -2,9 +2,9 @@
 // table versus an oracle when client hints are wrong by up to an order
 // of magnitude? It runs entirely inside the counterfactual replayer
 // (internal/shadow) on a synthesized capture window — no wall clock, no
-// live server — so every metric is deterministic and hermetic: the same
-// seeds replay to bit-identical latencies on every machine, and the
-// checked-in baseline gates the hint-vs-oracle spread exactly.
+// live server — so every metric is deterministic: the same seeds replay
+// to bit-identical latencies on every machine, and the checked-in
+// baseline gates the hint-vs-oracle spread exactly.
 package bench
 
 import (
@@ -50,12 +50,12 @@ var regretGrids = []struct {
 // never beat it.
 func LiveRegretScenario() Scenario {
 	metrics := map[string]MetricMeta{
-		"p99_fcfs_us":        {Unit: "us", Better: "lower", Hermetic: true},
-		"p99_srpt_oracle_us": {Unit: "us", Better: "lower", Hermetic: true},
+		"p99_fcfs_us":        {Unit: "us", Better: "lower"},
+		"p99_srpt_oracle_us": {Unit: "us", Better: "lower"},
 	}
 	for _, g := range regretGrids {
-		metrics["p99_srpt_hint_us_"+g.name] = MetricMeta{Unit: "us", Better: "lower", Hermetic: true}
-		metrics["hint_over_oracle_"+g.name] = MetricMeta{Unit: "x", Better: "lower", Hermetic: true}
+		metrics["p99_srpt_hint_us_"+g.name] = MetricMeta{Unit: "us", Better: "lower"}
+		metrics["hint_over_oracle_"+g.name] = MetricMeta{Unit: "x", Better: "lower"}
 	}
 	return Scenario{
 		Name: "live_regret",

@@ -170,9 +170,12 @@ func TestChaosLifecycle(t *testing.T) {
 // sheds at all is asserted first and without a race: before Start
 // nothing drains the ingress buffers, so sheddable submissions fill every
 // shard to the sheddable watermark and the next one must be shed while a
-// standard one still fits. (It used to be inferred from the chaos phase —
-// eight clients outrunning the dispatchers into 8-slot buffers — and
-// failed about one run in four, more often the faster the runtime.)
+// standard one still fits; standard submissions then fill every shard to
+// standard's watermark, the next is refused, and a critical one still
+// fits — the reserve is critical's alone. (Shedding used to be inferred
+// from the chaos phase — eight clients outrunning the dispatchers into
+// 8-slot buffers — and failed about one run in four, more often the
+// faster the runtime.)
 func TestChaosSheddingOverloadStop(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
@@ -194,7 +197,13 @@ func TestChaosSheddingOverloadStop(t *testing.T) {
 			if resp := <-s.Submit(chaosReq{kind: "quick", class: ClassSheddable}); resp.Err != ErrShed {
 				t.Fatalf("sheddable submission past the watermark on every shard: err = %v, want ErrShed", resp.Err)
 			}
-			early = append(early, s.Submit(chaosReq{kind: "quick", class: ClassStandard}))
+			for len(early) < shards*s.classLimit[ClassStandard] {
+				early = append(early, s.Submit(chaosReq{kind: "quick", class: ClassStandard}))
+			}
+			if resp := <-s.Submit(chaosReq{kind: "quick", class: ClassStandard}); resp.Err != ErrQueueFull {
+				t.Fatalf("standard submission into the critical reserve on every shard: err = %v, want ErrQueueFull", resp.Err)
+			}
+			early = append(early, s.Submit(chaosReq{kind: "quick", class: ClassCritical}))
 			s.Start()
 			for i, ch := range early {
 				select {

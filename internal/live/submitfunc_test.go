@@ -107,30 +107,62 @@ func raceEnabled() bool {
 	return false
 }
 
+// yieldTimes is a request that yields that many times through yieldNow
+// and returns nothing, so that what an allocation count sees is the
+// runtime's alone.
+type yieldTimes int
+
+type yieldTimesHandler struct{}
+
+func (yieldTimesHandler) Setup()          {}
+func (yieldTimesHandler) SetupWorker(int) {}
+func (yieldTimesHandler) Handle(ctx *Ctx, payload any) (any, error) {
+	for i := yieldTimes(0); i < payload.(yieldTimes); i++ {
+		yieldNow(ctx)
+	}
+	return nil, nil
+}
+
 // TestSubmitFuncZeroAllocs: a SubmitFunc round trip allocates nothing in
-// steady state — the task comes from the pool, the first slice runs on
-// the worker's own stack, the running record is published with stores,
-// and the caller brought its own callback. (The race detector makes
-// sync.Pool drop a quarter of what it is given, so the figure only means
-// something without it.)
+// steady state, at any shard count — the task comes from the pool, the
+// first slice runs on the worker's own stack, the running record is
+// published with stores, and the caller brought its own callback — and
+// neither does Do, whose response channel is pooled. A request that is
+// preempted allocates once however often it yields: the `go` statement
+// that hands the worker identity to a successor at its first yield.
+// (The race detector makes sync.Pool drop a quarter of what it is given,
+// so the figures only mean something without it.)
 func TestSubmitFuncZeroAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool discards at random under the race detector")
 	}
-	s := New(&spinHandler{}, testOptions(2, 0))
-	s.Start()
-	defer s.Stop()
-	answered := make(chan struct{}, 1)
-	done := func(Response) { answered <- struct{}{} }
-	var payload any = time.Duration(0)
-	roundTrip := func() {
-		s.SubmitFunc(payload, done)
-		<-answered
-	}
-	if allocs := testing.AllocsPerRun(1000, roundTrip); allocs != 0 {
-		t.Fatalf("SubmitFunc round trip: %v allocs, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(1000, func() { s.Do(payload) }); allocs != 0 {
-		t.Fatalf("Do round trip: %v allocs, want 0", allocs)
+	for _, shards := range []int{1, 2, 4} {
+		// An hour-long quantum: nothing signals but yieldNow.
+		opts := testOptions(4, time.Hour)
+		opts.Shards = shards
+		s := New(yieldTimesHandler{}, opts)
+		s.Start()
+		answered := make(chan struct{}, 1)
+		done := func(Response) { answered <- struct{}{} }
+		for _, tc := range []struct {
+			name    string
+			payload any
+			want    float64
+		}{
+			{"run to completion", yieldTimes(0), 0},
+			{"one yield", yieldTimes(1), 1},
+			{"five yields", yieldTimes(5), 1},
+		} {
+			if allocs := testing.AllocsPerRun(1000, func() {
+				s.SubmitFunc(tc.payload, done)
+				<-answered
+			}); allocs != tc.want {
+				t.Errorf("shards %d, %s: SubmitFunc round trip %v allocs, want %v", shards, tc.name, allocs, tc.want)
+			}
+			if allocs := testing.AllocsPerRun(1000, func() { s.Do(tc.payload) }); allocs != tc.want {
+				t.Errorf("shards %d, %s: Do round trip %v allocs, want %v", shards, tc.name, allocs, tc.want)
+			}
+		}
+		s.Stop()
 	}
 }
