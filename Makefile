@@ -10,7 +10,7 @@ tier1:
 # exercise them from many goroutines). Slower than tier1; run before
 # merging changes to any of these.
 race:
-	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/trace ./internal/obs ./internal/adapt ./internal/shadow ./internal/bench ./internal/proto ./internal/netsrv ./internal/policy
+	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/adapt ./internal/shadow ./internal/bench ./internal/proto ./internal/netsrv ./internal/policy
 
 # Stress for the live runtime's concurrency-critical suites — lifecycle
 # tables, chaos, drain windows, sharded stealing, the identity hand-off —
@@ -21,6 +21,19 @@ live-stress:
 
 vet:
 	go vet ./...
+
+# Each native fuzz target for a short fixed budget. Their seed corpora
+# (testdata/fuzz/) already run as plain tests in tier1; this looks past
+# them. `go test -fuzz` takes one target and one package per run; a
+# failing input is written under the package's testdata/fuzz/ — check it
+# in with the fix. -fuzzminimizetime is cut from its 60s default because
+# the engine otherwise spends most of a 10s budget shrinking its first
+# new-coverage input.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/proto
+	go test -run '^$$' -fuzz '^FuzzRequestRoundTrip$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/proto
+	go test -run '^$$' -fuzz '^FuzzBinaryCodec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netsrv
+	go test -run '^$$' -fuzz '^FuzzTextCodec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netsrv
 
 bench:
 	go test -run xxx -bench . -benchmem .
@@ -70,4 +83,4 @@ bench-smoke-compare:
 bench-module:
 	cd benchmark && go vet . && go test .
 
-.PHONY: tier1 race live-stress vet bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare bench-module
+.PHONY: tier1 race live-stress vet fuzz-smoke bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare bench-module

@@ -7,6 +7,7 @@ import (
 	"concord/internal/cost"
 	"concord/internal/dist"
 	"concord/internal/figures"
+	"concord/internal/runner"
 	"concord/internal/server"
 	"concord/internal/workload"
 )
@@ -158,7 +159,7 @@ func sweepBench(b *testing.B, parallel int) {
 		if parallel == 1 {
 			server.Sweep(cfg, wl, loads, p)
 		} else {
-			server.SweepParallel(cfg, wl, loads, p, parallel)
+			runner.New(parallel).Sweeps([]server.Config{cfg}, wl, loads, p)
 		}
 	}
 	b.ReportMetric(float64(len(loads)*b.N)/b.Elapsed().Seconds(), "runs/s")

@@ -375,11 +375,13 @@ func writeDump(flagName, path string, write func(io.Writer) (what string, err er
 
 // obsTrailer renders the per-request breakdown clients opt into with
 // OBS ON. Times are µs; i is ingress (frame read → runtime submit), e
-// is egress accrued so far (completion → trailer render — the trailer
-// rides inside the response, so the socket write itself cannot be in
-// it), n is the preemption count, d=1 when the work-conserving
-// dispatcher ran the request. The wire phases print at %.3f: they are
-// routinely sub-µs and would round to an indistinguishable 0.0.
+// is egress accrued so far (completion → trailer render, in netsrv's
+// completion callback — the trailer rides inside the response, so the
+// flusher's wake-up and the socket write cannot be in it; the egress
+// histograms have those), n is the preemption count, d=1 when the
+// work-conserving dispatcher ran the request. The wire phases print at
+// %.3f: they are routinely sub-µs and would round to an
+// indistinguishable 0.0.
 func obsTrailer(resp live.Response) string {
 	b := resp.Breakdown
 	if b == nil {

@@ -240,7 +240,7 @@ func (ob *kvObs) register() *kvObs {
 
 	if ob.ns != nil {
 		depth("concord_net_connections", "currently open client connections", "", "conns", func() int { return int(s.net.Conns) })
-		depth("concord_net_pipeline_depth", "binary frames submitted whose response has not yet flushed", "", "pipeline", func() int { return int(s.net.Pipeline) })
+		depth("concord_net_pipeline_depth", "requests read off the wire (either protocol) whose response has not yet been written", "", "pipeline", func() int { return int(s.net.Pipeline) })
 		for _, f := range []struct {
 			dir string
 			v   *uint64
@@ -256,6 +256,7 @@ func (ob *kvObs) register() *kvObs {
 			{"concord_net_text_lines_total", "text-protocol lines served", "text_lines", &s.net.TextLines},
 			{"concord_net_toolarge_total", "requests rejected for exceeding -maxreq", "toolarge", &s.net.TooLarge},
 			{"concord_net_bad_frames_total", "frames with unknown opcode or undecodable body", "badframes", &s.net.BadFrames},
+			{"concord_net_write_closed_total", "connections closed by a failed or timed-out response write", "write_closed", &s.net.WriteClosed},
 		} {
 			add(obs.Metric{Name: c.name, Help: c.help, Kind: obs.Counter, Value: count(c.v), Stat: c.stat})
 		}

@@ -16,7 +16,6 @@ import (
 
 	"concord/internal/obs"
 	"concord/internal/proto"
-	"concord/internal/trace"
 )
 
 // binFleet is the pool of pipelined binary connections. A free slot is
@@ -29,7 +28,7 @@ type binFleet struct {
 	total int
 	wg    sync.WaitGroup
 
-	lg    *trace.Log
+	lg    *Log
 	hist  *obs.QuantileSketch
 	fails *failures
 }
@@ -55,7 +54,7 @@ type binSlot struct {
 	busy  bool
 }
 
-func dialBinary(addr string, nconns, depth int, lg *trace.Log, hist *obs.QuantileSketch, fails *failures) (*binFleet, error) {
+func dialBinary(addr string, nconns, depth int, lg *Log, hist *obs.QuantileSketch, fails *failures) (*binFleet, error) {
 	f := &binFleet{
 		total: nconns * depth,
 		avail: make(chan *binSlot, nconns*depth),
@@ -150,7 +149,7 @@ func (bc *binConn) readLoop() {
 		lat := time.Since(start)
 		switch resp.Status {
 		case proto.StOK, proto.StValue, proto.StNotFound, proto.StCount:
-			f.lg.Add(trace.Record{
+			f.lg.Add(Record{
 				Class:     o.class,
 				ServiceUS: o.serviceUS,
 				SojournUS: float64(lat) / float64(time.Microsecond),

@@ -61,7 +61,6 @@ import (
 
 	"concord/internal/obs"
 	"concord/internal/proto"
-	"concord/internal/trace"
 )
 
 // failures tallies unsuccessful requests by kind; incremented from
@@ -345,7 +344,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	lg := trace.NewLog(int(*rate * duration.Seconds()))
+	lg := NewLog(int(*rate * duration.Seconds()))
 	var hist obs.QuantileSketch
 	var fails failures
 
@@ -438,7 +437,7 @@ func main() {
 				fails.record(err, resp)
 				return
 			}
-			r := trace.Record{
+			r := Record{
 				Class:     o.class,
 				ServiceUS: o.serviceUS,
 				SojournUS: float64(lat) / float64(time.Microsecond),
@@ -482,7 +481,7 @@ func main() {
 
 	all := lg.Snapshot()
 	skip := int(*warmup * float64(len(all)))
-	steady := trace.NewLog(len(all) - skip)
+	steady := NewLog(len(all) - skip)
 	for _, r := range all[skip:] {
 		steady.Add(r)
 	}
@@ -634,7 +633,7 @@ type classStat struct {
 // classStats computes exact per-class sojourn quantiles (sorted
 // samples, not histogram buckets — the record set is already in
 // memory).
-func classStats(recs []trace.Record) map[string]classStat {
+func classStats(recs []Record) map[string]classStat {
 	byClass := map[string][]float64{}
 	for _, r := range recs {
 		byClass[r.Class] = append(byClass[r.Class], r.SojournUS)
@@ -745,7 +744,7 @@ func printHistogram(w io.Writer, snap obs.SketchSnapshot) {
 // printBreakdown renders the Table-1-style per-class component table
 // from server-measured breakdowns, aggregated into the same sketch the
 // server's own surface uses, so the quantiles match what it reports.
-func printBreakdown(recs []trace.Record) {
+func printBreakdown(recs []Record) {
 	rows := [...]string{"total", "ingress", "handoff", "queueing", "service", "preempted", "egress"}
 	type comps struct {
 		rows                [len(rows)]obs.QuantileSketch // ns

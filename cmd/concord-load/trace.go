@@ -1,8 +1,7 @@
-// Package trace records per-request latency observations and renders
-// them as CSV and slowdown summaries — the record layer the live load
-// generator and the examples share. (Latency distributions live in
+// The load generator's record layer: per-request latency observations,
+// rendered as CSV and slowdown summaries. (Latency distributions live in
 // obs.QuantileSketch.)
-package trace
+package main
 
 import (
 	"fmt"

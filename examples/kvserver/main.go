@@ -17,7 +17,7 @@ import (
 
 	"concord/internal/kv"
 	"concord/internal/live"
-	"concord/internal/trace"
+	"concord/internal/obs"
 )
 
 const (
@@ -113,13 +113,16 @@ func run(name string, quantum time.Duration, shards int, policy string) {
 		QueueBound:     2,
 		WorkConserving: true,
 		PinThreads:     false,
-		CoopTimeshare:  16, // scans poll coarsely; timeshare aggressively
 	})
 	srv.Start()
 	defer srv.Stop()
 
 	rng := rand.New(rand.NewSource(7))
-	logs := map[string]*trace.Log{}
+	type classLog struct {
+		sojourn  obs.QuantileSketch // ns
+		preempts int
+	}
+	logs := map[string]*classLog{}
 	type inflight struct {
 		ch    <-chan live.Response
 		class string
@@ -139,23 +142,19 @@ func run(name string, quantum time.Duration, shards int, policy string) {
 			continue
 		}
 		if logs[r.class] == nil {
-			logs[r.class] = trace.NewLog(64)
+			logs[r.class] = &classLog{}
 		}
-		logs[r.class].Add(trace.Record{
-			Class:       r.class,
-			ServiceUS:   1, // report raw sojourn percentiles per class
-			SojournUS:   float64(resp.Latency) / float64(time.Microsecond),
-			Preemptions: resp.Preemptions,
-		})
+		logs[r.class].sojourn.Observe(int64(resp.Latency))
+		logs[r.class].preempts += resp.Preemptions
 	}
 	st := srv.Stats()
 	fmt.Printf("%s (quantum %v): %d requests, %d preemptions, %d run by dispatcher, %d cross-shard steals\n",
 		name, quantum, st.Completed, st.Preemptions, st.DispatcherRun, st.Steals)
 	for _, class := range []string{"GET", "PUT", "DELETE", "SCAN"} {
 		if lg := logs[class]; lg != nil {
-			s := lg.Summarize()
+			s := lg.sojourn.Snapshot()
 			fmt.Printf("  %-7s n=%-4d sojourn p50=%8.0fµs p99=%8.0fµs preempts/req=%.1f\n",
-				class, s.Count, s.P50, s.P99, s.MeanPreemptions)
+				class, s.Count, s.Quantile(0.50)/1e3, s.Quantile(0.99)/1e3, float64(lg.preempts)/float64(s.Count))
 		}
 	}
 	fmt.Println()

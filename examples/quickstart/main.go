@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"concord/internal/live"
-	"concord/internal/trace"
+	"concord/internal/obs"
 )
 
 // spinner is the synthetic service of §5.1: it spins for the requested
@@ -41,39 +41,31 @@ func run(name string, quantum time.Duration, workConserving bool) float64 {
 	defer srv.Stop()
 
 	rng := rand.New(rand.NewSource(42))
-	lg := trace.NewLog(256)
+	var slowdown obs.QuantileSketch // sojourn / service, in percent: the sketch holds integers
 	var pending []<-chan live.Response
-	var classes []string
 	var services []time.Duration
 
 	for i := 0; i < 200; i++ {
 		service := 50 * time.Microsecond
-		class := "short"
 		if rng.Float64() < 0.05 {
 			service = 5 * time.Millisecond
-			class = "long"
 		}
 		pending = append(pending, srv.Submit(service))
-		classes = append(classes, class)
 		services = append(services, service)
 		time.Sleep(time.Duration(rng.ExpFloat64() * float64(150*time.Microsecond)))
 	}
 	for i, ch := range pending {
 		resp := <-ch
-		lg.Add(trace.Record{
-			Class:        classes[i],
-			ServiceUS:    float64(services[i]) / float64(time.Microsecond),
-			SojournUS:    float64(resp.Latency) / float64(time.Microsecond),
-			Preemptions:  resp.Preemptions,
-			OnDispatcher: resp.OnDispatcher,
-		})
+		slowdown.Observe(int64(100 * float64(resp.Latency) / float64(services[i])))
 	}
 	st := srv.Stats()
-	sum := lg.Summarize()
-	fmt.Printf("%-20s %s\n", name, sum)
+	snap := slowdown.Snapshot()
+	q := func(p float64) float64 { return snap.Quantile(p) / 100 }
+	fmt.Printf("%-20s n=%d slowdown p50=%.1f p90=%.1f p99=%.1f p99.9=%.1f mean=%.1f\n",
+		name, snap.Count, q(0.50), q(0.90), q(0.99), q(0.999), snap.Mean()/100)
 	fmt.Printf("%-20s server counters: %d completed, %d preemptions, %d run by dispatcher\n\n",
 		"", st.Completed, st.Preemptions, st.DispatcherRun)
-	return sum.P99
+	return q(0.99)
 }
 
 func main() {

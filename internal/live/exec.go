@@ -199,7 +199,7 @@ func (s *Server) runSlice(ex *executor, t *task, start time.Time) (preempted, de
 	// The Ctx lives inside the task (no allocation per request); the
 	// pool reset zeroes it with the rest of the task.
 	ctx := &t.ctx
-	*ctx = Ctx{srv: s, task: t, ex: ex, yieldEvery: s.opts.CoopTimeshare}
+	*ctx = Ctx{srv: s, task: t, ex: ex, yieldEvery: s.coopTimeshare}
 	resp := s.handle(ctx, t)
 	// The executor that receives the final park event recycles the task,
 	// and ctx with it, the moment the send completes: read the flag

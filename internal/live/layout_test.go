@@ -21,7 +21,7 @@ import (
 func TestServerLayoutByWriter(t *testing.T) {
 	groups := map[string][]string{
 		"read-mostly": {"opts", "handler", "shards", "locals", "occ", "workers", "shardOf",
-			"tr", "tail", "comp", "classLimit", "t0", "quantum", "classQuanta", "polState",
+			"tr", "tail", "comp", "classLimit", "coopTimeshare", "t0", "quantum", "classQuanta", "polState",
 			"stopped", "abort"},
 		"submit": {"rr", "nextID", "submitMu", "stopping", "stats.submitted", "stats.rejected",
 			"stats.shed", "stats.classSubmitted", "stats.classRejected"},

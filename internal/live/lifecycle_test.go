@@ -461,10 +461,12 @@ func awaitSignal(ctx *Ctx) error {
 // yieldHandler blocks on "block" payloads (holding a worker without
 // polling), panics on "panic", and runs yieldReq payloads behind a
 // deferred call, so a test can tell that a retired handler unwound. It
-// counts SetupWorker calls per identity.
+// counts SetupWorker calls per identity, and the yieldReq requests that
+// have come back from their first yield.
 type yieldHandler struct {
 	release chan struct{}
 	unwound atomic.Int32
+	yielded atomic.Int32
 	mu      sync.Mutex
 	setups  map[int]int
 }
@@ -500,6 +502,9 @@ func (h *yieldHandler) Handle(ctx *Ctx, payload any) (any, error) {
 			yieldNow(ctx)
 		} else if err := awaitSignal(ctx); err != nil {
 			return nil, err
+		}
+		if i == 0 {
+			h.yielded.Add(1)
 		}
 	}
 	return [2]int{first, ctx.Worker()}, nil
@@ -606,8 +611,10 @@ func runLifecycleRows(t *testing.T, onDispatcher bool) {
 
 						stopDone := make(chan struct{})
 						if oc.wantErr == ErrServerStopped {
+							// Per target, not Stats().Preemptions: one target that
+							// keeps yielding reaches any total on its own.
 							waitUntil(t, "every target to have yielded", func() bool {
-								return s.Stats().Preemptions >= uint64(shards)
+								return h.yielded.Load() == int32(shards)
 							})
 							go func() { s.Stop(); close(stopDone) }()
 						}

@@ -176,12 +176,6 @@ type Options struct {
 	// worker's successor goroutine takes one (on whichever thread it
 	// starts on), so only preempted continuations float.
 	PinThreads bool
-	// CoopTimeshare makes request code call runtime.Gosched every N
-	// polls so the dispatchers and workers make progress when there are
-	// fewer CPUs than runtime threads (a dispatcher otherwise starves
-	// and preemption flags are never written). 0 auto-detects from
-	// GOMAXPROCS; negative disables.
-	CoopTimeshare int
 	// SubmitBuffer is the per-shard ingress channel capacity. Default
 	// 4096. When every shard's buffer is full, Submit rejects with
 	// ErrQueueFull rather than blocking.
@@ -258,15 +252,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SubmitBuffer <= 0 {
 		o.SubmitBuffer = 4096
-	}
-	if o.CoopTimeshare == 0 {
-		if runtime.GOMAXPROCS(0) < o.Workers+o.Shards+1 {
-			// Not enough CPUs to run the dispatchers, the workers, and
-			// request code in parallel: timeshare cooperatively.
-			o.CoopTimeshare = 64
-		} else {
-			o.CoopTimeshare = -1
-		}
 	}
 	return o
 }
@@ -418,6 +403,13 @@ type Server struct {
 	// the check degenerates to the channel's own capacity.
 	classLimit [NumClasses]int
 
+	// coopTimeshare makes request code call runtime.Gosched every that
+	// many polls, so the dispatchers and workers make progress when there
+	// are fewer CPUs than runtime threads (a dispatcher otherwise starves
+	// and preemption flags are never written). Derived at New from
+	// GOMAXPROCS; 0 when every loop can have a CPU.
+	coopTimeshare int
+
 	// t0 is the origin of the monotonic nanosecond clock the executors'
 	// running records are stamped in (executor.runStart).
 	t0 time.Time
@@ -496,6 +488,11 @@ func New(h Handler, opts Options) *Server {
 		occ:     make([]atomic.Int32, opts.Workers),
 		workers: make([]*executor, opts.Workers),
 		shardOf: make([]int, opts.Workers),
+	}
+	if runtime.GOMAXPROCS(0) < opts.Workers+opts.Shards+1 {
+		// Not enough CPUs to run the dispatchers, the workers, and
+		// request code in parallel: timeshare cooperatively.
+		s.coopTimeshare = 64
 	}
 	// How long a work-conserving dispatcher runs a request before
 	// checking for dispatcher duties.

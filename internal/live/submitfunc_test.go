@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"concord/internal/obs"
 )
 
 // TestSubmitFuncExactlyOnce: every SubmitFunc request gets its callback
@@ -130,16 +132,29 @@ func (yieldTimesHandler) Handle(ctx *Ctx, payload any) (any, error) {
 // neither does Do, whose response channel is pooled. A request that is
 // preempted allocates once however often it yields: the `go` statement
 // that hands the worker identity to a successor at its first yield.
+// The same figures hold with every completion observer set — Tail with
+// per-class children, Sketches, Capture at 1-in-1: the completion path
+// pays one branch for all of them and none allocates. (How many
+// nanoseconds they cost is a magnitude, for the benchmark's ledger.)
 // (The race detector makes sync.Pool drop a quarter of what it is given,
 // so the figures only mean something without it.)
 func TestSubmitFuncZeroAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool discards at random under the race detector")
 	}
-	for _, shards := range []int{1, 2, 4} {
+	for _, cfg := range []struct {
+		shards   int
+		observed bool
+	}{{1, false}, {2, false}, {4, false}, {1, true}, {4, true}} {
 		// An hour-long quantum: nothing signals but yieldNow.
 		opts := testOptions(4, time.Hour)
-		opts.Shards = shards
+		opts.Shards = cfg.shards
+		if cfg.observed {
+			opts.Tail = obs.NewTailTracker(nil, obs.NewSLOTracker(obs.SLOConfig{Target: time.Millisecond}))
+			opts.Tail.Classes = NewClassTrackers()
+			opts.Sketches = obs.NewClassSketches(NumClasses)
+			opts.Capture = NewCaptureRing(1024, 1)
+		}
 		s := New(yieldTimesHandler{}, opts)
 		s.Start()
 		answered := make(chan struct{}, 1)
@@ -157,10 +172,10 @@ func TestSubmitFuncZeroAllocs(t *testing.T) {
 				s.SubmitFunc(tc.payload, done)
 				<-answered
 			}); allocs != tc.want {
-				t.Errorf("shards %d, %s: SubmitFunc round trip %v allocs, want %v", shards, tc.name, allocs, tc.want)
+				t.Errorf("%+v, %s: SubmitFunc round trip %v allocs, want %v", cfg, tc.name, allocs, tc.want)
 			}
 			if allocs := testing.AllocsPerRun(1000, func() { s.Do(tc.payload) }); allocs != tc.want {
-				t.Errorf("shards %d, %s: Do round trip %v allocs, want %v", shards, tc.name, allocs, tc.want)
+				t.Errorf("%+v, %s: Do round trip %v allocs, want %v", cfg, tc.name, allocs, tc.want)
 			}
 		}
 		s.Stop()

@@ -1,0 +1,191 @@
+// The connection loop, shared by both protocols: a reader that takes
+// requests off the wire and submits them, a flusher that writes their
+// responses, and between them the connection's window.
+package netsrv
+
+import (
+	"net"
+	"time"
+
+	"concord/internal/live"
+	"concord/internal/obs"
+)
+
+// binaryWindow is a binary connection's window: how many of its requests
+// may be anywhere between "read off the wire" and "response written".
+// Sized above any pipeline depth a shipped client opens (concord-load
+// and the benchmark run 16 deep), so it binds only on a client that
+// writes without reading; a server-wide ingress of 4096 slots then takes
+// 64 such connections, not one, to fill.
+const binaryWindow = 64
+
+// A codec is what differs between the two protocols.
+type codec interface {
+	// next takes the next request off the wire into r. It reports
+	// whether r is to be submitted; when not, r already carries its
+	// response (oversize, malformed, or a control verb). An error ends
+	// the connection: nothing was read that is owed a response.
+	next(r *Request) (submit bool, err error)
+	// appendResp encodes r's response.
+	appendResp(b []byte, r *Request) []byte
+	// flushed reports that one write carried n responses to the socket.
+	flushed(n int)
+}
+
+// connection is one connection being served. The exactly-one-response
+// invariant lives in slots: the reader takes one before each read, the
+// request read carries it through the runtime and the flusher, and it
+// returns only after the response has been written — so at most
+// cap(slots) requests are in flight, completed never blocks a sender,
+// and the connection is drained when every slot is back.
+type connection struct {
+	s    *Server
+	conn net.Conn
+	cd   codec
+
+	slots     chan struct{}
+	completed chan *Request // cap(slots): every sender holds a slot
+
+	// completeFn is c.complete bound once; passing the method value at
+	// the submit site would allocate per request.
+	completeFn func(live.Response)
+
+	// Flusher-owned, reused across flushes.
+	batch []*Request
+	wbuf  []byte
+}
+
+// serve runs one connection to the end of its input. The reader takes a
+// slot before the read, not before the submit: a text request's Key and
+// Val alias the read buffer, which the next read overwrites, so with a
+// window of 1 the next line is not read until this one's response has
+// been encoded — which is also what keeps text replies in request order.
+func (s *Server) serve(conn net.Conn, cd codec, window int) {
+	c := &connection{
+		s: s, conn: conn, cd: cd,
+		slots:     make(chan struct{}, window),
+		completed: make(chan *Request, window),
+		batch:     make([]*Request, 0, window),
+	}
+	c.completeFn = c.complete
+	flusherDone := make(chan struct{})
+	go func() {
+		defer close(flusherDone)
+		c.flush()
+	}()
+	for {
+		c.slots <- struct{}{}
+		r := s.getReq()
+		submit, err := cd.next(r)
+		if err != nil {
+			// EOF, mid-request close, desync, an expired deadline (Drain,
+			// or the flusher after a failed write). What was cut short was
+			// never a request; its slot is the first one taken back.
+			s.putReq(r)
+			break
+		}
+		s.pipeline.Add(1)
+		if submit {
+			s.rt.SubmitFunc(r, c.completeFn)
+		} else {
+			c.completed <- r
+		}
+	}
+	// Take every other slot back: each returns once its response has been
+	// written (or dropped, on a dead socket), so no accepted request is
+	// left unanswered when the connection closes.
+	for held := 1; held < window; held++ {
+		c.slots <- struct{}{}
+	}
+	close(c.completed)
+	<-flusherDone
+}
+
+// complete is the connection's one live.SubmitFunc callback: every
+// request carries itself back in Response.Req, so completion needs no
+// per-request closure. It runs on the completing executor and must not
+// block — the send cannot, see connection.
+func (c *connection) complete(resp live.Response) {
+	r := resp.Req.(*Request)
+	r.liveID, r.doneTS = resp.ID, resp.Done
+	if resp.Err != nil {
+		r.Status, r.errMsg = statusForErr(resp.Err)
+		r.Out, r.Count = nil, 0
+	}
+	if observe := c.s.opts.Observe; observe != nil {
+		observe(r.Op, resp)
+	}
+	if r.obsOn && c.s.opts.Trailer != nil {
+		r.trailer = c.s.opts.Trailer(resp)
+	}
+	if tr := c.s.tr; tr != nil {
+		tr.Record(obs.WriterNet, obs.EvFlushQueued, r.liveID, 0)
+	}
+	c.completed <- r
+}
+
+// flush is the flusher goroutine: it coalesces whatever has completed —
+// in completion order, not arrival order — into one buffer and one
+// write, then returns the batch's slots.
+func (c *connection) flush() {
+	for r := range c.completed {
+		batch := append(c.batch[:0], r)
+		for n := len(c.completed); n > 0; n-- {
+			batch = append(batch, <-c.completed)
+		}
+		wbuf := c.wbuf[:0]
+		for _, r := range batch {
+			wbuf = c.cd.appendResp(wbuf, r)
+		}
+		c.wbuf = wbuf
+		if wt := c.s.opts.WriteTimeout; wt > 0 {
+			c.conn.SetWriteDeadline(time.Now().Add(wt))
+		}
+		if _, err := c.conn.Write(wbuf); err != nil {
+			// The client is gone, or stopped reading for WriteTimeout.
+			// Expire the read deadline so the reader stops taking work for
+			// a socket nobody reads.
+			c.s.writeClosed.Add(1)
+			c.conn.SetReadDeadline(time.Unix(1, 0))
+			c.release(batch)
+			break
+		}
+		c.cd.flushed(len(batch))
+		if tr, obsEg := c.s.tr, c.s.opts.ObserveEgress; tr != nil || obsEg != nil {
+			// One clock read covers the whole batch: every response in it
+			// reached the socket in the same write.
+			now := time.Now()
+			for _, r := range batch {
+				if r.liveID == 0 {
+					continue // answered by the codec: never entered the runtime
+				}
+				if tr != nil {
+					tr.RecordAt(obs.WriterNet, obs.EvFlushed, r.liveID, int64(len(batch)), now)
+				}
+				if obsEg != nil && !r.doneTS.IsZero() {
+					obsEg(r.Op, now.Sub(r.doneTS))
+				}
+			}
+		}
+		c.release(batch)
+	}
+	// Reached with anything left only after a failed write: the runtime
+	// still owes a completion for each slot in flight, and the reader is
+	// waiting for those slots.
+	for r := range c.completed {
+		c.release(append(c.batch[:0], r))
+	}
+}
+
+// release recycles a batch whose responses have been encoded (dropping
+// the frame buffers they pinned) and returns its slots.
+func (c *connection) release(batch []*Request) {
+	for i, r := range batch {
+		c.s.putReq(r)
+		batch[i] = nil
+	}
+	c.s.pipeline.Add(-int64(len(batch)))
+	for range batch {
+		<-c.slots
+	}
+}

@@ -8,23 +8,37 @@
 // byte disambiguates and is replayed into the chosen decoder — a client
 // never announces its protocol.
 //
-//   - Text mode (text.go) is the historical line protocol: lockstep,
-//     one request in flight, served through live.Do. Responses are
-//     rendered into a single reused buffer — no per-response fmt
-//     allocation.
-//   - Binary mode (binary.go) is pipelined: a reader goroutine decodes
-//     length-prefixed frames zero-copy into pooled ref-counted buffers
-//     and submits each through live.SubmitFunc; a per-connection
-//     flusher coalesces completions — arriving in any order — into
-//     batched single-write flushes, matching responses to requests by
-//     id.
+// One loop (conn.go) serves both: a reader goroutine takes requests off
+// the wire and submits each through live.SubmitFunc, a flusher goroutine
+// coalesces completions — arriving in any order — into single-write
+// batches, and between them sits the connection's window: the reader
+// takes a slot before each read, the flusher returns it after the
+// response is written. The window bounds what one connection can hold in
+// the runtime (a flooding client is back-pressured, not rejected, and
+// cannot take the server's admission budget), bounds everything the
+// connection buffers, and makes draining "take every slot back". A
+// write that fails or times out expires the read deadline, so a client
+// that went away or stopped reading is disconnected instead of served.
 //
-// Both modes reject oversized requests (frame body or text line over
+// What differs between the protocols is a codec — take the next request
+// off the wire, append a response:
+//
+//   - Binary (binary.go): length-prefixed frames decoded zero-copy into
+//     pooled ref-counted buffers, responses matched to requests by id,
+//     window 64. The frame and flush counters are its own.
+//   - Text (text.go): the historical line protocol, parsed in place with
+//     no allocation, window 1 — which is what keeps replies in request
+//     order. Control verbs (Options.Control) are answered by the codec;
+//     their output rides the Request to the flusher.
+//
+// Both reject oversized requests (frame body or text line over
 // Options.MaxReq) with a single-token TOOLARGE response on a
 // still-usable stream, never by silent truncation.
 package netsrv
 
 import (
+	"bufio"
+	"bytes"
 	"io"
 	"net"
 	"sync"
@@ -42,8 +56,9 @@ type Options struct {
 	// bytes) or a text line. Oversized requests answer TOOLARGE
 	// (StTooLarge) and the connection stays usable. Default 1 MiB.
 	MaxReq int
-	// WriteTimeout bounds each flush so a client that stops reading
-	// cannot pin a connection goroutine forever. 0 disables.
+	// WriteTimeout bounds each flush: a client that stops reading is
+	// disconnected when one times out (NetStats.WriteClosed) instead of
+	// pinning the connection's goroutines forever. 0 disables.
 	WriteTimeout time.Duration
 	// BufSize is the pooled read-buffer size for binary connections
 	// (frames larger than it, up to MaxReq, take a one-off buffer).
@@ -53,26 +68,28 @@ type Options struct {
 	// Control, when non-nil, intercepts text lines whose op the data
 	// protocol does not know (STATS, TRACE, OBS ...). It reports
 	// whether it handled the line; obsOn is the connection's
-	// breakdown-trailer toggle. Control output is flushed by the caller.
+	// breakdown-trailer toggle. Output is the line's response, written
+	// by the connection's flusher like any other.
 	Control func(out io.Writer, line string, obsOn *bool) bool
 	// Observe, when non-nil, receives every completed data response
 	// (both modes) for per-op latency histograms.
 	Observe func(op byte, resp live.Response)
 	// Trailer, when non-nil, renders the |OBS breakdown trailer
-	// appended to text responses while the connection has OBS ON.
+	// appended to text responses while the connection has OBS ON. It
+	// runs in the completion callback, on the completing worker.
 	Trailer func(resp live.Response) string
 	// Tracer, when non-nil, extends lifecycle tracing across the wire
 	// path: requests are stamped at frame read and parse (recorded as
 	// EvFrameRead/EvParsed at Submit — Request implements live.NetTimed)
-	// and the flushers record EvFlushQueued/EvFlushed under the
+	// and completion and flush record EvFlushQueued/EvFlushed under the
 	// obs.WriterNet ring. It must be the same tracer the live.Server
 	// runs with, or the events won't merge into one stream. When nil,
 	// every wire instrumentation point is a single nil-check branch.
 	Tracer *obs.Tracer
 	// ObserveEgress, when non-nil, receives every flushed data
 	// response's egress latency (completion → bytes written to the
-	// socket), for per-op histograms. Responses on broken connections
-	// are never flushed and are not observed.
+	// socket), for per-op histograms. Responses whose write failed are
+	// not observed.
 	ObserveEgress func(op byte, egress time.Duration)
 }
 
@@ -88,14 +105,15 @@ func (o Options) withDefaults() Options {
 
 // NetStats is a snapshot of the connection layer's counters.
 type NetStats struct {
-	Conns     int64  // currently open connections
-	Pipeline  int64  // binary frames submitted, response not yet flushed
-	FramesIn  uint64 // binary request frames decoded
-	FramesOut uint64 // binary response frames written
-	Flushes   uint64 // batched response writes (FramesOut/Flushes = mean batch)
-	TextLines uint64 // text-protocol lines served (data + control)
-	TooLarge  uint64 // requests rejected for exceeding MaxReq
-	BadFrames uint64 // frames with an unknown opcode or undecodable body
+	Conns       int64  // currently open connections
+	Pipeline    int64  // requests read off the wire, response not yet written (both protocols)
+	FramesIn    uint64 // binary request frames decoded
+	FramesOut   uint64 // binary response frames written
+	Flushes     uint64 // batched response writes (FramesOut/Flushes = mean batch)
+	TextLines   uint64 // text-protocol lines served (data + control)
+	TooLarge    uint64 // requests rejected for exceeding MaxReq
+	BadFrames   uint64 // frames with an unknown opcode or undecodable body
+	WriteClosed uint64 // connections closed by a failed or timed-out response write
 }
 
 // Server serves both wire protocols on top of a live runtime.
@@ -111,14 +129,15 @@ type Server struct {
 	bufPool *proto.Pool
 	reqPool sync.Pool
 
-	conns     atomic.Int64
-	pipeline  atomic.Int64
-	framesIn  atomic.Uint64
-	framesOut atomic.Uint64
-	flushes   atomic.Uint64
-	textLines atomic.Uint64
-	tooLarge  atomic.Uint64
-	badFrames atomic.Uint64
+	conns       atomic.Int64
+	pipeline    atomic.Int64
+	framesIn    atomic.Uint64
+	framesOut   atomic.Uint64
+	flushes     atomic.Uint64
+	textLines   atomic.Uint64
+	tooLarge    atomic.Uint64
+	badFrames   atomic.Uint64
+	writeClosed atomic.Uint64
 	// flushBatch is the distribution of responses per flush: depth of
 	// coalescing under load (1 everywhere means no pipelining benefit).
 	flushBatch obs.QuantileSketch
@@ -145,14 +164,15 @@ func New(rt *live.Server, opts Options) *Server {
 // NetStats snapshots the connection-layer counters.
 func (s *Server) NetStats() NetStats {
 	return NetStats{
-		Conns:     s.conns.Load(),
-		Pipeline:  s.pipeline.Load(),
-		FramesIn:  s.framesIn.Load(),
-		FramesOut: s.framesOut.Load(),
-		Flushes:   s.flushes.Load(),
-		TextLines: s.textLines.Load(),
-		TooLarge:  s.tooLarge.Load(),
-		BadFrames: s.badFrames.Load(),
+		Conns:       s.conns.Load(),
+		Pipeline:    s.pipeline.Load(),
+		FramesIn:    s.framesIn.Load(),
+		FramesOut:   s.framesOut.Load(),
+		Flushes:     s.flushes.Load(),
+		TextLines:   s.textLines.Load(),
+		TooLarge:    s.tooLarge.Load(),
+		BadFrames:   s.badFrames.Load(),
+		WriteClosed: s.writeClosed.Load(),
 	}
 }
 
@@ -212,9 +232,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 		return
 	}
 	if proto.IsReqMagic(first[0]) {
-		s.serveBinary(conn, first[:])
+		fr := proto.NewFrameReader(conn, s.bufPool, s.opts.MaxReq)
+		fr.Prime(first[:])
+		defer fr.Close()
+		s.serve(conn, &binaryCodec{s: s, fr: fr}, binaryWindow)
 	} else {
-		s.serveText(conn, first[:])
+		br := bufio.NewReaderSize(io.MultiReader(bytes.NewReader(first[:]), conn), 1<<16)
+		s.serve(conn, &textCodec{s: s, br: br}, 1)
 	}
 }
 

@@ -19,14 +19,16 @@ import (
 
 func newTestServer(t *testing.T, opts Options) (*Server, net.Listener) {
 	t.Helper()
+	return newTestServerLive(t, opts, live.Options{Workers: 2})
+}
+
+func newTestServerLive(t *testing.T, opts Options, lopts live.Options) (*Server, net.Listener) {
+	t.Helper()
 	store := kv.New()
 	for i := 0; i < 100; i++ {
 		store.Put([]byte(fmt.Sprintf("key%03d", i)), []byte("value"))
 	}
-	rt := live.New(&KVHandler{Store: store, ScanBatch: 64}, live.Options{
-		Workers:    2,
-		PinThreads: false,
-	})
+	rt := live.New(&KVHandler{Store: store, ScanBatch: 64}, lopts)
 	rt.Start()
 	s := New(rt, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

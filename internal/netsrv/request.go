@@ -1,10 +1,10 @@
-// The wire-level request object shared by both protocol modes, and the
-// KV handler that executes it on the live runtime. A Request is pooled:
-// the binary path recycles one per frame after its response flushes,
-// the text path reuses a single Request for the whole connection
-// (lockstep, one in flight). Results are written into the Request
-// rather than returned through live.Response.Payload, so completing a
-// request allocates nothing.
+// The wire-level request object both codecs fill, and the KV handler
+// that executes it on the live runtime. A Request is pooled: serve takes
+// one per request read and the flusher recycles it once its response
+// has been written. Results — the handler's, the error mapping's, or the
+// codec's own answer for a request that never reaches the runtime — are
+// written into the Request rather than returned through
+// live.Response.Payload, so completing a request allocates nothing.
 package netsrv
 
 import (
@@ -19,7 +19,8 @@ import (
 // Request is one parsed command flowing through the runtime. Key and
 // Val alias the connection's read buffer (pooled frame buffer in binary
 // mode, bufio window in text mode): valid until the response is
-// encoded, never after.
+// encoded, never after — the connection's window slot, held from before
+// the read until after the write, is what keeps them so.
 type Request struct {
 	Op   byte   // proto.Op*
 	ID   uint64 // binary request id; 0 in text mode
@@ -37,6 +38,12 @@ type Request struct {
 	Out    []byte // StValue payload
 	Count  uint64 // StCount payload
 	errMsg string // StErr / StBadRequest detail
+
+	// obsOn is the text connection's OBS ON toggle at the time the line
+	// was read; trailer is the |OBS breakdown rendered for it at
+	// completion, the only place that sees the live.Response.
+	obsOn   bool
+	trailer string
 
 	// frame pins the pooled read buffer Key/Val alias in binary mode;
 	// released when the response is encoded.
@@ -108,22 +115,10 @@ func (r *Request) decodeOp() bool {
 	}
 }
 
-// appendResp encodes the binary response frame for this request.
-func (r *Request) appendResp(b []byte) []byte {
-	switch r.Status {
-	case proto.StCount:
-		return proto.AppendCountResponse(b, r.ID, r.Count)
-	case proto.StErr, proto.StBadRequest:
-		return proto.AppendResponse(b, r.Status, r.ID, []byte(r.errMsg))
-	default:
-		return proto.AppendResponse(b, r.Status, r.ID, r.Out)
-	}
-}
-
 // appendText renders the text-protocol response line (without the
-// trailing newline), appending to b — the text path's single reused
-// response buffer (the old per-response fmt.Fprintf path allocated on
-// every response; see EXPERIMENTS.md).
+// trailing newline), appending to b — the flusher's reused write buffer
+// (the old per-response fmt.Fprintf path allocated on every response;
+// see EXPERIMENTS.md).
 func (r *Request) appendText(b []byte) []byte {
 	switch r.Status {
 	case proto.StOK:

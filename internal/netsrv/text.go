@@ -1,7 +1,8 @@
-// Text mode: the historical line protocol, lockstep through live.Do.
-// The hot path reuses one Request, one parse, and one response buffer
-// per connection — the old per-response fmt.Fprintf path allocated a
-// format state and boxed operands on every single response.
+// The text codec: the historical line protocol. One line is one
+// request, parsed in place — Key and Val alias the read buffer — so the
+// connection runs with a window of 1. Lines the data protocol does not
+// know go to Options.Control, whose output rides the Request to the
+// flusher like any other response.
 package netsrv
 
 import (
@@ -9,11 +10,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"time"
 
 	"concord/internal/live"
-	"concord/internal/obs"
 	"concord/internal/proto"
 )
 
@@ -21,139 +20,90 @@ import (
 // its newline, so the stream is still usable.
 var errTooLong = errors.New("netsrv: line too long")
 
-func (s *Server) serveText(conn net.Conn, first []byte) {
-	br := bufio.NewReaderSize(io.MultiReader(bytes.NewReader(first), conn), 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<12)
-	var (
-		spill []byte // reused overflow for lines longer than br's buffer
-		out   []byte // reused response buffer
-		req   Request
-		obsOn bool
-	)
-	// flushOut writes the buffered response under a write deadline so a
-	// client that stops reading cannot pin this goroutine forever.
-	flushOut := func() bool {
-		if wt := s.opts.WriteTimeout; wt > 0 {
-			conn.SetWriteDeadline(time.Now().Add(wt))
-		}
-		return bw.Flush() == nil
-	}
-	reply := func(resp []byte) bool {
-		resp = append(resp, '\n')
-		if _, err := bw.Write(resp); err != nil {
-			return false
-		}
-		return flushOut()
-	}
-	for {
-		line, err := readLine(br, &spill, s.opts.MaxReq)
-		if err == errTooLong {
-			s.tooLarge.Add(1)
-			s.textLines.Add(1)
-			if !reply(append(out[:0], proto.StatusString(proto.StTooLarge)...)) {
-				return
-			}
-			continue
-		}
-		if err != nil {
-			return
-		}
-		s.textLines.Add(1)
-		var readTS time.Time
-		if s.tr != nil {
-			readTS = time.Now()
-		}
-		req.reset()
-		switch perr := parseText(line, &req); {
-		case perr == nil:
-			if s.tr != nil {
-				req.readTS, req.parsedTS = readTS, time.Now()
-			}
-		case perr == errUnknownOp && s.opts.Control != nil && s.opts.Control(bw, string(line), &obsOn):
-			if !flushOut() {
-				return
-			}
-			continue
-		default:
-			out = append(append(out[:0], "ERR "...), perr.Error()...)
-			if !reply(out) {
-				return
-			}
-			continue
-		}
-		resp := s.rt.Do(&req)
-		if resp.Err != nil {
-			req.Status, req.errMsg = statusForErr(resp.Err)
-		}
-		if s.opts.Observe != nil {
-			s.opts.Observe(req.Op, resp)
-		}
-		out = req.appendText(out[:0])
-		if obsOn && s.opts.Trailer != nil {
-			out = append(out, s.opts.Trailer(resp)...)
-		}
-		if s.tr != nil {
-			s.tr.Record(obs.WriterNet, obs.EvFlushQueued, resp.ID, 0)
-		}
-		if !reply(out) {
-			return
-		}
-		// Lockstep mode flushes one response per reply; arg 1 mirrors the
-		// binary path's batch size.
-		if tr, obsEg := s.tr, s.opts.ObserveEgress; tr != nil || obsEg != nil {
-			now := time.Now()
-			if tr != nil {
-				tr.RecordAt(obs.WriterNet, obs.EvFlushed, resp.ID, 1, now)
-			}
-			if obsEg != nil && !resp.Done.IsZero() {
-				obsEg(req.Op, now.Sub(resp.Done))
-			}
-		}
-	}
+// stControl marks a Request answered by Options.Control: Out holds the
+// verb's output, newlines included. Never on the wire.
+const stControl byte = 0xff
+
+type textCodec struct {
+	s     *Server
+	br    *bufio.Reader
+	spill []byte       // reused overflow for lines longer than br's buffer
+	ctl   bytes.Buffer // reused control-verb output
+	obsOn bool         // the connection's OBS ON toggle
 }
 
+func (tc *textCodec) next(r *Request) (bool, error) {
+	s := tc.s
+	line, err := readLine(tc.br, &tc.spill, s.opts.MaxReq)
+	if err == errTooLong {
+		s.tooLarge.Add(1)
+		s.textLines.Add(1)
+		r.Status = proto.StTooLarge
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	s.textLines.Add(1)
+	if s.tr != nil {
+		r.readTS = time.Now()
+	}
+	perr := parseText(line, r)
+	if perr == nil {
+		if s.tr != nil {
+			r.parsedTS = time.Now()
+		}
+		r.obsOn = tc.obsOn
+		return true, nil
+	}
+	if perr == errUnknownOp && s.opts.Control != nil {
+		tc.ctl.Reset()
+		if s.opts.Control(&tc.ctl, string(line), &tc.obsOn) {
+			r.Status, r.Out = stControl, tc.ctl.Bytes()
+			return false, nil
+		}
+	}
+	r.Status, r.errMsg = proto.StErr, perr.Error()
+	return false, nil
+}
+
+func (tc *textCodec) appendResp(b []byte, r *Request) []byte {
+	if r.Status == stControl {
+		return append(b, r.Out...)
+	}
+	b = append(r.appendText(b), r.trailer...)
+	return append(b, '\n')
+}
+
+func (tc *textCodec) flushed(int) {}
+
 // readLine returns the next newline-terminated line (EOL stripped),
-// spilling lines longer than the reader's buffer into *spill. Lines
-// over max are consumed to their newline and reported as errTooLong.
-// A final unterminated line before EOF is returned as a line, matching
-// the old bufio.Scanner behavior.
+// spilling lines longer than the reader's buffer into *spill. Lines over
+// max — terminator included — are consumed to their newline and reported
+// as errTooLong. A final unterminated line before EOF is returned as a
+// line, matching the old bufio.Scanner behavior.
 func readLine(br *bufio.Reader, spill *[]byte, max int) ([]byte, error) {
 	line, err := br.ReadSlice('\n')
-	if err == nil {
-		return trimEOL(line), nil
-	}
-	if err == io.EOF {
-		if len(line) > 0 {
-			return trimEOL(line), nil
-		}
-		return nil, io.EOF
-	}
-	if err != bufio.ErrBufferFull {
-		return nil, err
-	}
-	buf := append((*spill)[:0], line...)
-	for {
-		if len(buf) > max {
-			*spill = buf[:0]
-			return nil, discardLine(br)
-		}
-		line, err = br.ReadSlice('\n')
-		buf = append(buf, line...)
-		if err == nil || (err == io.EOF && len(buf) > 0) {
+	if err == bufio.ErrBufferFull {
+		buf := append((*spill)[:0], line...)
+		for err == bufio.ErrBufferFull {
 			if len(buf) > max {
 				*spill = buf[:0]
-				if err == nil {
-					return nil, errTooLong
-				}
-				return nil, err
+				return nil, discardLine(br)
 			}
-			*spill = buf
-			return trimEOL(buf), nil
+			line, err = br.ReadSlice('\n')
+			buf = append(buf, line...)
 		}
-		if err != bufio.ErrBufferFull {
-			*spill = buf[:0]
-			return nil, err
-		}
+		*spill = buf[:0]
+		line = buf
+	}
+	switch {
+	case err == nil && len(line) > max:
+		return nil, errTooLong
+	case err == nil, err == io.EOF && len(line) > 0 && len(line) <= max:
+		return trimEOL(line), nil
+	default:
+		return nil, err
 	}
 }
 
@@ -190,7 +140,7 @@ type parseError string
 func (e parseError) Error() string { return string(e) }
 
 // parseText parses one data line into req without allocating: Key and
-// Val alias line, which stays valid through the lockstep live.Do.
+// Val alias line, which stays valid until the next read.
 // A line may open with an SLO-class token (`@critical GET k`); the
 // token sets req.Class and the rest of the line parses as usual. An
 // unknown @token is a parse error, not errUnknownOp — '@' never opens

@@ -1,0 +1,217 @@
+package netsrv
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"concord/internal/live"
+	"concord/internal/proto"
+)
+
+// eachShardCount runs the test body against a fresh server at 1, 2 and
+// 4 dispatcher shards.
+func eachShardCount(t *testing.T, opts Options, body func(t *testing.T, s *Server, ln net.Listener)) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			s, ln := newTestServerLive(t, opts, live.Options{Workers: 4, Shards: shards})
+			body(t, s, ln)
+		})
+	}
+}
+
+// waitFor polls cond until it holds; what names the wait for the
+// failure message.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFloodHoldsOnlyItsWindow: a connection that writes ten windows of
+// work without reading a byte never has more than its window between
+// "read off the wire" and "response written", and a second connection
+// is served meanwhile.
+func TestFloodHoldsOnlyItsWindow(t *testing.T) {
+	eachShardCount(t, Options{}, func(t *testing.T, s *Server, ln net.Listener) {
+		const flood = 10 * binaryWindow
+		var peak atomic.Int64
+		stop, sampled := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(sampled)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if p := s.NetStats().Pipeline; p > peak.Load() {
+					peak.Store(p)
+				}
+				runtime.Gosched()
+			}
+		}()
+
+		conn := dial(t, ln)
+		var wire []byte
+		for i := uint64(0); i < flood; i++ {
+			wire = proto.AppendSpinRequest(wire, i, 300)
+		}
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the flood to fill its window", func() bool { return s.NetStats().FramesIn >= binaryWindow })
+
+		other := dial(t, ln)
+		if _, err := io.WriteString(other, "GET key000\n"); err != nil {
+			t.Fatal(err)
+		}
+		if line, err := bufio.NewReader(other).ReadString('\n'); err != nil || line != "VALUE value\n" {
+			t.Fatalf("second connection during the flood: %q, %v", line, err)
+		}
+		if st := s.NetStats(); st.FramesOut == flood {
+			t.Fatalf("the second connection was answered only after all %d frames of the flood: it queued behind more than a window", flood)
+		}
+
+		got := readResponses(t, proto.NewRespReader(conn, 0), flood)
+		for i := uint64(0); i < flood; i++ {
+			if got[i].Status != proto.StOK {
+				t.Fatalf("flood id %d: %+v", i, got[i])
+			}
+		}
+		close(stop)
+		<-sampled
+		// +1: the second connection's request is in the same gauge.
+		if p := peak.Load(); p > binaryWindow+1 {
+			t.Fatalf("pipeline peaked at %d with one flooding connection, window is %d", p, binaryWindow)
+		}
+		t.Logf("pipeline peak %d (window %d)", peak.Load(), binaryWindow)
+		waitFor(t, "pipeline to return to 0", func() bool { return s.NetStats().Pipeline == 0 })
+	})
+}
+
+// TestNeverReadingClientIsClosed: a client that keeps asking for a large
+// value and never reads stalls the flusher's write; after WriteTimeout
+// the connection is closed, counted once, and every goroutine it had is
+// gone. Both protocols: the text flusher holds one response, the binary
+// one up to a window of them.
+func TestNeverReadingClientIsClosed(t *testing.T) {
+	big := bytes.Repeat([]byte("v"), 64<<10)
+	for _, tc := range []struct {
+		name string
+		get  []byte
+	}{
+		{"text", []byte("GET big\n")},
+		{"binary", proto.AppendRequest(nil, proto.OpGet, 1, []byte("big"), nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eachShardCount(t, Options{WriteTimeout: 50 * time.Millisecond}, func(t *testing.T, s *Server, ln net.Listener) {
+				if resp := s.rt.Do(&Request{Op: proto.OpPut, Key: []byte("big"), Val: big}); resp.Err != nil {
+					t.Fatal(resp.Err)
+				}
+				baseline := runtime.NumGoroutine()
+				conn := dial(t, ln)
+				// Write until the server hangs up on us: first the socket
+				// buffers between the two ends fill with unread responses,
+				// then the flusher's write times out.
+				written := make(chan struct{})
+				go func() {
+					defer close(written)
+					for {
+						if _, err := conn.Write(tc.get); err != nil {
+							return
+						}
+					}
+				}()
+				waitFor(t, "the stalled write to close the connection", func() bool {
+					st := s.NetStats()
+					return st.WriteClosed > 0 && st.Conns == 0
+				})
+				conn.Close()
+				<-written
+				waitFor(t, "the connection's goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+				if st := s.NetStats(); st.WriteClosed != 1 || st.Pipeline != 0 {
+					t.Fatalf("after the close: WriteClosed = %d, Pipeline = %d, want 1 and 0", st.WriteClosed, st.Pipeline)
+				}
+			})
+		})
+	}
+}
+
+// TestHalfOpenMidPipeline: the client closes its write side with several
+// windows of requests still unanswered. Every frame it sent is answered
+// exactly once, then the server closes.
+func TestHalfOpenMidPipeline(t *testing.T) {
+	eachShardCount(t, Options{}, func(t *testing.T, s *Server, ln net.Listener) {
+		const frames = 3*binaryWindow + 7
+		conn := dial(t, ln)
+		var wire []byte
+		for i := uint64(0); i < frames; i++ {
+			if i%8 == 0 {
+				wire = proto.AppendSpinRequest(wire, i, 200)
+			} else {
+				wire = proto.AppendRequest(wire, proto.OpGet, i, []byte("key007"), nil)
+			}
+		}
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		conn.(*net.TCPConn).CloseWrite()
+		rr := proto.NewRespReader(conn, 0)
+		got := readResponses(t, rr, frames)
+		for i := uint64(0); i < frames; i++ {
+			if st := got[i].Status; st != proto.StOK && st != proto.StValue {
+				t.Fatalf("id %d: %+v", i, got[i])
+			}
+		}
+		if r, err := rr.Next(); err != io.EOF {
+			t.Fatalf("after the last owed response: resp %+v err %v, want EOF", r, err)
+		}
+		waitFor(t, "the connection to close", func() bool { return s.NetStats().Conns == 0 })
+		if st := s.NetStats(); st.Pipeline != 0 || st.FramesIn != frames || st.FramesOut != frames {
+			t.Fatalf("pipeline %d, frames in/out %d/%d, want 0 and %d each", st.Pipeline, st.FramesIn, st.FramesOut, frames)
+		}
+	})
+}
+
+// TestResetMidBatch: the client resets the connection with responses
+// still owed. Each accepted frame ends in a response or in the closed
+// connection — the runtime completes everything it was given, the
+// window comes back whole, nothing is left open.
+func TestResetMidBatch(t *testing.T) {
+	eachShardCount(t, Options{}, func(t *testing.T, s *Server, ln net.Listener) {
+		const frames = 3 * binaryWindow
+		conn := dial(t, ln)
+		var wire []byte
+		for i := uint64(0); i < frames; i++ {
+			wire = proto.AppendSpinRequest(wire, i, 200)
+		}
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		readResponses(t, proto.NewRespReader(conn, 0), 5)
+		conn.(*net.TCPConn).SetLinger(0) // Close sends RST, not FIN
+		conn.Close()
+		waitFor(t, "the reset connection to close", func() bool { return s.NetStats().Conns == 0 })
+		st, rs := s.NetStats(), s.rt.Stats()
+		if st.Pipeline != 0 {
+			t.Fatalf("pipeline = %d after the connection closed, want 0", st.Pipeline)
+		}
+		if st.FramesIn > frames || st.FramesOut > st.FramesIn || st.WriteClosed > 1 {
+			t.Fatalf("frames in/out %d/%d of %d sent, WriteClosed %d", st.FramesIn, st.FramesOut, frames, st.WriteClosed)
+		}
+		if rs.Submitted != st.FramesIn || rs.Completed != rs.Submitted {
+			t.Fatalf("runtime submitted %d completed %d, netsrv decoded %d", rs.Submitted, rs.Completed, st.FramesIn)
+		}
+	})
+}

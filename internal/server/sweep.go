@@ -1,9 +1,6 @@
 package server
 
 import (
-	"runtime"
-	"sync"
-
 	"concord/internal/sim"
 	"concord/internal/stats"
 )
@@ -32,8 +29,7 @@ func Sweep(cfg Config, wl Workload, loadsKRps []float64, p RunParams) stats.Curv
 
 // SweepIndexed is Sweep with an explicit system index for seed
 // derivation. It is the serial reference implementation: the parallel
-// paths (SweepParallel, internal/runner) must produce bit-identical
-// curves.
+// path (internal/runner) must produce bit-identical curves.
 func SweepIndexed(cfg Config, wl Workload, loadsKRps []float64, system int, p RunParams) stats.Curve {
 	curve := stats.Curve{System: cfg.Name, Points: make([]stats.Point, 0, len(loadsKRps))}
 	for i, kRps := range loadsKRps {
@@ -44,49 +40,6 @@ func SweepIndexed(cfg Config, wl Workload, loadsKRps []float64, system int, p Ru
 		// cheap because the queue-cap guard fires early.
 	}
 	return curve
-}
-
-// SweepParallel runs the sweep's load points concurrently on up to par
-// goroutines (GOMAXPROCS when par <= 0) and returns a curve identical to
-// Sweep's: every run's seed is a pure function of (p.Seed, load index),
-// each run owns its Machine and RNG, and points are reassembled in load
-// order, so the result is independent of scheduling order.
-func SweepParallel(cfg Config, wl Workload, loadsKRps []float64, p RunParams, par int) stats.Curve {
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(loadsKRps) {
-		par = len(loadsKRps)
-	}
-	if par <= 1 {
-		return Sweep(cfg, wl, loadsKRps, p)
-	}
-	points := make([]stats.Point, len(loadsKRps))
-	var next int
-	var mu sync.Mutex
-	take := func() int {
-		mu.Lock()
-		i := next
-		next++
-		mu.Unlock()
-		return i
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < par; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := take()
-				if i >= len(loadsKRps) {
-					return
-				}
-				points[i] = RunAt(cfg, wl, loadsKRps[i], withSeedFor(p, 0, i))
-			}
-		}()
-	}
-	wg.Wait()
-	return stats.Curve{System: cfg.Name, Points: points}
 }
 
 // RunAt runs one system at one offered load and returns its point.

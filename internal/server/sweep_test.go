@@ -1,12 +1,6 @@
 package server
 
-import (
-	"reflect"
-	"testing"
-
-	"concord/internal/cost"
-	"concord/internal/dist"
-)
+import "testing"
 
 // TestSeedForGolden pins the seed-derivation function. These values are
 // load-bearing: every figure's numbers depend on them, and the parallel
@@ -44,28 +38,5 @@ func TestSeedForGolden(t *testing.T) {
 			}
 			seen[v] = [2]int{s, l}
 		}
-	}
-}
-
-// TestSweepParallelMatchesSerial checks the core determinism contract:
-// SweepParallel produces exactly the serial Sweep's curve at any worker
-// count, including counts exceeding the number of load points.
-func TestSweepParallelMatchesSerial(t *testing.T) {
-	m := cost.Default()
-	cfg := Concord(m, 4, 5)
-	wl := Workload{Dist: dist.Bimodal(50, 1, 50, 100)}
-	loads := []float64{20, 40, 60, 80}
-	p := RunParams{Requests: 3000, Seed: 11, MaxCentralQueue: 100000, DrainSlackUS: 50_000}
-
-	want := Sweep(cfg, wl, loads, p)
-	for _, par := range []int{1, 2, 3, 8} {
-		got := SweepParallel(cfg, wl, loads, p, par)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("SweepParallel(par=%d) differs from serial Sweep", par)
-		}
-	}
-	// Repeat runs must also be identical (no hidden global state).
-	if again := SweepParallel(cfg, wl, loads, p, 2); !reflect.DeepEqual(want, again) {
-		t.Errorf("repeated SweepParallel(par=2) differs from first run")
 	}
 }
