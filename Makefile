@@ -83,4 +83,12 @@ bench-smoke-compare:
 bench-module:
 	cd benchmark && go vet . && go test .
 
-.PHONY: tier1 race live-stress vet fuzz-smoke bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare bench-module
+# results_full.tsv is every figure at full fidelity, and a function of
+# the code alone (default seed, bit-identical at any -parallel): this
+# regenerates it (minutes, all cores) and fails on any difference. After a
+# deliberate model change, refresh the file and results_timing.log with
+#   go run ./cmd/concordsim -fig all -time -parallel 0 > results_full.tsv 2> results_timing.log
+results-check:
+	go run ./cmd/concordsim -fig all -parallel 0 | diff - results_full.tsv
+
+.PHONY: tier1 race live-stress vet fuzz-smoke bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare bench-module results-check

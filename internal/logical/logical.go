@@ -108,9 +108,9 @@ type worker struct {
 	waking       bool
 	idleSince    sim.Cycles
 	totalIdle    sim.Cycles
-	completionEv *sim.Event
-	quantumEv    *sim.Event
-	yieldEv      *sim.Event
+	completionEv *sim.Timer
+	quantumEv    *sim.Timer
+	yieldEv      *sim.Timer
 }
 
 // Machine simulates one run of a single-logical-queue server.
@@ -133,7 +133,7 @@ type Machine struct {
 	admitted, completed int
 	preemptions, steals int
 	arrivalsDone        bool
-	watchdog            *sim.Event
+	watchdog            *sim.Timer
 	saturated           bool
 	rr                  int // round-robin arrival steering
 
@@ -447,8 +447,8 @@ func (m *Machine) yield(w *worker, req *request, now sim.Cycles) {
 	req.remainingBase -= consumed
 	req.preemptions++
 	m.preemptions++
-	m.eng.Cancel(w.completionEv)
-	m.eng.Cancel(w.quantumEv)
+	w.completionEv.Stop()
+	w.quantumEv.Stop()
 	w.cur = nil
 	w.signaled = false
 	// The preempted request re-joins the owner's queue tail (§6: no
@@ -463,8 +463,8 @@ func (m *Machine) yield(w *worker, req *request, now sim.Cycles) {
 func (m *Machine) complete(w *worker, now sim.Cycles) {
 	req := w.cur
 	req.remainingBase = 0
-	m.eng.Cancel(w.quantumEv)
-	m.eng.Cancel(w.yieldEv)
+	w.quantumEv.Stop()
+	w.yieldEv.Stop()
 	w.cur = nil
 	m.completed++
 	if !req.warmup {
@@ -474,7 +474,7 @@ func (m *Machine) complete(w *worker, now sim.Cycles) {
 		})
 	}
 	if m.arrivalsDone && m.completed == m.admitted {
-		m.eng.Cancel(m.watchdog)
+		m.watchdog.Stop()
 		m.eng.Stop()
 		return
 	}

@@ -43,19 +43,20 @@ type worker struct {
 	idleSince sim.Cycles
 	totalIdle sim.Cycles
 
-	completionEv *sim.Event
-	quantumEv    *sim.Event
-	yieldEv      *sim.Event
+	// The worker's timers, made once with their callbacks bound, so the
+	// hot path arms and stops them without allocating.
+	completion *sim.Timer // the current segment runs to its end
+	quantum    *sim.Timer // the dispatcher notices the quantum expired
+	yield      *sim.Timer // the worker observes the signal (or its own clock)
+	resume     *sim.Timer // yield overheads paid: transit ends
 
-	// Callbacks bound once at machine construction so the hot path
-	// schedules events without allocating a fresh closure per segment.
-	// Each nils its own event handle on fire — required by the engine's
-	// event pooling (a fired event's handle must never be Cancelled).
-	completeFn func(sim.Cycles)
-	observeFn  func(sim.Cycles) // self-preemption quantum observation
-	signalFn   func(sim.Cycles) // dispatcher-monitored quantum expiry
-	yieldFn    func(sim.Cycles)
-	transitFn  func(sim.Cycles)
+	// handoffs carry requests pushed while the worker was stalled through
+	// the c_next delay, and inflight holds those requests. Up to
+	// QueueBound pushes can be under way at once; all pay the same delay,
+	// so they land in push order and the timers are used round-robin.
+	handoffs []*sim.Timer
+	inflight []*Request
+	pushes   int
 }
 
 // Machine is one simulated server instance processing one run.
@@ -75,13 +76,13 @@ type Machine struct {
 	dBusy   bool
 	saved   *Request // work-conserving dispatcher's parked request
 
-	// pending is the dispatcher operation currently paying its cost;
-	// dBusy serializes the dispatcher so one slot suffices. Keeping it in
-	// a field (with a bound dispatchFn) avoids a closure per operation.
+	// dBusy serializes the dispatcher: at most one operation (pending) or
+	// one steal (the state below) is paying its cost, and dispatcher — the
+	// engine's slot timer, these being nearly half of all events — fires
+	// when it is paid.
 	pending    op
-	dispatchFn func(sim.Cycles)
-	arrivalFn  func(sim.Cycles)
-	stealFn    func(sim.Cycles)
+	dispatcher *sim.Timer
+	arrival    *sim.Timer
 
 	// In-flight work-conserving steal state (single slot, like pending).
 	stealReq      *Request
@@ -105,7 +106,7 @@ type Machine struct {
 	preemptions  int
 	arrivalsDone bool
 	lastArrival  sim.Cycles
-	watchdog     *sim.Event
+	watchdog     *sim.Timer
 	saturated    bool
 	dBusyCycles  sim.Cycles
 
@@ -138,11 +139,10 @@ func New(cfg Config, wl Workload, p RunParams) *Machine {
 		cfg: cfg,
 		wl:  wl,
 		p:   p,
-		eng: sim.NewEngineSized(64 + 4*cfg.Workers),
+		eng: sim.NewEngine(),
 		rng: sim.NewRNG(p.Seed),
 		ops: make([]op, 0, 256),
 	}
-	m.eng.EnablePooling()
 	if p.ExactSamples {
 		m.collector = stats.NewCollector(p.Requests)
 	} else {
@@ -161,45 +161,33 @@ func New(cfg Config, wl Workload, p RunParams) *Machine {
 			idle:  true,
 			local: make([]*Request, 0, cfg.QueueBound),
 		}
-		w.completeFn = func(t sim.Cycles) {
-			w.completionEv = nil
-			m.completeSegment(w, t)
-		}
-		w.observeFn = func(t sim.Cycles) {
-			w.quantumEv = nil
-			if w.cur != nil {
-				m.yield(w, w.cur, t)
-			}
-		}
-		w.signalFn = func(t sim.Cycles) {
-			w.quantumEv = nil
-			req := w.cur
-			if req == nil {
-				return
-			}
-			m.enqueueOp(op{
-				kind:   opSignal,
-				req:    req,
-				epoch:  req.epoch,
-				worker: w.id,
-				cost:   m.cfg.Mech.SignalCost(),
-			}, t)
-		}
-		w.yieldFn = func(t sim.Cycles) {
-			w.yieldEv = nil
-			if w.cur != nil {
-				m.yield(w, w.cur, t)
-			}
-		}
-		w.transitFn = func(t sim.Cycles) {
+		w.completion = m.eng.NewTimer(func(t sim.Cycles) { m.completeSegment(w, t) })
+		w.quantum = m.eng.NewTimer(func(t sim.Cycles) { m.signal(w, t) })
+		w.yield = m.eng.NewTimer(func(t sim.Cycles) { m.yield(w, t) })
+		w.resume = m.eng.NewTimer(func(t sim.Cycles) {
 			w.transit = false
 			m.workerNext(w, t)
+		})
+		handoff := func(t sim.Cycles) { m.receive(w, popFront(&w.inflight), t) }
+		w.inflight = make([]*Request, 0, cfg.QueueBound)
+		w.handoffs = make([]*sim.Timer, cfg.QueueBound)
+		for k := range w.handoffs {
+			w.handoffs[k] = m.eng.NewTimer(handoff)
 		}
 		m.workers[i] = w
 	}
-	m.dispatchFn = m.dispatchDone
-	m.arrivalFn = m.arrive
-	m.stealFn = m.stealDone
+	m.dispatcher = m.eng.NewSlotTimer(func(t sim.Cycles) {
+		if m.stealReq != nil {
+			m.stealDone(t)
+		} else {
+			m.dispatchDone(t)
+		}
+	})
+	m.arrival = m.eng.NewTimer(m.arrive)
+	m.watchdog = m.eng.NewTimer(func(sim.Cycles) {
+		m.saturated = true
+		m.eng.Stop()
+	})
 	m.quantum = cfg.Model.MicrosToCycles(cfg.QuantumUS)
 	if cfg.Mech != nil {
 		m.workerOv = cfg.Mech.ProcOverhead()
@@ -226,15 +214,11 @@ func (m *Machine) scheduleArrival(now sim.Cycles) {
 		m.arrivalsDone = true
 		m.lastArrival = now
 		slack := m.cfg.Model.MicrosToCycles(m.p.DrainSlackUS)
-		m.watchdog = m.eng.At(now+slack, func(sim.Cycles) {
-			m.watchdog = nil
-			m.saturated = true
-			m.eng.Stop()
-		})
+		m.watchdog.Set(now + slack)
 		return
 	}
 	gap := m.cfg.Model.MicrosToCycles(m.wl.Arrival.NextGapUS(m.rng))
-	m.eng.After(gap, m.arrivalFn)
+	m.arrival.Set(now + gap)
 }
 
 func (m *Machine) arrive(t sim.Cycles) {
@@ -327,7 +311,7 @@ func (m *Machine) kick(now sim.Cycles) {
 	if ok {
 		m.dBusy = true
 		m.pending = o
-		m.eng.After(o.cost, m.dispatchFn)
+		m.dispatcher.Set(now + o.cost)
 		return
 	}
 	if m.cfg.WorkConserving {
@@ -379,9 +363,9 @@ func (m *Machine) apply(o op, now sim.Cycles) {
 		if w.idle && w.cur == nil && len(w.local) == 0 {
 			// The worker is stalled waiting: it pays the synchronous
 			// handoff's coherence misses (c_next) before it can start.
-			m.eng.After(m.cfg.Model.NextRequest, func(t sim.Cycles) {
-				m.receive(w, req, t)
-			})
+			w.inflight = append(w.inflight, req)
+			w.handoffs[w.pushes%len(w.handoffs)].Set(now + m.cfg.Model.NextRequest)
+			w.pushes++
 		} else {
 			// Push overlaps with the worker's current execution.
 			m.receive(w, req, now)
@@ -432,7 +416,7 @@ func (m *Machine) steal(now sim.Cycles) {
 	m.stealSlice = slice
 	m.stealTotal = total
 	m.stealFinishes = finishes
-	m.eng.After(total, m.stealFn)
+	m.dispatcher.Set(now + total)
 }
 
 func (m *Machine) stealDone(t sim.Cycles) {
@@ -472,11 +456,18 @@ func (m *Machine) receive(w *worker, req *Request, now sim.Cycles) {
 	}
 }
 
+// popFront removes and returns the head of a short FIFO.
+func popFront(q *[]*Request) *Request {
+	s := *q
+	req := s[0]
+	n := copy(s, s[1:])
+	s[n] = nil
+	*q = s[:n]
+	return req
+}
+
 func (m *Machine) acquireNext(w *worker, now sim.Cycles) {
-	req := w.local[0]
-	copy(w.local, w.local[1:])
-	w.local[len(w.local)-1] = nil
-	w.local = w.local[:len(w.local)-1]
+	req := popFront(&w.local)
 	if w.idle {
 		w.totalIdle += now - w.idleSince
 		w.idle = false
@@ -501,35 +492,49 @@ func (m *Machine) startSegment(w *worker, req *Request, start sim.Cycles) {
 		wall += m.cfg.Model.PreemptCacheReload
 	}
 	w.segEnd = start + wall
-	w.completionEv = m.eng.At(w.segEnd, w.completeFn)
-	m.scheduleQuantum(w, req, start)
+	if !m.scheduleQuantum(w, req, start) {
+		w.completion.Set(w.segEnd)
+	}
 }
 
-func (m *Machine) scheduleQuantum(w *worker, req *Request, start sim.Cycles) {
+// scheduleQuantum arms the segment's preemption, if it can be preempted,
+// and reports whether it certainly will be: a worker that preempts itself
+// before segEnd never reaches it, so that segment needs no completion.
+func (m *Machine) scheduleQuantum(w *worker, req *Request, start sim.Cycles) bool {
 	if m.quantum <= 0 || m.cfg.Mech == nil {
-		return
+		return false
 	}
 	if m.cfg.DeferWholeRequest && req.critWall > 0 {
 		// Shinjuku's LevelDB port: preemption disabled for the whole
 		// request when it may take locks.
-		return
+		return false
 	}
 	expiry := start + m.quantum
 	if expiry >= w.segEnd {
-		return // completes within the quantum
+		return false // completes within the quantum
 	}
 	if m.cfg.Mech.SelfPreempting() {
 		observe := expiry + m.cfg.Mech.ObserveDelay(m.rng)
 		if observe >= w.segEnd {
-			return
+			return false
 		}
-		w.quantumEv = m.eng.At(observe, w.observeFn)
-		return
+		w.yield.Set(observe)
+		return true
 	}
 	// The dispatcher monitors elapsed time and signals at expiry; the
 	// signal is one of its serialized operations, so it is late when the
 	// dispatcher is busy.
-	w.quantumEv = m.eng.At(expiry, w.signalFn)
+	w.quantum.Set(expiry)
+	return false
+}
+
+// signal is the quantum timer: the dispatcher queues a preemption signal.
+func (m *Machine) signal(w *worker, now sim.Cycles) {
+	req := w.cur
+	if req == nil {
+		return
+	}
+	m.enqueueOp(op{kind: opSignal, req: req, epoch: req.epoch, worker: w.id, cost: m.cfg.Mech.SignalCost()}, now)
 }
 
 func (m *Machine) deliverSignal(o op, now sim.Cycles) {
@@ -549,11 +554,12 @@ func (m *Machine) deliverSignal(o op, now sim.Cycles) {
 	if yieldAt >= w.segEnd {
 		return // the request completes before it would yield
 	}
-	w.yieldEv = m.eng.At(yieldAt, w.yieldFn)
+	w.yield.Set(yieldAt)
 }
 
-func (m *Machine) yield(w *worker, req *Request, now sim.Cycles) {
-	if w.cur != req {
+func (m *Machine) yield(w *worker, now sim.Cycles) {
+	req := w.cur
+	if req == nil {
 		return
 	}
 	elapsed := now - w.runStart
@@ -567,25 +573,21 @@ func (m *Machine) yield(w *worker, req *Request, now sim.Cycles) {
 	req.remainingBase -= consumed
 	req.Preemptions++
 	m.preemptions++
-	m.eng.Cancel(w.completionEv)
-	w.completionEv = nil
-	m.eng.Cancel(w.quantumEv)
-	w.quantumEv = nil
+	w.completion.Stop()
+	w.quantum.Stop()
 	w.cur = nil
 	w.signaled = false
 	w.transit = true
 	m.enqueueOp(op{kind: opRequeue, req: req, epoch: req.epoch, worker: w.id, cost: m.cfg.Model.RequeueCost}, now)
 	overhead := m.cfg.Mech.NotifyCost() + m.cfg.Model.ContextSwitch
-	m.eng.After(overhead, w.transitFn)
+	w.resume.Set(now + overhead)
 }
 
 func (m *Machine) completeSegment(w *worker, now sim.Cycles) {
 	req := w.cur
 	req.remainingBase = 0
-	m.eng.Cancel(w.quantumEv)
-	w.quantumEv = nil
-	m.eng.Cancel(w.yieldEv)
-	w.yieldEv = nil
+	w.quantum.Stop()
+	w.yield.Stop()
 	w.cur = nil
 	w.signaled = false
 	m.complete(req, now)
@@ -618,8 +620,7 @@ func (m *Machine) complete(req *Request, now sim.Cycles) {
 		})
 	}
 	if m.arrivalsDone && m.completed == m.admitted {
-		m.eng.Cancel(m.watchdog)
-		m.watchdog = nil
+		m.watchdog.Stop()
 		m.eng.Stop()
 	}
 	if m.OnComplete == nil {

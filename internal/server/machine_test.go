@@ -2,6 +2,8 @@ package server
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"concord/internal/cost"
@@ -298,4 +300,33 @@ func TestValidate(t *testing.T) {
 	}
 	_ = mech.None{}
 	_ = lowLoadParams
+}
+
+// TestRunAllocsPerRequest is the simulator's allocation floor: a run
+// allocates its machine (timers, queues, the sample reservoir) and then
+// nothing per event, so a whole 20 000-request run divided by its requests
+// stays far under one. It was 13.7 for Concord while every hand-off to a
+// stalled worker built a closure.
+func TestRunAllocsPerRequest(t *testing.T) {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector allocates on its own account")
+			}
+		}
+	}
+	const requests = 20000
+	m := cost.Default()
+	wl := Workload{Dist: dist.Bimodal(50, 1, 50, 100)}
+	for _, cfg := range []Config{PersephoneFCFS(m, 14), Shinjuku(m, 14, 2), Concord(m, 14, 2)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		RunAt(cfg, wl, 180, RunParams{Requests: requests, Seed: 1})
+		runtime.ReadMemStats(&after)
+		if per := float64(after.Mallocs-before.Mallocs) / requests; per >= 0.1 {
+			t.Errorf("%s: %.3f allocations per simulated request, want < 0.1", cfg.Name, per)
+		} else {
+			t.Logf("%s: %.4f allocations per simulated request", cfg.Name, per)
+		}
+	}
 }

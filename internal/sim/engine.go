@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Cycles is the simulation time unit: CPU clock cycles. All costs in the
 // model (IPI delivery, cache misses, context switches, service times) are
@@ -11,60 +8,37 @@ import (
 // single conversion constant (see internal/cost).
 type Cycles int64
 
-// Event is a scheduled callback. The callback runs when simulated time
-// reaches At; it may schedule further events.
-type Event struct {
-	At Cycles
-	Fn func(now Cycles)
+// Timer is a callback its owner arms, re-arms and stops: the simulated
+// machine is a small fixed population of these (a worker's completion, its
+// quantum, its yield, ...), not a stream of one-shot events. The owner
+// keeps the timer for the engine's lifetime, so a handle never goes stale.
+type Timer struct {
+	eng *Engine
+	fn  func(now Cycles)
 
-	seq   uint64 // tie-break: FIFO among simultaneous events
-	index int    // heap index, -1 once popped or cancelled
+	at  Cycles
+	seq uint64 // tie-break: simultaneous timers fire in arming order
+	// pos is the timer's index in the engine's heap (0 for an armed slot
+	// timer, which is not in the heap), or -1 when it is not armed.
+	pos  int
+	slot bool
 }
 
-// Cancelled reports whether the event was removed from the queue before
-// firing (or has already fired).
-func (e *Event) Cancelled() bool { return e.index == -1 }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// before is the firing order: time, then arming sequence.
+func (t *Timer) before(u *Timer) bool {
+	return t.at < u.at || (t.at == u.at && t.seq < u.seq)
 }
 
-// Engine is a single-threaded discrete-event simulator. Events fire in
-// nondecreasing time order; simultaneous events fire in scheduling order.
+// Engine is a single-threaded discrete-event simulator. Timers fire in
+// nondecreasing time order; simultaneous timers fire in arming order.
 type Engine struct {
 	now     Cycles
-	queue   eventHeap
+	heap    []*Timer // binary min-heap on (at, seq); each timer knows its index
+	slot    *Timer   // the out-of-heap timer, if one was made
 	seq     uint64
 	stopped bool
-	free    []*Event // recycled events when pooling is enabled
-	pooling bool
 
-	// Executed counts events fired so far, useful as a runaway guard and
+	// Executed counts timers fired so far, useful as a runaway guard and
 	// for reporting simulator throughput.
 	Executed uint64
 }
@@ -74,120 +48,150 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// NewEngineSized returns an engine whose event queue is preallocated for
-// about hint pending events, avoiding heap regrowth in steady state.
-func NewEngineSized(hint int) *Engine {
-	if hint < 0 {
-		hint = 0
-	}
-	return &Engine{queue: make(eventHeap, 0, hint)}
-}
-
-// EnablePooling makes the engine recycle Event objects: an event is
-// returned to a freelist as soon as it fires or is cancelled, and later
-// At/After calls reuse it. This eliminates the per-event allocation in
-// hot simulation loops, but callers MUST drop (or overwrite) every
-// retained *Event handle once the event has fired or been cancelled —
-// calling Cancel on a stale handle may cancel an unrelated reused event.
-// internal/server follows that discipline; leave pooling off otherwise.
-func (e *Engine) EnablePooling() { e.pooling = true }
-
-func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &Event{}
-}
-
-func (e *Engine) release(ev *Event) {
-	ev.Fn = nil
-	e.free = append(e.free, ev)
-}
-
 // Now returns the current simulated time.
 func (e *Engine) Now() Cycles { return e.now }
 
-// Len returns the number of pending events.
-func (e *Engine) Len() int { return len(e.queue) }
-
-// At schedules fn to run at absolute time at. Scheduling in the past
-// panics: it always indicates a model bug.
-func (e *Engine) At(at Cycles, fn func(now Cycles)) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, e.now))
-	}
-	var ev *Event
-	if e.pooling {
-		ev = e.alloc()
-		ev.At, ev.Fn, ev.seq = at, fn, e.seq
-	} else {
-		ev = &Event{At: at, Fn: fn, seq: e.seq}
-	}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+// NewTimer returns an unarmed timer that runs fn each time it fires. fn
+// may arm any timer, its own included.
+func (e *Engine) NewTimer(fn func(now Cycles)) *Timer {
+	return &Timer{eng: e, fn: fn, pos: -1}
 }
 
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycles, fn func(now Cycles)) *Event {
-	if delay < 0 {
-		panic("sim: negative delay")
+// NewSlotTimer returns the engine's one timer that is kept beside the
+// heap instead of in it: arming and firing it cost a comparison against
+// the heap's top, not a sift. It is for the busiest timer of a model (the
+// simulated dispatcher's serialized operation is nearly half of all
+// events) and fires in exactly the order a heap timer would.
+func (e *Engine) NewSlotTimer(fn func(now Cycles)) *Timer {
+	if e.slot != nil {
+		panic("sim: engine already has a slot timer")
 	}
+	e.slot = e.NewTimer(fn)
+	e.slot.slot = true
+	return e.slot
+}
+
+// At runs fn once at absolute time at, on a timer of its own.
+func (e *Engine) At(at Cycles, fn func(now Cycles)) *Timer {
+	t := e.NewTimer(fn)
+	t.Set(at)
+	return t
+}
+
+// After runs fn once delay cycles from now.
+func (e *Engine) After(delay Cycles, fn func(now Cycles)) *Timer {
 	return e.At(e.now+delay, fn)
 }
 
-// Cancel removes a pending event from the queue. Cancelling an event that
-// already fired (or was already cancelled) is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.index == -1 {
-		return
+// Set arms the timer to fire at absolute time at; an armed timer is moved
+// there, and takes its place among simultaneous timers anew. Arming in
+// the past panics: it always indicates a model bug.
+func (t *Timer) Set(at Cycles) {
+	e := t.eng
+	if at < e.now {
+		panic(fmt.Sprintf("sim: arming timer at %d before now %d", at, e.now))
 	}
-	heap.Remove(&e.queue, ev.index)
-	ev.index = -1
-	if e.pooling {
-		e.release(ev)
+	t.at, t.seq = at, e.seq
+	e.seq++
+	switch {
+	case t.slot:
+		t.pos = 0
+	case t.pos < 0:
+		e.heap = append(e.heap, t)
+		e.up(len(e.heap)-1, t)
+	default:
+		e.fix(t.pos, t)
 	}
 }
 
-// Stop makes Run/RunUntil return after the current event completes.
+// Stop disarms the timer. Stopping a timer that is not armed — never
+// set, already fired, already stopped, or nil — is a no-op.
+func (t *Timer) Stop() {
+	if t == nil || t.pos < 0 {
+		return
+	}
+	if !t.slot {
+		e := t.eng
+		n := len(e.heap) - 1
+		last := e.heap[n]
+		e.heap[n] = nil
+		e.heap = e.heap[:n]
+		if last != t {
+			e.fix(t.pos, last)
+		}
+	}
+	t.pos = -1
+}
+
+// fix puts x at index i, whose occupant is leaving or has a new key.
+func (e *Engine) fix(i int, x *Timer) {
+	if i > 0 && x.before(e.heap[(i-1)/2]) {
+		e.up(i, x)
+	} else {
+		e.down(i, x)
+	}
+}
+
+// up and down place x at the hole i, moving the hole toward the root or
+// the leaves until x fits: one write per level instead of a swap's two.
+func (e *Engine) up(i int, x *Timer) {
+	h := e.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].pos = i
+		i = p
+	}
+	h[i] = x
+	x.pos = i
+}
+
+func (e *Engine) down(i int, x *Timer) {
+	h := e.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(x) {
+			break
+		}
+		h[i] = h[c]
+		h[i].pos = i
+		i = c
+	}
+	h[i] = x
+	x.pos = i
+}
+
+// Stop makes Run return after the current timer's callback completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Step fires the next event, if any, and reports whether one fired.
+// Step fires the next timer, if any, and reports whether one fired.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
+	t := e.slot
+	if t == nil || t.pos < 0 || (len(e.heap) > 0 && e.heap[0].before(t)) {
+		if len(e.heap) == 0 {
+			return false
+		}
+		t = e.heap[0]
 	}
-	ev := heap.Pop(&e.queue).(*Event)
-	e.now = ev.At
+	t.Stop()
+	e.now = t.at
 	e.Executed++
-	ev.Fn(e.now)
-	if e.pooling {
-		e.release(ev)
-	}
+	t.fn(e.now)
 	return true
 }
 
-// Run fires events until the queue drains or Stop is called.
+// Run fires timers until none is armed or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
 	for !e.stopped && e.Step() {
-	}
-}
-
-// RunUntil fires events with At <= deadline, then advances the clock to
-// the deadline (if the queue drained or only later events remain).
-func (e *Engine) RunUntil(deadline Cycles) {
-	e.stopped = false
-	for !e.stopped {
-		if len(e.queue) == 0 || e.queue[0].At > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline && !e.stopped {
-		e.now = deadline
 	}
 }

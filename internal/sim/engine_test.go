@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -80,39 +79,48 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
-	fired := false
-	ev := e.At(10, func(Cycles) { fired = true })
-	e.Cancel(ev)
-	e.Cancel(ev) // double-cancel is a no-op
+	fired := 0
+	tm := e.At(10, func(Cycles) { fired++ })
+	tm.Stop()
+	tm.Stop() // stopping a stopped timer is a no-op
 	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
+	if fired != 0 {
+		t.Fatal("stopped timer fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after cancel")
+	tm.Set(20)
+	e.Run()
+	if fired != 1 || e.Now() != 20 {
+		t.Fatalf("re-armed timer: fired %d times, clock %d; want once at 20", fired, e.Now())
+	}
+	other := e.At(30, func(Cycles) { fired++ })
+	tm.Stop() // stopping a fired timer must not disturb the heap
+	(*Timer)(nil).Stop()
+	e.Run()
+	if fired != 2 {
+		t.Fatalf("fired = %d after stopping a fired timer; the armed one (%v) was lost", fired, other)
 	}
 }
 
 func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	e := NewEngine()
 	var fired []int
-	var events []*Event
+	var timers []*Timer
 	for i := 0; i < 20; i++ {
 		i := i
-		events = append(events, e.At(Cycles(i*10), func(Cycles) { fired = append(fired, i) }))
+		timers = append(timers, e.At(Cycles(i*10), func(Cycles) { fired = append(fired, i) }))
 	}
-	// Cancel every third event.
+	// Stop every third timer.
 	for i := 0; i < 20; i += 3 {
-		e.Cancel(events[i])
+		timers[i].Stop()
 	}
 	e.Run()
 	for _, v := range fired {
 		if v%3 == 0 {
-			t.Fatalf("cancelled event %d fired", v)
+			t.Fatalf("stopped timer %d fired", v)
 		}
 	}
 	if len(fired) != 13 {
-		t.Fatalf("fired %d events, want 13", len(fired))
+		t.Fatalf("fired %d timers, want 13", len(fired))
 	}
 }
 
@@ -133,39 +141,90 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Cycles(i*10), func(Cycles) { count++ })
+// TestEngineMatchesReferenceModel runs seeded random programs — arm,
+// re-arm and stop, on heap timers and the slot timer, from outside and
+// from inside callbacks, with times drawn from so narrow a range that most
+// share their instant with others — and checks every firing against a
+// reference that holds the armed set in a map and picks the least
+// (time, arming sequence). A stopped timer that fires, a Stop of an idle
+// timer that disturbs the heap, or a slot-versus-heap tie broken the wrong
+// way shows as a wrong identity at some step.
+func TestEngineMatchesReferenceModel(t *testing.T) {
+	type armed struct {
+		at  Cycles
+		seq int
 	}
-	e.RunUntil(55)
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-	if e.Now() != 55 {
-		t.Fatalf("clock = %d, want 55", e.Now())
-	}
-	e.RunUntil(1000)
-	if count != 10 {
-		t.Fatalf("count = %d, want 10", count)
+	const heapTimers = 12 // identity heapTimers is the slot timer
+	for seed := uint64(1); seed <= 25; seed++ {
+		rng := NewRNG(seed)
+		e := NewEngine()
+		ref := map[int]armed{}
+		seq := 0
+		var fired []int
+		timers := make([]*Timer, heapTimers+1)
+		mutate := func(ops int) {
+			for ; ops > 0; ops-- {
+				id := rng.Intn(len(timers))
+				if rng.Intn(4) == 0 {
+					timers[id].Stop()
+					delete(ref, id)
+					continue
+				}
+				at := e.Now() + Cycles(rng.Intn(4))
+				timers[id].Set(at)
+				ref[id] = armed{at, seq}
+				seq++
+			}
+		}
+		for id := range timers {
+			id := id
+			fn := func(now Cycles) {
+				if want, ok := ref[id]; !ok || want.at != now {
+					t.Fatalf("seed %d: timer %d fired at %d; reference has %+v (armed %v)", seed, id, now, want, ok)
+				}
+				fired = append(fired, id)
+				delete(ref, id)
+				mutate(rng.Intn(3))
+			}
+			if id == heapTimers {
+				timers[id] = e.NewSlotTimer(fn)
+			} else {
+				timers[id] = e.NewTimer(fn)
+			}
+		}
+		for step := 0; step < 3000; step++ {
+			mutate(rng.Intn(4))
+			next, any := -1, false
+			for id, a := range ref {
+				if b := ref[next]; !any || a.at < b.at || (a.at == b.at && a.seq < b.seq) {
+					next, any = id, true
+				}
+			}
+			n := len(fired)
+			if e.Step() != any {
+				t.Fatalf("seed %d step %d: Step() = %v with %d timers armed in the reference", seed, step, !any, len(ref))
+			}
+			if any && (len(fired) != n+1 || fired[n] != next) {
+				t.Fatalf("seed %d step %d: fired %v, reference says timer %d", seed, step, fired[n:], next)
+			}
+		}
+		if int(e.Executed) != len(fired) {
+			t.Fatalf("seed %d: Executed = %d, callbacks ran %d times", seed, e.Executed, len(fired))
+		}
 	}
 }
 
-// Property: any batch of scheduled times fires in sorted order.
-func TestEngineOrderProperty(t *testing.T) {
-	prop := func(delays []uint16) bool {
-		e := NewEngine()
-		var fired []Cycles
-		for _, d := range delays {
-			e.At(Cycles(d), func(now Cycles) { fired = append(fired, now) })
+func TestSlotTimerPastSchedulingPanics(t *testing.T) {
+	e := NewEngine()
+	slot := e.NewSlotTimer(func(Cycles) {})
+	slot.Set(100)
+	e.Run()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arming the slot timer in the past did not panic")
 		}
-		e.Run()
-		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+	}()
+	slot.Set(50)
 }
 
 func TestRNGDeterminism(t *testing.T) {
@@ -288,18 +347,21 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineScheduleFire(b *testing.B) {
+// BenchmarkEngineArmFire is one fire-and-re-arm per op at the depth the
+// simulated machine keeps (a few dozen armed timers).
+func BenchmarkEngineArmFire(b *testing.B) {
 	e := NewEngine()
-	var step func(Cycles)
 	n := 0
-	step = func(Cycles) {
-		n++
-		if n < b.N {
-			e.After(3, step)
-		}
+	for i := 0; i < 24; i++ {
+		var tm *Timer
+		tm = e.NewTimer(func(now Cycles) {
+			if n++; n < b.N {
+				tm.Set(now + Cycles(1+n%7))
+			}
+		})
+		tm.Set(Cycles(i))
 	}
 	b.ResetTimer()
-	e.After(0, step)
 	e.Run()
 }
 
