@@ -13,11 +13,12 @@ race:
 	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/adapt ./internal/shadow ./internal/bench ./internal/proto ./internal/netsrv ./internal/policy
 
 # Stress for the live runtime's concurrency-critical suites — lifecycle
-# tables, chaos, drain windows, sharded stealing, the identity hand-off —
-# repeated under the race detector: a lost request or a leaked goroutine
-# in the hand-off shows as a rare interleaving, not on the first run.
+# tables, chaos, drain windows, sharded stealing, the identity hand-off,
+# caller placement and dispatcher parking — repeated under the race
+# detector: a lost request, a lost wake-up or a leaked goroutine shows
+# as a rare interleaving, not on the first run.
 live-stress:
-	go test -race -count=20 -run 'Lifecycle|Chaos|Drain|Sharded|Handoff' ./internal/live
+	go test -race -count=20 -run 'Lifecycle|Chaos|Drain|Sharded|Handoff|Park|Place' ./internal/live
 
 vet:
 	go vet ./...

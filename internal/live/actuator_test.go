@@ -99,10 +99,11 @@ func TestObserversDoNotArmClassPreemption(t *testing.T) {
 		}
 		// The second request is ingested by a dispatcher iteration that
 		// began after the first was answered, hence after SetPolicy: the
-		// swap has been applied by then. Stop orders the read below
-		// after the dispatcher's writes.
-		s.Do(time.Duration(0))
-		s.Do(time.Duration(0))
+		// swap has been applied by then. (Submit, not Do: a Do on an idle
+		// shard skips the dispatcher.) Stop orders the read below after
+		// the dispatcher's writes.
+		<-s.Submit(time.Duration(0))
+		<-s.Submit(time.Duration(0))
 		s.Stop()
 	}
 	for _, tc := range []struct {

@@ -94,10 +94,11 @@ func BenchmarkPreemptedRequest(b *testing.B) {
 }
 
 // BenchmarkPollHot measures the probe cost on the fast path (no flag
-// set): this is the c_proc the instrumentation adds per poll.
+// set, the slice's first poll already made): this is the c_proc the
+// instrumentation adds per poll.
 func BenchmarkPollHot(b *testing.B) {
 	ex := &executor{id: 0}
-	c := &Ctx{task: &task{}, ex: ex, yieldEvery: -1}
+	c := &Ctx{task: &task{}, ex: ex, yieldEvery: -1, watched: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Poll()

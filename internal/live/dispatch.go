@@ -5,15 +5,23 @@
 // requests from the longest sibling queue when it would otherwise idle,
 // and runs requests itself under time-based self-preemption when every
 // local queue is full (§3.3). One shard is exactly the paper's single
-// dispatcher.
+// dispatcher. A loop that has had nothing to do for parkAfter blocks
+// until something needs it (park) instead of spinning on a core the host
+// may not have to spare.
 package live
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"concord/internal/obs"
 )
+
+// parkAfter is how long a dispatcher loop spins idle before it tries to
+// park: long enough that a loop under load never pays for blocking,
+// short enough that an idle one gives its core back at once.
+const parkAfter = time.Millisecond
 
 // critQuantumShrink divides a running lower-tier request's effective
 // quantum while ClassCritical work is queued on its shard, so critical
@@ -51,6 +59,25 @@ type shard struct {
 	// decision is in flight).
 	polEpoch uint64
 	done     chan struct{} // this shard's dispatcher exited
+	// parked is set while the loop is blocked, or about to block, in
+	// park; bell is the one-slot doorbell wake rings.
+	parked atomic.Bool
+	bell   chan struct{}
+}
+
+// wake rings the bell of each given shard whose dispatcher is parked.
+// The send never blocks, and a wake-up is never lost: park publishes
+// parked before its last look for work, and every caller has changed
+// what park looks at before it calls wake.
+func wake(shards ...*shard) {
+	for _, sh := range shards {
+		if sh.parked.Load() {
+			select {
+			case sh.bell <- struct{}{}:
+			default:
+			}
+		}
+	}
 }
 
 // dispatcherLoop is the first holder of shard sh's dispatcher identity:
@@ -71,6 +98,7 @@ func (s *Server) dispatcherLoop(sh *shard) {
 // returns without touching the shard again.
 func (s *Server) serveDispatcher(sh *shard) {
 	multi := len(s.shards) > 1
+	var idleSince time.Time
 
 	for {
 		progress := false
@@ -95,13 +123,7 @@ func (s *Server) serveDispatcher(sh *shard) {
 		for i := 0; i < 64; i++ {
 			select {
 			case t := <-sh.submit:
-				if s.tr != nil {
-					if t.enqueueTS.IsZero() {
-						t.enqueueTS = time.Now()
-					}
-					s.tr.Record(sh.writer, obs.EvEnqueueCentral, t.id, 0)
-				}
-				sh.q.Push(t)
+				s.ingest(sh, t)
 				progress = true
 				continue
 			default:
@@ -178,10 +200,14 @@ func (s *Server) serveDispatcher(sh *shard) {
 
 			// 3. JBSQ push: move requests to the shortest non-full
 			// local queue, expiring lazily at the pop, stealing from
-			// the longest sibling when the local queue runs dry.
-			for {
-				w := s.shortestQueue(sh)
+			// the longest sibling when the local queue runs dry. The
+			// slot is reserved before the pop (a Do caller takes all of
+			// an idle worker's: see place) and given back when the pop
+			// brings nothing to run.
+			for s.backlog() {
+				w := s.reserve(sh)
 				if w < 0 {
+					wake(s.shards...) // a parked sibling may steal what cannot be placed here
 					break
 				}
 				t, ok := sh.q.Pop()
@@ -189,14 +215,15 @@ func (s *Server) serveDispatcher(sh *shard) {
 					t, ok = s.steal(sh)
 				}
 				if !ok {
+					s.occ[w].Add(-1)
 					break
 				}
 				if !t.deadline.IsZero() && t.expired(time.Now()) {
+					s.occ[w].Add(-1)
 					s.retire(sh.ex, t, ErrDeadlineExceeded)
 					progress = true
 					continue
 				}
-				s.occ[w].Add(1)
 				if s.tr != nil {
 					s.tr.Record(sh.writer, obs.EvDispatch, t.id, int64(w))
 				}
@@ -227,22 +254,92 @@ func (s *Server) serveDispatcher(sh *shard) {
 			close(sh.done)
 			return
 		}
-		if !progress {
+		if progress {
+			idleSince = time.Time{}
+		} else if idleSince.IsZero() {
+			idleSince = time.Now()
+			runtime.Gosched()
+		} else if time.Since(idleSince) < parkAfter || !s.park(sh) {
 			runtime.Gosched()
 		}
 	}
 }
 
-// shortestQueue returns the shard-local worker with the fewest queued
-// requests, or -1 when every local queue is at the JBSQ bound.
-func (s *Server) shortestQueue(sh *shard) int {
-	best, bestOcc := -1, int32(s.opts.QueueBound)
+// ingest moves one submission from sh's ingress buffer into its policy
+// queue.
+func (s *Server) ingest(sh *shard, t *task) {
+	if s.tr != nil {
+		if t.enqueueTS.IsZero() {
+			t.enqueueTS = time.Now()
+		}
+		s.tr.Record(sh.writer, obs.EvEnqueueCentral, t.id, 0)
+	}
+	sh.q.Push(t)
+}
+
+// park blocks sh's idle dispatcher until a submission arrives (ingested
+// here, like the loop's own) or wake rings, and reports whether it
+// blocked. It does not while the loop has anything to watch: a drain (or
+// its abort), a policy swap, a local slice running (whose quantum it
+// would have to signal), or work queued on any shard — its own, or a
+// sibling's to steal. (A saved request cannot be waiting: an idle
+// iteration would have run it.) It publishes parked before it looks, and
+// everyone who can change what it looks at does so before calling wake —
+// a slice stores its running record before its first Poll, a shard
+// pushes the backlog it cannot place, Stop and SetPolicy store their
+// state — so with sequentially consistent atomics either park sees the
+// change or wake sees parked. The drain abort needs no wake of its own:
+// it comes after Stop's, and a stopped loop never parks.
+func (s *Server) park(sh *shard) bool {
+	sh.parked.Store(true)
+	defer sh.parked.Store(false)
+	if s.stopped.Load() || s.polState.Load().epoch != sh.polEpoch || s.backlog() {
+		return false
+	}
 	for _, w := range sh.workers {
-		if o := s.occ[w].Load(); o < bestOcc {
-			best, bestOcc = w, o
+		if s.workers[w].running.Load() != 0 {
+			return false
 		}
 	}
-	return best
+	if testParkGate != nil {
+		testParkGate(sh)
+	}
+	select {
+	case t := <-sh.submit:
+		s.ingest(sh, t)
+	case <-sh.bell:
+	}
+	return true
+}
+
+// backlog reports whether work is queued on any shard: this one's to
+// place, or a sibling's to steal.
+func (s *Server) backlog() bool {
+	for _, sh := range s.shards {
+		if sh.q.Len() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// reserve takes a slot on the shard-local worker with the fewest queued
+// requests and returns it, or -1 when every local queue is at the JBSQ
+// bound. A Do caller takes all of an idle worker's slots with a
+// compare-and-swap of its own (place), so the slot is taken with one
+// too, on the occupancy that was read: JBSQ(k) holds whoever wins.
+func (s *Server) reserve(sh *shard) int {
+	for {
+		best, bestOcc := -1, int32(s.opts.QueueBound)
+		for _, w := range sh.workers {
+			if o := s.occ[w].Load(); o < bestOcc {
+				best, bestOcc = w, o
+			}
+		}
+		if best < 0 || s.occ[best].CompareAndSwap(bestOcc, bestOcc+1) {
+			return best
+		}
+	}
 }
 
 // steal pops one never-started request from the longest sibling queue.

@@ -71,16 +71,21 @@ type executor struct {
 	// New.
 	sliceStart time.Time
 	sliceLen   time.Duration
+	// lent is set while a Do caller runs a slice as this worker
+	// (runLent); it is written under the occupancy place took, like the
+	// rest of the identity.
+	lent bool
 }
 
-// workerLoop is the first holder of worker w's identity: it does the
-// once-per-identity setup and then serves. SetupWorker is not called
-// again however many goroutines the identity passes through.
+// workerLoop is the first goroutine to hold worker w's identity: under
+// PinThreads it pins itself and does the once-per-identity setup (Start
+// did it otherwise), and then it serves. SetupWorker is not called again
+// however many goroutines the identity passes through.
 func (s *Server) workerLoop(w int) {
 	if s.opts.PinThreads {
 		runtime.LockOSThread()
+		s.handler.SetupWorker(w)
 	}
-	s.handler.SetupWorker(w)
 	s.serveWorker(s.workers[w])
 }
 
@@ -142,6 +147,21 @@ func (s *Server) workerRun(ex *executor, t *task) (detached bool) {
 		s.requeue(ex, t)
 	}
 	return detached
+}
+
+// runLent gives t its first slice as worker ex on the calling goroutine —
+// a Do caller, to which place has lent the idle worker by taking every
+// one of its JBSQ slots, so that the worker's own loop stays blocked on
+// its empty local queue meanwhile and nobody else places on it. The
+// slice is a worker slice in every respect (running record, quantum,
+// trace, finish); if the request yields, adopt requeues it and gives the
+// slots back, otherwise they are given back here.
+func (s *Server) runLent(ex *executor, t *task) {
+	ex.lent = true
+	if !s.workerRun(ex, t) {
+		ex.lent = false
+		s.occ[ex.id].Store(0)
+	}
 }
 
 // requeue is a worker's post-yield step: the preempted request goes back
@@ -264,6 +284,11 @@ func (s *Server) adopt(ex *executor, t *task) {
 	s.endSlice(ex, t, parkEvent{})
 	if ex.id >= 0 {
 		s.requeue(ex, t)
+		if ex.lent { // the worker's own loop still holds the identity
+			ex.lent = false
+			s.occ[ex.id].Store(0)
+			return
+		}
 		s.occ[ex.id].Add(-1)
 		s.serveWorker(ex)
 		return
@@ -346,7 +371,10 @@ type Ctx struct {
 	// detached is set by the request's first yield: from then on the
 	// goroutine running the handler belongs to the request, not to an
 	// executor, and parks and resumes through the task's channels.
-	detached   bool
+	detached bool
+	// watched is set by the first Poll of each worker slice, which wakes
+	// the shard's dispatcher if it is parked (see park).
+	watched    bool
 	noPreempt  int
 	yieldEvery int
 	polls      int
@@ -371,7 +399,9 @@ func (c *Ctx) Worker() int { return c.ex.id }
 // goroutine then waits to be resumed, and if the server aborted the
 // request meanwhile (drain deadline or request deadline), Poll panics
 // with an internal value that unwinds the handler — its defers run — and
-// becomes the response error.
+// becomes the response error. The first Poll of each slice on a worker
+// also wakes the shard's dispatcher if it has parked, so that someone
+// watches the slice's quantum.
 func (c *Ctx) Poll() {
 	if c.yieldEvery > 0 {
 		// On CPU-constrained machines, hand the OS thread over so the
@@ -386,6 +416,12 @@ func (c *Ctx) Poll() {
 		return
 	}
 	if c.ex.id >= 0 {
+		if !c.watched {
+			// A parked dispatcher cannot see this slice's quantum run out;
+			// a slice that never polls could not be preempted anyway.
+			c.watched = true
+			wake(c.srv.shards[c.srv.shardOf[c.ex.id]])
+		}
 		f := c.ex.flag.Load()
 		if f == 0 || f != c.ex.epoch {
 			return // no signal, or a stale signal for a predecessor
@@ -405,7 +441,7 @@ func (c *Ctx) Poll() {
 		}
 		go c.srv.adopt(c.ex, c.task)
 	}
-	c.ex = <-c.task.resume
+	c.ex, c.watched = <-c.task.resume, false
 	if err := c.task.abortErr; err != nil {
 		panic(taskAbort{err})
 	}

@@ -3,7 +3,9 @@
 // consumes them — the discipline, a class quantum — can change while
 // the request is queued), checks the stop gate, and places the task on
 // a shard's ingress buffer — round-robin across shards with fallback to
-// any sibling with room.
+// any sibling with room — or, for a Do on a shard with nothing queued
+// and an idle worker, hands it to the caller to run as that worker
+// (place).
 //
 // Admission is class-aware when Options.ClassAdmission is on: each
 // class has an ingress-occupancy watermark (Server.classLimit) and is
@@ -32,7 +34,7 @@ import (
 // — ErrShed for sheddable payloads dropped by admission control.
 func (s *Server) Submit(payload any) <-chan Response {
 	ch := make(chan Response, 1)
-	s.submit(payload, ch, nil)
+	s.submit(payload, ch, nil, false)
 	return ch
 }
 
@@ -49,12 +51,12 @@ func (s *Server) Submit(payload any) <-chan Response {
 // so a single shared callback can correlate without a per-request
 // closure.
 func (s *Server) SubmitFunc(payload any, done func(Response)) {
-	s.submit(payload, nil, done)
+	s.submit(payload, nil, done, false)
 }
 
 // submit is the shared ingest path: exactly one of ch / done carries
-// the response.
-func (s *Server) submit(payload any, ch chan Response, done func(Response)) {
+// the response. placing (Do only) tries place before the ingress buffer.
+func (s *Server) submit(payload any, ch chan Response, done func(Response), placing bool) {
 	t := newTask()
 	t.id = s.nextID.Add(1)
 	t.payload = payload
@@ -101,7 +103,7 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response)) {
 	// succeeds a worker may complete the task and release it to the
 	// pool, so touching t again would race with its reset.
 	id, class, arrival := t.id, t.class, t.arrival
-	if s.enqueue(t) {
+	if w := s.place(t, placing); w >= 0 || s.enqueue(t) {
 		s.stats.submitted.Add(1)
 		s.stats.classSubmitted[class].Add(1)
 		if s.tr != nil {
@@ -111,6 +113,9 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response)) {
 			s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, id, 0, arrival)
 		}
 		s.submitMu.RUnlock()
+		if w >= 0 {
+			s.runLent(s.workers[w], t)
+		}
 	} else {
 		s.submitMu.RUnlock()
 		err, status := ErrQueueFull, int64(obs.StatusQueueFull)
@@ -136,6 +141,36 @@ func (s *Server) reject(t *task, err error, status int64) {
 	}
 	t.deliver(Response{ID: t.id, Err: err, Req: t.payload, Done: time.Now()})
 	t.release()
+}
+
+// place dispatches a Do request (placing) to its caller: when t's shard
+// has nothing in its ingress buffer or policy queue — so no queued
+// request can be overtaken, whatever the discipline — and one of its
+// workers is idle, it takes every JBSQ slot of that worker with one
+// compare-and-swap and returns the worker, whose first slice of t the
+// caller then runs itself (runLent); otherwise it returns -1 and t takes
+// the ingress. Only Do places: its caller has nothing to do but wait for
+// the answer, where Submit and SubmitFunc promise never to block. The
+// enqueue and dispatch events are recorded here, on the client's ring,
+// so Breakdown and obs.Analyze still add up.
+func (s *Server) place(t *task, placing bool) int {
+	// Not before Start has set the workers up, and not under PinThreads:
+	// a lent slice would not run on the worker's pinned thread.
+	sh := s.shards[t.id%uint64(len(s.shards))]
+	if !placing || s.opts.PinThreads || !s.started.Load() || len(sh.submit) > 0 || sh.q.Len() > 0 {
+		return -1
+	}
+	for _, w := range sh.workers {
+		if s.occ[w].CompareAndSwap(0, int32(s.opts.QueueBound)) {
+			if s.tr != nil {
+				t.enqueueTS = time.Now()
+				s.tr.Record(obs.WriterClient, obs.EvEnqueueCentral, t.id, 0)
+				s.tr.Record(obs.WriterClient, obs.EvDispatch, t.id, int64(w))
+			}
+			return w
+		}
+	}
+	return -1
 }
 
 // enqueue places t on a shard's ingress buffer and reports whether it

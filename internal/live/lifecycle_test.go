@@ -220,12 +220,15 @@ func TestSubmitStopRaceGated(t *testing.T) {
 // be inert for the request running at epoch N+1. Pre-fix the flag was a
 // bare 0/1 bit retracted with a check-then-act sequence, so a new
 // request could consume its predecessor's signal; epoch-valued flags
-// make that structurally impossible.
+// make that structurally impossible. The Poll is its slice's first, so
+// it looks for a parked dispatcher: the Ctx needs a server, if not a
+// started one.
 func TestStaleEpochFlagIgnored(t *testing.T) {
 	ex := &executor{id: 0}
 	ex.epoch = 2
 	ex.flag.Store(1) // stale signal for the previous request
 	c := &Ctx{
+		srv:  New(&spinHandler{}, testOptions(1, 0)),
 		task: &task{resume: make(chan *executor), parked: make(chan parkEvent)},
 		ex:   ex, yieldEvery: -1,
 	}
@@ -245,13 +248,15 @@ func TestStaleEpochFlagIgnored(t *testing.T) {
 
 // TestCurrentEpochFlagYields: the matching epoch still preempts. The
 // Ctx is a detached one (a request past its first yield), so the yield
-// is the channel rendezvous and needs no server; the first yield — the
-// identity hand-off — is what the self-signalling lifecycle rows drive.
+// is the channel rendezvous and needs no running server; the first
+// yield — the identity hand-off — is what the self-signalling lifecycle
+// rows drive.
 func TestCurrentEpochFlagYields(t *testing.T) {
 	ex := &executor{id: 0}
 	ex.epoch = 2
 	ex.flag.Store(2)
 	c := &Ctx{
+		srv:  New(&spinHandler{}, testOptions(1, 0)),
 		task: &task{resume: make(chan *executor), parked: make(chan parkEvent)},
 		ex:   ex, yieldEvery: -1, detached: true,
 	}
@@ -443,18 +448,21 @@ func yieldNow(ctx *Ctx) {
 	ctx.Poll()
 }
 
-// awaitSignal yields when the dispatcher says so: it waits for the
-// signalling pass to flag this request's epoch instead of trying to
-// outlast a quantum, so a starved dispatcher makes the test slower, not
-// wrong; half a minute without one is a dispatcher that does not signal,
-// reported as the request's error. Worker-run requests only.
+// awaitSignal yields when the dispatcher says so: it polls until the
+// signalling pass has flagged this request's epoch and Poll has yielded,
+// instead of trying to outlast a quantum, so a starved dispatcher makes
+// the test slower, not wrong; half a minute without one is a dispatcher
+// that does not signal, reported as the request's error. It polls while
+// it waits, as a real handler does: a slice's first Poll is what wakes a
+// parked dispatcher. Worker-run requests only.
 func awaitSignal(ctx *Ctx) error {
-	for deadline := time.Now().Add(30 * time.Second); ctx.ex.flag.Load() != ctx.ex.epoch; runtime.Gosched() {
+	deadline := time.Now().Add(30 * time.Second)
+	for yielded := ctx.task.preempts; ctx.task.preempts == yielded; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			return errors.New("no preemption signal in 30s")
 		}
+		ctx.Poll()
 	}
-	ctx.Poll()
 	return nil
 }
 
@@ -545,15 +553,17 @@ func checkIdentities(t *testing.T, h *yieldHandler, opts Options, goroutinesBefo
 // responses carrying the matching error, handler defers run, the
 // request never leaves the dispatcher that started it, SetupWorker once
 // per identity, and no goroutine left behind.
-func TestDispatcherRunLifecycle(t *testing.T) { runLifecycleRows(t, true) }
+func TestDispatcherRunLifecycle(t *testing.T) { runLifecycleRows(t, true, false) }
 
 // TestWorkerRunLifecycle is the same table with the requests on the
 // workers: a yield hands the worker identity to a successor, the request
 // goes back through its shard's ingress, and it completes, expires or is
 // aborted from wherever it is at the time.
-func TestWorkerRunLifecycle(t *testing.T) { runLifecycleRows(t, false) }
+func TestWorkerRunLifecycle(t *testing.T) { runLifecycleRows(t, false, false) }
 
-func runLifecycleRows(t *testing.T, onDispatcher bool) {
+// runLifecycleRows is the table; fromPark starts every row from parked
+// dispatchers (TestParkedStartLifecycle).
+func runLifecycleRows(t *testing.T, onDispatcher, fromPark bool) {
 	const yields = 3
 	// Neither timeout is a measurement: the hour-long RequestTimeout only
 	// makes every task deadline-bearing (the expiring request backdates
@@ -583,8 +593,15 @@ func runLifecycleRows(t *testing.T, onDispatcher bool) {
 						opts := Options{Workers: shards, Shards: shards, Policy: pol, Quantum: time.Hour,
 							QueueBound: 1, WorkConserving: onDispatcher, PinThreads: pin}
 						oc.tune(&opts)
+						var parks *parkWatch
+						if fromPark {
+							parks = watchParks(t)
+						}
 						s := New(h, opts)
 						s.Start()
+						if fromPark {
+							parks.wait(t, s, nil)
+						}
 
 						var chans []<-chan Response
 						blockers := 0

@@ -53,6 +53,24 @@
 // the longest sibling queue, so work conservation (§3.3) holds
 // globally. Shards: 1 is the paper's architecture unchanged.
 //
+// The dispatcher is a tier a request need not cross when it has nothing
+// to decide. A Do whose shard has nothing queued and an idle worker
+// places its own request: it takes all of that worker's JBSQ slots with
+// one compare-and-swap — the dispatcher takes its slot with one too, so
+// JBSQ(k) holds with both placers — and runs the first slice itself, as
+// that worker, while the worker's own loop stays blocked on its empty
+// local queue. Only Do does, because only its caller has nothing to do
+// but wait: Submit never blocks. (Sending the task to the worker
+// instead, as a dispatcher does, costs two goroutine switches on the
+// caller's processor — Go runs a woken goroutine next on the waker's —
+// and measured slower per request than the dispatcher hop it saves.) And
+// a dispatcher with nothing to do does not spin on a core the host may
+// not have to spare (§3.3's point): after a millisecond idle with no
+// queued work anywhere and no local slice running, it parks until a
+// submission arrives or something wakes it — Stop, SetPolicy, a sibling
+// with a backlog it cannot place, or a local slice's first Poll, which
+// is what keeps preemption working.
+//
 // # Lifecycle
 //
 // A Server moves through three states: serving, draining, stopped.
@@ -91,7 +109,9 @@ type Handler interface {
 	// dispatchers (they run application code too when work-conserving):
 	// -1 for shard 0 — the only dispatcher at Shards 1 — and -(s+1) for
 	// shard s. It is called exactly once per worker or dispatcher
-	// identity, on the goroutine that first holds it; the identity may
+	// identity, before the identity serves anything: for a dispatcher on
+	// the goroutine that first holds it, for a worker from Start (under
+	// PinThreads, on the worker's own pinned goroutine). The identity may
 	// later move to other goroutines (see Handle), for which it is not
 	// called again, so state it sets up must be keyed by the worker
 	// index, not by the goroutine.
@@ -100,10 +120,12 @@ type Handler interface {
 	// regularly (or be instrumented with cmd/concordc) so preemption
 	// works; they may bracket lock-held regions with ctx.BeginNoPreempt /
 	// ctx.EndNoPreempt. Handle is called on the goroutine serving the
-	// worker (or work-conserving dispatcher) the request was placed on,
-	// and stays on that goroutine for the whole request: if the request
-	// is preempted, the worker moves to a fresh goroutine and this one
-	// parks in Poll until the request's next slice. A handler that
+	// worker (or work-conserving dispatcher) the request was placed on —
+	// for a Do that found a worker idle, the Do caller's own goroutine,
+	// serving as that worker (see Server.Do) — and stays on that
+	// goroutine for the whole request: if the request is preempted, the
+	// worker moves to a fresh goroutine and this one parks in Poll until
+	// the request's next slice. A handler that
 	// blocks without polling therefore stalls its worker, exactly as one
 	// that spins without polling does. Handle must return or panic (a
 	// panic becomes the response error); it must not call
@@ -365,11 +387,13 @@ const cacheLinePad = 64
 // Test-only scheduling gates. When non-nil they run at historically
 // racy hand-off points, widening windows that are a few instructions
 // wide (and unobservable on single-CPU machines) so the lifecycle
-// regression tests can exercise them deterministically.
+// regression tests can exercise them deterministically, or tell a test
+// that a dispatcher has parked, so it need not sleep to find out.
 var (
-	testSubmitGate  func() // between Submit's stop check and its enqueue
-	testRequeueGate func() // between a preemption park and its re-submit
-	testStealGate   func() // between a steal's pop and its local dispatch
+	testSubmitGate  func()       // between Submit's stop check and its enqueue
+	testRequeueGate func()       // between a preemption park and its re-submit
+	testStealGate   func()       // between a steal's pop and its local dispatch
+	testParkGate    func(*shard) // as a shard's dispatcher parks
 )
 
 // Server is a running Concord scheduling runtime. Its fields are laid
@@ -542,6 +566,7 @@ func New(h Handler, opts Options) *Server {
 			submit:  make(chan *task, opts.SubmitBuffer),
 			ex:      &executor{id: -(sid + 1), writer: obs.DispatcherWriter(sid), sliceLen: dispSlice},
 			done:    make(chan struct{}),
+			bell:    make(chan struct{}, 1),
 		}
 		// Contiguous worker partition: shard i owns [i·W/S, (i+1)·W/S).
 		lo, hi := sid*opts.Workers/opts.Shards, (sid+1)*opts.Workers/opts.Shards
@@ -558,8 +583,15 @@ func New(h Handler, opts Options) *Server {
 // Start launches the dispatchers and workers.
 func (s *Server) Start() {
 	s.startOnce.Do(func() {
-		s.started.Store(true)
 		s.handler.Setup()
+		if !s.opts.PinThreads {
+			// Here, not on the worker goroutines, so that a Do can place
+			// on any worker as soon as Start returns (see place).
+			for w := range s.workers {
+				s.handler.SetupWorker(w)
+			}
+		}
+		s.started.Store(true)
 		for i := 0; i < s.opts.Workers; i++ {
 			s.wg.Add(1)
 			go s.workerLoop(i)
@@ -585,6 +617,7 @@ func (s *Server) Stop() {
 		if !s.started.Load() {
 			return // never started: nothing to drain
 		}
+		wake(s.shards...)
 		allDone := make(chan struct{})
 		go func() {
 			for _, sh := range s.shards {
@@ -598,7 +631,7 @@ func (s *Server) Stop() {
 			case <-allDone:
 				timer.Stop()
 			case <-timer.C:
-				s.abort.Store(true)
+				s.abort.Store(true) // no wake: once stopped, no dispatcher parks
 				<-allDone
 			}
 		} else {
@@ -624,7 +657,8 @@ type Depths struct {
 	// ShardOcc is the per-shard sum of its workers' JBSQ occupancy.
 	ShardOcc []int
 	// Workers is per-worker JBSQ occupancy including the in-service
-	// request.
+	// request; a worker lent to a Do caller (see Server.Do) counts as
+	// full.
 	Workers []int
 }
 
@@ -738,6 +772,7 @@ func (s *Server) SetPolicy(name string) error {
 		return nil
 	}
 	s.polState.Store(&policyState{epoch: cur.epoch + 1, name: name})
+	wake(s.shards...)
 	return nil
 }
 
@@ -753,10 +788,14 @@ func (s *Server) Policy() string { return s.polState.Load().name }
 // theirs.
 var respChans = sync.Pool{New: func() any { return make(chan Response, 1) }}
 
-// Do submits a request and waits for its response.
+// Do submits a request and waits for its response. When the request's
+// shard has nothing queued and one of its workers is idle, Do runs the
+// request's first slice itself, on the calling goroutine, as that worker
+// (see place): no dispatcher iteration and no goroutine switch, and if
+// the request is preempted it continues on the workers like any other.
 func (s *Server) Do(payload any) Response {
 	ch := respChans.Get().(chan Response)
-	s.submit(payload, ch, nil)
+	s.submit(payload, ch, nil, true)
 	resp := <-ch
 	respChans.Put(ch)
 	return resp

@@ -111,7 +111,8 @@ func raceEnabled() bool {
 
 // yieldTimes is a request that yields that many times through yieldNow
 // and returns nothing, so that what an allocation count sees is the
-// runtime's alone.
+// runtime's alone. A channel payload instead holds its worker, without
+// polling, until the channel is closed.
 type yieldTimes int
 
 type yieldTimesHandler struct{}
@@ -119,6 +120,10 @@ type yieldTimesHandler struct{}
 func (yieldTimesHandler) Setup()          {}
 func (yieldTimesHandler) SetupWorker(int) {}
 func (yieldTimesHandler) Handle(ctx *Ctx, payload any) (any, error) {
+	if release, ok := payload.(chan struct{}); ok {
+		<-release
+		return nil, nil
+	}
 	for i := yieldTimes(0); i < payload.(yieldTimes); i++ {
 		yieldNow(ctx)
 	}
@@ -129,26 +134,40 @@ func (yieldTimesHandler) Handle(ctx *Ctx, payload any) (any, error) {
 // steady state, at any shard count — the task comes from the pool, the
 // first slice runs on the worker's own stack, the running record is
 // published with stores, and the caller brought its own callback — and
-// neither does Do, whose response channel is pooled. A request that is
-// preempted allocates once however often it yields: the `go` statement
-// that hands the worker identity to a successor at its first yield.
-// The same figures hold with every completion observer set — Tail with
-// per-class children, Sketches, Capture at 1-in-1: the completion path
-// pays one branch for all of them and none allocates. (How many
-// nanoseconds they cost is a magnitude, for the benchmark's ledger.)
-// (The race detector makes sync.Pool drop a quarter of what it is given,
-// so the figures only mean something without it.)
+// neither does Do, whose response channel is pooled, whether it places
+// its request itself (an idle shard) or goes through the shard's policy
+// queue (every worker slot held, so the work-conserving dispatcher runs
+// it). A request that is preempted allocates once however often it
+// yields: the `go` statement that hands the executor identity to a
+// successor at its first yield. The same figures hold with every
+// completion observer set — Tail with per-class children, Sketches,
+// Capture at 1-in-1: the completion path pays one branch for all of them
+// and none allocates. (How many nanoseconds they cost is a magnitude,
+// for the benchmark's ledger.) (The race detector makes sync.Pool drop a
+// quarter of what it is given, so the figures only mean something
+// without it.)
 func TestSubmitFuncZeroAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool discards at random under the race detector")
+	}
+	rows := []struct {
+		name    string
+		payload any
+		want    float64
+	}{
+		{"run to completion", yieldTimes(0), 0},
+		{"one yield", yieldTimes(1), 1},
+		{"five yields", yieldTimes(5), 1},
 	}
 	for _, cfg := range []struct {
 		shards   int
 		observed bool
 	}{{1, false}, {2, false}, {4, false}, {1, true}, {4, true}} {
-		// An hour-long quantum: nothing signals but yieldNow.
+		// An hour-long quantum: nothing signals but yieldNow. Work
+		// conservation only matters once every worker slot is held.
 		opts := testOptions(4, time.Hour)
 		opts.Shards = cfg.shards
+		opts.WorkConserving = true
 		if cfg.observed {
 			opts.Tail = obs.NewTailTracker(nil, obs.NewSLOTracker(obs.SLOConfig{Target: time.Millisecond}))
 			opts.Tail.Classes = NewClassTrackers()
@@ -159,15 +178,7 @@ func TestSubmitFuncZeroAllocs(t *testing.T) {
 		s.Start()
 		answered := make(chan struct{}, 1)
 		done := func(Response) { answered <- struct{}{} }
-		for _, tc := range []struct {
-			name    string
-			payload any
-			want    float64
-		}{
-			{"run to completion", yieldTimes(0), 0},
-			{"one yield", yieldTimes(1), 1},
-			{"five yields", yieldTimes(5), 1},
-		} {
+		for _, tc := range rows {
 			if allocs := testing.AllocsPerRun(1000, func() {
 				s.SubmitFunc(tc.payload, done)
 				<-answered
@@ -175,9 +186,26 @@ func TestSubmitFuncZeroAllocs(t *testing.T) {
 				t.Errorf("%+v, %s: SubmitFunc round trip %v allocs, want %v", cfg, tc.name, allocs, tc.want)
 			}
 			if allocs := testing.AllocsPerRun(1000, func() { s.Do(tc.payload) }); allocs != tc.want {
-				t.Errorf("%+v, %s: Do round trip %v allocs, want %v", cfg, tc.name, allocs, tc.want)
+				t.Errorf("%+v, %s: placed Do round trip %v allocs, want %v", cfg, tc.name, allocs, tc.want)
 			}
 		}
+		release := make(chan struct{})
+		for i := 0; i < opts.Workers*opts.QueueBound; i++ {
+			s.SubmitFunc(release, func(Response) {})
+		}
+		waitUntil(t, "every worker slot held", func() bool {
+			d := s.Depths()
+			return busyWorkers(s) == opts.Workers*opts.QueueBound && d.Central == 0 && d.Submit == 0
+		})
+		if resp := s.Do(yieldTimes(0)); !resp.OnDispatcher {
+			t.Fatalf("%+v: a Do with every worker slot held did not go through the queue to the dispatcher", cfg)
+		}
+		for _, tc := range rows {
+			if allocs := testing.AllocsPerRun(1000, func() { s.Do(tc.payload) }); allocs != tc.want {
+				t.Errorf("%+v, %s: queued Do round trip %v allocs, want %v", cfg, tc.name, allocs, tc.want)
+			}
+		}
+		close(release)
 		s.Stop()
 	}
 }
