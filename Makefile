@@ -20,6 +20,14 @@ race:
 live-stress:
 	go test -race -count=20 -run 'Lifecycle|Chaos|Drain|Sharded|Handoff|Park|Place' ./internal/live
 
+# Stress for the connection loop's concurrency-critical tests — window
+# back-pressure, dead and half-open clients, resets, fan-in, drain, the
+# lockstep reader path and the wire partition — repeated under the race
+# detector: a write failure counted twice or a slot never returned shows
+# in one shard-count row of one run, not on every pass.
+net-stress:
+	go test -race -count=20 -run 'Window|NeverReading|HalfOpen|Reset|FanIn|Drain|Lockstep|Partition' ./internal/netsrv
+
 vet:
 	go vet ./...
 
@@ -92,4 +100,4 @@ bench-module:
 results-check:
 	go run ./cmd/concordsim -fig all -parallel 0 | diff - results_full.tsv
 
-.PHONY: tier1 race live-stress vet fuzz-smoke bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare bench-module results-check
+.PHONY: tier1 race live-stress net-stress vet fuzz-smoke bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare bench-module results-check

@@ -66,6 +66,8 @@ func (bc *binaryCodec) next(r *Request) (bool, error) {
 	return true, nil
 }
 
+func (bc *binaryCodec) buffered() int { return bc.fr.Buffered() }
+
 func (bc *binaryCodec) appendResp(b []byte, r *Request) []byte {
 	switch r.Status {
 	case proto.StCount:

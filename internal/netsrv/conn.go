@@ -1,10 +1,12 @@
 // The connection loop, shared by both protocols: a reader that takes
 // requests off the wire and submits them, a flusher that writes their
-// responses, and between them the connection's window.
+// responses, and between them the connection's window. A request read
+// in lockstep skips the flusher: the reader runs it and writes it.
 package netsrv
 
 import (
 	"net"
+	"sync/atomic"
 	"time"
 
 	"concord/internal/live"
@@ -26,6 +28,9 @@ type codec interface {
 	// response (oversize, malformed, or a control verb). An error ends
 	// the connection: nothing was read that is owed a response.
 	next(r *Request) (submit bool, err error)
+	// buffered is how many bytes were read off the socket but not yet
+	// decoded: 0 means the client has sent nothing past the last request.
+	buffered() int
 	// appendResp encodes r's response.
 	appendResp(b []byte, r *Request) []byte
 	// flushed reports that one write carried n responses to the socket.
@@ -34,7 +39,7 @@ type codec interface {
 
 // connection is one connection being served. The exactly-one-response
 // invariant lives in slots: the reader takes one before each read, the
-// request read carries it through the runtime and the flusher, and it
+// request read carries it through the runtime to its write, and it
 // returns only after the response has been written — so at most
 // cap(slots) requests are in flight, completed never blocks a sender,
 // and the connection is drained when every slot is back.
@@ -50,9 +55,9 @@ type connection struct {
 	// the submit site would allocate per request.
 	completeFn func(live.Response)
 
-	// Flusher-owned, reused across flushes.
-	batch []*Request
-	wbuf  []byte
+	// dead is set by the first failed write; every later write is
+	// dropped, so the failure is counted once per connection.
+	dead atomic.Bool
 }
 
 // serve runs one connection to the end of its input. The reader takes a
@@ -60,35 +65,47 @@ type connection struct {
 // Val alias the read buffer, which the next read overwrites, so with a
 // window of 1 the next line is not read until this one's response has
 // been encoded — which is also what keeps text replies in request order.
+//
+// A request read in lockstep — it holds the connection's only slot in
+// use and nothing past it is buffered — is served by the reader itself:
+// live.Do runs it (on the calling goroutine when a worker is idle) and
+// the reader writes the response, with no hand-off to the flusher. The
+// client sends nothing until it has this answer, so the reader loses
+// nothing by waiting. Binary serves only point ops this way: they never
+// yield, so a frame the client pipelines behind one waits a few µs at
+// most, while a SPIN or SCAN goes through the flusher and a GET sent
+// behind it is still answered first.
 func (s *Server) serve(conn net.Conn, cd codec, window int) {
 	c := &connection{
 		s: s, conn: conn, cd: cd,
 		slots:     make(chan struct{}, window),
 		completed: make(chan *Request, window),
-		batch:     make([]*Request, 0, window),
 	}
 	c.completeFn = c.complete
 	flusherDone := make(chan struct{})
-	go func() {
-		defer close(flusherDone)
-		c.flush()
-	}()
+	go c.flush(flusherDone)
+	// The reader's own one-slot batch and write buffer.
+	own, wbuf := make([]*Request, 1), []byte(nil)
 	for {
 		c.slots <- struct{}{}
 		r := s.getReq()
 		submit, err := cd.next(r)
 		if err != nil {
 			// EOF, mid-request close, desync, an expired deadline (Drain,
-			// or the flusher after a failed write). What was cut short was
-			// never a request; its slot is the first one taken back.
+			// or a failed write). What was cut short was never a request;
+			// its slot is the first one taken back.
 			s.putReq(r)
 			break
 		}
 		s.pipeline.Add(1)
-		if submit {
-			s.rt.SubmitFunc(r, c.completeFn)
-		} else {
+		switch {
+		case !submit:
 			c.completed <- r
+		case len(c.slots) == 1 && cd.buffered() == 0 && (window == 1 || r.pointOp()):
+			own[0] = c.record(s.rt.Do(r))
+			wbuf = c.write(own, wbuf)
+		default:
+			s.rt.SubmitFunc(r, c.completeFn)
 		}
 	}
 	// Take every other slot back: each returns once its response has been
@@ -106,6 +123,12 @@ func (s *Server) serve(conn net.Conn, cd codec, window int) {
 // per-request closure. It runs on the completing executor and must not
 // block — the send cannot, see connection.
 func (c *connection) complete(resp live.Response) {
+	c.completed <- c.record(resp)
+}
+
+// record writes a completed request's outcome into it — status mapping,
+// Observe, the |OBS trailer — and marks it queued for writing.
+func (c *connection) record(resp live.Response) *Request {
 	r := resp.Req.(*Request)
 	r.liveID, r.doneTS = resp.ID, resp.Done
 	if resp.Err != nil {
@@ -121,60 +144,67 @@ func (c *connection) complete(resp live.Response) {
 	if tr := c.s.tr; tr != nil {
 		tr.Record(obs.WriterNet, obs.EvFlushQueued, r.liveID, 0)
 	}
-	c.completed <- r
+	return r
 }
 
 // flush is the flusher goroutine: it coalesces whatever has completed —
-// in completion order, not arrival order — into one buffer and one
-// write, then returns the batch's slots.
-func (c *connection) flush() {
+// in completion order, not arrival order — into one write. It closes
+// done when completed is closed and drained.
+func (c *connection) flush(done chan<- struct{}) {
+	defer close(done)
+	batch, buf := make([]*Request, 0, cap(c.completed)), []byte(nil)
 	for r := range c.completed {
-		batch := append(c.batch[:0], r)
+		batch = append(batch[:0], r)
 		for n := len(c.completed); n > 0; n-- {
 			batch = append(batch, <-c.completed)
 		}
-		wbuf := c.wbuf[:0]
+		buf = c.write(batch, buf)
+	}
+}
+
+// write encodes batch into buf, writes it to the socket in one call and
+// releases the batch. The flusher and the reader both write through it,
+// never at once: the reader writes only while it holds the one slot in
+// use. A failed write — the client is gone, or stopped reading for
+// WriteTimeout — marks the connection dead and expires the read
+// deadline, so the reader stops taking work for a socket nobody reads.
+// It returns buf for reuse.
+func (c *connection) write(batch []*Request, buf []byte) []byte {
+	defer c.release(batch)
+	if c.dead.Load() {
+		return buf
+	}
+	buf = buf[:0]
+	for _, r := range batch {
+		buf = c.cd.appendResp(buf, r)
+	}
+	if wt := c.s.opts.WriteTimeout; wt > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(wt))
+	}
+	if _, err := c.conn.Write(buf); err != nil {
+		c.dead.Store(true)
+		c.s.writeClosed.Add(1)
+		c.conn.SetReadDeadline(time.Unix(1, 0))
+		return buf
+	}
+	c.cd.flushed(len(batch))
+	if tr, obsEg := c.s.tr, c.s.opts.ObserveEgress; tr != nil || obsEg != nil {
+		// One clock read covers the whole batch: every response in it
+		// reached the socket in the same write.
+		now := time.Now()
 		for _, r := range batch {
-			wbuf = c.cd.appendResp(wbuf, r)
-		}
-		c.wbuf = wbuf
-		if wt := c.s.opts.WriteTimeout; wt > 0 {
-			c.conn.SetWriteDeadline(time.Now().Add(wt))
-		}
-		if _, err := c.conn.Write(wbuf); err != nil {
-			// The client is gone, or stopped reading for WriteTimeout.
-			// Expire the read deadline so the reader stops taking work for
-			// a socket nobody reads.
-			c.s.writeClosed.Add(1)
-			c.conn.SetReadDeadline(time.Unix(1, 0))
-			c.release(batch)
-			break
-		}
-		c.cd.flushed(len(batch))
-		if tr, obsEg := c.s.tr, c.s.opts.ObserveEgress; tr != nil || obsEg != nil {
-			// One clock read covers the whole batch: every response in it
-			// reached the socket in the same write.
-			now := time.Now()
-			for _, r := range batch {
-				if r.liveID == 0 {
-					continue // answered by the codec: never entered the runtime
-				}
-				if tr != nil {
-					tr.RecordAt(obs.WriterNet, obs.EvFlushed, r.liveID, int64(len(batch)), now)
-				}
-				if obsEg != nil && !r.doneTS.IsZero() {
-					obsEg(r.Op, now.Sub(r.doneTS))
-				}
+			if r.liveID == 0 {
+				continue // answered by the codec: never entered the runtime
+			}
+			if tr != nil {
+				tr.RecordAt(obs.WriterNet, obs.EvFlushed, r.liveID, int64(len(batch)), now)
+			}
+			if obsEg != nil && !r.doneTS.IsZero() {
+				obsEg(r.Op, now.Sub(r.doneTS))
 			}
 		}
-		c.release(batch)
 	}
-	// Reached with anything left only after a failed write: the runtime
-	// still owes a completion for each slot in flight, and the reader is
-	// waiting for those slots.
-	for r := range c.completed {
-		c.release(append(c.batch[:0], r))
-	}
+	return buf
 }
 
 // release recycles a batch whose responses have been encoded (dropping

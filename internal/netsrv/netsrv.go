@@ -17,8 +17,14 @@
 // the runtime (a flooding client is back-pressured, not rejected, and
 // cannot take the server's admission budget), bounds everything the
 // connection buffers, and makes draining "take every slot back". A
-// write that fails or times out expires the read deadline, so a client
-// that went away or stopped reading is disconnected instead of served.
+// request read in lockstep — the only one of its connection in flight,
+// nothing buffered behind it — skips both hand-offs: the reader runs it
+// through live.Do and writes its response itself. Binary takes this path
+// for point ops only, so a SPIN or SCAN never holds up a GET pipelined
+// behind it. The first write that fails or times out marks the
+// connection dead (later writes are dropped, so it is counted once) and
+// expires the read deadline, so a client that went away or stopped
+// reading is disconnected instead of served.
 //
 // What differs between the protocols is a codec — take the next request
 // off the wire, append a response:
@@ -76,7 +82,8 @@ type Options struct {
 	Observe func(op byte, resp live.Response)
 	// Trailer, when non-nil, renders the |OBS breakdown trailer
 	// appended to text responses while the connection has OBS ON. It
-	// runs in the completion callback, on the completing worker.
+	// runs when the request completes, on the completing worker or on
+	// the connection's reader.
 	Trailer func(resp live.Response) string
 	// Tracer, when non-nil, extends lifecycle tracing across the wire
 	// path: requests are stamped at frame read and parse (recorded as

@@ -578,10 +578,11 @@ func TestBinaryShedOnWire(t *testing.T) {
 // the measured figure plus one, so a single allocation creeping onto
 // either path fails here.
 // Measured: lockstep text 0.03 (the connections' fixed cost and the cold
-// pools, spread over the requests), pipelined binary 1.04, and that one
-// is the client's — proto.RespReader.Next's header array escapes — so
-// the server allocates nothing per request in either protocol. A handful
-// of connections is enough for a per-request count.
+// pools, spread over the requests), lockstep binary 1.02,
+// pipelined binary 1.04, and the binary one is the client's —
+// proto.RespReader.Next's header array escapes — so the server allocates
+// nothing per request on the reader path or through the flusher. A
+// handful of connections is enough for a per-request count.
 func TestWireAllocsPerRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool discards at random under the race detector")
@@ -589,7 +590,6 @@ func TestWireAllocsPerRequest(t *testing.T) {
 	const (
 		conns   = 4
 		perConn = 2000
-		depth   = 16
 	)
 	text := func(conn net.Conn) error {
 		br := bufio.NewReader(conn)
@@ -606,23 +606,25 @@ func TestWireAllocsPerRequest(t *testing.T) {
 	}
 	// Windowed pipelining, one reused frame buffer: depth requests in
 	// flight, the next sent as each response arrives.
-	binary := func(conn net.Conn) error {
-		rr := proto.NewRespReader(conn, 0)
-		var wire []byte
-		for sent, recvd := 0, 0; recvd < perConn; {
-			for ; sent < perConn && sent-recvd < depth; sent++ {
-				wire = proto.AppendRequest(wire[:0], proto.OpGet, uint64(sent), []byte("key001"), nil)
-				if _, err := conn.Write(wire); err != nil {
-					return err
+	binary := func(depth int) func(net.Conn) error {
+		return func(conn net.Conn) error {
+			rr := proto.NewRespReader(conn, 0)
+			var wire []byte
+			for sent, recvd := 0, 0; recvd < perConn; {
+				for ; sent < perConn && sent-recvd < depth; sent++ {
+					wire = proto.AppendRequest(wire[:0], proto.OpGet, uint64(sent), []byte("key001"), nil)
+					if _, err := conn.Write(wire); err != nil {
+						return err
+					}
 				}
+				r, err := rr.Next()
+				if err != nil || r.Status != proto.StValue {
+					return fmt.Errorf("GET replied %s, %v", proto.StatusString(r.Status), err)
+				}
+				recvd++
 			}
-			r, err := rr.Next()
-			if err != nil || r.Status != proto.StValue {
-				return fmt.Errorf("GET replied %s, %v", proto.StatusString(r.Status), err)
-			}
-			recvd++
+			return nil
 		}
-		return nil
 	}
 	_, ln := newTestServer(t, Options{})
 	for _, tc := range []struct {
@@ -630,8 +632,9 @@ func TestWireAllocsPerRequest(t *testing.T) {
 		client func(net.Conn) error
 		below  float64
 	}{
-		{"text", text, 1},
-		{"binary", binary, 2},
+		{"text/lockstep", text, 1},
+		{"binary/lockstep", binary(1), 2},
+		{"binary/depth16", binary(16), 2},
 	} {
 		cs := make([]net.Conn, conns)
 		for i := range cs {

@@ -1,9 +1,9 @@
 // The wire-level request object both codecs fill, and the KV handler
 // that executes it on the live runtime. A Request is pooled: serve takes
-// one per request read and the flusher recycles it once its response
-// has been written. Results — the handler's, the error mapping's, or the
-// codec's own answer for a request that never reaches the runtime — are
-// written into the Request rather than returned through
+// one per request read, and whichever goroutine writes its response
+// recycles it after the write. Results — the handler's, the error
+// mapping's, or the codec's own answer for a request that never reaches
+// the runtime — are written into the Request rather than returned through
 // live.Response.Payload, so completing a request allocates nothing.
 package netsrv
 
@@ -85,6 +85,12 @@ func (r *Request) ServiceHint() time.Duration {
 	}
 }
 
+// pointOp reports a GET, PUT or DEL: one no-preempt section of map
+// work, which never yields.
+func (r *Request) pointOp() bool {
+	return r.Op == proto.OpGet || r.Op == proto.OpPut || r.Op == proto.OpDel
+}
+
 // SLOClass hands the runtime the class the client declared on the wire
 // (live.SLOClassed). Unlike the old op-derived scheduling class, the
 // SLO class is the *tenant's* declaration, not a property of the
@@ -116,7 +122,7 @@ func (r *Request) decodeOp() bool {
 }
 
 // appendText renders the text-protocol response line (without the
-// trailing newline), appending to b — the flusher's reused write buffer
+// trailing newline), appending to b — a connection's reused write buffer
 // (the old per-response fmt.Fprintf path allocated on every response;
 // see EXPERIMENTS.md).
 func (r *Request) appendText(b []byte) []byte {

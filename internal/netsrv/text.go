@@ -67,6 +67,8 @@ func (tc *textCodec) next(r *Request) (bool, error) {
 	return false, nil
 }
 
+func (tc *textCodec) buffered() int { return tc.br.Buffered() }
+
 func (tc *textCodec) appendResp(b []byte, r *Request) []byte {
 	if r.Status == stControl {
 		return append(b, r.Out...)

@@ -215,3 +215,30 @@ func TestResetMidBatch(t *testing.T) {
 		}
 	})
 }
+
+// TestLockstepSpinDoesNotBlockGet: a lone SPIN on a binary connection is
+// in lockstep, yet it must not be served on the reader — a GET the client
+// pipelines behind it would then not even be read until the SPIN ended.
+// The GET's response arrives first.
+func TestLockstepSpinDoesNotBlockGet(t *testing.T) {
+	s, ln := newTestServer(t, Options{})
+	conn := dial(t, ln)
+	if _, err := conn.Write(proto.AppendSpinRequest(nil, 1, 300_000)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the SPIN to be in flight", func() bool { return s.NetStats().Pipeline == 1 })
+	if _, err := conn.Write(proto.AppendRequest(nil, proto.OpGet, 2, []byte("key000"), nil)); err != nil {
+		t.Fatal(err)
+	}
+	rr := proto.NewRespReader(conn, 0)
+	for _, want := range []uint64{2, 1} {
+		r, err := rr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ID != want {
+			t.Fatalf("response id %d (%s) arrived, want id %d next: the GET must not wait for the SPIN",
+				r.ID, proto.StatusString(r.Status), want)
+		}
+	}
+}

@@ -14,15 +14,22 @@ import (
 )
 
 // TestWireObservabilityPartition is the end-to-end check behind the
-// wire-to-wire breakdown: a pipelined binary client at depth 8 drives a
-// tracer-enabled server over loopback TCP, and every completed request's
-// six components (ingress, handoff, queue, service, preempted, egress)
-// must partition its frame-read→flushed total within 1%.
+// wire-to-wire breakdown: a binary client drives a tracer-enabled server
+// over loopback TCP, and every completed request's six components
+// (ingress, handoff, queue, service, preempted, egress) must partition
+// its frame-read→flushed total within 1%. At depth 1 the client is in
+// lockstep and the reader serves every GET itself; at depth 8 they go
+// through the runtime's queues and the flusher.
 func TestWireObservabilityPartition(t *testing.T) {
+	for _, depth := range []int{1, 8} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) { testWirePartition(t, depth) })
+	}
+}
+
+func testWirePartition(t *testing.T, depth int) {
 	const (
 		workers = 2
 		reqs    = 200
-		depth   = 8
 	)
 	tracer := obs.NewTracerSharded(workers, 1, 4096)
 	store := kv.New()
@@ -73,8 +80,9 @@ func TestWireObservabilityPartition(t *testing.T) {
 		recvd++
 	}
 
-	// Every response read by the client was flushed first, so the
-	// snapshot already holds each request's terminal EvFlushed.
+	// A response can reach the client before its writer records
+	// EvFlushed; the pipeline gauge drops only after that record.
+	waitFor(t, "the last EvFlushed", func() bool { return s.NetStats().Pipeline == 0 })
 	breakdowns := obs.Analyze(tracer.Snapshot())
 	complete := 0
 	for _, b := range breakdowns {

@@ -212,6 +212,37 @@ func TestPrime(t *testing.T) {
 	fr.Close()
 }
 
+// TestBuffered: a frame that arrived alone leaves nothing undecoded; one
+// that arrived in the same read as the next leaves that next frame.
+func TestBuffered(t *testing.T) {
+	first := AppendRequest(nil, OpGet, 1, []byte("k"), nil)
+	second := AppendRequest(nil, OpPut, 2, []byte("k"), []byte("v"))
+
+	alone := NewFrameReader(&chunkReader{r: bytes.NewReader(append(first, second...)), n: len(first)}, NewPool(512), 1<<20)
+	f, err := alone.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := alone.Buffered(); n != 0 {
+		t.Fatalf("after a frame read on its own: Buffered = %d, want 0", n)
+	}
+	f.Release()
+	alone.Close()
+
+	both := NewFrameReader(bytes.NewReader(append(first, second...)), NewPool(512), 1<<20)
+	for i, want := range []int{len(second), 0} {
+		f, err := both.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := both.Buffered(); n != want {
+			t.Fatalf("after frame %d of one read: Buffered = %d, want %d", i+1, n, want)
+		}
+		f.Release()
+	}
+	both.Close()
+}
+
 func TestBufferRefCounting(t *testing.T) {
 	p := NewPool(512)
 	b := p.Get()

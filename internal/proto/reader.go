@@ -72,6 +72,10 @@ func (fr *FrameReader) Close() {
 	}
 }
 
+// Buffered is how many bytes have been read off the stream but not yet
+// decoded.
+func (fr *FrameReader) Buffered() int { return fr.end - fr.start }
+
 // Next decodes the next frame. It returns io.EOF at a clean frame
 // boundary, io.ErrUnexpectedEOF mid-frame, ErrBadMagic on a desynced
 // stream, and *TooLargeError (stream still usable) for an oversized
