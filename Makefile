@@ -6,11 +6,12 @@ tier1:
 
 # Race hygiene for the concurrent packages: the parallel runner stack,
 # the live serving path (runtime lifecycle + load-generator
-# measurement), and the policy queues (cascade tiers + admission paths
-# exercise them from many goroutines). Slower than tier1; run before
-# merging changes to any of these.
+# measurement: concord-load's connection readers share its record log,
+# latency sketch and failure tallies), and the policy queues (cascade
+# tiers + admission paths exercise them from many goroutines). Slower
+# than tier1; run before merging changes to any of these.
 race:
-	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/adapt ./internal/shadow ./internal/bench ./internal/proto ./internal/netsrv ./internal/policy
+	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/adapt ./internal/shadow ./internal/bench ./internal/proto ./internal/netsrv ./internal/policy ./cmd/concord-load
 
 # Stress for the live runtime's concurrency-critical suites — lifecycle
 # tables, chaos, drain windows, sharded stealing, the identity hand-off,

@@ -1,11 +1,10 @@
 // The load generator's record layer: per-request latency observations,
-// rendered as CSV and slowdown summaries. (Latency distributions live in
+// rendered as slowdown summaries. (Latency distributions live in
 // obs.QuantileSketch.)
 package main
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -18,7 +17,7 @@ import (
 type Record struct {
 	Class        string
 	ServiceUS    float64 // intended (un-instrumented) service time
-	SojournUS    float64 // measured time at the server
+	SojournUS    float64 // launch to reply, measured at the client
 	Preemptions  int
 	OnDispatcher bool
 
@@ -57,13 +56,6 @@ func (l *Log) Add(r Record) {
 	l.mu.Unlock()
 }
 
-// Len returns the number of records.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.records)
-}
-
 // Snapshot returns a copy of the records.
 func (l *Log) Snapshot() []Record {
 	l.mu.Lock()
@@ -71,23 +63,6 @@ func (l *Log) Snapshot() []Record {
 	out := make([]Record, len(l.records))
 	copy(out, l.records)
 	return out
-}
-
-// WriteCSV renders the log as CSV with a header row. The trailing
-// component columns hold server-measured breakdowns and are zero for
-// records without one (preempt_count then repeats preemptions).
-func (l *Log) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "class,service_us,sojourn_us,slowdown,preemptions,on_dispatcher,handoff_us,queueing_us,service_meas_us,preempted_us,preempt_count,ingress_us,egress_us\n"); err != nil {
-		return err
-	}
-	for _, r := range l.Snapshot() {
-		if _, err := fmt.Fprintf(w, "%s,%.3f,%.3f,%.3f,%d,%t,%.3f,%.3f,%.3f,%.3f,%d,%.3f,%.3f\n",
-			r.Class, r.ServiceUS, r.SojournUS, r.Slowdown(), r.Preemptions, r.OnDispatcher,
-			r.HandoffUS, r.QueueUS, r.RunUS, r.PreemptedUS, r.Preemptions, r.IngressUS, r.EgressUS); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Summary holds percentile statistics over a set of records.

@@ -57,24 +57,8 @@ func TestConcurrentAdd(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.Len() != 8000 {
-		t.Fatalf("len = %d, want 8000", l.Len())
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	l := NewLog(2)
-	l.Add(Record{Class: "GET", ServiceUS: 1, SojournUS: 3, Preemptions: 2, OnDispatcher: true})
-	var b strings.Builder
-	if err := l.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "class,service_us") {
-		t.Fatalf("missing header: %q", out)
-	}
-	if !strings.Contains(out, "GET,1.000,3.000,3.000,2,true") {
-		t.Fatalf("row missing: %q", out)
+	if n := len(l.Snapshot()); n != 8000 {
+		t.Fatalf("len = %d, want 8000", n)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -159,6 +160,7 @@ func TestObsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("concord-load: %v\n%s", err, loadOut)
 	}
+	checkLaunched(t, "text", loadOut, 2000*2)
 	for _, want := range []string{
 		"component breakdown", "queueing", "service", "p99.9",
 		"ingress", "egress", "client-vs-server latency gap",
@@ -180,6 +182,7 @@ func TestObsSmoke(t *testing.T) {
 	if !strings.Contains(string(binOut), "p99.9") {
 		t.Fatalf("binary load report missing latency table:\n%s", binOut)
 	}
+	checkLaunched(t, "binary", binOut, 2000*2)
 
 	// Scrape the metrics endpoint.
 	body := httpGet(t, "http://"+obsAddr+"/metrics")
@@ -334,6 +337,20 @@ func TestObsSmoke(t *testing.T) {
 		if !strings.Contains(shadowJoined, want) {
 			t.Fatalf("SHADOW output missing %q:\n%s", want, shadowJoined)
 		}
+	}
+}
+
+// checkLaunched fails unless a concord-load report launched at least
+// 90% of the want arrivals its -rate × -duration schedules: the
+// generator offered the load it was asked for.
+func checkLaunched(t *testing.T, phase string, out []byte, want int) {
+	t.Helper()
+	m := regexp.MustCompile(`launched (\d+)`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("%s load report has no launched count:\n%s", phase, out)
+	}
+	if n, _ := strconv.Atoi(string(m[1])); n < want*9/10 {
+		t.Fatalf("%s load launched %d of %d scheduled arrivals, want ≥ 90%%:\n%s", phase, n, want, out)
 	}
 }
 
