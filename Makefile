@@ -23,11 +23,12 @@ live-stress:
 
 # Stress for the connection loop's concurrency-critical tests — window
 # back-pressure, dead and half-open clients, resets, fan-in, drain, the
-# lockstep reader path and the wire partition — repeated under the race
-# detector: a write failure counted twice or a slot never returned shows
-# in one shard-count row of one run, not on every pass.
+# reader path (lockstep, pipelined, torn frames), shedding and the wire
+# partition — repeated under the race detector: a write failure counted
+# twice or a slot never returned shows in one shard-count row of one run,
+# not on every pass.
 net-stress:
-	go test -race -count=20 -run 'Window|NeverReading|HalfOpen|Reset|FanIn|Drain|Lockstep|Partition' ./internal/netsrv
+	go test -race -count=20 -run 'Window|NeverReading|HalfOpen|Reset|FanIn|Drain|Lockstep|Reader|Shed|Partition' ./internal/netsrv
 
 vet:
 	go vet ./...

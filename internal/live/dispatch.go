@@ -40,6 +40,12 @@ type shard struct {
 	writer int // obs writer id for this shard's dispatcher ring
 	q      *centralQueue
 	submit chan *task
+	// inbound counts the tasks accepted for this shard and not yet in q:
+	// in submit, or received from it and not yet pushed, which len(submit)
+	// and q.Len() both miss. A sender counts a task before its send and
+	// ingest uncounts it after the push, so place, which reads inbound
+	// before q, sees every accepted task in one or the other.
+	inbound atomic.Int32
 	// workers holds the global indices of the workers this shard owns.
 	workers []int
 	// ex is the dispatcher-as-executor identity for work conservation.
@@ -274,7 +280,11 @@ func (s *Server) ingest(sh *shard, t *task) {
 		}
 		s.tr.Record(sh.writer, obs.EvEnqueueCentral, t.id, 0)
 	}
+	if testIngestGate != nil {
+		testIngestGate()
+	}
 	sh.q.Push(t)
+	sh.inbound.Add(-1)
 }
 
 // park blocks sh's idle dispatcher until a submission arrives (ingested

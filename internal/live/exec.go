@@ -182,7 +182,9 @@ func (s *Server) requeue(ex *executor, t *task) {
 	if s.tr != nil {
 		s.tr.Record(ex.writer, obs.EvRequeue, t.id, 0)
 	}
-	s.shards[s.shardOf[ex.id]].submit <- t
+	sh := s.shards[s.shardOf[ex.id]]
+	sh.inbound.Add(1)
+	sh.submit <- t
 }
 
 // runSlice is the one place a request runs: it gives t the CPU context

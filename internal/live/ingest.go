@@ -3,9 +3,9 @@
 // consumes them — the discipline, a class quantum — can change while
 // the request is queued), checks the stop gate, and places the task on
 // a shard's ingress buffer — round-robin across shards with fallback to
-// any sibling with room — or, for a Do on a shard with nothing queued
-// and an idle worker, hands it to the caller to run as that worker
-// (place).
+// any sibling with room — or, for a Do or TryDo on a shard with nothing
+// queued and an idle worker, hands it to the caller to run as that
+// worker (place).
 //
 // Admission is class-aware when Options.ClassAdmission is on: each
 // class has an ingress-occupancy watermark (Server.classLimit) and is
@@ -54,9 +54,30 @@ func (s *Server) SubmitFunc(payload any, done func(Response)) {
 	s.submit(payload, nil, done, false)
 }
 
-// submit is the shared ingest path: exactly one of ch / done carries
-// the response. placing (Do only) tries place before the ingress buffer.
-func (s *Server) submit(payload any, ch chan Response, done func(Response), placing bool) {
+// TryDo is Do for a request that can be placed and SubmitFunc for one
+// that cannot, and it never waits on a queue. When the request's shard
+// has nothing queued and one of its workers is idle, TryDo runs the
+// request on the calling goroutine as that worker, as Do does, and
+// returns its Response and true; done is not called. Otherwise it submits
+// the request exactly as SubmitFunc(payload, done) would and returns
+// false at once. A connection reader uses it to serve what it can
+// without a hand-off while it keeps reading: a reader that waited on a
+// queue would stop reading, and a client pipelining behind the request
+// would be served as if in lockstep.
+func (s *Server) TryDo(payload any, done func(Response)) (resp Response, placed bool) {
+	ch := respChans.Get().(chan Response)
+	if placed = s.submit(payload, ch, done, true); placed {
+		resp = <-ch
+	}
+	respChans.Put(ch)
+	return resp, placed
+}
+
+// submit is the shared ingest path. placing (Do and TryDo) tries place
+// before the ingress buffer, and submit reports whether it placed. A
+// placed request answers on ch; any other answers on done when it is
+// set, on ch otherwise.
+func (s *Server) submit(payload any, ch chan Response, done func(Response), placing bool) (placed bool) {
 	t := newTask()
 	t.id = s.nextID.Add(1)
 	t.payload = payload
@@ -113,7 +134,7 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response), plac
 			s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, id, 0, arrival)
 		}
 		s.submitMu.RUnlock()
-		if w >= 0 {
+		if placed = w >= 0; placed {
 			s.runLent(s.workers[w], t)
 		}
 	} else {
@@ -125,6 +146,7 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response), plac
 		}
 		s.reject(t, err, status)
 	}
+	return placed
 }
 
 // reject delivers a rejection response, records it against every
@@ -143,21 +165,24 @@ func (s *Server) reject(t *task, err error, status int64) {
 	t.release()
 }
 
-// place dispatches a Do request (placing) to its caller: when t's shard
-// has nothing in its ingress buffer or policy queue — so no queued
-// request can be overtaken, whatever the discipline — and one of its
-// workers is idle, it takes every JBSQ slot of that worker with one
-// compare-and-swap and returns the worker, whose first slice of t the
-// caller then runs itself (runLent); otherwise it returns -1 and t takes
-// the ingress. Only Do places: its caller has nothing to do but wait for
-// the answer, where Submit and SubmitFunc promise never to block. The
+// place dispatches a Do or TryDo request (placing) to its caller: when
+// t's shard has no accepted request that is not yet in service — none
+// inbound (in the ingress buffer, or received by the dispatcher and not
+// yet pushed) and none in the policy queue, so no queued request can be
+// overtaken, whatever the discipline — and one of its workers is idle,
+// it takes every JBSQ slot of that worker with one compare-and-swap and
+// returns the worker, whose first slice of t the caller then runs itself
+// (runLent); otherwise it returns -1 and t takes the ingress. Only those
+// two place: their callers run the request rather than hand it off,
+// where Submit and SubmitFunc promise never to run it on the caller. The
 // enqueue and dispatch events are recorded here, on the client's ring,
 // so Breakdown and obs.Analyze still add up.
 func (s *Server) place(t *task, placing bool) int {
 	// Not before Start has set the workers up, and not under PinThreads:
-	// a lent slice would not run on the worker's pinned thread.
+	// a lent slice would not run on the worker's pinned thread. inbound is
+	// read before the queue: a task leaves it only once pushed.
 	sh := s.shards[t.id%uint64(len(s.shards))]
-	if !placing || s.opts.PinThreads || !s.started.Load() || len(sh.submit) > 0 || sh.q.Len() > 0 {
+	if !placing || s.opts.PinThreads || !s.started.Load() || sh.inbound.Load() > 0 || sh.q.Len() > 0 {
 		return -1
 	}
 	for _, w := range sh.workers {
@@ -167,6 +192,7 @@ func (s *Server) place(t *task, placing bool) int {
 				s.tr.Record(obs.WriterClient, obs.EvEnqueueCentral, t.id, 0)
 				s.tr.Record(obs.WriterClient, obs.EvDispatch, t.id, int64(w))
 			}
+			t.done = nil // a placed request answers its caller, on the channel
 			return w
 		}
 	}
@@ -180,28 +206,29 @@ func (s *Server) place(t *task, placing bool) int {
 func (s *Server) enqueue(t *task) bool {
 	limit := s.classLimit[t.class]
 	if len(s.shards) == 1 {
-		ch := s.shards[0].submit
-		if len(ch) >= limit {
-			return false
-		}
-		select {
-		case ch <- t:
-			return true
-		default:
-			return false
-		}
+		return s.send(s.shards[0], t, limit)
 	}
 	n := uint64(len(s.shards))
 	start := s.rr.Add(1)
 	for i := uint64(0); i < n; i++ {
-		ch := s.shards[(start+i)%n].submit
-		if len(ch) >= limit {
-			continue
+		if s.send(s.shards[(start+i)%n], t, limit) {
+			return true
 		}
+	}
+	return false
+}
+
+// send puts t on sh's ingress buffer if its occupancy is under limit and
+// the send does not block, counting t inbound from before the send (see
+// shard.inbound).
+func (s *Server) send(sh *shard, t *task, limit int) bool {
+	if len(sh.submit) < limit {
+		sh.inbound.Add(1)
 		select {
-		case ch <- t:
+		case sh.submit <- t:
 			return true
 		default:
+			sh.inbound.Add(-1)
 		}
 	}
 	return false

@@ -54,13 +54,17 @@
 // globally. Shards: 1 is the paper's architecture unchanged.
 //
 // The dispatcher is a tier a request need not cross when it has nothing
-// to decide. A Do whose shard has nothing queued and an idle worker
-// places its own request: it takes all of that worker's JBSQ slots with
-// one compare-and-swap — the dispatcher takes its slot with one too, so
+// to decide. A Do whose shard has nothing queued — nothing inbound, and
+// nothing in the policy queue — and an idle worker places its own
+// request: it takes all of that worker's JBSQ slots with one
+// compare-and-swap — the dispatcher takes its slot with one too, so
 // JBSQ(k) holds with both placers — and runs the first slice itself, as
 // that worker, while the worker's own loop stays blocked on its empty
-// local queue. Only Do does, because only its caller has nothing to do
-// but wait: Submit never blocks. (Sending the task to the worker
+// local queue. TryDo does the same and, where Do would wait on the
+// queue, submits like SubmitFunc instead and returns, so a caller with
+// more to read — a connection reader — runs what it can place and never
+// waits. Submit and SubmitFunc never place: their callers did not offer
+// to run the request. (Sending the task to the worker
 // instead, as a dispatcher does, costs two goroutine switches on the
 // caller's processor — Go runs a woken goroutine next on the waker's —
 // and measured slower per request than the dispatcher hop it saves.) And
@@ -394,6 +398,7 @@ var (
 	testRequeueGate func()       // between a preemption park and its re-submit
 	testStealGate   func()       // between a steal's pop and its local dispatch
 	testParkGate    func(*shard) // as a shard's dispatcher parks
+	testIngestGate  func()       // between a dispatcher's receive from the ingress and its push
 )
 
 // Server is a running Concord scheduling runtime. Its fields are laid

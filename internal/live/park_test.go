@@ -126,7 +126,7 @@ func TestDoPlacesOnIdleShard(t *testing.T) {
 		if s.place(probe, true) >= 0 {
 			t.Fatal("placed past a request in the ingress buffer")
 		}
-		sh.q.Push(<-sh.submit)
+		s.ingest(sh, <-sh.submit)
 		if s.place(probe, true) >= 0 {
 			t.Fatal("placed past a request in the policy queue")
 		}
@@ -179,6 +179,68 @@ func TestDoPlacesOnIdleShard(t *testing.T) {
 			t.Fatalf("run order %v, want %v", got, want)
 		}
 	})
+}
+
+// TestPlaceDoesNotOvertakeIngestingTask: a task the dispatcher has
+// received from the ingress but not yet pushed onto the policy queue is
+// in neither, and is still waiting. The ingest gate holds the dispatcher
+// in that window; a Do or TryDo issued meanwhile must not place: it goes
+// through the queue (dispatched from the dispatcher's ring, TryDo
+// reporting false and answering through its callback) and, under fcfs,
+// runs after the held task.
+func TestPlaceDoesNotOvertakeIngestingTask(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		issue func(s *Server, p any) <-chan Response
+	}{
+		{"Do", func(s *Server, p any) <-chan Response {
+			ch := make(chan Response, 1)
+			go func() { ch <- s.Do(p) }()
+			return ch
+		}},
+		{"TryDo", func(s *Server, p any) <-chan Response {
+			ch := make(chan Response, 1)
+			if resp, placed := s.TryDo(p, func(r Response) { ch <- r }); placed {
+				ch <- resp
+			}
+			return ch
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			entered, release := make(chan struct{}), make(chan struct{})
+			var held sync.Once
+			testIngestGate = func() { held.Do(func() { close(entered); <-release }) }
+			t.Cleanup(func() { testIngestGate = nil })
+			h := &blockingHandler{}
+			opts := tracedOptions(1, 0, 1<<10)
+			s := New(h, opts)
+			s.Start()
+			first := s.Submit(hintedSpin{hint: 1})
+			<-entered
+			second := row.issue(s, hintedSpin{hint: 2})
+			waitUntil(t, "the second request to wait in the ingress or be answered", func() bool {
+				return s.Depths().Submit == 1 || len(second) == 1
+			})
+			if len(second) == 1 {
+				t.Fatal("the second request was answered while the first was held between ingress and queue: it overtook")
+			}
+			close(release)
+			r1, r2 := <-first, <-second
+			s.Stop()
+			if r1.Err != nil || r2.Err != nil {
+				t.Fatal(r1.Err, r2.Err)
+			}
+			if ring := dispatchRings(opts.Tracer)[r2.ID]; ring != obs.DispatcherWriter(0) {
+				t.Fatalf("second request dispatched from ring %d, want the dispatcher's %d", ring, obs.DispatcherWriter(0))
+			}
+			h.order.mu.Lock()
+			got := fmt.Sprint(h.order.hints)
+			h.order.mu.Unlock()
+			if got != "[1ns 2ns]" {
+				t.Fatalf("run order %s, want [1ns 2ns]", got)
+			}
+		})
+	}
 }
 
 // TestParkedDispatcherWakes starts each row from parked dispatchers and

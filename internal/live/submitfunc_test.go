@@ -137,9 +137,9 @@ func (yieldTimesHandler) Handle(ctx *Ctx, payload any) (any, error) {
 // neither does Do, whose response channel is pooled, whether it places
 // its request itself (an idle shard) or goes through the shard's policy
 // queue (every worker slot held, so the work-conserving dispatcher runs
-// it). A request that is preempted allocates once however often it
-// yields: the `go` statement that hands the executor identity to a
-// successor at its first yield. The same figures hold with every
+// it), nor TryDo on either of the same two paths. A request that is
+// preempted allocates once however often it yields: the `go` statement
+// that hands the executor identity to a successor at its first yield. The same figures hold with every
 // completion observer set — Tail with per-class children, Sketches,
 // Capture at 1-in-1: the completion path pays one branch for all of them
 // and none allocates. (How many nanoseconds they cost is a magnitude,
@@ -178,6 +178,14 @@ func TestSubmitFuncZeroAllocs(t *testing.T) {
 		s.Start()
 		answered := make(chan struct{}, 1)
 		done := func(Response) { answered <- struct{}{} }
+		// TryDo answers on its callback when it could not place.
+		tryDo := func(payload any) bool {
+			_, placed := s.TryDo(payload, done)
+			if !placed {
+				<-answered
+			}
+			return placed
+		}
 		for _, tc := range rows {
 			if allocs := testing.AllocsPerRun(1000, func() {
 				s.SubmitFunc(tc.payload, done)
@@ -187,6 +195,13 @@ func TestSubmitFuncZeroAllocs(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(1000, func() { s.Do(tc.payload) }); allocs != tc.want {
 				t.Errorf("%+v, %s: placed Do round trip %v allocs, want %v", cfg, tc.name, allocs, tc.want)
+			}
+			waitUntil(t, "every worker idle", func() bool { return busyWorkers(s) == 0 })
+			if !tryDo(yieldTimes(0)) {
+				t.Fatalf("%+v: a TryDo on an idle server did not place", cfg)
+			}
+			if allocs := testing.AllocsPerRun(1000, func() { tryDo(tc.payload) }); allocs != tc.want {
+				t.Errorf("%+v, %s: placed TryDo round trip %v allocs, want %v", cfg, tc.name, allocs, tc.want)
 			}
 		}
 		release := make(chan struct{})
@@ -200,9 +215,15 @@ func TestSubmitFuncZeroAllocs(t *testing.T) {
 		if resp := s.Do(yieldTimes(0)); !resp.OnDispatcher {
 			t.Fatalf("%+v: a Do with every worker slot held did not go through the queue to the dispatcher", cfg)
 		}
+		if tryDo(yieldTimes(0)) {
+			t.Fatalf("%+v: a TryDo with every worker slot held placed", cfg)
+		}
 		for _, tc := range rows {
 			if allocs := testing.AllocsPerRun(1000, func() { s.Do(tc.payload) }); allocs != tc.want {
 				t.Errorf("%+v, %s: queued Do round trip %v allocs, want %v", cfg, tc.name, allocs, tc.want)
+			}
+			if allocs := testing.AllocsPerRun(1000, func() { tryDo(tc.payload) }); allocs != tc.want {
+				t.Errorf("%+v, %s: queued TryDo round trip %v allocs, want %v", cfg, tc.name, allocs, tc.want)
 			}
 		}
 		close(release)

@@ -66,7 +66,7 @@ func (bc *binaryCodec) next(r *Request) (bool, error) {
 	return true, nil
 }
 
-func (bc *binaryCodec) buffered() int { return bc.fr.Buffered() }
+func (bc *binaryCodec) ready() bool { return bc.fr.Ready() }
 
 func (bc *binaryCodec) appendResp(b []byte, r *Request) []byte {
 	switch r.Status {

@@ -1,12 +1,14 @@
 // The connection loop, shared by both protocols: a reader that takes
-// requests off the wire and submits them, a flusher that writes their
-// responses, and between them the connection's window. A request read
-// in lockstep skips the flusher: the reader runs it and writes it.
+// requests off the wire and serves them, a flusher that writes the
+// responses of requests the runtime completes on its own goroutines, and
+// between them the connection's window. A request the reader can run
+// without waiting it runs itself, and it writes those responses in
+// batches of its own.
 package netsrv
 
 import (
 	"net"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"concord/internal/live"
@@ -28,9 +30,10 @@ type codec interface {
 	// response (oversize, malformed, or a control verb). An error ends
 	// the connection: nothing was read that is owed a response.
 	next(r *Request) (submit bool, err error)
-	// buffered is how many bytes were read off the socket but not yet
-	// decoded: 0 means the client has sent nothing past the last request.
-	buffered() int
+	// ready reports whether the next request is already buffered whole,
+	// so that next returns it without reading the socket — and so
+	// without an error. It may say no when unsure; it must not say yes.
+	ready() bool
 	// appendResp encodes r's response.
 	appendResp(b []byte, r *Request) []byte
 	// flushed reports that one write carried n responses to the socket.
@@ -55,9 +58,12 @@ type connection struct {
 	// the submit site would allocate per request.
 	completeFn func(live.Response)
 
-	// dead is set by the first failed write; every later write is
-	// dropped, so the failure is counted once per connection.
-	dead atomic.Bool
+	// wmu serializes the connection's two writers, the reader and the
+	// flusher. dead, guarded by it, is set by the first failed write;
+	// every later write is dropped, so the failure is counted once per
+	// connection.
+	wmu  sync.Mutex
+	dead bool
 }
 
 // serve runs one connection to the end of its input. The reader takes a
@@ -66,15 +72,22 @@ type connection struct {
 // window of 1 the next line is not read until this one's response has
 // been encoded — which is also what keeps text replies in request order.
 //
-// A request read in lockstep — it holds the connection's only slot in
-// use and nothing past it is buffered — is served by the reader itself:
-// live.Do runs it (on the calling goroutine when a worker is idle) and
-// the reader writes the response, with no hand-off to the flusher. The
-// client sends nothing until it has this answer, so the reader loses
-// nothing by waiting. Binary serves only point ops this way: they never
-// yield, so a frame the client pipelines behind one waits a few µs at
-// most, while a SPIN or SCAN goes through the flusher and a GET sent
-// behind it is still answered first.
+// One rule serves every request the codec hands over. Text goes through
+// live.Do: with a window of 1 the client sends nothing until it has the
+// answer, so the reader loses nothing by waiting. A binary GET, PUT or
+// DEL goes through live.TryDo, which runs it on the reader when it can
+// lend it an idle worker and otherwise submits it like SubmitFunc without
+// waiting: a reader that waited on a queue would stop reading, and a
+// client pipelining behind the request would be served in lockstep. A
+// SPIN or SCAN goes through SubmitFunc, so a GET pipelined behind one is
+// still read, and answered first. What goes through the runtime's queues
+// completes into the flusher.
+//
+// Responses to the requests the reader ran collect in its own batch,
+// which it writes in one call at the last moment it can: before a read
+// that could block on the socket (no whole request buffered), and before
+// it waits for a slot when its window is full. Lockstep is the depth-1
+// case: one request read, run and written per read.
 func (s *Server) serve(conn net.Conn, cd codec, window int) {
 	c := &connection{
 		s: s, conn: conn, cd: cd,
@@ -84,16 +97,20 @@ func (s *Server) serve(conn net.Conn, cd codec, window int) {
 	c.completeFn = c.complete
 	flusherDone := make(chan struct{})
 	go c.flush(flusherDone)
-	// The reader's own one-slot batch and write buffer.
-	own, wbuf := make([]*Request, 1), []byte(nil)
+	own, wbuf := make([]*Request, 0, window), []byte(nil)
 	for {
+		if len(own) > 0 && (len(c.slots) == window || !cd.ready()) {
+			wbuf = c.write(own, wbuf)
+			own = own[:0]
+		}
 		c.slots <- struct{}{}
 		r := s.getReq()
 		submit, err := cd.next(r)
 		if err != nil {
 			// EOF, mid-request close, desync, an expired deadline (Drain,
 			// or a failed write). What was cut short was never a request;
-			// its slot is the first one taken back.
+			// its slot is the first one taken back. The reader's batch is
+			// empty: it is written before any next that can fail.
 			s.putReq(r)
 			break
 		}
@@ -101,9 +118,12 @@ func (s *Server) serve(conn net.Conn, cd codec, window int) {
 		switch {
 		case !submit:
 			c.completed <- r
-		case len(c.slots) == 1 && cd.buffered() == 0 && (window == 1 || r.pointOp()):
-			own[0] = c.record(s.rt.Do(r))
-			wbuf = c.write(own, wbuf)
+		case window == 1:
+			own = append(own, c.record(s.rt.Do(r)))
+		case r.pointOp():
+			if resp, ran := s.rt.TryDo(r, c.completeFn); ran {
+				own = append(own, c.record(resp))
+			}
 		default:
 			s.rt.SubmitFunc(r, c.completeFn)
 		}
@@ -164,14 +184,15 @@ func (c *connection) flush(done chan<- struct{}) {
 
 // write encodes batch into buf, writes it to the socket in one call and
 // releases the batch. The flusher and the reader both write through it,
-// never at once: the reader writes only while it holds the one slot in
-// use. A failed write — the client is gone, or stopped reading for
-// WriteTimeout — marks the connection dead and expires the read
-// deadline, so the reader stops taking work for a socket nobody reads.
-// It returns buf for reuse.
+// one at a time under wmu. A failed write — the client is gone, or
+// stopped reading for WriteTimeout — marks the connection dead and
+// expires the read deadline, so the reader stops taking work for a
+// socket nobody reads. It returns buf for reuse.
 func (c *connection) write(batch []*Request, buf []byte) []byte {
 	defer c.release(batch)
-	if c.dead.Load() {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.dead {
 		return buf
 	}
 	buf = buf[:0]
@@ -182,7 +203,7 @@ func (c *connection) write(batch []*Request, buf []byte) []byte {
 		c.conn.SetWriteDeadline(time.Now().Add(wt))
 	}
 	if _, err := c.conn.Write(buf); err != nil {
-		c.dead.Store(true)
+		c.dead = true
 		c.s.writeClosed.Add(1)
 		c.conn.SetReadDeadline(time.Unix(1, 0))
 		return buf

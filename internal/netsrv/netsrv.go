@@ -9,22 +9,26 @@
 // never announces its protocol.
 //
 // One loop (conn.go) serves both: a reader goroutine takes requests off
-// the wire and submits each through live.SubmitFunc, a flusher goroutine
-// coalesces completions — arriving in any order — into single-write
-// batches, and between them sits the connection's window: the reader
-// takes a slot before each read, the flusher returns it after the
-// response is written. The window bounds what one connection can hold in
-// the runtime (a flooding client is back-pressured, not rejected, and
-// cannot take the server's admission budget), bounds everything the
-// connection buffers, and makes draining "take every slot back". A
-// request read in lockstep — the only one of its connection in flight,
-// nothing buffered behind it — skips both hand-offs: the reader runs it
-// through live.Do and writes its response itself. Binary takes this path
-// for point ops only, so a SPIN or SCAN never holds up a GET pipelined
-// behind it. The first write that fails or times out marks the
-// connection dead (later writes are dropped, so it is counted once) and
-// expires the read deadline, so a client that went away or stopped
-// reading is disconnected instead of served.
+// the wire and serves them, a flusher goroutine coalesces the
+// completions the runtime delivers — arriving in any order — into
+// single-write batches, and between them sits the connection's window:
+// the reader takes a slot before each read, and a slot returns after
+// its response is written. The window bounds what one connection can
+// hold in the runtime (a flooding client is back-pressured, not
+// rejected, and cannot take the server's admission budget), bounds
+// everything the connection buffers, and makes draining "take every
+// slot back". The reader serves by one rule: text through live.Do, a
+// binary GET, PUT or DEL through live.TryDo — run on the reader when an
+// idle worker can be lent to it, submitted without waiting otherwise —
+// and a SPIN or SCAN through live.SubmitFunc, so it never holds up a GET
+// pipelined behind it. What the reader ran it writes itself, in one
+// batch per drained read: before a read that could block, or before it
+// waits for a slot of a full window. Lockstep is the depth-1 case. The
+// reader and the flusher write under one mutex; the first write that
+// fails or times out marks the connection dead (later writes are
+// dropped, so it is counted once) and expires the read deadline, so a
+// client that went away or stopped reading is disconnected instead of
+// served.
 //
 // What differs between the protocols is a codec — take the next request
 // off the wire, append a response:
@@ -96,7 +100,8 @@ type Options struct {
 	// ObserveEgress, when non-nil, receives every flushed data
 	// response's egress latency (completion → bytes written to the
 	// socket), for per-op histograms. Responses whose write failed are
-	// not observed.
+	// not observed. It runs on the goroutine that wrote the response,
+	// under the connection's write lock, so it must not block.
 	ObserveEgress func(op byte, egress time.Duration)
 }
 

@@ -67,7 +67,9 @@ func (tc *textCodec) next(r *Request) (bool, error) {
 	return false, nil
 }
 
-func (tc *textCodec) buffered() int { return tc.br.Buffered() }
+// ready says no: with a window of 1 the reader writes before every read
+// whatever it says.
+func (tc *textCodec) ready() bool { return false }
 
 func (tc *textCodec) appendResp(b []byte, r *Request) []byte {
 	if r.Status == stControl {

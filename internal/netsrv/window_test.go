@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"concord/internal/live"
+	"concord/internal/obs"
 	"concord/internal/proto"
 )
 
@@ -216,29 +217,109 @@ func TestResetMidBatch(t *testing.T) {
 	})
 }
 
-// TestLockstepSpinDoesNotBlockGet: a lone SPIN on a binary connection is
-// in lockstep, yet it must not be served on the reader — a GET the client
-// pipelines behind it would then not even be read until the SPIN ended.
-// The GET's response arrives first.
+// TestLockstepSpinDoesNotBlockGet: a SPIN on a binary connection must
+// not be run on the reader, or the GETs a client pipelines behind it
+// would not even be read until it ended. Once the SPIN holds a worker,
+// the GETs written behind it — one in lockstep, fifteen in one write at
+// depth 16 — are all answered before it.
 func TestLockstepSpinDoesNotBlockGet(t *testing.T) {
-	s, ln := newTestServer(t, Options{})
+	for _, row := range []struct {
+		name string
+		gets int
+	}{{"lockstep", 1}, {"depth16", 15}} {
+		t.Run(row.name, func(t *testing.T) {
+			s, ln := newTestServer(t, Options{})
+			conn := dial(t, ln)
+			if _, err := conn.Write(proto.AppendSpinRequest(nil, 1, 300_000)); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the SPIN to hold a worker", func() bool {
+				d := s.rt.Depths()
+				return d.Submit == 0 && d.Central == 0 && d.Workers[0]+d.Workers[1] > 0
+			})
+			var wire []byte
+			for i := 0; i < row.gets; i++ {
+				wire = proto.AppendRequest(wire, proto.OpGet, uint64(2+i), []byte("key000"), nil)
+			}
+			if _, err := conn.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+			rr := proto.NewRespReader(conn, 0)
+			for i := 0; i <= row.gets; i++ {
+				r, err := rr.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (r.ID == 1) != (i == row.gets) {
+					t.Fatalf("response %d is id %d (%s): the SPIN must come last, after all %d GETs",
+						i, r.ID, proto.StatusString(r.Status), row.gets)
+				}
+			}
+		})
+	}
+}
+
+// TestReaderAnswersBeforeTornFrame: a client sends whole GETs and half
+// of the next frame, then waits for answers before it sends the rest.
+// The reader must write what it owes before it blocks reading the rest
+// of the frame, or the two ends wait on each other.
+func TestReaderAnswersBeforeTornFrame(t *testing.T) {
+	_, ln := newTestServer(t, Options{})
 	conn := dial(t, ln)
-	if _, err := conn.Write(proto.AppendSpinRequest(nil, 1, 300_000)); err != nil {
+	const whole = 8
+	var wire []byte
+	for i := uint64(1); i <= whole; i++ {
+		wire = proto.AppendRequest(wire, proto.OpGet, i, []byte("key001"), nil)
+	}
+	torn := proto.AppendRequest(nil, proto.OpGet, whole+1, []byte("key002"), nil)
+	if _, err := conn.Write(append(wire, torn[:len(torn)/2]...)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the SPIN to be in flight", func() bool { return s.NetStats().Pipeline == 1 })
-	if _, err := conn.Write(proto.AppendRequest(nil, proto.OpGet, 2, []byte("key000"), nil)); err != nil {
-		t.Fatal(err)
-	}
+	// A hang guard, not a latency bound: the answers are owed now.
+	conn.SetReadDeadline(time.Now().Add(20 * time.Second))
 	rr := proto.NewRespReader(conn, 0)
-	for _, want := range []uint64{2, 1} {
-		r, err := rr.Next()
-		if err != nil {
-			t.Fatal(err)
+	got := readResponses(t, rr, whole)
+	for i := uint64(1); i <= whole; i++ {
+		if got[i].Status != proto.StValue {
+			t.Fatalf("id %d: %+v", i, got[i])
 		}
-		if r.ID != want {
-			t.Fatalf("response id %d (%s) arrived, want id %d next: the GET must not wait for the SPIN",
-				r.ID, proto.StatusString(r.Status), want)
+	}
+	if _, err := conn.Write(torn[len(torn)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := rr.Next(); err != nil || r.ID != whole+1 || r.Status != proto.StValue {
+		t.Fatalf("the completed torn frame: %+v, %v", r, err)
+	}
+}
+
+// TestReaderRunsPipelinedPointOps: sixteen GETs pipelined in one write to
+// an idle server are all run by the connection's reader — every dispatch
+// is recorded on the client's ring, none on a dispatcher's.
+func TestReaderRunsPipelinedPointOps(t *testing.T) {
+	const gets = 16
+	tracer := obs.NewTracerSharded(2, 1, 1<<12)
+	_, ln := newTestServerLive(t, Options{Tracer: tracer}, live.Options{Workers: 2, Tracer: tracer})
+	conn := dial(t, ln)
+	var wire []byte
+	for i := uint64(1); i <= gets; i++ {
+		wire = proto.AppendRequest(wire, proto.OpGet, i, []byte("key003"), nil)
+	}
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	got := readResponses(t, proto.NewRespReader(conn, 0), gets)
+	for i := uint64(1); i <= gets; i++ {
+		if got[i].Status != proto.StValue {
+			t.Fatalf("id %d: %+v", i, got[i])
 		}
+	}
+	byRing := map[int]int{}
+	for _, e := range tracer.Snapshot() {
+		if e.Kind == obs.EvDispatch {
+			byRing[e.Ring]++
+		}
+	}
+	if byRing[obs.WriterClient] != gets || len(byRing) != 1 {
+		t.Fatalf("dispatches by ring %v, want all %d on the client's (%d)", byRing, gets, obs.WriterClient)
 	}
 }

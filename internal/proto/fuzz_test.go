@@ -66,11 +66,23 @@ func refDecode(data []byte, max int) ([]refEvent, error) {
 	}
 }
 
+// countingReader counts the reads made through it.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
 // FuzzFrameReader: whatever the bytes and however the reads tear them,
 // the decoder never panics, frames the stream exactly as the reference
 // does (in sync) or stops with the reference's error, keeps every frame
 // it handed out intact until released, and each request it accepted can
-// be answered with one response that decodes back to its id.
+// be answered with one response that decodes back to its id. A frame
+// Ready reports is returned by Next without a read.
 func FuzzFrameReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, chunk byte) {
 		want, wantErr := refDecode(data, fuzzMax)
@@ -78,13 +90,19 @@ func FuzzFrameReader(f *testing.F) {
 		if chunk > 0 {
 			r = &chunkReader{r: r, n: int(chunk)}
 		}
-		fr := NewFrameReader(r, NewPool(fuzzPool), fuzzMax)
+		cr := &countingReader{r: r}
+		fr := NewFrameReader(cr, NewPool(fuzzPool), fuzzMax)
 		var got []refEvent
 		var err error
 		for {
 			var fm Frame
 			var tl *TooLargeError
-			if fm, err = fr.Next(); errors.As(err, &tl) {
+			ready, reads := fr.Ready(), cr.reads
+			fm, err = fr.Next()
+			if ready && (err != nil || cr.reads != reads) {
+				t.Fatalf("frame %d was ready, then Next read %d times and returned %v", len(got), cr.reads-reads, err)
+			}
+			if errors.As(err, &tl) {
 				got = append(got, refEvent{tooLarge: true, f: Frame{ID: tl.ID}})
 			} else if err != nil {
 				break

@@ -212,35 +212,53 @@ func TestPrime(t *testing.T) {
 	fr.Close()
 }
 
-// TestBuffered: a frame that arrived alone leaves nothing undecoded; one
-// that arrived in the same read as the next leaves that next frame.
+// TestBuffered: Ready reports a frame buffered whole, and only that. A
+// frame that arrived alone leaves nothing ready; one that arrived in the
+// same read as the next leaves that next frame ready (v1 or v2 header);
+// a frame cut anywhere, or one over the size limit, is not ready.
 func TestBuffered(t *testing.T) {
 	first := AppendRequest(nil, OpGet, 1, []byte("k"), nil)
-	second := AppendRequest(nil, OpPut, 2, []byte("k"), []byte("v"))
+	second := AppendClassRequest(nil, OpPut, 2, 2, []byte("k"), []byte("v"))
 
 	alone := NewFrameReader(&chunkReader{r: bytes.NewReader(append(first, second...)), n: len(first)}, NewPool(512), 1<<20)
+	if alone.Ready() {
+		t.Fatal("Ready before anything was read")
+	}
 	f, err := alone.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := alone.Buffered(); n != 0 {
-		t.Fatalf("after a frame read on its own: Buffered = %d, want 0", n)
+	if alone.Ready() {
+		t.Fatal("after a frame read on its own: Ready")
 	}
 	f.Release()
 	alone.Close()
 
-	both := NewFrameReader(bytes.NewReader(append(first, second...)), NewPool(512), 1<<20)
-	for i, want := range []int{len(second), 0} {
-		f, err := both.Next()
+	for cut := 0; cut <= len(second); cut++ {
+		wire := append(append([]byte(nil), first...), second[:cut]...)
+		fr := NewFrameReader(bytes.NewReader(wire), NewPool(512), 1<<20)
+		f, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := both.Buffered(); n != want {
-			t.Fatalf("after frame %d of one read: Buffered = %d, want %d", i+1, n, want)
+		if want := cut == len(second); fr.Ready() != want {
+			t.Fatalf("second frame buffered to byte %d of %d: Ready = %v, want %v", cut, len(second), !want, want)
 		}
 		f.Release()
+		fr.Close()
 	}
-	both.Close()
+
+	big := append(append([]byte(nil), first...), AppendRequest(nil, OpPut, 3, []byte("k"), make([]byte, 64))...)
+	small := NewFrameReader(bytes.NewReader(big), NewPool(512), 32)
+	f, err = small.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.Ready() {
+		t.Fatal("a frame over the size limit reported ready")
+	}
+	f.Release()
+	small.Close()
 }
 
 func TestBufferRefCounting(t *testing.T) {

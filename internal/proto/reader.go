@@ -72,9 +72,29 @@ func (fr *FrameReader) Close() {
 	}
 }
 
-// Buffered is how many bytes have been read off the stream but not yet
-// decoded.
-func (fr *FrameReader) Buffered() int { return fr.end - fr.start }
+// Ready reports whether the next frame is already buffered whole, so
+// that Next returns it without reading the stream. An oversized frame
+// or a bad magic is never ready.
+func (fr *FrameReader) Ready() bool {
+	if fr.buf == nil || fr.start == fr.end {
+		return false
+	}
+	h := fr.buf.B[fr.start:fr.end]
+	var hdr int
+	switch h[0] {
+	case ReqMagic:
+		hdr = ReqHeaderSize
+	case ReqMagicV2:
+		hdr = ReqV2HeaderSize
+	default:
+		return false
+	}
+	if len(h) < hdr {
+		return false
+	}
+	body := int64(binary.LittleEndian.Uint32(h[hdr-8:])) + int64(binary.LittleEndian.Uint32(h[hdr-4:]))
+	return body <= int64(fr.max) && int64(len(h)) >= int64(hdr)+body
+}
 
 // Next decodes the next frame. It returns io.EOF at a clean frame
 // boundary, io.ErrUnexpectedEOF mid-frame, ErrBadMagic on a desynced
