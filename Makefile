@@ -15,11 +15,12 @@ race:
 
 # Stress for the live runtime's concurrency-critical suites — lifecycle
 # tables, chaos, drain windows, sharded stealing, the identity hand-off,
-# caller placement and dispatcher parking — repeated under the race
+# caller placement, dispatcher parking and slices that time themselves
+# with every dispatcher held — repeated under the race
 # detector: a lost request, a lost wake-up or a leaked goroutine shows
 # as a rare interleaving, not on the first run.
 live-stress:
-	go test -race -count=20 -run 'Lifecycle|Chaos|Drain|Sharded|Handoff|Park|Place' ./internal/live
+	go test -race -count=20 -run 'Lifecycle|Chaos|Drain|Sharded|Handoff|Park|Place|SelfTimed' ./internal/live
 
 # Stress for the connection loop's concurrency-critical tests — window
 # back-pressure, dead and half-open clients, resets, fan-in, drain, the

@@ -18,12 +18,11 @@ import (
 )
 
 // TestSetQuantumTakesEffect: a server built with no quantum never
-// preempts; after SetQuantum the signalling pass flags a running
-// request. The request that must be preempted waits for that signal
-// (awaitSignal) instead of spinning for a time a 100µs quantum "must"
-// interrupt, and the ones that must not be are never signalled however
-// slowly they spin, so a starved dispatcher makes the test slower, not
-// wrong.
+// preempts; after SetQuantum a running slice expires. The request that
+// must be preempted waits for that expiry (awaitSignal) instead of
+// spinning for a time a 100µs quantum "must" interrupt, and the ones
+// that must not be never expire however slowly they spin, so a slow host
+// makes the test slower, not wrong.
 func TestSetQuantumTakesEffect(t *testing.T) {
 	s := New(&yieldHandler{}, testOptions(1, 0))
 	s.Start()

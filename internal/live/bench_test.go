@@ -1,6 +1,7 @@
 package live
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,14 +94,42 @@ func BenchmarkPreemptedRequest(b *testing.B) {
 	b.ReportMetric(float64(preempts)/float64(b.N), "preempts/req")
 }
 
-// BenchmarkPollHot measures the probe cost on the fast path (no flag
-// set, the slice's first poll already made): this is the c_proc the
-// instrumentation adds per poll.
-func BenchmarkPollHot(b *testing.B) {
-	ex := &executor{id: 0}
-	c := &Ctx{task: &task{}, ex: ex, yieldEvery: -1, watched: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Poll()
-	}
+// BenchmarkPoll is the paper's Fig. 2 on this runtime: what one probe
+// costs on its fast path (the slice is not over) for each way of
+// noticing that a slice is over — the c_proc the instrumentation adds
+// per poll. "flag" is the paper's mechanism, a load of a padded cache
+// line a dispatcher would write, kept as the reference; "clock" reads
+// the clock on every poll, the paper's rdtsc probe; "shipped" is Poll
+// itself, which reads it on every pollCheckEvery-th poll.
+func BenchmarkPoll(b *testing.B) {
+	b.Run("flag", func(b *testing.B) {
+		var line struct {
+			_    [cacheLinePad]byte
+			flag atomic.Uint64
+			_    [cacheLinePad - 8]byte
+		}
+		for i := 0; i < b.N; i++ {
+			if line.flag.Load() != 0 {
+				b.Fatal("flag set")
+			}
+		}
+	})
+	b.Run("clock", func(b *testing.B) {
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			if time.Since(start) >= time.Hour {
+				b.Fatal("slice over")
+			}
+		}
+	})
+	b.Run("shipped", func(b *testing.B) {
+		s := New(&spinHandler{}, testOptions(1, time.Hour))
+		ex := s.workers[0]
+		ex.sliceStart = time.Now()
+		c := &Ctx{srv: s, task: &task{}, ex: ex} // no time-sharing Gosched: the probe alone
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Poll()
+		}
+	})
 }

@@ -36,8 +36,8 @@ func (chaosHandler) Handle(ctx *Ctx, payload any) (any, error) {
 	case "panic":
 		panic("chaos: handler panic")
 	case "nopoll":
-		// Burn CPU without ever polling: preemption signals and drain
-		// aborts must tolerate a handler that ignores them.
+		// Burn CPU without ever polling: quanta and drain aborts must
+		// tolerate a handler that never checks them.
 		sink := 0
 		until := time.Now().Add(req.d)
 		for time.Now().Before(until) {

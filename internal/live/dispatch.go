@@ -1,13 +1,13 @@
 // Dispatch layer: per-shard dispatcher loops. Each shard owns a
 // disjoint worker subset and its own central queue; its loop ingests
-// submissions, signals preemption for its workers, expires deadlines,
-// JBSQ-pushes to the shortest local queue (§3.2), steals never-started
-// requests from the longest sibling queue when it would otherwise idle,
-// and runs requests itself under time-based self-preemption when every
-// local queue is full (§3.3). One shard is exactly the paper's single
-// dispatcher. A loop that has had nothing to do for parkAfter blocks
-// until something needs it (park) instead of spinning on a core the host
-// may not have to spare.
+// submissions, expires deadlines, JBSQ-pushes to the shortest local
+// queue (§3.2), steals never-started requests from the longest sibling
+// queue when it would otherwise idle, and runs requests itself when
+// every local queue is full (§3.3). It watches no running slice: every
+// slice times itself (sliceOver). One shard is exactly the paper's
+// single dispatcher. A loop that has had nothing to do for parkAfter
+// blocks until something needs it (park) instead of spinning on a core
+// the host may not have to spare.
 package live
 
 import (
@@ -22,6 +22,10 @@ import (
 // park: long enough that a loop under load never pays for blocking,
 // short enough that an idle one gives its core back at once.
 const parkAfter = time.Millisecond
+
+// dispatcherSlice is how long a work-conserving dispatcher runs a request
+// before it gets back to its own duties when no quantum is in force.
+const dispatcherSlice = 100 * time.Microsecond
 
 // critQuantumShrink divides a running lower-tier request's effective
 // quantum while ClassCritical work is queued on its shard, so critical
@@ -53,12 +57,6 @@ type shard struct {
 	// saved parks a preempted dispatcher-run request between slices;
 	// such requests never migrate (§3.3).
 	saved *task
-	// lastFlagged dedups preemption signals per local worker (parallel
-	// to workers).
-	lastFlagged []uint64
-	// cascade reports that q currently orders by SLOClass tier; set with
-	// q, at New and at each policy swap.
-	cascade bool
 	// polEpoch is the policy-change epoch this shard last applied; when
 	// Server.polState moves past it the loop drain-and-swaps its queue
 	// at the top of the iteration (a quiesce point: no dispatch
@@ -71,12 +69,12 @@ type shard struct {
 	bell   chan struct{}
 }
 
-// wake rings the bell of each given shard whose dispatcher is parked.
-// The send never blocks, and a wake-up is never lost: park publishes
-// parked before its last look for work, and every caller has changed
-// what park looks at before it calls wake.
-func wake(shards ...*shard) {
-	for _, sh := range shards {
+// wake rings the bell of every shard whose dispatcher is parked. The
+// send never blocks, and a wake-up is never lost: park publishes parked
+// before its last look for work, and every caller has changed what park
+// looks at before it calls wake.
+func (s *Server) wake() {
+	for _, sh := range s.shards {
 		if sh.parked.Load() {
 			select {
 			case sh.bell <- struct{}{}:
@@ -118,12 +116,11 @@ func (s *Server) serveDispatcher(sh *shard) {
 		if ps := s.polState.Load(); ps.epoch != sh.polEpoch {
 			sh.polEpoch = ps.epoch
 			sh.q.SwapPolicy(ps.name)
-			sh.cascade = policyClassed(ps.name)
 			progress = true
 		}
 
 		// 1. Ingest submissions (bounded batch per iteration, so
-		// preemption signaling stays timely). Runs in abort mode too:
+		// placement keeps pace). Runs in abort mode too:
 		// workers re-submit preempted tasks here and must never be
 		// stranded against a departed dispatcher.
 		for i := 0; i < 64; i++ {
@@ -137,64 +134,15 @@ func (s *Server) serveDispatcher(sh *shard) {
 			break
 		}
 
-		// 2. Preemption signaling: write the flag of any local worker
-		// whose current request outlived its quantum (quantumFor). Once
-		// the drain deadline has expired every running request is
-		// overdue, whatever its quantum: it yields at its next Poll and
-		// its worker retires it. The flag carries the epoch being
-		// preempted, so a signal aimed at a finished request is inert
-		// for its successor — no check-then-act retraction window. That
-		// is also what makes the unlocked read of the running record
-		// safe: the worker stores the start before it publishes the
-		// epoch word, so a start read after the word is that slice's or a
-		// later one's — at worst the pass waits a round, or flags an
-		// epoch that has already ended. Re-reading the word and skipping
-		// on a change just saves the wasted signal and keeps the traced
-		// request id honest. With no quantum in force the pass is
-		// skipped, and with it the reads of the records the workers are
-		// busy writing.
-		if aborting || s.quantum.Load() > 0 || s.anyClassQuantum() {
-			shrink := !aborting && s.critShrink(sh)
-			var now int64 // ns since t0; read once, and only if a request is running
-			for i, w := range sh.workers {
-				ex := s.workers[w]
-				run := ex.running.Load()
-				epoch := run >> 8
-				if run == 0 || epoch == sh.lastFlagged[i] {
-					continue
-				}
-				start, id := ex.runStart.Load(), ex.runID.Load()
-				if ex.running.Load() != run {
-					continue
-				}
-				if !aborting {
-					q := s.quantumFor(uint8(run), shrink)
-					if q <= 0 {
-						continue
-					}
-					if now == 0 {
-						now = int64(time.Since(s.t0))
-					}
-					if now-start < int64(q) {
-						continue
-					}
-				}
-				ex.flag.Store(epoch)
-				sh.lastFlagged[i] = epoch
-				if s.tr != nil {
-					s.tr.Record(sh.writer, obs.EvPreemptSignal, id, int64(w))
-				}
-				progress = true
-			}
-		}
-
 		if aborting {
-			// Fail everything queued or parked.
+			// Fail everything queued or parked. Running requests see the
+			// abort at their next check (sliceOver) and are retired on
+			// the way out.
 			if s.failPending(sh) {
 				progress = true
 			}
 		} else {
-			// 2b. Deadline sweep: requests stuck behind full worker
+			// 2. Deadline sweep: requests stuck behind full worker
 			// queues still expire. The heap head check is O(1), so this
 			// runs every iteration instead of on a coarse timer.
 			if s.opts.RequestTimeout > 0 && sh.q.Len() > 0 {
@@ -213,7 +161,7 @@ func (s *Server) serveDispatcher(sh *shard) {
 			for s.backlog() {
 				w := s.reserve(sh)
 				if w < 0 {
-					wake(s.shards...) // a parked sibling may steal what cannot be placed here
+					s.wake() // a parked sibling may steal what cannot be placed here
 					break
 				}
 				t, ok := sh.q.Pop()
@@ -289,13 +237,12 @@ func (s *Server) ingest(sh *shard, t *task) {
 
 // park blocks sh's idle dispatcher until a submission arrives (ingested
 // here, like the loop's own) or wake rings, and reports whether it
-// blocked. It does not while the loop has anything to watch: a drain (or
-// its abort), a policy swap, a local slice running (whose quantum it
-// would have to signal), or work queued on any shard — its own, or a
+// blocked. It does not while the loop has anything to do: a drain (or
+// its abort), a policy swap, or work queued on any shard — its own, or a
 // sibling's to steal. (A saved request cannot be waiting: an idle
-// iteration would have run it.) It publishes parked before it looks, and
-// everyone who can change what it looks at does so before calling wake —
-// a slice stores its running record before its first Poll, a shard
+// iteration would have run it. A running slice needs no watcher: it
+// times itself.) It publishes parked before it looks, and everyone who
+// can change what it looks at does so before calling wake — a shard
 // pushes the backlog it cannot place, Stop and SetPolicy store their
 // state — so with sequentially consistent atomics either park sees the
 // change or wake sees parked. The drain abort needs no wake of its own:
@@ -305,11 +252,6 @@ func (s *Server) park(sh *shard) bool {
 	defer sh.parked.Store(false)
 	if s.stopped.Load() || s.polState.Load().epoch != sh.polEpoch || s.backlog() {
 		return false
-	}
-	for _, w := range sh.workers {
-		if s.workers[w].running.Load() != 0 {
-			return false
-		}
 	}
 	if testParkGate != nil {
 		testParkGate(sh)
@@ -354,11 +296,11 @@ func (s *Server) reserve(sh *shard) int {
 
 // steal pops one never-started request from the longest sibling queue.
 // Only never-started requests migrate: once a request has run on a
-// shard's worker its requeue path and epoch bookkeeping stay with that
-// shard, mirroring the paper's rule that dispatcher-run requests never
-// migrate (§3.3). The thief dispatches the stolen task on this same
-// loop iteration — before its own drained check — so a steal racing
-// Stop can never strand the task.
+// shard's worker its requeue path stays with that shard, mirroring the
+// paper's rule that dispatcher-run requests never migrate (§3.3). The
+// thief dispatches the stolen task on this same loop iteration — before
+// its own drained check — so a steal racing Stop can never strand the
+// task.
 func (s *Server) steal(sh *shard) (*task, bool) {
 	var victim *shard
 	best := 0
@@ -399,12 +341,10 @@ func (s *Server) takeNonStarted(sh *shard) *task {
 
 // dispatcherRun gives t — fresh from the queue, or the shard's saved
 // request — its next slice on the work-conserving dispatcher itself
-// (§3.3): what is specific to a dispatcher is the trigger (nobody
-// writes its flag, so Poll self-preempts on the slice timer runSlice
-// starts) and where a preempted request goes (the saved slot:
-// dispatcher-run requests never migrate). It reports whether the
-// calling goroutine detached from the dispatcher identity (see
-// runSlice) and must leave the loop.
+// (§3.3): what is specific to a dispatcher is where a preempted request
+// goes (the saved slot: dispatcher-run requests never migrate). It
+// reports whether the calling goroutine detached from the dispatcher
+// identity (see runSlice) and must leave the loop.
 func (s *Server) dispatcherRun(sh *shard, t *task) (detached bool) {
 	sh.saved = nil
 	now := time.Now()
@@ -440,14 +380,14 @@ func (s *Server) quantumFor(class uint8, shrink bool) time.Duration {
 	return time.Duration(q)
 }
 
-// critShrink reports whether running non-critical requests get the
-// tightened quantum on this pass: ClassCritical work is waiting in the
+// critShrink reports whether non-critical requests running on shard sh
+// get the tightened quantum now: ClassCritical work is waiting in the
 // shard's queue and class-aware preemption is armed — by admission
-// control, by the shard's discipline being a cascade, or by a class
-// quantum being set.
+// control, by the discipline being a cascade, or by a class quantum
+// being set. Poll calls it, so it reads only atomics and configuration.
 func (s *Server) critShrink(sh *shard) bool {
 	return sh.q.CriticalLen() > 0 &&
-		(s.opts.ClassAdmission || sh.cascade || s.anyClassQuantum())
+		(s.opts.ClassAdmission || policyClassed(s.polState.Load().name) || s.anyClassQuantum())
 }
 
 // anyClassQuantum reports whether any class has a quantum override.

@@ -3,7 +3,8 @@
 // cooperative-preemption surface handlers program against. Nothing here
 // knows about queue disciplines or shard counts — a worker's only
 // scheduling relationship is with its owning shard's dispatcher (via
-// locals[w] in, shard.submit out).
+// locals[w] in, shard.submit out). Nobody signals a slice: every slice,
+// a worker's or a dispatcher's, times itself in Poll (sliceOver).
 //
 // A request's first slice runs inline: the goroutine that holds the
 // executor identity (a worker loop, or a work-conserving dispatcher)
@@ -23,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"concord/internal/obs"
@@ -33,6 +33,11 @@ import (
 // dispatcher in work-conserving mode. It is an identity, not a
 // goroutine: whichever goroutine holds it runs its serve loop, and a
 // preemption during an inline slice passes it to a successor (adopt).
+// Its state is plain fields: the goroutine holding the identity writes
+// them, and the request it runs reads them in Poll — on that same
+// goroutine during an inline slice, otherwise on the request's own,
+// ordered by the resume/parked handshake. A successor inherits them
+// through the go statement that starts it.
 type executor struct {
 	id int // worker index, or -(shard+1) for a dispatcher
 	// writer is the obs ring this executor records to: equal to id for
@@ -40,37 +45,15 @@ type executor struct {
 	// from id so shard 1's dispatcher never collides with the client
 	// ring).
 	writer int
-	// flag is the dedicated "cache line" the dispatcher writes to
-	// request preemption and the task's Poll reads. It holds the epoch
-	// being preempted (never 0): a request yields only when the flag
-	// matches its own epoch, so a signal aimed at one request can never
-	// hit its successor and no retraction handshake is needed.
-	flag atomic.Uint64
-	_    [cacheLinePad - 8]byte
-	// running, runStart and runID are the worker's "currently running"
-	// record, which the owning dispatcher compares against the quantum.
-	// running packs epoch<<8 | class and is 0 between slices (and always,
-	// on a dispatcher's own executor: nobody signals it); runStart is
-	// the slice start in ns since Server.t0 and runID the request id,
-	// kept on traced servers only. The worker stores running last and
-	// the dispatcher reads it first and again last (see the signalling
-	// pass), so publishing a slice is plain stores, not an allocation.
-	running  atomic.Uint64
-	runStart atomic.Int64
-	runID    atomic.Uint64
-	// epoch is the worker's current scheduling epoch. Written between
-	// requests by the goroutine holding the identity, read by Poll —
-	// on that same goroutine during an inline slice, otherwise on the
-	// request's own goroutine, ordered by the resume/parked handshake.
-	// A successor inherits it through the go statement that starts it.
-	epoch uint64
+	sh     *shard // the shard this worker belongs to, or this dispatcher's
 	// sliceStart is when the current slice began (set by runSlice): the
-	// slice's end charges runNS from it, and on a dispatcher it drives
-	// time-based self-preemption, there being nobody to write its flag
-	// (§3.3). sliceLen is how long a dispatcher slice lasts; fixed at
-	// New.
-	sliceStart time.Time
-	sliceLen   time.Duration
+	// slice's end charges runNS from it, and Poll measures the slice
+	// against the quantum from it (sliceOver). defaultSlice is how long
+	// a slice lasts when no quantum is in force: 0 — until the request
+	// returns — on a worker, dispatcherSlice on a dispatcher, which has
+	// its own duties to get back to (§3.3).
+	sliceStart   time.Time
+	defaultSlice time.Duration
 	// lent is set while a Do caller runs a slice as this worker
 	// (runLent); it is written under the occupancy place took, like the
 	// rest of the identity.
@@ -117,8 +100,7 @@ func (s *Server) serveWorker(ex *executor) {
 }
 
 // workerRun gives one locally dequeued request its next slice on worker
-// ex: what is specific to a worker is the trigger (publish the running
-// record for the dispatcher to flag) and where a preempted request goes
+// ex: what is specific to a worker is where a preempted request goes
 // (requeue). It reports whether the calling goroutine detached from ex
 // (see runSlice).
 func (s *Server) workerRun(ex *executor, t *task) (detached bool) {
@@ -136,12 +118,6 @@ func (s *Server) workerRun(ex *executor, t *task) (detached bool) {
 		s.retire(ex, t, ErrDeadlineExceeded)
 		return false
 	}
-	ex.epoch++ // epochs start at 1; flag value 0 means "no signal"
-	ex.runStart.Store(int64(now.Sub(s.t0)))
-	if s.tr != nil {
-		ex.runID.Store(t.id)
-	}
-	ex.running.Store(ex.epoch<<8 | uint64(t.class))
 	preempted, detached := s.runSlice(ex, t, now)
 	if preempted {
 		s.requeue(ex, t)
@@ -153,9 +129,9 @@ func (s *Server) workerRun(ex *executor, t *task) (detached bool) {
 // a Do caller, to which place has lent the idle worker by taking every
 // one of its JBSQ slots, so that the worker's own loop stays blocked on
 // its empty local queue meanwhile and nobody else places on it. The
-// slice is a worker slice in every respect (running record, quantum,
-// trace, finish); if the request yields, adopt requeues it and gives the
-// slots back, otherwise they are given back here.
+// slice is a worker slice in every respect (quantum, trace, finish); if
+// the request yields, adopt requeues it and gives the slots back,
+// otherwise they are given back here.
 func (s *Server) runLent(ex *executor, t *task) {
 	ex.lent = true
 	if !s.workerRun(ex, t) {
@@ -182,16 +158,14 @@ func (s *Server) requeue(ex *executor, t *task) {
 	if s.tr != nil {
 		s.tr.Record(ex.writer, obs.EvRequeue, t.id, 0)
 	}
-	sh := s.shards[s.shardOf[ex.id]]
-	sh.inbound.Add(1)
-	sh.submit <- t
+	ex.sh.inbound.Add(1)
+	ex.sh.submit <- t
 }
 
 // runSlice is the one place a request runs: it gives t the CPU context
 // ex for one slice starting at start and reports how the slice ended.
-// What ends a slice early is the caller's business: it arms ex's trigger
-// (a published running record, or the slice timer sliceStart feeds)
-// before calling, and decides where a preempted request waits.
+// What ends a slice early is Poll's one rule (sliceOver), timed from the
+// start stamped here; the caller decides where a preempted request waits.
 //
 // The first slice calls the handler on the calling goroutine. If it
 // returns without having yielded, the slice ends here: (false, false).
@@ -207,7 +181,7 @@ func (s *Server) runSlice(ex *executor, t *task, start time.Time) (preempted, de
 	ex.sliceStart = start
 	if t.started {
 		if s.tr != nil {
-			s.tr.Record(ex.writer, obs.EvResume, t.id, int64(ex.epoch))
+			s.tr.Record(ex.writer, obs.EvResume, t.id, int64(t.preempts))
 		}
 		t.resume <- ex
 		return s.endSlice(ex, t, <-t.parked), false
@@ -216,7 +190,7 @@ func (s *Server) runSlice(ex *executor, t *task, start time.Time) (preempted, de
 	t.onDispatcher = ex.id < 0
 	if s.tr != nil {
 		t.firstRunTS = start
-		s.tr.Record(ex.writer, obs.EvStart, t.id, int64(ex.epoch))
+		s.tr.Record(ex.writer, obs.EvStart, t.id, 0)
 	}
 	// The Ctx lives inside the task (no allocation per request); the
 	// pool reset zeroes it with the rest of the task.
@@ -251,11 +225,9 @@ func (s *Server) handle(ctx *Ctx, t *task) (resp Response) {
 	return resp
 }
 
-// endSlice closes the slice ex gave t: it clears the running record,
-// charges the slice to runNS and, by what ended it, delivers the
-// response or counts a preemption.
+// endSlice closes the slice ex gave t: it charges the slice to runNS
+// and, by what ended it, delivers the response or counts a preemption.
 func (s *Server) endSlice(ex *executor, t *task, ev parkEvent) (preempted bool) {
-	ex.running.Store(0)
 	end := time.Now()
 	t.runNS += int64(end.Sub(ex.sliceStart))
 	if ev.done {
@@ -295,9 +267,8 @@ func (s *Server) adopt(ex *executor, t *task) {
 		s.serveWorker(ex)
 		return
 	}
-	sh := s.shards[-ex.id-1]
-	sh.saved = t
-	s.serveDispatcher(sh)
+	ex.sh.saved = t
+	s.serveDispatcher(ex.sh)
 }
 
 // retire is the one place a request that will not run again is
@@ -364,6 +335,13 @@ func completionEvent(err error) (obs.Kind, int64) {
 
 // ---------- request context ----------
 
+// pollCheckEvery is how many polls share one clock read: Poll checks its
+// slice on every pollCheckEvery-th call (a power of two). A clock read
+// costs tens of nanoseconds where a poll should cost a few
+// (BenchmarkPoll); one read in sixteen keeps it there, at the price of a
+// slice ending up to fifteen poll gaps late.
+const pollCheckEvery = 16
+
 // Ctx is the per-request context handlers receive. It is only valid on
 // the goroutine running the handler.
 type Ctx struct {
@@ -373,13 +351,11 @@ type Ctx struct {
 	// detached is set by the request's first yield: from then on the
 	// goroutine running the handler belongs to the request, not to an
 	// executor, and parks and resumes through the task's channels.
-	detached bool
-	// watched is set by the first Poll of each worker slice, which wakes
-	// the shard's dispatcher if it is parked (see park).
-	watched    bool
-	noPreempt  int
-	yieldEvery int
+	detached  bool
+	noPreempt int
+	// polls counts the request's polls; yieldEvery is coopTimeshare.
 	polls      int
+	yieldEvery int
 	spinSink   uint64
 }
 
@@ -389,50 +365,37 @@ type Ctx struct {
 func (c *Ctx) Worker() int { return c.ex.id }
 
 // Poll is the cooperative preemption probe — the call Concord's compiler
-// pass inserts at function entries and loop back-edges. If the
-// dispatcher has signaled preemption of this request's epoch (or the
-// dispatcher's self-check slice has expired) and no no-preempt section
-// is open, the request yields and its executor picks up its next
-// request. The first yield is the identity hand-off: until then the
-// handler has been running on the executor's own goroutine, which now
-// keeps the request — its stack is the request's continuation — drops
-// its thread pin and starts the successor that carries the executor on
-// (adopt). Later yields park on the task's channels. Either way the
-// goroutine then waits to be resumed, and if the server aborted the
-// request meanwhile (drain deadline or request deadline), Poll panics
-// with an internal value that unwinds the handler — its defers run — and
-// becomes the response error. The first Poll of each slice on a worker
-// also wakes the shard's dispatcher if it has parked, so that someone
-// watches the slice's quantum.
+// pass inserts at function entries and loop back-edges. It is a counter;
+// every pollCheckEvery-th call outside a no-preempt section also checks
+// the slice (sliceOver), and once the slice is over the request yields
+// and its executor picks up its next request. The first yield is the
+// identity hand-off: until then the handler has been running on the
+// executor's own goroutine, which now keeps the request — its stack is
+// the request's continuation — drops its thread pin and starts the
+// successor that carries the executor on (adopt). Later yields park on
+// the task's channels. Either way the goroutine then waits to be
+// resumed, and if the server aborted the request meanwhile (drain
+// deadline or request deadline), Poll panics with an internal value that
+// unwinds the handler — its defers run — and becomes the response error.
 func (c *Ctx) Poll() {
-	if c.yieldEvery > 0 {
-		// On CPU-constrained machines, hand the OS thread over so the
-		// dispatcher can observe quanta and write flags. This does not
-		// yield the request in the scheduling sense.
-		if c.polls++; c.polls >= c.yieldEvery {
-			c.polls = 0
-			runtime.Gosched()
-		}
+	if c.polls++; c.polls&(pollCheckEvery-1) == 0 {
+		c.check()
 	}
-	if c.noPreempt != 0 {
+}
+
+// check is Poll's slow path, kept out of line so that Poll inlines.
+func (c *Ctx) check() {
+	if c.yieldEvery > 0 && c.polls%c.yieldEvery == 0 {
+		// Time-sharing, and nothing else: with fewer CPUs than the runtime
+		// has loops, request code hands its thread over now and then so
+		// that other runnable goroutines — a load generator busy-waiting
+		// on the other P, a dispatcher with work to place — are not held
+		// off for a whole quantum. This does not yield the request in the
+		// scheduling sense, and preemption does not need it.
+		runtime.Gosched()
+	}
+	if c.noPreempt != 0 || !c.srv.sliceOver(c.ex, c.task) {
 		return
-	}
-	if c.ex.id >= 0 {
-		if !c.watched {
-			// A parked dispatcher cannot see this slice's quantum run out;
-			// a slice that never polls could not be preempted anyway.
-			c.watched = true
-			wake(c.srv.shards[c.srv.shardOf[c.ex.id]])
-		}
-		f := c.ex.flag.Load()
-		if f == 0 || f != c.ex.epoch {
-			return // no signal, or a stale signal for a predecessor
-		}
-	} else {
-		// Dispatcher slice: self-preempt on elapsed time (§3.3).
-		if time.Since(c.ex.sliceStart) < c.ex.sliceLen {
-			return
-		}
 	}
 	if c.detached {
 		c.task.parked <- parkEvent{done: false}
@@ -443,10 +406,28 @@ func (c *Ctx) Poll() {
 		}
 		go c.srv.adopt(c.ex, c.task)
 	}
-	c.ex, c.watched = <-c.task.resume, false
+	c.ex = <-c.task.resume
 	if err := c.task.abortErr; err != nil {
 		panic(taskAbort{err})
 	}
+}
+
+// sliceOver is the one preemption rule, for worker and dispatcher slices
+// alike: ex's slice of t is over once the drain deadline has passed, or
+// once it has run for t's quantum — shrunk while critical work waits on
+// ex's shard, and ex.defaultSlice when no quantum is in force. What the
+// paper's dispatcher does for its workers by writing a flag, each slice
+// does here for itself: the clock read every pollCheckEvery polls is
+// cheaper than a dispatcher that needs a CPU to watch the clock for it.
+func (s *Server) sliceOver(ex *executor, t *task) bool {
+	if s.abort.Load() {
+		return true
+	}
+	q := s.quantumFor(t.class, s.critShrink(ex.sh))
+	if q <= 0 {
+		q = ex.defaultSlice
+	}
+	return q > 0 && time.Since(ex.sliceStart) >= q
 }
 
 // BeginNoPreempt opens a critical section during which Poll will not

@@ -20,8 +20,8 @@ import (
 // a group.
 func TestServerLayoutByWriter(t *testing.T) {
 	groups := map[string][]string{
-		"read-mostly": {"opts", "handler", "shards", "locals", "occ", "workers", "shardOf",
-			"tr", "tail", "comp", "classLimit", "coopTimeshare", "t0", "quantum", "classQuanta", "polState",
+		"read-mostly": {"opts", "handler", "shards", "locals", "occ", "workers",
+			"tr", "tail", "comp", "classLimit", "coopTimeshare", "quantum", "classQuanta", "polState",
 			"stopped", "abort"},
 		"submit": {"rr", "nextID", "submitMu", "stopping", "stats.submitted", "stats.rejected",
 			"stats.shed", "stats.classSubmitted", "stats.classRejected"},

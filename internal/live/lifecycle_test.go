@@ -216,69 +216,6 @@ func TestSubmitStopRaceGated(t *testing.T) {
 	}
 }
 
-// TestStaleEpochFlagIgnored: a preemption signal aimed at epoch N must
-// be inert for the request running at epoch N+1. Pre-fix the flag was a
-// bare 0/1 bit retracted with a check-then-act sequence, so a new
-// request could consume its predecessor's signal; epoch-valued flags
-// make that structurally impossible. The Poll is its slice's first, so
-// it looks for a parked dispatcher: the Ctx needs a server, if not a
-// started one.
-func TestStaleEpochFlagIgnored(t *testing.T) {
-	ex := &executor{id: 0}
-	ex.epoch = 2
-	ex.flag.Store(1) // stale signal for the previous request
-	c := &Ctx{
-		srv:  New(&spinHandler{}, testOptions(1, 0)),
-		task: &task{resume: make(chan *executor), parked: make(chan parkEvent)},
-		ex:   ex, yieldEvery: -1,
-	}
-	returned := make(chan struct{})
-	go func() {
-		c.Poll()
-		close(returned)
-	}()
-	select {
-	case <-returned:
-	case <-c.task.parked:
-		t.Fatal("stale preemption flag preempted the successor request")
-	case <-time.After(5 * time.Second):
-		t.Fatal("Poll blocked")
-	}
-}
-
-// TestCurrentEpochFlagYields: the matching epoch still preempts. The
-// Ctx is a detached one (a request past its first yield), so the yield
-// is the channel rendezvous and needs no running server; the first
-// yield — the identity hand-off — is what the self-signalling lifecycle
-// rows drive.
-func TestCurrentEpochFlagYields(t *testing.T) {
-	ex := &executor{id: 0}
-	ex.epoch = 2
-	ex.flag.Store(2)
-	c := &Ctx{
-		srv:  New(&spinHandler{}, testOptions(1, 0)),
-		task: &task{resume: make(chan *executor), parked: make(chan parkEvent)},
-		ex:   ex, yieldEvery: -1, detached: true,
-	}
-	returned := make(chan struct{})
-	go func() {
-		c.Poll()
-		close(returned)
-	}()
-	select {
-	case ev := <-c.task.parked:
-		if ev.done {
-			t.Fatal("park event marked done")
-		}
-		c.task.resume <- ex // resume so the goroutine exits
-		<-returned
-	case <-returned:
-		t.Fatal("current-epoch flag did not preempt")
-	case <-time.After(5 * time.Second):
-		t.Fatal("Poll neither parked nor returned")
-	}
-}
-
 // TestQueueFullRejected: a full submit buffer rejects immediately with
 // ErrQueueFull instead of blocking the caller — explicit backpressure.
 func TestQueueFullRejected(t *testing.T) {
@@ -355,7 +292,7 @@ func TestDrainTimeoutAbortsPending(t *testing.T) {
 	s.Start()
 
 	long := s.Submit(10 * time.Second) // polls, but won't finish on its own
-	time.Sleep(2 * time.Millisecond)
+	waitUntil(t, "the long request to reach the worker", func() bool { return s.Depths().Workers[0] == 1 })
 	var queued []<-chan Response
 	for i := 0; i < 4; i++ {
 		queued = append(queued, s.Submit(time.Millisecond))
@@ -417,9 +354,9 @@ func TestGracefulStopCompletesAccepted(t *testing.T) {
 // completes, or — negative — keeps yielding until the server retires it.
 // With expire set its deadline passes while it is parked after its first
 // yield, whatever the clock says: the handler backdates it on the way
-// out. With await set it does not signal itself but waits, however long
-// the host makes that, for the dispatcher's signalling pass to flag it —
-// for tests that are about the real signal. With spin set it first
+// out. With await set it does not force its yields but waits, however
+// long the host makes that, for its slice to run out of quantum — for
+// tests that are about the real expiry. With spin set it first
 // spins that long, polling: time in which a request that must not be
 // signalled would be. It carries a hint and a class so the srpt and
 // cascade rows order it by something.
@@ -434,32 +371,32 @@ type yieldReq struct {
 func (r yieldReq) ServiceHint() time.Duration { return time.Millisecond }
 func (r yieldReq) SLOClass() SLOClass         { return r.class }
 
-// yieldNow makes this Poll yield whatever the clock says, by doing the
-// signaller's job itself: a request on a worker writes its own epoch
-// into the worker's flag, one on a dispatcher backdates the slice timer
-// nobody else reads while it runs. The servers these handlers run under
-// have an hour-long quantum, so nothing else ever signals.
+// yieldNow makes this Poll yield whatever the clock says: it backdates
+// the slice's start by the slice's whole quantum and makes this Poll the
+// one that checks it. Its executor's slice is the request's own while it
+// runs (the next one's start is stamped afresh). The servers these
+// handlers run under have an hour-long quantum, so nothing else ever
+// ends a slice.
 func yieldNow(ctx *Ctx) {
-	if ctx.ex.id >= 0 {
-		ctx.ex.flag.Store(ctx.ex.epoch)
-	} else {
-		ctx.ex.sliceStart = time.Now().Add(-ctx.ex.sliceLen)
+	q := ctx.srv.quantumFor(ctx.task.class, false)
+	if q <= 0 {
+		q = ctx.ex.defaultSlice
 	}
+	ctx.ex.sliceStart = time.Now().Add(-q)
+	ctx.polls |= pollCheckEvery - 1
 	ctx.Poll()
 }
 
-// awaitSignal yields when the dispatcher says so: it polls until the
-// signalling pass has flagged this request's epoch and Poll has yielded,
-// instead of trying to outlast a quantum, so a starved dispatcher makes
-// the test slower, not wrong; half a minute without one is a dispatcher
-// that does not signal, reported as the request's error. It polls while
-// it waits, as a real handler does: a slice's first Poll is what wakes a
-// parked dispatcher. Worker-run requests only.
+// awaitSignal yields when the slice runs out by itself: it polls until
+// a check has found the quantum spent and Poll has yielded, instead of
+// spinning for a time the quantum "must" interrupt, so a slow host makes
+// the test slower, not wrong; half a minute without a yield is a slice
+// that never expires, reported as the request's error.
 func awaitSignal(ctx *Ctx) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for yielded := ctx.task.preempts; ctx.task.preempts == yielded; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			return errors.New("no preemption signal in 30s")
+			return errors.New("no preemption in 30s")
 		}
 		ctx.Poll()
 	}

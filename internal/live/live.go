@@ -3,15 +3,20 @@
 // locks them to OS threads, off by default) serving µs-to-ms-scale
 // requests with
 //
-//   - cooperative preemption via per-worker padded atomic flags that
-//     handler code polls (the paper's compiler-enforced cooperation,
-//     §3.1 — in Go the "compiler pass" is either explicit ctx.Poll()
-//     calls or source instrumentation via cmd/concordc),
+//   - cooperative preemption at the probes handler code calls (the
+//     paper's compiler-enforced cooperation, §3.1 — in Go the "compiler
+//     pass" is either explicit ctx.Poll() calls or source
+//     instrumentation via cmd/concordc). Every slice times itself: one
+//     poll in sixteen reads the clock and yields once the quantum has
+//     run out, where the paper's workers read a cache line their
+//     dispatcher writes: amortised, the clock costs a few nanoseconds
+//     a poll, less than a dispatcher that needs a CPU of its own to
+//     write the flag,
 //   - JBSQ(k) bounded per-worker queues fed push-style by the
 //     dispatcher (§3.2), and
-//   - a work-conserving dispatcher that runs requests itself, under
-//     time-based self-preemption, when all worker queues are full
-//     (§3.3); such requests never migrate to workers.
+//   - a work-conserving dispatcher that runs requests itself, under the
+//     same self-timed slices, when all worker queues are full (§3.3);
+//     such requests never migrate to workers.
 //
 // Go cannot hold 2µs quanta (timer and scheduler jitter are comparable),
 // so realistic quanta here are ≥ 50µs; the scheduling *structure* is
@@ -35,8 +40,8 @@
 //	                        Options.Policy — behind a small concurrency
 //	                        adapter with a deadline heap
 //	dispatch (dispatch.go)  per-shard dispatcher loops: JBSQ placement,
-//	                        preemption signaling, work conservation,
-//	                        cross-shard stealing
+//	                        work conservation, cross-shard stealing,
+//	                        parking
 //	execution (exec.go)     worker loops, the slice runner both they and
 //	                        the work-conserving dispatcher call (first
 //	                        slice inline, identity hand-off on a yield),
@@ -70,10 +75,9 @@
 // and measured slower per request than the dispatcher hop it saves.) And
 // a dispatcher with nothing to do does not spin on a core the host may
 // not have to spare (§3.3's point): after a millisecond idle with no
-// queued work anywhere and no local slice running, it parks until a
-// submission arrives or something wakes it — Stop, SetPolicy, a sibling
-// with a backlog it cannot place, or a local slice's first Poll, which
-// is what keeps preemption working.
+// queued work anywhere, it parks until a submission arrives or something
+// wakes it — Stop, SetPolicy, or a sibling with a backlog it cannot
+// place. A running slice keeps no dispatcher awake: it times itself.
 //
 // # Lifecycle
 //
@@ -191,7 +195,7 @@ type Options struct {
 	QueueBound int
 	// WorkConserving lets a shard's dispatcher run requests when every
 	// one of its worker queues is full. It works on such a request for
-	// one Quantum (100µs when Quantum is 0) before checking for
+	// one quantum (100µs when none is in force) before checking for
 	// dispatcher duties again.
 	WorkConserving bool
 	// PinThreads locks the goroutine serving each worker and dispatcher
@@ -217,8 +221,8 @@ type Options struct {
 	// every accepted request to finish.
 	DrainTimeout time.Duration
 	// Tracer, when non-nil, receives a lifecycle event at every request
-	// state transition (submit, enqueue, dispatch, start, preempt
-	// signal, yield, requeue, resume, completion) and enables per-request
+	// state transition (submit, enqueue, dispatch, start, yield,
+	// requeue, resume, completion) and enables per-request
 	// latency Breakdown on every Response. It must be built with
 	// obs.NewTracer (or obs.NewTracerSharded) for the same worker and
 	// shard counts as this server. When nil, the cost at each
@@ -385,7 +389,7 @@ var (
 	ErrDeadlineExceeded = errors.New("live: request deadline exceeded")
 )
 
-// cacheLinePad avoids false sharing between per-worker flags.
+// cacheLinePad spaces Server's field groups a cache line apart.
 const cacheLinePad = 64
 
 // Test-only scheduling gates. When non-nil they run at historically
@@ -415,7 +419,6 @@ type Server struct {
 	locals  []chan *task
 	occ     []atomic.Int32 // per-worker occupancy incl. in-service
 	workers []*executor
-	shardOf []int // worker index → owning shard
 
 	// tr is Options.Tracer, kept as a concrete pointer so the disabled
 	// path is one nil-check branch per event site. comp is the composed
@@ -433,21 +436,16 @@ type Server struct {
 	classLimit [NumClasses]int
 
 	// coopTimeshare makes request code call runtime.Gosched every that
-	// many polls, so the dispatchers and workers make progress when there
-	// are fewer CPUs than runtime threads (a dispatcher otherwise starves
-	// and preemption flags are never written). Derived at New from
-	// GOMAXPROCS; 0 when every loop can have a CPU.
+	// many polls, so that other runnable goroutines get the thread when
+	// there are fewer CPUs than runtime loops (see Poll). Derived at New
+	// from GOMAXPROCS; 0 when every loop can have a CPU.
 	coopTimeshare int
 
-	// t0 is the origin of the monotonic nanosecond clock the executors'
-	// running records are stamped in (executor.runStart).
-	t0 time.Time
 	// quantum is the live preemption quantum in nanoseconds,
 	// runtime-adjustable via SetQuantum; 0 disables preemption.
 	quantum atomic.Int64
 	// classQuanta overrides quantum per SLOClass; 0 falls back to the
-	// global quantum. Consulted at preemption-signal time in the
-	// dispatch layer.
+	// global quantum. Every slice check reads both (sliceOver).
 	classQuanta [NumClasses]atomic.Int64
 	// polState is the target policy and its change epoch; each shard's
 	// dispatcher swaps its queue at a quiesce point when the epoch
@@ -512,22 +510,15 @@ func New(h Handler, opts Options) *Server {
 		tail:    opts.Tail,
 		comp:    newCompObserver(opts),
 		handler: h,
-		t0:      time.Now(),
 		locals:  make([]chan *task, opts.Workers),
 		occ:     make([]atomic.Int32, opts.Workers),
 		workers: make([]*executor, opts.Workers),
-		shardOf: make([]int, opts.Workers),
 	}
 	if runtime.GOMAXPROCS(0) < opts.Workers+opts.Shards+1 {
 		// Not enough CPUs to run the dispatchers, the workers, and
-		// request code in parallel: timeshare cooperatively.
-		s.coopTimeshare = 64
-	}
-	// How long a work-conserving dispatcher runs a request before
-	// checking for dispatcher duties.
-	dispSlice := opts.Quantum
-	if dispSlice <= 0 {
-		dispSlice = 100 * time.Microsecond
+		// request code in parallel: timeshare cooperatively. A multiple
+		// of pollCheckEvery: Poll's slow path does it.
+		s.coopTimeshare = 4 * pollCheckEvery
 	}
 	// Per-class admission watermarks (ingress occupancy at which the
 	// class is rejected). Critical admits to the brim; standard stops at
@@ -564,22 +555,20 @@ func New(h Handler, opts Options) *Server {
 			panic("live: " + err.Error())
 		}
 		sh := &shard{
-			id:      sid,
-			writer:  obs.DispatcherWriter(sid),
-			q:       q,
-			cascade: policyClassed(opts.Policy),
-			submit:  make(chan *task, opts.SubmitBuffer),
-			ex:      &executor{id: -(sid + 1), writer: obs.DispatcherWriter(sid), sliceLen: dispSlice},
-			done:    make(chan struct{}),
-			bell:    make(chan struct{}, 1),
+			id:     sid,
+			writer: obs.DispatcherWriter(sid),
+			q:      q,
+			submit: make(chan *task, opts.SubmitBuffer),
+			done:   make(chan struct{}),
+			bell:   make(chan struct{}, 1),
 		}
+		sh.ex = &executor{id: -(sid + 1), writer: sh.writer, sh: sh, defaultSlice: dispatcherSlice}
 		// Contiguous worker partition: shard i owns [i·W/S, (i+1)·W/S).
 		lo, hi := sid*opts.Workers/opts.Shards, (sid+1)*opts.Workers/opts.Shards
 		for w := lo; w < hi; w++ {
 			sh.workers = append(sh.workers, w)
-			s.shardOf[w] = sid
+			s.workers[w].sh = sh
 		}
-		sh.lastFlagged = make([]uint64, len(sh.workers))
 		s.shards = append(s.shards, sh)
 	}
 	return s
@@ -622,7 +611,7 @@ func (s *Server) Stop() {
 		if !s.started.Load() {
 			return // never started: nothing to drain
 		}
-		wake(s.shards...)
+		s.wake()
 		allDone := make(chan struct{})
 		go func() {
 			for _, sh := range s.shards {
@@ -684,7 +673,7 @@ func (s *Server) Depths() Depths {
 	for w := range s.occ {
 		o := int(s.occ[w].Load())
 		d.Workers[w] = o
-		d.ShardOcc[s.shardOf[w]] += o
+		d.ShardOcc[s.workers[w].sh.id] += o
 	}
 	return d
 }
@@ -724,8 +713,8 @@ type policyState struct {
 }
 
 // SetQuantum adjusts the preemption quantum at runtime; 0 disables
-// preemption, negative values are clamped to 0. Dispatchers observe the
-// new value on their next signaling pass. Safe to call while serving.
+// preemption, negative values are clamped to 0. Running slices observe
+// the new value at their next check. Safe to call while serving.
 func (s *Server) SetQuantum(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -739,8 +728,8 @@ func (s *Server) Quantum() time.Duration { return time.Duration(s.quantum.Load()
 // SetClassQuantum overrides the quantum for one SLOClass (payloads
 // implementing SLOClassed, or class-stamped wire requests); 0 removes
 // the override, falling back to the global quantum. Out-of-range
-// classes are ignored. The table is consulted at preemption-signal
-// time, so a change takes effect for requests already running.
+// classes are ignored. Running slices consult the table at every check,
+// so a change takes effect for requests already running.
 func (s *Server) SetClassQuantum(class int, d time.Duration) {
 	if class < 0 || class >= NumClasses {
 		return
@@ -777,7 +766,7 @@ func (s *Server) SetPolicy(name string) error {
 		return nil
 	}
 	s.polState.Store(&policyState{epoch: cur.epoch + 1, name: name})
-	wake(s.shards...)
+	s.wake()
 	return nil
 }
 

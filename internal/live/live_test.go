@@ -117,30 +117,55 @@ func TestLongRequestsGetPreempted(t *testing.T) {
 	t.Fatalf("2ms requests preempted at most %d times at 100µs quantum", best)
 }
 
+// pollingHandler keeps a chan struct{} payload running, polling, until
+// the channel is closed — a long request that ends when the test says
+// so, not when a clock does — and answers anything else at once.
+type pollingHandler struct{}
+
+func (pollingHandler) Setup()          {}
+func (pollingHandler) SetupWorker(int) {}
+func (pollingHandler) Handle(ctx *Ctx, payload any) (any, error) {
+	if release, ok := payload.(chan struct{}); ok {
+		for {
+			select {
+			case <-release:
+				return nil, nil
+			default:
+				ctx.Poll()
+			}
+		}
+	}
+	return payload, nil
+}
+
+// TestPreemptionBoundsShortRequestLatency: a single worker with one long
+// request in service still answers a short request first, thanks to
+// preemption (the paper's core premise). Order and counts, no clock: the
+// long request runs until the short one has been answered, so without a
+// preemption the short one never is, and the long one must report one.
 func TestPreemptionBoundsShortRequestLatency(t *testing.T) {
-	// A single worker with one long request in service: short requests
-	// should still complete long before the long one does, thanks to
-	// preemption (the paper's core premise).
-	h := &spinHandler{}
-	s := New(h, testOptions(1, 100*time.Microsecond))
+	s := New(pollingHandler{}, testOptions(1, 100*time.Microsecond))
 	s.Start()
 	defer s.Stop()
 
-	longCh := s.Submit(20 * time.Millisecond)
-	time.Sleep(time.Millisecond) // let the long request start
-	start := time.Now()
-	shortResp := s.Do(50 * time.Microsecond)
-	shortLatency := time.Since(start)
-	long := <-longCh
-
-	if shortResp.Err != nil || long.Err != nil {
-		t.Fatalf("errors: %v %v", shortResp.Err, long.Err)
+	release := make(chan struct{})
+	longCh := s.Submit(release)
+	waitUntil(t, "the long request to reach the worker", func() bool { return s.Depths().Workers[0] == 1 })
+	shortCh := make(chan Response, 1)
+	go func() { shortCh <- s.Do("short") }()
+	select {
+	case short := <-shortCh:
+		if short.Err != nil {
+			t.Fatal(short.Err)
+		}
+	case <-longCh:
+		t.Fatal("the long request answered before it was released")
+	case <-time.After(15 * time.Second):
+		t.Fatal("short request never answered behind a long one: preemption not working")
 	}
-	if shortLatency > 5*time.Millisecond {
-		t.Fatalf("short request took %v behind a 20ms request: preemption not working", shortLatency)
-	}
-	if long.Preemptions == 0 {
-		t.Fatal("long request was never preempted")
+	close(release)
+	if long := <-longCh; long.Err != nil || long.Preemptions == 0 {
+		t.Fatalf("long request: err %v, %d preemptions, want at least one", long.Err, long.Preemptions)
 	}
 }
 

@@ -16,10 +16,10 @@ func tracedOptions(workers int, quantum time.Duration, ringSize int) Options {
 }
 
 // TestTracerLifecycleEvents runs one preempted request and checks the
-// snapshot holds its full event sequence. The request waits for the
-// dispatcher's signal twice (awaitSignal) rather than spinning for a
-// duration a 100µs quantum "must" interrupt, so the signal events are the
-// real signalling pass's and no clock decides the outcome.
+// snapshot holds its full event sequence. The request waits for its
+// slice to run out twice (awaitSignal) rather than spinning for a
+// duration a 100µs quantum "must" interrupt, so the yield events are
+// real expiries and no clock decides the outcome.
 func TestTracerLifecycleEvents(t *testing.T) {
 	opts := tracedOptions(1, 100*time.Microsecond, 1024)
 	s := New(&yieldHandler{}, opts)
@@ -30,7 +30,7 @@ func TestTracerLifecycleEvents(t *testing.T) {
 		t.Fatal(resp.Err)
 	}
 	if resp.Preemptions != 2 {
-		t.Fatalf("request waited for two signals and reports %d preemptions", resp.Preemptions)
+		t.Fatalf("request waited for two expiries and reports %d preemptions", resp.Preemptions)
 	}
 	kinds := map[obs.Kind]int{}
 	for _, e := range opts.Tracer.Snapshot() {
@@ -40,8 +40,7 @@ func TestTracerLifecycleEvents(t *testing.T) {
 	}
 	for _, want := range []obs.Kind{
 		obs.EvSubmit, obs.EvEnqueueCentral, obs.EvDispatch, obs.EvStart,
-		obs.EvPreemptSignal, obs.EvYield, obs.EvRequeue, obs.EvResume,
-		obs.EvComplete,
+		obs.EvYield, obs.EvRequeue, obs.EvResume, obs.EvComplete,
 	} {
 		if kinds[want] == 0 {
 			t.Fatalf("missing %v event; got %v", want, kinds)

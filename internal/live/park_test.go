@@ -244,11 +244,11 @@ func TestPlaceDoesNotOvertakeIngestingTask(t *testing.T) {
 }
 
 // TestParkedDispatcherWakes starts each row from parked dispatchers and
-// wakes them one way: a submission, a slice's first Poll (the preemption
-// still arrives), Stop, the drain abort, SetPolicy, or a sibling's
-// backlog. A wake-up that does not arrive shows as a request never
-// answered or a Stop that hangs; every row also ends on Submitted ==
-// Completed.
+// wakes them one way: a submission, Stop, the drain abort, SetPolicy, or
+// a sibling's backlog — and one row, a polling slice, needs no wake at
+// all: its preemption arrives with the dispatcher still parked. A
+// wake-up that does not arrive shows as a request never answered or a
+// Stop that hangs; every row also ends on Submitted == Completed.
 func TestParkedDispatcherWakes(t *testing.T) {
 	answered := func(t *testing.T, ch <-chan Response) Response {
 		t.Helper()
@@ -296,12 +296,25 @@ func TestParkedDispatcherWakes(t *testing.T) {
 		{"polling-slice", []int{1}, func(o *Options) {
 			o.Quantum = 100 * time.Microsecond
 			o.Tracer = obs.NewTracer(1, 1<<10)
-		}, func(t *testing.T, s *Server, _ *yieldHandler, _ *parkWatch) {
-			// Placed by its caller, so nothing but its Poll can tell the
-			// parked dispatcher that a quantum is running.
+		}, func(t *testing.T, s *Server, _ *yieldHandler, parks *parkWatch) {
+			// Placed by its caller, nothing wakes the parked dispatcher
+			// before the slice has timed itself out: when the yield reaches
+			// the requeue, ahead of the re-submit that does wake it, the
+			// dispatcher is still in the park it was in before the Do.
+			before := parks.counts(s)[0]
+			var woken atomic.Bool
+			testRequeueGate = func() {
+				if !s.shards[0].parked.Load() || parks.counts(s)[0] != before {
+					woken.Store(true)
+				}
+			}
+			t.Cleanup(func() { testRequeueGate = nil })
 			resp := answered(t, do(s, yieldReq{yields: 1, await: true}))
 			if resp.Err != nil || resp.Preemptions != 1 {
-				t.Fatalf("err %v, preemptions %d, want the signal it waited for", resp.Err, resp.Preemptions)
+				t.Fatalf("err %v, preemptions %d, want the expiry it waited for", resp.Err, resp.Preemptions)
+			}
+			if woken.Load() {
+				t.Fatal("the dispatcher left its park before the slice yielded")
 			}
 			stopWithin(t, s)
 			if ring := dispatchRings(s.opts.Tracer)[resp.ID]; ring != obs.WriterClient {
@@ -327,7 +340,7 @@ func TestParkedDispatcherWakes(t *testing.T) {
 		}},
 		{"DrainTimeout", []int{1, 2}, func(o *Options) { o.DrainTimeout = 5 * time.Millisecond },
 			func(t *testing.T, s *Server, _ *yieldHandler, _ *parkWatch) {
-				// Never signalled under an hour-long quantum: only the abort
+				// Never expires under an hour-long quantum: only the abort
 				// ends it.
 				pending := do(s, yieldReq{yields: -1, await: true})
 				waitUntil(t, "the request to hold a worker", func() bool { return busyWorkers(s) == 1 })
@@ -402,6 +415,57 @@ func TestParkedStartLifecycle(t *testing.T) {
 	for _, onDispatcher := range []bool{false, true} {
 		t.Run(fmt.Sprintf("onDispatcher=%v", onDispatcher), func(t *testing.T) {
 			runLifecycleRows(t, onDispatcher, true)
+		})
+	}
+}
+
+// TestSelfTimedSliceWithoutDispatcher: a slice needs no dispatcher to
+// end it. Every dispatcher is held inside its park gate — not merely
+// parked, where a wake could still reach it, but stopped — until the
+// request has yielded; the request is placed by its Do caller and polls
+// until its 100µs quantum runs out. It yields all the same, and once the
+// dispatchers are let go it is answered exactly once. A runtime whose
+// dispatcher must signal the slice never yields here: the request gives
+// up after awaitSignal's half minute and answers with that error.
+func TestSelfTimedSliceWithoutDispatcher(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			var held atomic.Int32
+			var once sync.Once
+			yielded := make(chan struct{})
+			release := func() { once.Do(func() { close(yielded) }) }
+			testParkGate = func(*shard) {
+				held.Add(1)
+				<-yielded
+			}
+			testRequeueGate = release
+			t.Cleanup(func() {
+				release()
+				testParkGate, testRequeueGate = nil, nil
+			})
+
+			s := New(&yieldHandler{}, Options{Workers: shards, Shards: shards, Quantum: 100 * time.Microsecond, QueueBound: 1})
+			s.Start()
+			waitUntil(t, "every dispatcher to be held in its park", func() bool { return held.Load() == int32(shards) })
+			answer := make(chan Response, 2)
+			go func() { answer <- s.Do(yieldReq{yields: 1, await: true}) }()
+			var resp Response
+			select {
+			case resp = <-answer:
+			case <-time.After(time.Minute):
+				t.Fatal("request never answered")
+			}
+			release() // already, unless the request gave up waiting
+			s.Stop()
+			if resp.Err != nil || resp.Preemptions < 1 {
+				t.Fatalf("err %v, %d preemptions, want at least one with every dispatcher held", resp.Err, resp.Preemptions)
+			}
+			if len(answer) != 0 {
+				t.Fatal("request answered twice")
+			}
+			if st := s.Stats(); st.Submitted != 1 || st.Completed != 1 {
+				t.Fatalf("submitted %d, completed %d, want 1 and 1", st.Submitted, st.Completed)
+			}
 		})
 	}
 }

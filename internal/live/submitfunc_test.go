@@ -132,8 +132,8 @@ func (yieldTimesHandler) Handle(ctx *Ctx, payload any) (any, error) {
 
 // TestSubmitFuncZeroAllocs: a SubmitFunc round trip allocates nothing in
 // steady state, at any shard count — the task comes from the pool, the
-// first slice runs on the worker's own stack, the running record is
-// published with stores, and the caller brought its own callback — and
+// first slice runs on the worker's own stack and times itself, and the
+// caller brought its own callback — and
 // neither does Do, whose response channel is pooled, whether it places
 // its request itself (an idle shard) or goes through the shard's policy
 // queue (every worker slot held, so the work-conserving dispatcher runs

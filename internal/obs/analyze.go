@@ -76,9 +76,6 @@ func (b Breakdown) OutcomeString() string {
 func group(events []Event) (map[uint64][]Event, []uint64) {
 	byReq := make(map[uint64][]Event)
 	for _, e := range events {
-		if e.Kind == EvPreemptSignal && e.Req == 0 {
-			continue // signal raced a finishing request; unattributed
-		}
 		byReq[e.Req] = append(byReq[e.Req], e)
 	}
 	ids := make([]uint64, 0, len(byReq))

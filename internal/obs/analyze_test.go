@@ -21,7 +21,6 @@ func preemptedLifecycle(req uint64) []Event {
 		evt(10, req, EvEnqueueCentral, WriterDispatcher, 0),
 		evt(12, req, EvDispatch, WriterDispatcher, 0),
 		evt(20, req, EvStart, 0, 1),
-		evt(40, req, EvPreemptSignal, WriterDispatcher, 0),
 		evt(50, req, EvYield, 0, 0),
 		evt(51, req, EvRequeue, 0, 0),
 		evt(52, req, EvEnqueueCentral, WriterDispatcher, 0),
@@ -240,7 +239,7 @@ func TestWriteTimelines(t *testing.T) {
 	if !strings.Contains(out, "REQ 2 ok") || strings.Contains(out, "REQ 1") {
 		t.Fatalf("last-n selection wrong:\n%s", out)
 	}
-	for _, want := range []string{"submit", "enqueue-central", "dispatch", "start", "preempt-signal", "yield", "requeue", "resume", "complete", "worker 1", "dispatcher", "clients"} {
+	for _, want := range []string{"submit", "enqueue-central", "dispatch", "start", "yield", "requeue", "resume", "complete", "worker 1", "dispatcher", "clients"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline missing %q:\n%s", want, out)
 		}

@@ -38,8 +38,7 @@ const (
 	EvEnqueueCentral                 // dispatcher ingested into central FIFO
 	EvDispatch                       // JBSQ push to a worker (arg: worker)
 	EvStart                          // first CPU hand-off; goroutine begins
-	EvPreemptSignal                  // dispatcher wrote a preemption flag (arg: worker)
-	EvYield                          // request parked at a Poll
+	EvYield                          // slice ran out; request parked at a Poll
 	EvRequeue                        // worker re-submitted a preempted request
 	EvResume                         // subsequent CPU hand-off
 	EvExpire                         // completed with ErrDeadlineExceeded
@@ -64,7 +63,6 @@ var kindNames = [kindMax]string{
 	EvEnqueueCentral: "enqueue-central",
 	EvDispatch:       "dispatch",
 	EvStart:          "start",
-	EvPreemptSignal:  "preempt-signal",
 	EvYield:          "yield",
 	EvRequeue:        "requeue",
 	EvResume:         "resume",
@@ -143,7 +141,7 @@ type Event struct {
 	Req  uint64
 	Kind Kind
 	Ring int   // writer: worker index, WriterDispatcher, or WriterClient
-	Arg  int64 // kind-specific: worker id, status code, epoch
+	Arg  int64 // kind-specific: worker id, status code, preemptions so far
 }
 
 const argBits = 56
