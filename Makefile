@@ -11,7 +11,7 @@ tier1:
 # tiers + admission paths exercise them from many goroutines). Slower
 # than tier1; run before merging changes to any of these.
 race:
-	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/adapt ./internal/shadow ./internal/bench ./internal/proto ./internal/netsrv ./internal/policy ./cmd/concord-load
+	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/shadow ./internal/bench ./internal/proto ./internal/netsrv ./internal/policy ./cmd/concord-load
 
 # Stress for the live runtime's concurrency-critical suites — lifecycle
 # tables, chaos, drain windows, sharded stealing, the identity hand-off,
@@ -51,15 +51,15 @@ bench:
 	go test -run xxx -bench . -benchmem .
 
 # End-to-end observability smoke: builds concord-kvd and concord-load,
-# boots the server with -obs -adaptive, scrapes /metrics, /healthz and
-# pprof, pulls a TRACE and DECISIONS, asserts non-zero net-phase |OBS
+# boots the server with -obs -shadow, scrapes /metrics, /healthz and
+# pprof, pulls a TRACE and SHADOW, asserts non-zero net-phase |OBS
 # trailers, runs text -breakdown and pipelined-binary loads, and
-# validates the tracedump and decisiondump written at drain.
+# validates the tracedump and shadowdump written at drain.
 # Out-of-process, so kept behind a build tag rather than in tier1.
 obs-smoke:
 	go test -tags obssmoke -run TestObsSmoke -v -timeout 120s ./internal/obs/smoke
 
-# The hermetic gate: four scenarios whose every metric compares across
+# The hermetic gate: three scenarios whose every metric compares across
 # machines (bit-identical simulator and shadow-replay quantities;
 # same-repetition ratios of the live runtime). Throughput and latency
 # are the repo benchmark's (benchmark/run.sh), allocation floors are
@@ -79,12 +79,11 @@ bench-json:
 bench-smoke: bench-smoke-run bench-smoke-compare
 
 bench-smoke-run:
-	go run ./cmd/concord-bench -short -scenarios core,live_regret,live_adaptive,live_multitenant -outdir bench-out
+	go run ./cmd/concord-bench -short -scenarios core,live_regret,live_multitenant -outdir bench-out
 
 bench-smoke-compare:
 	go run ./cmd/concord-bench -compare BENCH_core.json bench-out/BENCH_core.json
 	go run ./cmd/concord-bench -compare BENCH_live_regret.json bench-out/BENCH_live_regret.json
-	go run ./cmd/concord-bench -compare BENCH_live_adaptive.json bench-out/BENCH_live_adaptive.json
 	go run ./cmd/concord-bench -compare BENCH_live_multitenant.json bench-out/BENCH_live_multitenant.json
 
 # The repo benchmark (BENCHMARK.json) is its own module under

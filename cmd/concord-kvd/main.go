@@ -17,9 +17,6 @@
 //	                                       trailers to this connection's
 //	                                       responses; needs -obs)
 //	TRACE <n>            -> last n request timelines, terminated by END
-//	DECISIONS <n>        -> last n adaptive-controller decisions, one
-//	                        key=value line each, terminated by END
-//	                        (needs -adaptive)
 //
 // Binary (length-prefixed frames, pipelined): the same data ops framed
 // with a request id, many in flight per connection, responses coalesced
@@ -40,7 +37,7 @@
 // breakdowns partition the full wire-to-wire time — and without it
 // tracing costs one branch per event.
 //
-// -obs, -adaptive and -classes each turn on time-windowed tail
+// -obs and -classes each turn on time-windowed tail
 // tracking: rolling p50/p99/p99.9 latency over 1s/10s/60s horizons and
 // SLO error-budget accounting against -slotarget (99.9% objective) with
 // Google-SRE-style multi-window (5m+1h) burn rates. Both surface as
@@ -51,19 +48,6 @@
 // rendered twice from that table — /metrics and the STATS line — from
 // one snapshot of the server's counters per render; a STATS field is
 // present exactly when its source is configured.
-//
-// -adaptive runs the scheduling control plane (internal/adapt): a
-// 50ms-period controller that walks the preemption quantum by AIMD
-// between -adapt-minq and -adapt-maxq chasing -slotarget, derives
-// tighter quanta for point ops and looser ones for scans, and switches
-// the central-queue discipline fcfs↔srpt (with hysteresis) as the
-// workload's service-time dispersion crosses the CV≈1 threshold. Its
-// state surfaces as concord_adapt_* metric families and adapt_* STATS
-// fields. Every control tick is also recorded in a fixed-size decision
-// ring — inputs (CV, tails, burn rates) plus the action taken — read
-// back with the DECISIONS verb, dumped as JSON at shutdown with
-// -decisiondump, and counted per action in
-// concord_adapt_decisions_total.
 //
 // Failure responses are single tokens clients can branch on: DEADLINE
 // (request timeout exceeded), OVERLOADED (submit queue full), STOPPED
@@ -103,7 +87,6 @@ import (
 	"syscall"
 	"time"
 
-	"concord/internal/adapt"
 	"concord/internal/kv"
 	"concord/internal/live"
 	"concord/internal/netsrv"
@@ -134,11 +117,6 @@ func main() {
 		obsAddr    = flag.String("obs", "", "serve Prometheus /metrics and /debug/pprof on this address and enable lifecycle tracing (empty disables)")
 		traceDump  = flag.String("tracedump", "", "on shutdown, write the trace rings as Chrome trace_event JSON (Perfetto-loadable) to this file; needs -obs")
 		sloTarget  = flag.Duration("slotarget", 200*time.Microsecond, "SLO latency target: requests served within it count good against a 99.9% objective (0 disables SLO tracking)")
-		adaptive   = flag.Bool("adaptive", false, "run the scheduling control plane: adjust the preemption quantum against -slotarget, set per-class quanta, and switch fcfs<->srpt as the workload's service-time dispersion drifts")
-		adaptEvery = flag.Duration("adapt-interval", 50*time.Millisecond, "control-plane period (needs -adaptive)")
-		adaptMinQ  = flag.Duration("adapt-minq", 5*time.Microsecond, "adaptive quantum floor (needs -adaptive)")
-		adaptMaxQ  = flag.Duration("adapt-maxq", 500*time.Microsecond, "adaptive quantum ceiling (needs -adaptive)")
-		decDump    = flag.String("decisiondump", "", "on shutdown, write the adaptive controller's decision log as JSON to this file (needs -adaptive)")
 		shadowOn   = flag.Bool("shadow", false, "run the counterfactual shadow replayer: sample completed requests and periodically replay them through the deterministic simulator under fcfs, srpt-on-hints, and oracle-srpt, publishing per-policy regret (SHADOW verb, regret_* STATS fields, concord_regret_* metrics)")
 		shadowInt  = flag.Duration("shadow-interval", time.Second, "shadow replay period (needs -shadow)")
 		shadowRate = flag.Int("shadow-rate", 16, "capture 1 in N completed requests for shadow replay (needs -shadow)")
@@ -170,25 +148,20 @@ func main() {
 	if *obsAddr != "" {
 		ob.tracer = obs.NewTracerSharded(*workers, effShards, traceRingEvents)
 	}
-	// The tail tracker feeds the obs surface, the adaptive controller's
-	// quantum loop and the per-class SLO accounting, so any of the three
-	// flags brings it up. The per-class children let each class measure
-	// against its own latency objective.
-	if *obsAddr != "" || *adaptive || *classes {
+	// The tail tracker feeds the obs surface and the per-class SLO
+	// accounting, so either flag brings it up. The per-class children let
+	// each class measure against its own latency objective.
+	if *obsAddr != "" || *classes {
 		var slo *obs.SLOTracker
 		if *sloTarget > 0 {
 			slo = obs.NewSLOTracker(obs.SLOConfig{Target: *sloTarget})
 		}
 		ob.tail = obs.NewTailTracker(nil, slo)
-		if *obsAddr != "" || *classes {
-			ob.tail.Classes = live.NewClassTrackers()
-		}
+		ob.tail.Classes = live.NewClassTrackers()
 	}
 	// Per-class service-time sketches feed the svc_time/hint-error
-	// metric families and give the adaptive controller its dispersion
-	// estimate and the measured quantiles it derives class quanta from;
-	// any observer or control surface wants them.
-	if *obsAddr != "" || *adaptive || *shadowOn {
+	// metric families.
+	if *obsAddr != "" || *shadowOn {
 		ob.sketches = obs.NewClassSketches(live.NumClasses)
 	}
 	var capRing *live.CaptureRing
@@ -222,38 +195,6 @@ func main() {
 		ob.replayer.Start()
 		log.Printf("shadow replay: 1-in-%d capture, %v windows, policies %s",
 			*shadowRate, *shadowInt, strings.Join(shadow.Policies(), "/"))
-	}
-
-	var adaptStop chan struct{}
-	if *adaptive {
-		sketches := ob.sketches
-		ob.ctrl = adapt.New(ob.srv, adapt.Config{
-			Interval:   *adaptEvery,
-			MinQuantum: *adaptMinQ,
-			MaxQuantum: *adaptMaxQ,
-			SLOTarget:  *sloTarget,
-			ClassScales: map[int]float64{
-				int(live.ClassCritical):  0.5, // preempt whatever delays critical work sooner
-				int(live.ClassSheddable): 4,   // background traffic: fewer, cheaper preemptions
-			},
-			ClassTiers: map[int]int{
-				int(live.ClassStandard):  live.ClassStandard.Tier(),
-				int(live.ClassCritical):  live.ClassCritical.Tier(),
-				int(live.ClassSheddable): live.ClassSheddable.Tier(),
-			},
-			// Measured per-class p90 service times replace the static
-			// ratios once traffic has primed the sketches; ClassScales
-			// stays as the cold-start fallback.
-			ClassSvcNS: func() []float64 { return sketches.ServiceQuantilesNS(0.90) },
-		})
-		adaptStop = make(chan struct{})
-		src := adapt.Sources{Tail: ob.tail, Service: sketches}
-		if replayer := ob.replayer; replayer != nil {
-			src.Regret = func() float64 { return replayer.Latest().RegretRatio() }
-		}
-		go ob.ctrl.Run(src, adaptStop)
-		log.Printf("adaptive control plane: interval %v, quantum bounds [%v, %v], slo target %v",
-			*adaptEvery, *adaptMinQ, *adaptMaxQ, *sloTarget)
 	}
 
 	nopts := netsrv.Options{
@@ -312,9 +253,6 @@ func main() {
 
 	ob.ns.Serve(ln)
 
-	if adaptStop != nil {
-		close(adaptStop) // stop steering before the drain begins
-	}
 	if ob.replayer != nil {
 		ob.replayer.Stop() // periodic loop off; the final window scores below
 	}
@@ -342,12 +280,6 @@ func main() {
 		writeDump("shadowdump", *shadowDump, func(w io.Writer) (string, error) {
 			windows, skipped := ob.replayer.Counts()
 			return fmt.Sprintf("%d windows (%d skipped)", windows, skipped), ob.replayer.WriteDump(w)
-		})
-	}
-	if ob.ctrl != nil {
-		writeDump("decisiondump", *decDump, func(w io.Writer) (string, error) {
-			decs := ob.ctrl.Decisions(0)
-			return fmt.Sprintf("%d decisions", len(decs)), adapt.WriteDecisionDump(w, *adaptEvery, decs)
 		})
 	}
 }
@@ -402,7 +334,7 @@ func obsTrailer(resp live.Response) string {
 }
 
 // control handles the non-request text commands (STATS, OBS, and the
-// listing verbs SHADOW / TRACE / DECISIONS); it reports whether the
+// listing verbs SHADOW / TRACE); it reports whether the
 // line was one of them. netsrv calls it for any text line the data
 // protocol does not recognize.
 func (ob *kvObs) control(out io.Writer, line string, obsOn *bool) bool {
@@ -441,13 +373,6 @@ func (ob *kvObs) control(out io.Writer, line string, obsOn *bool) bool {
 		}},
 		{"TRACE", 10, ob.tracer != nil, "tracing disabled (start with -obs)", func(n int) int {
 			return obs.WriteTimelines(out, ob.tracer.Snapshot(), n)
-		}},
-		{"DECISIONS", 20, ob.ctrl != nil, "adaptive control disabled (start with -adaptive)", func(n int) int {
-			decs := ob.ctrl.Decisions(n)
-			for _, d := range decs {
-				fmt.Fprintln(out, d.String())
-			}
-			return len(decs)
 		}},
 	} {
 		arg, ok := strings.CutPrefix(line, v.verb)

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"concord/internal/adapt"
 	"concord/internal/kv"
 	"concord/internal/live"
 	"concord/internal/netsrv"
@@ -19,7 +18,7 @@ import (
 )
 
 // testEnv is the operator surface exactly as main wires it with -obs,
-// -adaptive, -shadow and -classes.
+// -shadow and -classes.
 type testEnv struct{ *kvObs }
 
 func (e *testEnv) stats() string { return "STATS " + e.metrics.StatsLine() }
@@ -37,8 +36,8 @@ func bareStats(srv *live.Server) string {
 }
 
 // newTestObs boots an in-process server with the full observability
-// and control-plane surface. The controller and replayer are built but
-// not run: tests drive them (or ignore them) deterministically.
+// surface. The replayer is built but not run: tests drive it (or ignore
+// it) deterministically.
 func newTestObs(t *testing.T) *testEnv {
 	return newTestObsSharded(t, 1)
 }
@@ -65,7 +64,6 @@ func newTestObsSharded(t *testing.T, shards int) *testEnv {
 	ob.srv.Start()
 	t.Cleanup(ob.srv.Stop)
 	ob.ns = netsrv.New(ob.srv, netsrv.Options{})
-	ob.ctrl = adapt.New(ob.srv, adapt.Config{SLOTarget: 200 * time.Microsecond})
 	ob.replayer = shadow.NewReplayer(ring, shadow.Config{Workers: workers, QuantumUS: 100, MinRecs: 4}, time.Hour)
 	return &testEnv{ob.register()}
 }
@@ -131,7 +129,7 @@ func metricSeries(exposition string) []string {
 // from the last commit that rendered STATS and /metrics separately
 // (statsLine + newKVObs, stitched by a consistency test): every STATS
 // key in the same order, every /metrics family with its type and label
-// sets, at one and at two shards with -obs -adaptive -shadow -classes.
+// sets, at one and at two shards with -obs -shadow -classes.
 // The goldens were produced by these same two reductions.
 func TestRegistryGoldens(t *testing.T) {
 	for _, shards := range []int{1, 2} {
@@ -249,48 +247,6 @@ func TestStatsShardedFields(t *testing.T) {
 	}
 }
 
-// TestStatsAdaptiveFields: with a controller the adapt_* fields render
-// (policy encoded 0/1, quantum in µs) and each maps to a concord_adapt_*
-// family; without one the bare line has none.
-func TestStatsAdaptiveFields(t *testing.T) {
-	e := newTestObs(t)
-	line := e.stats()
-	for _, want := range []string{
-		"adapt_policy=0", "adapt_quantum_us=", "adapt_cv=",
-		"adapt_switches=0", "adapt_quantum_changes=0", "adapt_decisions=0",
-	} {
-		if !strings.Contains(line, want) {
-			t.Errorf("STATS line missing %q: %s", want, line)
-		}
-	}
-	exposition := e.exposition()
-	for _, family := range []string{
-		"concord_adapt_policy", "concord_adapt_quantum_us", "concord_adapt_cv",
-		"concord_adapt_switches_total", "concord_adapt_quantum_changes_total",
-		"concord_adapt_decisions_total",
-	} {
-		if !strings.Contains(exposition, "# TYPE "+family+" ") {
-			t.Errorf("/metrics missing %q", family)
-		}
-	}
-	// The controller switching to srpt flips the encoded policy field.
-	e.ctrl.Step(adapt.Signals{SvcCount: 64, SvcCV: 5})
-	for i := 0; i < 30; i++ {
-		e.ctrl.Step(adapt.Signals{SvcCount: 64, SvcCV: 5})
-	}
-	if line := e.stats(); !strings.Contains(line, "adapt_policy=1") {
-		t.Errorf("STATS line did not track the policy switch: %s", line)
-	}
-	// Every Step above recorded one decision.
-	if line := e.stats(); !strings.Contains(line, "adapt_decisions=31") {
-		t.Errorf("STATS line did not count decisions: %s", line)
-	}
-	bare := bareStats(e.srv)
-	if strings.Contains(bare, "adapt_") {
-		t.Errorf("bare STATS line has adaptive fields: %s", bare)
-	}
-}
-
 // TestObsTrailerFormat: the trailer is the wire contract concord-load's
 // parseObsTrailer consumes — every component key in order, wire phases
 // at millisecond precision so sub-µs values stay visible.
@@ -329,51 +285,6 @@ func TestObsTrailerFormat(t *testing.T) {
 	}
 }
 
-// TestDecisionsControlVerb: DECISIONS replays the controller's recent
-// ticks, honors an explicit count, terminates with END, and degrades to
-// ERR without -adaptive.
-func TestDecisionsControlVerb(t *testing.T) {
-	e := newTestObs(t)
-	for i := 0; i < 5; i++ {
-		e.ctrl.Step(adapt.Signals{SvcCount: 4, SvcCV: 0.5})
-	}
-	var out strings.Builder
-	obsOn := false
-	if !e.control(&out, "DECISIONS 3", &obsOn) {
-		t.Fatal("DECISIONS not handled")
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 4 || lines[3] != "END 3" {
-		t.Fatalf("DECISIONS 3 = %q", out.String())
-	}
-	for _, l := range lines[:3] {
-		if !strings.Contains(l, "tick=") || !strings.Contains(l, "action=") || !strings.Contains(l, "quantum_us=") {
-			t.Errorf("decision line missing fields: %q", l)
-		}
-	}
-	out.Reset()
-	if !e.control(&out, "DECISIONS", &obsOn) {
-		t.Fatal("bare DECISIONS not handled")
-	}
-	if !strings.HasSuffix(strings.TrimSpace(out.String()), "END 5") {
-		t.Fatalf("bare DECISIONS = %q", out.String())
-	}
-	out.Reset()
-	if !e.control(&out, "DECISIONS nope", &obsOn) {
-		t.Fatal("bad count not handled")
-	}
-	if !strings.HasPrefix(out.String(), "ERR ") {
-		t.Fatalf("bad count reply = %q", out.String())
-	}
-	out.Reset()
-	if !(&kvObs{srv: e.srv}).control(&out, "DECISIONS", &obsOn) {
-		t.Fatal("DECISIONS without controller not handled")
-	}
-	if !strings.HasPrefix(out.String(), "ERR ") {
-		t.Fatalf("no-controller reply = %q", out.String())
-	}
-}
-
 // TestRuntimeHealthFamilies: the registry carries the Go runtime health
 // surface and build-info gauge, and the per-op wire-phase histogram
 // components exist alongside the scheduler ones.
@@ -408,7 +319,7 @@ func TestRuntimeHealthFamilies(t *testing.T) {
 // TestSLOClasses: the class is the tenant's wire declaration, not a
 // property of the op — an undeclared request is standard regardless of
 // operation, a declared class rides through untouched, and the tier
-// order the cascade queue and controller key on is critical < standard
+// order the cascade queue keys on is critical < standard
 // < sheddable.
 func TestSLOClasses(t *testing.T) {
 	for _, tc := range []struct {

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"concord/internal/adapt"
 	"concord/internal/live"
 	"concord/internal/netsrv"
 	"concord/internal/obs"
@@ -25,7 +24,6 @@ type kvObs struct {
 	tracer   *obs.Tracer
 	tail     *obs.TailTracker
 	sketches *obs.ClassSketches
-	ctrl     *adapt.Controller
 	replayer *shadow.Replayer
 
 	metrics obs.Metrics
@@ -47,8 +45,6 @@ type kvSnap struct {
 	class    [live.NumClasses]obs.SketchSnapshot // shortest window
 	classSLO [live.NumClasses]obs.SLOSnapshot
 	svc      [live.NumClasses]obs.SketchSnapshot
-	adapt    adapt.Status
-	decided  [adapt.NumActions]uint64
 	regret   *shadow.Result
 	replays  struct{ windows, skipped, offered, kept uint64 }
 }
@@ -74,9 +70,6 @@ func (ob *kvObs) refresh() {
 		for c := range s.svc {
 			s.svc[c] = ob.sketches.Service(c).Snapshot()
 		}
-	}
-	if ob.ctrl != nil {
-		s.adapt, s.decided = ob.ctrl.Status(), ob.ctrl.DecisionCounts()
 	}
 	if r := ob.replayer; r != nil {
 		s.regret = r.Latest()
@@ -370,28 +363,6 @@ func (ob *kvObs) register() *kvObs {
 			add(obs.Metric{Name: "concord_regret_p99_ratio", Kind: obs.Gauge, Labels: obs.Labels("policy", policy),
 				Help:  "last shadow window: counterfactual p99 over achieved p99 per policy (<1 = that policy would have won)",
 				Value: func() float64 { return s.regret.PolicyRatio(policy) }, Stat: "regret_ratio_" + policy, Format: "%.2f"})
-		}
-	}
-
-	if ob.ctrl != nil {
-		add(obs.Metric{Name: "concord_adapt_policy", Help: "active central-queue discipline: 0 fcfs, 1 srpt", Kind: obs.Gauge, Stat: "adapt_policy",
-			Value: func() float64 {
-				if s.adapt.Policy == live.PolicySRPT {
-					return 1
-				}
-				return 0
-			}})
-		add(obs.Metric{Name: "concord_adapt_quantum_us", Help: "adaptive base preemption quantum in microseconds", Kind: obs.Gauge,
-			Value: func() float64 { return float64(s.adapt.Quantum) / float64(time.Microsecond) }, Stat: "adapt_quantum_us", Format: "%.1f"})
-		add(obs.Metric{Name: "concord_adapt_cv", Help: "smoothed service-time coefficient of variation", Kind: obs.Gauge,
-			Value: func() float64 { return s.adapt.CV }, Stat: "adapt_cv", Format: "%.3f"})
-		add(obs.Metric{Name: "concord_adapt_switches_total", Help: "policy switches performed by the control plane", Kind: obs.Counter,
-			Value: count(&s.adapt.Switches), Stat: "adapt_switches"})
-		add(obs.Metric{Name: "concord_adapt_quantum_changes_total", Help: "base-quantum adjustments performed by the control plane", Kind: obs.Counter,
-			Value: count(&s.adapt.QuantumChanges), Stat: "adapt_quantum_changes"})
-		for a := adapt.Action(0); a < adapt.NumActions; a++ {
-			add(obs.Metric{Name: "concord_adapt_decisions_total", Help: "control-plane ticks by the action each recorded", Kind: obs.Counter,
-				Labels: obs.Labels("action", a.String()), Value: count(&s.decided[a]), Stat: "adapt_decisions", Join: obs.JoinSum})
 		}
 	}
 

@@ -182,27 +182,6 @@ func meanCI95(vals []float64) (mean, ci float64) {
 	return mean, t * sd / math.Sqrt(n)
 }
 
-// quantileSorted returns the q-quantile (q in [0,1]) of an ascending
-// slice by linear interpolation; NaN when empty.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
-}
-
 // WriteFile persists the report as indented JSON (stable key order, so
 // re-generated baselines diff cleanly).
 func (r Report) WriteFile(path string) error {

@@ -35,17 +35,6 @@ func TestMeanCI95(t *testing.T) {
 	}
 }
 
-func TestQuantileSorted(t *testing.T) {
-	vals := []float64{10, 20, 30, 40, 50}
-	approx(t, quantileSorted(vals, 0), 10, 0, "q0")
-	approx(t, quantileSorted(vals, 1), 50, 0, "q1")
-	approx(t, quantileSorted(vals, 0.5), 30, 1e-12, "q50")
-	approx(t, quantileSorted(vals, 0.75), 40, 1e-12, "q75")
-	if !math.IsNaN(quantileSorted(nil, 0.5)) {
-		t.Error("empty quantile not NaN")
-	}
-}
-
 // metric builds a lower-better metric for compare tests.
 func metric(mean, ci float64) Metric {
 	return Metric{Unit: "us", Better: "lower", Mean: mean, CI95: ci, N: 5}
@@ -266,7 +255,7 @@ func TestRunAggregation(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, want := range []string{"core", "live_regret", "live_adaptive", "live_multitenant"} {
+	for _, want := range []string{"core", "live_regret", "live_multitenant"} {
 		s, err := ByName(want)
 		if err != nil || s.Name != want {
 			t.Errorf("ByName(%q) = %v, %v", want, s.Name, err)

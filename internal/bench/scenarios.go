@@ -34,7 +34,7 @@ var coreLoads = []float64{60, 120, 180, 240, 300}
 
 // Scenarios returns the standard suite in run order.
 func Scenarios() []Scenario {
-	return []Scenario{CoreScenario(), LiveRegretScenario(), LiveAdaptiveScenario(), LiveMultitenantScenario()}
+	return []Scenario{CoreScenario(), LiveRegretScenario(), LiveMultitenantScenario()}
 }
 
 // ByName resolves a scenario by its report name.

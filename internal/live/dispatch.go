@@ -57,12 +57,7 @@ type shard struct {
 	// saved parks a preempted dispatcher-run request between slices;
 	// such requests never migrate (§3.3).
 	saved *task
-	// polEpoch is the policy-change epoch this shard last applied; when
-	// Server.polState moves past it the loop drain-and-swaps its queue
-	// at the top of the iteration (a quiesce point: no dispatch
-	// decision is in flight).
-	polEpoch uint64
-	done     chan struct{} // this shard's dispatcher exited
+	done  chan struct{} // this shard's dispatcher exited
 	// parked is set while the loop is blocked, or about to block, in
 	// park; bell is the one-slot doorbell wake rings.
 	parked atomic.Bool
@@ -107,17 +102,6 @@ func (s *Server) serveDispatcher(sh *shard) {
 	for {
 		progress := false
 		aborting := s.abort.Load()
-
-		// 0. Policy swap: when the control plane has retargeted the
-		// discipline (SetPolicy), drain this shard's queue into a fresh
-		// one of the new kind. This is the quiesce point — between
-		// dispatch decisions, under the queue lock — so queued requests
-		// are re-ordered, never lost or duplicated.
-		if ps := s.polState.Load(); ps.epoch != sh.polEpoch {
-			sh.polEpoch = ps.epoch
-			sh.q.SwapPolicy(ps.name)
-			progress = true
-		}
 
 		// 1. Ingest submissions (bounded batch per iteration, so
 		// placement keeps pace). Runs in abort mode too:
@@ -238,19 +222,18 @@ func (s *Server) ingest(sh *shard, t *task) {
 // park blocks sh's idle dispatcher until a submission arrives (ingested
 // here, like the loop's own) or wake rings, and reports whether it
 // blocked. It does not while the loop has anything to do: a drain (or
-// its abort), a policy swap, or work queued on any shard — its own, or a
-// sibling's to steal. (A saved request cannot be waiting: an idle
-// iteration would have run it. A running slice needs no watcher: it
-// times itself.) It publishes parked before it looks, and everyone who
-// can change what it looks at does so before calling wake — a shard
-// pushes the backlog it cannot place, Stop and SetPolicy store their
-// state — so with sequentially consistent atomics either park sees the
-// change or wake sees parked. The drain abort needs no wake of its own:
+// its abort), or work queued on any shard — its own, or a sibling's to
+// steal. (A saved request cannot be waiting: an idle iteration would
+// have run it. A running slice needs no watcher: it times itself.) It
+// publishes parked before it looks, and everyone who can change what it
+// looks at does so before calling wake — a shard pushes the backlog it
+// cannot place, Stop stores its state — so with sequentially consistent
+// atomics either park sees the change or wake sees parked. The drain abort needs no wake of its own:
 // it comes after Stop's, and a stopped loop never parks.
 func (s *Server) park(sh *shard) bool {
 	sh.parked.Store(true)
 	defer sh.parked.Store(false)
-	if s.stopped.Load() || s.polState.Load().epoch != sh.polEpoch || s.backlog() {
+	if s.stopped.Load() || s.backlog() {
 		return false
 	}
 	if testParkGate != nil {
@@ -365,39 +348,24 @@ func (s *Server) dispatcherRun(sh *shard, t *task) (detached bool) {
 }
 
 // quantumFor is the quantum a running request of the given class is
-// held to: the class's override when one is set, the
-// runtime-adjustable global quantum otherwise, divided by
-// critQuantumShrink for a non-critical request when shrink is on. 0
-// means the request is not preempted.
+// held to: Options.Quantum, divided by critQuantumShrink for a
+// non-critical request when shrink is on. 0 means the request is not
+// preempted.
 func (s *Server) quantumFor(class uint8, shrink bool) time.Duration {
-	q := s.classQuanta[class].Load()
-	if q <= 0 {
-		q = s.quantum.Load()
-	}
+	q := s.opts.Quantum
 	if shrink && SLOClass(class) != ClassCritical {
 		q /= critQuantumShrink
 	}
-	return time.Duration(q)
+	return q
 }
 
 // critShrink reports whether non-critical requests running on shard sh
-// get the tightened quantum now: ClassCritical work is waiting in the
-// shard's queue and class-aware preemption is armed — by admission
-// control, by the discipline being a cascade, or by a class quantum
-// being set. Poll calls it, so it reads only atomics and configuration.
+// get the tightened quantum now: class-aware preemption is armed — by
+// admission control or by a cascade discipline, both fixed at New — and
+// ClassCritical work is waiting in the shard's queue. Poll calls it, so
+// it reads only configuration and one atomic.
 func (s *Server) critShrink(sh *shard) bool {
-	return sh.q.CriticalLen() > 0 &&
-		(s.opts.ClassAdmission || policyClassed(s.polState.Load().name) || s.anyClassQuantum())
-}
-
-// anyClassQuantum reports whether any class has a quantum override.
-func (s *Server) anyClassQuantum() bool {
-	for c := range s.classQuanta {
-		if s.classQuanta[c].Load() > 0 {
-			return true
-		}
-	}
-	return false
+	return s.classShrink && sh.q.CriticalLen() > 0
 }
 
 // failPending completes every queued or parked request of this shard

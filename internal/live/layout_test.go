@@ -7,8 +7,8 @@ import (
 )
 
 // TestServerLayoutByWriter pins Server's layout: what every dispatcher
-// iteration and every Poll reads (quanta, policy epoch, stop and abort
-// flags, the configuration and the slice headers) must sit a cache line
+// iteration and every Poll reads (stop and abort flags, the
+// configuration and the slice headers) must sit a cache line
 // or more away from everything a request writes on its way in (the id
 // and round-robin cursors, submitMu's reader count, the submit-side
 // counters) or out (the completion-side counters), and the two written
@@ -21,13 +21,13 @@ import (
 func TestServerLayoutByWriter(t *testing.T) {
 	groups := map[string][]string{
 		"read-mostly": {"opts", "handler", "shards", "locals", "occ", "workers",
-			"tr", "tail", "comp", "classLimit", "coopTimeshare", "quantum", "classQuanta", "polState",
+			"tr", "tail", "comp", "classLimit", "coopTimeshare", "classShrink",
 			"stopped", "abort"},
 		"submit": {"rr", "nextID", "submitMu", "stopping", "stats.submitted", "stats.rejected",
 			"stats.shed", "stats.classSubmitted", "stats.classRejected"},
 		"completion": {"stats.completed", "stats.classCompleted", "stats.expired", "stats.aborted",
 			"stats.preemptions", "stats.dispatcherRun", "stats.steals"},
-		"cold": {"policyMu", "started", "wg", "startOnce", "stopOnce"},
+		"cold": {"started", "wg", "startOnce", "stopOnce"},
 	}
 
 	// span is a field's byte range inside Server.

@@ -76,8 +76,8 @@
 // a dispatcher with nothing to do does not spin on a core the host may
 // not have to spare (§3.3's point): after a millisecond idle with no
 // queued work anywhere, it parks until a submission arrives or something
-// wakes it — Stop, SetPolicy, or a sibling with a backlog it cannot
-// place. A running slice keeps no dispatcher awake: it times itself.
+// wakes it — Stop, or a sibling with a backlog it cannot place. A
+// running slice keeps no dispatcher awake: it times itself.
 //
 // # Lifecycle
 //
@@ -157,8 +157,8 @@ func policyClassed(name string) bool {
 	return name == PolicyCascade || name == PolicyCascadeSRPT
 }
 
-// ValidPolicy reports whether name is a discipline SetPolicy accepts:
-// one of policy.Names().
+// ValidPolicy reports whether name is a discipline New accepts: one of
+// policy.Names().
 func ValidPolicy(name string) bool { return slices.Contains(policy.Names(), name) }
 
 // Options configures a Server.
@@ -181,14 +181,9 @@ type Options struct {
 	// by elapsed overage after every in-budget request, and unhinted
 	// payloads run last among queued peers, FIFO among themselves (the
 	// runtime knows nothing about them, so it must not let them starve
-	// genuinely short hinted work). The policy can be switched at
-	// runtime with SetPolicy; hints and classes are read on every Submit
-	// whatever the discipline, so a switch re-orders requests that were
-	// already queued.
+	// genuinely short hinted work).
 	Policy string
-	// Quantum is the initial scheduling quantum; 0 disables preemption.
-	// Adjustable at runtime with SetQuantum, and refined per scheduling
-	// class with SetClassQuantum.
+	// Quantum is the scheduling quantum; 0 disables preemption.
 	Quantum time.Duration
 	// QueueBound is k in JBSQ(k), counting the in-service request.
 	// Default 2. 1 degenerates to a synchronous single queue.
@@ -240,9 +235,7 @@ type Options struct {
 	// Sketches, when non-nil, receives every successfully completed
 	// request's (class, measured service ns, hint ns) — the per-class
 	// service-time quantile sketches plus hint-error attribution that
-	// the adaptive controller's dispersion estimate and class-quantum
-	// derivation and the concord_svc_time_us / concord_hint_error metric
-	// families read.
+	// the concord_svc_time_us / concord_hint_error metric families read.
 	Sketches *obs.ClassSketches
 	// Capture, when non-nil, samples successfully completed requests
 	// (arrival offset, class, hint, measured service time, achieved
@@ -441,18 +434,11 @@ type Server struct {
 	// from GOMAXPROCS; 0 when every loop can have a CPU.
 	coopTimeshare int
 
-	// quantum is the live preemption quantum in nanoseconds,
-	// runtime-adjustable via SetQuantum; 0 disables preemption.
-	quantum atomic.Int64
-	// classQuanta overrides quantum per SLOClass; 0 falls back to the
-	// global quantum. Every slice check reads both (sliceOver).
-	classQuanta [NumClasses]atomic.Int64
-	// polState is the target policy and its change epoch; each shard's
-	// dispatcher swaps its queue at a quiesce point when the epoch
-	// moves past the one it last applied. policyMu serializes writers.
-	polState atomic.Pointer[policyState]
-	stopped  atomic.Bool // dispatcher-visible mirror of stopping
-	abort    atomic.Bool // drain deadline expired: fail pending work
+	// classShrink arms critQuantumShrink: set at New by configuration
+	// that is about scheduling classes (see critShrink).
+	classShrink bool
+	stopped     atomic.Bool // dispatcher-visible mirror of stopping
+	abort       atomic.Bool // drain deadline expired: fail pending work
 
 	_ [cacheLinePad]byte // ---- written by every Submit ----
 
@@ -483,10 +469,9 @@ type Server struct {
 		steals         atomic.Uint64
 	}
 
-	_ [cacheLinePad]byte // ---- cold: control plane and lifecycle ----
+	_ [cacheLinePad]byte // ---- cold: lifecycle ----
 
-	policyMu sync.Mutex
-	started  atomic.Bool
+	started atomic.Bool
 	// wg counts worker identities, not goroutines: whichever goroutine
 	// holds a worker's identity when its local queue closes releases it.
 	wg        sync.WaitGroup
@@ -543,8 +528,7 @@ func New(h Handler, opts Options) *Server {
 		s.classLimit[ClassStandard] = std
 		s.classLimit[ClassSheddable] = shed
 	}
-	s.quantum.Store(int64(opts.Quantum))
-	s.polState.Store(&policyState{name: opts.Policy})
+	s.classShrink = opts.ClassAdmission || policyClassed(opts.Policy)
 	for i := range s.locals {
 		s.locals[i] = make(chan *task, opts.QueueBound)
 		s.workers[i] = &executor{id: i, writer: i}
@@ -701,79 +685,6 @@ func (s *Server) Stats() Stats {
 
 // Shards returns the configured dispatcher-shard count.
 func (s *Server) Shards() int { return len(s.shards) }
-
-// ---------- runtime actuators (the adaptive control plane's surface) ----------
-
-// policyState is the target discipline and a monotonically increasing
-// change epoch; dispatchers compare the epoch to the one they last
-// applied and drain-and-swap their queue when it moves.
-type policyState struct {
-	epoch uint64
-	name  string
-}
-
-// SetQuantum adjusts the preemption quantum at runtime; 0 disables
-// preemption, negative values are clamped to 0. Running slices observe
-// the new value at their next check. Safe to call while serving.
-func (s *Server) SetQuantum(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.quantum.Store(int64(d))
-}
-
-// Quantum returns the current preemption quantum.
-func (s *Server) Quantum() time.Duration { return time.Duration(s.quantum.Load()) }
-
-// SetClassQuantum overrides the quantum for one SLOClass (payloads
-// implementing SLOClassed, or class-stamped wire requests); 0 removes
-// the override, falling back to the global quantum. Out-of-range
-// classes are ignored. Running slices consult the table at every check,
-// so a change takes effect for requests already running.
-func (s *Server) SetClassQuantum(class int, d time.Duration) {
-	if class < 0 || class >= NumClasses {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	s.classQuanta[class].Store(int64(d))
-}
-
-// ClassQuantum returns the class's quantum override (0 = none).
-func (s *Server) ClassQuantum(class int) time.Duration {
-	if class < 0 || class >= NumClasses {
-		return 0
-	}
-	return time.Duration(s.classQuanta[class].Load())
-}
-
-// SetPolicy switches the central-queue discipline at runtime: each
-// shard's dispatcher drains its policy queue into a fresh one of the
-// new discipline at a quiesce point (between dispatch decisions, under
-// the queue lock), so queued requests are re-ordered rather than lost —
-// by the hints and classes they were submitted with, whichever
-// discipline was in force then. Safe to call while serving; returns an
-// error for unknown names.
-func (s *Server) SetPolicy(name string) error {
-	if !ValidPolicy(name) {
-		return fmt.Errorf("live: unknown policy %q (have %v)", name, policy.Names())
-	}
-	s.policyMu.Lock()
-	defer s.policyMu.Unlock()
-	cur := s.polState.Load()
-	if cur.name == name {
-		return nil
-	}
-	s.polState.Store(&policyState{epoch: cur.epoch + 1, name: name})
-	s.wake()
-	return nil
-}
-
-// Policy returns the target central-queue discipline (the last accepted
-// SetPolicy value, applied by each dispatcher at its next quiesce
-// point).
-func (s *Server) Policy() string { return s.polState.Load().name }
 
 // respChans recycles Do's response channels. Submit's make is two
 // allocations (the channel and its pointerful buffer); Do owns its

@@ -244,8 +244,8 @@ func TestPlaceDoesNotOvertakeIngestingTask(t *testing.T) {
 }
 
 // TestParkedDispatcherWakes starts each row from parked dispatchers and
-// wakes them one way: a submission, Stop, the drain abort, SetPolicy, or
-// a sibling's backlog — and one row, a polling slice, needs no wake at
+// wakes them one way: a submission, Stop, the drain abort, or a
+// sibling's backlog — and one row, a polling slice, needs no wake at
 // all: its preemption arrives with the dispatcher still parked. A
 // wake-up that does not arrive shows as a request never answered or a
 // Stop that hangs; every row also ends on Submitted == Completed.
@@ -349,20 +349,6 @@ func TestParkedDispatcherWakes(t *testing.T) {
 					t.Fatalf("err %v, want ErrServerStopped", resp.Err)
 				}
 			}},
-		{"SetPolicy", []int{1, 2}, nil, func(t *testing.T, s *Server, _ *yieldHandler, parks *parkWatch) {
-			before := parks.counts(s)
-			if err := s.SetPolicy(PolicySRPT); err != nil {
-				t.Fatal(err)
-			}
-			// Parked again means woken, swapped and idle since; the gate
-			// orders the epoch reads after the loop's writes.
-			parks.wait(t, s, before)
-			for _, sh := range s.shards {
-				if sh.polEpoch != s.polState.Load().epoch {
-					t.Fatalf("shard %d parked again without applying the swap", sh.id)
-				}
-			}
-		}},
 		{"sibling-backlog", []int{2, 4}, nil, func(t *testing.T, s *Server, h *yieldHandler, _ *parkWatch) {
 			// Everything lands on shard 0, whose one worker a blocker
 			// holds: only a sibling can run the rest, and it is parked.

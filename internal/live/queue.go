@@ -159,30 +159,6 @@ func (c *centralQueue) SweepExpired(now time.Time) []*task {
 	return out
 }
 
-// SwapPolicy replaces the queue's discipline, re-enqueueing every live
-// task into a fresh policy queue of the named kind under the lock (the
-// dispatcher's quiesce point for runtime policy switching). Tombstoned
-// tasks are dropped on the way — their deadline-sweep completion
-// already happened — and the deadline heap is untouched: it orders by
-// time, not discipline. The lock-free mirrors dip while the tasks are
-// between queues; only Depths and a sibling's steal-victim choice can
-// see that, and both tolerate a stale length. Unknown names panic:
-// SetPolicy validated the name, so reaching here with a bad one is a
-// programming error.
-func (c *centralQueue) SwapPolicy(name string) {
-	nq, err := policy.NewQueue[*task](name)
-	if err != nil {
-		panic("live: " + err.Error())
-	}
-	c.mu.Lock()
-	live := c.drain()
-	c.q = nq
-	for _, t := range live {
-		c.put(t)
-	}
-	c.mu.Unlock()
-}
-
 // DrainAll removes and returns every live task in discipline order, for
 // abort-mode failPending.
 func (c *centralQueue) DrainAll() []*task {

@@ -162,7 +162,7 @@ func TestSRPTUnhintedRunsLast(t *testing.T) {
 	s.Start()
 
 	blocked := s.Submit("block")
-	time.Sleep(time.Millisecond) // let the blocker reach the worker
+	waitUntil(t, "the blocker to hold the worker", func() bool { return s.Depths().Workers[0] == 1 })
 
 	var chans []<-chan Response
 	submit := func(p any) { chans = append(chans, s.Submit(p)) }
@@ -170,7 +170,7 @@ func TestSRPTUnhintedRunsLast(t *testing.T) {
 	submit(labeledReq{label: "s-400", hint: 400 * time.Microsecond})
 	submit(unlabeledReq{label: "u2"})
 	submit(labeledReq{label: "s-100", hint: 100 * time.Microsecond})
-	time.Sleep(time.Millisecond) // let all four reach the central queue
+	waitUntil(t, "all four to reach the central queue", func() bool { return s.Depths().Central == len(chans) })
 	close(h.release)
 	<-blocked
 	for _, ch := range chans {

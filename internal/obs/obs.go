@@ -11,9 +11,15 @@
 //
 // Each writer (one per worker, one per dispatcher shard, one shared by
 // client goroutines calling Submit) owns a power-of-two ring of slots.
-// A writer claims a ticket with one atomic fetch-add, marks the slot
-// odd (write in progress), stores the payload, then publishes the slot
-// with the even sequence value 2*(ticket+1). Readers never block
+// A writer claims a ticket with one atomic fetch-add, claims the slot by
+// moving its sequence from an earlier lap's published (even) value to
+// this ticket's odd value (write in progress) with one compare-and-swap,
+// stores the payload, then publishes the slot with the even sequence
+// value 2*(ticket+1). A ring shared by several writers (the client ring)
+// can lap a slow writer; the claim makes the lapping writer drop its
+// event instead of filling and publishing a slot the slow writer is
+// still filling, and makes a writer that was itself lapped drop its
+// event instead of overwriting a newer one. Readers never block
 // writers: Snapshot validates each slot's sequence before and after
 // copying it and simply drops slots that were concurrently overwritten.
 // All slot accesses are atomic, so the scheme is race-detector clean.
@@ -165,9 +171,18 @@ type ring struct {
 }
 
 func (r *ring) record(ts int64, kind Kind, req uint64, arg int64) {
-	n := r.pos.Add(1) - 1
+	r.write(r.pos.Add(1)-1, ts, kind, req, arg)
+}
+
+// write stores one event under ticket n.
+func (r *ring) write(n uint64, ts int64, kind Kind, req uint64, arg int64) {
 	s := &r.slots[n&uint64(len(r.slots)-1)]
-	s.seq.Store(2*(n+1) - 1) // mark write in progress
+	claim := 2*(n+1) - 1 // odd: write in progress
+	// Claim only a published slot from an earlier lap: an odd sequence
+	// is another writer mid-fill, a later one a lap that overtook this.
+	if cur := s.seq.Load(); cur&1 != 0 || cur > claim || !s.seq.CompareAndSwap(cur, claim) {
+		return
+	}
 	s.ts.Store(ts)
 	s.req.Store(req)
 	s.meta.Store(uint64(kind)<<argBits | uint64(arg)&(1<<argBits-1))
@@ -237,7 +252,9 @@ func (t *Tracer) ringFor(writer int) *ring {
 }
 
 // Record appends one event to the writer's ring. It never allocates and
-// never blocks: one fetch-add plus four atomic stores.
+// never blocks: one fetch-add, a load and a compare-and-swap to claim
+// the slot, and four atomic stores. An event whose slot another writer
+// is still filling is dropped.
 func (t *Tracer) Record(writer int, kind Kind, req uint64, arg int64) {
 	t.ringFor(writer).record(int64(time.Since(t.epoch)), kind, req, arg)
 }

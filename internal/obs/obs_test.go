@@ -140,6 +140,80 @@ func TestConcurrentWritersSnapshot(t *testing.T) {
 	}
 }
 
+// TestRingLappedWriterNeverPublishesClaimedSlot: on a ring shared by
+// several writers, a writer that laps a slow one lands on the slot the
+// slow one is still filling. It must drop its event rather than fill and
+// publish that slot, which would let Snapshot return the two writers'
+// stores mixed as one valid event; and the slow writer, once lapped by
+// a published event, must not overwrite it.
+func TestRingLappedWriterNeverPublishesClaimedSlot(t *testing.T) {
+	tr := NewTracer(1, 4)
+	r := tr.ringFor(WriterClient)
+	size := uint64(len(r.slots))
+
+	// A slow writer takes ticket 0, claims its slot and has stored only
+	// the timestamp when it loses the CPU.
+	n := r.pos.Add(1) - 1
+	s := &r.slots[n&(size-1)]
+	claim := 2*(n+1) - 1
+	if !s.seq.CompareAndSwap(0, claim) {
+		t.Fatal("fresh slot not claimable")
+	}
+	s.ts.Store(111)
+
+	// A fast writer laps it: its last ticket lands on the same slot.
+	for i := uint64(1); i <= size; i++ {
+		tr.Record(WriterClient, EvSubmit, 1000+i, int64(1000+i))
+	}
+	if got := s.seq.Load(); got != claim {
+		t.Fatalf("lapping writer took a slot mid-fill: seq %d, want the slow writer's claim %d", got, claim)
+	}
+	for _, e := range tr.Snapshot() {
+		if e.Req == 1000+size {
+			t.Fatalf("event published into a slot still being filled: %+v", e)
+		}
+	}
+
+	// The slow writer finishes. Its ticket has been lapped, so Snapshot
+	// skips the slot either way; every event it returns is whole.
+	s.req.Store(7)
+	s.meta.Store(uint64(EvSubmit)<<argBits | 7)
+	s.seq.Store(claim + 1)
+	for _, e := range tr.Snapshot() {
+		if e.Kind != EvSubmit || e.Arg != int64(e.Req) {
+			t.Fatalf("torn event: %+v", e)
+		}
+	}
+
+	// The other way round: a writer whose ticket was lapped, and whose
+	// slot a later lap has already published, must not overwrite it.
+	stale := r.pos.Add(1) - 1
+	for i := uint64(1); i <= size; i++ {
+		tr.Record(WriterClient, EvSubmit, 2000+i, int64(2000+i))
+	}
+	slot := &r.slots[stale&(size-1)]
+	published := slot.seq.Load()
+	if published != 2*(stale+size+1) {
+		t.Fatalf("slot seq %d, want the lapping ticket's %d", published, 2*(stale+size+1))
+	}
+	r.write(stale, 222, EvSubmit, 9, 9)
+	if got := slot.seq.Load(); got != published {
+		t.Fatalf("lapped writer overwrote a newer event: seq %d, want %d", got, published)
+	}
+	if got := slot.req.Load(); got != 2000+size {
+		t.Fatalf("lapped writer overwrote a newer event: req %d, want %d", got, 2000+size)
+	}
+	// The slot whose event was dropped in the first half is not wedged:
+	// this lap published into it.
+	var found bool
+	for _, e := range tr.Snapshot() {
+		found = found || e.Req == 2000+size-1
+	}
+	if !found {
+		t.Fatal("a slot that once dropped an event never published again")
+	}
+}
+
 // TestNetWriterRoundTrip: the net frontend has its own ring behind the
 // client ring; the wire event kinds survive the seqlock round trip and
 // never leak into the client, worker, or shard-dispatcher rings.

@@ -2,9 +2,8 @@
 // mergeable log-bucket sketch over positive int64 values. Latencies and
 // service times are observed in nanoseconds, flush batches as counts,
 // hint-error ratios as fixed-point percentages — the geometry does not
-// care about the unit. Rolling windows (tail.go) are rings of sketches,
-// the adaptive controller's mean/CV is a view of a snapshot delta, and
-// /metrics histograms are snapshots collapsed to octaves, so every
+// care about the unit. Rolling windows (tail.go) are rings of sketches
+// and /metrics histograms are snapshots collapsed to octaves, so every
 // quantile anyone reads comes from SketchSnapshot.Quantile.
 //
 // Each octave is subdivided into 8 sub-buckets (growth factor 2^(1/8) ≈
@@ -130,19 +129,6 @@ func (s *SketchSnapshot) Merge(o SketchSnapshot) {
 	s.Sum += o.Sum
 }
 
-// Since returns the observations added after prev, an earlier snapshot
-// of the same sketch — the drain-free way to read a cumulative sketch
-// one interval at a time. Bucket counts only grow, so the difference is
-// well defined even when either snapshot raced an observer.
-func (s SketchSnapshot) Since(prev SketchSnapshot) SketchSnapshot {
-	out := SketchSnapshot{Sum: s.Sum - prev.Sum}
-	for i, c := range s.Buckets {
-		out.Buckets[i] = c - prev.Buckets[i]
-		out.Count += out.Buckets[i]
-	}
-	return out
-}
-
 // Quantile estimates the q-quantile (q in [0,1]), reporting the
 // geometric midpoint of the bucket containing the target rank (relative
 // error ≤ 2^(1/16)−1 ≈ 4.4%). NaN when empty.
@@ -172,28 +158,6 @@ func (s SketchSnapshot) Mean() float64 {
 		return math.NaN()
 	}
 	return float64(s.Sum) / float64(s.Count)
-}
-
-// CV returns the coefficient of variation (stddev/mean) with every
-// observation taken at its bucket's midpoint, so a constant stream reads
-// exactly 0 and no sum-of-squares accumulator — with its overflow and
-// cancellation hazards — rides the hot path. 0 when empty.
-func (s SketchSnapshot) CV() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	n := float64(s.Count)
-	mean := 0.0
-	for i, c := range s.Buckets {
-		mean += float64(c) * sketchMids[i]
-	}
-	mean /= n
-	variance := 0.0
-	for i, c := range s.Buckets {
-		d := sketchMids[i] - mean
-		variance += float64(c) * d * d
-	}
-	return math.Sqrt(variance/n) / mean
 }
 
 // Octaves collapses the sub-buckets: element k counts the observations
@@ -268,41 +232,4 @@ func (c *ClassSketches) HintError(class int) *QuantileSketch {
 		return nil
 	}
 	return &c.classes[class].hintErr
-}
-
-// ServiceSnapshot merges every class's service-time sketch: the
-// server-wide service distribution the adaptive controller reads its
-// per-tick mean and CV from.
-func (c *ClassSketches) ServiceSnapshot() SketchSnapshot {
-	var out SketchSnapshot
-	for i := range c.classes {
-		out.Merge(c.classes[i].svc.Snapshot())
-	}
-	return out
-}
-
-// ServiceQuantileNS returns the class's q-quantile service time in
-// nanoseconds, or 0 when the class has no observations yet — the "no
-// data" sentinel the controller's class-quantum derivation branches on.
-func (c *ClassSketches) ServiceQuantileNS(class int, q float64) float64 {
-	sk := c.Service(class)
-	if sk == nil {
-		return 0
-	}
-	snap := sk.Snapshot()
-	if snap.Count == 0 {
-		return 0
-	}
-	return snap.Quantile(q)
-}
-
-// ServiceQuantilesNS returns every class's q-quantile service time in
-// nanoseconds (0 = no data), indexed by class — the shape the adaptive
-// controller's Config.ClassSvcNS source returns.
-func (c *ClassSketches) ServiceQuantilesNS(q float64) []float64 {
-	out := make([]float64, len(c.classes))
-	for i := range c.classes {
-		out[i] = c.ServiceQuantileNS(i, q)
-	}
-	return out
 }

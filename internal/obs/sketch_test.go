@@ -68,6 +68,38 @@ func TestSketchMean(t *testing.T) {
 	}
 }
 
+// Means are exact, not bucketed: the snapshot keeps the sum, so the
+// mean matches the exact one on constant and dispersed streams alike,
+// and at second-scale values where a sum of squares would overflow
+// int64.
+func TestSketchMeanExact(t *testing.T) {
+	rng := sim.NewRNG(3)
+	dists := map[string]func(i int) float64{
+		"constant": func(int) float64 { return 10_000 },
+		"bimodal": func(i int) float64 { // 95% 5µs point ops, 5% 1ms scans
+			if i%20 == 0 {
+				return 1_000_000
+			}
+			return 5_000
+		},
+		"lognormal": func(int) float64 { return math.Floor(rng.Lognormal(math.Log(20_000), 1.0)) + 1 },
+		"seconds":   func(i int) float64 { return float64(1+i%3) * 1e9 },
+	}
+	for name, draw := range dists {
+		var sk QuantileSketch
+		var sum float64
+		const n = 10000
+		for i := 0; i < n; i++ {
+			v := draw(i)
+			sum += v
+			sk.Observe(int64(v))
+		}
+		if got, want := sk.Snapshot().Mean(), sum/n; math.Abs(got-want)/want > 1e-9 {
+			t.Errorf("%s: mean = %v, want exactly %v", name, got, want)
+		}
+	}
+}
+
 func TestSketchEmptyAndClamping(t *testing.T) {
 	var sk QuantileSketch
 	if q := sk.Snapshot().Quantile(0.99); !math.IsNaN(q) {
@@ -86,92 +118,6 @@ func TestSketchEmptyAndClamping(t *testing.T) {
 	sk.Observe(math.MaxInt64)
 	if oct := sk.Snapshot().Octaves(); oct[SketchOctaves-2] != 1 {
 		t.Fatalf("MaxInt64 not in octave %d: %v", SketchOctaves-2, oct)
-	}
-}
-
-// exactCV is the population coefficient of variation of vals.
-func exactCV(vals []float64) (mean, cv float64) {
-	for _, v := range vals {
-		mean += v
-	}
-	mean /= float64(len(vals))
-	var ss float64
-	for _, v := range vals {
-		ss += (v - mean) * (v - mean)
-	}
-	return mean, math.Sqrt(ss/float64(len(vals))) / mean
-}
-
-// The controller's dispersion signal is a view of the sketch: mean is
-// exact, CV is taken at bucket midpoints. It must read ≈0 on a constant
-// stream, track the exact CV on dispersed ones (each midpoint is off by
-// up to 4.4%, so a few-valued stream can read several percent off; the
-// hysteresis band 0.85..1.15 is wider than that), and stay finite at
-// second-scale values where an int64 sum of squares would overflow.
-func TestSketchMeanAndCV(t *testing.T) {
-	rng := sim.NewRNG(3)
-	dists := map[string]func(i int) float64{
-		"constant": func(int) float64 { return 10_000 },
-		"bimodal": func(i int) float64 { // 95% 5µs point ops, 5% 1ms scans
-			if i%20 == 0 {
-				return 1_000_000
-			}
-			return 5_000
-		},
-		"lognormal": func(int) float64 { return math.Floor(rng.Lognormal(math.Log(20_000), 1.0)) + 1 },
-		"seconds":   func(i int) float64 { return float64(1+i%3) * 1e9 }, // Σx² ≈ 4e22 ≫ 2^63
-	}
-	for name, draw := range dists {
-		var sk QuantileSketch
-		vals := make([]float64, 10000)
-		for i := range vals {
-			vals[i] = draw(i)
-			sk.Observe(int64(vals[i]))
-		}
-		snap := sk.Snapshot()
-		mean, cv := exactCV(vals)
-		if got := snap.Mean(); math.Abs(got-mean)/mean > 1e-9 {
-			t.Errorf("%s: mean = %v, want exactly %v", name, got, mean)
-		}
-		got := snap.CV()
-		if math.IsNaN(got) || math.IsInf(got, 0) {
-			t.Fatalf("%s: CV = %v", name, got)
-		}
-		if name == "constant" {
-			if got != 0 {
-				t.Errorf("constant stream CV = %v, want exactly 0", got)
-			}
-			continue
-		}
-		if math.Abs(got-cv) > 0.10*cv {
-			t.Errorf("%s: CV = %.4f, exact %.4f (off by more than 10%%)", name, got, cv)
-		}
-	}
-	if cv := (SketchSnapshot{}).CV(); cv != 0 {
-		t.Errorf("empty snapshot CV = %v, want 0", cv)
-	}
-}
-
-// Since is how the controller reads a cumulative sketch one tick at a
-// time: the difference of two snapshots describes exactly the
-// observations made between them.
-func TestSketchSince(t *testing.T) {
-	var sk, second QuantileSketch
-	for i := 0; i < 100; i++ {
-		sk.Observe(10_000)
-	}
-	prev := sk.Snapshot()
-	for i := 0; i < 40; i++ {
-		v := int64(50_000 + 1000*i)
-		sk.Observe(v)
-		second.Observe(v)
-	}
-	if got, want := sk.Snapshot().Since(prev), second.Snapshot(); got != want {
-		t.Fatalf("Since = count %d sum %d, want the second batch alone (count %d sum %d)",
-			got.Count, got.Sum, want.Count, want.Sum)
-	}
-	if got := sk.Snapshot().Since(sk.Snapshot()); got.Count != 0 || got.Sum != 0 {
-		t.Fatalf("Since(self) = %+v, want empty", got)
 	}
 }
 
@@ -267,17 +213,21 @@ func TestClassSketchesObserve(t *testing.T) {
 		cs.Observe(2, 100_000, 1_000_000)
 		cs.Observe(99, 5_000, 0)
 	}
-	if got := cs.ServiceQuantileNS(1, 0.5); math.Abs(got-10_000)/10_000 > 0.05 {
+	p50 := func(class int) float64 { return cs.Service(class).Snapshot().Quantile(0.5) }
+	if got := p50(1); math.Abs(got-10_000)/10_000 > 0.05 {
 		t.Errorf("class 1 p50 = %v, want ≈10000", got)
 	}
-	if got := cs.ServiceQuantileNS(2, 0.5); math.Abs(got-100_000)/100_000 > 0.05 {
+	if got := p50(2); math.Abs(got-100_000)/100_000 > 0.05 {
 		t.Errorf("class 2 p50 = %v, want ≈100000", got)
 	}
-	if got := cs.ServiceQuantileNS(0, 0.5); math.Abs(got-5_000)/5_000 > 0.05 {
+	if got := p50(0); math.Abs(got-5_000)/5_000 > 0.05 {
 		t.Errorf("out-of-range class must fold into class 0: p50 = %v, want ≈5000", got)
 	}
-	if got := cs.ServiceQuantileNS(3, 0.5); got != 0 {
-		t.Errorf("class with no data must report 0, got %v", got)
+	if n := cs.Service(3).Snapshot().Count; n != 0 {
+		t.Errorf("class with no data must count 0, got %d", n)
+	}
+	if cs.Service(4) != nil || cs.Service(-1) != nil {
+		t.Error("out-of-range Service must be nil")
 	}
 	// Hint-error: class 1 sits at the exact-hint mark, class 2 at 10×
 	// over; unhinted class-0 observations record no ratio at all.
@@ -289,9 +239,5 @@ func TestClassSketchesObserve(t *testing.T) {
 	}
 	if n := cs.HintError(0).Snapshot().Count; n != 0 {
 		t.Errorf("unhinted observations must not feed hint-error: count = %d", n)
-	}
-	qs := cs.ServiceQuantilesNS(0.5)
-	if len(qs) != 4 || qs[3] != 0 || qs[1] == 0 {
-		t.Errorf("ServiceQuantilesNS = %v", qs)
 	}
 }

@@ -33,12 +33,11 @@ func TestObsSmoke(t *testing.T) {
 	}
 
 	traceJSON := filepath.Join(dir, "trace.json")
-	decJSON := filepath.Join(dir, "decisions.json")
 	shadowJSON := filepath.Join(dir, "shadow.json")
 	srv := exec.Command(kvd,
 		"-addr", "127.0.0.1:0", "-obs", "127.0.0.1:0",
 		"-workers", "2", "-quantum", "200us", "-keys", "2000", "-drain", "2s",
-		"-adaptive", "-tracedump", traceJSON, "-decisiondump", decJSON,
+		"-tracedump", traceJSON,
 		"-shadow", "-shadow-interval", "500ms", "-shadow-rate", "4",
 		"-shadowdump", shadowJSON)
 	stderr, err := srv.StderrPipe()
@@ -75,38 +74,6 @@ func TestObsSmoke(t *testing.T) {
 		}
 		if len(doc.TraceEvents) < 10 {
 			t.Errorf("tracedump has only %d events", len(doc.TraceEvents))
-		}
-		// The drain also wrote the adaptive controller's decision log;
-		// it must parse and carry at least one tick from the run.
-		decRaw, err := os.ReadFile(decJSON)
-		if err != nil {
-			t.Errorf("decisiondump missing: %v", err)
-			return
-		}
-		var dump struct {
-			Schema     int     `json:"schema"`
-			IntervalMS float64 `json:"interval_ms"`
-			Decisions  []struct {
-				Tick   uint64 `json:"tick"`
-				Action string `json:"action"`
-				Policy string `json:"policy"`
-			} `json:"decisions"`
-		}
-		if err := json.Unmarshal(decRaw, &dump); err != nil {
-			t.Errorf("decisiondump is not valid JSON: %v\n%s", err, decRaw)
-			return
-		}
-		if dump.Schema != 1 || dump.IntervalMS <= 0 {
-			t.Errorf("decisiondump header = schema %d interval %v", dump.Schema, dump.IntervalMS)
-		}
-		if len(dump.Decisions) == 0 {
-			t.Error("decisiondump recorded no controller ticks")
-		}
-		for _, d := range dump.Decisions {
-			if d.Tick == 0 || d.Action == "" || d.Policy == "" {
-				t.Errorf("decisiondump entry incomplete: %+v", d)
-				break
-			}
 		}
 		// And the shadow replayer's window history: schema 1 with at
 		// least one scored window whose counterfactuals all replayed.
@@ -197,9 +164,8 @@ func TestObsSmoke(t *testing.T) {
 		"concord_go_goroutines", "concord_go_heap_live_bytes",
 		"concord_go_gc_cycles_total", `concord_go_gc_pause_us{quantile="0.99"}`,
 		"concord_build_info",
-		// Flush-batch distribution and control-plane decision counters.
+		// Flush-batch distribution.
 		`concord_net_flush_batch_quantile{quantile="p99"}`,
-		`concord_adapt_decisions_total{action="hold"}`,
 		// Per-class service-time sketches and hint-error histograms.
 		`concord_svc_time_us{class="standard",quantile="p99"}`,
 		`concord_svc_time_samples_total{class="standard"}`,
@@ -280,28 +246,6 @@ func TestObsSmoke(t *testing.T) {
 	for _, want := range []string{"REQ ", "total=", "submit", "complete", "END"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("TRACE output missing %q:\n%s", want, joined)
-		}
-	}
-
-	// DECISIONS streams the controller's recent ticks the same way.
-	fmt.Fprintf(rw, "DECISIONS 5\n")
-	rw.Flush()
-	var decLines []string
-	for {
-		line, err := rw.ReadString('\n')
-		if err != nil {
-			t.Fatalf("DECISIONS read: %v", err)
-		}
-		line = strings.TrimSpace(line)
-		decLines = append(decLines, line)
-		if strings.HasPrefix(line, "END") {
-			break
-		}
-	}
-	decJoined := strings.Join(decLines, "\n")
-	for _, want := range []string{"tick=", "action=", "policy=", "quantum_us=", "END"} {
-		if !strings.Contains(decJoined, want) {
-			t.Fatalf("DECISIONS output missing %q:\n%s", want, decJoined)
 		}
 	}
 

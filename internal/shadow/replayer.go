@@ -1,8 +1,7 @@
 // The background replayer: periodically drains the live capture ring,
 // replays the window through the counterfactual simulator, and keeps a
-// bounded history of results for the control plane (metrics gauges, the
-// kvd SHADOW verb, the adaptive controller's regret input, and the
-// shutdown dump).
+// bounded history of results for the operator surface (metrics gauges,
+// the kvd SHADOW verb, and the shutdown dump).
 package shadow
 
 import (
