@@ -11,7 +11,7 @@ tier1:
 # tiers + admission paths exercise them from many goroutines). Slower
 # than tier1; run before merging changes to any of these.
 race:
-	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/shadow ./internal/bench ./internal/proto ./internal/netsrv ./internal/policy ./cmd/concord-load
+	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/shadow ./internal/proto ./internal/netsrv ./internal/policy ./cmd/concord-load
 
 # Stress for the live runtime's concurrency-critical suites — lifecycle
 # tables, chaos, drain windows, sharded stealing, the identity hand-off,
@@ -59,33 +59,6 @@ bench:
 obs-smoke:
 	go test -tags obssmoke -run TestObsSmoke -v -timeout 120s ./internal/obs/smoke
 
-# The hermetic gate: three scenarios whose every metric compares across
-# machines (bit-identical simulator and shadow-replay quantities;
-# same-repetition ratios of the live runtime). Throughput and latency
-# are the repo benchmark's (benchmark/run.sh), allocation floors are
-# tier-1 tests. bench-json is the full run, into the gitignored
-# bench-out/ scratch directory; to refresh the checked-in baselines,
-# copy the BENCH_*.json you mean to re-baseline to the repo root and
-# commit them deliberately.
-bench-json:
-	go run ./cmd/concord-bench -reps 5 -warmup 1 -outdir bench-out
-
-# Short-rep suite run compared against the checked-in baselines. Exits
-# non-zero on a regression beyond the noise band (relative change past
-# the threshold and disjoint confidence intervals). A run step plus a
-# compare step so CI can call the two separately (the compare is
-# advisory on pull requests, the run is not) without re-typing either
-# command list.
-bench-smoke: bench-smoke-run bench-smoke-compare
-
-bench-smoke-run:
-	go run ./cmd/concord-bench -short -scenarios core,live_regret,live_multitenant -outdir bench-out
-
-bench-smoke-compare:
-	go run ./cmd/concord-bench -compare BENCH_core.json bench-out/BENCH_core.json
-	go run ./cmd/concord-bench -compare BENCH_live_regret.json bench-out/BENCH_live_regret.json
-	go run ./cmd/concord-bench -compare BENCH_live_multitenant.json bench-out/BENCH_live_multitenant.json
-
 # The repo benchmark (BENCHMARK.json) is its own module under
 # benchmark/, so `go build ./... && go test ./...` never compiles it.
 # This target does: it fails when an internal/ API the benchmark imports
@@ -102,4 +75,4 @@ bench-module:
 results-check:
 	go run ./cmd/concordsim -fig all -parallel 0 | diff - results_full.tsv
 
-.PHONY: tier1 race live-stress net-stress vet fuzz-smoke bench obs-smoke bench-json bench-smoke bench-smoke-run bench-smoke-compare bench-module results-check
+.PHONY: tier1 race live-stress net-stress vet fuzz-smoke bench obs-smoke bench-module results-check

@@ -107,63 +107,92 @@ func TestSRPTQueuePopOrderProperty(t *testing.T) {
 	}
 }
 
-// TestSRPTSingleWorkerMixProperty: randomized hinted/un-hinted mixes
-// released against one worker must run hinted-ascending first, then
-// un-hinted in submission order.
+// TestSRPTSingleWorkerMixProperty: randomized mixes released against
+// one worker run in the discipline's order. srpt: hinted-ascending
+// first, then un-hinted in submission order. cascade and cascade-srpt,
+// over a random class mix of hinted requests: critical, then standard,
+// then sheddable; within a tier, submission order (cascade) or
+// hint-ascending with ties in submission order (cascade-srpt).
 func TestSRPTSingleWorkerMixProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 5; trial++ {
-		h := &orderRecHandler{release: make(chan struct{})}
-		o := testOptions(1, 0)
-		o.Policy = PolicySRPT
-		o.QueueBound = 1
-		s := New(h, o)
-		s.Start()
+	tier := [NumClasses]int{ClassCritical: 0, ClassStandard: 1, ClassSheddable: 2}
+	for _, policy := range []string{PolicySRPT, PolicyCascade, PolicyCascadeSRPT} {
+		t.Run(policy, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			for trial := 0; trial < 20; trial++ {
+				h := &orderRecHandler{release: make(chan struct{})}
+				o := testOptions(1, 0)
+				o.Policy = policy
+				o.QueueBound = 1
+				s := New(h, o)
+				s.Start()
 
-		blocked := s.Submit("block")
-		waitUntil(t, "the blocker to hold the worker", func() bool { return s.Depths().Workers[0] == 1 })
+				blocked := s.Submit("block")
+				waitUntil(t, "the blocker to hold the worker", func() bool { return s.Depths().Workers[0] == 1 })
 
-		var hinted []time.Duration
-		var unhinted []string
-		var chans []<-chan Response
-		n := 10 + rng.Intn(20)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				label := time.Duration(i).String() + "-u"
-				unhinted = append(unhinted, label)
-				chans = append(chans, s.Submit(unlabeledReq{label: label}))
-			} else {
-				// Distinct hints so the expected order is unambiguous.
-				hint := time.Duration(1000+i) * time.Microsecond
-				hinted = append(hinted, hint)
-				chans = append(chans, s.Submit(labeledReq{label: hint.String(), hint: hint}))
-			}
-		}
-		waitUntil(t, "every request to reach the central queue", func() bool { return s.Depths().Central == len(chans) })
-		close(h.release)
-		<-blocked
-		for _, ch := range chans {
-			if resp := <-ch; resp.Err != nil {
-				t.Fatal(resp.Err)
-			}
-		}
-		s.Stop()
+				type sub struct {
+					label string
+					hint  time.Duration // 0 = un-hinted
+					tier  int
+				}
+				var subs []sub
+				var chans []<-chan Response
+				n := 10 + rng.Intn(20)
+				for i := 0; i < n; i++ {
+					label := time.Duration(i).String()
+					switch {
+					case policy != PolicySRPT:
+						// Four hint values over up to 29 requests: ties are common.
+						hint := time.Duration(1+rng.Intn(4)) * 100 * time.Microsecond
+						class := SLOClass(rng.Intn(NumClasses))
+						subs = append(subs, sub{label, hint, tier[class]})
+						chans = append(chans, s.Submit(classedReq{labeledReq{label, hint}, class}))
+					case rng.Intn(3) == 0:
+						subs = append(subs, sub{label + "-u", 0, tier[ClassStandard]})
+						chans = append(chans, s.Submit(unlabeledReq{label: label + "-u"}))
+					default:
+						// Distinct hints so the expected order is unambiguous.
+						hint := time.Duration(1000+i) * time.Microsecond
+						subs = append(subs, sub{hint.String(), hint, tier[ClassStandard]})
+						chans = append(chans, s.Submit(labeledReq{label: hint.String(), hint: hint}))
+					}
+				}
+				waitUntil(t, "every request to reach the central queue", func() bool { return s.Depths().Central == len(chans) })
+				close(h.release)
+				<-blocked
+				for _, ch := range chans {
+					if resp := <-ch; resp.Err != nil {
+						t.Fatal(resp.Err)
+					}
+				}
+				s.Stop()
 
-		sort.Slice(hinted, func(i, j int) bool { return hinted[i] < hinted[j] })
-		var want []string
-		for _, d := range hinted {
-			want = append(want, d.String())
-		}
-		want = append(want, unhinted...)
-		got := h.recorded()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: ran %d, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: run order %v, want %v", trial, got, want)
+				// A stable sort keeps submission order among equals.
+				byHint := policy != PolicyCascade
+				sort.SliceStable(subs, func(i, j int) bool {
+					a, b := subs[i], subs[j]
+					if a.tier != b.tier {
+						return a.tier < b.tier
+					}
+					if !byHint || a.hint == b.hint {
+						return false
+					}
+					return b.hint == 0 || (a.hint != 0 && a.hint < b.hint) // un-hinted last
+				})
+				var want []string
+				for _, sb := range subs {
+					want = append(want, sb.label)
+				}
+				got := h.recorded()
+				if len(got) != len(want) {
+					t.Fatalf("trial %d: ran %d, want %d", trial, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d: run order %v, want %v", trial, got, want)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -113,6 +113,14 @@ type unlabeledReq struct {
 	label string
 }
 
+// classedReq is a labeled, hinted payload under an SLO class.
+type classedReq struct {
+	labeledReq
+	class SLOClass
+}
+
+func (p classedReq) SLOClass() SLOClass { return p.class }
+
 // orderRecHandler blocks on "block" payloads and records the label of
 // everything else it runs.
 type orderRecHandler struct {
@@ -124,23 +132,24 @@ type orderRecHandler struct {
 func (h *orderRecHandler) Setup()          {}
 func (h *orderRecHandler) SetupWorker(int) {}
 func (h *orderRecHandler) Handle(ctx *Ctx, payload any) (any, error) {
+	var label string
 	switch p := payload.(type) {
 	case string: // "block"
 		<-h.release
 		return p, nil
 	case labeledReq:
-		h.mu.Lock()
-		h.order = append(h.order, p.label)
-		h.mu.Unlock()
-		return p.label, nil
+		label = p.label
 	case unlabeledReq:
-		h.mu.Lock()
-		h.order = append(h.order, p.label)
-		h.mu.Unlock()
-		return p.label, nil
+		label = p.label
+	case classedReq:
+		label = p.label
 	default:
 		return payload, nil
 	}
+	h.mu.Lock()
+	h.order = append(h.order, label)
+	h.mu.Unlock()
+	return label, nil
 }
 
 func (h *orderRecHandler) recorded() []string {

@@ -133,6 +133,7 @@ func TestShardedChaosLifecycle(t *testing.T) {
 					}
 				}(c)
 			}
+			// Chaos jitter: Stop lands while traffic is in flight.
 			time.Sleep(2 * time.Millisecond)
 			stopDone := make(chan struct{})
 			go func() { s.Stop(); close(stopDone) }()
@@ -196,14 +197,14 @@ func TestSRPTLiveOrdering(t *testing.T) {
 	s.Start()
 
 	blocked := s.Submit("block")
-	time.Sleep(time.Millisecond) // let the blocker reach the worker
+	waitUntil(t, "the blocker to hold the worker", func() bool { return s.Depths().Workers[0] == 1 })
 
 	hints := []time.Duration{400, 100, 300, 200} // microseconds, submitted out of order
 	var chans []<-chan Response
 	for _, us := range hints {
 		chans = append(chans, s.Submit(hintedSpin{hint: us * time.Microsecond}))
 	}
-	time.Sleep(time.Millisecond) // let all four reach the central queue
+	waitUntil(t, "all four to reach the central queue", func() bool { return s.Depths().Central == len(chans) })
 	close(h.release)
 	<-blocked
 	for _, ch := range chans {
@@ -237,13 +238,13 @@ func TestFCFSIgnoresHints(t *testing.T) {
 	s.Start()
 
 	blocked := s.Submit("block")
-	time.Sleep(time.Millisecond)
+	waitUntil(t, "the blocker to hold the worker", func() bool { return s.Depths().Workers[0] == 1 })
 	hints := []time.Duration{400, 100, 300, 200}
 	var chans []<-chan Response
 	for _, us := range hints {
 		chans = append(chans, s.Submit(hintedSpin{hint: us * time.Microsecond}))
 	}
-	time.Sleep(time.Millisecond)
+	waitUntil(t, "all four to reach the central queue", func() bool { return s.Depths().Central == len(chans) })
 	close(h.release)
 	<-blocked
 	for _, ch := range chans {
@@ -289,7 +290,7 @@ func TestWorkStealingRacingStop(t *testing.T) {
 
 	// Occupy both workers (one per shard) with blockers.
 	blockers := []<-chan Response{s.Submit("block"), s.Submit("block")}
-	time.Sleep(time.Millisecond)
+	waitUntil(t, "a blocker to hold each worker", func() bool { d := s.Depths(); return d.Workers[0] == 1 && d.Workers[1] == 1 })
 
 	// Pile never-started work into both central queues.
 	const n = 32
@@ -297,7 +298,7 @@ func TestWorkStealingRacingStop(t *testing.T) {
 	for i := 0; i < n; i++ {
 		chans = append(chans, s.Submit(hintedSpin{hint: time.Duration(i) * time.Microsecond}))
 	}
-	time.Sleep(time.Millisecond)
+	waitUntil(t, "the backlog to reach the central queues", func() bool { return s.Depths().Central == n })
 
 	// Free exactly one worker: its shard drains its own queue, then must
 	// steal the blocked sibling's backlog.
@@ -310,6 +311,8 @@ func TestWorkStealingRacingStop(t *testing.T) {
 		case <-time.After(10 * time.Second):
 		}
 		go func() { s.Stop(); close(stopDone) }()
+		// Widens the race: Stop's drain check runs while the second
+		// blocker still holds its worker.
 		time.Sleep(time.Millisecond)
 		close(h.release) // free the second blocker so drain can finish
 	}()
@@ -368,13 +371,13 @@ func TestStealKeepsThroughputWhenOneShardStalls(t *testing.T) {
 
 	// Stall both workers, queue work, then free only one.
 	blockers := []<-chan Response{s.Submit("block"), s.Submit("block")}
-	time.Sleep(time.Millisecond)
+	waitUntil(t, "a blocker to hold each worker", func() bool { d := s.Depths(); return d.Workers[0] == 1 && d.Workers[1] == 1 })
 	const n = 24
 	var chans []<-chan Response
 	for i := 0; i < n; i++ {
 		chans = append(chans, s.Submit(hintedSpin{hint: time.Microsecond}))
 	}
-	time.Sleep(time.Millisecond)
+	waitUntil(t, "the backlog to reach the central queues", func() bool { return s.Depths().Central == n })
 	h.release <- struct{}{}
 
 	// Every queued request must complete even though one shard's worker
