@@ -125,7 +125,7 @@ func BenchmarkPoll(b *testing.B) {
 	b.Run("shipped", func(b *testing.B) {
 		s := New(&spinHandler{}, testOptions(1, time.Hour))
 		ex := s.workers[0]
-		ex.sliceStart = time.Now()
+		ex.sliceStart = nanotime()
 		c := &Ctx{srv: s, task: &task{}, ex: ex} // no time-sharing Gosched: the probe alone
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

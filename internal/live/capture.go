@@ -60,7 +60,7 @@ type CaptureRing struct {
 	kept atomic.Uint64 // records captured, lifetime (incl. overwritten)
 
 	mu      sync.Mutex
-	start   time.Time
+	start   int64  // nanotime the window opened
 	tick0   uint64 // tick at window open, for per-window Offered
 	buf     []CaptureRec
 	next    int // ring cursor
@@ -79,7 +79,7 @@ func NewCaptureRing(capacity, rate int) *CaptureRing {
 	}
 	return &CaptureRing{
 		rate:  uint64(rate),
-		start: time.Now(),
+		start: nanotime(),
 		buf:   make([]CaptureRec, capacity),
 	}
 }
@@ -110,12 +110,12 @@ func (r *CaptureRing) offer(t *task, resp *Response) {
 		ServiceNS: t.runNS,
 		LatencyNS: int64(resp.Latency),
 	}
-	if !t.deadline.IsZero() {
-		rec.DeadlineNS = int64(t.deadline.Sub(t.arrival))
+	if t.deadline != 0 {
+		rec.DeadlineNS = t.deadline - t.arrival
 	}
 	r.kept.Add(1)
 	r.mu.Lock()
-	rec.ArrivalNS = t.arrival.Sub(r.start).Nanoseconds()
+	rec.ArrivalNS = t.arrival - r.start
 	r.append(rec)
 	r.mu.Unlock()
 }
@@ -148,12 +148,12 @@ func (r *CaptureRing) append(rec CaptureRec) {
 // wrapped, the oldest records were overwritten and the window holds the
 // most recent Cap() samples.
 func (r *CaptureRing) TakeWindow() CaptureWindow {
-	now := time.Now()
+	now := nanotime()
 	tick := r.tick.Load()
 	r.mu.Lock()
 	w := CaptureWindow{
-		Start:   r.start,
-		Span:    now.Sub(r.start),
+		Start:   at(r.start),
+		Span:    time.Duration(now - r.start),
 		Offered: tick - r.tick0,
 		Recs:    make([]CaptureRec, 0, r.filled),
 	}

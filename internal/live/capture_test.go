@@ -14,7 +14,7 @@ import (
 
 // captureTask fabricates a completed task for direct offer() calls.
 func captureTask(arrival time.Time, class uint8, hintNS, runNS int64) (*task, *Response) {
-	t := &task{arrival: arrival, class: class, hintNS: hintNS, runNS: runNS, started: true}
+	t := &task{taskState: taskState{arrival: int64(arrival.Sub(epoch)), class: class, hintNS: hintNS, runNS: runNS, started: true}}
 	return t, &Response{Latency: time.Duration(runNS) * 3}
 }
 

@@ -97,7 +97,7 @@ func (s *Server) dispatcherLoop(sh *shard) {
 // returns without touching the shard again.
 func (s *Server) serveDispatcher(sh *shard) {
 	multi := len(s.shards) > 1
-	var idleSince time.Time
+	var idleSince int64 // nanotime; 0 while the loop makes progress
 
 	for {
 		progress := false
@@ -130,7 +130,7 @@ func (s *Server) serveDispatcher(sh *shard) {
 			// queues still expire. The heap head check is O(1), so this
 			// runs every iteration instead of on a coarse timer.
 			if s.opts.RequestTimeout > 0 && sh.q.Len() > 0 {
-				for _, t := range sh.q.SweepExpired(time.Now()) {
+				for _, t := range sh.q.SweepExpired(nanotime()) {
 					s.retire(sh.ex, t, ErrDeadlineExceeded)
 					progress = true
 				}
@@ -156,7 +156,7 @@ func (s *Server) serveDispatcher(sh *shard) {
 					s.occ[w].Add(-1)
 					break
 				}
-				if !t.deadline.IsZero() && t.expired(time.Now()) {
+				if t.deadline != 0 && t.expired(nanotime()) {
 					s.occ[w].Add(-1)
 					s.retire(sh.ex, t, ErrDeadlineExceeded)
 					progress = true
@@ -193,11 +193,11 @@ func (s *Server) serveDispatcher(sh *shard) {
 			return
 		}
 		if progress {
-			idleSince = time.Time{}
-		} else if idleSince.IsZero() {
-			idleSince = time.Now()
+			idleSince = 0
+		} else if idleSince == 0 {
+			idleSince = nanotime()
 			runtime.Gosched()
-		} else if time.Since(idleSince) < parkAfter || !s.park(sh) {
+		} else if nanotime()-idleSince < int64(parkAfter) || !s.park(sh) {
 			runtime.Gosched()
 		}
 	}
@@ -207,8 +207,8 @@ func (s *Server) serveDispatcher(sh *shard) {
 // queue.
 func (s *Server) ingest(sh *shard, t *task) {
 	if s.tr != nil {
-		if t.enqueueTS.IsZero() {
-			t.enqueueTS = time.Now()
+		if t.enqueueTS == 0 {
+			t.enqueueTS = nanotime()
 		}
 		s.tr.Record(sh.writer, obs.EvEnqueueCentral, t.id, 0)
 	}
@@ -305,7 +305,7 @@ func (s *Server) steal(sh *shard) (*task, bool) {
 	if testStealGate != nil {
 		testStealGate()
 	}
-	s.stats.steals.Add(1)
+	sh.ex.n.steals.Add(1)
 	return t, true
 }
 
@@ -330,7 +330,7 @@ func (s *Server) takeNonStarted(sh *shard) *task {
 // identity (see runSlice) and must leave the loop.
 func (s *Server) dispatcherRun(sh *shard, t *task) (detached bool) {
 	sh.saved = nil
-	now := time.Now()
+	now := nanotime()
 	if t.expired(now) {
 		s.retire(sh.ex, t, ErrDeadlineExceeded)
 		return false
@@ -342,7 +342,7 @@ func (s *Server) dispatcherRun(sh *shard, t *task) (detached bool) {
 	case preempted:
 		sh.saved = t
 	default:
-		s.stats.dispatcherRun.Add(1)
+		sh.ex.n.dispatcherRun.Add(1)
 	}
 	return false
 }

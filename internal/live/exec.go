@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"concord/internal/obs"
@@ -37,8 +38,11 @@ import (
 // them, and the request it runs reads them in Poll — on that same
 // goroutine during an inline slice, otherwise on the request's own,
 // ordered by the resume/parked handshake. A successor inherits them
-// through the go statement that starts it.
+// through the go statement that starts it. The padding on both sides
+// gives each executor's state lines of its own, whatever the allocator
+// puts beside it: only the identity's holder writes them.
 type executor struct {
+	_  [cacheLinePad]byte
 	id int // worker index, or -(shard+1) for a dispatcher
 	// writer is the obs ring this executor records to: equal to id for
 	// workers, obs.DispatcherWriter(shard) for dispatchers (distinct
@@ -52,12 +56,43 @@ type executor struct {
 	// a slice lasts when no quantum is in force: 0 — until the request
 	// returns — on a worker, dispatcherSlice on a dispatcher, which has
 	// its own duties to get back to (§3.3).
-	sliceStart   time.Time
+	sliceStart   int64 // nanotime
 	defaultSlice time.Duration
 	// lent is set while a Do caller runs a slice as this worker
 	// (runLent); it is written under the occupancy place took, like the
 	// rest of the identity.
 	lent bool
+	// n is this executor's share of Stats.
+	n counters
+	_ [cacheLinePad]byte
+}
+
+// counters are the Stats counters an executor's holder writes: every
+// completion, expiry, abort, preemption, dispatcher run and steal, and a
+// request a Do or TryDo caller placed on the worker. Each is written
+// only by whoever holds the identity at the time, so no other core
+// writes the line; Stats sums them over the executors. (Submissions
+// that take the ingress, and rejections, are counted on Server.stats.)
+type counters struct {
+	submitted      atomic.Uint64
+	classSubmitted [NumClasses]atomic.Uint64
+	completed      atomic.Uint64
+	classCompleted [NumClasses]atomic.Uint64
+	expired        atomic.Uint64
+	aborted        atomic.Uint64
+	preemptions    atomic.Uint64
+	dispatcherRun  atomic.Uint64
+	steals         atomic.Uint64
+}
+
+// occWord is one worker's JBSQ occupancy, on a line of its own: the
+// worker, its dispatcher and placing callers all write it, and the
+// padding keeps every other word — a sibling worker's, or whatever the
+// allocator puts next to the slice — off that line.
+type occWord struct {
+	_ [cacheLinePad]byte
+	atomic.Int32
+	_ [cacheLinePad]byte
 }
 
 // workerLoop is the first goroutine to hold worker w's identity: under
@@ -104,7 +139,7 @@ func (s *Server) serveWorker(ex *executor) {
 // (requeue). It reports whether the calling goroutine detached from ex
 // (see runSlice).
 func (s *Server) workerRun(ex *executor, t *task) (detached bool) {
-	now := time.Now()
+	now := nanotime()
 	// Abort and deadline checks at local dequeue: a request whose
 	// deadline passed while it sat in this worker's JBSQ queue (behind a
 	// slow request) must answer ErrDeadlineExceeded, not run to a
@@ -177,7 +212,7 @@ func (s *Server) requeue(ex *executor, t *task) {
 // detached, upon which every frame above returns without touching ex,
 // the shard or the Start/Stop accounting. Later slices resume that
 // goroutine and wait for it to park again (preempted) or finish.
-func (s *Server) runSlice(ex *executor, t *task, start time.Time) (preempted, detached bool) {
+func (s *Server) runSlice(ex *executor, t *task, start int64) (preempted, detached bool) {
 	ex.sliceStart = start
 	if t.started {
 		if s.tr != nil {
@@ -228,14 +263,14 @@ func (s *Server) handle(ctx *Ctx, t *task) (resp Response) {
 // endSlice closes the slice ex gave t: it charges the slice to runNS
 // and, by what ended it, delivers the response or counts a preemption.
 func (s *Server) endSlice(ex *executor, t *task, ev parkEvent) (preempted bool) {
-	end := time.Now()
-	t.runNS += int64(end.Sub(ex.sliceStart))
+	end := nanotime()
+	t.runNS += end - ex.sliceStart
 	if ev.done {
-		s.finish(ex.writer, t, ev.resp, end)
+		s.finish(ex, t, ev.resp, end)
 		return false
 	}
 	t.preempts++
-	s.stats.preemptions.Add(1)
+	ex.n.preemptions.Add(1)
 	if s.tr != nil {
 		s.tr.Record(ex.writer, obs.EvYield, t.id, 0)
 	}
@@ -281,9 +316,9 @@ func (s *Server) adopt(ex *executor, t *task) {
 // out.
 func (s *Server) retire(ex *executor, t *task, err error) {
 	if err == ErrDeadlineExceeded {
-		s.stats.expired.Add(1)
+		ex.n.expired.Add(1)
 	} else {
-		s.stats.aborted.Add(1)
+		ex.n.aborted.Add(1)
 	}
 	resp := Response{ID: t.id, Err: err}
 	if t.started {
@@ -291,29 +326,29 @@ func (s *Server) retire(ex *executor, t *task, err error) {
 		t.resume <- ex
 		resp = (<-t.parked).resp
 	}
-	s.finish(ex.writer, t, resp, time.Now())
+	s.finish(ex, t, resp, nanotime())
 }
 
-// finish delivers a request's single response, finalized at end; writer
-// identifies the executor completing it (a worker index or a dispatcher
-// writer id) for event attribution. After delivery the task is recycled
-// when nothing can still alias it (see task.release).
-func (s *Server) finish(writer int, t *task, resp Response, end time.Time) {
+// finish delivers a request's single response, finalized at end (a
+// nanotime), and counts it on ex, the executor completing it. After
+// delivery the task is recycled unless a policy queue still holds it
+// (see task.release).
+func (s *Server) finish(ex *executor, t *task, resp Response, end int64) {
 	resp.Preemptions = t.preempts
 	resp.OnDispatcher = t.onDispatcher
 	resp.Req = t.payload
-	resp.Done = end
-	resp.Latency = end.Sub(t.arrival)
+	resp.Done = at(end)
+	resp.Latency = time.Duration(end - t.arrival)
 	if s.tr != nil {
 		resp.Breakdown = t.breakdown(end, resp.Latency)
 		kind, status := completionEvent(resp.Err)
-		s.tr.Record(writer, kind, t.id, status)
+		s.tr.Record(ex.writer, kind, t.id, status)
 	}
 	if s.comp != nil {
 		s.comp.observe(t, &resp)
 	}
-	s.stats.completed.Add(1)
-	s.stats.classCompleted[t.class].Add(1)
+	ex.n.completed.Add(1)
+	ex.n.classCompleted[t.class].Add(1)
 	t.deliver(resp)
 	t.release()
 }
@@ -427,7 +462,7 @@ func (s *Server) sliceOver(ex *executor, t *task) bool {
 	if q <= 0 {
 		q = ex.defaultSlice
 	}
-	return q > 0 && time.Since(ex.sliceStart) >= q
+	return q > 0 && nanotime()-ex.sliceStart >= int64(q)
 }
 
 // BeginNoPreempt opens a critical section during which Poll will not
@@ -446,8 +481,8 @@ func (c *Ctx) EndNoPreempt() {
 // fine grain. It is the synthetic "spin for the requested service time"
 // workload of §5.1.
 func (c *Ctx) Spin(d time.Duration) {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+	deadline := nanotime() + int64(d)
+	for nanotime() < deadline {
 		for i := 0; i < 64; i++ {
 			c.spinSink++
 		}

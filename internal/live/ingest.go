@@ -21,8 +21,6 @@
 package live
 
 import (
-	"time"
-
 	"concord/internal/obs"
 )
 
@@ -79,13 +77,13 @@ func (s *Server) TryDo(payload any, done func(Response)) (resp Response, placed 
 // set, on ch otherwise.
 func (s *Server) submit(payload any, ch chan Response, done func(Response), placing bool) (placed bool) {
 	t := newTask()
-	t.id = s.nextID.Add(1)
+	s.newID(t)
 	t.payload = payload
-	t.arrival = time.Now()
+	t.arrival = nanotime()
 	t.result = ch
 	t.done = done
 	if d := s.opts.RequestTimeout; d > 0 {
-		t.deadline = t.arrival.Add(d)
+		t.deadline = t.arrival + int64(d)
 	}
 	if h, ok := payload.(Hinted); ok {
 		if hint := int64(h.ServiceHint()); hint > 0 {
@@ -103,13 +101,25 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response), plac
 		// sorts by timestamp, so late recording is invisible downstream.
 		if nt, ok := payload.(NetTimed); ok {
 			if read, parsed := nt.NetTimes(); !read.IsZero() {
-				t.readTS = read
+				t.readTS = int64(read.Sub(epoch))
 				s.tr.RecordAt(obs.WriterNet, obs.EvFrameRead, t.id, 0, read)
 				if !parsed.IsZero() {
 					s.tr.RecordAt(obs.WriterNet, obs.EvParsed, t.id, 0, parsed)
 				}
 			}
 		}
+	}
+	if w := s.place(t, placing); w >= 0 {
+		// The caller holds the worker's identity now, and counts the
+		// request on its lines.
+		ex := s.workers[w]
+		ex.n.submitted.Add(1)
+		ex.n.classSubmitted[t.class].Add(1)
+		if s.tr != nil {
+			s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, t.id, 0, at(t.arrival))
+		}
+		s.runLent(ex, t)
+		return true
 	}
 	s.submitMu.RLock()
 	if s.stopping {
@@ -124,19 +134,16 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response), plac
 	// succeeds a worker may complete the task and release it to the
 	// pool, so touching t again would race with its reset.
 	id, class, arrival := t.id, t.class, t.arrival
-	if w := s.place(t, placing); w >= 0 || s.enqueue(t) {
+	if s.enqueue(t) {
 		s.stats.submitted.Add(1)
 		s.stats.classSubmitted[class].Add(1)
 		if s.tr != nil {
 			// Stamped at arrival, not now: by now the dispatcher may have
 			// ingested the task, and an EvEnqueueCentral that sorts before
 			// its EvSubmit makes the analyzer count the ingress twice.
-			s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, id, 0, arrival)
+			s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, id, 0, at(arrival))
 		}
 		s.submitMu.RUnlock()
-		if placed = w >= 0; placed {
-			s.runLent(s.workers[w], t)
-		}
 	} else {
 		s.submitMu.RUnlock()
 		err, status := ErrQueueFull, int64(obs.StatusQueueFull)
@@ -146,7 +153,7 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response), plac
 		}
 		s.reject(t, err, status)
 	}
-	return placed
+	return false
 }
 
 // reject delivers a rejection response, records it against every
@@ -161,7 +168,7 @@ func (s *Server) reject(t *task, err error, status int64) {
 	if s.tail != nil {
 		s.tail.ObserveRejected(int(t.class))
 	}
-	t.deliver(Response{ID: t.id, Err: err, Req: t.payload, Done: time.Now()})
+	t.deliver(Response{ID: t.id, Err: err, Req: t.payload, Done: at(nanotime())})
 	t.release()
 }
 
@@ -177,6 +184,14 @@ func (s *Server) reject(t *task, err error, status int64) {
 // where Submit and SubmitFunc promise never to run it on the caller. The
 // enqueue and dispatch events are recorded here, on the client's ring,
 // so Breakdown and obs.Analyze still add up.
+//
+// A placed request does not take submitMu: place checks stopped after
+// its compare-and-swap instead, and gives the slots back and declines if
+// Stop has begun, so the request takes the ingress path, which rejects
+// it. The atomics are sequentially consistent, and a dispatcher reads
+// the occupancies (drained) only after it has seen stopped set: either
+// the placer sees the stop, or the dispatcher sees the occupancy and
+// does not call its shard drained until the request is answered.
 func (s *Server) place(t *task, placing bool) int {
 	// Not before Start has set the workers up, and not under PinThreads:
 	// a lent slice would not run on the worker's pinned thread. inbound is
@@ -185,16 +200,29 @@ func (s *Server) place(t *task, placing bool) int {
 	if !placing || s.opts.PinThreads || !s.started.Load() || sh.inbound.Load() > 0 || sh.q.Len() > 0 {
 		return -1
 	}
-	for _, w := range sh.workers {
-		if s.occ[w].CompareAndSwap(0, int32(s.opts.QueueBound)) {
-			if s.tr != nil {
-				t.enqueueTS = time.Now()
-				s.tr.Record(obs.WriterClient, obs.EvEnqueueCentral, t.id, 0)
-				s.tr.Record(obs.WriterClient, obs.EvDispatch, t.id, int64(w))
-			}
-			t.done = nil // a placed request answers its caller, on the channel
-			return w
+	for k := range sh.workers {
+		// From t's home, and with a load first: a compare-and-swap that
+		// fails still takes the line from the worker's holder.
+		i := (t.home + k) % len(sh.workers)
+		w := sh.workers[i]
+		if s.occ[w].Load() != 0 || !s.occ[w].CompareAndSwap(0, int32(s.opts.QueueBound)) {
+			continue
 		}
+		if testPlaceGate != nil {
+			testPlaceGate()
+		}
+		if s.stopped.Load() {
+			s.occ[w].Store(0)
+			return -1
+		}
+		if s.tr != nil {
+			t.enqueueTS = nanotime()
+			s.tr.Record(obs.WriterClient, obs.EvEnqueueCentral, t.id, 0)
+			s.tr.Record(obs.WriterClient, obs.EvDispatch, t.id, int64(w))
+		}
+		t.done = nil // a placed request answers its caller, on the channel
+		t.home = i
+		return w
 	}
 	return -1
 }

@@ -9,24 +9,21 @@ import (
 // TestServerLayoutByWriter pins Server's layout: what every dispatcher
 // iteration and every Poll reads (stop and abort flags, the
 // configuration and the slice headers) must sit a cache line
-// or more away from everything a request writes on its way in (the id
-// and round-robin cursors, submitMu's reader count, the submit-side
-// counters) or out (the completion-side counters), and the two written
-// groups a line or more from each other, so a Submit on one CPU does not
-// invalidate the line a completion on another is counting on. A field
-// moved or added in the wrong group fails here rather than as a few
-// percent nobody can bisect. Offsets come from reflect (the same numbers
-// as unsafe.Offsetof) so the test can also insist that every field is in
-// a group.
+// or more away from everything a request writes on its way in through
+// the ingress (the id and round-robin cursors, submitMu's reader count,
+// the submit-side counters), and so must the cold lifecycle state. What
+// a completion writes is not in Server at all: TestExecutorLinesOwn
+// pins where it went. A field moved or added in the wrong group fails
+// here rather than as a few percent nobody can bisect. Offsets come from
+// reflect (the same numbers as unsafe.Offsetof) so the test can also
+// insist that every field is in a group.
 func TestServerLayoutByWriter(t *testing.T) {
 	groups := map[string][]string{
 		"read-mostly": {"opts", "handler", "shards", "locals", "occ", "workers",
-			"tr", "tail", "comp", "classLimit", "coopTimeshare", "classShrink",
+			"tr", "tail", "comp", "classLimit", "coopTimeshare", "classShrink", "serial",
 			"stopped", "abort"},
 		"submit": {"rr", "nextID", "submitMu", "stopping", "stats.submitted", "stats.rejected",
 			"stats.shed", "stats.classSubmitted", "stats.classRejected"},
-		"completion": {"stats.completed", "stats.classCompleted", "stats.expired", "stats.aborted",
-			"stats.preemptions", "stats.dispatcherRun", "stats.steals"},
 		"cold": {"started", "wg", "startOnce", "stopOnce"},
 	}
 
@@ -50,8 +47,7 @@ func TestServerLayoutByWriter(t *testing.T) {
 		return a.off >= b.end+cacheLinePad || b.off >= a.end+cacheLinePad
 	}
 	for _, pair := range [][2]string{
-		{"read-mostly", "submit"}, {"read-mostly", "completion"}, {"submit", "completion"},
-		{"cold", "submit"}, {"cold", "completion"},
+		{"read-mostly", "submit"}, {"cold", "submit"},
 	} {
 		for _, a := range groups[pair[0]] {
 			for _, b := range groups[pair[1]] {
@@ -84,4 +80,44 @@ func TestServerLayoutByWriter(t *testing.T) {
 		}
 	}
 	missing(server, "")
+}
+
+// TestExecutorLinesOwn pins the lines a placed request writes to its
+// worker's: two workers' occupancy words, and any two executors'
+// counters, are at least cacheLinePad bytes apart, so no two cores
+// write one line on their behalf. The distances come from the types
+// alone — an element's padding in the occupancy slice, and the padding
+// an executor carries around its counters — never from where the
+// allocator happens to put two executors, which are separate objects.
+func TestExecutorLinesOwn(t *testing.T) {
+	// Consecutive occupancy words are one occWord apart: the gap between
+	// them is everything in an occWord but the word itself.
+	occ := reflect.TypeOf(occWord{})
+	word, ok := occ.FieldByName("Int32")
+	if !ok {
+		t.Fatal("occWord embeds no atomic.Int32")
+	}
+	if gap := occ.Size() - word.Type.Size(); gap < cacheLinePad {
+		t.Errorf("two workers' occupancy words are %d bytes apart, want >= %d", gap, cacheLinePad)
+	}
+	if before, after := word.Offset, occ.Size()-word.Offset-word.Type.Size(); before < cacheLinePad || after < cacheLinePad {
+		t.Errorf("an occupancy word has %d bytes of padding before it and %d after, want >= %d each, "+
+			"so it shares no line with whatever lies beside the slice", before, after, cacheLinePad)
+	}
+
+	// Two executors never overlap, so between one's counters and
+	// another's lie at least the bytes after the counters in the first
+	// and before them in the second, whichever comes first in memory.
+	ex := reflect.TypeOf(executor{})
+	n, ok := ex.FieldByName("n")
+	if !ok {
+		t.Fatal("executor has no counters field n")
+	}
+	if gap := ex.Size() - n.Type.Size(); gap < cacheLinePad {
+		t.Errorf("two executors' counters can be %d bytes apart, want >= %d", gap, cacheLinePad)
+	}
+	if before, after := n.Offset, ex.Size()-n.Offset-n.Type.Size(); before < cacheLinePad && after < cacheLinePad {
+		t.Errorf("an executor's counters have %d bytes before them and %d after in the executor; "+
+			"neither is a line, so a neighbouring object can share theirs", before, after)
+	}
 }

@@ -382,7 +382,7 @@ func yieldNow(ctx *Ctx) {
 	if q <= 0 {
 		q = ctx.ex.defaultSlice
 	}
-	ctx.ex.sliceStart = time.Now().Add(-q)
+	ctx.ex.sliceStart = nanotime() - int64(q)
 	ctx.polls |= pollCheckEvery - 1
 	ctx.Poll()
 }
@@ -439,7 +439,7 @@ func (h *yieldHandler) Handle(ctx *Ctx, payload any) (any, error) {
 	if req.expire {
 		// The running request owns its task, and nothing reads a
 		// deadline but the executor that next dequeues it.
-		ctx.task.deadline = time.Now().Add(-time.Hour)
+		ctx.task.deadline = nanotime() - int64(time.Hour)
 	}
 	ctx.Spin(req.spin)
 	for i := 0; i != req.yields; i++ {

@@ -281,6 +281,8 @@ func (o Options) withDefaults() Options {
 
 // Response is the result of one request.
 type Response struct {
+	// ID identifies the request among this server's: unique, but not in
+	// submission order.
 	ID      uint64
 	Payload any
 	Err     error
@@ -292,7 +294,11 @@ type Response struct {
 	Latency time.Duration
 	// Done is when the response was finalized (the terminal lifecycle
 	// event). Connection layers use it to attribute egress time
-	// (completion → bytes flushed to the socket). Always set.
+	// (completion → bytes flushed to the socket). Always set. The
+	// runtime reads only the monotonic clock: Done is its start time plus
+	// the elapsed time, so Sub and Since on it are monotonic, and its
+	// wall reading drifts from the wall clock by however much that has
+	// been stepped since.
 	Done time.Time
 	// Preemptions counts how many times the request yielded.
 	Preemptions int
@@ -340,6 +346,10 @@ const (
 // Stats are cumulative server counters, safe to read while serving.
 // Completed counts delivered responses, including error responses for
 // expired or aborted requests, so Submitted == Completed after Stop.
+// Most of them are kept per executor, on lines only that executor's
+// holder writes, and summed when Stats is called; the sum is not an
+// atomic snapshot of all of them, so while serving two counters may
+// disagree by what is in flight.
 type Stats struct {
 	Submitted   uint64
 	Completed   uint64
@@ -382,7 +392,8 @@ var (
 	ErrDeadlineExceeded = errors.New("live: request deadline exceeded")
 )
 
-// cacheLinePad spaces Server's field groups a cache line apart.
+// cacheLinePad spaces state written by different cores a cache line
+// apart: Server's field groups, executors, occupancy words.
 const cacheLinePad = 64
 
 // Test-only scheduling gates. When non-nil they run at historically
@@ -392,6 +403,7 @@ const cacheLinePad = 64
 // that a dispatcher has parked, so it need not sleep to find out.
 var (
 	testSubmitGate  func()       // between Submit's stop check and its enqueue
+	testPlaceGate   func()       // between place's occupancy CAS and its stop check
 	testRequeueGate func()       // between a preemption park and its re-submit
 	testStealGate   func()       // between a steal's pop and its local dispatch
 	testParkGate    func(*shard) // as a shard's dispatcher parks
@@ -401,16 +413,19 @@ var (
 // Server is a running Concord scheduling runtime. Its fields are laid
 // out by writer, on cacheLinePad-spaced lines, so that the state every
 // dispatcher iteration and every Poll reads is never invalidated by the
-// counters every request writes (layout_test.go pins the distances):
-// read-mostly scheduler state first, then what Submit writes, then what
-// a completion writes, then the cold lifecycle state.
+// counters a request writes on the way in (layout_test.go pins the
+// distances): read-mostly scheduler state first, then what a Submit that
+// takes the ingress writes, then the cold lifecycle state. What a
+// completion writes, and a request a Do caller places, is on its
+// executor's lines (counters), and each worker's occupancy on a line of
+// its own (occWord).
 type Server struct {
 	opts    Options
 	handler Handler
 
 	shards  []*shard
 	locals  []chan *task
-	occ     []atomic.Int32 // per-worker occupancy incl. in-service
+	occ     []occWord // per-worker occupancy incl. in-service
 	workers []*executor
 
 	// tr is Options.Tracer, kept as a concrete pointer so the disabled
@@ -437,6 +452,7 @@ type Server struct {
 	// classShrink arms critQuantumShrink: set at New by configuration
 	// that is about scheduling classes (see critShrink).
 	classShrink bool
+	serial      uint64      // tells this server's id blocks from others' (newID)
 	stopped     atomic.Bool // dispatcher-visible mirror of stopping
 	abort       atomic.Bool // drain deadline expired: fail pending work
 
@@ -444,11 +460,12 @@ type Server struct {
 
 	rr     atomic.Uint64 // round-robin ingest cursor (multi-shard only)
 	nextID atomic.Uint64
-	// submitMu orders Submit against Stop: Submit holds the read lock
-	// across the stopping check and the enqueue, so once Stop has taken
-	// the write lock and set stopping, no further task can enter any
-	// submit buffer and every later Submit deterministically returns
-	// ErrServerStopped.
+	// submitMu orders the ingress against Stop: a submission that does
+	// not place holds the read lock across the stopping check and the
+	// enqueue, so once Stop has taken the write lock and set stopping, no
+	// further task can enter any submit buffer and every later Submit
+	// deterministically returns ErrServerStopped. A placed request does
+	// not take it (see place).
 	submitMu sync.RWMutex
 	stopping bool // guarded by submitMu
 	stats    struct {
@@ -457,16 +474,6 @@ type Server struct {
 		shed           atomic.Uint64
 		classSubmitted [NumClasses]atomic.Uint64
 		classRejected  [NumClasses]atomic.Uint64
-
-		_ [cacheLinePad]byte // ---- written by every completion ----
-
-		completed      atomic.Uint64
-		classCompleted [NumClasses]atomic.Uint64
-		expired        atomic.Uint64
-		aborted        atomic.Uint64
-		preemptions    atomic.Uint64
-		dispatcherRun  atomic.Uint64
-		steals         atomic.Uint64
 	}
 
 	_ [cacheLinePad]byte // ---- cold: lifecycle ----
@@ -479,6 +486,9 @@ type Server struct {
 	stopOnce  sync.Once
 }
 
+// servers numbers the servers New builds (Server.serial).
+var servers atomic.Uint64
+
 // New builds a server; call Start before submitting. It panics when
 // Options.Policy is unknown or Options.Tracer was built for a different
 // worker or shard count.
@@ -490,13 +500,14 @@ func New(h Handler, opts Options) *Server {
 			opts.Tracer.Workers(), opts.Tracer.Shards(), opts.Workers, opts.Shards))
 	}
 	s := &Server{
+		serial:  servers.Add(1),
 		opts:    opts,
 		tr:      opts.Tracer,
 		tail:    opts.Tail,
 		comp:    newCompObserver(opts),
 		handler: h,
 		locals:  make([]chan *task, opts.Workers),
-		occ:     make([]atomic.Int32, opts.Workers),
+		occ:     make([]occWord, opts.Workers),
 		workers: make([]*executor, opts.Workers),
 	}
 	if runtime.GOMAXPROCS(0) < opts.Workers+opts.Shards+1 {
@@ -662,23 +673,34 @@ func (s *Server) Depths() Depths {
 	return d
 }
 
-// Stats returns a snapshot of the server counters.
+// Stats returns the server counters: the ingress's, plus every
+// executor's summed (see Stats).
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Submitted:     s.stats.submitted.Load(),
-		Completed:     s.stats.completed.Load(),
-		Rejected:      s.stats.rejected.Load(),
-		Shed:          s.stats.shed.Load(),
-		Expired:       s.stats.expired.Load(),
-		Aborted:       s.stats.aborted.Load(),
-		Preemptions:   s.stats.preemptions.Load(),
-		DispatcherRun: s.stats.dispatcherRun.Load(),
-		Steals:        s.stats.steals.Load(),
+		Submitted: s.stats.submitted.Load(),
+		Rejected:  s.stats.rejected.Load(),
+		Shed:      s.stats.shed.Load(),
 	}
 	for c := 0; c < NumClasses; c++ {
 		st.ClassSubmitted[c] = s.stats.classSubmitted[c].Load()
-		st.ClassCompleted[c] = s.stats.classCompleted[c].Load()
 		st.ClassRejected[c] = s.stats.classRejected[c].Load()
+	}
+	exs := slices.Clone(s.workers)
+	for _, sh := range s.shards {
+		exs = append(exs, sh.ex)
+	}
+	for _, ex := range exs {
+		st.Submitted += ex.n.submitted.Load()
+		st.Completed += ex.n.completed.Load()
+		st.Expired += ex.n.expired.Load()
+		st.Aborted += ex.n.aborted.Load()
+		st.Preemptions += ex.n.preemptions.Load()
+		st.DispatcherRun += ex.n.dispatcherRun.Load()
+		st.Steals += ex.n.steals.Load()
+		for c := 0; c < NumClasses; c++ {
+			st.ClassSubmitted[c] += ex.n.classSubmitted[c].Load()
+			st.ClassCompleted[c] += ex.n.classCompleted[c].Load()
+		}
 	}
 	return st
 }

@@ -552,3 +552,87 @@ func TestPlaceRacesDispatcherJBSQBound(t *testing.T) {
 		})
 	}
 }
+
+// TestPlaceRacesStopGated: a placed request takes no lock against Stop,
+// so place checks stopped after the compare-and-swap that lends it a
+// worker. The place gate holds a Do or TryDo caller between the two
+// while Stop runs, and lets it go before or after Stop has set stopped
+// (before: the test holds submitMu's read lock, which Stop must take for
+// writing first). Let go before, the request was placed ahead of the
+// stop and is served. Let go after, place gives the worker's slots back
+// and declines, and the ingress path rejects the request with
+// ErrServerStopped (TryDo on its callback, as SubmitFunc would). Either
+// way there is exactly one response, Stop returns, and the one attempt
+// is accounted for: submitted + rejected = 1, and submitted = completed,
+// which counts expired and aborted requests too (there are none).
+func TestPlaceRacesStopGated(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, try := range []bool{false, true} {
+			for _, afterStop := range []bool{false, true} {
+				t.Run(fmt.Sprintf("shards%d/trydo=%v/afterStop=%v", shards, try, afterStop), func(t *testing.T) {
+					placeRacesStop(t, shards, try, afterStop)
+				})
+			}
+		}
+	}
+}
+
+func placeRacesStop(t *testing.T, shards int, try, afterStop bool) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var gated sync.Once
+	testPlaceGate = func() { gated.Do(func() { close(entered); <-release }) }
+	defer func() { testPlaceGate = nil }()
+
+	opts := testOptions(2, 0)
+	opts.Shards = shards
+	s := New(&spinHandler{}, opts)
+	s.Start()
+
+	answered := make(chan Response, 2)
+	go func() {
+		if !try {
+			answered <- s.Do(time.Duration(0))
+		} else if resp, placed := s.TryDo(time.Duration(0), func(r Response) { answered <- r }); placed {
+			answered <- resp
+		}
+	}()
+	<-entered // a worker's slots taken, the stop check still ahead
+
+	if !afterStop {
+		s.submitMu.RLock()
+	}
+	stopped := make(chan struct{})
+	go func() { s.Stop(); close(stopped) }()
+	if afterStop {
+		waitUntil(t, "Stop to set stopped", s.stopped.Load)
+	}
+	close(release)
+	var resp Response
+	select {
+	case resp = <-answered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the placing request was never answered")
+	}
+	if !afterStop {
+		s.submitMu.RUnlock()
+	}
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop hung")
+	}
+
+	switch {
+	case afterStop && !errors.Is(resp.Err, ErrServerStopped):
+		t.Fatalf("let go after Stop set stopped: err = %v, want ErrServerStopped", resp.Err)
+	case !afterStop && resp.Err != nil:
+		t.Fatalf("let go before Stop set stopped: err = %v, want served", resp.Err)
+	}
+	if len(answered) != 0 {
+		t.Fatalf("a second response: %+v", <-answered)
+	}
+	st := s.Stats()
+	if st.Submitted+st.Rejected != 1 || st.Submitted != st.Completed || st.Expired+st.Aborted != 0 {
+		t.Fatalf("one attempt, stats %+v", st)
+	}
+}

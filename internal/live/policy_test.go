@@ -42,7 +42,7 @@ func TestObserversDoNotArmClassPreemption(t *testing.T) {
 			if s.critShrink(sh) {
 				t.Fatal("shrink on with no critical request queued")
 			}
-			sh.q.Push(&task{class: uint8(ClassCritical)})
+			sh.q.Push(&task{taskState: taskState{class: uint8(ClassCritical)}})
 			shrink := s.critShrink(sh)
 			if shrink != tc.armed {
 				t.Fatalf("critShrink with a critical request queued = %v, want %v", shrink, tc.armed)
@@ -73,7 +73,7 @@ func TestSRPTQueuePopOrderProperty(t *testing.T) {
 		}
 		n := 50 + rng.Intn(150)
 		for i := 0; i < n; i++ {
-			tk := &task{id: uint64(i + 1)}
+			tk := &task{taskState: taskState{id: uint64(i + 1)}}
 			switch rng.Intn(3) {
 			case 0: // in-budget
 				tk.hintNS = int64(1+rng.Intn(1000)) * 1000

@@ -11,21 +11,25 @@
 // already-expired heap heads (O(log n) each), the popped task is marked
 // dead in place, and the policy queue drops tombstones lazily on Pop —
 // no mid-structure removal ever happens, so dispatch cost stays flat
-// with depth (see BenchmarkDispatchDepth10k).
+// with depth (see BenchmarkDispatchDepth10k). A task that leaves the
+// queue leaves its heap entry behind, just as lazily: the entry records
+// the task's gen, every departure moves gen on, and the sweep drops an
+// entry whose gen is behind — without touching anything else of a task
+// that may by then be carrying another request.
 package live
 
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"concord/internal/policy"
 )
 
-// dlEntry is one deadline-heap element.
+// dlEntry is one deadline-heap element: t's deadline when t.gen was gen.
 type dlEntry struct {
-	at time.Time
-	t  *task
+	at  int64
+	gen uint64
+	t   *task
 }
 
 // centralQueue is one shard's run queue: a policy.Queue[*task] under a
@@ -69,14 +73,12 @@ func (c *centralQueue) Push(t *task) {
 	c.mu.Unlock()
 }
 
-// put is the one place a task enters the policy queue: membership flag,
-// deadline-heap entry and the length/critical mirrors. Callers hold mu.
+// put is the one place a task enters the policy queue: deadline-heap
+// entry and the length/critical mirrors. Callers hold mu.
 func (c *centralQueue) put(t *task) {
-	t.inQueue = true
 	c.q.Push(t, t.started)
-	if !t.deadline.IsZero() && !t.inDL {
-		t.inDL = true
-		c.dlPush(dlEntry{at: t.deadline, t: t})
+	if t.deadline != 0 {
+		c.dlPush(dlEntry{at: t.deadline, gen: t.gen.Load(), t: t})
 	}
 	c.mirror(t, 1)
 }
@@ -110,7 +112,7 @@ func (c *centralQueue) take(nonStarted bool) (*task, bool) {
 		if t.dead {
 			continue
 		}
-		t.inQueue = false
+		t.gen.Add(1) // its heap entry, if any, is stale from here on
 		c.mirror(t, -1)
 		return t, true
 	}
@@ -139,21 +141,25 @@ func (c *centralQueue) drain() []*task {
 	return out
 }
 
-// SweepExpired pops every deadline at or before now off the heap and
-// returns the expired tasks that were still queued, tombstoning their
-// policy-queue entries in place. Heap entries whose task has since left
-// the queue are dropped (the task re-adds itself on its next Push).
-func (c *centralQueue) SweepExpired(now time.Time) []*task {
+// SweepExpired pops every deadline at or before now (a nanotime) off the
+// heap and returns the expired tasks that were still queued,
+// tombstoning their policy-queue entries in place. An entry whose task
+// has left the queue since it was pushed — its gen has moved on — is
+// dropped unread: the task may be running, queued elsewhere, or
+// recycled (a requeue pushes a fresh entry). A current entry's task is
+// in this queue, which mu keeps it in.
+func (c *centralQueue) SweepExpired(now int64) []*task {
 	c.mu.Lock()
 	var out []*task
-	for len(c.dl) > 0 && !c.dl[0].at.After(now) {
+	for len(c.dl) > 0 && c.dl[0].at <= now {
 		e := c.dlPop()
-		e.t.inDL = false
-		if e.t.inQueue && !e.t.dead {
-			e.t.dead = true
-			c.mirror(e.t, -1)
-			out = append(out, e.t)
+		if e.t.gen.Load() != e.gen {
+			continue
 		}
+		e.t.gen.Add(1)
+		e.t.dead = true
+		c.mirror(e.t, -1)
+		out = append(out, e.t)
 	}
 	c.mu.Unlock()
 	return out
@@ -164,9 +170,6 @@ func (c *centralQueue) SweepExpired(now time.Time) []*task {
 func (c *centralQueue) DrainAll() []*task {
 	c.mu.Lock()
 	out := c.drain()
-	for _, t := range out {
-		t.inDL = false
-	}
 	c.dl = c.dl[:0]
 	c.mu.Unlock()
 	return out
@@ -179,7 +182,7 @@ func (c *centralQueue) dlPush(e dlEntry) {
 	i := len(c.dl) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !c.dl[i].at.Before(c.dl[parent].at) {
+		if c.dl[i].at >= c.dl[parent].at {
 			break
 		}
 		c.dl[i], c.dl[parent] = c.dl[parent], c.dl[i]
@@ -198,10 +201,10 @@ func (c *centralQueue) dlPop() dlEntry {
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && c.dl[l].at.Before(c.dl[smallest].at) {
+		if l < n && c.dl[l].at < c.dl[smallest].at {
 			smallest = l
 		}
-		if r < n && c.dl[r].at.Before(c.dl[smallest].at) {
+		if r < n && c.dl[r].at < c.dl[smallest].at {
 			smallest = r
 		}
 		if smallest == i {

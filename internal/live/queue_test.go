@@ -10,18 +10,25 @@ import (
 	"time"
 )
 
-func qtask(id uint64, deadline time.Time) *task {
-	return &task{id: id, deadline: deadline}
+// qtask is a task with the given id and deadline (a nanotime; 0 = none).
+func qtask(id uint64, deadline int64) *task {
+	return &task{taskState: taskState{id: id, deadline: deadline}}
 }
+
+const (
+	ms   = int64(time.Millisecond)
+	sec  = int64(time.Second)
+	hour = int64(time.Hour)
+)
 
 func TestCentralQueueSweepTombstones(t *testing.T) {
 	q, err := newCentralQueue(PolicyFCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Now()
-	soon := base.Add(time.Millisecond)
-	late := base.Add(time.Hour)
+	base := nanotime()
+	soon := base + ms
+	late := base + hour
 
 	q.Push(qtask(1, soon))
 	q.Push(qtask(2, late))
@@ -30,7 +37,7 @@ func TestCentralQueueSweepTombstones(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
 
-	expired := q.SweepExpired(base.Add(time.Second))
+	expired := q.SweepExpired(base + sec)
 	if len(expired) != 2 {
 		t.Fatalf("swept %d tasks, want 2", len(expired))
 	}
@@ -61,24 +68,65 @@ func TestCentralQueueSweepSkipsDeparted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Now()
-	tk := qtask(7, base.Add(time.Millisecond))
+	base := nanotime()
+	tk := qtask(7, base+ms)
 	q.Push(tk)
 	if got, ok := q.Pop(); !ok || got.id != 7 {
 		t.Fatalf("Pop = %v/%v", got, ok)
 	}
 	// The task left the queue (it is being dispatched); its stale heap
 	// entry must be dropped without producing an expiry.
-	if swept := q.SweepExpired(base.Add(time.Second)); len(swept) != 0 {
+	if swept := q.SweepExpired(base + sec); len(swept) != 0 {
 		t.Fatalf("sweep expired %d departed tasks", len(swept))
 	}
-	if tk.inDL {
-		t.Fatal("departed task still marked in deadline heap")
+	if len(q.dl) != 0 {
+		t.Fatalf("%d deadline-heap entries left after the sweep", len(q.dl))
+	}
+	if tk.dead {
+		t.Fatal("departed task tombstoned")
 	}
 	// A requeue after the sweep re-adds the deadline entry.
 	q.Push(tk)
-	if swept := q.SweepExpired(base.Add(time.Second)); len(swept) != 1 {
+	if swept := q.SweepExpired(base + sec); len(swept) != 1 {
 		t.Fatalf("requeued task not swept: got %d", len(swept))
+	}
+}
+
+// TestCentralQueueSweepSkipsRecycled: a task that left the queue leaves
+// its deadline-heap entry behind, and is recycled (release) for another
+// request before the entry's deadline passes. Whether the new request
+// is running elsewhere or queued here again under a later deadline, the
+// leftover entry must not expire it: the sweep returns nothing and the
+// new request stays live in the queue.
+func TestCentralQueueSweepSkipsRecycled(t *testing.T) {
+	for _, requeued := range []bool{false, true} {
+		q, err := newCentralQueue(PolicyFCFS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := nanotime()
+		tk := qtask(1, base+ms)
+		q.Push(tk)
+		if got, ok := q.Pop(); !ok || got != tk {
+			t.Fatalf("Pop = %v/%v, want the task", got, ok)
+		}
+		// Its request answered, the task is recycled for the next one, as
+		// release does (minus the pool round trip, which may hand out
+		// another task).
+		tk.taskState = taskState{id: 2, deadline: base + hour}
+		if requeued {
+			q.Push(tk)
+		}
+		if swept := q.SweepExpired(base + sec); len(swept) != 0 {
+			t.Fatalf("requeued=%v: the first request's heap entry expired the task's next request (id %d)",
+				requeued, swept[0].id)
+		}
+		if tk.dead {
+			t.Fatalf("requeued=%v: the recycled task was tombstoned", requeued)
+		}
+		if got, ok := q.Pop(); ok != requeued || (ok && got != tk) {
+			t.Fatalf("requeued=%v: Pop = %v/%v after the sweep", requeued, got, ok)
+		}
 	}
 }
 
@@ -87,13 +135,13 @@ func TestCentralQueuePopNonStartedSkipsTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Now()
-	started := qtask(1, time.Time{})
+	base := nanotime()
+	started := qtask(1, 0)
 	started.started = true
 	q.Push(started)
-	q.Push(qtask(2, base.Add(time.Millisecond)))
-	q.Push(qtask(3, time.Time{}))
-	q.SweepExpired(base.Add(time.Second)) // kills task 2
+	q.Push(qtask(2, base+ms))
+	q.Push(qtask(3, 0))
+	q.SweepExpired(base + sec) // kills task 2
 
 	got, ok := q.PopNonStarted()
 	if !ok || got.id != 3 {
@@ -110,11 +158,11 @@ func TestCentralQueueDrainAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := time.Now()
-		q.Push(qtask(1, base.Add(time.Millisecond)))
-		q.Push(qtask(2, base.Add(time.Hour)))
-		q.Push(qtask(3, time.Time{}))
-		q.SweepExpired(base.Add(time.Second)) // tombstones task 1
+		base := nanotime()
+		q.Push(qtask(1, base+ms))
+		q.Push(qtask(2, base+hour))
+		q.Push(qtask(3, 0))
+		q.SweepExpired(base + sec) // tombstones task 1
 
 		out := q.DrainAll()
 		if len(out) != 2 {
@@ -124,9 +172,12 @@ func TestCentralQueueDrainAll(t *testing.T) {
 			if tk.id == 1 {
 				t.Fatalf("[%s] drain returned tombstoned task", policy)
 			}
-			if tk.inQueue || tk.inDL {
-				t.Fatalf("[%s] drained task %d still flagged inQueue/inDL", policy, tk.id)
+			if tk.dead {
+				t.Fatalf("[%s] drained task %d tombstoned", policy, tk.id)
 			}
+		}
+		if len(q.dl) != 0 {
+			t.Fatalf("[%s] %d deadline-heap entries left after DrainAll", policy, len(q.dl))
 		}
 		if q.Len() != 0 {
 			t.Fatalf("[%s] Len after DrainAll = %d", policy, q.Len())
@@ -155,11 +206,10 @@ func BenchmarkDispatchDepth10k(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			far := time.Now().Add(time.Hour)
+			now := nanotime()
 			for i := 0; i < 10000; i++ {
-				q.Push(qtask(uint64(i), far))
+				q.Push(qtask(uint64(i), now+hour))
 			}
-			now := time.Now()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tk, ok := q.Pop()

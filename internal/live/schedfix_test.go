@@ -28,7 +28,7 @@ import (
 // TestSRPTKeyBands pins the three-band key contract directly.
 func TestSRPTKeyBands(t *testing.T) {
 	key := func(hintNS, runNS int64) int64 {
-		tk := &task{hintNS: hintNS, runNS: runNS}
+		tk := &task{taskState: taskState{hintNS: hintNS, runNS: runNS}}
 		return int64(tk.RemainingCycles())
 	}
 
@@ -73,11 +73,11 @@ func TestSRPTQueueOrdersBands(t *testing.T) {
 	}
 	us := int64(time.Microsecond)
 	tasks := map[string]*task{
-		"unhinted":   {id: 1},
-		"over-190us": {id: 2, hintNS: 10 * us, runNS: 200 * us},
-		"over-70us":  {id: 3, hintNS: 50 * us, runNS: 120 * us},
-		"rem-100us":  {id: 4, hintNS: 100 * us},
-		"rem-50us":   {id: 5, hintNS: 300 * us, runNS: 250 * us},
+		"unhinted":   {taskState: taskState{id: 1}},
+		"over-190us": {taskState: taskState{id: 2, hintNS: 10 * us, runNS: 200 * us}},
+		"over-70us":  {taskState: taskState{id: 3, hintNS: 50 * us, runNS: 120 * us}},
+		"rem-100us":  {taskState: taskState{id: 4, hintNS: 100 * us}},
+		"rem-50us":   {taskState: taskState{id: 5, hintNS: 300 * us, runNS: 250 * us}},
 	}
 	for _, name := range []string{"unhinted", "over-190us", "over-70us", "rem-100us", "rem-50us"} {
 		q.Push(tasks[name])
@@ -201,6 +201,16 @@ func TestSRPTUnhintedRunsLast(t *testing.T) {
 	}
 }
 
+// advanceClock moves the runtime's clock (nanotime) forward by d for
+// every server in the process, so that a deadline or a quantum passes at
+// once instead of after a sleep. It moves back when the test ends: the
+// tracer keeps a clock of its own, and a later test's traced stamps must
+// agree with it.
+func advanceClock(t *testing.T, d time.Duration) {
+	clockShift.Add(int64(d))
+	t.Cleanup(func() { clockShift.Add(-int64(d)) })
+}
+
 // waitUntil polls cond every 100µs for up to 5s.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -221,12 +231,14 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // cannot see the request (it already left the central queue), so the
 // worker's dequeue check is the only thing standing between it and a
 // too-late success. Pre-fix it completed successfully; it must answer
-// ErrDeadlineExceeded and count in Stats.Expired.
+// ErrDeadlineExceeded and count in Stats.Expired. The deadline is an
+// hour, so it cannot pass before the request is where the test wants it,
+// and the test moves the clock past it instead of waiting.
 func TestLocalQueueDeadlineEnforced(t *testing.T) {
 	h := &orderRecHandler{release: make(chan struct{})}
 	o := testOptions(1, 0)
 	o.QueueBound = 2
-	o.RequestTimeout = 25 * time.Millisecond
+	o.RequestTimeout = time.Hour
 	s := New(h, o)
 	s.Start()
 
@@ -243,7 +255,7 @@ func TestLocalQueueDeadlineEnforced(t *testing.T) {
 
 	// Let the late request's deadline pass while it sits in the local
 	// queue, invisible to the central sweep.
-	time.Sleep(o.RequestTimeout + 25*time.Millisecond)
+	advanceClock(t, o.RequestTimeout+time.Millisecond)
 	close(h.release)
 	<-blocked
 

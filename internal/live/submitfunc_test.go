@@ -143,7 +143,9 @@ func (yieldTimesHandler) Handle(ctx *Ctx, payload any) (any, error) {
 // completion observer set — Tail with per-class children, Sketches,
 // Capture at 1-in-1: the completion path pays one branch for all of them
 // and none allocates. (How many nanoseconds they cost is a magnitude,
-// for the benchmark's ledger.) (The race detector makes sync.Pool drop a
+// for the benchmark's ledger.) And they hold with a RequestTimeout: a
+// task that carried a deadline goes back to the pool like any other.
+// (The race detector makes sync.Pool drop a
 // quarter of what it is given, so the figures only mean something
 // without it.)
 func TestSubmitFuncZeroAllocs(t *testing.T) {
@@ -162,12 +164,14 @@ func TestSubmitFuncZeroAllocs(t *testing.T) {
 	for _, cfg := range []struct {
 		shards   int
 		observed bool
-	}{{1, false}, {2, false}, {4, false}, {1, true}, {4, true}} {
+		timeout  time.Duration
+	}{{1, false, 0}, {2, false, 0}, {4, false, 0}, {1, true, 0}, {4, true, 0}, {1, false, time.Hour}} {
 		// An hour-long quantum: nothing signals but yieldNow. Work
 		// conservation only matters once every worker slot is held.
 		opts := testOptions(4, time.Hour)
 		opts.Shards = cfg.shards
 		opts.WorkConserving = true
+		opts.RequestTimeout = cfg.timeout
 		if cfg.observed {
 			opts.Tail = obs.NewTailTracker(nil, obs.NewSLOTracker(obs.SLOConfig{Target: time.Millisecond}))
 			opts.Tail.Classes = NewClassTrackers()

@@ -5,6 +5,7 @@ package live
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"concord/internal/sim"
@@ -133,20 +134,81 @@ type parkEvent struct {
 	resp Response
 }
 
+// epoch is the runtime's time origin: every stamp it takes is nanoseconds
+// since epoch on the monotonic clock (nanotime), and it never reads the
+// wall clock. A time.Time it hands out (Response.Done, a traced stamp) is
+// epoch plus the elapsed time (at), so it keeps a monotonic reading and
+// Sub and Since on it stay monotonic.
+var epoch = time.Now()
+
+// clockShift is added to every reading. It stays zero except in a test
+// that moves the clock forward instead of sleeping (advanceClock): an
+// atomic load, not a replaceable function, so the seam costs the hot
+// path no indirect call.
+var clockShift atomic.Int64
+
+// nanotime is the runtime's one clock.
+func nanotime() int64 { return int64(time.Since(epoch)) + clockShift.Load() }
+
+// at is the time.Time of a nanotime stamp.
+func at(ns int64) time.Time { return epoch.Add(time.Duration(ns)) }
+
 // task is one in-flight request and, once it has yielded, the handle on
-// its suspended continuation (the goroutine parked on resume).
+// its suspended continuation (the goroutine parked on resume). It is
+// pooled (taskPool): the request's state is zeroed when it is recycled,
+// and what outlives a request — the handshake channels and gen — sits
+// outside that state.
 type task struct {
+	taskState
+
+	resume chan *executor
+	parked chan parkEvent
+
+	// gen counts the task's departures from a central queue, across
+	// every request it carries: a deadline-heap entry records it and is
+	// stale once the two differ (see centralQueue.SweepExpired), so a
+	// recycled task is never expired by an entry from an earlier use.
+	// Only atomics touch it; recycling leaves it alone.
+	gen atomic.Uint64
+
+	// home is where place starts looking for an idle worker: the index,
+	// in its shard's worker list, of the worker the task was last placed
+	// on. Tasks are pooled per processor, so a caller mostly gets back
+	// the task it used last, and callers on different processors keep to
+	// different workers' occupancy lines.
+	home int
+	// The task hands out request ids (idNext, idEnd], a block it claimed
+	// from the server whose serial is idSrv (newID).
+	idSrv, idNext, idEnd uint64
+}
+
+// idBlockLen is how many ids a task claims from its server at a time.
+const idBlockLen = 64
+
+// newID gives t its request id from its block, claiming a new block
+// when it has none of this server's left. Ids are unique per server but
+// not in submission order: a counter every submitter wrote per request
+// would be a line bouncing between their cores, and a block writes it
+// once in idBlockLen requests.
+func (s *Server) newID(t *task) {
+	if t.idSrv != s.serial || t.idNext == t.idEnd {
+		t.idSrv, t.idEnd = s.serial, s.nextID.Add(idBlockLen)
+		t.idNext = t.idEnd - idBlockLen
+	}
+	t.idNext++
+	t.id = t.idNext
+}
+
+// taskState is one request's state: everything release zeroes.
+type taskState struct {
 	id       uint64
 	payload  any
-	arrival  time.Time
-	deadline time.Time // zero = none
+	arrival  int64 // nanotime at Submit
+	deadline int64 // nanotime; 0 = none
 	// Exactly one of result / done carries the response: result for
 	// Submit (channel, capacity 1), done for SubmitFunc (callback).
 	result chan Response
 	done   func(Response)
-
-	resume chan *executor
-	parked chan parkEvent
 
 	// abortErr, when set before a resume, makes the request unwind with
 	// this error at the resume point instead of continuing. Written
@@ -165,22 +227,21 @@ type task struct {
 	// the payload is not SLOClassed.
 	class uint8
 
-	// Centralqueue bookkeeping, guarded by the owning centralQueue's
-	// mutex (see queue.go).
-	inQueue bool
-	dead    bool
-	inDL    bool
+	// dead marks a task the deadline sweep expired while it sat in a
+	// policy queue, which still holds it and drops it when it comes up
+	// (see queue.go). Guarded by that queue's mutex.
+	dead bool
 
 	// runNS is the accumulated running time: every slice charges the
 	// interval between its two clock reads (SRPT's remaining-work key,
-	// Breakdown.Service, the service-time sinks). The timestamps are
-	// written on traced servers only. All writes happen on the goroutine
-	// that owns the task at that moment; the channel hand-offs order
-	// them.
+	// Breakdown.Service, the service-time sinks). The nanotime stamps
+	// below are written on traced servers only, 0 until then. All writes
+	// happen on the goroutine that owns the task at that moment; the
+	// channel hand-offs order them.
 	runNS      int64
-	enqueueTS  time.Time // first dispatcher ingest
-	firstRunTS time.Time // first CPU hand-off
-	readTS     time.Time // wire read (NetTimed payloads)
+	enqueueTS  int64 // first dispatcher ingest
+	firstRunTS int64 // first CPU hand-off
+	readTS     int64 // wire read (NetTimed payloads)
 
 	// ctx is the request's Ctx, embedded so the first slice doesn't
 	// allocate one per request. Only the goroutine running the handler
@@ -190,12 +251,11 @@ type task struct {
 }
 
 // taskPool recycles tasks and their resume/parked handshake channels —
-// the remaining fixed allocations on the per-request path. A task is
-// returned to the pool at finish only when it provably has no aliases:
-// deadline-free tasks never enter the deadline heap and are never
-// tombstoned in a policy queue, so at delivery time nothing else holds
-// a pointer to them. Tasks with a deadline are left to the GC (their
-// heap entry may outlive delivery as a lazily-dropped tombstone).
+// the remaining fixed allocations on the per-request path. A task goes
+// back at finish unless a policy queue still holds it: one the deadline
+// sweep expired while queued stays there as a tombstone until it comes
+// up, and is left to the GC. A deadline-heap entry may outlive the
+// request too, but gen tells it the task has moved on.
 var taskPool = sync.Pool{New: func() any {
 	return &task{
 		resume: make(chan *executor),
@@ -204,20 +264,17 @@ var taskPool = sync.Pool{New: func() any {
 }}
 
 // newTask returns a zeroed task with live handshake channels.
-func newTask() *task {
-	return taskPool.Get().(*task)
-}
+func newTask() *task { return taskPool.Get().(*task) }
 
-// release recycles the task when no queue structure can still alias it;
-// see taskPool. The handshake channels are empty by construction: both
-// are unbuffered, and the final parked send has completed before finish
+// release recycles the task when no policy queue still holds it; see
+// taskPool. The handshake channels are empty by construction: both are
+// unbuffered, and the final parked send has completed before finish
 // runs.
 func (t *task) release() {
-	if !t.deadline.IsZero() {
-		return
+	if !t.dead {
+		t.taskState = taskState{}
+		taskPool.Put(t)
 	}
-	*t = task{resume: t.resume, parked: t.parked}
-	taskPool.Put(t)
 }
 
 // Tier places the task in the cascade queue's strict-priority order
@@ -234,8 +291,8 @@ func (t *task) deliver(resp Response) {
 	t.result <- resp
 }
 
-func (t *task) expired(now time.Time) bool {
-	return !t.deadline.IsZero() && now.After(t.deadline)
+func (t *task) expired(now int64) bool {
+	return t.deadline != 0 && now > t.deadline
 }
 
 // SRPT key bands. Keys live in three disjoint ranges so the queue can
@@ -289,20 +346,18 @@ type taskAbort struct{ err error }
 // breakdown attributes the sojourn to components from the task's
 // observability timestamps. Preempted absorbs the remainder, so the
 // four components always sum exactly to total.
-func (t *task) breakdown(end time.Time, total time.Duration) *Breakdown {
+func (t *task) breakdown(end int64, total time.Duration) *Breakdown {
 	b := &Breakdown{}
-	if !t.readTS.IsZero() {
-		if ing := t.arrival.Sub(t.readTS); ing > 0 {
-			b.Ingress = ing
-		}
+	if t.readTS != 0 && t.arrival > t.readTS {
+		b.Ingress = time.Duration(t.arrival - t.readTS)
 	}
-	if !t.enqueueTS.IsZero() {
-		b.Handoff = t.enqueueTS.Sub(t.arrival)
-		if !t.firstRunTS.IsZero() {
-			b.Queue = t.firstRunTS.Sub(t.enqueueTS)
+	if t.enqueueTS != 0 {
+		b.Handoff = time.Duration(t.enqueueTS - t.arrival)
+		if t.firstRunTS != 0 {
+			b.Queue = time.Duration(t.firstRunTS - t.enqueueTS)
 		} else {
 			// Never ran: died queued (expired or aborted).
-			b.Queue = end.Sub(t.enqueueTS)
+			b.Queue = time.Duration(end - t.enqueueTS)
 		}
 	}
 	b.Service = time.Duration(t.runNS)
