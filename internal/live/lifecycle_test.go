@@ -151,7 +151,9 @@ func TestDrainWindowNoTaskLossGated(t *testing.T) {
 	}
 	stopDone := make(chan struct{})
 	go func() { s.Stop(); close(stopDone) }()
-	time.Sleep(2 * time.Millisecond) // give a buggy dispatcher time to "drain"
+	// Kept on purpose: a buggy dispatcher's drain needs this window to
+	// finish and lose the task; a correct Stop waits for the hand-off.
+	time.Sleep(2 * time.Millisecond)
 	close(release)
 
 	select {
@@ -197,7 +199,9 @@ func TestSubmitStopRaceGated(t *testing.T) {
 	<-entered // submission passed the stop check, now gated
 	stopDone := make(chan struct{})
 	go func() { s.Stop(); close(stopDone) }()
-	time.Sleep(2 * time.Millisecond) // buggy Stop completes here; fixed Stop blocks
+	// Kept on purpose: a buggy Stop completes in this window and strands
+	// the gated submission; a fixed Stop blocks on the read lock.
+	time.Sleep(2 * time.Millisecond)
 	close(release)
 	<-submitted
 
@@ -255,7 +259,10 @@ func TestRequestTimeoutExpiresQueued(t *testing.T) {
 	defer s.Stop()
 
 	hog := s.Submit(80 * time.Millisecond)
-	time.Sleep(time.Millisecond) // let the hog reach the worker
+	waitUntil(t, "the hog on the worker", func() bool {
+		d := s.Depths()
+		return d.Workers[0] == 1 && d.Central == 0 && d.Submit == 0
+	})
 	var rest []<-chan Response
 	for i := 0; i < 4; i++ {
 		rest = append(rest, s.Submit(10*time.Microsecond))
@@ -410,6 +417,7 @@ func awaitSignal(ctx *Ctx) error {
 // have come back from their first yield.
 type yieldHandler struct {
 	release chan struct{}
+	blocked atomic.Int32 // blockers whose handler has started
 	unwound atomic.Int32
 	yielded atomic.Int32
 	mu      sync.Mutex
@@ -431,6 +439,7 @@ func (h *yieldHandler) Handle(ctx *Ctx, payload any) (any, error) {
 		if payload == "panic" {
 			panic("yieldHandler: told to")
 		}
+		h.blocked.Add(1)
 		<-h.release
 		return payload, nil
 	}
@@ -547,14 +556,17 @@ func runLifecycleRows(t *testing.T, onDispatcher, fromPark bool) {
 							for i := 0; i < blockers; i++ {
 								chans = append(chans, s.Submit("block"))
 							}
-							waitUntil(t, "a blocker on every worker", func() bool {
+							// Occupancy also counts a blocker still in its worker's
+							// local queue, which a drain deadline would abort; wait
+							// for every blocker's handler to have started too.
+							waitUntil(t, "a blocker running on every worker", func() bool {
 								d := s.Depths()
 								for _, occ := range d.Workers {
 									if occ != 1 {
 										return false
 									}
 								}
-								return d.Central == 0 && d.Submit == 0
+								return d.Central == 0 && d.Submit == 0 && h.blocked.Load() == int32(blockers)
 							})
 						}
 						target := oc.req

@@ -28,6 +28,16 @@ type op struct {
 	cost   sim.Cycles
 }
 
+// workerEvent names what a worker's timer fires next.
+type workerEvent uint8
+
+const (
+	evComplete workerEvent = iota // the current segment runs to its end
+	evExpire                      // the dispatcher notices the quantum expired
+	evYield                       // the worker observes the signal (or its own clock)
+	evResume                      // yield overheads paid: transit ends
+)
+
 // worker models one worker thread.
 type worker struct {
 	id       int
@@ -43,12 +53,14 @@ type worker struct {
 	idleSince sim.Cycles
 	totalIdle sim.Cycles
 
-	// The worker's timers, made once with their callbacks bound, so the
-	// hot path arms and stops them without allocating.
-	completion *sim.Timer // the current segment runs to its end
-	quantum    *sim.Timer // the dispatcher notices the quantum expired
-	yield      *sim.Timer // the worker observes the signal (or its own clock)
-	resume     *sim.Timer // yield overheads paid: transit ends
+	// timer fires the worker's one pending event, next. Its events never
+	// overlap but for a completion behind a dispatcher-watched quantum:
+	// the expiry fires first, then re-arms the timer for the completion
+	// with the sequence number doneSeq reserved when the segment started,
+	// so the completion fires exactly where a timer of its own would.
+	timer   *sim.Timer
+	next    workerEvent
+	doneSeq uint64
 
 	// handoffs carry requests pushed while the worker was stalled through
 	// the c_next delay, and inflight holds those requests. Up to
@@ -70,6 +82,7 @@ type Machine struct {
 	central policy.Queue[*Request]
 	workers []*worker
 	occ     []int // dispatcher's view of per-worker occupancy
+	roomy   int   // how many of occ are below QueueBound
 
 	ops     []op
 	opsHead int
@@ -98,6 +111,10 @@ type Machine struct {
 	quantum  sim.Cycles
 	workerOv float64 // worker-side c_proc fraction
 	dispOv   float64 // dispatcher-side c_proc fraction (rdtsc instrumentation)
+	// The mechanism's constant answers, asked once: a call through Mech
+	// copies its whole cost model.
+	selfPreempt            bool
+	signalCost, notifyCost sim.Cycles
 
 	// run state
 	admitted     int
@@ -155,19 +172,14 @@ func New(cfg Config, wl Workload, p RunParams) *Machine {
 	}
 	m.workers = make([]*worker, cfg.Workers)
 	m.occ = make([]int, cfg.Workers)
+	m.roomy = cfg.Workers
 	for i := range m.workers {
 		w := &worker{
 			id:    i,
 			idle:  true,
 			local: make([]*Request, 0, cfg.QueueBound),
 		}
-		w.completion = m.eng.NewTimer(func(t sim.Cycles) { m.completeSegment(w, t) })
-		w.quantum = m.eng.NewTimer(func(t sim.Cycles) { m.signal(w, t) })
-		w.yield = m.eng.NewTimer(func(t sim.Cycles) { m.yield(w, t) })
-		w.resume = m.eng.NewTimer(func(t sim.Cycles) {
-			w.transit = false
-			m.workerNext(w, t)
-		})
+		w.timer = m.eng.NewTimer(func(t sim.Cycles) { m.fire(w, t) })
 		handoff := func(t sim.Cycles) { m.receive(w, popFront(&w.inflight), t) }
 		w.inflight = make([]*Request, 0, cfg.QueueBound)
 		w.handoffs = make([]*sim.Timer, cfg.QueueBound)
@@ -191,6 +203,8 @@ func New(cfg Config, wl Workload, p RunParams) *Machine {
 	m.quantum = cfg.Model.MicrosToCycles(cfg.QuantumUS)
 	if cfg.Mech != nil {
 		m.workerOv = cfg.Mech.ProcOverhead()
+		m.selfPreempt = cfg.Mech.SelfPreempting()
+		m.signalCost, m.notifyCost = cfg.Mech.SignalCost(), cfg.Mech.NotifyCost()
 	} else {
 		m.workerOv = cfg.Model.RuntimeOverhead
 	}
@@ -274,11 +288,12 @@ func (m *Machine) enqueueOp(o op, now sim.Cycles) {
 	m.kick(now)
 }
 
-func (m *Machine) popOp() (op, bool) {
+// popOp moves the oldest queued operation into pending.
+func (m *Machine) popOp() bool {
 	if m.opsHead >= len(m.ops) {
-		return op{}, false
+		return false
 	}
-	o := m.ops[m.opsHead]
+	m.pending = m.ops[m.opsHead]
 	m.ops[m.opsHead] = op{}
 	m.opsHead++
 	if m.opsHead == len(m.ops) {
@@ -292,7 +307,7 @@ func (m *Machine) popOp() (op, bool) {
 		m.ops = m.ops[:n]
 		m.opsHead = 0
 	}
-	return o, true
+	return true
 }
 
 // kick advances the dispatcher if it is idle. Dispatches take priority
@@ -304,14 +319,9 @@ func (m *Machine) kick(now sim.Cycles) {
 	if m.dBusy {
 		return
 	}
-	o, ok := m.generateOp()
-	if !ok {
-		o, ok = m.popOp()
-	}
-	if ok {
+	if m.generateOp() || m.popOp() {
 		m.dBusy = true
-		m.pending = o
-		m.dispatcher.Set(now + o.cost)
+		m.dispatcher.Set(now + m.pending.cost)
 		return
 	}
 	if m.cfg.WorkConserving {
@@ -328,21 +338,19 @@ func (m *Machine) dispatchDone(t sim.Cycles) {
 	m.kick(t)
 }
 
-// generateOp creates a dispatch operation if the central queue has work
-// and some worker queue has room.
-func (m *Machine) generateOp() (op, bool) {
-	if m.central.Len() == 0 {
-		return op{}, false
+// generateOp makes pending a dispatch operation if the central queue has
+// work and some worker queue has room.
+func (m *Machine) generateOp() bool {
+	if m.central.Len() == 0 || m.roomy == 0 {
+		return false
 	}
 	w := policy.ShortestQueue(m.occ, m.cfg.QueueBound)
-	if w < 0 {
-		return op{}, false
-	}
 	c := m.cfg.Model.DispatchBase + m.cfg.DispatchExtra
 	if m.cfg.QueueBound > 1 {
 		c += m.cfg.Model.DispatchJBSQExtra
 	}
-	return op{kind: opPush, worker: w, cost: c}, true
+	m.pending = op{kind: opPush, worker: w, cost: c}
+	return true
 }
 
 func (m *Machine) apply(o op, now sim.Cycles) {
@@ -359,7 +367,7 @@ func (m *Machine) apply(o op, now sim.Cycles) {
 			return
 		}
 		w := m.workers[o.worker]
-		m.occ[o.worker]++
+		m.occupy(o.worker, 1)
 		if w.idle && w.cur == nil && len(w.local) == 0 {
 			// The worker is stalled waiting: it pays the synchronous
 			// handoff's coherence misses (c_next) before it can start.
@@ -373,10 +381,10 @@ func (m *Machine) apply(o op, now sim.Cycles) {
 	case opSignal:
 		m.deliverSignal(o, now)
 	case opRequeue:
-		m.occ[o.worker]--
+		m.occupy(o.worker, -1)
 		m.central.Push(o.req, true)
 	case opSlotFree:
-		m.occ[o.worker]--
+		m.occupy(o.worker, -1)
 	}
 }
 
@@ -385,7 +393,7 @@ func (m *Machine) apply(o op, now sim.Cycles) {
 func (m *Machine) steal(now sim.Cycles) {
 	req := m.saved
 	if req == nil {
-		if !m.allQueuesFull() {
+		if m.roomy > 0 {
 			return
 		}
 		var ok bool
@@ -438,13 +446,15 @@ func (m *Machine) stealDone(t sim.Cycles) {
 	m.kick(t)
 }
 
-func (m *Machine) allQueuesFull() bool {
-	for _, o := range m.occ {
-		if o < m.cfg.QueueBound {
-			return false
-		}
+// occupy adds d to worker i's occupancy, keeping roomy in step.
+func (m *Machine) occupy(i, d int) {
+	if m.occ[i] == m.cfg.QueueBound {
+		m.roomy++
 	}
-	return true
+	m.occ[i] += d
+	if m.occ[i] == m.cfg.QueueBound {
+		m.roomy--
+	}
 }
 
 // ---------- workers ----------
@@ -492,49 +502,64 @@ func (m *Machine) startSegment(w *worker, req *Request, start sim.Cycles) {
 		wall += m.cfg.Model.PreemptCacheReload
 	}
 	w.segEnd = start + wall
-	if !m.scheduleQuantum(w, req, start) {
-		w.completion.Set(w.segEnd)
+	m.armSegment(w, req, start)
+}
+
+// arm sets the worker's timer to fire ev at the given time.
+func (w *worker) arm(ev workerEvent, at sim.Cycles) {
+	w.next = ev
+	w.timer.Set(at)
+}
+
+// fire runs the worker's pending event.
+func (m *Machine) fire(w *worker, now sim.Cycles) {
+	switch w.next {
+	case evComplete:
+		m.completeSegment(w, now)
+	case evExpire:
+		w.next = evComplete
+		w.timer.SetSeq(w.segEnd, w.doneSeq)
+		m.signal(w, now)
+	case evYield:
+		m.yield(w, now)
+	case evResume:
+		w.transit = false
+		m.workerNext(w, now)
 	}
 }
 
-// scheduleQuantum arms the segment's preemption, if it can be preempted,
-// and reports whether it certainly will be: a worker that preempts itself
-// before segEnd never reaches it, so that segment needs no completion.
-func (m *Machine) scheduleQuantum(w *worker, req *Request, start sim.Cycles) bool {
-	if m.quantum <= 0 || m.cfg.Mech == nil {
-		return false
-	}
-	if m.cfg.DeferWholeRequest && req.critWall > 0 {
-		// Shinjuku's LevelDB port: preemption disabled for the whole
-		// request when it may take locks.
-		return false
-	}
+// armSegment arms the worker's timer for the segment just started: for
+// its completion, or first for the preemption that may cut it short.
+func (m *Machine) armSegment(w *worker, req *Request, start sim.Cycles) {
 	expiry := start + m.quantum
-	if expiry >= w.segEnd {
-		return false // completes within the quantum
+	// Shinjuku's LevelDB port disables preemption for the whole request
+	// when it may take locks.
+	if m.quantum <= 0 || m.cfg.Mech == nil || expiry >= w.segEnd ||
+		m.cfg.DeferWholeRequest && req.critWall > 0 {
+		w.arm(evComplete, w.segEnd)
+		return
 	}
-	if m.cfg.Mech.SelfPreempting() {
-		observe := expiry + m.cfg.Mech.ObserveDelay(m.rng)
-		if observe >= w.segEnd {
-			return false
+	if m.selfPreempt {
+		// A worker that preempts itself before segEnd never reaches it.
+		if observe := expiry + m.cfg.Mech.ObserveDelay(m.rng); observe < w.segEnd {
+			w.arm(evYield, observe)
+		} else {
+			w.arm(evComplete, w.segEnd)
 		}
-		w.yield.Set(observe)
-		return true
+		return
 	}
 	// The dispatcher monitors elapsed time and signals at expiry; the
 	// signal is one of its serialized operations, so it is late when the
-	// dispatcher is busy.
-	w.quantum.Set(expiry)
-	return false
+	// dispatcher is busy. The completion waits behind the expiry with the
+	// sequence number it would have drawn now.
+	w.arm(evExpire, expiry)
+	w.doneSeq = m.eng.Reserve()
 }
 
-// signal is the quantum timer: the dispatcher queues a preemption signal.
+// signal is the quantum expiry: the dispatcher queues a preemption signal.
 func (m *Machine) signal(w *worker, now sim.Cycles) {
 	req := w.cur
-	if req == nil {
-		return
-	}
-	m.enqueueOp(op{kind: opSignal, req: req, epoch: req.epoch, worker: w.id, cost: m.cfg.Mech.SignalCost()}, now)
+	m.enqueueOp(op{kind: opSignal, req: req, epoch: req.epoch, worker: w.id, cost: m.signalCost}, now)
 }
 
 func (m *Machine) deliverSignal(o op, now sim.Cycles) {
@@ -554,14 +579,11 @@ func (m *Machine) deliverSignal(o op, now sim.Cycles) {
 	if yieldAt >= w.segEnd {
 		return // the request completes before it would yield
 	}
-	w.yield.Set(yieldAt)
+	w.arm(evYield, yieldAt) // replaces the completion it precedes
 }
 
 func (m *Machine) yield(w *worker, now sim.Cycles) {
 	req := w.cur
-	if req == nil {
-		return
-	}
 	elapsed := now - w.runStart
 	consumed := baseFor(elapsed, m.workerOv)
 	if consumed >= req.remainingBase {
@@ -573,21 +595,17 @@ func (m *Machine) yield(w *worker, now sim.Cycles) {
 	req.remainingBase -= consumed
 	req.Preemptions++
 	m.preemptions++
-	w.completion.Stop()
-	w.quantum.Stop()
 	w.cur = nil
 	w.signaled = false
 	w.transit = true
 	m.enqueueOp(op{kind: opRequeue, req: req, epoch: req.epoch, worker: w.id, cost: m.cfg.Model.RequeueCost}, now)
-	overhead := m.cfg.Mech.NotifyCost() + m.cfg.Model.ContextSwitch
-	w.resume.Set(now + overhead)
+	overhead := m.notifyCost + m.cfg.Model.ContextSwitch
+	w.arm(evResume, now+overhead)
 }
 
 func (m *Machine) completeSegment(w *worker, now sim.Cycles) {
 	req := w.cur
 	req.remainingBase = 0
-	w.quantum.Stop()
-	w.yield.Stop()
 	w.cur = nil
 	w.signaled = false
 	m.complete(req, now)

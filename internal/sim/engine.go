@@ -9,9 +9,10 @@ import "fmt"
 type Cycles int64
 
 // Timer is a callback its owner arms, re-arms and stops: the simulated
-// machine is a small fixed population of these (a worker's completion, its
-// quantum, its yield, ...), not a stream of one-shot events. The owner
-// keeps the timer for the engine's lifetime, so a handle never goes stale.
+// machine is a small fixed population of these (a worker's next event,
+// its hand-offs, the dispatcher's operation, ...), not a stream of
+// one-shot events. The owner keeps the timer for the engine's lifetime,
+// so a handle never goes stale.
 type Timer struct {
 	eng *Engine
 	fn  func(now Cycles)
@@ -86,13 +87,24 @@ func (e *Engine) After(delay Cycles, fn func(now Cycles)) *Timer {
 // Set arms the timer to fire at absolute time at; an armed timer is moved
 // there, and takes its place among simultaneous timers anew. Arming in
 // the past panics: it always indicates a model bug.
-func (t *Timer) Set(at Cycles) {
+func (t *Timer) Set(at Cycles) { t.SetSeq(at, t.eng.Reserve()) }
+
+// Reserve takes the next arming sequence number without arming anything,
+// for a SetSeq later: a timer armed so fires among simultaneous timers
+// where it would have had it been armed at the moment of the Reserve.
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	return e.seq - 1
+}
+
+// SetSeq is Set with a sequence number taken earlier from Reserve. Each
+// reserved number arms at most once.
+func (t *Timer) SetSeq(at Cycles, seq uint64) {
 	e := t.eng
 	if at < e.now {
 		panic(fmt.Sprintf("sim: arming timer at %d before now %d", at, e.now))
 	}
-	t.at, t.seq = at, e.seq
-	e.seq++
+	t.at, t.seq = at, seq
 	switch {
 	case t.slot:
 		t.pos = 0
@@ -174,6 +186,13 @@ func (e *Engine) down(i int, x *Timer) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step fires the next timer, if any, and reports whether one fired.
+//
+// A heap timer fires in place: it stays in the heap while its callback
+// runs, so a callback that re-arms it pays one sift instead of a pop and
+// a push. Afterwards it leaves the heap, from wherever it then sits, only
+// if the callback neither stopped it nor re-armed it; a re-arm always
+// changes its seq, because no sequence number arms twice. The slot timer
+// is disarmed before its callback: re-arming it costs two stores anyway.
 func (e *Engine) Step() bool {
 	t := e.slot
 	if t == nil || t.pos < 0 || (len(e.heap) > 0 && e.heap[0].before(t)) {
@@ -181,11 +200,16 @@ func (e *Engine) Step() bool {
 			return false
 		}
 		t = e.heap[0]
+	} else {
+		t.pos = -1
 	}
-	t.Stop()
+	seq := t.seq
 	e.now = t.at
 	e.Executed++
 	t.fn(e.now)
+	if t.pos >= 0 && t.seq == seq {
+		t.Stop()
+	}
 	return true
 }
 

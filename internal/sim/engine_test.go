@@ -146,34 +146,57 @@ func TestEngineStop(t *testing.T) {
 // from inside callbacks, with times drawn from so narrow a range that most
 // share their instant with others — and checks every firing against a
 // reference that holds the armed set in a map and picks the least
-// (time, arming sequence). A stopped timer that fires, a Stop of an idle
-// timer that disturbs the heap, or a slot-versus-heap tie broken the wrong
-// way shows as a wrong identity at some step.
+// (time, arming sequence). Some arms take a sequence number with Reserve
+// and use it in a later SetSeq; the reference keys those by the reserved
+// number. Every callback may also re-arm, stop, or stop and re-arm its own
+// timer, which is still in the heap while it runs. A stopped timer that
+// fires, a fired timer that stays armed, a Stop of an idle timer that
+// disturbs the heap, a reserved number not honoured, or a slot-versus-heap
+// tie broken the wrong way shows as a wrong identity at some step.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	type armed struct {
 		at  Cycles
-		seq int
+		seq uint64
 	}
 	const heapTimers = 12 // identity heapTimers is the slot timer
 	for seed := uint64(1); seed <= 25; seed++ {
 		rng := NewRNG(seed)
 		e := NewEngine()
 		ref := map[int]armed{}
-		seq := 0
+		seq := uint64(0)      // the reference's count of numbers handed out
+		var reserved []uint64 // taken by Reserve, not yet armed
 		var fired []int
 		timers := make([]*Timer, heapTimers+1)
+		arm := func(id int) {
+			at := e.Now() + Cycles(rng.Intn(4))
+			if len(reserved) > 0 && rng.Intn(2) == 0 {
+				k := rng.Intn(len(reserved))
+				r := reserved[k]
+				reserved = append(reserved[:k], reserved[k+1:]...)
+				timers[id].SetSeq(at, r)
+				ref[id] = armed{at, r}
+				return
+			}
+			timers[id].Set(at)
+			ref[id] = armed{at, seq}
+			seq++
+		}
 		mutate := func(ops int) {
 			for ; ops > 0; ops-- {
 				id := rng.Intn(len(timers))
-				if rng.Intn(4) == 0 {
+				switch rng.Intn(5) {
+				case 0:
 					timers[id].Stop()
 					delete(ref, id)
-					continue
+				case 1:
+					if r := e.Reserve(); r != seq {
+						t.Fatalf("seed %d: Reserve() = %d, reference has handed out %d", seed, r, seq)
+					}
+					reserved = append(reserved, seq)
+					seq++
+				default:
+					arm(id)
 				}
-				at := e.Now() + Cycles(rng.Intn(4))
-				timers[id].Set(at)
-				ref[id] = armed{at, seq}
-				seq++
 			}
 		}
 		for id := range timers {
@@ -184,6 +207,15 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 				}
 				fired = append(fired, id)
 				delete(ref, id)
+				switch rng.Intn(4) { // the firing timer itself
+				case 0:
+					arm(id)
+				case 1:
+					timers[id].Stop()
+				case 2:
+					timers[id].Stop()
+					arm(id)
+				}
 				mutate(rng.Intn(3))
 			}
 			if id == heapTimers {
