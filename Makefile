@@ -7,11 +7,13 @@ tier1:
 # Race hygiene for the concurrent packages: the parallel runner stack,
 # the live serving path (runtime lifecycle + load-generator
 # measurement: concord-load's connection readers share its record log,
-# latency sketch and failure tallies), and the policy queues (cascade
-# tiers + admission paths exercise them from many goroutines). Slower
-# than tier1; run before merging changes to any of these.
+# latency sketch and failure tallies; concord-kvd's completion observer
+# runs on completing executors and connection readers at once), and the
+# policy queues (cascade tiers + admission paths exercise them from many
+# goroutines). Slower than tier1; run before merging changes to any of
+# these.
 race:
-	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/shadow ./internal/proto ./internal/netsrv ./internal/policy ./cmd/concord-load
+	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/shadow ./internal/proto ./internal/netsrv ./internal/policy ./cmd/concord-load ./cmd/concord-kvd
 
 # Stress for the live runtime's concurrency-critical suites — lifecycle
 # tables, chaos, drain windows, sharded stealing, the identity hand-off,

@@ -44,6 +44,12 @@
 // gauges on /metrics (concord_rolling_latency_us, concord_slo_*) and as
 // STATS fields (p50_1s=..., burn_short=, burn_long=, slo_alerting=).
 //
+// The runtime carries no completion sink: one observer (observe.go),
+// set as the connection layer's completion hook whenever -obs, -classes
+// or -shadow configures a sink, feeds the tail and SLO trackers, the
+// per-class service-time sketches, the shadow capture ring and the
+// per-op component sketches from each response.
+//
 // Every number the server reports is registered once (metrics.go) and
 // rendered twice from that table — /metrics and the STATS line — from
 // one snapshot of the server's counters per render; a STATS field is
@@ -144,29 +150,28 @@ func main() {
 		store.Put([]byte(fmt.Sprintf("key%08d", i)), []byte(val))
 	}
 
-	ob := &kvObs{}
+	ob := &kvObs{deadline: *reqTimeout}
 	if *obsAddr != "" {
 		ob.tracer = obs.NewTracerSharded(*workers, effShards, traceRingEvents)
 	}
-	// The tail tracker feeds the obs surface and the per-class SLO
-	// accounting, so either flag brings it up. The per-class children let
-	// each class measure against its own latency objective.
+	// The tail trackers feed the obs surface and the per-class SLO
+	// accounting, so either flag brings them up; the class trackers let
+	// each class measure against its own latency objective. The
+	// per-class service-time sketches feed the svc_time/hint-error
+	// metric families, the capture ring the shadow replayer. observe
+	// feeds all of them from netsrv's completion hook.
 	if *obsAddr != "" || *classes {
 		var slo *obs.SLOTracker
 		if *sloTarget > 0 {
-			slo = obs.NewSLOTracker(obs.SLOConfig{Target: *sloTarget})
+			slo = obs.NewSLOTracker(*sloTarget)
 		}
-		ob.tail = obs.NewTailTracker(nil, slo)
-		ob.tail.Classes = live.NewClassTrackers()
+		ob.tail, ob.classes = obs.NewTailTracker(nil, slo), newClassTrackers()
 	}
-	// Per-class service-time sketches feed the svc_time/hint-error
-	// metric families.
 	if *obsAddr != "" || *shadowOn {
 		ob.sketches = obs.NewClassSketches(live.NumClasses)
 	}
-	var capRing *live.CaptureRing
 	if *shadowOn {
-		capRing = live.NewCaptureRing(4096, *shadowRate)
+		ob.ring = shadow.NewCaptureRing(4096, *shadowRate)
 	}
 	ob.srv = live.New(&netsrv.KVHandler{Store: store, ScanBatch: *scanStep}, live.Options{
 		Workers:        *workers,
@@ -178,15 +183,12 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		DrainTimeout:   *drain,
 		Tracer:         ob.tracer,
-		Tail:           ob.tail,
-		Sketches:       ob.sketches,
-		Capture:        capRing,
 		ClassAdmission: *classes,
 	})
 	ob.srv.Start()
 
 	if *shadowOn {
-		ob.replayer = shadow.NewReplayer(capRing, shadow.Config{
+		ob.replayer = shadow.NewReplayer(ob.ring, shadow.Config{
 			Workers:        *workers,
 			QuantumUS:      float64(*quantum) / float64(time.Microsecond),
 			QueueBound:     *bound,
@@ -203,8 +205,10 @@ func main() {
 		Tracer:       ob.tracer,
 		Control:      ob.control,
 	}
-	if ob.tracer != nil {
+	if *obsAddr != "" || *classes || *shadowOn {
 		nopts.Observe = ob.observe
+	}
+	if ob.tracer != nil {
 		nopts.ObserveEgress = ob.observeEgress
 		nopts.Trailer = obsTrailer
 	}

@@ -47,33 +47,37 @@ func newTestObsSharded(t *testing.T, shards int) *testEnv {
 	const workers = 2
 	ob := &kvObs{
 		tracer:   obs.NewTracerSharded(workers, shards, 1024),
-		tail:     obs.NewTailTracker(nil, obs.NewSLOTracker(obs.SLOConfig{Target: 200 * time.Microsecond})),
+		tail:     obs.NewTailTracker(nil, obs.NewSLOTracker(200*time.Microsecond)),
+		classes:  newClassTrackers(),
 		sketches: obs.NewClassSketches(live.NumClasses),
+		ring:     shadow.NewCaptureRing(1024, 1),
 	}
-	ob.tail.Classes = live.NewClassTrackers()
-	ring := live.NewCaptureRing(1024, 1)
 	ob.srv = live.New(&netsrv.KVHandler{Store: kv.New(), ScanBatch: 64}, live.Options{
 		Workers:    workers,
 		Shards:     shards,
 		PinThreads: false,
 		Tracer:     ob.tracer,
-		Tail:       ob.tail,
-		Sketches:   ob.sketches,
-		Capture:    ring,
 	})
 	ob.srv.Start()
 	t.Cleanup(ob.srv.Stop)
 	ob.ns = netsrv.New(ob.srv, netsrv.Options{})
-	ob.replayer = shadow.NewReplayer(ring, shadow.Config{Workers: workers, QuantumUS: 100, MinRecs: 4}, time.Hour)
+	ob.replayer = shadow.NewReplayer(ob.ring, shadow.Config{Workers: workers, QuantumUS: 100, MinRecs: 4}, time.Hour)
 	return &testEnv{ob.register()}
 }
 
-func put(t *testing.T, srv *live.Server, key, val string) {
+// do runs req and hands its response to the observer, as netsrv does
+// for every data response.
+func (e *testEnv) do(t *testing.T, req *netsrv.Request) {
 	t.Helper()
-	resp := srv.Do(&netsrv.Request{Op: proto.OpPut, Key: []byte(key), Val: []byte(val)})
+	resp := e.srv.Do(req)
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
+	e.observe(req.Op, resp)
+}
+
+func put(t *testing.T, e *testEnv, key, val string) {
+	e.do(t, &netsrv.Request{Op: proto.OpPut, Key: []byte(key), Val: []byte(val)})
 }
 
 // statsKeys returns a STATS line's keys in order.
@@ -134,7 +138,7 @@ func metricSeries(exposition string) []string {
 func TestRegistryGoldens(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		e := newTestObsSharded(t, shards)
-		put(t, e.srv, "k", "v")
+		put(t, e, "k", "v")
 		for name, got := range map[string][]string{
 			"stats_keys":     statsKeys(e.stats()),
 			"metrics_series": metricSeries(e.exposition()),
@@ -200,9 +204,7 @@ func TestStatsNetFields(t *testing.T) {
 func TestStatsLineWindowedFields(t *testing.T) {
 	e := newTestObs(t)
 	for i := 0; i < 20; i++ {
-		if resp := e.srv.Do(&netsrv.Request{Op: proto.OpGet, Key: []byte("nope")}); resp.Err != nil {
-			t.Fatal(resp.Err)
-		}
+		e.do(t, &netsrv.Request{Op: proto.OpGet, Key: []byte("nope")})
 	}
 	line := e.stats()
 	for _, want := range []string{"p50_1s=", "p99_10s=", "p999_60s=", "burn_short=", "burn_long=", "slo_alerting="} {
@@ -227,7 +229,7 @@ func TestStatsLineWindowedFields(t *testing.T) {
 // first), with the per-shard series on /metrics.
 func TestStatsShardedFields(t *testing.T) {
 	e := newTestObsSharded(t, 2)
-	put(t, e.srv, "k", "v")
+	put(t, e, "k", "v")
 	line := e.stats()
 	for _, want := range []string{" steals=", "shardq=0,0", "shardocc=0,0"} {
 		if !strings.Contains(line, want) {
@@ -381,11 +383,9 @@ func TestFmtWindow(t *testing.T) {
 // svc_*/regret_* block and /metrics exposes the matching families.
 func TestStatsSketchAndRegretFields(t *testing.T) {
 	e := newTestObs(t)
-	put(t, e.srv, "k", "v")
+	put(t, e, "k", "v")
 	for i := 0; i < 30; i++ {
-		if resp := e.srv.Do(&netsrv.Request{Op: proto.OpGet, Key: []byte("k")}); resp.Err != nil {
-			t.Fatal(resp.Err)
-		}
+		e.do(t, &netsrv.Request{Op: proto.OpGet, Key: []byte("k")})
 	}
 	if _, ok := e.replayer.ReplayOnce(); !ok {
 		t.Fatal("replay skipped a 31-request window")
@@ -441,11 +441,9 @@ func TestStatsSketchAndRegretFields(t *testing.T) {
 // without -shadow.
 func TestShadowControlVerb(t *testing.T) {
 	e := newTestObs(t)
-	put(t, e.srv, "k", "v")
+	put(t, e, "k", "v")
 	for i := 0; i < 20; i++ {
-		if resp := e.srv.Do(&netsrv.Request{Op: proto.OpGet, Key: []byte("k")}); resp.Err != nil {
-			t.Fatal(resp.Err)
-		}
+		e.do(t, &netsrv.Request{Op: proto.OpGet, Key: []byte("k")})
 	}
 	if _, ok := e.replayer.ReplayOnce(); !ok {
 		t.Fatal("replay skipped")

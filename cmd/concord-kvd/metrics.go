@@ -9,21 +9,23 @@ import (
 	"concord/internal/live"
 	"concord/internal/netsrv"
 	"concord/internal/obs"
-	"concord/internal/proto"
 	"concord/internal/shadow"
 )
 
 // kvObs is the server's operator surface: the components it reports on
-// (srv always; the rest nil when their flag is off), the metric
-// registry both /metrics and STATS render from, the per-op
-// latency-component sketches fed from completed responses, and the
+// (srv always; the rest nil when their flag is off), the completion
+// sinks observe feeds, the metric registry both /metrics and STATS
+// render from, the per-op latency-component sketches, and the
 // per-render snapshot every registered value reads.
 type kvObs struct {
 	srv      *live.Server
 	ns       *netsrv.Server
 	tracer   *obs.Tracer
 	tail     *obs.TailTracker
+	classes  [live.NumClasses]*obs.TailTracker // set with tail
 	sketches *obs.ClassSketches
+	ring     *shadow.CaptureRing
+	deadline time.Duration // -reqtimeout: every capture record's DeadlineNS
 	replayer *shadow.Replayer
 
 	metrics obs.Metrics
@@ -62,7 +64,7 @@ func (ob *kvObs) refresh() {
 		if slo := t.SLO(); slo != nil {
 			s.slo = slo.Snapshot()
 		}
-		for c, ct := range t.Classes {
+		for c, ct := range ob.classes {
 			s.class[c], s.classSLO[c] = ct.Snapshot(ct.Windows()[0]), ct.SLO().Snapshot()
 		}
 	}
@@ -74,7 +76,7 @@ func (ob *kvObs) refresh() {
 	if r := ob.replayer; r != nil {
 		s.regret = r.Latest()
 		s.replays.windows, s.replays.skipped = r.Counts()
-		s.replays.offered, s.replays.kept = r.Ring().Stats()
+		s.replays.offered, s.replays.kept = ob.ring.Stats()
 	}
 }
 
@@ -88,28 +90,6 @@ var (
 	// then the partition DESIGN.md §4c defines (egress arrives apart).
 	componentNames = [...]string{"total", "handoff", "queue", "service", "preempted", "ingress", "egress"}
 )
-
-const egressComponent = len(componentNames) - 1
-
-// observe feeds one completed response into its op's component sketches.
-func (ob *kvObs) observe(op byte, resp live.Response) {
-	b := resp.Breakdown
-	if op < proto.OpGet || op > proto.OpSpin || b == nil {
-		return
-	}
-	for c, d := range [...]time.Duration{resp.Latency, b.Handoff, b.Queue, b.Service, b.Preempted, b.Ingress} {
-		ob.perOp[op-proto.OpGet][c].Observe(int64(d))
-	}
-}
-
-// observeEgress feeds the flush-side wire phase; it arrives separately
-// from observe because egress is only known once the response batch hits
-// the socket, after the completion callback has already run.
-func (ob *kvObs) observeEgress(op byte, egress time.Duration) {
-	if op >= proto.OpGet && op <= proto.OpSpin {
-		ob.perOp[op-proto.OpGet][egressComponent].Observe(int64(egress))
-	}
-}
 
 // fmtWindow renders a window for STATS keys and metric labels: whole
 // seconds as "10s"/"60s" (time.Duration.String would say "1m0s"),
@@ -300,7 +280,7 @@ func (ob *kvObs) register() *kvObs {
 			}
 			gauge("concord_slo_alerting", "1 while both burn-rate windows exceed the alert threshold", "", "slo_alerting", "", truth(&s.slo.Alerting))
 		}
-		for class := range t.Classes {
+		for class := range ob.classes {
 			name := classNames[class]
 			for _, q := range []quantile{p50, p99} {
 				mt := obs.Metric{Name: "concord_class_latency_us", Help: "per-SLO-class rolling latency quantiles in microseconds (shortest window)", Kind: obs.Gauge,

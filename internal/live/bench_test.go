@@ -4,8 +4,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"concord/internal/obs"
 )
 
 // BenchmarkRoundTrip measures the runtime's per-request overhead: a
@@ -48,24 +46,6 @@ func BenchmarkRoundTripSubmitFunc(b *testing.B) {
 // (ring records plus breakdown timestamps).
 func BenchmarkRoundTripTraced(b *testing.B) {
 	s := New(&spinHandler{}, tracedOptions(2, 0, 1<<14))
-	s.Start()
-	defer s.Stop()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if resp := s.Do(time.Duration(0)); resp.Err != nil {
-			b.Fatal(resp.Err)
-		}
-	}
-}
-
-// BenchmarkRoundTripTailTracked is BenchmarkRoundTrip with the rolling
-// tail window and SLO accounting enabled: the delta is the enabled cost
-// of windowed tail tracking per request (one sketch insert under the ring lock
-// plus one SLO count).
-func BenchmarkRoundTripTailTracked(b *testing.B) {
-	o := testOptions(2, 0)
-	o.Tail = obs.NewTailTracker(nil, obs.NewSLOTracker(obs.SLOConfig{Target: 200 * time.Microsecond}))
-	s := New(&spinHandler{}, o)
 	s.Start()
 	defer s.Stop()
 	b.ResetTimer()

@@ -33,8 +33,8 @@ const dispatcherSlice = 100 * time.Microsecond
 // of a full one — the dispatch-layer half of the priority cascade (the
 // queue half is the cascade discipline's tier order). It is armed only
 // by configuration that is itself about scheduling classes — see
-// Server.critShrink — never by an observer: a server that merely
-// measures per class schedules exactly like one that does not.
+// Server.critShrink — never by the tracer: a server that merely
+// measures schedules exactly like one that does not.
 const critQuantumShrink = 4
 
 // shard is one dispatcher: policy queue, ingress buffer, worker subset,

@@ -339,13 +339,11 @@ func (s *Server) finish(ex *executor, t *task, resp Response, end int64) {
 	resp.Req = t.payload
 	resp.Done = at(end)
 	resp.Latency = time.Duration(end - t.arrival)
+	resp.Service = time.Duration(t.runNS)
 	if s.tr != nil {
 		resp.Breakdown = t.breakdown(end, resp.Latency)
 		kind, status := completionEvent(resp.Err)
 		s.tr.Record(ex.writer, kind, t.id, status)
-	}
-	if s.comp != nil {
-		s.comp.observe(t, &resp)
 	}
 	ex.n.completed.Add(1)
 	ex.n.classCompleted[t.class].Add(1)

@@ -156,17 +156,14 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response), plac
 	return false
 }
 
-// reject delivers a rejection response, records it against every
-// configured sink, and recycles the task (a rejected task was never
-// enqueued, so nothing can alias it).
+// reject delivers a rejection response, records it on the tracer, and
+// recycles the task (a rejected task was never enqueued, so nothing can
+// alias it).
 func (s *Server) reject(t *task, err error, status int64) {
 	s.stats.rejected.Add(1)
 	s.stats.classRejected[t.class].Add(1)
 	if s.tr != nil {
 		s.tr.Record(obs.WriterClient, obs.EvReject, t.id, status)
-	}
-	if s.tail != nil {
-		s.tail.ObserveRejected(int(t.class))
 	}
 	t.deliver(Response{ID: t.id, Err: err, Req: t.payload, Done: at(nanotime())})
 	t.release()

@@ -20,7 +20,7 @@ import (
 func TestServerLayoutByWriter(t *testing.T) {
 	groups := map[string][]string{
 		"read-mostly": {"opts", "handler", "shards", "locals", "occ", "workers",
-			"tr", "tail", "comp", "classLimit", "coopTimeshare", "classShrink", "serial",
+			"tr", "classLimit", "coopTimeshare", "classShrink", "serial",
 			"stopped", "abort"},
 		"submit": {"rr", "nextID", "submitMu", "stopping", "stats.submitted", "stats.rejected",
 			"stats.shed", "stats.classSubmitted", "stats.classRejected"},

@@ -223,25 +223,6 @@ type Options struct {
 	// shard counts as this server. When nil, the cost at each
 	// instrumentation point is a single predictable branch.
 	Tracer *obs.Tracer
-	// Tail, when non-nil, receives every delivered response's latency
-	// and success at completion, feeding rolling-window tail quantiles
-	// and SLO burn-rate accounting. Independent of Tracer. When the
-	// tracker has per-class children (Tail.Classes, e.g. from
-	// NewClassTrackers) each response also feeds its SLOClass's tracker
-	// — the per-tenant counterpart of the server-wide tail — and
-	// rejections (ErrShed, ErrQueueFull, ErrServerStopped) count against
-	// the rejected class's SLO.
-	Tail *obs.TailTracker
-	// Sketches, when non-nil, receives every successfully completed
-	// request's (class, measured service ns, hint ns) — the per-class
-	// service-time quantile sketches plus hint-error attribution that
-	// the concord_svc_time_us / concord_hint_error metric families read.
-	Sketches *obs.ClassSketches
-	// Capture, when non-nil, samples successfully completed requests
-	// (arrival offset, class, hint, measured service time, achieved
-	// latency, deadline) into a replayable window for counterfactual
-	// shadow replay (internal/shadow).
-	Capture *CaptureRing
 	// ClassAdmission enables per-SLOClass admission control on the
 	// ingress buffers: a slice of every shard's SubmitBuffer is held in
 	// reserve for ClassCritical, ClassSheddable is shed (ErrShed) at a
@@ -250,11 +231,6 @@ type Options struct {
 	// class-aware preemption (see critQuantumShrink). Off, every class
 	// sees the uniform ErrQueueFull contract.
 	ClassAdmission bool
-	//
-	// Tail, Sketches, and Capture are composed into one multiplexed
-	// completion observer at New, so the completion path pays a single
-	// branch whether zero or all of them are set. They observe only:
-	// none of them changes a scheduling decision.
 }
 
 func (o Options) withDefaults() Options {
@@ -292,6 +268,9 @@ type Response struct {
 	Req any
 	// Latency is the total time at the server (sojourn).
 	Latency time.Duration
+	// Service is the request's summed run time over all its slices: 0
+	// for a request that never ran, Breakdown.Service when traced.
+	Service time.Duration
 	// Done is when the response was finalized (the terminal lifecycle
 	// event). Connection layers use it to attribute egress time
 	// (completion → bytes flushed to the socket). Always set. The
@@ -429,13 +408,8 @@ type Server struct {
 	workers []*executor
 
 	// tr is Options.Tracer, kept as a concrete pointer so the disabled
-	// path is one nil-check branch per event site. comp is the composed
-	// completion observer (Tail + Sketches + Capture) under the same
-	// contract: one nil check per completion. tail is kept separately
-	// for the rejection path, which bypasses finish.
-	tr   *obs.Tracer
-	tail *obs.TailTracker
-	comp *compObserver
+	// path is one nil-check branch per event site.
+	tr *obs.Tracer
 
 	// classLimit is the per-class ingress occupancy watermark (per
 	// shard): a class is rejected once len(shard.submit) reaches its
@@ -503,8 +477,6 @@ func New(h Handler, opts Options) *Server {
 		serial:  servers.Add(1),
 		opts:    opts,
 		tr:      opts.Tracer,
-		tail:    opts.Tail,
-		comp:    newCompObserver(opts),
 		handler: h,
 		locals:  make([]chan *task, opts.Workers),
 		occ:     make([]occWord, opts.Workers),

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -194,6 +195,48 @@ func TestRejectedTraced(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("reject event missing")
+	}
+}
+
+// TestResponseService: Response.Service is the request's summed run
+// time — positive and within Latency when it ran, Breakdown.Service
+// when traced — and 0 for a request that never ran: a rejection, and
+// one whose deadline passed while it sat in its worker's local queue.
+func TestResponseService(t *testing.T) {
+	for _, o := range []Options{testOptions(1, 0), tracedOptions(1, 0, 256)} {
+		s := New(&spinHandler{}, o)
+		s.Start()
+		resp := s.Do(20 * time.Microsecond)
+		s.Stop()
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		if resp.Service <= 0 || resp.Service > resp.Latency {
+			t.Errorf("traced %v: Service %v, want in (0, Latency %v]", o.Tracer != nil, resp.Service, resp.Latency)
+		}
+		if b := resp.Breakdown; b != nil && b.Service != resp.Service {
+			t.Errorf("Service %v, Breakdown.Service %v", resp.Service, b.Service)
+		}
+		if resp := s.Do(time.Microsecond); resp.Err == nil || resp.Service != 0 {
+			t.Errorf("rejection: err %v, Service %v, want ErrServerStopped and 0", resp.Err, resp.Service)
+		}
+	}
+
+	h := &orderRecHandler{release: make(chan struct{})}
+	o := testOptions(1, 0)
+	o.RequestTimeout = time.Hour
+	s := New(h, o)
+	s.Start()
+	defer s.Stop()
+	blocked := s.Submit("block")
+	waitUntil(t, "blocker to occupy the worker", func() bool { return s.Depths().Workers[0] == 1 })
+	late := s.Submit(unlabeledReq{label: "late"})
+	waitUntil(t, "late request to reach the worker's local queue", func() bool { return s.Depths().Workers[0] == 2 })
+	advanceClock(t, o.RequestTimeout+time.Millisecond)
+	close(h.release)
+	<-blocked
+	if resp := <-late; !errors.Is(resp.Err, ErrDeadlineExceeded) || resp.Service != 0 {
+		t.Errorf("expired while queued: err %v, Service %v, want ErrDeadlineExceeded and 0", resp.Err, resp.Service)
 	}
 }
 

@@ -16,22 +16,17 @@ import (
 // TestObserversDoNotArmClassPreemption pins what arms the ÷4 quantum
 // shrink applied to non-critical requests while critical work is queued:
 // admission control or a cascade discipline — configuration that is
-// about scheduling classes. A server that only measures per class
-// (Tracer, Tail with class children, Sketches, Capture) must hold every
-// request to the same quantum as a plain one.
+// about scheduling classes. A server that only measures (Tracer) must
+// hold every request to the same quantum as a plain one.
 func TestObserversDoNotArmClassPreemption(t *testing.T) {
 	const base = 400 * time.Microsecond
-	tail := obs.NewTailTracker(nil, obs.NewSLOTracker(obs.SLOConfig{Target: time.Millisecond}))
-	tail.Classes = NewClassTrackers()
-	observed := Options{Tracer: obs.NewTracer(2, 64), Tail: tail,
-		Sketches: obs.NewClassSketches(NumClasses), Capture: NewCaptureRing(16, 1)}
 	for _, tc := range []struct {
 		name  string
 		opts  Options
 		armed bool
 	}{
 		{"plain", Options{}, false},
-		{"observed", observed, false},
+		{"observed", Options{Tracer: obs.NewTracer(2, 64)}, false},
 		{"admission", Options{ClassAdmission: true}, true},
 		{"cascade", Options{Policy: PolicyCascade}, true},
 	} {

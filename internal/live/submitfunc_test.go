@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"concord/internal/obs"
 )
 
 // TestSubmitFuncExactlyOnce: every SubmitFunc request gets its callback
@@ -139,12 +137,9 @@ func (yieldTimesHandler) Handle(ctx *Ctx, payload any) (any, error) {
 // queue (every worker slot held, so the work-conserving dispatcher runs
 // it), nor TryDo on either of the same two paths. A request that is
 // preempted allocates once however often it yields: the `go` statement
-// that hands the executor identity to a successor at its first yield. The same figures hold with every
-// completion observer set — Tail with per-class children, Sketches,
-// Capture at 1-in-1: the completion path pays one branch for all of them
-// and none allocates. (How many nanoseconds they cost is a magnitude,
-// for the benchmark's ledger.) And they hold with a RequestTimeout: a
-// task that carried a deadline goes back to the pool like any other.
+// that hands the executor identity to a successor at its first yield.
+// The same figures hold with a RequestTimeout: a task that carried a
+// deadline goes back to the pool like any other.
 // (The race detector makes sync.Pool drop a
 // quarter of what it is given, so the figures only mean something
 // without it.)
@@ -162,22 +157,15 @@ func TestSubmitFuncZeroAllocs(t *testing.T) {
 		{"five yields", yieldTimes(5), 1},
 	}
 	for _, cfg := range []struct {
-		shards   int
-		observed bool
-		timeout  time.Duration
-	}{{1, false, 0}, {2, false, 0}, {4, false, 0}, {1, true, 0}, {4, true, 0}, {1, false, time.Hour}} {
+		shards  int
+		timeout time.Duration
+	}{{1, 0}, {2, 0}, {4, 0}, {1, time.Hour}} {
 		// An hour-long quantum: nothing signals but yieldNow. Work
 		// conservation only matters once every worker slot is held.
 		opts := testOptions(4, time.Hour)
 		opts.Shards = cfg.shards
 		opts.WorkConserving = true
 		opts.RequestTimeout = cfg.timeout
-		if cfg.observed {
-			opts.Tail = obs.NewTailTracker(nil, obs.NewSLOTracker(obs.SLOConfig{Target: time.Millisecond}))
-			opts.Tail.Classes = NewClassTrackers()
-			opts.Sketches = obs.NewClassSketches(NumClasses)
-			opts.Capture = NewCaptureRing(1024, 1)
-		}
 		s := New(yieldTimesHandler{}, opts)
 		s.Start()
 		answered := make(chan struct{}, 1)

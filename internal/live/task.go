@@ -234,7 +234,7 @@ type taskState struct {
 
 	// runNS is the accumulated running time: every slice charges the
 	// interval between its two clock reads (SRPT's remaining-work key,
-	// Breakdown.Service, the service-time sinks). The nanotime stamps
+	// Response.Service and Breakdown.Service). The nanotime stamps
 	// below are written on traced servers only, 0 until then. All writes
 	// happen on the goroutine that owns the task at that moment; the
 	// channel hand-offs order them.

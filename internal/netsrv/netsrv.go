@@ -82,7 +82,11 @@ type Options struct {
 	// by the connection's flusher like any other.
 	Control func(out io.Writer, line string, obsOn *bool) bool
 	// Observe, when non-nil, receives every completed data response
-	// (both modes) for per-op latency histograms.
+	// (both modes), refusals included: the one place a server built on
+	// this layer observes completions (latency histograms, tail and SLO
+	// tracking, capture for replay). It runs on the completing executor
+	// or on the connection's reader, possibly on several at once, so it
+	// must be safe for concurrent use and must not block.
 	Observe func(op byte, resp live.Response)
 	// Trailer, when non-nil, renders the |OBS breakdown trailer
 	// appended to text responses while the connection has OBS ON. It

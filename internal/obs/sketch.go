@@ -184,8 +184,8 @@ type classSketch struct {
 }
 
 // ClassSketches bundles a per-scheduling-class service-time sketch and
-// hint-error sketch, fed from the runtime's completion path (one call
-// per successfully completed request). Class indices follow the live
+// hint-error sketch, fed by whoever observes completions (one call per
+// successfully completed request). Class indices follow the live
 // runtime's SLOClass taxonomy; out-of-range classes fold into class 0
 // rather than being dropped.
 type ClassSketches struct {

@@ -10,63 +10,39 @@ package obs
 
 import "time"
 
-// SLOConfig describes one latency SLO.
-type SLOConfig struct {
-	// Target is the latency bound: a request is good when it completes
-	// without error within Target.
-	Target time.Duration
-	// Objective is the good-ratio goal, e.g. 0.999 for "99.9% of
-	// requests within Target". The error budget is 1-Objective.
-	Objective float64
-	// ShortWindow and LongWindow are the two burn-rate horizons.
-	// Defaults: 5m and 1h.
-	ShortWindow, LongWindow time.Duration
-	// BurnAlert is the burn-rate threshold; the tracker alerts while
-	// both windows burn at or above it. Default 14.4 (consumes a
-	// 30-day budget in ~2 days).
-	BurnAlert float64
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = 0.999
-	}
-	if c.ShortWindow <= 0 {
-		c.ShortWindow = 5 * time.Minute
-	}
-	if c.LongWindow <= c.ShortWindow {
-		c.LongWindow = 12 * c.ShortWindow
-	}
-	if c.BurnAlert <= 0 {
-		c.BurnAlert = 14.4
-	}
-	return c
-}
+// The SLO's fixed shape: a 99.9% objective, burn rates over 5m and 1h,
+// and an alert while both burn at 14.4 or more (a 30-day budget gone in
+// about two days). Only the latency target varies.
+const (
+	sloObjective   = 0.999
+	sloShortWindow = 5 * time.Minute
+	sloLongWindow  = time.Hour
+	sloBurnAlert   = 14.4
+)
 
 // sloCounts is one epoch of windowed good/total counts.
 type sloCounts struct {
 	good, total uint64
 }
 
-// SLOTracker accounts requests against an SLOConfig and derives
+// SLOTracker accounts requests against a latency target and derives
 // multi-window burn rates. It is safe for concurrent use.
 type SLOTracker struct {
-	cfg  SLOConfig
-	ring *epochRing[sloCounts]
+	target time.Duration
+	ring   *epochRing[sloCounts]
 	// alerting latches between Snapshot calls: it fires when both
-	// windows burn at or above BurnAlert and clears as soon as the
+	// windows burn at or above sloBurnAlert and clears as soon as the
 	// short window cools below it (the SRE reset condition). Guarded by
 	// ring.mu.
 	alerting bool
 }
 
-// NewSLOTracker builds a tracker; zero-valued config fields take the
-// documented defaults.
-func NewSLOTracker(cfg SLOConfig) *SLOTracker {
-	cfg = cfg.withDefaults()
+// NewSLOTracker builds a tracker: a request is good when it completes
+// without error within target.
+func NewSLOTracker(target time.Duration) *SLOTracker {
 	// Epochs at 1/20 of the short window bound the quantization error
 	// of both horizons to ≤5% of the short window.
-	return &SLOTracker{cfg: cfg, ring: newEpochRing(cfg.ShortWindow/20, cfg.LongWindow,
+	return &SLOTracker{target: target, ring: newEpochRing(sloShortWindow/20, sloLongWindow,
 		func(c *sloCounts) { *c = sloCounts{} })}
 }
 
@@ -76,7 +52,7 @@ func (t *SLOTracker) Observe(latency time.Duration, ok bool) {
 	t.ring.mu.Lock()
 	c := t.ring.current()
 	c.total++
-	if ok && latency <= t.cfg.Target {
+	if ok && latency <= t.target {
 		c.good++
 	}
 	t.ring.mu.Unlock()
@@ -86,7 +62,7 @@ func (t *SLOTracker) Observe(latency time.Duration, ok bool) {
 type SLOSnapshot struct {
 	// ShortBurn and LongBurn are the burn rates over the two windows:
 	// the windows' bad-request ratios divided by the error budget
-	// (1-Objective). 0 when the window saw no traffic.
+	// (1-sloObjective). 0 when the window saw no traffic.
 	ShortBurn, LongBurn float64
 	// Good/Total counts over each window.
 	ShortGood, ShortTotal uint64
@@ -111,7 +87,7 @@ func (t *SLOTracker) burnRate(good, total uint64) float64 {
 		return 0
 	}
 	badRatio := float64(total-good) / float64(total)
-	return badRatio / (1 - t.cfg.Objective)
+	return badRatio / (1 - sloObjective)
 }
 
 // Snapshot computes both windows' burn rates and updates the latched
@@ -120,15 +96,15 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 	t.ring.mu.Lock()
 	defer t.ring.mu.Unlock()
 	var snap SLOSnapshot
-	snap.ShortGood, snap.ShortTotal = t.counts(t.cfg.ShortWindow)
-	snap.LongGood, snap.LongTotal = t.counts(t.cfg.LongWindow)
+	snap.ShortGood, snap.ShortTotal = t.counts(sloShortWindow)
+	snap.LongGood, snap.LongTotal = t.counts(sloLongWindow)
 	snap.ShortBurn = t.burnRate(snap.ShortGood, snap.ShortTotal)
 	snap.LongBurn = t.burnRate(snap.LongGood, snap.LongTotal)
 	if t.alerting {
-		if snap.ShortBurn < t.cfg.BurnAlert {
+		if snap.ShortBurn < sloBurnAlert {
 			t.alerting = false
 		}
-	} else if snap.ShortBurn >= t.cfg.BurnAlert && snap.LongBurn >= t.cfg.BurnAlert {
+	} else if snap.ShortBurn >= sloBurnAlert && snap.LongBurn >= sloBurnAlert {
 		t.alerting = true
 	}
 	snap.Alerting = t.alerting

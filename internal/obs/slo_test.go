@@ -1,51 +1,62 @@
 package obs
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
 )
 
-func newClockedSLO(cfg SLOConfig) (*SLOTracker, *fakeClock) {
-	tr := NewSLOTracker(cfg)
+func newClockedSLO(target time.Duration) (*SLOTracker, *fakeClock) {
+	tr := NewSLOTracker(target)
 	clk := &fakeClock{}
 	tr.ring.now = clk.now
 	return tr, clk
 }
 
+// TestSLOConfigDefaults: the SLO's fixed shape. One bad request in a
+// thousand burns exactly the 99.9% objective's budget (burn 1); it ages
+// out of the short window after 5 minutes and of the long one after an
+// hour.
 func TestSLOConfigDefaults(t *testing.T) {
-	cfg := SLOConfig{Target: 200 * time.Microsecond}.withDefaults()
-	if cfg.Objective != 0.999 {
-		t.Fatalf("default objective = %v", cfg.Objective)
+	tr, clk := newClockedSLO(time.Millisecond)
+	for i := 0; i < 999; i++ {
+		tr.Observe(time.Millisecond, true) // at the target: good
 	}
-	if cfg.ShortWindow != 5*time.Minute || cfg.LongWindow != time.Hour {
-		t.Fatalf("default windows = %v/%v, want 5m/1h", cfg.ShortWindow, cfg.LongWindow)
+	tr.Observe(time.Millisecond+1, true)
+	if s := tr.Snapshot(); s.ShortGood != 999 || s.ShortTotal != 1000 || math.Abs(s.ShortBurn-1) > 1e-9 || s.LongBurn != s.ShortBurn {
+		t.Fatalf("1 bad in 1000: %+v, want burn 1 over both windows", s)
 	}
-	if cfg.BurnAlert != 14.4 {
-		t.Fatalf("default burn alert = %v", cfg.BurnAlert)
+	clk.advance(sloShortWindow + sloShortWindow/20)
+	if s := tr.Snapshot(); s.ShortTotal != 0 || s.LongTotal != 1000 {
+		t.Fatalf("past the short window: short/long total %d/%d, want 0/1000", s.ShortTotal, s.LongTotal)
+	}
+	clk.advance(sloLongWindow)
+	if s := tr.Snapshot(); s.LongTotal != 0 {
+		t.Fatalf("past the long window: long total %d, want 0", s.LongTotal)
 	}
 }
 
 func TestSLOTrackerEmpty(t *testing.T) {
-	tr, _ := newClockedSLO(SLOConfig{Target: time.Millisecond})
+	tr, _ := newClockedSLO(time.Millisecond)
 	s := tr.Snapshot()
 	if s.ShortBurn != 0 || s.LongBurn != 0 || s.Alerting {
 		t.Fatalf("empty tracker snapshot = %+v", s)
 	}
 }
 
-// TestSLOBurnRateValues: with a 0.99 objective (1% budget), a 2% bad
-// ratio burns at 2.0, a 100% bad ratio at 100.
+// TestSLOBurnRateValues: against the 99.9% objective (0.1% budget), a
+// 0.2% bad ratio burns at 2.0.
 func TestSLOBurnRateValues(t *testing.T) {
-	tr, _ := newClockedSLO(SLOConfig{Target: time.Millisecond, Objective: 0.99})
-	for i := 0; i < 98; i++ {
+	tr, _ := newClockedSLO(time.Millisecond)
+	for i := 0; i < 998; i++ {
 		tr.Observe(time.Microsecond, true)
 	}
 	tr.Observe(time.Second, true) // over target
 	tr.Observe(time.Microsecond, false)
 	s := tr.Snapshot()
-	if s.ShortGood != 98 || s.ShortTotal != 100 {
-		t.Fatalf("good/total = %d/%d, want 98/100", s.ShortGood, s.ShortTotal)
+	if s.ShortGood != 998 || s.ShortTotal != 1000 {
+		t.Fatalf("good/total = %d/%d, want 998/1000", s.ShortGood, s.ShortTotal)
 	}
 	if s.ShortBurn < 1.99 || s.ShortBurn > 2.01 {
 		t.Fatalf("short burn = %v, want 2.0", s.ShortBurn)
@@ -63,14 +74,7 @@ func TestSLOBurnRateValues(t *testing.T) {
 // recovery traffic cools the short window first, clearing the alert
 // even while the long window still remembers the incident.
 func TestSLOAlertFiresAndClears(t *testing.T) {
-	cfg := SLOConfig{
-		Target:      time.Millisecond,
-		Objective:   0.99, // 1% budget
-		ShortWindow: 5 * time.Minute,
-		LongWindow:  time.Hour,
-		BurnAlert:   10,
-	}
-	tr, clk := newClockedSLO(cfg)
+	tr, clk := newClockedSLO(time.Millisecond)
 
 	// Phase 1 — healthy baseline for 10 minutes.
 	for m := 0; m < 10; m++ {
@@ -83,13 +87,13 @@ func TestSLOAlertFiresAndClears(t *testing.T) {
 		}
 	}
 
-	// Phase 2 — incident: 50% of requests breach the target (burn 50).
+	// Phase 2 — incident: 5% of requests breach the target (burn 50).
 	// The short window heats up within its horizon; the long window
 	// needs enough hot minutes for its average to cross too.
 	fired := false
 	for m := 0; m < 30; m++ {
 		for i := 0; i < 100; i++ {
-			tr.Observe(time.Microsecond, i%2 == 0)
+			tr.Observe(time.Microsecond, i%20 != 0)
 		}
 		clk.advance(time.Minute)
 		s := tr.Snapshot()
@@ -129,14 +133,7 @@ func TestSLOAlertFiresAndClears(t *testing.T) {
 // window pushes the short burn past the threshold but not the long
 // one, so no alert fires (the point of multi-window burn rates).
 func TestSLOShortSpikeDoesNotPage(t *testing.T) {
-	cfg := SLOConfig{
-		Target:      time.Millisecond,
-		Objective:   0.99,
-		ShortWindow: 5 * time.Minute,
-		LongWindow:  time.Hour,
-		BurnAlert:   10,
-	}
-	tr, clk := newClockedSLO(cfg)
+	tr, clk := newClockedSLO(time.Millisecond)
 	// 55 minutes of healthy traffic...
 	for m := 0; m < 55; m++ {
 		for i := 0; i < 100; i++ {
@@ -144,16 +141,16 @@ func TestSLOShortSpikeDoesNotPage(t *testing.T) {
 		}
 		clk.advance(time.Minute)
 	}
-	// ...then one hot minute: 100% bad = burn 100 over that minute.
+	// ...then one hot minute: 10% bad = burn 100 over that minute.
 	for i := 0; i < 100; i++ {
-		tr.Observe(time.Second, true)
+		tr.Observe(time.Microsecond, i%10 != 0)
 	}
 	clk.advance(time.Minute)
 	s := tr.Snapshot()
-	if s.ShortBurn < cfg.BurnAlert {
-		t.Fatalf("short burn = %v, expected hot (> %v)", s.ShortBurn, cfg.BurnAlert)
+	if s.ShortBurn < sloBurnAlert {
+		t.Fatalf("short burn = %v, expected hot (> %v)", s.ShortBurn, sloBurnAlert)
 	}
-	if s.LongBurn >= cfg.BurnAlert {
+	if s.LongBurn >= sloBurnAlert {
 		t.Fatalf("long burn = %v, expected cool", s.LongBurn)
 	}
 	if s.Alerting {
@@ -164,7 +161,7 @@ func TestSLOShortSpikeDoesNotPage(t *testing.T) {
 // TestSLOIdleGap: counts age out after an idle gap longer than the
 // long window.
 func TestSLOIdleGap(t *testing.T) {
-	tr, clk := newClockedSLO(SLOConfig{Target: time.Millisecond, Objective: 0.99})
+	tr, clk := newClockedSLO(time.Millisecond)
 	for i := 0; i < 100; i++ {
 		tr.Observe(time.Second, true) // all bad
 	}
@@ -176,7 +173,7 @@ func TestSLOIdleGap(t *testing.T) {
 }
 
 func TestSLOTrackerConcurrent(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{Target: 100 * time.Microsecond, Objective: 0.999})
+	tr := NewSLOTracker(100 * time.Microsecond)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -180,6 +180,16 @@ func TestObsSmoke(t *testing.T) {
 			t.Fatalf("/metrics missing %q; got:\n%.2000s", want, body)
 		}
 	}
+	// The completion observer kvd hands netsrv feeds the sketches and
+	// the SLO: after the load both have counted requests.
+	for _, series := range []string{
+		`concord_svc_time_samples_total{class="standard"}`,
+		`concord_slo_requests{window="short",result="total"}`,
+	} {
+		if v := metricValue(t, body, series); v <= 0 {
+			t.Errorf("%s = %v after the load, want > 0", series, v)
+		}
+	}
 	// pprof must be mounted on the same listener.
 	if pprof := httpGet(t, "http://"+obsAddr+"/debug/pprof/cmdline"); !strings.Contains(pprof, "concord-kvd") {
 		t.Fatalf("pprof cmdline = %q", pprof)
@@ -338,6 +348,22 @@ func parseAddrs(t *testing.T, stderr io.Reader) (kvAddr, obsAddr string) {
 			t.Fatalf("timed out waiting for server addresses (kv=%q obs=%q)", kvAddr, obsAddr)
 		}
 	}
+}
+
+// metricValue reads one series' value from an exposition.
+func metricValue(t *testing.T, body, series string) float64 {
+	t.Helper()
+	for _, ln := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(ln, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
 }
 
 func httpGet(t *testing.T, url string) string {

@@ -1,8 +1,7 @@
-// TailTracker is the single hook the serving path carries for the
-// time-windowed observability layer: one Observe per delivered response
-// feeds the rolling-window latency sketch and the SLO burn-rate
-// accounting. The live runtime guards the call with one nil check, the
-// same disabled-cost contract as the lifecycle tracer.
+// TailTracker is the time-windowed observability layer's entry point:
+// one Observe per delivered response feeds the rolling-window latency
+// sketch and the SLO burn-rate accounting. Whoever observes completions
+// calls it (concord-kvd, from its connection layer's completion hook).
 package obs
 
 import (
@@ -18,19 +17,12 @@ func DefaultWindows() []time.Duration {
 }
 
 // TailTracker is a rolling latency sketch — a ring of QuantileSketch
-// epochs sized to a set of query windows — with an optional SLOTracker
-// and optional per-class children. It is safe for concurrent use.
+// epochs sized to a set of query windows — with an optional SLOTracker.
+// It is safe for concurrent use.
 //
 // The ring holds one 4 KiB sketch per epoch: 241 epochs (≈1 MiB) at the
 // default 1s/10s/60s windows, 5 (≈20 KiB) for a 1s-only tracker.
 type TailTracker struct {
-	// Classes, when set before the tracker is shared, are per-SLO-class
-	// trackers indexed by the live runtime's SLOClass values:
-	// ObserveClass and ObserveRejected feed the class's child as well as
-	// this tracker. Out-of-range classes fold into class 0 (the
-	// ClassSketches convention).
-	Classes []*TailTracker
-
 	ring    *epochRing[QuantileSketch]
 	windows []time.Duration
 	slo     *SLOTracker
@@ -66,40 +58,6 @@ func (t *TailTracker) Observe(latency time.Duration, ok bool) {
 	t.ring.mu.Unlock()
 	if t.slo != nil {
 		t.slo.Observe(latency, ok)
-	}
-}
-
-// class returns the child tracker for class, or nil without Classes.
-func (t *TailTracker) class(class int) *TailTracker {
-	if len(t.Classes) == 0 {
-		return nil
-	}
-	if class < 0 || class >= len(t.Classes) {
-		class = 0
-	}
-	return t.Classes[class]
-}
-
-// ObserveClass accounts one delivered response against this tracker and
-// its class's child.
-func (t *TailTracker) ObserveClass(class int, latency time.Duration, ok bool) {
-	t.Observe(latency, ok)
-	if c := t.class(class); c != nil {
-		c.Observe(latency, ok)
-	}
-}
-
-// ObserveRejected accounts a rejected submission (shed, queue-full, or
-// stopped) as an SLO-bad event, for the server and for its class,
-// without touching the latency windows: the request was never served,
-// so it has no meaningful latency, but it certainly did not meet the
-// objective.
-func (t *TailTracker) ObserveRejected(class int) {
-	if t.slo != nil {
-		t.slo.Observe(0, false)
-	}
-	if c := t.class(class); c != nil && c.slo != nil {
-		c.slo.Observe(0, false)
 	}
 }
 

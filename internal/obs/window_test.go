@@ -292,7 +292,7 @@ func TestTailTrackerDefaults(t *testing.T) {
 }
 
 func TestTailTrackerWithSLO(t *testing.T) {
-	slo := NewSLOTracker(SLOConfig{Target: 200 * time.Microsecond, Objective: 0.99})
+	slo := NewSLOTracker(200 * time.Microsecond)
 	tt := NewTailTracker([]time.Duration{time.Second}, slo)
 	tt.Observe(100*time.Microsecond, true)  // good
 	tt.Observe(500*time.Microsecond, true)  // bad: over target
@@ -303,31 +303,38 @@ func TestTailTrackerWithSLO(t *testing.T) {
 	}
 }
 
-// TestTailTrackerClasses: per-class tails are child trackers of the
-// same type. ObserveClass feeds the parent and the class's child,
-// out-of-range classes fold into class 0, a rejection is SLO-bad for
-// both without touching either latency window, and a tracker without
-// children takes the same calls as a plain Observe.
+// TestTailTrackerClasses checks the per-class arrangement a caller builds
+// from plain trackers: each class's tracker judges a latency against its
+// own target, and a refusal accounted on the SLO alone counts bad without
+// entering any latency window.
 func TestTailTrackerClasses(t *testing.T) {
 	newTracker := func(target time.Duration) *TailTracker {
-		return NewTailTracker([]time.Duration{time.Second}, NewSLOTracker(SLOConfig{Target: target}))
+		return NewTailTracker([]time.Duration{time.Second}, NewSLOTracker(target))
 	}
-	tt := newTracker(time.Millisecond)
-	tt.Classes = []*TailTracker{newTracker(time.Millisecond), newTracker(50 * time.Microsecond)}
+	server := newTracker(time.Millisecond)
+	classes := []*TailTracker{newTracker(time.Millisecond), newTracker(50 * time.Microsecond)}
+	observe := func(class int, latency time.Duration) {
+		server.Observe(latency, true)
+		classes[class].Observe(latency, true)
+	}
+	refuse := func(class int) {
+		server.SLO().Observe(0, false)
+		classes[class].SLO().Observe(0, false)
+	}
 
-	tt.ObserveClass(1, 100*time.Microsecond, true) // over class 1's own target
-	tt.ObserveClass(0, 100*time.Microsecond, true)
-	tt.ObserveClass(7, 100*time.Microsecond, true) // folds into class 0
-	tt.ObserveRejected(1)
+	observe(1, 100*time.Microsecond) // over class 1's own target
+	observe(0, 100*time.Microsecond)
+	observe(0, 100*time.Microsecond)
+	refuse(1)
 
 	for _, c := range []struct {
 		name                      string
 		tr                        *TailTracker
 		window, sloGood, sloTotal uint64
 	}{
-		{"server", tt, 3, 3, 4},
-		{"class 0", tt.Classes[0], 2, 2, 2},
-		{"class 1", tt.Classes[1], 1, 0, 2},
+		{"server", server, 3, 3, 4},
+		{"class 0", classes[0], 2, 2, 2},
+		{"class 1", classes[1], 1, 0, 2},
 	} {
 		if got := c.tr.Snapshot(time.Second).Count; got != c.window {
 			t.Errorf("%s window Count = %d, want %d", c.name, got, c.window)
@@ -335,12 +342,5 @@ func TestTailTrackerClasses(t *testing.T) {
 		if s := c.tr.SLO().Snapshot(); s.ShortGood != c.sloGood || s.ShortTotal != c.sloTotal {
 			t.Errorf("%s SLO good/total = %d/%d, want %d/%d", c.name, s.ShortGood, s.ShortTotal, c.sloGood, c.sloTotal)
 		}
-	}
-
-	plain := NewTailTracker(nil, nil)
-	plain.ObserveClass(2, time.Microsecond, true)
-	plain.ObserveRejected(2)
-	if got := plain.Snapshot(time.Second).Count; got != 1 {
-		t.Errorf("classless tracker Count = %d, want 1", got)
 	}
 }

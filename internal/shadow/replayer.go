@@ -1,4 +1,4 @@
-// The background replayer: periodically drains the live capture ring,
+// The background replayer: periodically drains the capture ring,
 // replays the window through the counterfactual simulator, and keeps a
 // bounded history of results for the operator surface (metrics gauges,
 // the kvd SHADOW verb, and the shutdown dump).
@@ -10,8 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"concord/internal/live"
 )
 
 // historyCap bounds the retained per-window results; old windows age
@@ -22,7 +20,7 @@ const historyCap = 64
 // periodic replay, or drive it manually with ReplayOnce (tests, final
 // drain). Safe for concurrent use.
 type Replayer struct {
-	ring     *live.CaptureRing
+	ring     *CaptureRing
 	cfg      Config
 	interval time.Duration
 
@@ -40,7 +38,7 @@ type Replayer struct {
 
 // NewReplayer builds a replayer draining ring every interval (default
 // 1s) under cfg's counterfactual servers.
-func NewReplayer(ring *live.CaptureRing, cfg Config, interval time.Duration) *Replayer {
+func NewReplayer(ring *CaptureRing, cfg Config, interval time.Duration) *Replayer {
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -107,10 +105,6 @@ func (r *Replayer) ReplayOnce() (Result, bool) {
 
 // Latest returns the most recent scored window, nil before the first.
 func (r *Replayer) Latest() *Result { return r.latest.Load() }
-
-// Ring exposes the capture ring the replayer drains (for capture-rate
-// counters on the metrics surface).
-func (r *Replayer) Ring() *live.CaptureRing { return r.ring }
 
 // Results returns up to n retained windows, newest first.
 func (r *Replayer) Results(n int) []Result {

@@ -1,7 +1,8 @@
 // Package shadow answers "what would the tail have been under a
 // different scheduling policy?" without running one. It takes sampled
-// capture windows from the live runtime (live.CaptureRing) — arrival
-// spacing, class, service hint, measured service time — and replays
+// capture windows of the live runtime's completions (CaptureRing, fed
+// by whoever observes them) — arrival spacing, class, service hint,
+// measured service time — and replays
 // them through the deterministic simulator (internal/server) under
 // counterfactual configurations:
 //
@@ -163,12 +164,12 @@ func (r *Result) String() string {
 // clamps to the last record (defensive — Requests == len(recs) makes
 // that unreachable).
 type traceDist struct {
-	recs []live.CaptureRec
+	recs []CaptureRec
 	mean float64
 	i    int
 }
 
-func newTraceDist(recs []live.CaptureRec) *traceDist {
+func newTraceDist(recs []CaptureRec) *traceDist {
 	var sum float64
 	for _, r := range recs {
 		sum += float64(r.ServiceNS)
@@ -202,7 +203,7 @@ type traceArrival struct {
 	i    int
 }
 
-func newTraceArrival(recs []live.CaptureRec) *traceArrival {
+func newTraceArrival(recs []CaptureRec) *traceArrival {
 	gaps := make([]float64, len(recs))
 	for i := 1; i < len(recs); i++ {
 		gaps[i] = float64(recs[i].ArrivalNS-recs[i-1].ArrivalNS) / 1e3
@@ -223,7 +224,7 @@ func (a *traceArrival) NextGapUS(_ *sim.RNG) float64 {
 // policy. It is pure and deterministic: the same window and config
 // produce a bit-identical Result. ok is false when the window is too
 // small to score.
-func ReplayWindow(w live.CaptureWindow, cfg Config) (Result, bool) {
+func ReplayWindow(w CaptureWindow, cfg Config) (Result, bool) {
 	cfg = cfg.withDefaults()
 	if len(w.Recs) < cfg.MinRecs || len(w.Recs) < 2 {
 		return Result{}, false
@@ -251,7 +252,7 @@ func ReplayWindow(w live.CaptureWindow, cfg Config) (Result, bool) {
 	return res, true
 }
 
-func replayPolicy(recs []live.CaptureRec, cfg Config, policy string) PolicyResult {
+func replayPolicy(recs []CaptureRec, cfg Config, policy string) PolicyResult {
 	sc := server.Concord(cost.Default(), cfg.Workers, cfg.QuantumUS)
 	sc.QueueBound = cfg.QueueBound
 	sc.WorkConserving = cfg.WorkConserving
@@ -294,7 +295,7 @@ func replayPolicy(recs []live.CaptureRec, cfg Config, policy string) PolicyResul
 	return pr
 }
 
-func achievedP99US(recs []live.CaptureRec) float64 {
+func achievedP99US(recs []CaptureRec) float64 {
 	lat := make([]float64, len(recs))
 	for i, r := range recs {
 		lat[i] = float64(r.LatencyNS) / 1e3

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"concord/internal/dist"
-	"concord/internal/live"
 	"concord/internal/sim"
 )
 
@@ -17,11 +16,11 @@ import (
 // times under Poisson arrivals, every record hinted at hintFactor × its
 // true size (hintFactor 0 strips hints), classes alternating
 // short/long/default.
-func synthWindow(n int, seed uint64, ratePerSec, hintFactor float64) live.CaptureWindow {
+func synthWindow(n int, seed uint64, ratePerSec, hintFactor float64) CaptureWindow {
 	rng := sim.NewRNG(seed)
 	svc := dist.Lognormal{Mu: math.Log(20), Sigma: 1.5}
 	arr := dist.NewPoisson(ratePerSec)
-	w := live.CaptureWindow{Start: time.Unix(0, 0)}
+	w := CaptureWindow{Start: time.Unix(0, 0)}
 	var at float64
 	for i := 0; i < n; i++ {
 		at += arr.NextGapUS(rng)
@@ -30,7 +29,7 @@ func synthWindow(n int, seed uint64, ratePerSec, hintFactor float64) live.Captur
 		if svcNS < 1 {
 			svcNS = 1
 		}
-		rec := live.CaptureRec{
+		rec := CaptureRec{
 			ArrivalNS: int64(at * 1e3),
 			Class:     uint8(i % 3),
 			ServiceNS: svcNS,
@@ -129,7 +128,7 @@ func TestReplayNoisyHintsCostTail(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		w    live.CaptureWindow
+		w    CaptureWindow
 		cfg  Config
 		// Pinned p99s in µs; all zero for a row that pins none.
 		fcfs, oracle, hint float64
@@ -166,7 +165,7 @@ func TestReplayNoisyHintsCostTail(t *testing.T) {
 // TestReplayerLifecycle: skip accounting on thin windows, scoring on
 // real ones, history/latest/dump plumbing.
 func TestReplayerLifecycle(t *testing.T) {
-	ring := live.NewCaptureRing(4096, 1)
+	ring := NewCaptureRing(4096, 1)
 	r := NewReplayer(ring, Config{Workers: 2, QuantumUS: 100, MinRecs: 16}, time.Hour)
 
 	if _, ok := r.ReplayOnce(); ok {
@@ -216,8 +215,8 @@ func TestReplayerLifecycle(t *testing.T) {
 
 // feedRing loads a synthetic window's records into a live ring through
 // the public-ish surface the observer uses (rate 1 keeps everything).
-func feedRing(ring *live.CaptureRing, w live.CaptureWindow) {
+func feedRing(ring *CaptureRing, w CaptureWindow) {
 	for _, rec := range w.Recs {
-		ring.OfferRecord(rec)
+		ring.Offer(rec)
 	}
 }
