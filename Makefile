@@ -8,12 +8,12 @@ tier1:
 # the live serving path (runtime lifecycle + load-generator
 # measurement: concord-load's connection readers share its record log,
 # latency sketch and failure tallies; concord-kvd's completion observer
-# runs on completing executors and connection readers at once), and the
+# runs on completing executors and connection readers at once), the
 # policy queues (cascade tiers + admission paths exercise them from many
-# goroutines). Slower than tier1; run before merging changes to any of
-# these.
+# goroutines) and the kv store (connection readers and workers share
+# it). Slower than tier1; run before merging changes to any of these.
 race:
-	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/shadow ./internal/proto ./internal/netsrv ./internal/policy ./cmd/concord-load ./cmd/concord-kvd
+	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/shadow ./internal/proto ./internal/netsrv ./internal/policy ./internal/kv ./cmd/concord-load ./cmd/concord-kvd
 
 # Stress for the live runtime's concurrency-critical suites — lifecycle
 # tables, chaos, drain windows, sharded stealing, the identity hand-off,
@@ -26,12 +26,12 @@ live-stress:
 
 # Stress for the connection loop's concurrency-critical tests — window
 # back-pressure, dead and half-open clients, resets, fan-in, drain, the
-# reader path (lockstep, pipelined, torn frames), shedding and the wire
-# partition — repeated under the race detector: a write failure counted
-# twice or a slot never returned shows in one shard-count row of one run,
-# not on every pass.
+# reader path (lockstep, pipelined, torn frames), shedding, the wire
+# partition and the idle deadline — repeated under the race detector: a
+# write failure counted twice or a slot never returned shows in one
+# shard-count row of one run, not on every pass.
 net-stress:
-	go test -race -count=20 -run 'Window|NeverReading|HalfOpen|Reset|FanIn|Drain|Lockstep|Reader|Shed|Partition' ./internal/netsrv
+	go test -race -count=20 -run 'Window|NeverReading|HalfOpen|Reset|FanIn|Drain|Lockstep|Reader|Shed|Partition|Idle' ./internal/netsrv
 
 vet:
 	go vet ./...

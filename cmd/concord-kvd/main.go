@@ -119,7 +119,7 @@ func main() {
 		maxReq     = flag.Int("maxreq", 1<<20, "maximum request size in bytes (binary frame body or text line); larger requests answer TOOLARGE")
 		reqTimeout = flag.Duration("reqtimeout", 0, "per-request deadline; expired requests answer DEADLINE (0 disables)")
 		drain      = flag.Duration("drain", 5*time.Second, "graceful-drain bound on shutdown (0 waits for all in-flight)")
-		wtimeout   = flag.Duration("wtimeout", 5*time.Second, "per-response connection write deadline (0 disables)")
+		wtimeout   = flag.Duration("wtimeout", 5*time.Second, "per-response connection write deadline; a connection that sends nothing for 12 times as long is closed (0 disables both)")
 		obsAddr    = flag.String("obs", "", "serve Prometheus /metrics and /debug/pprof on this address and enable lifecycle tracing (empty disables)")
 		traceDump  = flag.String("tracedump", "", "on shutdown, write the trace rings as Chrome trace_event JSON (Perfetto-loadable) to this file; needs -obs")
 		sloTarget  = flag.Duration("slotarget", 200*time.Microsecond, "SLO latency target: requests served within it count good against a 99.9% objective (0 disables SLO tracking)")

@@ -186,7 +186,7 @@ func TestStatsNetFields(t *testing.T) {
 	line := e.stats()
 	for _, want := range []string{
 		"conns=0", "pipeline=0", "frames_in=0", "frames_out=0",
-		"flushes=0", "text_lines=0", "toolarge=0", "badframes=0", "write_closed=0",
+		"flushes=0", "text_lines=0", "toolarge=0", "badframes=0", "write_closed=0", "idle_closed=0",
 		"flush_batch_mean=0.00", "flush_batch_p50=0.00", "flush_batch_p99=0.00",
 	} {
 		if !strings.Contains(line, want) {

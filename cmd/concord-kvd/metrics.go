@@ -230,6 +230,7 @@ func (ob *kvObs) register() *kvObs {
 			{"concord_net_toolarge_total", "requests rejected for exceeding -maxreq", "toolarge", &s.net.TooLarge},
 			{"concord_net_bad_frames_total", "frames with unknown opcode or undecodable body", "badframes", &s.net.BadFrames},
 			{"concord_net_write_closed_total", "connections closed by a failed or timed-out response write", "write_closed", &s.net.WriteClosed},
+			{"concord_net_idle_closed_total", "connections closed after sending nothing for the idle timeout", "idle_closed", &s.net.IdleClosed},
 		} {
 			add(obs.Metric{Name: c.name, Help: c.help, Kind: obs.Counter, Value: count(c.v), Stat: c.stat})
 		}

@@ -6,9 +6,9 @@
 //
 // Like LevelDB, point operations take the store's mutex briefly while
 // scans iterate a consistent view without blocking writers for the whole
-// scan. The store exposes LockHeld callbacks so a scheduling runtime can
-// defer preemption while the mutex is held (§3.1's safety-first
-// preemption).
+// scan. The store knows nothing of preemption: a handler that must not be
+// preempted while it holds the mutex brackets the call with
+// ctx.BeginNoPreempt/EndNoPreempt (§3.1's safety-first preemption).
 package kv
 
 import (
@@ -38,11 +38,6 @@ type Store struct {
 	head *node
 	rng  *sim.RNG
 	len  int // live (non-tombstone) keys
-
-	// onLock/onUnlock, when set, bracket every mutex acquisition so a
-	// runtime can defer preemption inside critical sections.
-	onLock   func()
-	onUnlock func()
 }
 
 // New returns an empty store.
@@ -51,43 +46,6 @@ func New() *Store {
 		head: &node{height: maxHeight},
 		rng:  sim.NewRNG(0x9e3779b97f4a7c15),
 	}
-}
-
-// SetLockHooks registers callbacks invoked immediately after the store's
-// mutex is acquired and immediately before it is released. The Concord
-// paper adds exactly such a 4-line counter to LevelDB so the runtime
-// never preempts a lock holder (§3.1).
-func (s *Store) SetLockHooks(onLock, onUnlock func()) {
-	s.onLock = onLock
-	s.onUnlock = onUnlock
-}
-
-func (s *Store) lock() {
-	s.mu.Lock()
-	if s.onLock != nil {
-		s.onLock()
-	}
-}
-
-func (s *Store) unlock() {
-	if s.onUnlock != nil {
-		s.onUnlock()
-	}
-	s.mu.Unlock()
-}
-
-func (s *Store) rlock() {
-	s.mu.RLock()
-	if s.onLock != nil {
-		s.onLock()
-	}
-}
-
-func (s *Store) runlock() {
-	if s.onUnlock != nil {
-		s.onUnlock()
-	}
-	s.mu.RUnlock()
 }
 
 func (s *Store) randomHeight() int {
@@ -116,8 +74,8 @@ func (s *Store) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
 // Get returns the value stored for key. The returned slice must not be
 // modified by the caller.
 func (s *Store) Get(key []byte) ([]byte, bool) {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	n := s.findGreaterOrEqual(key, nil)
 	if n == nil || n.tombstone || !bytes.Equal(n.key, key) {
 		return nil, false
@@ -128,8 +86,8 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 // Put stores value under key, replacing any existing value. The store
 // keeps its own copies of key and value.
 func (s *Store) Put(key, value []byte) {
-	s.lock()
-	defer s.unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.put(key, value)
 }
 
@@ -159,8 +117,8 @@ func (s *Store) put(key, value []byte) {
 
 // Delete removes key. It reports whether the key was present.
 func (s *Store) Delete(key []byte) bool {
-	s.lock()
-	defer s.unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := s.findGreaterOrEqual(key, nil)
 	if n == nil || n.tombstone || !bytes.Equal(n.key, key) {
 		return false
@@ -173,8 +131,8 @@ func (s *Store) Delete(key []byte) bool {
 
 // Len returns the number of live keys.
 func (s *Store) Len() int {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.len
 }
 
@@ -183,8 +141,8 @@ func (s *Store) Len() int {
 // key. The scan holds the store's read lock, so fn must be fast — or the
 // caller must poll for preemption between batches via ScanBatch.
 func (s *Store) Scan(start, end []byte, fn func(key, value []byte) bool) {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	n := s.findGreaterOrEqual(start, nil)
 	for n != nil {
 		if end != nil && bytes.Compare(n.key, end) >= 0 {
@@ -207,8 +165,8 @@ func (s *Store) ScanBatch(start []byte, batch int, fn func(key, value []byte) bo
 	if batch <= 0 {
 		batch = 64
 	}
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	n := s.findGreaterOrEqual(start, nil)
 	seen := 0
 	for n != nil {
@@ -244,8 +202,8 @@ func (b *Batch) Delete(key []byte) {
 
 // Apply runs the batch against the store.
 func (s *Store) Apply(b *Batch) {
-	s.lock()
-	defer s.unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, p := range b.puts {
 		s.put(p[0], p[1])
 	}

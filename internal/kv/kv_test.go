@@ -144,34 +144,6 @@ func TestBatchAtomicApply(t *testing.T) {
 	}
 }
 
-func TestLockHooksBracketOperations(t *testing.T) {
-	s := New()
-	var depth, maxDepth, events int
-	s.SetLockHooks(
-		func() {
-			depth++
-			events++
-			if depth > maxDepth {
-				maxDepth = depth
-			}
-		},
-		func() { depth-- },
-	)
-	s.Put([]byte("a"), []byte("1"))
-	s.Get([]byte("a"))
-	s.Delete([]byte("a"))
-	s.Scan(nil, nil, func(k, v []byte) bool { return true })
-	if depth != 0 {
-		t.Fatalf("unbalanced lock hooks: depth %d", depth)
-	}
-	if events != 4 {
-		t.Fatalf("lock hook fired %d times, want 4", events)
-	}
-	if maxDepth != 1 {
-		t.Fatalf("nested lock depth %d", maxDepth)
-	}
-}
-
 // Property: the store agrees with a map reference model under random
 // operation sequences.
 func TestStoreMatchesReferenceModel(t *testing.T) {

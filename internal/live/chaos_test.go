@@ -2,16 +2,18 @@ package live
 
 // Fault-injection harness for the live runtime: randomly panicking
 // handlers, handlers that never Poll, slow clients that delay reading
-// responses, clients that batch-submit without reading, and Stop racing
-// mid-request — all under one invariant, checked per submission and in
-// aggregate: every Submit channel delivers exactly one response, and
-// after Stop, Submitted == Completed (no accepted request is ever
-// dropped). Run with -race; see `make race`.
+// responses, clients that batch-submit without reading, callers that
+// place their own requests, and Stop racing mid-request — all under one
+// invariant, checked per call and in aggregate: every call gets exactly
+// one response, and after Stop every attempt is accounted for
+// (checkConservation: no accepted request is ever dropped). Run with
+// -race; see `make race`.
 
 import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -22,6 +24,7 @@ type chaosReq struct {
 	kind  string // "quick", "spin", "nopoll", "panic"
 	d     time.Duration
 	class SLOClass
+	seq   int // tells a caller's own response from another's
 }
 
 func (r chaosReq) SLOClass() SLOClass { return r.class }
@@ -65,6 +68,18 @@ func randomChaosReq(rng *rand.Rand) chaosReq {
 	}
 }
 
+// checkConservation asserts, after Stop, that Stats accounts for every
+// one of attempts submissions, of any kind: each was accepted or
+// rejected (Submitted + Rejected), and each accepted one was answered
+// (Submitted == Completed, which counts Expired and Aborted too).
+func checkConservation(t *testing.T, s *Server, attempts uint64) {
+	t.Helper()
+	if st := s.Stats(); st.Submitted+st.Rejected != attempts || st.Submitted != st.Completed {
+		t.Fatalf("%d attempts: submitted %d + rejected %d, completed %d (an accepted request dropped, or one counted twice); stats %+v",
+			attempts, st.Submitted, st.Rejected, st.Completed, st)
+	}
+}
+
 // receiveExactlyOne asserts the submission channel yields one response
 // and no second one.
 func receiveExactlyOne(t *testing.T, ch <-chan Response) bool {
@@ -84,19 +99,27 @@ func receiveExactlyOne(t *testing.T, ch <-chan Response) bool {
 	}
 }
 
+// TestChaosLifecycle: chaos clients against five configurations. In the
+// last, half the clients place their own requests (Do and TryDo) beside
+// closed-loop Submit ones, on enough workers that they often can, and
+// the drain deadline is short enough that Stop retires placed requests
+// that have yielded and detached.
 func TestChaosLifecycle(t *testing.T) {
 	configs := []struct {
-		name string
-		opts Options
+		name    string
+		opts    Options
+		placing bool
 	}{
 		{"k1-steal", Options{Workers: 1, Quantum: 100 * time.Microsecond, QueueBound: 1,
-			WorkConserving: true, DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			WorkConserving: true, DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false},
 		{"w4", Options{Workers: 4, Quantum: 100 * time.Microsecond, QueueBound: 2,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false},
 		{"no-preempt", Options{Workers: 2, Quantum: 0,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false},
 		{"tiny-buffer", Options{Workers: 2, Quantum: 50 * time.Microsecond, SubmitBuffer: 4,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false},
+		{"placing", Options{Workers: 4, Quantum: 100 * time.Microsecond,
+			DrainTimeout: 100 * time.Microsecond, PinThreads: false}, true},
 	}
 
 	for _, cfg := range configs {
@@ -106,17 +129,24 @@ func TestChaosLifecycle(t *testing.T) {
 
 			const clients, perClient = 8, 40
 			var wg sync.WaitGroup
+			var attempts atomic.Uint64
+			callbacks := make([][]chan Response, clients) // per TryDo call
 			for c := 0; c < clients; c++ {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(c)*7919 + 1))
-					if c%3 == 0 {
+					if cfg.placing && c%4 >= 2 {
+						callbacks[c] = chaosPlacer(t, s, rng, c, perClient, c%4 == 3, &attempts)
+						return
+					}
+					if c%3 == 0 && !cfg.placing {
 						// Abusive client: batch-submit everything, then
 						// read late — responses must not be lost while
 						// nobody is listening (result channels buffer).
 						var chans []<-chan Response
 						for i := 0; i < perClient; i++ {
+							attempts.Add(1)
 							chans = append(chans, s.Submit(randomChaosReq(rng)))
 						}
 						time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
@@ -129,6 +159,7 @@ func TestChaosLifecycle(t *testing.T) {
 					}
 					// Closed-loop client with random think/read delays.
 					for i := 0; i < perClient; i++ {
+						attempts.Add(1)
 						ch := s.Submit(randomChaosReq(rng))
 						if rng.Intn(4) == 0 {
 							time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
@@ -151,14 +182,51 @@ func TestChaosLifecycle(t *testing.T) {
 			case <-time.After(15 * time.Second):
 				t.Fatal("chaos: Stop hung")
 			}
-
-			st := s.Stats()
-			if st.Submitted != st.Completed {
-				t.Fatalf("chaos: submitted %d != completed %d (accepted request dropped); stats %+v",
-					st.Submitted, st.Completed, st)
+			for c, calls := range callbacks {
+				for i, got := range calls {
+					if len(got) != 0 {
+						t.Errorf("chaos: client %d TryDo %d: a second response", c, i)
+					}
+				}
 			}
+			checkConservation(t, s, attempts.Load())
 		})
 	}
+}
+
+// chaosPlacer is a closed-loop client that places its own requests: Do,
+// or TryDo when try is set. Each call must get exactly one response, and
+// its own: Do's return value; TryDo's return value when it placed — and
+// then no callback, ever — or else one callback, waited for before the
+// next call. It returns each TryDo's callback channel, for the caller to
+// check after Stop that no second response arrived late.
+func chaosPlacer(t *testing.T, s *Server, rng *rand.Rand, c, n int, try bool, attempts *atomic.Uint64) (calls []chan Response) {
+	for i := 0; i < n; i++ {
+		req := randomChaosReq(rng)
+		req.seq = c*n + i + 1
+		attempts.Add(1)
+		var resp Response
+		if !try {
+			resp = s.Do(req)
+		} else {
+			got := make(chan Response, 2)
+			calls = append(calls, got)
+			var placed bool
+			if resp, placed = s.TryDo(req, func(r Response) { got <- r }); !placed {
+				select {
+				case resp = <-got:
+				case <-time.After(15 * time.Second):
+					t.Error("chaos: TryDo never called back")
+					return calls
+				}
+			}
+		}
+		if r, ok := resp.Req.(chaosReq); !ok || r.seq != req.seq {
+			t.Errorf("chaos: client %d call %d answered with %v, not its own request", c, i, resp.Req)
+			return calls
+		}
+	}
+	return calls
 }
 
 // TestChaosSheddingOverloadStop: overload with per-class admission

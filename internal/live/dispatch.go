@@ -330,12 +330,13 @@ func (s *Server) takeNonStarted(sh *shard) *task {
 // identity (see runSlice) and must leave the loop.
 func (s *Server) dispatcherRun(sh *shard, t *task) (detached bool) {
 	sh.saved = nil
+	var resp Response
 	now := nanotime()
 	if t.expired(now) {
 		s.retire(sh.ex, t, ErrDeadlineExceeded)
 		return false
 	}
-	preempted, detached := s.runSlice(sh.ex, t, now)
+	preempted, detached := s.runSlice(sh.ex, t, now, &resp)
 	switch {
 	case detached:
 		return true

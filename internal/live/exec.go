@@ -7,17 +7,20 @@
 // a worker's or a dispatcher's, times itself in Poll (sliceOver).
 //
 // A request's first slice runs inline: the goroutine that holds the
-// executor identity (a worker loop, or a work-conserving dispatcher)
-// calls the handler directly, and a request that finishes inside its
-// first slice — nearly all of them — costs no goroutine, no channel
-// rendezvous and no allocation. Only a request that actually yields
+// executor identity (a worker loop, a work-conserving dispatcher, or a
+// Do or TryDo caller lent an idle worker) calls the handler directly,
+// and a request that finishes inside its first slice — nearly all of
+// them — costs no goroutine, no channel rendezvous and no allocation; a
+// lent one's response is built in its caller's frame and returned up its
+// stack, through no channel at all. Only a request that actually yields
 // needs a stack of its own, and it already has one: the goroutine it is
 // running on. That goroutine keeps the request and parks; a successor
 // goroutine adopts the identity (executor, local queue, occupancy,
 // pinned thread, Stop accounting) and carries on serving. From then on
 // the request is resumed and parked through the resume/parked channel
 // rendezvous, and when its handler finally returns its goroutine hands
-// over the response and exits.
+// over the response and exits — or, if it is a lent request's caller,
+// waits for the finished response on the channel its first yield took.
 package live
 
 import (
@@ -58,8 +61,8 @@ type executor struct {
 	// its own duties to get back to (§3.3).
 	sliceStart   int64 // nanotime
 	defaultSlice time.Duration
-	// lent is set while a Do caller runs a slice as this worker
-	// (runLent); it is written under the occupancy place took, like the
+	// lent is set while a Do or TryDo caller runs a slice as this worker
+	// (runPlaced); it is written under the occupancy place took, like the
 	// rest of the identity.
 	lent bool
 	// n is this executor's share of Stats.
@@ -139,6 +142,7 @@ func (s *Server) serveWorker(ex *executor) {
 // (requeue). It reports whether the calling goroutine detached from ex
 // (see runSlice).
 func (s *Server) workerRun(ex *executor, t *task) (detached bool) {
+	var resp Response
 	now := nanotime()
 	// Abort and deadline checks at local dequeue: a request whose
 	// deadline passed while it sat in this worker's JBSQ queue (behind a
@@ -153,26 +157,11 @@ func (s *Server) workerRun(ex *executor, t *task) (detached bool) {
 		s.retire(ex, t, ErrDeadlineExceeded)
 		return false
 	}
-	preempted, detached := s.runSlice(ex, t, now)
+	preempted, detached := s.runSlice(ex, t, now, &resp)
 	if preempted {
 		s.requeue(ex, t)
 	}
 	return detached
-}
-
-// runLent gives t its first slice as worker ex on the calling goroutine —
-// a Do caller, to which place has lent the idle worker by taking every
-// one of its JBSQ slots, so that the worker's own loop stays blocked on
-// its empty local queue meanwhile and nobody else places on it. The
-// slice is a worker slice in every respect (quantum, trace, finish); if
-// the request yields, adopt requeues it and gives the slots back,
-// otherwise they are given back here.
-func (s *Server) runLent(ex *executor, t *task) {
-	ex.lent = true
-	if !s.workerRun(ex, t) {
-		ex.lent = false
-		s.occ[ex.id].Store(0)
-	}
 }
 
 // requeue is a worker's post-yield step: the preempted request goes back
@@ -201,6 +190,8 @@ func (s *Server) requeue(ex *executor, t *task) {
 // ex for one slice starting at start and reports how the slice ended.
 // What ends a slice early is Poll's one rule (sliceOver), timed from the
 // start stamped here; the caller decides where a preempted request waits.
+// A slice that finishes the request builds its response in *resp, the
+// caller's space for it.
 //
 // The first slice calls the handler on the calling goroutine. If it
 // returns without having yielded, the slice ends here: (false, false).
@@ -210,16 +201,20 @@ func (s *Server) requeue(ex *executor, t *task) {
 // returns, possibly many slices and executors later; it then sends the
 // response to whichever executor is running that last slice and reports
 // detached, upon which every frame above returns without touching ex,
-// the shard or the Start/Stop accounting. Later slices resume that
+// the shard or the Start/Stop accounting. A placed request's caller
+// first waits for the finished response, on the channel its first yield
+// took (Ctx.check), and returns it in *resp. Later slices resume that
 // goroutine and wait for it to park again (preempted) or finish.
-func (s *Server) runSlice(ex *executor, t *task, start int64) (preempted, detached bool) {
+func (s *Server) runSlice(ex *executor, t *task, start int64, resp *Response) (preempted, detached bool) {
 	ex.sliceStart = start
 	if t.started {
 		if s.tr != nil {
 			s.tr.Record(ex.writer, obs.EvResume, t.id, int64(t.preempts))
 		}
 		t.resume <- ex
-		return s.endSlice(ex, t, <-t.parked), false
+		ev := <-t.parked
+		*resp = ev.resp
+		return s.endSlice(ex, t, ev.done, resp), false
 	}
 	t.started = true
 	t.onDispatcher = ex.id < 0
@@ -231,22 +226,27 @@ func (s *Server) runSlice(ex *executor, t *task, start int64) (preempted, detach
 	// pool reset zeroes it with the rest of the task.
 	ctx := &t.ctx
 	*ctx = Ctx{srv: s, task: t, ex: ex, yieldEvery: s.coopTimeshare}
-	resp := s.handle(ctx, t)
+	s.handle(ctx, t, resp)
 	// The executor that receives the final park event recycles the task,
-	// and ctx with it, the moment the send completes: read the flag
-	// first and touch neither t nor ctx afterwards.
+	// and ctx with it, the moment the send completes: read ctx first and
+	// touch neither t nor ctx afterwards.
 	if ctx.detached {
-		t.parked <- parkEvent{done: true, resp: resp}
+		wait := ctx.wait
+		t.parked <- parkEvent{done: true, resp: *resp}
+		if wait != nil {
+			*resp = <-wait
+			respChans.Put(wait)
+		}
 		return false, true
 	}
-	return s.endSlice(ex, t, parkEvent{done: true, resp: resp}), false
+	return s.endSlice(ex, t, true, resp), false
 }
 
 // handle runs t's handler to completion on the calling goroutine and
 // turns its return values — or its panic: a handler bug, or the
-// taskAbort retire unwinds a parked request with — into the response.
-func (s *Server) handle(ctx *Ctx, t *task) (resp Response) {
-	resp.ID = t.id
+// taskAbort retire unwinds a parked request with — into resp's payload
+// and error.
+func (s *Server) handle(ctx *Ctx, t *task, resp *Response) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ab, ok := r.(taskAbort); ok {
@@ -257,16 +257,16 @@ func (s *Server) handle(ctx *Ctx, t *task) (resp Response) {
 		}
 	}()
 	resp.Payload, resp.Err = s.handler.Handle(ctx, t.payload)
-	return resp
 }
 
 // endSlice closes the slice ex gave t: it charges the slice to runNS
-// and, by what ended it, delivers the response or counts a preemption.
-func (s *Server) endSlice(ex *executor, t *task, ev parkEvent) (preempted bool) {
+// and, by whether the request is done, finishes its response or counts a
+// preemption.
+func (s *Server) endSlice(ex *executor, t *task, done bool, resp *Response) (preempted bool) {
 	end := nanotime()
 	t.runNS += end - ex.sliceStart
-	if ev.done {
-		s.finish(ex, t, ev.resp, end)
+	if done {
+		s.finish(ex, t, resp, end)
 		return false
 	}
 	t.preempts++
@@ -290,7 +290,7 @@ func (s *Server) adopt(ex *executor, t *task) {
 	if s.opts.PinThreads {
 		runtime.LockOSThread()
 	}
-	s.endSlice(ex, t, parkEvent{})
+	s.endSlice(ex, t, false, nil)
 	if ex.id >= 0 {
 		s.requeue(ex, t)
 		if ex.lent { // the worker's own loop still holds the identity
@@ -320,20 +320,21 @@ func (s *Server) retire(ex *executor, t *task, err error) {
 	} else {
 		ex.n.aborted.Add(1)
 	}
-	resp := Response{ID: t.id, Err: err}
+	resp := Response{Err: err}
 	if t.started {
 		t.abortErr = err
 		t.resume <- ex
 		resp = (<-t.parked).resp
 	}
-	s.finish(ex, t, resp, nanotime())
+	s.finish(ex, t, &resp, nanotime())
 }
 
-// finish delivers a request's single response, finalized at end (a
-// nanotime), and counts it on ex, the executor completing it. After
-// delivery the task is recycled unless a policy queue still holds it
-// (see task.release).
-func (s *Server) finish(ex *executor, t *task, resp Response, end int64) {
+// finish completes a request's single response in resp, finalized at end
+// (a nanotime), delivers it, and counts it on ex, the executor completing
+// it. After delivery the task is recycled unless a policy queue still
+// holds it (see task.release).
+func (s *Server) finish(ex *executor, t *task, resp *Response, end int64) {
+	resp.ID = t.id
 	resp.Preemptions = t.preempts
 	resp.OnDispatcher = t.onDispatcher
 	resp.Req = t.payload
@@ -383,8 +384,11 @@ type Ctx struct {
 	ex   *executor
 	// detached is set by the request's first yield: from then on the
 	// goroutine running the handler belongs to the request, not to an
-	// executor, and parks and resumes through the task's channels.
+	// executor, and parks and resumes through the task's channels. wait is
+	// the channel a placed request's caller takes at that yield to wait
+	// for the response on (runSlice).
 	detached  bool
+	wait      chan Response
 	noPreempt int
 	// polls counts the request's polls; yieldEvery is coopTimeshare.
 	polls      int
@@ -431,9 +435,15 @@ func (c *Ctx) check() {
 		return
 	}
 	if c.detached {
-		c.task.parked <- parkEvent{done: false}
+		c.task.parked <- parkEvent{}
 	} else {
 		c.detached = true
+		if c.ex.lent {
+			// The caller will not run the last slice: the response comes
+			// back to it through a channel, which the task now delivers to.
+			c.wait = respChans.Get().(chan Response)
+			c.task.result = c.wait
+		}
 		if c.srv.opts.PinThreads {
 			runtime.UnlockOSThread()
 		}

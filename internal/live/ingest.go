@@ -32,7 +32,7 @@ import (
 // — ErrShed for sheddable payloads dropped by admission control.
 func (s *Server) Submit(payload any) <-chan Response {
 	ch := make(chan Response, 1)
-	s.submit(payload, ch, nil, false)
+	s.ingress(s.newRequest(payload), ch, nil)
 	return ch
 }
 
@@ -49,7 +49,7 @@ func (s *Server) Submit(payload any) <-chan Response {
 // so a single shared callback can correlate without a per-request
 // closure.
 func (s *Server) SubmitFunc(payload any, done func(Response)) {
-	s.submit(payload, nil, done, false)
+	s.ingress(s.newRequest(payload), nil, done)
 }
 
 // TryDo is Do for a request that can be placed and SubmitFunc for one
@@ -63,25 +63,21 @@ func (s *Server) SubmitFunc(payload any, done func(Response)) {
 // queue would stop reading, and a client pipelining behind the request
 // would be served as if in lockstep.
 func (s *Server) TryDo(payload any, done func(Response)) (resp Response, placed bool) {
-	ch := respChans.Get().(chan Response)
-	if placed = s.submit(payload, ch, done, true); placed {
-		resp = <-ch
+	t := s.newRequest(payload)
+	if placed = s.runPlaced(t, &resp); !placed {
+		s.ingress(t, nil, done)
 	}
-	respChans.Put(ch)
 	return resp, placed
 }
 
-// submit is the shared ingest path. placing (Do and TryDo) tries place
-// before the ingress buffer, and submit reports whether it placed. A
-// placed request answers on ch; any other answers on done when it is
-// set, on ch otherwise.
-func (s *Server) submit(payload any, ch chan Response, done func(Response), placing bool) (placed bool) {
+// newRequest builds the task for payload, stamped with its arrival: the
+// part of ingest every entry point shares, before the request is placed
+// or takes the ingress.
+func (s *Server) newRequest(payload any) *task {
 	t := newTask()
 	s.newID(t)
 	t.payload = payload
 	t.arrival = nanotime()
-	t.result = ch
-	t.done = done
 	if d := s.opts.RequestTimeout; d > 0 {
 		t.deadline = t.arrival + int64(d)
 	}
@@ -109,18 +105,46 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response), plac
 			}
 		}
 	}
-	if w := s.place(t, placing); w >= 0 {
-		// The caller holds the worker's identity now, and counts the
-		// request on its lines.
-		ex := s.workers[w]
-		ex.n.submitted.Add(1)
-		ex.n.classSubmitted[t.class].Add(1)
-		if s.tr != nil {
-			s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, t.id, 0, at(t.arrival))
-		}
-		s.runLent(ex, t)
-		return true
+	return t
+}
+
+// runPlaced gives t its first slice on its caller, a Do or TryDo, when
+// place lends it an idle worker ex, and reports whether it did. It runs
+// as ex in every respect — quantum, trace, finish — while ex's own loop
+// stays blocked on its empty local queue, and nobody else places on ex:
+// place took every one of its JBSQ slots. The slice starts at t's
+// arrival: t was not queued, so it cannot have expired, a drain abort
+// ends it at its first check, and, traced, it has no hand-off or queue
+// wait. A request that finishes within the slice is answered up the
+// caller's stack, in *resp: no channel, and two clock reads in all. If it
+// yields, adopt requeues it and gives the slots back; otherwise they are
+// given back here.
+func (s *Server) runPlaced(t *task, resp *Response) bool {
+	w := s.place(t)
+	if w < 0 {
+		return false
 	}
+	// The caller holds the worker's identity now, and counts the request
+	// on its lines.
+	ex := s.workers[w]
+	ex.n.submitted.Add(1)
+	ex.n.classSubmitted[t.class].Add(1)
+	if s.tr != nil {
+		s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, t.id, 0, at(t.arrival))
+	}
+	ex.lent = true
+	if _, detached := s.runSlice(ex, t, t.arrival, resp); !detached {
+		ex.lent = false
+		s.occ[w].Store(0)
+	}
+	return true
+}
+
+// ingress gives t its owner, the channel ch or the callback done, and
+// puts it on a shard's ingress buffer, or rejects it: Stop has begun, or
+// no shard has room under its class watermark.
+func (s *Server) ingress(t *task, ch chan Response, done func(Response)) {
+	t.result, t.done = ch, done
 	s.submitMu.RLock()
 	if s.stopping {
 		s.submitMu.RUnlock()
@@ -153,7 +177,6 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response), plac
 		}
 		s.reject(t, err, status)
 	}
-	return false
 }
 
 // reject delivers a rejection response, records it on the tracer, and
@@ -165,22 +188,24 @@ func (s *Server) reject(t *task, err error, status int64) {
 	if s.tr != nil {
 		s.tr.Record(obs.WriterClient, obs.EvReject, t.id, status)
 	}
-	t.deliver(Response{ID: t.id, Err: err, Req: t.payload, Done: at(nanotime())})
+	resp := Response{ID: t.id, Err: err, Req: t.payload, Done: at(nanotime())}
+	t.deliver(&resp)
 	t.release()
 }
 
-// place dispatches a Do or TryDo request (placing) to its caller: when
-// t's shard has no accepted request that is not yet in service — none
-// inbound (in the ingress buffer, or received by the dispatcher and not
-// yet pushed) and none in the policy queue, so no queued request can be
-// overtaken, whatever the discipline — and one of its workers is idle,
-// it takes every JBSQ slot of that worker with one compare-and-swap and
-// returns the worker, whose first slice of t the caller then runs itself
-// (runLent); otherwise it returns -1 and t takes the ingress. Only those
+// place dispatches a Do or TryDo request to its caller: when t's shard
+// has no accepted request that is not yet in service — none inbound (in
+// the ingress buffer, or received by the dispatcher and not yet pushed)
+// and none in the policy queue, so no queued request can be overtaken,
+// whatever the discipline — and one of its workers is idle, it takes
+// every JBSQ slot of that worker with one compare-and-swap and returns
+// the worker, whose first slice of t the caller then runs itself
+// (runPlaced); otherwise it returns -1 and t takes the ingress. Only those
 // two place: their callers run the request rather than hand it off,
 // where Submit and SubmitFunc promise never to run it on the caller. The
 // enqueue and dispatch events are recorded here, on the client's ring,
-// so Breakdown and obs.Analyze still add up.
+// and stamped at arrival, so Breakdown and obs.Analyze still add up: a
+// placed request has no hand-off and no queue wait.
 //
 // A placed request does not take submitMu: place checks stopped after
 // its compare-and-swap instead, and gives the slots back and declines if
@@ -189,12 +214,12 @@ func (s *Server) reject(t *task, err error, status int64) {
 // the occupancies (drained) only after it has seen stopped set: either
 // the placer sees the stop, or the dispatcher sees the occupancy and
 // does not call its shard drained until the request is answered.
-func (s *Server) place(t *task, placing bool) int {
+func (s *Server) place(t *task) int {
 	// Not before Start has set the workers up, and not under PinThreads:
 	// a lent slice would not run on the worker's pinned thread. inbound is
 	// read before the queue: a task leaves it only once pushed.
 	sh := s.shards[t.id%uint64(len(s.shards))]
-	if !placing || s.opts.PinThreads || !s.started.Load() || sh.inbound.Load() > 0 || sh.q.Len() > 0 {
+	if s.opts.PinThreads || !s.started.Load() || sh.inbound.Load() > 0 || sh.q.Len() > 0 {
 		return -1
 	}
 	for k := range sh.workers {
@@ -213,11 +238,10 @@ func (s *Server) place(t *task, placing bool) int {
 			return -1
 		}
 		if s.tr != nil {
-			t.enqueueTS = nanotime()
+			t.enqueueTS = t.arrival
 			s.tr.Record(obs.WriterClient, obs.EvEnqueueCentral, t.id, 0)
 			s.tr.Record(obs.WriterClient, obs.EvDispatch, t.id, int64(w))
 		}
-		t.done = nil // a placed request answers its caller, on the channel
 		t.home = i
 		return w
 	}

@@ -680,22 +680,33 @@ func (s *Server) Stats() Stats {
 // Shards returns the configured dispatcher-shard count.
 func (s *Server) Shards() int { return len(s.shards) }
 
-// respChans recycles Do's response channels. Submit's make is two
-// allocations (the channel and its pointerful buffer); Do owns its
-// channel from submit to receive and, a request being answered exactly
-// once, gets it back empty, so only Do may pool — Submit's callers own
-// theirs.
+// respChans recycles the response channels of the callers that need one
+// and wait on it: a Do that place declines, which waits on the ingress
+// path, and a placed Do or TryDo whose request yields, which takes its
+// channel at that first yield (Ctx.check) because a later slice, or a
+// retire, may finish it on another executor. A placed request that finishes within
+// its first slice — the common case — is answered up its caller's stack
+// and touches none. Submit's make is two allocations (the channel and
+// its pointerful buffer); a pooled channel's owner has it from the
+// moment it takes it to the receive and, a request being answered
+// exactly once, gets it back empty, so only these callers may pool —
+// Submit's callers own theirs.
 var respChans = sync.Pool{New: func() any { return make(chan Response, 1) }}
 
 // Do submits a request and waits for its response. When the request's
 // shard has nothing queued and one of its workers is idle, Do runs the
 // request's first slice itself, on the calling goroutine, as that worker
-// (see place): no dispatcher iteration and no goroutine switch, and if
-// the request is preempted it continues on the workers like any other.
-func (s *Server) Do(payload any) Response {
+// (see place): no dispatcher iteration, no goroutine switch and no
+// channel, and if the request is preempted it continues on the workers
+// like any other.
+func (s *Server) Do(payload any) (resp Response) {
+	t := s.newRequest(payload)
+	if s.runPlaced(t, &resp) {
+		return resp
+	}
 	ch := respChans.Get().(chan Response)
-	s.submit(payload, ch, nil, true)
-	resp := <-ch
+	s.ingress(t, ch, nil)
+	resp = <-ch
 	respChans.Put(ch)
 	return resp
 }

@@ -123,11 +123,11 @@ func TestDoPlacesOnIdleShard(t *testing.T) {
 		s.started.Store(true)
 		sh, probe := s.shards[0], newTask()
 		waiting := s.Submit(hintedSpin{hint: time.Millisecond})
-		if s.place(probe, true) >= 0 {
+		if s.place(probe) >= 0 {
 			t.Fatal("placed past a request in the ingress buffer")
 		}
 		s.ingest(sh, <-sh.submit)
-		if s.place(probe, true) >= 0 {
+		if s.place(probe) >= 0 {
 			t.Fatal("placed past a request in the policy queue")
 		}
 		if o := s.occ[0].Load(); o != 0 {
@@ -634,5 +634,162 @@ func placeRacesStop(t *testing.T, shards int, try, afterStop bool) {
 	st := s.Stats()
 	if st.Submitted+st.Rejected != 1 || st.Submitted != st.Completed || st.Expired+st.Aborted != 0 {
 		t.Fatalf("one attempt, stats %+v", st)
+	}
+}
+
+// TestPlacedBreakdownExact: a placed request that does not yield has no
+// hand-off and no queue wait to time — its arrival is its first slice's
+// start — so, traced, its Breakdown is all service: Handoff, Queue and
+// Preempted are exactly 0, and Breakdown.Service and Response.Service
+// both equal Latency. Do and TryDo, at one and two shards; that every
+// request was placed is checked, not assumed: none took the ingress.
+func TestPlacedBreakdownExact(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, try := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards%d/trydo=%v", shards, try), func(t *testing.T) {
+				opts := testOptions(2, 0)
+				opts.Shards = shards
+				opts.Tracer = obs.NewTracerSharded(2, shards, 1<<12)
+				s := New(yieldTimesHandler{}, opts)
+				s.Start()
+				defer s.Stop()
+				for i := 0; i < 100; i++ {
+					resp, placed := Response{}, true
+					if try {
+						resp, placed = s.TryDo(yieldTimes(0), func(Response) { t.Error("TryDo called back for a placed request") })
+					} else {
+						resp = s.Do(yieldTimes(0))
+					}
+					if !placed || resp.Err != nil {
+						t.Fatalf("request %d: placed %v, err %v", i, placed, resp.Err)
+					}
+					if b := resp.Breakdown; b == nil || *b != (Breakdown{Service: resp.Latency}) || resp.Service != resp.Latency {
+						t.Fatalf("request %d: Latency %v, Service %v, Breakdown %+v; want all of it service", i, resp.Latency, resp.Service, b)
+					}
+				}
+				if n := s.stats.submitted.Load(); n != 0 {
+					t.Fatalf("%d requests took the ingress", n)
+				}
+			})
+		}
+	}
+}
+
+// TestPlacedYieldingAnswersOnce: a placed Do or TryDo whose request
+// yields takes a response channel at its first yield and waits on it
+// while workers run the later slices; it gets exactly one response — its
+// own payload echoed, Preemptions equal to its yields — and TryDo's
+// callback is never called. Every request was placed: none took the
+// ingress, and every one is counted completed.
+func TestPlacedYieldingAnswersOnce(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, try := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards%d/trydo=%v", shards, try), func(t *testing.T) {
+				s := New(yieldTimesHandler{}, Options{Workers: 2, Shards: shards, Quantum: time.Hour})
+				s.Start()
+				yields := []yieldTimes{1, 5, 1, 5}
+				for i, k := range yields {
+					waitUntil(t, "every worker idle", func() bool { return busyWorkers(s) == 0 })
+					resp, placed := Response{}, true
+					if try {
+						resp, placed = s.TryDo(k, func(Response) { t.Error("TryDo called back for a placed request") })
+					} else {
+						resp = s.Do(k)
+					}
+					if !placed || resp.Err != nil || resp.Req != any(k) || resp.Preemptions != int(k) {
+						t.Fatalf("request %d (%d yields): placed %v, err %v, Req %v, Preemptions %d",
+							i, k, placed, resp.Err, resp.Req, resp.Preemptions)
+					}
+				}
+				s.Stop()
+				st := s.Stats()
+				if n := s.stats.submitted.Load(); n != 0 || st.Submitted != 4 || st.Completed != 4 || st.Preemptions != 12 {
+					t.Fatalf("ingress %d, stats %+v; want 4 placed and completed, 12 preemptions", n, st)
+				}
+			})
+		}
+	}
+}
+
+// gatedYield is a request that closes started, waits for proceed without
+// polling, yields once and returns.
+type gatedYield struct{ started, proceed chan struct{} }
+
+type gatedYieldHandler struct{ yieldTimesHandler }
+
+func (gatedYieldHandler) Handle(ctx *Ctx, payload any) (any, error) {
+	g, ok := payload.(gatedYield)
+	if !ok {
+		return yieldTimesHandler{}.Handle(ctx, payload)
+	}
+	close(g.started)
+	<-g.proceed
+	yieldNow(ctx)
+	return nil, nil
+}
+
+// TestPlacedDetachedRetiredByDrain: a placed request that has yielded —
+// detached from its caller, which now waits on a channel — and is still
+// queued when the drain deadline passes is retired: resumed with the
+// abort on its caller's goroutine, unwound, and answered ErrServerStopped
+// on that channel, exactly once, and counted Aborted. The request yields
+// behind a blocker that takes the shard's one worker, so it is queued,
+// not running, when the deadline passes. Do and TryDo.
+func TestPlacedDetachedRetiredByDrain(t *testing.T) {
+	for _, try := range []bool{false, true} {
+		t.Run(fmt.Sprintf("trydo=%v", try), func(t *testing.T) {
+			opts := testOptions(1, time.Hour)
+			opts.QueueBound = 1
+			opts.DrainTimeout = time.Millisecond
+			s := New(gatedYieldHandler{}, opts)
+			s.Start()
+			g := gatedYield{started: make(chan struct{}), proceed: make(chan struct{})}
+			answered := make(chan Response, 2)
+			go func() {
+				if !try {
+					answered <- s.Do(g)
+				} else if resp, placed := s.TryDo(g, func(r Response) { answered <- r }); placed {
+					answered <- resp
+				}
+			}()
+			<-g.started // placed: its caller runs it as the one worker
+			if n := s.stats.submitted.Load(); n != 0 {
+				t.Fatalf("the request took the ingress (%d)", n)
+			}
+			release := make(chan struct{})
+			blocker := s.Submit(release)
+			waitUntil(t, "the blocker to queue", func() bool { return s.Depths().Central == 1 })
+			close(g.proceed)
+			waitUntil(t, "the blocker to run and the yielded request to queue", func() bool {
+				d := s.Depths()
+				return d.Central == 1 && d.Workers[0] == 1 && s.Stats().Preemptions == 1
+			})
+			stopped := make(chan struct{})
+			go func() { s.Stop(); close(stopped) }()
+			var resp Response
+			select {
+			case resp = <-answered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the detached request was never answered")
+			}
+			if !errors.Is(resp.Err, ErrServerStopped) || resp.Req != any(g) || resp.Preemptions != 1 {
+				t.Fatalf("err %v, Req %v, Preemptions %d; want ErrServerStopped, its own payload, 1", resp.Err, resp.Req, resp.Preemptions)
+			}
+			close(release)
+			if r := <-blocker; r.Err != nil {
+				t.Fatalf("blocker: %v", r.Err)
+			}
+			select {
+			case <-stopped:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Stop hung")
+			}
+			if len(answered) != 0 {
+				t.Fatalf("a second response: %+v", <-answered)
+			}
+			if st := s.Stats(); st.Submitted != 2 || st.Completed != 2 || st.Aborted != 1 {
+				t.Fatalf("stats %+v; want 2 submitted and completed, 1 aborted", st)
+			}
+		})
 	}
 }

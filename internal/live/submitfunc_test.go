@@ -132,12 +132,14 @@ func (yieldTimesHandler) Handle(ctx *Ctx, payload any) (any, error) {
 // steady state, at any shard count — the task comes from the pool, the
 // first slice runs on the worker's own stack and times itself, and the
 // caller brought its own callback — and
-// neither does Do, whose response channel is pooled, whether it places
-// its request itself (an idle shard) or goes through the shard's policy
-// queue (every worker slot held, so the work-conserving dispatcher runs
-// it), nor TryDo on either of the same two paths. A request that is
+// neither does Do, whether it places its request itself (an idle shard:
+// the response comes back up its stack, through no channel) or goes
+// through the shard's policy queue (every worker slot held, so the
+// work-conserving dispatcher runs it; the channel it waits on is
+// pooled), nor TryDo on either of the same two paths. A request that is
 // preempted allocates once however often it yields: the `go` statement
-// that hands the executor identity to a successor at its first yield.
+// that hands the executor identity to a successor at its first yield (a
+// placed one's caller takes a pooled channel there).
 // The same figures hold with a RequestTimeout: a task that carried a
 // deadline goes back to the pool like any other.
 // (The race detector makes sync.Pool drop a

@@ -205,8 +205,8 @@ type taskState struct {
 	payload  any
 	arrival  int64 // nanotime at Submit
 	deadline int64 // nanotime; 0 = none
-	// Exactly one of result / done carries the response: result for
-	// Submit (channel, capacity 1), done for SubmitFunc (callback).
+	// At most one of result / done carries the response: result a
+	// channel of capacity 1, done a callback (see deliver).
 	result chan Response
 	done   func(Response)
 
@@ -282,13 +282,16 @@ func (t *task) release() {
 func (t *task) Tier() int { return SLOClass(t.class).Tier() }
 
 // deliver hands the task's single response to its owner: the callback
-// for SubmitFunc tasks, the capacity-1 channel for Submit tasks.
-func (t *task) deliver(resp Response) {
+// for SubmitFunc tasks and a TryDo that did not place, the capacity-1
+// channel for Submit, a Do that did not place, and a placed request that
+// yielded. A placed request that did not yield has neither: its caller
+// reads the response where finish built it.
+func (t *task) deliver(resp *Response) {
 	if t.done != nil {
-		t.done(resp)
-		return
+		t.done(*resp)
+	} else if t.result != nil {
+		t.result <- *resp
 	}
-	t.result <- resp
 }
 
 func (t *task) expired(now int64) bool {

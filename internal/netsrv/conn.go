@@ -7,8 +7,11 @@
 package netsrv
 
 import (
+	"errors"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"concord/internal/live"
@@ -59,11 +62,11 @@ type connection struct {
 	completeFn func(live.Response)
 
 	// wmu serializes the connection's two writers, the reader and the
-	// flusher. dead, guarded by it, is set by the first failed write;
-	// every later write is dropped, so the failure is counted once per
-	// connection.
+	// flusher. dead, set under it by the first failed write, drops every
+	// later write, so the failure is counted once per connection; the
+	// reader loads it without the lock (armIdle).
 	wmu  sync.Mutex
-	dead bool
+	dead atomic.Bool
 }
 
 // serve runs one connection to the end of its input. The reader takes a
@@ -87,13 +90,14 @@ type connection struct {
 // which it writes in one call at the last moment it can: before a read
 // that could block on the socket (no whole request buffered), and before
 // it waits for a slot when its window is full. Lockstep is the depth-1
-// case: one request read, run and written per read.
-func (s *Server) serve(conn net.Conn, cd codec, window int) {
-	c := &connection{
-		s: s, conn: conn, cd: cd,
-		slots:     make(chan struct{}, window),
-		completed: make(chan *Request, window),
-	}
+// case: one request read, run and written per read. A read that could
+// block is also the one the idle deadline is re-armed for; a request
+// already buffered re-arms nothing.
+func (c *connection) serve(cd codec, window int) {
+	s := c.s
+	c.cd = cd
+	c.slots = make(chan struct{}, window)
+	c.completed = make(chan *Request, window)
 	c.completeFn = c.complete
 	flusherDone := make(chan struct{})
 	go c.flush(flusherDone)
@@ -105,12 +109,16 @@ func (s *Server) serve(conn net.Conn, cd codec, window int) {
 		}
 		c.slots <- struct{}{}
 		r := s.getReq()
+		if !cd.ready() {
+			c.armIdle()
+		}
 		submit, err := cd.next(r)
 		if err != nil {
-			// EOF, mid-request close, desync, an expired deadline (Drain,
-			// or a failed write). What was cut short was never a request;
-			// its slot is the first one taken back. The reader's batch is
-			// empty: it is written before any next that can fail.
+			// EOF, mid-request close, desync, an expired deadline (idle,
+			// Drain, or a failed write). What was cut short was never a
+			// request; its slot is the first one taken back. The reader's
+			// batch is empty: it is written before any next that can fail.
+			c.readFailed(err)
 			s.putReq(r)
 			break
 		}
@@ -136,6 +144,32 @@ func (s *Server) serve(conn net.Conn, cd codec, window int) {
 	}
 	close(c.completed)
 	<-flusherDone
+}
+
+// armIdle gives the read about to block the idle timeout, when there is
+// one. It arms first and looks second: if Drain or a failed write has set
+// a deadline meanwhile, it puts that one back, so it never extends an
+// expired or sooner deadline whichever order the two land in.
+func (c *connection) armIdle() {
+	wt := c.s.opts.WriteTimeout
+	if wt <= 0 {
+		return
+	}
+	until := time.Now().Add(idleWrites * wt)
+	c.conn.SetReadDeadline(until)
+	if c.dead.Load() {
+		c.conn.SetReadDeadline(time.Unix(1, 0))
+	} else if by := c.s.drainBy.Load(); by != 0 && by < until.UnixNano() {
+		c.conn.SetReadDeadline(time.Unix(0, by))
+	}
+}
+
+// readFailed counts a read that ended the connection at the idle
+// deadline: not at one Drain or a failed write set.
+func (c *connection) readFailed(err error) {
+	if errors.Is(err, os.ErrDeadlineExceeded) && !c.dead.Load() && c.s.drainBy.Load() == 0 {
+		c.s.idleClosed.Add(1)
+	}
 }
 
 // complete is the connection's one live.SubmitFunc callback: every
@@ -192,7 +226,7 @@ func (c *connection) write(batch []*Request, buf []byte) []byte {
 	defer c.release(batch)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.dead {
+	if c.dead.Load() {
 		return buf
 	}
 	buf = buf[:0]
@@ -203,7 +237,7 @@ func (c *connection) write(batch []*Request, buf []byte) []byte {
 		c.conn.SetWriteDeadline(time.Now().Add(wt))
 	}
 	if _, err := c.conn.Write(buf); err != nil {
-		c.dead = true
+		c.dead.Store(true)
 		c.s.writeClosed.Add(1)
 		c.conn.SetReadDeadline(time.Unix(1, 0))
 		return buf

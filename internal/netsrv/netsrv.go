@@ -28,7 +28,9 @@
 // fails or times out marks the connection dead (later writes are
 // dropped, so it is counted once) and expires the read deadline, so a
 // client that went away or stopped reading is disconnected instead of
-// served.
+// served. A client that stops sending is disconnected too: before a read
+// that can block, the reader arms a deadline idleWrites × WriteTimeout
+// ahead (NetStats.IdleClosed).
 //
 // What differs between the protocols is a codec — take the next request
 // off the wire, append a response:
@@ -68,7 +70,10 @@ type Options struct {
 	MaxReq int
 	// WriteTimeout bounds each flush: a client that stops reading is
 	// disconnected when one times out (NetStats.WriteClosed) instead of
-	// pinning the connection's goroutines forever. 0 disables.
+	// pinning the connection's goroutines forever. It also sets the idle
+	// timeout, idleWrites times as long: a client that sends nothing for
+	// that long while the reader waits for its next request is
+	// disconnected (NetStats.IdleClosed). 0 disables both.
 	WriteTimeout time.Duration
 	// BufSize is the pooled read-buffer size for binary connections
 	// (frames larger than it, up to MaxReq, take a one-off buffer).
@@ -119,6 +124,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// idleWrites is the idle timeout in write timeouts: a client may keep the
+// server waiting for its next request that many times as long as it may
+// keep it waiting to take a response.
+const idleWrites = 12
+
 // NetStats is a snapshot of the connection layer's counters.
 type NetStats struct {
 	Conns       int64  // currently open connections
@@ -130,6 +140,7 @@ type NetStats struct {
 	TooLarge    uint64 // requests rejected for exceeding MaxReq
 	BadFrames   uint64 // frames with an unknown opcode or undecodable body
 	WriteClosed uint64 // connections closed by a failed or timed-out response write
+	IdleClosed  uint64 // connections closed after sending nothing for the idle timeout
 }
 
 // Server serves both wire protocols on top of a live runtime.
@@ -154,6 +165,10 @@ type Server struct {
 	tooLarge    atomic.Uint64
 	badFrames   atomic.Uint64
 	writeClosed atomic.Uint64
+	idleClosed  atomic.Uint64
+	// drainBy is the read deadline Drain set (UnixNano), 0 before Drain:
+	// a reader arming its idle deadline never sets a later one.
+	drainBy atomic.Int64
 	// flushBatch is the distribution of responses per flush: depth of
 	// coalescing under load (1 everywhere means no pipelining benefit).
 	flushBatch obs.QuantileSketch
@@ -189,6 +204,7 @@ func (s *Server) NetStats() NetStats {
 		TooLarge:    s.tooLarge.Load(),
 		BadFrames:   s.badFrames.Load(),
 		WriteClosed: s.writeClosed.Load(),
+		IdleClosed:  s.idleClosed.Load(),
 	}
 }
 
@@ -218,9 +234,11 @@ func (s *Server) Serve(ln net.Listener) {
 // arming a read deadline, then waits for every connection goroutine.
 // Call after the runtime's Stop so late requests answer STOPPED.
 func (s *Server) Drain(grace time.Duration) {
+	by := time.Now().Add(grace)
+	s.drainBy.Store(by.UnixNano())
 	s.mu.Lock()
 	for c := range s.open {
-		c.SetReadDeadline(time.Now().Add(grace))
+		c.SetReadDeadline(by)
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
@@ -243,18 +261,21 @@ func (s *Server) ServeConn(conn net.Conn) {
 		s.conns.Add(-1)
 	}()
 
+	c := &connection{s: s, conn: conn}
 	var first [1]byte
+	c.armIdle()
 	if _, err := io.ReadFull(conn, first[:]); err != nil {
+		c.readFailed(err)
 		return
 	}
 	if proto.IsReqMagic(first[0]) {
 		fr := proto.NewFrameReader(conn, s.bufPool, s.opts.MaxReq)
 		fr.Prime(first[:])
 		defer fr.Close()
-		s.serve(conn, &binaryCodec{s: s, fr: fr}, binaryWindow)
+		c.serve(&binaryCodec{s: s, fr: fr}, binaryWindow)
 	} else {
 		br := bufio.NewReaderSize(io.MultiReader(bytes.NewReader(first[:]), conn), 1<<16)
-		s.serve(conn, &textCodec{s: s, br: br}, 1)
+		c.serve(&textCodec{s: s, br: br}, 1)
 	}
 }
 

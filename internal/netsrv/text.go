@@ -67,9 +67,13 @@ func (tc *textCodec) next(r *Request) (bool, error) {
 	return false, nil
 }
 
-// ready says no: with a window of 1 the reader writes before every read
-// whatever it says.
-func (tc *textCodec) ready() bool { return false }
+// ready reports a whole line buffered. With a window of 1 the reader
+// writes before every read whatever it says; it decides whether the idle
+// deadline is re-armed.
+func (tc *textCodec) ready() bool {
+	b, _ := tc.br.Peek(tc.br.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
+}
 
 func (tc *textCodec) appendResp(b []byte, r *Request) []byte {
 	if r.Status == stControl {

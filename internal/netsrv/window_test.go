@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -322,4 +323,212 @@ func TestReaderRunsPipelinedPointOps(t *testing.T) {
 	if byRing[obs.WriterClient] != gets || len(byRing) != 1 {
 		t.Fatalf("dispatches by ring %v, want all %d on the client's (%d)", byRing, gets, obs.WriterClient)
 	}
+}
+
+// TestIdleConnectionClosed: a client that leaves the reader waiting for
+// its next request for the idle timeout (idleWrites × WriteTimeout) is
+// disconnected — one that never sends a byte, and one that sent a
+// request, was answered and went quiet, in either protocol. The close is
+// counted once, as IdleClosed and not WriteClosed, and the connection's
+// goroutines exit.
+func TestIdleConnectionClosed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  []byte
+	}{
+		{"silent", nil},
+		{"text", []byte("GET key000\n")},
+		{"binary", proto.AppendRequest(nil, proto.OpGet, 1, []byte("key000"), nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ln := newTestServerLive(t, Options{WriteTimeout: 20 * time.Millisecond}, live.Options{Workers: 2})
+			baseline := runtime.NumGoroutine()
+			conn := dial(t, ln)
+			if _, err := conn.Write(tc.req); err != nil {
+				t.Fatal(err)
+			}
+			// The server answers what it was sent and then hangs up: the
+			// client reads to EOF. The client's own deadline only turns a
+			// connection that is never closed into a failure.
+			conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+			got, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatalf("the idle connection was not closed: %v", err)
+			}
+			if (len(got) > 0) != (tc.req != nil) {
+				t.Fatalf("read %q before the close, want the response to what was sent (%q)", got, tc.req)
+			}
+			waitFor(t, "the connection to close", func() bool { return s.NetStats().Conns == 0 })
+			waitFor(t, "the connection's goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+			if st := s.NetStats(); st.IdleClosed != 1 || st.WriteClosed != 0 || st.Pipeline != 0 {
+				t.Fatalf("IdleClosed = %d, WriteClosed = %d, Pipeline = %d, want 1, 0 and 0", st.IdleClosed, st.WriteClosed, st.Pipeline)
+			}
+		})
+	}
+}
+
+// TestDrainEndsIdleArmedConnection: Drain's grace, not the idle timeout,
+// ends a connection whose reader waits under an idle deadline — one armed
+// before the first byte, and one re-armed after a served request — and
+// the close is Drain's, not counted as idle. The idle timeout is two
+// minutes, so only Drain can end the connection while the test runs.
+func TestDrainEndsIdleArmedConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  []byte
+	}{
+		{"silent", nil},
+		{"after-a-request", []byte("GET key000\n")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ln := newTestServerLive(t, Options{WriteTimeout: 10 * time.Second}, live.Options{Workers: 2})
+			conn := dial(t, ln)
+			if tc.req != nil {
+				if _, err := conn.Write(tc.req); err != nil {
+					t.Fatal(err)
+				}
+				if line, err := bufio.NewReader(conn).ReadString('\n'); err != nil || line != "VALUE value\n" {
+					t.Fatalf("response %q, %v", line, err)
+				}
+			}
+			waitFor(t, "the connection to be served", func() bool { return s.NetStats().Conns == 1 })
+			drained := make(chan struct{})
+			go func() {
+				s.Drain(10 * time.Millisecond)
+				close(drained)
+			}()
+			select {
+			case <-drained:
+			case <-time.After(30 * time.Second):
+				t.Fatal("Drain did not end the idle-armed connection at its grace")
+			}
+			if st := s.NetStats(); st.Conns != 0 || st.IdleClosed != 0 {
+				t.Fatalf("after Drain: Conns = %d, IdleClosed = %d, want 0 and 0", st.Conns, st.IdleClosed)
+			}
+		})
+	}
+}
+
+// deadlineConn records the read deadlines set on its connection.
+type deadlineConn struct {
+	net.Conn
+	mu  sync.Mutex
+	set []time.Time
+}
+
+func (c *deadlineConn) SetReadDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.set = append(c.set, t)
+	c.mu.Unlock()
+	return c.Conn.SetReadDeadline(t)
+}
+
+// deadlines returns how many read deadlines were set, and the last.
+func (c *deadlineConn) deadlines() (int, time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.set) == 0 {
+		return 0, time.Time{}
+	}
+	return len(c.set), c.set[len(c.set)-1]
+}
+
+// TestIdleDeadlineArmedPerBlockingRead: the reader re-arms the idle
+// deadline before a read that can block, never per request already
+// buffered. Over a pipe, where a read takes what one write sent, two
+// writes of ten requests each cost four arms in either protocol: before
+// the first byte, before the rest of the first write, before the second
+// write, and before the read that finds the end of the stream.
+func TestIdleDeadlineArmedPerBlockingRead(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  func(id uint64) []byte
+		read func(t *testing.T, conn net.Conn, n int)
+	}{
+		{"text", func(uint64) []byte { return []byte("GET key000\n") }, func(t *testing.T, conn net.Conn, n int) {
+			br := bufio.NewReader(conn)
+			for i := 0; i < n; i++ {
+				if line, err := br.ReadString('\n'); err != nil || line != "VALUE value\n" {
+					t.Fatalf("response %d: %q, %v", i, line, err)
+				}
+			}
+		}},
+		{"binary", func(id uint64) []byte { return proto.AppendRequest(nil, proto.OpGet, id, []byte("key000"), nil) },
+			func(t *testing.T, conn net.Conn, n int) { readResponses(t, proto.NewRespReader(conn, 0), n) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := newTestServerLive(t, Options{WriteTimeout: time.Minute}, live.Options{Workers: 2})
+			client, server := net.Pipe()
+			defer client.Close()
+			dc := &deadlineConn{Conn: server}
+			served := make(chan struct{})
+			go func() {
+				s.ServeConn(dc)
+				close(served)
+			}()
+			const perWrite = 10
+			for w := uint64(0); w < 2; w++ {
+				var wire []byte
+				for i := uint64(0); i < perWrite; i++ {
+					wire = append(wire, tc.req(w*perWrite+i+1)...)
+				}
+				if _, err := client.Write(wire); err != nil {
+					t.Fatal(err)
+				}
+				tc.read(t, client, perWrite)
+			}
+			client.Close()
+			select {
+			case <-served:
+			case <-time.After(20 * time.Second):
+				t.Fatal("the connection was never closed")
+			}
+			if n, _ := dc.deadlines(); n != 4 {
+				t.Fatalf("%d read deadlines set for two writes of %d requests, want 4", n, perWrite)
+			}
+		})
+	}
+}
+
+// TestDrainDeadlineNotExtendedByIdleRearm: a reader that re-arms its idle
+// deadline after Drain has set the connection's puts Drain's back: a
+// request served during the grace re-arms, and the deadline left in
+// place is Drain's. The idle timeout, two hours, is past the grace, one
+// hour, so an extension would be the last deadline set.
+func TestDrainDeadlineNotExtendedByIdleRearm(t *testing.T) {
+	s, _ := newTestServerLive(t, Options{WriteTimeout: 10 * time.Minute}, live.Options{Workers: 2})
+	client, server := net.Pipe()
+	defer client.Close()
+	dc := &deadlineConn{Conn: server}
+	served := make(chan struct{})
+	go func() {
+		s.ServeConn(dc)
+		close(served)
+	}()
+	br := bufio.NewReader(client)
+	get := func() {
+		if _, err := io.WriteString(client, "GET key000\n"); err != nil {
+			t.Fatal(err)
+		}
+		if line, err := br.ReadString('\n'); err != nil || line != "VALUE value\n" {
+			t.Fatalf("response %q, %v", line, err)
+		}
+	}
+	get()
+	drained := make(chan struct{})
+	go func() {
+		s.Drain(time.Hour)
+		close(drained)
+	}()
+	isDrains := func(d time.Time) bool { by := s.drainBy.Load(); return by != 0 && d.UnixNano() == by }
+	waitFor(t, "Drain to set the connection's deadline", func() bool { _, last := dc.deadlines(); return isDrains(last) })
+	before, _ := dc.deadlines()
+	get()
+	waitFor(t, "the reader to re-arm and leave Drain's deadline in place", func() bool {
+		n, last := dc.deadlines()
+		return n > before && isDrains(last)
+	})
+	client.Close()
+	<-drained
+	<-served
 }
