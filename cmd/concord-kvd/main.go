@@ -112,7 +112,6 @@ func main() {
 		bound      = flag.Int("k", 2, "JBSQ queue bound")
 		shards     = flag.Int("shards", 1, "dispatcher shards, each owning a disjoint worker subset (clamped to [1,workers])")
 		policyName = flag.String("policy", live.PolicyFCFS, "central-queue discipline: fcfs, srpt (ordered by per-op service hints), cascade, or cascade-srpt (strict SLO-class tiers, fcfs/srpt within each tier)")
-		steal      = flag.Bool("steal", true, "work-conserving dispatcher")
 		keys       = flag.Int("keys", 15000, "pre-populated unique keys (paper: 15,000)")
 		valSize    = flag.Int("valsize", 64, "value size in bytes")
 		scanStep   = flag.Int("scanbatch", 256, "keys per scan batch between preemption polls")
@@ -179,7 +178,6 @@ func main() {
 		Policy:         *policyName,
 		Quantum:        *quantum,
 		QueueBound:     *bound,
-		WorkConserving: *steal,
 		RequestTimeout: *reqTimeout,
 		DrainTimeout:   *drain,
 		Tracer:         ob.tracer,
@@ -189,10 +187,9 @@ func main() {
 
 	if *shadowOn {
 		ob.replayer = shadow.NewReplayer(ob.ring, shadow.Config{
-			Workers:        *workers,
-			QuantumUS:      float64(*quantum) / float64(time.Microsecond),
-			QueueBound:     *bound,
-			WorkConserving: *steal,
+			Workers:    *workers,
+			QuantumUS:  float64(*quantum) / float64(time.Microsecond),
+			QueueBound: *bound,
 		}, *shadowInt)
 		ob.replayer.Start()
 		log.Printf("shadow replay: 1-in-%d capture, %v windows, policies %s",
@@ -243,8 +240,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	log.Printf("concord-kvd on %s: %d workers, %d shards, policy %s, quantum %v, JBSQ(%d), steal=%v, %d keys, maxreq %d",
-		ln.Addr(), *workers, effShards, *policyName, *quantum, *bound, *steal, *keys, *maxReq)
+	log.Printf("concord-kvd on %s: %d workers, %d shards, policy %s, quantum %v, JBSQ(%d), %d keys, maxreq %d",
+		ln.Addr(), *workers, effShards, *policyName, *quantum, *bound, *keys, *maxReq)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

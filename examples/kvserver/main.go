@@ -106,13 +106,12 @@ func run(name string, quantum time.Duration, shards int, policy string) {
 		store.Put([]byte(fmt.Sprintf("key%08d", i)), []byte("initial-value-000"))
 	}
 	srv := live.New(&kvHandler{store: store}, live.Options{
-		Workers:        2,
-		Shards:         shards,
-		Policy:         policy,
-		Quantum:        quantum,
-		QueueBound:     2,
-		WorkConserving: true,
-		PinThreads:     false,
+		Workers:    2,
+		Shards:     shards,
+		Policy:     policy,
+		Quantum:    quantum,
+		QueueBound: 2,
+		PinThreads: false,
 	})
 	srv.Start()
 	defer srv.Stop()

@@ -4,7 +4,9 @@
 // A single worker serves a bimodal stream: many 50µs requests and a few
 // 5ms "scans". Without preemption the short requests get stuck behind
 // the scans; with a 200µs quantum the scans yield and the short
-// requests' tail collapses.
+// requests' tail collapses. In both runs the dispatcher conserves work:
+// while the worker's JBSQ slots are full it runs a never-started request
+// itself, a slice at a time (the "run by dispatcher" counter).
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -29,13 +31,12 @@ func (spinner) Handle(ctx *live.Ctx, payload any) (any, error) {
 	return nil, nil
 }
 
-func run(name string, quantum time.Duration, workConserving bool) float64 {
+func run(name string, quantum time.Duration) float64 {
 	srv := live.New(spinner{}, live.Options{
-		Workers:        1,
-		Quantum:        quantum,
-		QueueBound:     2,
-		WorkConserving: workConserving,
-		PinThreads:     false,
+		Workers:    1,
+		Quantum:    quantum,
+		QueueBound: 2,
+		PinThreads: false,
 	})
 	srv.Start()
 	defer srv.Stop()
@@ -71,8 +72,8 @@ func run(name string, quantum time.Duration, workConserving bool) float64 {
 func main() {
 	fmt.Println("Concord quickstart: 1 worker, 95% x 50µs + 5% x 5ms requests")
 	fmt.Println()
-	fcfs := run("FCFS (q=0):", 0, false)
-	concord := run("Concord (q=200µs):", 200*time.Microsecond, true)
+	fcfs := run("FCFS (q=0):", 0)
+	concord := run("Concord (q=200µs):", 200*time.Microsecond)
 	fmt.Printf("With preemption, short requests no longer wait out entire 5ms scans:\n")
 	fmt.Printf("p99 slowdown %.0fx -> %.0fx (%.1fx better) at identical load.\n", fcfs, concord, fcfs/concord)
 }

@@ -111,7 +111,7 @@ func TestChaosLifecycle(t *testing.T) {
 		placing bool
 	}{
 		{"k1-steal", Options{Workers: 1, Quantum: 100 * time.Microsecond, QueueBound: 1,
-			WorkConserving: true, DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false},
 		{"w4", Options{Workers: 4, Quantum: 100 * time.Microsecond, QueueBound: 2,
 			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false},
 		{"no-preempt", Options{Workers: 2, Quantum: 0,

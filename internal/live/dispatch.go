@@ -91,10 +91,10 @@ func (s *Server) dispatcherLoop(sh *shard) {
 
 // serveDispatcher is shard sh's dispatcher loop, run by whichever
 // goroutine holds the identity: like a worker's, it changes hands when a
-// request the dispatcher is running inline yields (work conservation
-// only). sh.done belongs to the identity and is closed by the holder
-// that sees the shard drained; a goroutine that detached mid-loop
-// returns without touching the shard again.
+// request the dispatcher is running inline yields. sh.done belongs to the
+// identity and is closed by the holder that sees the shard drained; a
+// goroutine that detached mid-loop returns without touching the shard
+// again.
 func (s *Server) serveDispatcher(sh *shard) {
 	multi := len(s.shards) > 1
 	var idleSince int64 // nanotime; 0 while the loop makes progress
@@ -171,7 +171,7 @@ func (s *Server) serveDispatcher(sh *shard) {
 
 			// 4. Work conservation (also during graceful drain — the
 			// dispatcher helping finishes the backlog sooner).
-			if s.opts.WorkConserving && !progress {
+			if !progress {
 				t := sh.saved
 				if t == nil {
 					t = s.takeNonStarted(sh)
@@ -311,8 +311,16 @@ func (s *Server) steal(sh *shard) (*task, bool) {
 
 // takeNonStarted pops the next never-started request from the shard's
 // queue — the only kind the dispatcher may run itself (§3.3) — but only
-// when every local worker queue is full.
+// when every local worker queue is full. An empty queue answers first:
+// an idle dispatcher then reads no occupancy line, which a placed Do
+// caller writes on every request.
 func (s *Server) takeNonStarted(sh *shard) *task {
+	if sh.q.Len() == 0 {
+		return nil
+	}
+	if testConserveGate != nil && !testConserveGate() {
+		return nil
+	}
 	for _, w := range sh.workers {
 		if s.occ[w].Load() < int32(s.opts.QueueBound) {
 			return nil

@@ -34,9 +34,9 @@ import (
 )
 
 // executor is a CPU context a task can run on: a worker or a shard's
-// dispatcher in work-conserving mode. It is an identity, not a
-// goroutine: whichever goroutine holds it runs its serve loop, and a
-// preemption during an inline slice passes it to a successor (adopt).
+// dispatcher. It is an identity, not a goroutine: whichever goroutine
+// holds it runs its serve loop, and a preemption during an inline slice
+// passes it to a successor (adopt).
 // Its state is plain fields: the goroutine holding the identity writes
 // them, and the request it runs reads them in Poll — on that same
 // goroutine during an inline slice, otherwise on the request's own,

@@ -251,6 +251,7 @@ func TestQueueFullRejected(t *testing.T) {
 // k=1, no-preemption server expire with ErrDeadlineExceeded instead of
 // waiting out the hog.
 func TestRequestTimeoutExpiresQueued(t *testing.T) {
+	quietDispatcher(t)
 	opts := testOptions(1, 0)
 	opts.QueueBound = 1
 	opts.RequestTimeout = 5 * time.Millisecond
@@ -365,14 +366,16 @@ func TestGracefulStopCompletesAccepted(t *testing.T) {
 // long the host makes that, for its slice to run out of quantum — for
 // tests that are about the real expiry. With spin set it first
 // spins that long, polling: time in which a request that must not be
-// signalled would be. It carries a hint and a class so the srpt and
-// cascade rows order it by something.
+// signalled would be. With proceed set it first waits, without
+// polling, for proceed to close. It carries a hint and a class so the
+// srpt and cascade rows order it by something.
 type yieldReq struct {
-	yields int
-	expire bool
-	await  bool
-	spin   time.Duration
-	class  SLOClass
+	yields  int
+	expire  bool
+	await   bool
+	spin    time.Duration
+	class   SLOClass
+	proceed chan struct{}
 }
 
 func (r yieldReq) ServiceHint() time.Duration { return time.Millisecond }
@@ -408,6 +411,14 @@ func awaitSignal(ctx *Ctx) error {
 		ctx.Poll()
 	}
 	return nil
+}
+
+// quietDispatcher keeps every dispatcher from running a request itself
+// for the rest of the test: for a test that holds every worker and then
+// needs what it queues to stay queued, or to reach a worker.
+func quietDispatcher(t *testing.T) {
+	testConserveGate = func() bool { return false }
+	t.Cleanup(func() { testConserveGate = nil })
 }
 
 // yieldHandler blocks on "block" payloads (holding a worker without
@@ -451,6 +462,9 @@ func (h *yieldHandler) Handle(ctx *Ctx, payload any) (any, error) {
 		ctx.task.deadline = nanotime() - int64(time.Hour)
 	}
 	ctx.Spin(req.spin)
+	if req.proceed != nil {
+		<-req.proceed
+	}
 	for i := 0; i != req.yields; i++ {
 		if !req.await {
 			yieldNow(ctx)
@@ -537,7 +551,7 @@ func runLifecycleRows(t *testing.T, onDispatcher, fromPark bool) {
 						goroutines := runtime.NumGoroutine()
 						h := &yieldHandler{release: make(chan struct{})}
 						opts := Options{Workers: shards, Shards: shards, Policy: pol, Quantum: time.Hour,
-							QueueBound: 1, WorkConserving: onDispatcher, PinThreads: pin}
+							QueueBound: 1, PinThreads: pin}
 						oc.tune(&opts)
 						var parks *parkWatch
 						if fromPark {

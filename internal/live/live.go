@@ -114,7 +114,7 @@ type Handler interface {
 	// Setup initializes global application state before serving.
 	Setup()
 	// SetupWorker initializes per-worker state; negative workers are
-	// dispatchers (they run application code too when work-conserving):
+	// dispatchers (they run application code too, to conserve work):
 	// -1 for shard 0 — the only dispatcher at Shards 1 — and -(s+1) for
 	// shard s. It is called exactly once per worker or dispatcher
 	// identity, before the identity serves anything: for a dispatcher on
@@ -188,11 +188,6 @@ type Options struct {
 	// QueueBound is k in JBSQ(k), counting the in-service request.
 	// Default 2. 1 degenerates to a synchronous single queue.
 	QueueBound int
-	// WorkConserving lets a shard's dispatcher run requests when every
-	// one of its worker queues is full. It works on such a request for
-	// one quantum (100µs when none is in force) before checking for
-	// dispatcher duties again.
-	WorkConserving bool
 	// PinThreads locks the goroutine serving each worker and dispatcher
 	// to an OS thread (runtime.LockOSThread). Off unless set. The first
 	// slice of every handler runs on that pinned goroutine, so a request
@@ -381,12 +376,13 @@ const cacheLinePad = 64
 // regression tests can exercise them deterministically, or tell a test
 // that a dispatcher has parked, so it need not sleep to find out.
 var (
-	testSubmitGate  func()       // between Submit's stop check and its enqueue
-	testPlaceGate   func()       // between place's occupancy CAS and its stop check
-	testRequeueGate func()       // between a preemption park and its re-submit
-	testStealGate   func()       // between a steal's pop and its local dispatch
-	testParkGate    func(*shard) // as a shard's dispatcher parks
-	testIngestGate  func()       // between a dispatcher's receive from the ingress and its push
+	testSubmitGate   func()       // between Submit's stop check and its enqueue
+	testPlaceGate    func()       // between place's occupancy CAS and its stop check
+	testRequeueGate  func()       // between a preemption park and its re-submit
+	testStealGate    func()       // between a steal's pop and its local dispatch
+	testParkGate     func(*shard) // as a shard's dispatcher parks
+	testIngestGate   func()       // between a dispatcher's receive from the ingress and its push
+	testConserveGate func() bool  // whether a dispatcher may run a queued request itself
 )
 
 // Server is a running Concord scheduling runtime. Its fields are laid

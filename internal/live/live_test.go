@@ -2,6 +2,9 @@ package live
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,36 +246,141 @@ func (panicHandler) Handle(*Ctx, any) (any, error) {
 	panic("boom")
 }
 
-func TestWorkConservingDispatcherRunsRequests(t *testing.T) {
-	h := &spinHandler{}
-	opts := testOptions(1, 200*time.Microsecond)
-	opts.WorkConserving = true
-	opts.QueueBound = 1
-	s := New(h, opts)
-	s.Start()
+// TestWorkConservingDispatcher pins when a dispatcher runs a request
+// itself (§3.3), with no duration in any assertion. Each shard has one
+// worker at QueueBound 1, so a blocker holds all of its shard's slots.
+// A never-started request queued behind full slots runs on its shard's
+// dispatcher. A started request queued there is looked at by the
+// dispatcher and left for its worker. A request that finds a slot free
+// is pushed to it. The dispatcher is held quiet (the conserve gate)
+// while a row builds its queue, so what the row queues stays queued
+// until the row lets the dispatcher look.
+func TestWorkConservingDispatcher(t *testing.T) {
+	rows := []struct {
+		name             string
+		blocked, started bool // every slot held; the target yields once first
+		onDispatcher     bool
+	}{
+		{"never-started/slots-full", true, false, true},
+		{"started/slots-full", true, true, false},
+		{"never-started/slot-free", false, false, false},
+	}
+	for _, row := range rows {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards%d", row.name, shards), func(t *testing.T) {
+				var quiet atomic.Bool
+				var looks atomic.Int64
+				quiet.Store(true)
+				testConserveGate = func() bool { looks.Add(1); return !quiet.Load() }
+				t.Cleanup(func() { testConserveGate = nil })
+				goroutines := runtime.NumGoroutine()
+				h := &yieldHandler{release: make(chan struct{})}
+				opts := Options{Workers: shards, Shards: shards, Quantum: time.Hour, QueueBound: 1}
+				s := New(h, opts)
+				s.Start()
+				depths := func(blocked int32, central int) func() bool {
+					return func() bool {
+						d := s.Depths()
+						return h.blocked.Load() == blocked && d.Central == central && d.Submit == 0
+					}
+				}
 
-	// Flood a single k=1 worker so the dispatcher must pitch in.
-	const n = 64
-	var chans []<-chan Response
-	for i := 0; i < n; i++ {
-		chans = append(chans, s.Submit(300*time.Microsecond))
-	}
-	dispatcherRun := 0
-	for _, ch := range chans {
-		resp := <-ch
-		if resp.Err != nil {
-			t.Fatal(resp.Err)
+				var blockers []<-chan Response
+				block := func(shard int) {
+					// enqueue starts at the round-robin cursor after this one.
+					s.rr.Store(uint64(shard + shards - 1))
+					blockers = append(blockers, s.Submit("block"))
+				}
+				target := yieldReq{}
+				var ch <-chan Response
+				switch {
+				case row.started:
+					// The target takes a worker first: whichever, as an idle
+					// sibling may steal it before its own shard pushes it. Then
+					// a blocker takes every other worker, and the last one
+					// queues behind the target on its shard: with every other
+					// slot full, nothing can steal it.
+					target = yieldReq{yields: 1, proceed: make(chan struct{})}
+					ch = s.Submit(target)
+					waitUntil(t, "the target on a worker", func() bool {
+						d := s.Depths()
+						return slices.Contains(d.Workers, 1) && d.Central == 0 && d.Submit == 0
+					})
+					home := slices.Index(s.Depths().Workers, 1) // one worker per shard
+					for sh := 0; sh < shards; sh++ {
+						if sh != home {
+							block(sh)
+							waitUntil(t, "a blocker on another shard's worker", depths(int32(len(blockers)), 0))
+						}
+					}
+					block(home)
+					waitUntil(t, "the last blocker queued behind the target", depths(int32(shards-1), 1))
+					// The target yields and goes back to its shard, whose one
+					// slot the queued blocker takes first.
+					close(target.proceed)
+					waitUntil(t, "the yielded target queued behind full slots", depths(int32(shards), 1))
+				case row.blocked:
+					for sh := 0; sh < shards; sh++ {
+						block(sh)
+					}
+					waitUntil(t, "a blocker on every worker", depths(int32(shards), 0))
+				}
+				quiet.Store(false)
+				if row.started {
+					// The second look began after the first had ended. A
+					// dispatcher that takes the target ends the looks, and the
+					// target's answer tells.
+					seen := looks.Load()
+					waitUntil(t, "the dispatcher to look at the queued target twice", func() bool {
+						return looks.Load() >= seen+2 || s.Depths().Central == 0
+					})
+				} else {
+					ch = s.Submit(target)
+				}
+				receive := func(ch <-chan Response) Response {
+					select {
+					case resp := <-ch:
+						return resp
+					case <-time.After(15 * time.Second):
+						t.Fatal("a request was never answered")
+						return Response{}
+					}
+				}
+				if row.onDispatcher {
+					// Every worker is held: only the dispatcher can answer it.
+					if resp := receive(ch); resp.Err != nil || !resp.OnDispatcher {
+						t.Fatalf("err %v, OnDispatcher %v; want it run by the dispatcher", resp.Err, resp.OnDispatcher)
+					} else if on := resp.Payload.([2]int); on[0] >= 0 || on[1] != on[0] {
+						t.Fatalf("ran on executors %v, want one dispatcher", on)
+					}
+					close(h.release)
+				} else {
+					close(h.release)
+					if resp := receive(ch); resp.Err != nil || resp.OnDispatcher || resp.Preemptions != target.yields {
+						t.Fatalf("err %v, OnDispatcher %v, Preemptions %d; want it run by a worker, %d yields",
+							resp.Err, resp.OnDispatcher, resp.Preemptions, target.yields)
+					} else if on := resp.Payload.([2]int); on[0] < 0 || on[1] != on[0] {
+						t.Fatalf("ran on executors %v, want one worker", on)
+					}
+				}
+				for i, b := range blockers {
+					if resp := receive(b); resp.Err != nil || resp.OnDispatcher {
+						t.Fatalf("blocker %d: err %v, OnDispatcher %v", i, resp.Err, resp.OnDispatcher)
+					}
+				}
+				s.Stop()
+				want := uint64(0)
+				if row.onDispatcher {
+					want = 1
+				}
+				st := s.Stats()
+				if st.DispatcherRun != want || st.Submitted != uint64(len(blockers)+1) || st.Completed != st.Submitted {
+					t.Fatalf("DispatcherRun %d, submitted %d, completed %d; want %d, %d, %d",
+						st.DispatcherRun, st.Submitted, st.Completed, want, len(blockers)+1, len(blockers)+1)
+				}
+				checkIdentities(t, h, opts, goroutines)
+			})
 		}
-		if resp.OnDispatcher {
-			dispatcherRun++
-		}
-	}
-	s.Stop()
-	if dispatcherRun == 0 {
-		t.Fatal("work-conserving dispatcher never completed a request under overload")
-	}
-	if got := s.Stats().DispatcherRun; got != uint64(dispatcherRun) {
-		t.Fatalf("DispatcherRun counter %d != observed %d", got, dispatcherRun)
 	}
 }
 

@@ -88,6 +88,7 @@ func busyWorkers(s *Server) int {
 // submission, so under SRPT a short Do still runs before the long
 // requests queued ahead of it.
 func TestDoPlacesOnIdleShard(t *testing.T) {
+	quietDispatcher(t)
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("idle/shards%d", shards), func(t *testing.T) {
 			opts := testOptions(2, 0)
@@ -250,6 +251,7 @@ func TestPlaceDoesNotOvertakeIngestingTask(t *testing.T) {
 // wake-up that does not arrive shows as a request never answered or a
 // Stop that hangs; every row also ends on Submitted == Completed.
 func TestParkedDispatcherWakes(t *testing.T) {
+	quietDispatcher(t)
 	answered := func(t *testing.T, ch <-chan Response) Response {
 		t.Helper()
 		select {
@@ -736,6 +738,7 @@ func (gatedYieldHandler) Handle(ctx *Ctx, payload any) (any, error) {
 // behind a blocker that takes the shard's one worker, so it is queued,
 // not running, when the deadline passes. Do and TryDo.
 func TestPlacedDetachedRetiredByDrain(t *testing.T) {
+	quietDispatcher(t)
 	for _, try := range []bool{false, true} {
 		t.Run(fmt.Sprintf("trydo=%v", try), func(t *testing.T) {
 			opts := testOptions(1, time.Hour)

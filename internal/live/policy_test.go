@@ -109,6 +109,7 @@ func TestSRPTQueuePopOrderProperty(t *testing.T) {
 // then sheddable; within a tier, submission order (cascade) or
 // hint-ascending with ties in submission order (cascade-srpt).
 func TestSRPTSingleWorkerMixProperty(t *testing.T) {
+	quietDispatcher(t)
 	tier := [NumClasses]int{ClassCritical: 0, ClassStandard: 1, ClassSheddable: 2}
 	for _, policy := range []string{PolicySRPT, PolicyCascade, PolicyCascadeSRPT} {
 		t.Run(policy, func(t *testing.T) {

@@ -163,6 +163,7 @@ func (h *orderRecHandler) recorded() []string {
 // request, FIFO among themselves. Pre-fix they keyed to 0 and ran
 // first, starving the genuinely short hinted work.
 func TestSRPTUnhintedRunsLast(t *testing.T) {
+	quietDispatcher(t)
 	h := &orderRecHandler{release: make(chan struct{})}
 	o := testOptions(1, 0)
 	o.Policy = PolicySRPT

@@ -109,7 +109,7 @@ func TestShardedChaosLifecycle(t *testing.T) {
 		{"shards-2", Options{Workers: 4, Shards: 2, Quantum: 100 * time.Microsecond, QueueBound: 2,
 			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
 		{"shards-4", Options{Workers: 4, Shards: 4, Quantum: 100 * time.Microsecond, QueueBound: 1,
-			WorkConserving: true, DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
 		{"shards-2-srpt", Options{Workers: 4, Shards: 2, Policy: PolicySRPT,
 			Quantum: 100 * time.Microsecond, QueueBound: 2,
 			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
@@ -189,6 +189,7 @@ func (p hintedSpin) ServiceHint() time.Duration { return p.hint }
 // TestSRPTLiveOrdering: with one worker held busy, queued hinted
 // requests must run shortest-remaining-first once the worker frees up.
 func TestSRPTLiveOrdering(t *testing.T) {
+	quietDispatcher(t)
 	h := &blockingHandler{release: make(chan struct{})}
 	o := testOptions(1, 0)
 	o.Policy = PolicySRPT
@@ -231,6 +232,7 @@ func TestSRPTLiveOrdering(t *testing.T) {
 // TestFCFSIgnoresHints: the same out-of-order submission under FCFS must
 // run in arrival order — hints are policy-scoped, not a global reorder.
 func TestFCFSIgnoresHints(t *testing.T) {
+	quietDispatcher(t)
 	h := &blockingHandler{release: make(chan struct{})}
 	o := testOptions(1, 0)
 	o.QueueBound = 1
@@ -271,6 +273,7 @@ func TestFCFSIgnoresHints(t *testing.T) {
 // request was lost or run twice (Submitted == Completed, and each
 // hinted request ran at most once).
 func TestWorkStealingRacingStop(t *testing.T) {
+	quietDispatcher(t)
 	h := &blockingHandler{release: make(chan struct{})}
 	o := Options{Workers: 2, Shards: 2, QueueBound: 1,
 		DrainTimeout: 5 * time.Second, PinThreads: false}
@@ -364,6 +367,7 @@ func TestWorkStealingRacingStop(t *testing.T) {
 // shard's backlog still completes via its siblings (global work
 // conservation, §3.3 across shards).
 func TestStealKeepsThroughputWhenOneShardStalls(t *testing.T) {
+	quietDispatcher(t)
 	h := &blockingHandler{release: make(chan struct{})}
 	s := New(h, Options{Workers: 2, Shards: 2, QueueBound: 1,
 		DrainTimeout: 5 * time.Second, PinThreads: false})

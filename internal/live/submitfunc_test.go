@@ -166,7 +166,6 @@ func TestSubmitFuncZeroAllocs(t *testing.T) {
 		// conservation only matters once every worker slot is held.
 		opts := testOptions(4, time.Hour)
 		opts.Shards = cfg.shards
-		opts.WorkConserving = true
 		opts.RequestTimeout = cfg.timeout
 		s := New(yieldTimesHandler{}, opts)
 		s.Start()

@@ -46,7 +46,8 @@ func Policies() []string {
 }
 
 // Config parameterizes the counterfactual servers. The zero value is
-// usable; unset fields take the defaults below.
+// usable; unset fields take the defaults below. Each is server.Concord:
+// JBSQ behind the work-conserving dispatcher, as live runs it.
 type Config struct {
 	// Workers and QuantumUS describe the simulated server; mirror the
 	// live server's shape so counterfactuals answer "same machine,
@@ -55,9 +56,6 @@ type Config struct {
 	QuantumUS float64 // default 100
 	// QueueBound is the per-worker JBSQ depth (default 2).
 	QueueBound int
-	// WorkConserving lets the simulated dispatcher run requests itself
-	// when all workers are busy (default true, matching live).
-	WorkConserving bool
 	// Seed drives the simulator's RNG. Replay consumes no random
 	// service times or gaps — both come from the trace — so the seed
 	// only perturbs internal tie-breaking; any fixed value gives
@@ -255,7 +253,6 @@ func ReplayWindow(w CaptureWindow, cfg Config) (Result, bool) {
 func replayPolicy(recs []CaptureRec, cfg Config, policy string) PolicyResult {
 	sc := server.Concord(cost.Default(), cfg.Workers, cfg.QuantumUS)
 	sc.QueueBound = cfg.QueueBound
-	sc.WorkConserving = cfg.WorkConserving
 	switch policy {
 	case PolicyFCFS:
 		sc.SRPT = false
