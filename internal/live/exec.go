@@ -343,8 +343,10 @@ func (s *Server) finish(ex *executor, t *task, resp *Response, end int64) {
 	resp.Service = time.Duration(t.runNS)
 	if s.tr != nil {
 		resp.Breakdown = t.breakdown(end, resp.Latency)
+		// Stamped at end, like the submit event at arrival, so the
+		// event total equals Latency.
 		kind, status := completionEvent(resp.Err)
-		s.tr.Record(ex.writer, kind, t.id, status)
+		s.tr.RecordAt(ex.writer, kind, t.id, status, at(end))
 	}
 	ex.n.completed.Add(1)
 	ex.n.classCompleted[t.class].Add(1)

@@ -85,7 +85,6 @@ func CoopPreemption(m cost.Model, workers int, quantumUS float64) Config {
 
 // request is one in-flight request.
 type request struct {
-	class         string
 	serviceCycles sim.Cycles
 	remainingBase sim.Cycles
 	arrival       sim.Cycles
@@ -255,7 +254,7 @@ func (m *Machine) scheduleArrival(now sim.Cycles) {
 			sc = 1
 		}
 		req := &request{
-			class: s.Class, serviceCycles: sc, remainingBase: sc, arrival: t,
+			serviceCycles: sc, remainingBase: sc, arrival: t,
 			warmup: m.admitted < int(float64(m.p.Requests)*m.p.WarmupFrac),
 		}
 		m.admitted++
@@ -469,7 +468,6 @@ func (m *Machine) complete(w *worker, now sim.Cycles) {
 	m.completed++
 	if !req.warmup {
 		m.collector.Add(stats.Sample{
-			Class:    req.class,
 			Slowdown: float64(now-req.arrival) / float64(req.serviceCycles),
 		})
 	}

@@ -163,7 +163,7 @@ func New(cfg Config, wl Workload, p RunParams) *Machine {
 	if p.ExactSamples {
 		m.collector = stats.NewCollector(p.Requests)
 	} else {
-		m.collector = stats.NewReservoir(stats.DefaultReservoirSize, p.Seed)
+		m.collector = stats.NewReservoir(stats.DefaultReservoirSize, p.Requests, p.Seed)
 	}
 	if cfg.SRPT {
 		m.central = policy.NewSRPT[*Request]()
@@ -632,7 +632,6 @@ func (m *Machine) complete(req *Request, now sim.Cycles) {
 	}
 	if !req.warmup {
 		m.collector.Add(stats.Sample{
-			Class:     req.Class,
 			Slowdown:  float64(now-req.Arrival) / float64(req.serviceCycles),
 			SojournUS: m.cfg.Model.CyclesToMicros(now - req.Arrival),
 		})

@@ -305,8 +305,11 @@ func TestValidate(t *testing.T) {
 // TestRunAllocsPerRequest is the simulator's allocation floor: a run
 // allocates its machine (timers, queues, the sample reservoir) and then
 // nothing per event, so a whole 20 000-request run divided by its requests
-// stays far under one. It was 13.7 for Concord while every hand-off to a
-// stalled worker built a closure.
+// stays far under one allocation. It was 13.7 for Concord while every
+// hand-off to a stalled worker built a closure. Bytes are bounded too: the
+// reservoir is sized once for the run's 16-byte samples, where growing it
+// by append from 4 096 entries of a 32-byte sample cost 113–131 B a
+// request.
 func TestRunAllocsPerRequest(t *testing.T) {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
@@ -323,10 +326,26 @@ func TestRunAllocsPerRequest(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		RunAt(cfg, wl, 180, RunParams{Requests: requests, Seed: 1})
 		runtime.ReadMemStats(&after)
-		if per := float64(after.Mallocs-before.Mallocs) / requests; per >= 0.1 {
+		per := float64(after.Mallocs-before.Mallocs) / requests
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / requests
+		if per >= 0.1 {
 			t.Errorf("%s: %.3f allocations per simulated request, want < 0.1", cfg.Name, per)
-		} else {
-			t.Logf("%s: %.4f allocations per simulated request", cfg.Name, per)
 		}
+		if bytes >= 48 {
+			t.Errorf("%s: %.1f B allocated per simulated request, want < 48", cfg.Name, bytes)
+		}
+		t.Logf("%s: %.4f allocations, %.1f B per simulated request", cfg.Name, per, bytes)
+	}
+}
+
+// BenchmarkRunAtCell is one cell of the benchmark's sim_sweep grid:
+// Concord on the YCSB bimodal workload at 180 kRps, 20 000 requests. Its
+// B/op and allocs/op are a whole cell's, machine and samples included.
+func BenchmarkRunAtCell(b *testing.B) {
+	cfg := Concord(cost.Default(), 14, 2)
+	wl := Workload{Dist: dist.Bimodal(50, 1, 50, 100)}
+	b.ReportAllocs()
+	for b.Loop() {
+		RunAt(cfg, wl, 180, RunParams{Requests: 20000, Seed: 1})
 	}
 }

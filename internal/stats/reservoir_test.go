@@ -3,16 +3,18 @@ package stats
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // TestReservoirExactBelowCap: until the cap is reached the reservoir IS
-// the exact sample set, so quick-fidelity runs lose nothing.
+// the exact sample set, sample for sample and in the same order, so
+// quick-fidelity runs lose nothing.
 func TestReservoirExactBelowCap(t *testing.T) {
-	r := NewReservoir(100, 1)
+	r := NewReservoir(100, 50, 1)
 	e := NewCollector(50)
 	for i := 0; i < 50; i++ {
-		s := Sample{Class: "x", Slowdown: float64(i + 1)}
+		s := Sample{Slowdown: float64(i%7 + 1), SojournUS: float64(i)}
 		r.Add(s)
 		e.Add(s)
 	}
@@ -21,6 +23,9 @@ func TestReservoirExactBelowCap(t *testing.T) {
 	}
 	if !r.Exact() {
 		t.Fatal("below cap the reservoir should report Exact()")
+	}
+	if !slices.Equal(r.Samples(), e.Samples()) {
+		t.Fatalf("reservoir holds %v, exact collector %v", r.Samples(), e.Samples())
 	}
 	for _, p := range []float64{1, 50, 99, 99.9, 100} {
 		if r.SlowdownPercentile(p) != e.SlowdownPercentile(p) {
@@ -36,7 +41,7 @@ func TestReservoirExactBelowCap(t *testing.T) {
 // cap while count and mean remain exact over the full stream.
 func TestReservoirBoundedRetention(t *testing.T) {
 	const cap, n = 64, 10000
-	r := NewReservoir(cap, 42)
+	r := NewReservoir(cap, n, 42)
 	var sum float64
 	for i := 0; i < n; i++ {
 		v := float64(i%100) + 1
@@ -73,7 +78,7 @@ func TestReservoirDeterministic(t *testing.T) {
 			r.Add(Sample{Slowdown: float64(i)})
 		}
 	}
-	a, b, c := NewReservoir(32, 9), NewReservoir(32, 9), NewReservoir(32, 10)
+	a, b, c := NewReservoir(32, 0, 9), NewReservoir(32, 0, 9), NewReservoir(32, 0, 10)
 	stream(a)
 	stream(b)
 	stream(c)
@@ -82,5 +87,33 @@ func TestReservoirDeterministic(t *testing.T) {
 	}
 	if reflect.DeepEqual(a.Samples(), c.Samples()) {
 		t.Fatal("different seeds produced identical reservoirs (suspicious)")
+	}
+}
+
+// TestAddAllocatesNothing: a collector built for the n samples its run
+// offers holds them in the slice it was built with — exact, reservoir
+// below its bound, and reservoir past it alike — so Add never allocates.
+func TestAddAllocatesNothing(t *testing.T) {
+	const n, runs = 5000, 4
+	for name, mk := range map[string]func() *Collector{
+		"exact":          func() *Collector { return NewCollector(n) },
+		"reservoir":      func() *Collector { return NewReservoir(0, n, 1) },
+		"reservoir-full": func() *Collector { return NewReservoir(n/4, n, 1) },
+	} {
+		cs := make([]*Collector, runs+1) // AllocsPerRun runs f once more to warm up
+		for i := range cs {
+			cs[i] = mk()
+		}
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			c := cs[next]
+			next++
+			for i := range n {
+				c.Add(Sample{Slowdown: float64(i), SojournUS: float64(i)})
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: %v allocations over %d Adds, want 0", name, got, n)
+		}
 	}
 }

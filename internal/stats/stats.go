@@ -6,9 +6,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"concord/internal/sim"
 )
@@ -26,9 +27,10 @@ const DefaultSLOSlowdown = 50.0
 // standard fidelity.
 const DefaultReservoirSize = 1 << 17
 
-// Sample is one completed request's latency record.
+// Sample is one completed request's latency record. It holds no
+// pointer, so a run's sample slice is one allocation the garbage
+// collector never scans.
 type Sample struct {
-	Class     string
 	Slowdown  float64 // sojourn / uninstrumented service time
 	SojournUS float64 // total time at the server
 }
@@ -62,14 +64,16 @@ func NewCollector(n int) *Collector {
 }
 
 // NewReservoir returns a streaming collector retaining at most limit
-// samples (DefaultReservoirSize if limit <= 0). The seed makes the
-// sampled retained set reproducible.
-func NewReservoir(limit int, seed uint64) *Collector {
+// samples (DefaultReservoirSize if limit <= 0), with room for the n
+// samples its run expects (at most limit) allocated up front, so a run
+// that offers no more than n never grows it. The seed makes the sampled
+// retained set reproducible.
+func NewReservoir(limit, n int, seed uint64) *Collector {
 	if limit <= 0 {
 		limit = DefaultReservoirSize
 	}
 	return &Collector{
-		samples: make([]Sample, 0, min(limit, 4096)),
+		samples: make([]Sample, 0, min(max(n, 0), limit)),
 		limit:   limit,
 		rng:     sim.NewRNG(sim.Mix64(seed, 0x57a75)),
 	}
@@ -111,8 +115,8 @@ func (c *Collector) Samples() []Sample { return c.samples }
 
 func (c *Collector) ensureSorted() {
 	if !c.sorted {
-		sort.Slice(c.samples, func(i, j int) bool {
-			return c.samples[i].Slowdown < c.samples[j].Slowdown
+		slices.SortFunc(c.samples, func(a, b Sample) int {
+			return cmp.Compare(a.Slowdown, b.Slowdown)
 		})
 		c.sorted = true
 	}
@@ -144,41 +148,6 @@ func (c *Collector) MeanSlowdown() float64 {
 		return math.NaN()
 	}
 	return c.sum / float64(c.count)
-}
-
-// ClassPercentile returns the p-th percentile slowdown among retained
-// samples of one class, or NaN if the class has no samples.
-func (c *Collector) ClassPercentile(class string, p float64) float64 {
-	var vals []float64
-	for _, s := range c.samples {
-		if s.Class == class {
-			vals = append(vals, s.Slowdown)
-		}
-	}
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(vals)
-	rank := int(math.Ceil(p / 100 * float64(len(vals))))
-	if rank < 1 {
-		rank = 1
-	}
-	return vals[rank-1]
-}
-
-// Classes returns the distinct class labels seen among retained
-// samples, sorted.
-func (c *Collector) Classes() []string {
-	set := map[string]bool{}
-	for _, s := range c.samples {
-		set[s.Class] = true
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Point is one load point in a sweep: offered load and measured tail

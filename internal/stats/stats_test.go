@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -10,7 +9,7 @@ import (
 func collectorWith(vals ...float64) *Collector {
 	c := NewCollector(len(vals))
 	for _, v := range vals {
-		c.Add(Sample{Class: "x", Slowdown: v})
+		c.Add(Sample{Slowdown: v})
 	}
 	return c
 }
@@ -84,29 +83,6 @@ func TestPercentileInterleavedAdds(t *testing.T) {
 func TestMeanSlowdown(t *testing.T) {
 	if got := collectorWith(1, 2, 3).MeanSlowdown(); got != 2 {
 		t.Fatalf("mean = %v, want 2", got)
-	}
-}
-
-func TestClassPercentile(t *testing.T) {
-	c := NewCollector(6)
-	for _, v := range []float64{1, 2, 3} {
-		c.Add(Sample{Class: "get", Slowdown: v})
-	}
-	for _, v := range []float64{10, 20, 30} {
-		c.Add(Sample{Class: "scan", Slowdown: v})
-	}
-	if got := c.ClassPercentile("get", 100); got != 3 {
-		t.Fatalf("get p100 = %v, want 3", got)
-	}
-	if got := c.ClassPercentile("scan", 50); got != 20 {
-		t.Fatalf("scan p50 = %v, want 20", got)
-	}
-	if !math.IsNaN(c.ClassPercentile("missing", 50)) {
-		t.Fatal("missing class should return NaN")
-	}
-	classes := c.Classes()
-	if !sort.StringsAreSorted(classes) || len(classes) != 2 {
-		t.Fatalf("Classes() = %v", classes)
 	}
 }
 
