@@ -12,8 +12,9 @@ tier1:
 # policy queues (cascade tiers + admission paths exercise them from many
 # goroutines) and the kv store (connection readers and workers share
 # it). Slower than tier1; run before merging changes to any of these.
+# -count=1: a repeated run tests again instead of reading the test cache.
 race:
-	go test -race ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/shadow ./internal/proto ./internal/netsrv ./internal/policy ./internal/kv ./cmd/concord-load ./cmd/concord-kvd
+	go test -race -count=1 ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/shadow ./internal/proto ./internal/netsrv ./internal/policy ./internal/kv ./cmd/concord-load ./cmd/concord-kvd
 
 # Stress for the live runtime's concurrency-critical suites — lifecycle
 # tables, chaos, drain windows, sharded stealing, the identity hand-off,

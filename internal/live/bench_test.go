@@ -1,6 +1,7 @@
 package live
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,6 +20,34 @@ func BenchmarkRoundTrip(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 	}
+}
+
+// BenchmarkDoTwoClients is the benchmark's dispatch_null in one package:
+// two goroutines call Do on a two-worker server with a zero-work
+// handler, so nearly every request is placed and ns/op is the placed
+// path's cost per request, two callers sharing the server. Each client
+// makes half of the b.N calls; they share no counter.
+func BenchmarkDoTwoClients(b *testing.B) {
+	s := New(yieldTimesHandler{}, testOptions(2, 0))
+	s.Start()
+	defer s.Stop()
+	var payload any = yieldTimes(0)
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c, n := range []int{b.N / 2, b.N - b.N/2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if resp := s.Do(payload); resp.Err != nil {
+					b.Errorf("client %d: %v", c, resp.Err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkRoundTripSubmitFunc is BenchmarkRoundTrip through the

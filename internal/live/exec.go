@@ -62,8 +62,10 @@ type executor struct {
 	sliceStart   int64 // nanotime
 	defaultSlice time.Duration
 	// lent is set while a Do or TryDo caller runs a slice as this worker
-	// (runPlaced); it is written under the occupancy place took, like the
-	// rest of the identity.
+	// (runPlaced), until the slice ends or the request yields (adopt); it
+	// is written under the occupancy place took, like the rest of the
+	// identity. A request that finishes a lent slice is counted once
+	// (finish).
 	lent bool
 	// n is this executor's share of Stats.
 	n counters
@@ -76,11 +78,14 @@ type executor struct {
 // only by whoever holds the identity at the time, so no other core
 // writes the line; Stats sums them over the executors. (Submissions
 // that take the ingress, and rejections, are counted on Server.stats.)
+// A placed request that finishes in its first slice is one event, and
+// one count: classPlaced, which Stats adds to both sides. One that
+// yields is counted in classSubmitted by adopt and completed as any
+// other.
 type counters struct {
-	submitted      atomic.Uint64
 	classSubmitted [NumClasses]atomic.Uint64
-	completed      atomic.Uint64
 	classCompleted [NumClasses]atomic.Uint64
+	classPlaced    [NumClasses]atomic.Uint64
 	expired        atomic.Uint64
 	aborted        atomic.Uint64
 	preemptions    atomic.Uint64
@@ -292,9 +297,15 @@ func (s *Server) adopt(ex *executor, t *task) {
 	}
 	s.endSlice(ex, t, false, nil)
 	if ex.id >= 0 {
-		s.requeue(ex, t)
-		if ex.lent { // the worker's own loop still holds the identity
+		// A placed request is counted submitted here, before anyone else
+		// can finish it; its caller no longer runs as ex.
+		lent := ex.lent
+		if lent {
 			ex.lent = false
+			ex.n.classSubmitted[t.class].Add(1)
+		}
+		s.requeue(ex, t)
+		if lent { // the worker's own loop still holds the identity
 			s.occ[ex.id].Store(0)
 			return
 		}
@@ -348,8 +359,11 @@ func (s *Server) finish(ex *executor, t *task, resp *Response, end int64) {
 		kind, status := completionEvent(resp.Err)
 		s.tr.RecordAt(ex.writer, kind, t.id, status, at(end))
 	}
-	ex.n.completed.Add(1)
-	ex.n.classCompleted[t.class].Add(1)
+	if ex.lent { // a placed request's first slice: submitted and completed at once
+		ex.n.classPlaced[t.class].Add(1)
+	} else {
+		ex.n.classCompleted[t.class].Add(1)
+	}
 	t.deliver(resp)
 	t.release()
 }

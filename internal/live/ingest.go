@@ -116,19 +116,17 @@ func (s *Server) newRequest(payload any) *task {
 // arrival: t was not queued, so it cannot have expired, a drain abort
 // ends it at its first check, and, traced, it has no hand-off or queue
 // wait. A request that finishes within the slice is answered up the
-// caller's stack, in *resp: no channel, and two clock reads in all. If it
-// yields, adopt requeues it and gives the slots back; otherwise they are
-// given back here.
+// caller's stack, in *resp: no channel, two clock reads and three locked
+// operations in all — place's compare-and-swap, finish's one count on
+// ex's line, and the release of the slots. If it yields, adopt counts
+// it, requeues it and gives the slots back; otherwise they are given
+// back here.
 func (s *Server) runPlaced(t *task, resp *Response) bool {
 	w := s.place(t)
 	if w < 0 {
 		return false
 	}
-	// The caller holds the worker's identity now, and counts the request
-	// on its lines.
-	ex := s.workers[w]
-	ex.n.submitted.Add(1)
-	ex.n.classSubmitted[t.class].Add(1)
+	ex := s.workers[w] // the caller holds the worker's identity now
 	if s.tr != nil {
 		s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, t.id, 0, at(t.arrival))
 	}
@@ -159,7 +157,6 @@ func (s *Server) ingress(t *task, ch chan Response, done func(Response)) {
 	// pool, so touching t again would race with its reset.
 	id, class, arrival := t.id, t.class, t.arrival
 	if s.enqueue(t) {
-		s.stats.submitted.Add(1)
 		s.stats.classSubmitted[class].Add(1)
 		if s.tr != nil {
 			// Stamped at arrival, not now: by now the dispatcher may have
@@ -218,14 +215,20 @@ func (s *Server) place(t *task) int {
 	// Not before Start has set the workers up, and not under PinThreads:
 	// a lent slice would not run on the worker's pinned thread. inbound is
 	// read before the queue: a task leaves it only once pushed.
-	sh := s.shards[t.id%uint64(len(s.shards))]
+	sh := s.shards[0]
+	if len(s.shards) > 1 {
+		sh = s.shards[t.id%uint64(len(s.shards))]
+	}
 	if s.opts.PinThreads || !s.started.Load() || sh.inbound.Load() > 0 || sh.q.Len() > 0 {
 		return -1
 	}
-	for k := range sh.workers {
-		// From t's home, and with a load first: a compare-and-swap that
-		// fails still takes the line from the worker's holder.
-		i := (t.home + k) % len(sh.workers)
+	// From t's home (a pooled task may bring one from a bigger shard),
+	// and with a load first: a compare-and-swap that fails still takes
+	// the line from the worker's holder.
+	for k, i := 0, t.home; k < len(sh.workers); k, i = k+1, i+1 {
+		if i >= len(sh.workers) {
+			i = 0
+		}
 		w := sh.workers[i]
 		if s.occ[w].Load() != 0 || !s.occ[w].CompareAndSwap(0, int32(s.opts.QueueBound)) {
 			continue

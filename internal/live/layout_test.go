@@ -22,7 +22,7 @@ func TestServerLayoutByWriter(t *testing.T) {
 		"read-mostly": {"opts", "handler", "shards", "locals", "occ", "workers",
 			"tr", "classLimit", "coopTimeshare", "classShrink", "serial",
 			"stopped", "abort"},
-		"submit": {"rr", "nextID", "submitMu", "stopping", "stats.submitted", "stats.rejected",
+		"submit": {"rr", "nextID", "submitMu", "stopping", "stats.rejected",
 			"stats.shed", "stats.classSubmitted", "stats.classRejected"},
 		"cold": {"started", "wg", "startOnce", "stopOnce"},
 	}

@@ -739,3 +739,161 @@ func TestHandoffSelfSignalled(t *testing.T) {
 		})
 	}
 }
+
+// ledgerHandler is yieldHandler that also runs gatedYield requests, whose
+// start the test can see.
+type ledgerHandler struct{ *yieldHandler }
+
+func (h ledgerHandler) Handle(ctx *Ctx, payload any) (any, error) {
+	if g, ok := payload.(gatedYield); ok {
+		return gatedYieldHandler{}.Handle(ctx, g)
+	}
+	return h.yieldHandler.Handle(ctx, payload)
+}
+
+// TestStatsLedgerLifecycle: whatever path a request takes, the counters
+// balance exactly once the server has stopped — Submitted == Completed,
+// each class's submitted == its completed, the classes sum to the
+// totals, and every attempt is either submitted or rejected. One row per
+// path, one request per class where the path allows several: placed Do
+// and TryDo finishing inline (counted once, on both sides), a placed
+// request that yields and finishes on a worker, a placed request retired
+// by the drain abort after yielding, and one whose first yield comes
+// after the abort (retired while its worker is still lent), a
+// SubmitFunc through the ingress, requests rejected after Stop, and
+// requests the dispatcher runs itself. No row measures a time.
+func TestStatsLedgerLifecycle(t *testing.T) {
+	classes := []SLOClass{ClassStandard, ClassCritical, ClassSheddable}
+	rows := []struct {
+		name   string
+		placed bool // every request the row makes is placed: none takes the ingress
+		drain  time.Duration
+		// run drives the row's requests and returns how many it attempted.
+		run func(t *testing.T, s *Server, h *yieldHandler) uint64
+	}{
+		{"placed Do inline", true, 0, func(t *testing.T, s *Server, h *yieldHandler) uint64 {
+			for _, c := range classes {
+				if resp := s.Do(yieldReq{class: c}); resp.Err != nil || resp.Preemptions != 0 {
+					t.Fatalf("class %d: err %v, %d preemptions", c, resp.Err, resp.Preemptions)
+				}
+			}
+			return uint64(len(classes))
+		}},
+		{"placed TryDo inline", true, 0, func(t *testing.T, s *Server, h *yieldHandler) uint64 {
+			for _, c := range classes {
+				resp, placed := s.TryDo(yieldReq{class: c}, func(Response) { t.Error("TryDo called back for a placed request") })
+				if !placed || resp.Err != nil {
+					t.Fatalf("class %d: placed %v, err %v", c, placed, resp.Err)
+				}
+			}
+			return uint64(len(classes))
+		}},
+		{"placed, yields, finishes on a worker", true, 0, func(t *testing.T, s *Server, h *yieldHandler) uint64 {
+			for _, c := range classes {
+				if resp := s.Do(yieldReq{yields: 3, class: c}); resp.Err != nil || resp.Preemptions != 3 {
+					t.Fatalf("class %d: err %v, %d preemptions", c, resp.Err, resp.Preemptions)
+				}
+			}
+			return uint64(len(classes))
+		}},
+		{"placed, yields, retired by the drain abort", true, 5 * time.Millisecond, func(t *testing.T, s *Server, h *yieldHandler) uint64 {
+			answered := make(chan Response, 1)
+			go func() { answered <- s.Do(yieldReq{yields: -1, class: ClassCritical}) }()
+			waitUntil(t, "the placed request to have yielded", func() bool { return h.yielded.Load() == 1 })
+			s.Stop()
+			if resp := <-answered; !errors.Is(resp.Err, ErrServerStopped) {
+				t.Fatalf("err %v, want ErrServerStopped", resp.Err)
+			}
+			return 1
+		}},
+		{"placed, first yield after the drain abort", true, time.Millisecond, func(t *testing.T, s *Server, h *yieldHandler) uint64 {
+			g := gatedYield{started: make(chan struct{}), proceed: make(chan struct{})}
+			answered := make(chan Response, 1)
+			go func() { answered <- s.Do(g) }()
+			<-g.started // placed, and running as the worker
+			stopped := make(chan struct{})
+			go func() { s.Stop(); close(stopped) }()
+			waitUntil(t, "the drain deadline to pass", s.abort.Load)
+			close(g.proceed)
+			if resp := <-answered; !errors.Is(resp.Err, ErrServerStopped) || resp.Preemptions != 1 {
+				t.Fatalf("err %v, %d preemptions; want ErrServerStopped after one yield", resp.Err, resp.Preemptions)
+			}
+			<-stopped
+			return 1
+		}},
+		{"SubmitFunc through the ingress", false, 0, func(t *testing.T, s *Server, h *yieldHandler) uint64 {
+			answered := make(chan Response, len(classes))
+			for _, c := range classes {
+				s.SubmitFunc(yieldReq{class: c}, func(r Response) { answered <- r })
+			}
+			for range classes {
+				if resp := <-answered; resp.Err != nil {
+					t.Fatal(resp.Err)
+				}
+			}
+			return uint64(len(classes))
+		}},
+		{"rejected after Stop", false, 0, func(t *testing.T, s *Server, h *yieldHandler) uint64 {
+			s.Stop()
+			answered := make(chan Response, len(classes))
+			for _, c := range classes {
+				if resp := s.Do(yieldReq{class: c}); !errors.Is(resp.Err, ErrServerStopped) {
+					t.Fatalf("Do, class %d: err %v", c, resp.Err)
+				}
+				if _, placed := s.TryDo(yieldReq{class: c}, func(r Response) { answered <- r }); placed {
+					t.Fatalf("TryDo, class %d: placed after Stop", c)
+				}
+				if resp := <-answered; !errors.Is(resp.Err, ErrServerStopped) {
+					t.Fatalf("TryDo, class %d: err %v", c, resp.Err)
+				}
+			}
+			return 2 * uint64(len(classes))
+		}},
+		{"dispatcher-run", false, 0, func(t *testing.T, s *Server, h *yieldHandler) uint64 {
+			blocker := s.Submit("block")
+			waitUntil(t, "the blocker to hold the worker", func() bool {
+				return h.blocked.Load() == 1 && s.Depths().Workers[0] == 1
+			})
+			for _, c := range classes {
+				if resp := s.Do(yieldReq{class: c}); resp.Err != nil || !resp.OnDispatcher {
+					t.Fatalf("class %d: err %v, OnDispatcher %v", c, resp.Err, resp.OnDispatcher)
+				}
+			}
+			close(h.release)
+			if resp := <-blocker; resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			return 1 + uint64(len(classes))
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			h := &yieldHandler{release: make(chan struct{})}
+			s := New(ledgerHandler{h}, Options{Workers: 1, Quantum: time.Hour, QueueBound: 1, DrainTimeout: row.drain})
+			s.Start()
+			attempted := row.run(t, s, h)
+			s.Stop()
+			if n := ingressSubmitted(s); row.placed && n != 0 {
+				t.Fatalf("%d requests took the ingress", n)
+			}
+
+			st := s.Stats()
+			if st.Submitted != st.Completed {
+				t.Errorf("Submitted %d != Completed %d", st.Submitted, st.Completed)
+			}
+			var sum uint64
+			for c := range st.ClassSubmitted {
+				sum += st.ClassSubmitted[c]
+				if st.ClassSubmitted[c] != st.ClassCompleted[c] {
+					t.Errorf("class %d: submitted %d != completed %d", c, st.ClassSubmitted[c], st.ClassCompleted[c])
+				}
+			}
+			if sum != st.Submitted {
+				t.Errorf("classes sum to %d submitted, Submitted is %d", sum, st.Submitted)
+			}
+			if st.Submitted+st.Rejected != attempted {
+				t.Errorf("Submitted %d + Rejected %d != %d attempted", st.Submitted, st.Rejected, attempted)
+			}
+		})
+	}
+}

@@ -321,9 +321,13 @@ const (
 // Completed counts delivered responses, including error responses for
 // expired or aborted requests, so Submitted == Completed after Stop.
 // Most of them are kept per executor, on lines only that executor's
-// holder writes, and summed when Stats is called; the sum is not an
-// atomic snapshot of all of them, so while serving two counters may
-// disagree by what is in flight.
+// holder writes, and summed when Stats is called; Submitted and
+// Completed are the sums of ClassSubmitted and ClassCompleted. The sum
+// is not an atomic snapshot of all of them, so while serving two
+// counters may disagree by what is in flight. A placed request that
+// finishes in its first slice is counted on both sides when that slice
+// ends, so while serving Submitted lags by at most one request per
+// worker lent to a Do or TryDo caller.
 type Stats struct {
 	Submitted   uint64
 	Completed   uint64
@@ -439,7 +443,6 @@ type Server struct {
 	submitMu sync.RWMutex
 	stopping bool // guarded by submitMu
 	stats    struct {
-		submitted      atomic.Uint64
 		rejected       atomic.Uint64
 		shed           atomic.Uint64
 		classSubmitted [NumClasses]atomic.Uint64
@@ -491,21 +494,10 @@ func New(h Handler, opts Options) *Server {
 	for c := range s.classLimit {
 		s.classLimit[c] = b
 	}
-	if opts.ClassAdmission {
-		reserve := b / criticalReserveFrac
-		if reserve < 1 {
-			reserve = 1
-		}
-		std := b - reserve
-		if std < 1 {
-			std = 1
-		}
-		shed := std * shedNum / shedDen
-		if shed < 1 {
-			shed = 1
-		}
+	if opts.ClassAdmission { // each limit at least 1, the reserve too
+		std := max(b-max(b/criticalReserveFrac, 1), 1)
 		s.classLimit[ClassStandard] = std
-		s.classLimit[ClassSheddable] = shed
+		s.classLimit[ClassSheddable] = max(std*shedNum/shedDen, 1)
 	}
 	s.classShrink = opts.ClassAdmission || policyClassed(opts.Policy)
 	for i := range s.locals {
@@ -642,33 +634,30 @@ func (s *Server) Depths() Depths {
 }
 
 // Stats returns the server counters: the ingress's, plus every
-// executor's summed (see Stats).
+// executor's summed, and the totals summed from the classes (see Stats).
 func (s *Server) Stats() Stats {
-	st := Stats{
-		Submitted: s.stats.submitted.Load(),
-		Rejected:  s.stats.rejected.Load(),
-		Shed:      s.stats.shed.Load(),
-	}
-	for c := 0; c < NumClasses; c++ {
-		st.ClassSubmitted[c] = s.stats.classSubmitted[c].Load()
-		st.ClassRejected[c] = s.stats.classRejected[c].Load()
-	}
+	st := Stats{Rejected: s.stats.rejected.Load(), Shed: s.stats.shed.Load()}
 	exs := slices.Clone(s.workers)
 	for _, sh := range s.shards {
 		exs = append(exs, sh.ex)
 	}
 	for _, ex := range exs {
-		st.Submitted += ex.n.submitted.Load()
-		st.Completed += ex.n.completed.Load()
 		st.Expired += ex.n.expired.Load()
 		st.Aborted += ex.n.aborted.Load()
 		st.Preemptions += ex.n.preemptions.Load()
 		st.DispatcherRun += ex.n.dispatcherRun.Load()
 		st.Steals += ex.n.steals.Load()
-		for c := 0; c < NumClasses; c++ {
-			st.ClassSubmitted[c] += ex.n.classSubmitted[c].Load()
-			st.ClassCompleted[c] += ex.n.classCompleted[c].Load()
+	}
+	for c := 0; c < NumClasses; c++ {
+		st.ClassSubmitted[c] = s.stats.classSubmitted[c].Load()
+		st.ClassRejected[c] = s.stats.classRejected[c].Load()
+		for _, ex := range exs {
+			placed := ex.n.classPlaced[c].Load()
+			st.ClassSubmitted[c] += ex.n.classSubmitted[c].Load() + placed
+			st.ClassCompleted[c] += ex.n.classCompleted[c].Load() + placed
 		}
+		st.Submitted += st.ClassSubmitted[c]
+		st.Completed += st.ClassCompleted[c]
 	}
 	return st
 }

@@ -139,35 +139,30 @@ func TestTracedChromeExport(t *testing.T) {
 	}
 }
 
-// TestDepths checks the live queue-depth surface reflects momentary
-// occupancy while the server is saturated.
+// TestDepths checks the live queue-depth surface against a saturation
+// it holds still: n blockers on a one-worker server at QueueBound 1,
+// with the dispatcher kept from running any itself. One blocks the
+// worker — its handler has started, and the worker and its shard read
+// full — and the other n−1 are waiting in the ingress or the central
+// queue. Then every blocker is let go and answers.
 func TestDepths(t *testing.T) {
+	quietDispatcher(t)
 	opts := tracedOptions(1, 0, 1024)
 	opts.QueueBound = 1
-	s := New(&spinHandler{}, opts)
+	h := &yieldHandler{release: make(chan struct{})}
+	s := New(h, opts)
 	s.Start()
 	defer s.Stop()
 	const n = 8
 	chans := make([]<-chan Response, 0, n)
 	for i := 0; i < n; i++ {
-		chans = append(chans, s.Submit(5*time.Millisecond))
+		chans = append(chans, s.Submit("block"))
 	}
-	sawBusy := false
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
+	waitUntil(t, "one blocker on the worker and the rest queued", func() bool {
 		d := s.Depths()
-		if len(d.Workers) != 1 {
-			t.Fatalf("worker depth slice = %v", d.Workers)
-		}
-		if d.Workers[0] >= 1 && d.Submit+d.Central+d.Workers[0] >= 2 {
-			sawBusy = true
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if !sawBusy {
-		t.Fatal("never observed queue depth under saturation")
-	}
+		return h.blocked.Load() == 1 && d.Workers[0] == 1 && d.ShardOcc[0] == 1 && d.Central+d.Submit == n-1
+	})
+	close(h.release)
 	for _, ch := range chans {
 		if resp := <-ch; resp.Err != nil {
 			t.Fatal(resp.Err)

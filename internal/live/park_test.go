@@ -81,6 +81,16 @@ func busyWorkers(s *Server) int {
 	return n
 }
 
+// ingressSubmitted is how many requests s accepted through its ingress,
+// in every class: none of them were placed.
+func ingressSubmitted(s *Server) uint64 {
+	var n uint64
+	for c := range s.stats.classSubmitted {
+		n += s.stats.classSubmitted[c].Load()
+	}
+	return n
+}
+
 // TestDoPlacesOnIdleShard: on an idle shard a Do is dispatched by its
 // caller — the dispatch event is on the client's ring and nothing ever
 // reaches the central queue — while a request already waiting keeps its
@@ -669,7 +679,7 @@ func TestPlacedBreakdownExact(t *testing.T) {
 						t.Fatalf("request %d: Latency %v, Service %v, Breakdown %+v; want all of it service", i, resp.Latency, resp.Service, b)
 					}
 				}
-				if n := s.stats.submitted.Load(); n != 0 {
+				if n := ingressSubmitted(s); n != 0 {
 					t.Fatalf("%d requests took the ingress", n)
 				}
 			})
@@ -705,7 +715,7 @@ func TestPlacedYieldingAnswersOnce(t *testing.T) {
 				}
 				s.Stop()
 				st := s.Stats()
-				if n := s.stats.submitted.Load(); n != 0 || st.Submitted != 4 || st.Completed != 4 || st.Preemptions != 12 {
+				if n := ingressSubmitted(s); n != 0 || st.Submitted != 4 || st.Completed != 4 || st.Preemptions != 12 {
 					t.Fatalf("ingress %d, stats %+v; want 4 placed and completed, 12 preemptions", n, st)
 				}
 			})
@@ -756,7 +766,7 @@ func TestPlacedDetachedRetiredByDrain(t *testing.T) {
 				}
 			}()
 			<-g.started // placed: its caller runs it as the one worker
-			if n := s.stats.submitted.Load(); n != 0 {
+			if n := ingressSubmitted(s); n != 0 {
 				t.Fatalf("the request took the ingress (%d)", n)
 			}
 			release := make(chan struct{})
