@@ -38,6 +38,13 @@ net-stress:
 vet:
 	go vet ./...
 
+# internal/live reads the TSC through amd64 assembly; every other
+# architecture builds its monotonic-clock fallback (tsc_other.go). This
+# vets the whole tree for arm64, which needs no download, so a change
+# that breaks the fallback fails here and not on someone's ARM host.
+cross:
+	GOARCH=arm64 go vet ./...
+
 # Each native fuzz target for a short fixed budget. Their seed corpora
 # (testdata/fuzz/) already run as plain tests in tier1; this looks past
 # them. `go test -fuzz` takes one target and one package per run; a
@@ -79,4 +86,4 @@ bench-module:
 results-check:
 	go run ./cmd/concordsim -fig all -parallel 0 | diff - results_full.tsv
 
-.PHONY: tier1 race live-stress net-stress vet fuzz-smoke bench obs-smoke bench-module results-check
+.PHONY: tier1 race live-stress net-stress vet cross fuzz-smoke bench obs-smoke bench-module results-check

@@ -327,7 +327,7 @@ func obsTrailer(resp live.Response) string {
 	}
 	egress := 0.0
 	if !resp.Done.IsZero() {
-		egress = us(time.Since(resp.Done))
+		egress = us(live.Now().Sub(resp.Done))
 	}
 	return fmt.Sprintf(" |OBS h=%.1f q=%.1f s=%.1f p=%.1f i=%.3f e=%.3f n=%d d=%d",
 		us(b.Handoff), us(b.Queue), us(b.Service), us(b.Preempted),

@@ -124,9 +124,9 @@ func BenchmarkPoll(b *testing.B) {
 		}
 	})
 	b.Run("clock", func(b *testing.B) {
-		start := time.Now()
+		start := nanotime()
 		for i := 0; i < b.N; i++ {
-			if time.Since(start) >= time.Hour {
+			if nanotime()-start >= int64(time.Hour) {
 				b.Fatal("slice over")
 			}
 		}
@@ -142,3 +142,59 @@ func BenchmarkPoll(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkNanotime is one read of each of the runtime's clocks: "vdso"
+// is the monotonic clock through the vDSO (time.Since(epoch), nanotime
+// where the TSC is not trusted), "tsc" is nanotime mapping an rdtsc, and
+// "agree" reads time.Since(epoch) between two nanotime reads, over every
+// anchor the run crosses (-benchtime 2s reads for about two seconds). It
+// reports the largest and the 99th-percentile distance of that reading
+// from the pair's midpoint (max_ns, p99_ns) over the pairs at most 150 ns
+// apart — a wider pair was interrupted, which says nothing of the
+// mapping — and, over every pair, the furthest the reading fell outside
+// it (outside_ns), which the mapping's error must be at least.
+func BenchmarkNanotime(b *testing.B) {
+	b.Run("vdso", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkNS = int64(time.Since(epoch))
+		}
+	})
+	b.Run("tsc", func(b *testing.B) {
+		if !useTSC {
+			b.Skip("the TSC is not trusted here: nanotime is the vdso row")
+		}
+		for i := 0; i < b.N; i++ {
+			sinkNS = nanotime()
+		}
+	})
+	b.Run("agree", func(b *testing.B) {
+		if !useTSC {
+			b.Skip("the TSC is not trusted here: nanotime is the vdso row")
+		}
+		var hist [1 << 10]int // |distance from the midpoint| in ns, capped
+		narrow, worst, outside := 0, 0, int64(0)
+		for i := 0; i < b.N; i++ {
+			a := nanotime()
+			m := int64(time.Since(epoch))
+			z := nanotime()
+			outside = max(outside, a-m, m-z)
+			if z-a <= 150 {
+				d := int(m - (a+z)/2)
+				d = max(d, -d)
+				worst = max(worst, d)
+				hist[min(d, len(hist)-1)]++
+				narrow++
+			}
+		}
+		p99, seen := 0, hist[0]
+		for seen < narrow*99/100 {
+			p99++
+			seen += hist[p99]
+		}
+		b.ReportMetric(float64(worst), "max_ns")
+		b.ReportMetric(float64(p99), "p99_ns")
+		b.ReportMetric(float64(outside), "outside_ns")
+	})
+}
+
+var sinkNS int64

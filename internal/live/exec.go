@@ -386,10 +386,11 @@ func completionEvent(err error) (obs.Kind, int64) {
 // ---------- request context ----------
 
 // pollCheckEvery is how many polls share one clock read: Poll checks its
-// slice on every pollCheckEvery-th call (a power of two). A clock read
-// costs tens of nanoseconds where a poll should cost a few
-// (BenchmarkPoll); one read in sixteen keeps it there, at the price of a
-// slice ending up to fifteen poll gaps late.
+// slice on every pollCheckEvery-th call (a power of two). A clock read is
+// an rdtsc and a multiply, still tens of nanoseconds where a poll should
+// cost a few (BenchmarkPoll, BenchmarkNanotime); one read in sixteen
+// keeps it there, at the price of a slice ending up to fifteen poll gaps
+// late.
 const pollCheckEvery = 16
 
 // Ctx is the per-request context handlers receive. It is only valid on

@@ -180,7 +180,6 @@ func (s *Server) ingress(t *task, ch chan Response, done func(Response)) {
 // recycles the task (a rejected task was never enqueued, so nothing can
 // alias it).
 func (s *Server) reject(t *task, err error, status int64) {
-	s.stats.rejected.Add(1)
 	s.stats.classRejected[t.class].Add(1)
 	if s.tr != nil {
 		s.tr.Record(obs.WriterClient, obs.EvReject, t.id, status)

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestServerLayoutByWriter pins Server's layout: what every dispatcher
@@ -22,8 +23,8 @@ func TestServerLayoutByWriter(t *testing.T) {
 		"read-mostly": {"opts", "handler", "shards", "locals", "occ", "workers",
 			"tr", "classLimit", "coopTimeshare", "classShrink", "serial",
 			"stopped", "abort"},
-		"submit": {"rr", "nextID", "submitMu", "stopping", "stats.rejected",
-			"stats.shed", "stats.classSubmitted", "stats.classRejected"},
+		"submit": {"rr", "nextID", "submitMu", "stopping", "stats.shed",
+			"stats.classSubmitted", "stats.classRejected"},
 		"cold": {"started", "wg", "startOnce", "stopOnce"},
 	}
 
@@ -119,5 +120,16 @@ func TestExecutorLinesOwn(t *testing.T) {
 	if before, after := n.Offset, ex.Size()-n.Offset-n.Type.Size(); before < cacheLinePad && after < cacheLinePad {
 		t.Errorf("an executor's counters have %d bytes before them and %d after in the executor; "+
 			"neither is a line, so a neighbouring object can share theirs", before, after)
+	}
+}
+
+// TestTaskWholeLines pins task's size to a whole number of cache lines.
+// Go allocates a pooled task in the size class of its size; a class that
+// is a multiple of the line starts every object on a line boundary, so
+// one caller writing its task's ids never shares a line with another
+// writing the next task's head.
+func TestTaskWholeLines(t *testing.T) {
+	if size := unsafe.Sizeof(task{}); size%cacheLinePad != 0 {
+		t.Errorf("task is %d bytes, not a whole number of %d-byte lines: resize its trailing padding", size, cacheLinePad)
 	}
 }

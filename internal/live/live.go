@@ -321,8 +321,9 @@ const (
 // Completed counts delivered responses, including error responses for
 // expired or aborted requests, so Submitted == Completed after Stop.
 // Most of them are kept per executor, on lines only that executor's
-// holder writes, and summed when Stats is called; Submitted and
-// Completed are the sums of ClassSubmitted and ClassCompleted. The sum
+// holder writes, and summed when Stats is called; Submitted, Completed
+// and Rejected are the sums of ClassSubmitted, ClassCompleted and
+// ClassRejected. The sum
 // is not an atomic snapshot of all of them, so while serving two
 // counters may disagree by what is in flight. A placed request that
 // finishes in its first slice is counted on both sides when that slice
@@ -443,7 +444,6 @@ type Server struct {
 	submitMu sync.RWMutex
 	stopping bool // guarded by submitMu
 	stats    struct {
-		rejected       atomic.Uint64
 		shed           atomic.Uint64
 		classSubmitted [NumClasses]atomic.Uint64
 		classRejected  [NumClasses]atomic.Uint64
@@ -636,7 +636,7 @@ func (s *Server) Depths() Depths {
 // Stats returns the server counters: the ingress's, plus every
 // executor's summed, and the totals summed from the classes (see Stats).
 func (s *Server) Stats() Stats {
-	st := Stats{Rejected: s.stats.rejected.Load(), Shed: s.stats.shed.Load()}
+	st := Stats{Shed: s.stats.shed.Load()}
 	exs := slices.Clone(s.workers)
 	for _, sh := range s.shards {
 		exs = append(exs, sh.ex)
@@ -658,6 +658,7 @@ func (s *Server) Stats() Stats {
 		}
 		st.Submitted += st.ClassSubmitted[c]
 		st.Completed += st.ClassCompleted[c]
+		st.Rejected += st.ClassRejected[c]
 	}
 	return st
 }

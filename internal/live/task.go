@@ -134,25 +134,6 @@ type parkEvent struct {
 	resp Response
 }
 
-// epoch is the runtime's time origin: every stamp it takes is nanoseconds
-// since epoch on the monotonic clock (nanotime), and it never reads the
-// wall clock. A time.Time it hands out (Response.Done, a traced stamp) is
-// epoch plus the elapsed time (at), so it keeps a monotonic reading and
-// Sub and Since on it stay monotonic.
-var epoch = time.Now()
-
-// clockShift is added to every reading. It stays zero except in a test
-// that moves the clock forward instead of sleeping (advanceClock): an
-// atomic load, not a replaceable function, so the seam costs the hot
-// path no indirect call.
-var clockShift atomic.Int64
-
-// nanotime is the runtime's one clock.
-func nanotime() int64 { return int64(time.Since(epoch)) + clockShift.Load() }
-
-// at is the time.Time of a nanotime stamp.
-func at(ns int64) time.Time { return epoch.Add(time.Duration(ns)) }
-
 // task is one in-flight request and, once it has yielded, the handle on
 // its suspended continuation (the goroutine parked on resume). It is
 // pooled (taskPool): the request's state is zeroed when it is recycled,
@@ -180,6 +161,11 @@ type task struct {
 	// The task hands out request ids (idNext, idEnd], a block it claimed
 	// from the server whose serial is idSrv (newID).
 	idSrv, idNext, idEnd uint64
+
+	// A task fills whole cache lines (TestTaskWholeLines): 320 bytes is
+	// a size class whose objects start on line boundaries, so two pooled
+	// tasks, written by two callers, never share a line.
+	_ [56]byte
 }
 
 // idBlockLen is how many ids a task claims from its server at a time.

@@ -5,7 +5,6 @@ package netsrv
 
 import (
 	"errors"
-	"time"
 
 	"concord/internal/live"
 	"concord/internal/proto"
@@ -50,7 +49,7 @@ func (bc *binaryCodec) next(r *Request) (bool, error) {
 		}
 	}
 	if s.tr != nil {
-		r.readTS = time.Now()
+		r.readTS = live.Now()
 	}
 	if !r.decodeOp() {
 		// Unknown opcode or undecodable body: the frame was
@@ -61,7 +60,7 @@ func (bc *binaryCodec) next(r *Request) (bool, error) {
 		return false, nil
 	}
 	if s.tr != nil {
-		r.parsedTS = time.Now()
+		r.parsedTS = live.Now()
 	}
 	return true, nil
 }

@@ -246,7 +246,7 @@ func (c *connection) write(batch []*Request, buf []byte) []byte {
 	if tr, obsEg := c.s.tr, c.s.opts.ObserveEgress; tr != nil || obsEg != nil {
 		// One clock read covers the whole batch: every response in it
 		// reached the socket in the same write.
-		now := time.Now()
+		now := live.Now()
 		for _, r := range batch {
 			if r.liveID == 0 {
 				continue // answered by the codec: never entered the runtime

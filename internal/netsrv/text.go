@@ -46,12 +46,12 @@ func (tc *textCodec) next(r *Request) (bool, error) {
 	}
 	s.textLines.Add(1)
 	if s.tr != nil {
-		r.readTS = time.Now()
+		r.readTS = live.Now()
 	}
 	perr := parseText(line, r)
 	if perr == nil {
 		if s.tr != nil {
-			r.parsedTS = time.Now()
+			r.parsedTS = live.Now()
 		}
 		r.obsOn = tc.obsOn
 		return true, nil
