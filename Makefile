@@ -57,6 +57,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzRequestRoundTrip$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzBinaryCodec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netsrv
 	go test -run '^$$' -fuzz '^FuzzTextCodec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netsrv
+	go test -run '^$$' -fuzz '^FuzzStore$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/kv
 
 bench:
 	go test -run xxx -bench . -benchmem .

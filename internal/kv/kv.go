@@ -1,14 +1,21 @@
 // Package kv implements the in-memory ordered key-value store that backs
-// the live examples: a LevelDB-style memtable (concurrent-read skiplist
-// under a mutex for writes) supporting point queries (Get/Put/Delete) and
-// range queries (Scan), the two request classes of the paper's LevelDB
-// evaluation (§5.3).
+// the live examples: a LevelDB-style memtable (a skiplist behind a
+// sync.RWMutex: writers take the write lock and readers the read lock,
+// where LevelDB's readers take none) supporting point queries
+// (Get/Put/Delete) and range queries (Scan), the two request classes of
+// the paper's LevelDB evaluation (§5.3).
 //
-// Like LevelDB, point operations take the store's mutex briefly while
-// scans iterate a consistent view without blocking writers for the whole
-// scan. The store knows nothing of preemption: a handler that must not be
-// preempted while it holds the mutex brackets the call with
-// ctx.BeginNoPreempt/EndNoPreempt (§3.1's safety-first preemption).
+// Point operations hold the lock briefly; a long scan can be cut into
+// ScanBatch calls, each holding the read lock for one batch. The store
+// knows nothing of preemption: a handler that must not be preempted while
+// it holds the lock brackets the call with ctx.BeginNoPreempt/EndNoPreempt
+// (§3.1's safety-first preemption).
+//
+// Nodes are carved from a slab and key bytes from an append-only arena,
+// as in RocksDB's InlineSkipList: no node is ever unlinked (Delete leaves
+// a tombstone), so a node and its key live as long as the store, as they
+// did when each had an allocation of its own. Values are copied one
+// allocation per Put, so an overwrite lets the old value be collected.
 package kv
 
 import (
@@ -21,15 +28,24 @@ import (
 const (
 	maxHeight = 12
 	branching = 4
+	// slabNodes nodes make one slab chunk: 62 × 152 B, plus the 8-byte
+	// header Go puts on an object with pointers over 512 B, fills the
+	// 9472-byte size class to within 40 B.
+	slabNodes = 62
+	// arenaBlock bytes make one key-arena block. A key longer than a
+	// quarter block gets its own allocation, so a block's unused tail is
+	// under a quarter of it.
+	arenaBlock = 4096
 )
 
 type node struct {
-	key   []byte
+	key   []byte // in the arena: cap == len, so a caller's append copies
 	value []byte
-	// tombstone marks deleted keys until compaction drops them.
+	next  [maxHeight]*node
+	// height and tombstone (a deleted key, kept until compaction drops
+	// it) share a word.
+	height    uint8
 	tombstone bool
-	next      [maxHeight]*node
-	height    int
 }
 
 // Store is an ordered in-memory key-value store.
@@ -38,14 +54,24 @@ type Store struct {
 	head *node
 	rng  *sim.RNG
 	len  int // live (non-tombstone) keys
+	// The rest is written under mu's write lock only. prev is the splice
+	// the last put left: at each level, the node the next insert links
+	// after if its key lies just above the last put's.
+	prev  [maxHeight]*node
+	slab  []node // unused nodes of the current chunk
+	arena []byte // the current key block; cap − len bytes are free
 }
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{
+	s := &Store{
 		head: &node{height: maxHeight},
 		rng:  sim.NewRNG(0x9e3779b97f4a7c15),
 	}
+	for l := range s.prev {
+		s.prev[l] = s.head
+	}
+	return s
 }
 
 func (s *Store) randomHeight() int {
@@ -91,28 +117,55 @@ func (s *Store) Put(key, value []byte) {
 	s.put(key, value)
 }
 
+// put stores value under key. A splice bracketing key at level 0 brackets
+// it at every level — each level's bracket is nested in the one above —
+// so when the last put's splice brackets key, the insert needs no search.
 func (s *Store) put(key, value []byte) {
-	var prev [maxHeight]*node
-	n := s.findGreaterOrEqual(key, &prev)
+	n := s.prev[0].next[0]
+	if bytes.Compare(s.prev[0].key, key) >= 0 || n != nil && bytes.Compare(key, n.key) > 0 {
+		n = s.findGreaterOrEqual(key, &s.prev)
+	}
 	if n != nil && bytes.Equal(n.key, key) {
 		if n.tombstone {
 			n.tombstone = false
 			s.len++
 		}
-		n.value = append([]byte(nil), value...)
-		return
+	} else {
+		n = s.newNode(key)
+		for l := 0; l < int(n.height); l++ {
+			n.next[l] = s.prev[l].next[l]
+			s.prev[l].next[l] = n
+		}
+		s.len++
 	}
-	h := s.randomHeight()
-	nn := &node{
-		key:    append([]byte(nil), key...),
-		value:  append([]byte(nil), value...),
-		height: h,
+	n.value = append([]byte(nil), value...)
+	// The splice now brackets the keys just above key: n is its left
+	// edge on each level n stands on, and the brackets above n's height
+	// hold key, so they still nest.
+	for l := 0; l < int(n.height); l++ {
+		s.prev[l] = n
 	}
-	for level := 0; level < h; level++ {
-		nn.next[level] = prev[level].next[level]
-		prev[level].next[level] = nn
+}
+
+// newNode takes a node from the slab and copies key into the arena.
+func (s *Store) newNode(key []byte) *node {
+	if len(s.slab) == 0 {
+		s.slab = make([]node, slabNodes)
 	}
-	s.len++
+	n := &s.slab[0]
+	s.slab = s.slab[1:]
+	n.height = uint8(s.randomHeight())
+	if len(key) > cap(s.arena)-len(s.arena) {
+		if len(key) > arenaBlock/4 {
+			n.key = append(make([]byte, 0, len(key)), key...)
+			return n
+		}
+		s.arena = make([]byte, 0, arenaBlock)
+	}
+	off := len(s.arena)
+	s.arena = append(s.arena, key...)
+	n.key = s.arena[off:len(s.arena):len(s.arena)]
+	return n
 }
 
 // Delete removes key. It reports whether the key was present.
