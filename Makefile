@@ -17,21 +17,21 @@ race:
 	go test -race -count=1 ./internal/runner ./internal/server ./internal/figures ./internal/live ./internal/obs ./internal/shadow ./internal/proto ./internal/netsrv ./internal/policy ./internal/kv ./cmd/concord-load ./cmd/concord-kvd
 
 # Stress for the live runtime's concurrency-critical suites — lifecycle
-# tables, chaos, drain windows, sharded stealing, the identity hand-off,
-# caller placement, dispatcher parking, slices that time themselves
-# with every dispatcher held and the work-conserving dispatcher's rule —
+# tables, chaos, drain windows, the identity hand-off, caller
+# placement, dispatcher parking, slices that time themselves with the
+# dispatcher held and the work-conserving dispatcher's rule —
 # repeated under the race
 # detector: a lost request, a lost wake-up or a leaked goroutine shows
 # as a rare interleaving, not on the first run.
 live-stress:
-	go test -race -count=20 -run 'Lifecycle|Chaos|Drain|Sharded|Handoff|Park|Place|SelfTimed|Conserv' ./internal/live
+	go test -race -count=20 -run 'Lifecycle|Chaos|Drain|Handoff|Park|Place|SelfTimed|Conserv' ./internal/live
 
 # Stress for the connection loop's concurrency-critical tests — window
 # back-pressure, dead and half-open clients, resets, fan-in, drain, the
 # reader path (lockstep, pipelined, torn frames), shedding, the wire
 # partition and the idle deadline — repeated under the race detector: a
 # write failure counted twice or a slot never returned shows in one
-# shard-count row of one run, not on every pass.
+# row of one run, not on every pass.
 net-stress:
 	go test -race -count=20 -run 'Window|NeverReading|HalfOpen|Reset|FanIn|Drain|Lockstep|Reader|Shed|Partition|Idle' ./internal/netsrv
 

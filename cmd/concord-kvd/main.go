@@ -66,15 +66,9 @@
 //
 // Flags choose worker count, quantum, JBSQ depth, and work conservation;
 // defaults mirror the paper's Concord configuration scaled to small
-// machines. -shards splits the dispatcher into N shards, each owning a
-// disjoint worker subset with its own central queue (idle shards steal
-// never-started requests from the longest sibling queue), and -policy
-// picks the central-queue discipline: fcfs, or srpt ordered by each
-// op's service-time estimate (SPIN hints its requested duration).
-// Per-shard queue depth and occupancy surface as
-// concord_shard_queue_depth / concord_shard_occupancy gauges and as the
-// shardq=/shardocc= STATS fields; cross-shard migrations count in
-// concord_steals_total / steals=.
+// machines: one dispatcher feeding the workers. -policy picks the
+// central-queue discipline: fcfs, or srpt ordered by each op's
+// service-time estimate (SPIN hints its requested duration).
 package main
 
 import (
@@ -110,7 +104,6 @@ func main() {
 		workers    = flag.Int("workers", 2, "worker threads")
 		quantum    = flag.Duration("quantum", 200*time.Microsecond, "scheduling quantum (0 disables preemption)")
 		bound      = flag.Int("k", 2, "JBSQ queue bound")
-		shards     = flag.Int("shards", 1, "dispatcher shards, each owning a disjoint worker subset (clamped to [1,workers])")
 		policyName = flag.String("policy", live.PolicyFCFS, "central-queue discipline: fcfs, srpt (ordered by per-op service hints), cascade, or cascade-srpt (strict SLO-class tiers, fcfs/srpt within each tier)")
 		keys       = flag.Int("keys", 15000, "pre-populated unique keys (paper: 15,000)")
 		valSize    = flag.Int("valsize", 64, "value size in bytes")
@@ -133,15 +126,6 @@ func main() {
 	if !live.ValidPolicy(*policyName) {
 		log.Fatalf("-policy: unknown discipline %q (have %s)", *policyName, strings.Join(policy.Names(), ", "))
 	}
-	// The server clamps Shards to [1,Workers]; mirror that here so the
-	// tracer's ring layout matches the shard count live actually uses.
-	effShards := *shards
-	if effShards < 1 {
-		effShards = 1
-	}
-	if *workers > 0 && effShards > *workers {
-		effShards = *workers
-	}
 
 	store := kv.New()
 	val := strings.Repeat("v", *valSize)
@@ -151,7 +135,7 @@ func main() {
 
 	ob := &kvObs{deadline: *reqTimeout}
 	if *obsAddr != "" {
-		ob.tracer = obs.NewTracerSharded(*workers, effShards, traceRingEvents)
+		ob.tracer = obs.NewTracer(*workers, traceRingEvents)
 	}
 	// The tail trackers feed the obs surface and the per-class SLO
 	// accounting, so either flag brings them up; the class trackers let
@@ -174,7 +158,6 @@ func main() {
 	}
 	ob.srv = live.New(&netsrv.KVHandler{Store: store, ScanBatch: *scanStep}, live.Options{
 		Workers:        *workers,
-		Shards:         effShards,
 		Policy:         *policyName,
 		Quantum:        *quantum,
 		QueueBound:     *bound,
@@ -240,8 +223,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	log.Printf("concord-kvd on %s: %d workers, %d shards, policy %s, quantum %v, JBSQ(%d), %d keys, maxreq %d",
-		ln.Addr(), *workers, effShards, *policyName, *quantum, *bound, *keys, *maxReq)
+	log.Printf("concord-kvd on %s: %d workers, policy %s, quantum %v, JBSQ(%d), %d keys, maxreq %d",
+		ln.Addr(), *workers, *policyName, *quantum, *bound, *keys, *maxReq)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

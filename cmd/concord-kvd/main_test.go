@@ -39,14 +39,10 @@ func bareStats(srv *live.Server) string {
 // surface. The replayer is built but not run: tests drive it (or ignore
 // it) deterministically.
 func newTestObs(t *testing.T) *testEnv {
-	return newTestObsSharded(t, 1)
-}
-
-func newTestObsSharded(t *testing.T, shards int) *testEnv {
 	t.Helper()
 	const workers = 2
 	ob := &kvObs{
-		tracer:   obs.NewTracerSharded(workers, shards, 1024),
+		tracer:   obs.NewTracer(workers, 1024),
 		tail:     obs.NewTailTracker(nil, obs.NewSLOTracker(200*time.Microsecond)),
 		classes:  newClassTrackers(),
 		sketches: obs.NewClassSketches(live.NumClasses),
@@ -54,7 +50,6 @@ func newTestObsSharded(t *testing.T, shards int) *testEnv {
 	}
 	ob.srv = live.New(&netsrv.KVHandler{Store: kv.New(), ScanBatch: 64}, live.Options{
 		Workers:    workers,
-		Shards:     shards,
 		PinThreads: false,
 		Tracer:     ob.tracer,
 	})
@@ -133,25 +128,23 @@ func metricSeries(exposition string) []string {
 // from the last commit that rendered STATS and /metrics separately
 // (statsLine + newKVObs, stitched by a consistency test): every STATS
 // key in the same order, every /metrics family with its type and label
-// sets, at one and at two shards with -obs -shadow -classes.
-// The goldens were produced by these same two reductions.
+// sets, with -obs -shadow -classes. The goldens were produced by these
+// same two reductions.
 func TestRegistryGoldens(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		e := newTestObsSharded(t, shards)
-		put(t, e, "k", "v")
-		for name, got := range map[string][]string{
-			"stats_keys":     statsKeys(e.stats()),
-			"metrics_series": metricSeries(e.exposition()),
-		} {
-			file := fmt.Sprintf("testdata/%s_shards%d.golden", name, shards)
-			want, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strings.Join(got, "\n") + "\n"; got != string(want) {
-				t.Errorf("%s differs from the golden:\n got: %s\nwant: %s", file,
-					strings.ReplaceAll(got, "\n", " "), strings.ReplaceAll(string(want), "\n", " "))
-			}
+	e := newTestObs(t)
+	put(t, e, "k", "v")
+	for name, got := range map[string][]string{
+		"stats_keys":     statsKeys(e.stats()),
+		"metrics_series": metricSeries(e.exposition()),
+	} {
+		file := "testdata/" + name + ".golden"
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(got, "\n") + "\n"; got != string(want) {
+			t.Errorf("%s differs from the golden:\n got: %s\nwant: %s", file,
+				strings.ReplaceAll(got, "\n", " "), strings.ReplaceAll(string(want), "\n", " "))
 		}
 	}
 }
@@ -169,7 +162,7 @@ func TestFamiliesSpelledOnce(t *testing.T) {
 	for _, name := range regexp.MustCompile(`"concord_[a-z0-9_]+"`).FindAllString(string(src), -1) {
 		seen[name]++
 	}
-	if len(seen) < 40 {
+	if len(seen) < 37 {
 		t.Fatalf("found only %d family names in metrics.go", len(seen))
 	}
 	for name, n := range seen {
@@ -220,32 +213,6 @@ func TestStatsLineWindowedFields(t *testing.T) {
 	}
 	if !strings.Contains(bare, "submitted=") || !strings.Contains(bare, "occ=") {
 		t.Errorf("bare STATS line missing counters: %s", bare)
-	}
-}
-
-// TestStatsShardedFields: with two shards the STATS line carries one
-// comma-separated slot per shard and the steals counter renders (its
-// value depends on whether the idle sibling shard got to the one PUT
-// first), with the per-shard series on /metrics.
-func TestStatsShardedFields(t *testing.T) {
-	e := newTestObsSharded(t, 2)
-	put(t, e, "k", "v")
-	line := e.stats()
-	for _, want := range []string{" steals=", "shardq=0,0", "shardocc=0,0"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("STATS line missing %q: %s", want, line)
-		}
-	}
-	exposition := e.exposition()
-	for _, family := range []string{
-		"concord_steals_total",
-		`concord_shard_queue_depth{shard="0"}`,
-		`concord_shard_queue_depth{shard="1"}`,
-		`concord_shard_occupancy{shard="1"}`,
-	} {
-		if !strings.Contains(exposition, family) {
-			t.Errorf("/metrics missing %q", family)
-		}
 	}
 }
 

@@ -150,7 +150,7 @@ func (ob *kvObs) register() *kvObs {
 	if ob.tail != nil {
 		s.win = make([]obs.SketchSnapshot, len(ob.tail.Windows()))
 	}
-	ob.refresh() // sizes the per-worker and per-shard depth slices
+	ob.refresh() // sizes the per-worker depth slice
 	m.OnRender(ob.refresh)
 	add := m.Register
 	nan := math.NaN()
@@ -165,8 +165,7 @@ func (ob *kvObs) register() *kvObs {
 		{"concord_expired_total", "requests past their deadline", "expired", &s.st.Expired},
 		{"concord_aborted_total", "requests failed by drain abort", "aborted", &s.st.Aborted},
 		{"concord_preemptions_total", "request yields", "preemptions", &s.st.Preemptions},
-		{"concord_dispatcher_run_total", "requests completed by a work-conserving dispatcher (own-queue or stolen)", "dispatcher_run", &s.st.DispatcherRun},
-		{"concord_steals_total", "never-started requests migrated between shards", "steals", &s.st.Steals},
+		{"concord_dispatcher_run_total", "requests completed by the work-conserving dispatcher", "dispatcher_run", &s.st.DispatcherRun},
 		{"concord_shed_total", "sheddable requests dropped by class admission", "shed", &s.st.Shed},
 	} {
 		add(obs.Metric{Name: c.name, Help: c.help, Kind: obs.Counter, Value: count(c.v), Stat: c.stat})
@@ -202,13 +201,6 @@ func (ob *kvObs) register() *kvObs {
 		w := w
 		depth("concord_worker_occupancy", "JBSQ occupancy incl. in-service", obs.Labels("worker", strconv.Itoa(w)), "occ",
 			func() int { return s.d.Workers[w] })
-	}
-	for sh := range s.d.ShardQueues {
-		sh := sh
-		depth("concord_shard_queue_depth", "per-shard central-queue length", obs.Labels("shard", strconv.Itoa(sh)), "shardq",
-			func() int { return s.d.ShardQueues[sh] })
-		depth("concord_shard_occupancy", "per-shard sum of worker JBSQ occupancy", obs.Labels("shard", strconv.Itoa(sh)), "shardocc",
-			func() int { return s.d.ShardOcc[sh] })
 	}
 
 	if ob.ns != nil {

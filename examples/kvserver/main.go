@@ -100,14 +100,13 @@ func sampleOp(rng *rand.Rand) (kvOp, string) {
 	}
 }
 
-func run(name string, quantum time.Duration, shards int, policy string) {
+func run(name string, quantum time.Duration, policy string) {
 	store := kv.New()
 	for i := 0; i < numKeys; i++ {
 		store.Put([]byte(fmt.Sprintf("key%08d", i)), []byte("initial-value-000"))
 	}
 	srv := live.New(&kvHandler{store: store}, live.Options{
 		Workers:    2,
-		Shards:     shards,
 		Policy:     policy,
 		Quantum:    quantum,
 		QueueBound: 2,
@@ -147,8 +146,8 @@ func run(name string, quantum time.Duration, shards int, policy string) {
 		logs[r.class].preempts += resp.Preemptions
 	}
 	st := srv.Stats()
-	fmt.Printf("%s (quantum %v): %d requests, %d preemptions, %d run by dispatcher, %d cross-shard steals\n",
-		name, quantum, st.Completed, st.Preemptions, st.DispatcherRun, st.Steals)
+	fmt.Printf("%s (quantum %v): %d requests, %d preemptions, %d run by dispatcher\n",
+		name, quantum, st.Completed, st.Preemptions, st.DispatcherRun)
 	for _, class := range []string{"GET", "PUT", "DELETE", "SCAN"} {
 		if lg := logs[class]; lg != nil {
 			s := lg.sojourn.Snapshot()
@@ -161,12 +160,11 @@ func run(name string, quantum time.Duration, shards int, policy string) {
 
 func main() {
 	fmt.Printf("LevelDB-style KV store on the live Concord runtime (%d keys, ZippyDB mix)\n\n", numKeys)
-	run("run-to-completion", 0, 1, live.PolicyFCFS)
-	run("Concord", 100*time.Microsecond, 1, live.PolicyFCFS)
-	run("Concord sharded+SRPT", 100*time.Microsecond, 2, live.PolicySRPT)
+	run("run-to-completion", 0, live.PolicyFCFS)
+	run("Concord", 100*time.Microsecond, live.PolicyFCFS)
+	run("Concord+SRPT", 100*time.Microsecond, live.PolicySRPT)
 	fmt.Println("Preemption keeps GET tail latency near its service time even while")
 	fmt.Println("full-database SCANs are in flight; the scans absorb the (small) cost.")
-	fmt.Println("The third run splits the dispatcher into two shards (one worker each,")
-	fmt.Println("idle shards steal queued work) and orders each central queue by the")
-	fmt.Println("ops' ServiceHint (SRPT), so points always bypass queued scans.")
+	fmt.Println("The third run orders the central queue by the ops' ServiceHint")
+	fmt.Println("(SRPT), so points always bypass queued scans.")
 }

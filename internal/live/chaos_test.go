@@ -109,21 +109,25 @@ func TestChaosLifecycle(t *testing.T) {
 		name    string
 		opts    Options
 		placing bool
+		buffer  int // ingress capacity; 0 keeps the default
 	}{
 		{"k1-steal", Options{Workers: 1, Quantum: 100 * time.Microsecond, QueueBound: 1,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0},
 		{"w4", Options{Workers: 4, Quantum: 100 * time.Microsecond, QueueBound: 2,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0},
 		{"no-preempt", Options{Workers: 2, Quantum: 0,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false},
-		{"tiny-buffer", Options{Workers: 2, Quantum: 50 * time.Microsecond, SubmitBuffer: 4,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0},
+		{"tiny-buffer", Options{Workers: 2, Quantum: 50 * time.Microsecond,
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 4},
 		{"placing", Options{Workers: 4, Quantum: 100 * time.Microsecond,
-			DrainTimeout: 100 * time.Microsecond, PinThreads: false}, true},
+			DrainTimeout: 100 * time.Microsecond, PinThreads: false}, true, 0},
 	}
 
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
+			if cfg.buffer > 0 {
+				withSubmitBuffer(t, cfg.buffer)
+			}
 			s := New(chaosHandler{}, cfg.opts)
 			s.Start()
 
@@ -233,43 +237,44 @@ func chaosPlacer(t *testing.T, s *Server, rng *rand.Rand, c, n int, try bool, at
 // actively shedding, then Stop mid-load — the exactly-one-response
 // invariant must survive the three-way race between class admission
 // (ErrShed), backpressure (ErrQueueFull), and the stop gate
-// (ErrServerStopped), across shard counts like the lifecycle suites.
-// ErrShed must only ever land on sheddable submissions. That admission
-// sheds at all is asserted first and without a race: before Start
-// nothing drains the ingress buffers, so sheddable submissions fill every
-// shard to the sheddable watermark and the next one must be shed while a
-// standard one still fits; standard submissions then fill every shard to
-// standard's watermark, the next is refused, and a critical one still
-// fits — the reserve is critical's alone. (Shedding used to be inferred
-// from the chaos phase — eight clients outrunning the dispatchers into
-// 8-slot buffers — and failed about one run in four, more often the
-// faster the runtime.)
+// (ErrServerStopped). ErrShed must only ever land on sheddable
+// submissions. That admission sheds at all is asserted first and
+// without a race: before Start nothing drains the ingress buffer, so
+// sheddable submissions fill it to the sheddable watermark and the next
+// one must be shed while a standard one still fits; standard
+// submissions then fill it to standard's watermark, the next is
+// refused, and a critical one still fits — the reserve is critical's
+// alone. (Shedding used to be inferred from the chaos phase — eight
+// clients outrunning the dispatcher into an 8-slot buffer — and failed
+// about one run in four, more often the faster the runtime.)
 func TestChaosSheddingOverloadStop(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+	// The rows keep the names of the shard counts they once ran at, and
+	// the ingress capacity they had: n buffers of 8 then, one of 8n now.
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
+			// A tiny buffer keeps the sheddable watermark in easy reach,
+			// so admission sheds from the first burst.
+			withSubmitBuffer(t, 8*n)
 			s := New(chaosHandler{}, Options{
-				Workers: 4, Shards: shards,
-				Quantum: 100 * time.Microsecond,
-				Policy:  PolicyCascade,
-				// A tiny buffer keeps the sheddable watermark in easy
-				// reach, so admission sheds from the first burst.
-				SubmitBuffer:   8,
+				Workers:        4,
+				Quantum:        100 * time.Microsecond,
+				Policy:         PolicyCascade,
 				ClassAdmission: true,
 				DrainTimeout:   500 * time.Millisecond,
 				PinThreads:     false,
 			})
 			var early []<-chan Response
-			for i := 0; i < shards*s.classLimit[ClassSheddable]; i++ {
+			for i := 0; i < s.classLimit[ClassSheddable]; i++ {
 				early = append(early, s.Submit(chaosReq{kind: "quick", class: ClassSheddable}))
 			}
 			if resp := <-s.Submit(chaosReq{kind: "quick", class: ClassSheddable}); resp.Err != ErrShed {
-				t.Fatalf("sheddable submission past the watermark on every shard: err = %v, want ErrShed", resp.Err)
+				t.Fatalf("sheddable submission past the watermark: err = %v, want ErrShed", resp.Err)
 			}
-			for len(early) < shards*s.classLimit[ClassStandard] {
+			for len(early) < s.classLimit[ClassStandard] {
 				early = append(early, s.Submit(chaosReq{kind: "quick", class: ClassStandard}))
 			}
 			if resp := <-s.Submit(chaosReq{kind: "quick", class: ClassStandard}); resp.Err != ErrQueueFull {
-				t.Fatalf("standard submission into the critical reserve on every shard: err = %v, want ErrQueueFull", resp.Err)
+				t.Fatalf("standard submission into the critical reserve: err = %v, want ErrQueueFull", resp.Err)
 			}
 			early = append(early, s.Submit(chaosReq{kind: "quick", class: ClassCritical}))
 			s.Start()
@@ -396,5 +401,60 @@ func TestChaosRepeatedStopIdempotent(t *testing.T) {
 	case <-done:
 	case <-time.After(15 * time.Second):
 		t.Fatal("concurrent Stops hung")
+	}
+}
+
+// TestShardedChaosLifecycle reruns the chaos invariant (exactly one
+// response per submission; Submitted == Completed after Stop) on four
+// workers at JBSQ(2), JBSQ(1) and under SRPT, under the names of the
+// shard counts the rows once ran at. Stop lands while traffic is in
+// flight: once the first request has been answered.
+func TestShardedChaosLifecycle(t *testing.T) {
+	configs := []struct {
+		name string
+		opts Options
+	}{
+		{"shards-2", Options{Workers: 4, Quantum: 100 * time.Microsecond, QueueBound: 2,
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+		{"shards-4", Options{Workers: 4, Quantum: 100 * time.Microsecond, QueueBound: 1,
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+		{"shards-2-srpt", Options{Workers: 4, Policy: PolicySRPT,
+			Quantum: 100 * time.Microsecond, QueueBound: 2,
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+	}
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			s := New(chaosHandler{}, cfg.opts)
+			s.Start()
+			const clients, perClient = 8, 40
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(c)*7919 + 1))
+					for i := 0; i < perClient; i++ {
+						ch := s.Submit(randomChaosReq(rng))
+						if !receiveExactlyOne(t, ch) {
+							return
+						}
+					}
+				}(c)
+			}
+			waitUntil(t, "a first answer", func() bool { return s.Stats().Completed > 0 })
+			stopDone := make(chan struct{})
+			go func() { s.Stop(); close(stopDone) }()
+			wg.Wait()
+			select {
+			case <-stopDone:
+			case <-time.After(15 * time.Second):
+				t.Fatal("chaos: Stop hung")
+			}
+			st := s.Stats()
+			if st.Submitted != st.Completed {
+				t.Fatalf("chaos: submitted %d != completed %d; stats %+v",
+					st.Submitted, st.Completed, st)
+			}
+		})
 	}
 }

@@ -1,10 +1,10 @@
 // Execution layer: worker loops, the slice runner, the identity hand-off
 // a preemption triggers, completion delivery, and the Ctx
 // cooperative-preemption surface handlers program against. Nothing here
-// knows about queue disciplines or shard counts — a worker's only
-// scheduling relationship is with its owning shard's dispatcher (via
-// locals[w] in, shard.submit out). Nobody signals a slice: every slice,
-// a worker's or a dispatcher's, times itself in Poll (sliceOver).
+// knows about queue disciplines — a worker's only scheduling
+// relationship is with the dispatcher (via locals[w] in, the ingress
+// out). Nobody signals a slice: every slice, a worker's or the
+// dispatcher's, times itself in Poll (sliceOver).
 //
 // A request's first slice runs inline: the goroutine that holds the
 // executor identity (a worker loop, a work-conserving dispatcher, or a
@@ -33,7 +33,7 @@ import (
 	"concord/internal/obs"
 )
 
-// executor is a CPU context a task can run on: a worker or a shard's
+// executor is a CPU context a task can run on: a worker or the
 // dispatcher. It is an identity, not a goroutine: whichever goroutine
 // holds it runs its serve loop, and a preemption during an inline slice
 // passes it to a successor (adopt).
@@ -46,13 +46,10 @@ import (
 // puts beside it: only the identity's holder writes them.
 type executor struct {
 	_  [cacheLinePad]byte
-	id int // worker index, or -(shard+1) for a dispatcher
-	// writer is the obs ring this executor records to: equal to id for
-	// workers, obs.DispatcherWriter(shard) for dispatchers (distinct
-	// from id so shard 1's dispatcher never collides with the client
-	// ring).
+	id int // worker index, or -1 for the dispatcher
+	// writer is the obs ring this executor records to: id for workers,
+	// obs.WriterDispatcher for the dispatcher.
 	writer int
-	sh     *shard // the shard this worker belongs to, or this dispatcher's
 	// sliceStart is when the current slice began (set by runSlice): the
 	// slice's end charges runNS from it, and Poll measures the slice
 	// against the quantum from it (sliceOver). defaultSlice is how long
@@ -73,7 +70,7 @@ type executor struct {
 }
 
 // counters are the Stats counters an executor's holder writes: every
-// completion, expiry, abort, preemption, dispatcher run and steal, and a
+// completion, expiry, abort, preemption and dispatcher run, and a
 // request a Do or TryDo caller placed on the worker. Each is written
 // only by whoever holds the identity at the time, so no other core
 // writes the line; Stats sums them over the executors. (Submissions
@@ -90,7 +87,6 @@ type counters struct {
 	aborted        atomic.Uint64
 	preemptions    atomic.Uint64
 	dispatcherRun  atomic.Uint64
-	steals         atomic.Uint64
 }
 
 // occWord is one worker's JBSQ occupancy, on a line of its own: the
@@ -130,7 +126,7 @@ func (s *Server) serveWorker(ex *executor) {
 			return
 		}
 		// occ is held until the request is answered or back on the
-		// shard's ingress, so drained() can never observe an idle shard
+		// ingress, so drained() can never observe an idle server
 		// while a task is between queues: released before the requeue
 		// hand-off, the dispatcher could shut down with the task in
 		// flight (lost, and this worker blocked on the send forever).
@@ -170,25 +166,21 @@ func (s *Server) workerRun(ex *executor, t *task) (detached bool) {
 }
 
 // requeue is a worker's post-yield step: the preempted request goes back
-// to the owning shard's ingress — or, once the drain deadline has
-// passed, is retired. The caller releases the worker's occupancy after
+// to the ingress — or, once the drain deadline has passed, is retired. The caller releases the worker's occupancy after
 // it, never before (see serveWorker).
 func (s *Server) requeue(ex *executor, t *task) {
 	if s.abort.Load() {
 		s.retire(ex, t, ErrServerStopped)
 		return
 	}
-	// Started tasks keep the affinity of the shard that ran them: they
-	// re-enter through its submit buffer, never through ingest
-	// round-robin.
 	if testRequeueGate != nil {
 		testRequeueGate()
 	}
 	if s.tr != nil {
 		s.tr.Record(ex.writer, obs.EvRequeue, t.id, 0)
 	}
-	ex.sh.inbound.Add(1)
-	ex.sh.submit <- t
+	s.disp.inbound.Add(1)
+	s.disp.submit <- t
 }
 
 // runSlice is the one place a request runs: it gives t the CPU context
@@ -206,7 +198,7 @@ func (s *Server) requeue(ex *executor, t *task) {
 // returns, possibly many slices and executors later; it then sends the
 // response to whichever executor is running that last slice and reports
 // detached, upon which every frame above returns without touching ex,
-// the shard or the Start/Stop accounting. A placed request's caller
+// the dispatcher or the Start/Stop accounting. A placed request's caller
 // first waits for the finished response, on the channel its first yield
 // took (Ctx.check), and returns it in *resp. Later slices resume that
 // goroutine and wait for it to park again (preempted) or finish.
@@ -287,7 +279,7 @@ func (s *Server) endSlice(ex *executor, t *task, done bool, resp *Response) (pre
 // one takes over the identity where that one left off — it ends the
 // slice as preempted, does the caller's post-yield step (a worker
 // requeues t and only then releases its occupancy, so drained() still
-// cannot see the shard idle with t in flight; a dispatcher parks t in
+// cannot see the server idle with t in flight; a dispatcher parks t in
 // its saved slot) and carries on serving. The identity's one-time setup
 // is not repeated; only the thread pin is taken again, the yielding
 // goroutine having dropped its own.
@@ -313,8 +305,8 @@ func (s *Server) adopt(ex *executor, t *task) {
 		s.serveWorker(ex)
 		return
 	}
-	ex.sh.saved = t
-	s.serveDispatcher(ex.sh)
+	s.disp.saved = t
+	s.serveDispatcher()
 }
 
 // retire is the one place a request that will not run again is
@@ -414,8 +406,7 @@ type Ctx struct {
 }
 
 // Worker returns the executor currently running the request: a worker
-// index, or a negative value on a dispatcher (-1 for shard 0, -(s+1)
-// for shard s).
+// index, or -1 on the dispatcher.
 func (c *Ctx) Worker() int { return c.ex.id }
 
 // Poll is the cooperative preemption probe — the call Concord's compiler
@@ -474,8 +465,8 @@ func (c *Ctx) check() {
 
 // sliceOver is the one preemption rule, for worker and dispatcher slices
 // alike: ex's slice of t is over once the drain deadline has passed, or
-// once it has run for t's quantum — shrunk while critical work waits on
-// ex's shard, and ex.defaultSlice when no quantum is in force. What the
+// once it has run for t's quantum — shrunk while critical work waits,
+// and ex.defaultSlice when no quantum is in force. What the
 // paper's dispatcher does for its workers by writing a flag, each slice
 // does here for itself: the clock read every pollCheckEvery polls is
 // cheaper than a dispatcher that needs a CPU to watch the clock for it.
@@ -483,7 +474,7 @@ func (s *Server) sliceOver(ex *executor, t *task) bool {
 	if s.abort.Load() {
 		return true
 	}
-	q := s.quantumFor(t.class, s.critShrink(ex.sh))
+	q := s.quantumFor(t.class, s.critShrink())
 	if q <= 0 {
 		q = ex.defaultSlice
 	}

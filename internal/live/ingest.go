@@ -2,14 +2,13 @@
 // deadline, reads the payload's service hint and SLOClass (always: what
 // consumes them — the discipline, a class quantum — can change while
 // the request is queued), checks the stop gate, and places the task on
-// a shard's ingress buffer — round-robin across shards with fallback to
-// any sibling with room — or, for a Do or TryDo on a shard with nothing
-// queued and an idle worker, hands it to the caller to run as that
-// worker (place).
+// the ingress buffer — or, for a Do or TryDo that finds nothing queued
+// and an idle worker, hands it to the caller to run as that worker
+// (place).
 //
 // Admission is class-aware when Options.ClassAdmission is on: each
 // class has an ingress-occupancy watermark (Server.classLimit) and is
-// rejected once every shard's buffer has crossed it. Critical admits up
+// rejected once the buffer has crossed it. Critical admits up
 // to the full buffer; standard stops short of the critical reserve
 // (ErrQueueFull); sheddable is shed earliest (ErrShed), so under
 // sustained overload the buffers drain sheddable load first and always
@@ -27,8 +26,8 @@ import (
 // Submit enqueues a request and returns a channel that will receive
 // exactly one response. The channel has capacity 1; the caller need not
 // read it immediately. Submit never blocks: after Stop has begun it
-// responds ErrServerStopped, and when every shard's submit buffer is
-// full (or past the payload's class watermark) it responds ErrQueueFull
+// responds ErrServerStopped, and when the submit buffer is full (or
+// past the payload's class watermark) it responds ErrQueueFull
 // — ErrShed for sheddable payloads dropped by admission control.
 func (s *Server) Submit(payload any) <-chan Response {
 	ch := make(chan Response, 1)
@@ -53,8 +52,8 @@ func (s *Server) SubmitFunc(payload any, done func(Response)) {
 }
 
 // TryDo is Do for a request that can be placed and SubmitFunc for one
-// that cannot, and it never waits on a queue. When the request's shard
-// has nothing queued and one of its workers is idle, TryDo runs the
+// that cannot, and it never waits on a queue. When the server has
+// nothing queued and one of its workers is idle, TryDo runs the
 // request on the calling goroutine as that worker, as Do does, and
 // returns its Response and true; done is not called. Otherwise it submits
 // the request exactly as SubmitFunc(payload, done) would and returns
@@ -139,8 +138,8 @@ func (s *Server) runPlaced(t *task, resp *Response) bool {
 }
 
 // ingress gives t its owner, the channel ch or the callback done, and
-// puts it on a shard's ingress buffer, or rejects it: Stop has begun, or
-// no shard has room under its class watermark.
+// puts it on the ingress buffer, or rejects it: Stop has begun, or the
+// buffer has no room under t's class watermark.
 func (s *Server) ingress(t *task, ch chan Response, done func(Response)) {
 	t.result, t.done = ch, done
 	s.submitMu.RLock()
@@ -189,7 +188,7 @@ func (s *Server) reject(t *task, err error, status int64) {
 	t.release()
 }
 
-// place dispatches a Do or TryDo request to its caller: when t's shard
+// place dispatches a Do or TryDo request to its caller: when the server
 // has no accepted request that is not yet in service — none inbound (in
 // the ingress buffer, or received by the dispatcher and not yet pushed)
 // and none in the policy queue, so no queued request can be overtaken,
@@ -209,26 +208,22 @@ func (s *Server) reject(t *task, err error, status int64) {
 // it. The atomics are sequentially consistent, and a dispatcher reads
 // the occupancies (drained) only after it has seen stopped set: either
 // the placer sees the stop, or the dispatcher sees the occupancy and
-// does not call its shard drained until the request is answered.
+// does not call the server drained until the request is answered.
 func (s *Server) place(t *task) int {
 	// Not before Start has set the workers up, and not under PinThreads:
 	// a lent slice would not run on the worker's pinned thread. inbound is
 	// read before the queue: a task leaves it only once pushed.
-	sh := s.shards[0]
-	if len(s.shards) > 1 {
-		sh = s.shards[t.id%uint64(len(s.shards))]
-	}
-	if s.opts.PinThreads || !s.started.Load() || sh.inbound.Load() > 0 || sh.q.Len() > 0 {
+	d := s.disp
+	if s.opts.PinThreads || !s.started.Load() || d.inbound.Load() > 0 || d.q.Len() > 0 {
 		return -1
 	}
-	// From t's home (a pooled task may bring one from a bigger shard),
+	// From t's home (a pooled task may bring one from a bigger server),
 	// and with a load first: a compare-and-swap that fails still takes
 	// the line from the worker's holder.
-	for k, i := 0, t.home; k < len(sh.workers); k, i = k+1, i+1 {
-		if i >= len(sh.workers) {
-			i = 0
+	for k, w := 0, t.home; k < len(s.occ); k, w = k+1, w+1 {
+		if w >= len(s.occ) {
+			w = 0
 		}
-		w := sh.workers[i]
 		if s.occ[w].Load() != 0 || !s.occ[w].CompareAndSwap(0, int32(s.opts.QueueBound)) {
 			continue
 		}
@@ -244,42 +239,24 @@ func (s *Server) place(t *task) int {
 			s.tr.Record(obs.WriterClient, obs.EvEnqueueCentral, t.id, 0)
 			s.tr.Record(obs.WriterClient, obs.EvDispatch, t.id, int64(w))
 		}
-		t.home = i
+		t.home = w
 		return w
 	}
 	return -1
 }
 
-// enqueue places t on a shard's ingress buffer and reports whether it
-// found room under t's class watermark. Single-shard servers keep the
-// historical one-select fast path; multi-shard servers start at the
-// round-robin cursor and fall back to each sibling once.
+// enqueue puts t on the ingress buffer if its occupancy is under t's
+// class watermark and the send does not block, counting t inbound from
+// before the send (see dispatcher.inbound).
 func (s *Server) enqueue(t *task) bool {
-	limit := s.classLimit[t.class]
-	if len(s.shards) == 1 {
-		return s.send(s.shards[0], t, limit)
-	}
-	n := uint64(len(s.shards))
-	start := s.rr.Add(1)
-	for i := uint64(0); i < n; i++ {
-		if s.send(s.shards[(start+i)%n], t, limit) {
-			return true
-		}
-	}
-	return false
-}
-
-// send puts t on sh's ingress buffer if its occupancy is under limit and
-// the send does not block, counting t inbound from before the send (see
-// shard.inbound).
-func (s *Server) send(sh *shard, t *task, limit int) bool {
-	if len(sh.submit) < limit {
-		sh.inbound.Add(1)
+	d := s.disp
+	if len(d.submit) < s.classLimit[t.class] {
+		d.inbound.Add(1)
 		select {
-		case sh.submit <- t:
+		case d.submit <- t:
 			return true
 		default:
-			sh.inbound.Add(-1)
+			d.inbound.Add(-1)
 		}
 	}
 	return false

@@ -11,7 +11,7 @@ import (
 // iteration and every Poll reads (stop and abort flags, the
 // configuration and the slice headers) must sit a cache line
 // or more away from everything a request writes on its way in through
-// the ingress (the id and round-robin cursors, submitMu's reader count,
+// the ingress (the id cursor, submitMu's reader count,
 // the submit-side counters), and so must the cold lifecycle state. What
 // a completion writes is not in Server at all: TestExecutorLinesOwn
 // pins where it went. A field moved or added in the wrong group fails
@@ -20,10 +20,10 @@ import (
 // insist that every field is in a group.
 func TestServerLayoutByWriter(t *testing.T) {
 	groups := map[string][]string{
-		"read-mostly": {"opts", "handler", "shards", "locals", "occ", "workers",
+		"read-mostly": {"opts", "handler", "disp", "locals", "occ", "workers",
 			"tr", "classLimit", "coopTimeshare", "classShrink", "serial",
 			"stopped", "abort"},
-		"submit": {"rr", "nextID", "submitMu", "stopping", "stats.shed",
+		"submit": {"nextID", "submitMu", "stopping", "stats.shed",
 			"stats.classSubmitted", "stats.classRejected"},
 		"cold": {"started", "wg", "startOnce", "stopOnce"},
 	}

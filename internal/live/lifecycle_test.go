@@ -41,10 +41,9 @@ func TestSubmitAfterStopDeterministic(t *testing.T) {
 // returns promptly and every returned channel delivers exactly one
 // response.
 func TestSubmitNeverBlocksAgainstStop(t *testing.T) {
+	withSubmitBuffer(t, 2)
 	for iter := 0; iter < 10; iter++ {
-		opts := testOptions(1, 100*time.Microsecond)
-		opts.SubmitBuffer = 2
-		s := New(&spinHandler{}, opts)
+		s := New(&spinHandler{}, testOptions(1, 100*time.Microsecond))
 		s.Start()
 
 		var wg sync.WaitGroup
@@ -91,10 +90,9 @@ func TestSubmitNeverBlocksAgainstStop(t *testing.T) {
 // losing the task and hanging both its caller and Stop. Heavy
 // preemption traffic through a size-1 buffer makes the window wide.
 func TestDrainWindowNoTaskLoss(t *testing.T) {
+	withSubmitBuffer(t, 1)
 	for iter := 0; iter < 30; iter++ {
-		opts := testOptions(1, 50*time.Microsecond)
-		opts.SubmitBuffer = 1
-		s := New(&spinHandler{}, opts)
+		s := New(&spinHandler{}, testOptions(1, 50*time.Microsecond))
 		s.Start()
 
 		var chans []<-chan Response
@@ -138,9 +136,8 @@ func TestDrainWindowNoTaskLossGated(t *testing.T) {
 	}
 	defer func() { testRequeueGate = nil }()
 
-	opts := testOptions(1, time.Hour)
-	opts.SubmitBuffer = 1
-	s := New(&yieldHandler{}, opts)
+	withSubmitBuffer(t, 1)
+	s := New(&yieldHandler{}, testOptions(1, time.Hour))
 	s.Start()
 
 	ch := s.Submit(yieldReq{yields: 1})
@@ -223,9 +220,8 @@ func TestSubmitStopRaceGated(t *testing.T) {
 // TestQueueFullRejected: a full submit buffer rejects immediately with
 // ErrQueueFull instead of blocking the caller — explicit backpressure.
 func TestQueueFullRejected(t *testing.T) {
-	opts := testOptions(1, 0)
-	opts.SubmitBuffer = 1
-	s := New(&spinHandler{}, opts)
+	withSubmitBuffer(t, 1)
+	s := New(&spinHandler{}, testOptions(1, 0))
 	// Not started: nothing drains the buffer, so the second submission
 	// deterministically finds it full.
 	first := s.Submit(time.Microsecond)
@@ -421,6 +417,13 @@ func quietDispatcher(t *testing.T) {
 	t.Cleanup(func() { testConserveGate = nil })
 }
 
+// withSubmitBuffer makes the servers the test builds from here on take
+// an ingress buffer of n requests.
+func withSubmitBuffer(t *testing.T, n int) {
+	testSubmitBuffer = n
+	t.Cleanup(func() { testSubmitBuffer = 0 })
+}
+
 // yieldHandler blocks on "block" payloads (holding a worker without
 // polling), panics on "panic", and runs yieldReq payloads behind a
 // deferred call, so a test can tell that a retired handler unwound. It
@@ -487,13 +490,13 @@ func checkIdentities(t *testing.T, h *yieldHandler, opts Options, goroutinesBefo
 	t.Helper()
 	opts = opts.withDefaults()
 	h.mu.Lock()
-	for id := -opts.Shards; id < opts.Workers; id++ {
+	for id := -1; id < opts.Workers; id++ {
 		if h.setups[id] != 1 {
 			t.Errorf("SetupWorker(%d) ran %d times, want once per identity", id, h.setups[id])
 		}
 	}
-	if len(h.setups) != opts.Shards+opts.Workers {
-		t.Errorf("SetupWorker ran for identities %v, want %d dispatchers and %d workers", h.setups, opts.Shards, opts.Workers)
+	if len(h.setups) != 1+opts.Workers {
+		t.Errorf("SetupWorker ran for identities %v, want the dispatcher and %d workers", h.setups, opts.Workers)
 	}
 	h.mu.Unlock()
 	waitUntil(t, "the server's goroutines to exit", func() bool {
@@ -504,7 +507,7 @@ func checkIdentities(t *testing.T, h *yieldHandler, opts Options, goroutinesBefo
 // TestDispatcherRunLifecycle drives the slice runner, the identity
 // hand-off and the retire path through the work-conserving dispatcher:
 // with every worker held by a blocker at QueueBound 1, a request can
-// only run on its shard's dispatcher, yields there — the goroutine that
+// only run on the dispatcher, yields there — the goroutine that
 // was the dispatcher keeps it, a successor carries the loop on — and is
 // parked in the saved slot, from where it completes after a set number
 // of yields, expires, or is aborted by the drain deadline. Every row
@@ -517,12 +520,15 @@ func TestDispatcherRunLifecycle(t *testing.T) { runLifecycleRows(t, true, false)
 
 // TestWorkerRunLifecycle is the same table with the requests on the
 // workers: a yield hands the worker identity to a successor, the request
-// goes back through its shard's ingress, and it completes, expires or is
-// aborted from wherever it is at the time.
+// goes back through the ingress, and it completes, expires or is
+// aborted from wherever it is at the time. It never runs on the
+// dispatcher again: that runs only requests that have not started.
 func TestWorkerRunLifecycle(t *testing.T) { runLifecycleRows(t, false, false) }
 
-// runLifecycleRows is the table; fromPark starts every row from parked
-// dispatchers (TestParkedStartLifecycle).
+// runLifecycleRows is the table; fromPark starts every row from a parked
+// dispatcher (TestParkedStartLifecycle). Each row runs at one and at
+// two workers (dispatcherRows): one target per worker on the workers,
+// one target on the dispatcher.
 func runLifecycleRows(t *testing.T, onDispatcher, fromPark bool) {
 	const yields = 3
 	// Neither timeout is a measurement: the hour-long RequestTimeout only
@@ -540,17 +546,17 @@ func runLifecycleRows(t *testing.T, onDispatcher, fromPark bool) {
 		{"aborted", yieldReq{yields: -1}, func(o *Options) { o.DrainTimeout = 5 * time.Millisecond }, ErrServerStopped},
 	}
 	for _, pol := range []string{PolicyFCFS, PolicySRPT, PolicyCascade, PolicyCascadeSRPT} {
-		for _, shards := range []int{1, 2} {
+		for _, row := range dispatcherRows {
 			for _, oc := range outcomes {
 				for _, pin := range []bool{false, true} {
-					name := fmt.Sprintf("%s/shards%d/%s", pol, shards, oc.name)
+					name := fmt.Sprintf("%s/%s/%s", pol, row.name, oc.name)
 					if pin {
 						name += "/pinned"
 					}
 					t.Run(name, func(t *testing.T) {
 						goroutines := runtime.NumGoroutine()
 						h := &yieldHandler{release: make(chan struct{})}
-						opts := Options{Workers: shards, Shards: shards, Policy: pol, Quantum: time.Hour,
+						opts := Options{Workers: row.n, Policy: pol, Quantum: time.Hour,
 							QueueBound: 1, PinThreads: pin}
 						oc.tune(&opts)
 						var parks *parkWatch
@@ -560,13 +566,13 @@ func runLifecycleRows(t *testing.T, onDispatcher, fromPark bool) {
 						s := New(h, opts)
 						s.Start()
 						if fromPark {
-							parks.wait(t, s, nil)
+							parks.wait(t, s)
 						}
 
 						var chans []<-chan Response
-						blockers := 0
+						blockers, targets := 0, row.n
 						if onDispatcher {
-							blockers = shards
+							blockers, targets = row.n, 1
 							for i := 0; i < blockers; i++ {
 								chans = append(chans, s.Submit("block"))
 							}
@@ -585,7 +591,7 @@ func runLifecycleRows(t *testing.T, onDispatcher, fromPark bool) {
 						}
 						target := oc.req
 						target.class = ClassCritical
-						for i := 0; i < shards; i++ {
+						for i := 0; i < targets; i++ {
 							chans = append(chans, s.Submit(target))
 						}
 
@@ -594,7 +600,7 @@ func runLifecycleRows(t *testing.T, onDispatcher, fromPark bool) {
 							// Per target, not Stats().Preemptions: one target that
 							// keeps yielding reaches any total on its own.
 							waitUntil(t, "every target to have yielded", func() bool {
-								return h.yielded.Load() == int32(shards)
+								return h.yielded.Load() == int32(targets)
 							})
 							go func() { s.Stop(); close(stopDone) }()
 						}
@@ -635,9 +641,8 @@ func runLifecycleRows(t *testing.T, onDispatcher, fromPark bool) {
 								if on[0] >= 0 || on[1] != on[0] {
 									t.Fatalf("target %d started on executor %d and ended on %d: dispatcher-run requests must not migrate", i, on[0], on[1])
 								}
-							} else if on[0] < 0 || on[1] != on[0] {
-								// One worker per shard: shard affinity is worker affinity.
-								t.Fatalf("target %d started on executor %d and ended on %d: a started request stays with its shard's worker", i, on[0], on[1])
+							} else if on[0] < 0 || on[1] < 0 {
+								t.Fatalf("target %d started on executor %d and ended on %d: a started request stays on the workers", i, on[0], on[1])
 							}
 						}
 						close(h.release)
@@ -666,8 +671,8 @@ func runLifecycleRows(t *testing.T, onDispatcher, fromPark bool) {
 						if st.DispatcherRun != dispatcherOK {
 							t.Fatalf("DispatcherRun = %d, want %d (requests the dispatcher completed)", st.DispatcherRun, dispatcherOK)
 						}
-						if got := h.unwound.Load(); got != int32(shards) {
-							t.Fatalf("%d handler defers ran, want %d", got, shards)
+						if got := h.unwound.Load(); got != int32(targets) {
+							t.Fatalf("%d handler defers ran, want %d", got, targets)
 						}
 						checkIdentities(t, h, opts, goroutines)
 					})

@@ -34,14 +34,13 @@
 // top to bottom:
 //
 //	ingest (ingest.go)      Submit: admission, backpressure, deadlines,
-//	                        shard selection (round-robin with fallback)
+//	                        the one ingress buffer
 //	policy (queue.go)       the central queue: an internal/policy
 //	                        Queue[*task] — FCFS or SRPT via
-//	                        Options.Policy — behind a small concurrency
-//	                        adapter with a deadline heap
-//	dispatch (dispatch.go)  per-shard dispatcher loops: JBSQ placement,
-//	                        work conservation, cross-shard stealing,
-//	                        parking
+//	                        Options.Policy — with a deadline heap, touched
+//	                        only by the dispatcher
+//	dispatch (dispatch.go)  the one dispatcher loop: JBSQ placement, work
+//	                        conservation, parking
 //	execution (exec.go)     worker loops, the slice runner both they and
 //	                        the work-conserving dispatcher call (first
 //	                        slice inline, identity hand-off on a yield),
@@ -49,17 +48,11 @@
 //	                        fail, Ctx and its Poll probe
 //
 // live.go holds the public surface (Options, Server lifecycle, Stats)
-// and task.go the request object that flows through the layers.
-//
-// Dispatch generalizes the paper's single dispatcher to N shards
-// (Options.Shards), RackSched-style: each shard owns a disjoint worker
-// subset and its own policy queue, ingest round-robins across shards,
-// and a shard whose queue is empty steals never-started requests from
-// the longest sibling queue, so work conservation (§3.3) holds
-// globally. Shards: 1 is the paper's architecture unchanged.
+// and task.go the request object that flows through the layers. There
+// is one dispatcher, as in the paper; it owns every worker.
 //
 // The dispatcher is a tier a request need not cross when it has nothing
-// to decide. A Do whose shard has nothing queued — nothing inbound, and
+// to decide. A Do that finds nothing queued — nothing inbound, and
 // nothing in the policy queue — and an idle worker places its own
 // request: it takes all of that worker's JBSQ slots with one
 // compare-and-swap — the dispatcher takes its slot with one too, so
@@ -75,8 +68,7 @@
 // and measured slower per request than the dispatcher hop it saves.) And
 // a dispatcher with nothing to do does not spin on a core the host may
 // not have to spare (§3.3's point): after a millisecond idle with no
-// queued work anywhere, it parks until a submission arrives or something
-// wakes it — Stop, or a sibling with a backlog it cannot place. A
+// queued work, it parks until a submission arrives or Stop wakes it. A
 // running slice keeps no dispatcher awake: it times itself.
 //
 // # Lifecycle
@@ -85,7 +77,7 @@
 // Submit never blocks: it either accepts a request (exactly one
 // Response is always delivered for an accepted request) or rejects it
 // immediately with ErrServerStopped (after Stop has begun) or
-// ErrQueueFull (submit buffers full — explicit backpressure instead of
+// ErrQueueFull (submit buffer full — explicit backpressure instead of
 // unbounded blocking). Stop drains every accepted request before
 // returning; Options.DrainTimeout bounds the drain, after which queued
 // and parked requests are completed with ErrServerStopped and running
@@ -113,11 +105,9 @@ import (
 type Handler interface {
 	// Setup initializes global application state before serving.
 	Setup()
-	// SetupWorker initializes per-worker state; negative workers are
-	// dispatchers (they run application code too, to conserve work):
-	// -1 for shard 0 — the only dispatcher at Shards 1 — and -(s+1) for
-	// shard s. It is called exactly once per worker or dispatcher
-	// identity, before the identity serves anything: for a dispatcher on
+	// SetupWorker initializes per-worker state; worker -1 is the
+	// dispatcher (it runs application code too, to conserve work). It
+	// is called exactly once per worker or dispatcher identity, before the identity serves anything: for a dispatcher on
 	// the goroutine that first holds it, for a worker from Start (under
 	// PinThreads, on the worker's own pinned goroutine). The identity may
 	// later move to other goroutines (see Handle), for which it is not
@@ -165,13 +155,6 @@ func ValidPolicy(name string) bool { return slices.Contains(policy.Names(), name
 type Options struct {
 	// Workers is the number of worker loops. Default 2.
 	Workers int
-	// Shards is the number of dispatcher shards. Each shard owns a
-	// disjoint contiguous subset of the workers and runs its own
-	// central queue and dispatcher loop; ingest round-robins across
-	// shards and an idle shard steals never-started requests from the
-	// longest sibling queue. Default 1 (the paper's single dispatcher);
-	// values above Workers are clamped to Workers.
-	Shards int
 	// Policy selects the central-queue discipline: PolicyFCFS (default),
 	// PolicySRPT, or the class-tiered PolicyCascade / PolicyCascadeSRPT
 	// (strict SLOClass priority, the named discipline within each
@@ -196,10 +179,6 @@ type Options struct {
 	// worker's successor goroutine takes one (on whichever thread it
 	// starts on), so only preempted continuations float.
 	PinThreads bool
-	// SubmitBuffer is the per-shard ingress channel capacity. Default
-	// 4096. When every shard's buffer is full, Submit rejects with
-	// ErrQueueFull rather than blocking.
-	SubmitBuffer int
 	// RequestTimeout bounds each request's total time at the server.
 	// Requests that expire while queued or parked are completed with
 	// ErrDeadlineExceeded; a request actively running handler code is
@@ -214,13 +193,11 @@ type Options struct {
 	// state transition (submit, enqueue, dispatch, start, yield,
 	// requeue, resume, completion) and enables per-request
 	// latency Breakdown on every Response. It must be built with
-	// obs.NewTracer (or obs.NewTracerSharded) for the same worker and
-	// shard counts as this server. When nil, the cost at each
+	// obs.NewTracer for the same worker count as this server. When nil, the cost at each
 	// instrumentation point is a single predictable branch.
 	Tracer *obs.Tracer
 	// ClassAdmission enables per-SLOClass admission control on the
-	// ingress buffers: a slice of every shard's SubmitBuffer is held in
-	// reserve for ClassCritical, ClassSheddable is shed (ErrShed) at a
+	// ingress buffer: a slice of it is held in reserve for ClassCritical, ClassSheddable is shed (ErrShed) at a
 	// lower watermark than standard's ErrQueueFull point, and standard
 	// is rejected before the critical reserve is touched. It also arms
 	// class-aware preemption (see critQuantumShrink). Off, every class
@@ -232,20 +209,11 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 2
 	}
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
-	if o.Shards > o.Workers {
-		o.Shards = o.Workers
-	}
 	if o.Policy == "" {
 		o.Policy = PolicyFCFS
 	}
 	if o.QueueBound <= 0 {
 		o.QueueBound = 2
-	}
-	if o.SubmitBuffer <= 0 {
-		o.SubmitBuffer = 4096
 	}
 	return o
 }
@@ -304,13 +272,18 @@ type Breakdown struct {
 	Preempted time.Duration
 }
 
-// Admission watermarks, as fractions of the per-shard SubmitBuffer.
-// Only consulted when Options.ClassAdmission is on.
+// submitBuffer is the ingress buffer's capacity: when it is full,
+// Submit rejects with ErrQueueFull rather than blocking. Tests shrink it
+// through testSubmitBuffer.
+const submitBuffer = 4096
+
+// Admission watermarks, as fractions of the ingress buffer. Only
+// consulted when Options.ClassAdmission is on.
 const (
 	// criticalReserveFrac of each ingress buffer is reserved for
 	// ClassCritical: standard and sheddable are rejected once occupancy
 	// crosses 1−criticalReserveFrac, while critical admits to the brim.
-	criticalReserveFrac = 8 // reserve = SubmitBuffer / 8 (12.5%)
+	criticalReserveFrac = 8 // reserve = capacity / 8 (12.5%)
 	// shedFrac is ClassSheddable's watermark within the non-reserved
 	// region: sheddable is shed once occupancy crosses 3/4 of the
 	// standard limit, well before standard feels backpressure.
@@ -337,12 +310,9 @@ type Stats struct {
 	Expired     uint64 // completed with ErrDeadlineExceeded
 	Aborted     uint64 // completed with ErrServerStopped by drain abort
 	Preemptions uint64
-	// DispatcherRun counts requests completed by a work-conserving
-	// dispatcher — from its own shard's queue or a sibling's. (It was
-	// once named Stolen, which wrongly suggested cross-shard migration;
-	// Steals is the true migration counter.)
+	// DispatcherRun counts requests the work-conserving dispatcher ran
+	// to completion itself.
 	DispatcherRun uint64
-	Steals        uint64 // never-started requests migrated between shards
 	// ClassSubmitted / ClassCompleted / ClassRejected break the
 	// top-line counters down by SLOClass (accepted, delivered, never
 	// accepted). Indexed by SLOClass.
@@ -381,13 +351,13 @@ const cacheLinePad = 64
 // regression tests can exercise them deterministically, or tell a test
 // that a dispatcher has parked, so it need not sleep to find out.
 var (
-	testSubmitGate   func()       // between Submit's stop check and its enqueue
-	testPlaceGate    func()       // between place's occupancy CAS and its stop check
-	testRequeueGate  func()       // between a preemption park and its re-submit
-	testStealGate    func()       // between a steal's pop and its local dispatch
-	testParkGate     func(*shard) // as a shard's dispatcher parks
-	testIngestGate   func()       // between a dispatcher's receive from the ingress and its push
-	testConserveGate func() bool  // whether a dispatcher may run a queued request itself
+	testSubmitGate   func()      // between Submit's stop check and its enqueue
+	testPlaceGate    func()      // between place's occupancy CAS and its stop check
+	testRequeueGate  func()      // between a preemption park and its re-submit
+	testParkGate     func()      // as the dispatcher parks
+	testIngestGate   func()      // between the dispatcher's receive from the ingress and its push
+	testConserveGate func() bool // whether the dispatcher may run a queued request itself
+	testSubmitBuffer int         // when positive, the ingress capacity New uses
 )
 
 // Server is a running Concord scheduling runtime. Its fields are laid
@@ -403,7 +373,7 @@ type Server struct {
 	opts    Options
 	handler Handler
 
-	shards  []*shard
+	disp    *dispatcher
 	locals  []chan *task
 	occ     []occWord // per-worker occupancy incl. in-service
 	workers []*executor
@@ -412,10 +382,10 @@ type Server struct {
 	// path is one nil-check branch per event site.
 	tr *obs.Tracer
 
-	// classLimit is the per-class ingress occupancy watermark (per
-	// shard): a class is rejected once len(shard.submit) reaches its
-	// limit. With ClassAdmission off every entry equals SubmitBuffer, so
-	// the check degenerates to the channel's own capacity.
+	// classLimit is the per-class ingress occupancy watermark: a class
+	// is rejected once len(disp.submit) reaches its limit. With
+	// ClassAdmission off every entry is the buffer's capacity, so the
+	// check degenerates to the channel's own.
 	classLimit [NumClasses]int
 
 	// coopTimeshare makes request code call runtime.Gosched every that
@@ -433,12 +403,11 @@ type Server struct {
 
 	_ [cacheLinePad]byte // ---- written by every Submit ----
 
-	rr     atomic.Uint64 // round-robin ingest cursor (multi-shard only)
 	nextID atomic.Uint64
 	// submitMu orders the ingress against Stop: a submission that does
 	// not place holds the read lock across the stopping check and the
 	// enqueue, so once Stop has taken the write lock and set stopping, no
-	// further task can enter any submit buffer and every later Submit
+	// further task can enter the submit buffer and every later Submit
 	// deterministically returns ErrServerStopped. A placed request does
 	// not take it (see place).
 	submitMu sync.RWMutex
@@ -464,13 +433,12 @@ var servers atomic.Uint64
 
 // New builds a server; call Start before submitting. It panics when
 // Options.Policy is unknown or Options.Tracer was built for a different
-// worker or shard count.
+// worker count.
 func New(h Handler, opts Options) *Server {
 	opts = opts.withDefaults()
-	if opts.Tracer != nil &&
-		(opts.Tracer.Workers() != opts.Workers || opts.Tracer.Shards() != opts.Shards) {
-		panic(fmt.Sprintf("live: tracer built for %d workers / %d shards, server has %d / %d",
-			opts.Tracer.Workers(), opts.Tracer.Shards(), opts.Workers, opts.Shards))
+	if opts.Tracer != nil && opts.Tracer.Workers() != opts.Workers {
+		panic(fmt.Sprintf("live: tracer built for %d workers, server has %d",
+			opts.Tracer.Workers(), opts.Workers))
 	}
 	s := &Server{
 		serial:  servers.Add(1),
@@ -481,8 +449,8 @@ func New(h Handler, opts Options) *Server {
 		occ:     make([]occWord, opts.Workers),
 		workers: make([]*executor, opts.Workers),
 	}
-	if runtime.GOMAXPROCS(0) < opts.Workers+opts.Shards+1 {
-		// Not enough CPUs to run the dispatchers, the workers, and
+	if runtime.GOMAXPROCS(0) < opts.Workers+2 {
+		// Not enough CPUs to run the dispatcher, the workers, and
 		// request code in parallel: timeshare cooperatively. A multiple
 		// of pollCheckEvery: Poll's slow path does it.
 		s.coopTimeshare = 4 * pollCheckEvery
@@ -490,7 +458,10 @@ func New(h Handler, opts Options) *Server {
 	// Per-class admission watermarks (ingress occupancy at which the
 	// class is rejected). Critical admits to the brim; standard stops at
 	// the critical reserve; sheddable sheds at 3/4 of standard's limit.
-	b := opts.SubmitBuffer
+	b := submitBuffer
+	if testSubmitBuffer > 0 {
+		b = testSubmitBuffer
+	}
 	for c := range s.classLimit {
 		s.classLimit[c] = b
 	}
@@ -504,32 +475,21 @@ func New(h Handler, opts Options) *Server {
 		s.locals[i] = make(chan *task, opts.QueueBound)
 		s.workers[i] = &executor{id: i, writer: i}
 	}
-	for sid := 0; sid < opts.Shards; sid++ {
-		q, err := newCentralQueue(opts.Policy)
-		if err != nil {
-			panic("live: " + err.Error())
-		}
-		sh := &shard{
-			id:     sid,
-			writer: obs.DispatcherWriter(sid),
-			q:      q,
-			submit: make(chan *task, opts.SubmitBuffer),
-			done:   make(chan struct{}),
-			bell:   make(chan struct{}, 1),
-		}
-		sh.ex = &executor{id: -(sid + 1), writer: sh.writer, sh: sh, defaultSlice: dispatcherSlice}
-		// Contiguous worker partition: shard i owns [i·W/S, (i+1)·W/S).
-		lo, hi := sid*opts.Workers/opts.Shards, (sid+1)*opts.Workers/opts.Shards
-		for w := lo; w < hi; w++ {
-			sh.workers = append(sh.workers, w)
-			s.workers[w].sh = sh
-		}
-		s.shards = append(s.shards, sh)
+	q, err := newCentralQueue(opts.Policy)
+	if err != nil {
+		panic("live: " + err.Error())
+	}
+	s.disp = &dispatcher{
+		q:      q,
+		submit: make(chan *task, b),
+		done:   make(chan struct{}),
+		bell:   make(chan struct{}, 1),
+		ex:     &executor{id: -1, writer: obs.WriterDispatcher, defaultSlice: dispatcherSlice},
 	}
 	return s
 }
 
-// Start launches the dispatchers and workers.
+// Start launches the dispatcher and the workers.
 func (s *Server) Start() {
 	s.startOnce.Do(func() {
 		s.handler.Setup()
@@ -545,9 +505,7 @@ func (s *Server) Start() {
 			s.wg.Add(1)
 			go s.workerLoop(i)
 		}
-		for _, sh := range s.shards {
-			go s.dispatcherLoop(sh)
-		}
+		go s.dispatcherLoop()
 	})
 }
 
@@ -567,24 +525,18 @@ func (s *Server) Stop() {
 			return // never started: nothing to drain
 		}
 		s.wake()
-		allDone := make(chan struct{})
-		go func() {
-			for _, sh := range s.shards {
-				<-sh.done
-			}
-			close(allDone)
-		}()
+		done := s.disp.done
 		if d := s.opts.DrainTimeout; d > 0 {
 			timer := time.NewTimer(d)
 			select {
-			case <-allDone:
+			case <-done:
 				timer.Stop()
 			case <-timer.C:
-				s.abort.Store(true) // no wake: once stopped, no dispatcher parks
-				<-allDone
+				s.abort.Store(true) // no wake: once stopped, the dispatcher does not park
+				<-done
 			}
 		} else {
-			<-allDone
+			<-done
 		}
 		for _, ch := range s.locals {
 			close(ch)
@@ -596,15 +548,11 @@ func (s *Server) Stop() {
 // Depths is a point-in-time queue-occupancy snapshot: momentary
 // overload that lifetime counters cannot show.
 type Depths struct {
-	// Submit is the total ingress buffer occupancy across shards
-	// (accepted, not yet ingested by a dispatcher).
+	// Submit is the ingress buffer's occupancy (accepted, not yet
+	// ingested by the dispatcher).
 	Submit int
-	// Central is the total central-queue length across shards.
+	// Central is the central queue's length.
 	Central int
-	// ShardQueues is the per-shard central-queue length.
-	ShardQueues []int
-	// ShardOcc is the per-shard sum of its workers' JBSQ occupancy.
-	ShardOcc []int
 	// Workers is per-worker JBSQ occupancy including the in-service
 	// request; a worker lent to a Do caller (see Server.Do) counts as
 	// full.
@@ -615,20 +563,12 @@ type Depths struct {
 // serving.
 func (s *Server) Depths() Depths {
 	d := Depths{
-		Workers:     make([]int, len(s.occ)),
-		ShardQueues: make([]int, len(s.shards)),
-		ShardOcc:    make([]int, len(s.shards)),
-	}
-	for _, sh := range s.shards {
-		d.Submit += len(sh.submit)
-		q := sh.q.Len()
-		d.ShardQueues[sh.id] = q
-		d.Central += q
+		Submit:  len(s.disp.submit),
+		Central: s.disp.q.Len(),
+		Workers: make([]int, len(s.occ)),
 	}
 	for w := range s.occ {
-		o := int(s.occ[w].Load())
-		d.Workers[w] = o
-		d.ShardOcc[s.workers[w].sh.id] += o
+		d.Workers[w] = int(s.occ[w].Load())
 	}
 	return d
 }
@@ -637,16 +577,12 @@ func (s *Server) Depths() Depths {
 // executor's summed, and the totals summed from the classes (see Stats).
 func (s *Server) Stats() Stats {
 	st := Stats{Shed: s.stats.shed.Load()}
-	exs := slices.Clone(s.workers)
-	for _, sh := range s.shards {
-		exs = append(exs, sh.ex)
-	}
+	exs := append(slices.Clone(s.workers), s.disp.ex)
 	for _, ex := range exs {
 		st.Expired += ex.n.expired.Load()
 		st.Aborted += ex.n.aborted.Load()
 		st.Preemptions += ex.n.preemptions.Load()
 		st.DispatcherRun += ex.n.dispatcherRun.Load()
-		st.Steals += ex.n.steals.Load()
 	}
 	for c := 0; c < NumClasses; c++ {
 		st.ClassSubmitted[c] = s.stats.classSubmitted[c].Load()
@@ -663,9 +599,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Shards returns the configured dispatcher-shard count.
-func (s *Server) Shards() int { return len(s.shards) }
-
 // respChans recycles the response channels of the callers that need one
 // and wait on it: a Do that place declines, which waits on the ingress
 // path, and a placed Do or TryDo whose request yields, which takes its
@@ -679,8 +612,8 @@ func (s *Server) Shards() int { return len(s.shards) }
 // Submit's callers own theirs.
 var respChans = sync.Pool{New: func() any { return make(chan Response, 1) }}
 
-// Do submits a request and waits for its response. When the request's
-// shard has nothing queued and one of its workers is idle, Do runs the
+// Do submits a request and waits for its response. When the server has
+// nothing queued and one of its workers is idle, Do runs the
 // request's first slice itself, on the calling goroutine, as that worker
 // (see place): no dispatcher iteration, no goroutine switch and no
 // channel, and if the request is preempted it continues on the workers

@@ -246,11 +246,11 @@ func (panicHandler) Handle(*Ctx, any) (any, error) {
 	panic("boom")
 }
 
-// TestWorkConservingDispatcher pins when a dispatcher runs a request
-// itself (§3.3), with no duration in any assertion. Each shard has one
-// worker at QueueBound 1, so a blocker holds all of its shard's slots.
-// A never-started request queued behind full slots runs on its shard's
-// dispatcher. A started request queued there is looked at by the
+// TestWorkConservingDispatcher pins when the dispatcher runs a request
+// itself (§3.3), with no duration in any assertion. Every worker runs
+// at QueueBound 1, so a blocker holds all of its slots, and each row
+// runs at one and at two workers (dispatcherRows). A never-started
+// request queued behind full slots runs on the dispatcher. A started request queued there is looked at by the
 // dispatcher and left for its worker. A request that finds a slot free
 // is pushed to it. The dispatcher is held quiet (the conserve gate)
 // while a row builds its queue, so what the row queues stays queued
@@ -266,8 +266,9 @@ func TestWorkConservingDispatcher(t *testing.T) {
 		{"never-started/slot-free", false, false, false},
 	}
 	for _, row := range rows {
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/shards%d", row.name, shards), func(t *testing.T) {
+		for _, n := range dispatcherRows {
+			workers := n.n
+			t.Run(fmt.Sprintf("%s/%s", row.name, n.name), func(t *testing.T) {
 				var quiet atomic.Bool
 				var looks atomic.Int64
 				quiet.Store(true)
@@ -275,7 +276,7 @@ func TestWorkConservingDispatcher(t *testing.T) {
 				t.Cleanup(func() { testConserveGate = nil })
 				goroutines := runtime.NumGoroutine()
 				h := &yieldHandler{release: make(chan struct{})}
-				opts := Options{Workers: shards, Shards: shards, Quantum: time.Hour, QueueBound: 1}
+				opts := Options{Workers: workers, Quantum: time.Hour, QueueBound: 1}
 				s := New(h, opts)
 				s.Start()
 				depths := func(blocked int32, central int) func() bool {
@@ -286,44 +287,35 @@ func TestWorkConservingDispatcher(t *testing.T) {
 				}
 
 				var blockers []<-chan Response
-				block := func(shard int) {
-					// enqueue starts at the round-robin cursor after this one.
-					s.rr.Store(uint64(shard + shards - 1))
-					blockers = append(blockers, s.Submit("block"))
-				}
+				block := func() { blockers = append(blockers, s.Submit("block")) }
 				target := yieldReq{}
 				var ch <-chan Response
 				switch {
 				case row.started:
-					// The target takes a worker first: whichever, as an idle
-					// sibling may steal it before its own shard pushes it. Then
-					// a blocker takes every other worker, and the last one
-					// queues behind the target on its shard: with every other
-					// slot full, nothing can steal it.
+					// The target takes a worker first. Then a blocker takes
+					// every other worker, and the last one queues behind the
+					// target.
 					target = yieldReq{yields: 1, proceed: make(chan struct{})}
 					ch = s.Submit(target)
 					waitUntil(t, "the target on a worker", func() bool {
 						d := s.Depths()
 						return slices.Contains(d.Workers, 1) && d.Central == 0 && d.Submit == 0
 					})
-					home := slices.Index(s.Depths().Workers, 1) // one worker per shard
-					for sh := 0; sh < shards; sh++ {
-						if sh != home {
-							block(sh)
-							waitUntil(t, "a blocker on another shard's worker", depths(int32(len(blockers)), 0))
-						}
+					for range workers - 1 {
+						block()
+						waitUntil(t, "a blocker on another worker", depths(int32(len(blockers)), 0))
 					}
-					block(home)
-					waitUntil(t, "the last blocker queued behind the target", depths(int32(shards-1), 1))
-					// The target yields and goes back to its shard, whose one
-					// slot the queued blocker takes first.
+					block()
+					waitUntil(t, "the last blocker queued behind the target", depths(int32(workers-1), 1))
+					// The target yields and goes back to the queue, whose
+					// blocker takes the freed slot first.
 					close(target.proceed)
-					waitUntil(t, "the yielded target queued behind full slots", depths(int32(shards), 1))
+					waitUntil(t, "the yielded target queued behind full slots", depths(int32(workers), 1))
 				case row.blocked:
-					for sh := 0; sh < shards; sh++ {
-						block(sh)
+					for range workers {
+						block()
 					}
-					waitUntil(t, "a blocker on every worker", depths(int32(shards), 0))
+					waitUntil(t, "a blocker on every worker", depths(int32(workers), 0))
 				}
 				quiet.Store(false)
 				if row.started {
@@ -359,8 +351,9 @@ func TestWorkConservingDispatcher(t *testing.T) {
 					if resp := receive(ch); resp.Err != nil || resp.OnDispatcher || resp.Preemptions != target.yields {
 						t.Fatalf("err %v, OnDispatcher %v, Preemptions %d; want it run by a worker, %d yields",
 							resp.Err, resp.OnDispatcher, resp.Preemptions, target.yields)
-					} else if on := resp.Payload.([2]int); on[0] < 0 || on[1] != on[0] {
-						t.Fatalf("ran on executors %v, want one worker", on)
+					} else if on := resp.Payload.([2]int); on[0] < 0 || on[1] < 0 {
+						// With two workers, a requeued request may resume on either.
+						t.Fatalf("ran on executors %v, want workers only", on)
 					}
 				}
 				for i, b := range blockers {
@@ -429,5 +422,59 @@ func TestStatsConsistency(t *testing.T) {
 	st := s.Stats()
 	if st.Submitted != n || st.Completed != n {
 		t.Fatalf("stats = %+v, want %d submitted and completed", st, n)
+	}
+}
+
+// TestShardedManyRequestsAllComplete is the basic completion invariant
+// at one, two and four workers, under the names of the shard counts the
+// rows once ran at.
+func TestShardedManyRequestsAllComplete(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards-%d", n), func(t *testing.T) {
+			h := &spinHandler{}
+			s := New(h, testOptions(n, 200*time.Microsecond))
+			s.Start()
+			const requests = 300
+			var chans []<-chan Response
+			for i := 0; i < requests; i++ {
+				d := 20 * time.Microsecond
+				if i%10 == 0 {
+					d = 400 * time.Microsecond
+				}
+				chans = append(chans, s.Submit(d))
+			}
+			for i, ch := range chans {
+				select {
+				case resp := <-ch:
+					if resp.Err != nil {
+						t.Fatalf("request %d failed: %v", i, resp.Err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("request %d timed out", i)
+				}
+			}
+			s.Stop()
+			st := s.Stats()
+			if st.Completed != requests {
+				t.Fatalf("completed %d of %d", st.Completed, requests)
+			}
+		})
+	}
+}
+
+// TestShardedDepthsShape: Depths exposes one occupancy slot per worker,
+// and an idle server's queues read empty.
+func TestShardedDepthsShape(t *testing.T) {
+	h := &spinHandler{}
+	s := New(h, testOptions(4, 0))
+	s.Start()
+	defer s.Stop()
+	s.Do(10 * time.Microsecond)
+	d := s.Depths()
+	if len(d.Workers) != 4 {
+		t.Fatalf("worker occupancy slots = %d, want 4", len(d.Workers))
+	}
+	if d.Submit != 0 || d.Central != 0 {
+		t.Fatalf("idle server depths %+v, want empty queues", d)
 	}
 }

@@ -142,8 +142,7 @@ func TestTracedChromeExport(t *testing.T) {
 // TestDepths checks the live queue-depth surface against a saturation
 // it holds still: n blockers on a one-worker server at QueueBound 1,
 // with the dispatcher kept from running any itself. One blocks the
-// worker — its handler has started, and the worker and its shard read
-// full — and the other n−1 are waiting in the ingress or the central
+// worker — its handler has started, and the worker reads full — and the other n−1 are waiting in the ingress or the central
 // queue. Then every blocker is let go and answers.
 func TestDepths(t *testing.T) {
 	quietDispatcher(t)
@@ -160,7 +159,7 @@ func TestDepths(t *testing.T) {
 	}
 	waitUntil(t, "one blocker on the worker and the rest queued", func() bool {
 		d := s.Depths()
-		return h.blocked.Load() == 1 && d.Workers[0] == 1 && d.ShardOcc[0] == 1 && d.Central+d.Submit == n-1
+		return h.blocked.Load() == 1 && d.Workers[0] == 1 && d.Central+d.Submit == n-1
 	})
 	close(h.release)
 	for _, ch := range chans {

@@ -1,6 +1,6 @@
 package live
 
-// Placement and parking: a Do on an idle shard is dispatched by its own
+// Placement and parking: a Do on an idle server is dispatched by its own
 // caller, a dispatcher with nothing to do blocks, and everything that
 // needs a parked dispatcher wakes it. No row sleeps to find out whether
 // a dispatcher has parked: the park gate says so.
@@ -17,48 +17,36 @@ import (
 	"concord/internal/obs"
 )
 
-// parkWatch counts, per shard, how often its dispatcher has parked; it
-// is testParkGate for the rest of the test that made it.
-type parkWatch struct {
-	mu    sync.Mutex
-	parks map[*shard]int
-}
+// parkWatch counts how often the dispatcher has parked; it is
+// testParkGate for the rest of the test that made it.
+type parkWatch struct{ parks atomic.Int32 }
 
 func watchParks(t *testing.T) *parkWatch {
-	w := &parkWatch{parks: map[*shard]int{}}
-	testParkGate = func(sh *shard) {
-		w.mu.Lock()
-		w.parks[sh]++
-		w.mu.Unlock()
-	}
+	w := &parkWatch{}
+	testParkGate = func() { w.parks.Add(1) }
 	t.Cleanup(func() { testParkGate = nil })
 	return w
 }
 
-// counts returns how often each of s's shards has parked so far.
-func (w *parkWatch) counts(s *Server) []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = w.parks[sh]
-	}
-	return out
-}
+// count returns how often the dispatcher has parked so far.
+func (w *parkWatch) count() int { return int(w.parks.Load()) }
 
-// wait returns once every shard of s has parked more often than since
-// says (nil: at all) and is parked now.
-func (w *parkWatch) wait(t *testing.T, s *Server, since []int) {
+// wait returns once s's dispatcher has parked and is parked now.
+func (w *parkWatch) wait(t *testing.T, s *Server) {
 	t.Helper()
-	waitUntil(t, "every dispatcher to park", func() bool {
-		for i, n := range w.counts(s) {
-			if (since != nil && n <= since[i]) || n == 0 || !s.shards[i].parked.Load() {
-				return false
-			}
-		}
-		return true
+	waitUntil(t, "the dispatcher to park", func() bool {
+		return w.count() > 0 && s.disp.parked.Load()
 	})
 }
+
+// dispatcherRows names the rows of the tables that once ran at one and
+// at two dispatcher shards. The names stay, so each table keeps its
+// subtests; every row now runs the one dispatcher, with n workers where
+// a row's worker count followed its shard count.
+var dispatcherRows = []struct {
+	name string
+	n    int
+}{{"shards1", 1}, {"shards2", 2}}
 
 // dispatchRings maps each request id to the ring its first EvDispatch
 // was recorded on (the snapshot is in time order).
@@ -91,7 +79,7 @@ func ingressSubmitted(s *Server) uint64 {
 	return n
 }
 
-// TestDoPlacesOnIdleShard: on an idle shard a Do is dispatched by its
+// TestDoPlacesOnIdleShard: on an idle server a Do is dispatched by its
 // caller — the dispatch event is on the client's ring and nothing ever
 // reaches the central queue — while a request already waiting keeps its
 // place: a Do that finds one goes through the policy queue like any
@@ -99,11 +87,10 @@ func ingressSubmitted(s *Server) uint64 {
 // requests queued ahead of it.
 func TestDoPlacesOnIdleShard(t *testing.T) {
 	quietDispatcher(t)
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("idle/shards%d", shards), func(t *testing.T) {
+	for _, row := range dispatcherRows {
+		t.Run("idle/"+row.name, func(t *testing.T) {
 			opts := testOptions(2, 0)
-			opts.Shards = shards
-			opts.Tracer = obs.NewTracerSharded(2, shards, 1<<12)
+			opts.Tracer = obs.NewTracer(2, 1<<12)
 			s := New(&spinHandler{}, opts)
 			s.Start()
 			var ids []uint64
@@ -113,7 +100,7 @@ func TestDoPlacesOnIdleShard(t *testing.T) {
 					t.Fatalf("request %d: err %v, breakdown %v", i, resp.Err, resp.Breakdown)
 				}
 				if d := s.Depths(); d.Central != 0 || d.Submit != 0 {
-					t.Fatalf("request %d went through the shard: depths %+v", i, d)
+					t.Fatalf("request %d went through the dispatcher: depths %+v", i, d)
 				}
 				ids = append(ids, resp.ID)
 			}
@@ -132,12 +119,12 @@ func TestDoPlacesOnIdleShard(t *testing.T) {
 		// alone moves tasks, and the worker is idle throughout.
 		s := New(&blockingHandler{release: make(chan struct{})}, testOptions(1, 0))
 		s.started.Store(true)
-		sh, probe := s.shards[0], newTask()
+		probe := newTask()
 		waiting := s.Submit(hintedSpin{hint: time.Millisecond})
 		if s.place(probe) >= 0 {
 			t.Fatal("placed past a request in the ingress buffer")
 		}
-		s.ingest(sh, <-sh.submit)
+		s.ingest(<-s.disp.submit)
 		if s.place(probe) >= 0 {
 			t.Fatal("placed past a request in the policy queue")
 		}
@@ -179,8 +166,8 @@ func TestDoPlacesOnIdleShard(t *testing.T) {
 		if resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
-		if ring := dispatchRings(opts.Tracer)[resp.ID]; ring != obs.DispatcherWriter(0) {
-			t.Fatalf("queued Do dispatched from ring %d, want the dispatcher's %d", ring, obs.DispatcherWriter(0))
+		if ring := dispatchRings(opts.Tracer)[resp.ID]; ring != obs.WriterDispatcher {
+			t.Fatalf("queued Do dispatched from ring %d, want the dispatcher's %d", ring, obs.WriterDispatcher)
 		}
 		h.order.mu.Lock()
 		got := append([]time.Duration(nil), h.order.hints...)
@@ -241,8 +228,8 @@ func TestPlaceDoesNotOvertakeIngestingTask(t *testing.T) {
 			if r1.Err != nil || r2.Err != nil {
 				t.Fatal(r1.Err, r2.Err)
 			}
-			if ring := dispatchRings(opts.Tracer)[r2.ID]; ring != obs.DispatcherWriter(0) {
-				t.Fatalf("second request dispatched from ring %d, want the dispatcher's %d", ring, obs.DispatcherWriter(0))
+			if ring := dispatchRings(opts.Tracer)[r2.ID]; ring != obs.WriterDispatcher {
+				t.Fatalf("second request dispatched from ring %d, want the dispatcher's %d", ring, obs.WriterDispatcher)
 			}
 			h.order.mu.Lock()
 			got := fmt.Sprint(h.order.hints)
@@ -254,10 +241,10 @@ func TestPlaceDoesNotOvertakeIngestingTask(t *testing.T) {
 	}
 }
 
-// TestParkedDispatcherWakes starts each row from parked dispatchers and
-// wakes them one way: a submission, Stop, the drain abort, or a
-// sibling's backlog — and one row, a polling slice, needs no wake at
-// all: its preemption arrives with the dispatcher still parked. A
+// TestParkedDispatcherWakes starts each row from a parked dispatcher and
+// wakes it one way: a submission, Stop, or the drain abort — and one
+// row, a polling slice, needs no wake at all: its preemption arrives
+// with the dispatcher still parked. A
 // wake-up that does not arrive shows as a request never answered or a
 // Stop that hangs; every row also ends on Submitted == Completed.
 func TestParkedDispatcherWakes(t *testing.T) {
@@ -287,11 +274,13 @@ func TestParkedDispatcherWakes(t *testing.T) {
 			t.Fatal("Stop hung")
 		}
 	}
+	// Each row runs once per worker count in workers, under the names of
+	// dispatcherRows.
 	rows := []struct {
-		name   string
-		shards []int
-		tune   func(*Options)
-		wake   func(t *testing.T, s *Server, h *yieldHandler, parks *parkWatch)
+		name    string
+		workers []int
+		tune    func(*Options)
+		wake    func(t *testing.T, s *Server, h *yieldHandler, parks *parkWatch)
 	}{
 		{"Submit", []int{1, 2}, nil, func(t *testing.T, s *Server, _ *yieldHandler, _ *parkWatch) {
 			if resp := answered(t, s.Submit(yieldReq{})); resp.Err != nil {
@@ -313,10 +302,10 @@ func TestParkedDispatcherWakes(t *testing.T) {
 			// before the slice has timed itself out: when the yield reaches
 			// the requeue, ahead of the re-submit that does wake it, the
 			// dispatcher is still in the park it was in before the Do.
-			before := parks.counts(s)[0]
+			before := parks.count()
 			var woken atomic.Bool
 			testRequeueGate = func() {
-				if !s.shards[0].parked.Load() || parks.counts(s)[0] != before {
+				if !s.disp.parked.Load() || parks.count() != before {
 					woken.Store(true)
 				}
 			}
@@ -361,42 +350,19 @@ func TestParkedDispatcherWakes(t *testing.T) {
 					t.Fatalf("err %v, want ErrServerStopped", resp.Err)
 				}
 			}},
-		{"sibling-backlog", []int{2, 4}, nil, func(t *testing.T, s *Server, h *yieldHandler, _ *parkWatch) {
-			// Everything lands on shard 0, whose one worker a blocker
-			// holds: only a sibling can run the rest, and it is parked.
-			onShard0 := func() { s.rr.Store(uint64(len(s.shards) - 1)) }
-			onShard0()
-			blocked := s.Submit("block")
-			waitUntil(t, "the blocker to hold shard 0's worker", func() bool { return s.Depths().Workers[0] == 1 })
-			var backlog []<-chan Response
-			for i := 0; i < 3; i++ {
-				onShard0()
-				backlog = append(backlog, s.Submit(yieldReq{}))
-			}
-			for _, ch := range backlog {
-				if resp := answered(t, ch); resp.Err != nil {
-					t.Fatal(resp.Err)
-				}
-			}
-			if s.Stats().Steals == 0 {
-				t.Fatal("backlog answered without a steal")
-			}
-			close(h.release)
-			answered(t, blocked)
-		}},
 	}
 	for _, row := range rows {
-		for _, shards := range row.shards {
-			t.Run(fmt.Sprintf("%s/shards%d", row.name, shards), func(t *testing.T) {
+		for _, workers := range row.workers {
+			t.Run(fmt.Sprintf("%s/%s", row.name, dispatcherRows[workers-1].name), func(t *testing.T) {
 				parks := watchParks(t)
 				h := &yieldHandler{release: make(chan struct{})}
-				opts := Options{Workers: shards, Shards: shards, Quantum: time.Hour, QueueBound: 1}
+				opts := Options{Workers: workers, Quantum: time.Hour, QueueBound: 1}
 				if row.tune != nil {
 					row.tune(&opts)
 				}
 				s := New(h, opts)
 				s.Start()
-				parks.wait(t, s, nil)
+				parks.wait(t, s)
 				row.wake(t, s, h, parks)
 				stopWithin(t, s)
 				if st := s.Stats(); st.Submitted != st.Completed {
@@ -407,8 +373,8 @@ func TestParkedDispatcherWakes(t *testing.T) {
 	}
 }
 
-// TestParkedStartLifecycle runs the lifecycle tables once more with
-// every dispatcher parked before the first submission.
+// TestParkedStartLifecycle runs the lifecycle tables once more with the
+// dispatcher parked before the first submission.
 func TestParkedStartLifecycle(t *testing.T) {
 	for _, onDispatcher := range []bool{false, true} {
 		t.Run(fmt.Sprintf("onDispatcher=%v", onDispatcher), func(t *testing.T) {
@@ -418,21 +384,21 @@ func TestParkedStartLifecycle(t *testing.T) {
 }
 
 // TestSelfTimedSliceWithoutDispatcher: a slice needs no dispatcher to
-// end it. Every dispatcher is held inside its park gate — not merely
+// end it. The dispatcher is held inside its park gate — not merely
 // parked, where a wake could still reach it, but stopped — until the
 // request has yielded; the request is placed by its Do caller and polls
 // until its 100µs quantum runs out. It yields all the same, and once the
-// dispatchers are let go it is answered exactly once. A runtime whose
+// dispatcher is let go it is answered exactly once. A runtime whose
 // dispatcher must signal the slice never yields here: the request gives
 // up after awaitSignal's half minute and answers with that error.
 func TestSelfTimedSliceWithoutDispatcher(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+	for _, row := range dispatcherRows {
+		t.Run(row.name, func(t *testing.T) {
 			var held atomic.Int32
 			var once sync.Once
 			yielded := make(chan struct{})
 			release := func() { once.Do(func() { close(yielded) }) }
-			testParkGate = func(*shard) {
+			testParkGate = func() {
 				held.Add(1)
 				<-yielded
 			}
@@ -442,9 +408,9 @@ func TestSelfTimedSliceWithoutDispatcher(t *testing.T) {
 				testParkGate, testRequeueGate = nil, nil
 			})
 
-			s := New(&yieldHandler{}, Options{Workers: shards, Shards: shards, Quantum: 100 * time.Microsecond, QueueBound: 1})
+			s := New(&yieldHandler{}, Options{Workers: row.n, Quantum: 100 * time.Microsecond, QueueBound: 1})
 			s.Start()
-			waitUntil(t, "every dispatcher to be held in its park", func() bool { return held.Load() == int32(shards) })
+			waitUntil(t, "the dispatcher to be held in its park", func() bool { return held.Load() == 1 })
 			answer := make(chan Response, 2)
 			go func() { answer <- s.Do(yieldReq{yields: 1, await: true}) }()
 			var resp Response
@@ -456,7 +422,7 @@ func TestSelfTimedSliceWithoutDispatcher(t *testing.T) {
 			release() // already, unless the request gave up waiting
 			s.Stop()
 			if resp.Err != nil || resp.Preemptions < 1 {
-				t.Fatalf("err %v, %d preemptions, want at least one with every dispatcher held", resp.Err, resp.Preemptions)
+				t.Fatalf("err %v, %d preemptions, want at least one with the dispatcher held", resp.Err, resp.Preemptions)
 			}
 			if len(answer) != 0 {
 				t.Fatal("request answered twice")
@@ -487,14 +453,13 @@ func (p *occProbe) Handle(ctx *Ctx, payload any) (any, error) {
 // watcher sees it, nor as a request on its worker does. Both placers
 // must have placed for the row to count.
 func TestPlaceRacesDispatcherJBSQBound(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+	for _, row := range dispatcherRows {
+		t.Run(row.name, func(t *testing.T) {
 			// Sized so that reserving with a plain Add instead of the
 			// compare-and-swap fails here in most runs.
 			const workers, doers, submitters, perClient = 2, 6, 2, 2000
 			opts := testOptions(workers, 0)
-			opts.Shards = shards
-			opts.Tracer = obs.NewTracerSharded(workers, shards, 1<<14)
+			opts.Tracer = obs.NewTracer(workers, 1<<14)
 			p := &occProbe{}
 			s := New(p, opts)
 			s.Start()
@@ -578,26 +543,24 @@ func TestPlaceRacesDispatcherJBSQBound(t *testing.T) {
 // is accounted for: submitted + rejected = 1, and submitted = completed,
 // which counts expired and aborted requests too (there are none).
 func TestPlaceRacesStopGated(t *testing.T) {
-	for _, shards := range []int{1, 2} {
+	for _, row := range dispatcherRows {
 		for _, try := range []bool{false, true} {
 			for _, afterStop := range []bool{false, true} {
-				t.Run(fmt.Sprintf("shards%d/trydo=%v/afterStop=%v", shards, try, afterStop), func(t *testing.T) {
-					placeRacesStop(t, shards, try, afterStop)
+				t.Run(fmt.Sprintf("%s/trydo=%v/afterStop=%v", row.name, try, afterStop), func(t *testing.T) {
+					placeRacesStop(t, try, afterStop)
 				})
 			}
 		}
 	}
 }
 
-func placeRacesStop(t *testing.T, shards int, try, afterStop bool) {
+func placeRacesStop(t *testing.T, try, afterStop bool) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var gated sync.Once
 	testPlaceGate = func() { gated.Do(func() { close(entered); <-release }) }
 	defer func() { testPlaceGate = nil }()
 
-	opts := testOptions(2, 0)
-	opts.Shards = shards
-	s := New(&spinHandler{}, opts)
+	s := New(&spinHandler{}, testOptions(2, 0))
 	s.Start()
 
 	answered := make(chan Response, 2)
@@ -653,15 +616,14 @@ func placeRacesStop(t *testing.T, shards int, try, afterStop bool) {
 // hand-off and no queue wait to time — its arrival is its first slice's
 // start — so, traced, its Breakdown is all service: Handoff, Queue and
 // Preempted are exactly 0, and Breakdown.Service and Response.Service
-// both equal Latency. Do and TryDo, at one and two shards; that every
-// request was placed is checked, not assumed: none took the ingress.
+// both equal Latency. Do and TryDo; that every request was placed is
+// checked, not assumed: none took the ingress.
 func TestPlacedBreakdownExact(t *testing.T) {
-	for _, shards := range []int{1, 2} {
+	for _, row := range dispatcherRows {
 		for _, try := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards%d/trydo=%v", shards, try), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/trydo=%v", row.name, try), func(t *testing.T) {
 				opts := testOptions(2, 0)
-				opts.Shards = shards
-				opts.Tracer = obs.NewTracerSharded(2, shards, 1<<12)
+				opts.Tracer = obs.NewTracer(2, 1<<12)
 				s := New(yieldTimesHandler{}, opts)
 				s.Start()
 				defer s.Stop()
@@ -694,10 +656,10 @@ func TestPlacedBreakdownExact(t *testing.T) {
 // callback is never called. Every request was placed: none took the
 // ingress, and every one is counted completed.
 func TestPlacedYieldingAnswersOnce(t *testing.T) {
-	for _, shards := range []int{1, 2} {
+	for _, row := range dispatcherRows {
 		for _, try := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards%d/trydo=%v", shards, try), func(t *testing.T) {
-				s := New(yieldTimesHandler{}, Options{Workers: 2, Shards: shards, Quantum: time.Hour})
+			t.Run(fmt.Sprintf("%s/trydo=%v", row.name, try), func(t *testing.T) {
+				s := New(yieldTimesHandler{}, Options{Workers: 2, Quantum: time.Hour})
 				s.Start()
 				yields := []yieldTimes{1, 5, 1, 5}
 				for i, k := range yields {
@@ -745,7 +707,7 @@ func (gatedYieldHandler) Handle(ctx *Ctx, payload any) (any, error) {
 // queued when the drain deadline passes is retired: resumed with the
 // abort on its caller's goroutine, unwound, and answered ErrServerStopped
 // on that channel, exactly once, and counted Aborted. The request yields
-// behind a blocker that takes the shard's one worker, so it is queued,
+// behind a blocker that takes the server's one worker, so it is queued,
 // not running, when the deadline passes. Do and TryDo.
 func TestPlacedDetachedRetiredByDrain(t *testing.T) {
 	quietDispatcher(t)

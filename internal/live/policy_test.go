@@ -1,12 +1,15 @@
 package live
 
 // Scheduling-discipline coverage: what arms the class-aware quantum
-// shrink, an SRPT pop-order property across mixed bands, SRPT run order
-// on one worker, and lifecycle invariants across shard counts.
+// shrink, an SRPT pop-order property across mixed bands, SRPT and FCFS
+// run order on one worker, and lifecycle invariants under random SRPT
+// mixes.
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,12 +36,11 @@ func TestObserversDoNotArmClassPreemption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opts.Quantum = base
 			s := New(&spinHandler{}, tc.opts)
-			sh := s.shards[0]
-			if s.critShrink(sh) {
+			if s.critShrink() {
 				t.Fatal("shrink on with no critical request queued")
 			}
-			sh.q.Push(&task{taskState: taskState{class: uint8(ClassCritical)}})
-			shrink := s.critShrink(sh)
+			s.disp.q.Push(&task{taskState: taskState{class: uint8(ClassCritical)}})
+			shrink := s.critShrink()
 			if shrink != tc.armed {
 				t.Fatalf("critShrink with a critical request queued = %v, want %v", shrink, tc.armed)
 			}
@@ -192,18 +194,18 @@ func TestSRPTSingleWorkerMixProperty(t *testing.T) {
 	}
 }
 
-// TestSRPTShardedMixInvariants: the same random mixes across shard
-// counts keep the lifecycle invariants (exactly one response per
-// submission, Submitted == Completed) — ordering is per-shard and
-// perturbed by stealing, so only the invariants are global.
+// TestSRPTShardedMixInvariants: random mixes on four workers keep the
+// lifecycle invariants (exactly one response per submission, Submitted
+// == Completed). The rows keep the names of the shard counts they once
+// ran at; each seeds a mix of its own.
 func TestSRPTShardedMixInvariants(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(shardName(shards), func(t *testing.T) {
-			o := shardedOptions(4, shards, 100*time.Microsecond)
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards-%d", n), func(t *testing.T) {
+			o := testOptions(4, 100*time.Microsecond)
 			o.Policy = PolicySRPT
 			s := New(&spinHandler{}, o)
 			s.Start()
-			rng := rand.New(rand.NewSource(int64(shards) * 1313))
+			rng := rand.New(rand.NewSource(int64(n) * 1313))
 			const n = 200
 			var chans []<-chan Response
 			for i := 0; i < n; i++ {
@@ -226,5 +228,119 @@ func TestSRPTShardedMixInvariants(t *testing.T) {
 				t.Fatalf("submitted %d != completed %d; stats %+v", st.Submitted, st.Completed, st)
 			}
 		})
+	}
+}
+
+// blockingHandler parks handler goroutines on a channel so tests can
+// hold workers busy deterministically.
+type blockingHandler struct {
+	release chan struct{}
+	order   struct {
+		mu    sync.Mutex
+		hints []time.Duration
+	}
+}
+
+func (h *blockingHandler) Setup()          {}
+func (h *blockingHandler) SetupWorker(int) {}
+func (h *blockingHandler) Handle(ctx *Ctx, payload any) (any, error) {
+	switch p := payload.(type) {
+	case string: // "block"
+		<-h.release
+		return p, nil
+	case hintedSpin:
+		h.order.mu.Lock()
+		h.order.hints = append(h.order.hints, p.hint)
+		h.order.mu.Unlock()
+		return p.hint, nil
+	default:
+		return payload, nil
+	}
+}
+
+// hintedSpin is a payload carrying an SRPT service hint.
+type hintedSpin struct {
+	hint time.Duration
+}
+
+func (p hintedSpin) ServiceHint() time.Duration { return p.hint }
+
+// TestSRPTLiveOrdering: with one worker held busy, queued hinted
+// requests must run shortest-remaining-first once the worker frees up.
+func TestSRPTLiveOrdering(t *testing.T) {
+	quietDispatcher(t)
+	h := &blockingHandler{release: make(chan struct{})}
+	o := testOptions(1, 0)
+	o.Policy = PolicySRPT
+	o.QueueBound = 1
+	s := New(h, o)
+	s.Start()
+
+	blocked := s.Submit("block")
+	waitUntil(t, "the blocker to hold the worker", func() bool { return s.Depths().Workers[0] == 1 })
+
+	hints := []time.Duration{400, 100, 300, 200} // microseconds, submitted out of order
+	var chans []<-chan Response
+	for _, us := range hints {
+		chans = append(chans, s.Submit(hintedSpin{hint: us * time.Microsecond}))
+	}
+	waitUntil(t, "all four to reach the central queue", func() bool { return s.Depths().Central == len(chans) })
+	close(h.release)
+	<-blocked
+	for _, ch := range chans {
+		if resp := <-ch; resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	s.Stop()
+
+	h.order.mu.Lock()
+	got := append([]time.Duration(nil), h.order.hints...)
+	h.order.mu.Unlock()
+	want := []time.Duration{100, 200, 300, 400}
+	if len(got) != len(want) {
+		t.Fatalf("ran %d hinted requests, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i]*time.Microsecond {
+			t.Fatalf("SRPT run order %v, want %v µs", got, want)
+		}
+	}
+}
+
+// TestFCFSIgnoresHints: the same out-of-order submission under FCFS must
+// run in arrival order — hints are policy-scoped, not a global reorder.
+func TestFCFSIgnoresHints(t *testing.T) {
+	quietDispatcher(t)
+	h := &blockingHandler{release: make(chan struct{})}
+	o := testOptions(1, 0)
+	o.QueueBound = 1
+	s := New(h, o)
+	s.Start()
+
+	blocked := s.Submit("block")
+	waitUntil(t, "the blocker to hold the worker", func() bool { return s.Depths().Workers[0] == 1 })
+	hints := []time.Duration{400, 100, 300, 200}
+	var chans []<-chan Response
+	for _, us := range hints {
+		chans = append(chans, s.Submit(hintedSpin{hint: us * time.Microsecond}))
+	}
+	waitUntil(t, "all four to reach the central queue", func() bool { return s.Depths().Central == len(chans) })
+	close(h.release)
+	<-blocked
+	for _, ch := range chans {
+		if resp := <-ch; resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	s.Stop()
+
+	h.order.mu.Lock()
+	got := append([]time.Duration(nil), h.order.hints...)
+	h.order.mu.Unlock()
+	for i, us := range hints {
+		if got[i] != us*time.Microsecond {
+			t.Fatalf("FCFS run order %v, want submission order %v µs", got, hints)
+		}
 	}
 }

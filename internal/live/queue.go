@@ -1,13 +1,16 @@
 // Scheduling-policy layer: the central queue. All queue order decisions
 // live behind internal/policy.Queue[*task] (FCFS or SRPT, selected by
-// Options.Policy); this file only adapts that single-goroutine
-// interface for shard-concurrent access and bolts on what the policies
-// deliberately don't know about: deadlines.
+// Options.Policy); this file bolts on what the policies deliberately
+// don't know about: deadlines, and the length mirrors read off the
+// dispatcher. Like the policy queue it takes no lock: only the
+// goroutine holding the dispatcher identity calls its methods, and that
+// identity changes goroutine only through a go statement or a channel
+// hand-off (adopt, runSlice), both of which order the accesses.
 //
 // Expiry uses a deadline min-heap plus tombstones instead of scanning:
 // the old dispatcher swept the whole FIFO every millisecond (O(n)
 // per sweep, O(n·m) per request lifetime at depth n) and spliced
-// mid-slice on work-conserving steals. Here the sweep pops only
+// mid-slice when it ran a queued request itself. Here the sweep pops only
 // already-expired heap heads (O(log n) each), the popped task is marked
 // dead in place, and the policy queue drops tombstones lazily on Pop —
 // no mid-structure removal ever happens, so dispatch cost stays flat
@@ -19,7 +22,6 @@
 package live
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"concord/internal/policy"
@@ -32,13 +34,10 @@ type dlEntry struct {
 	t   *task
 }
 
-// centralQueue is one shard's run queue: a policy.Queue[*task] under a
-// mutex (the owning dispatcher pushes and pops; sibling shards pop
-// non-started tasks when stealing), a deadline min-heap, and an atomic
-// live-length mirror that Depths and steal-victim selection read
-// without the lock.
+// centralQueue is the dispatcher's run queue: a policy.Queue[*task], a
+// deadline min-heap, and atomic mirrors of its live length that place,
+// Poll and Depths read from other goroutines.
 type centralQueue struct {
-	mu sync.Mutex
 	q  policy.Queue[*task]
 	dl []dlEntry
 	// length counts live (non-tombstoned) queued tasks.
@@ -58,27 +57,19 @@ func newCentralQueue(name string) (*centralQueue, error) {
 	return &centralQueue{q: q}, nil
 }
 
-// Len returns the live queue length without taking the lock.
+// Len returns the live queue length; any goroutine may call it.
 func (c *centralQueue) Len() int { return int(c.length.Load()) }
 
-// CriticalLen returns the live queued ClassCritical count without
-// taking the lock.
+// CriticalLen returns the live queued ClassCritical count; any goroutine
+// may call it.
 func (c *centralQueue) CriticalLen() int { return int(c.critical.Load()) }
 
-// Push enqueues t. The caller must have finished all writes to the
-// task: once inside, a sibling shard may pop it.
+// Push is the one place a task enters the policy queue: deadline-heap
+// entry and the length/critical mirrors.
 func (c *centralQueue) Push(t *task) {
-	c.mu.Lock()
-	c.put(t)
-	c.mu.Unlock()
-}
-
-// put is the one place a task enters the policy queue: deadline-heap
-// entry and the length/critical mirrors. Callers hold mu.
-func (c *centralQueue) put(t *task) {
 	c.q.Push(t, t.started)
 	if t.deadline != 0 {
-		c.dlPush(dlEntry{at: t.deadline, gen: t.gen.Load(), t: t})
+		c.dlPush(dlEntry{at: t.deadline, gen: t.gen, t: t})
 	}
 	c.mirror(t, 1)
 }
@@ -94,9 +85,8 @@ func (c *centralQueue) mirror(t *task, n int64) {
 
 // take is the one place a live task leaves the policy queue: it pops by
 // the discipline — never-started tasks only when nonStarted, what the
-// work-conserving dispatcher may run (§3.3) and sibling shards may steal
-// — discarding tombstones (expired by the sweep while queued) on the
-// way. Callers hold mu.
+// work-conserving dispatcher may run (§3.3) — discarding tombstones
+// (expired by the sweep while queued) on the way.
 func (c *centralQueue) take(nonStarted bool) (*task, bool) {
 	for {
 		var t *task
@@ -112,34 +102,17 @@ func (c *centralQueue) take(nonStarted bool) (*task, bool) {
 		if t.dead {
 			continue
 		}
-		t.gen.Add(1) // its heap entry, if any, is stale from here on
+		t.gen++ // its heap entry, if any, is stale from here on
 		c.mirror(t, -1)
 		return t, true
 	}
 }
 
 // Pop removes and returns the next live task per the discipline.
-func (c *centralQueue) Pop() (*task, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.take(false)
-}
+func (c *centralQueue) Pop() (*task, bool) { return c.take(false) }
 
 // PopNonStarted removes and returns the next live never-started task.
-func (c *centralQueue) PopNonStarted() (*task, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.take(true)
-}
-
-// drain takes every live task in discipline order. Callers hold mu.
-func (c *centralQueue) drain() []*task {
-	var out []*task
-	for t, ok := c.take(false); ok; t, ok = c.take(false) {
-		out = append(out, t)
-	}
-	return out
-}
+func (c *centralQueue) PopNonStarted() (*task, bool) { return c.take(true) }
 
 // SweepExpired pops every deadline at or before now (a nanotime) off the
 // heap and returns the expired tasks that were still queued,
@@ -147,31 +120,30 @@ func (c *centralQueue) drain() []*task {
 // has left the queue since it was pushed — its gen has moved on — is
 // dropped unread: the task may be running, queued elsewhere, or
 // recycled (a requeue pushes a fresh entry). A current entry's task is
-// in this queue, which mu keeps it in.
+// still in this queue.
 func (c *centralQueue) SweepExpired(now int64) []*task {
-	c.mu.Lock()
 	var out []*task
 	for len(c.dl) > 0 && c.dl[0].at <= now {
 		e := c.dlPop()
-		if e.t.gen.Load() != e.gen {
+		if e.t.gen != e.gen {
 			continue
 		}
-		e.t.gen.Add(1)
+		e.t.gen++
 		e.t.dead = true
 		c.mirror(e.t, -1)
 		out = append(out, e.t)
 	}
-	c.mu.Unlock()
 	return out
 }
 
 // DrainAll removes and returns every live task in discipline order, for
 // abort-mode failPending.
 func (c *centralQueue) DrainAll() []*task {
-	c.mu.Lock()
-	out := c.drain()
+	var out []*task
+	for t, ok := c.take(false); ok; t, ok = c.take(false) {
+		out = append(out, t)
+	}
 	c.dl = c.dl[:0]
-	c.mu.Unlock()
 	return out
 }
 

@@ -129,12 +129,12 @@ func (yieldTimesHandler) Handle(ctx *Ctx, payload any) (any, error) {
 }
 
 // TestSubmitFuncZeroAllocs: a SubmitFunc round trip allocates nothing in
-// steady state, at any shard count — the task comes from the pool, the
-// first slice runs on the worker's own stack and times itself, and the
-// caller brought its own callback — and
-// neither does Do, whether it places its request itself (an idle shard:
-// the response comes back up its stack, through no channel) or goes
-// through the shard's policy queue (every worker slot held, so the
+// steady state — the task comes from the pool, the first slice runs on
+// the worker's own stack and times itself, and the caller brought its
+// own callback — and neither does Do, whether it places its request
+// itself (an idle server: the response comes back up its stack, through
+// no channel) or goes through the policy queue (every worker slot held,
+// so the
 // work-conserving dispatcher runs it; the channel it waits on is
 // pooled), nor TryDo on either of the same two paths. A request that is
 // preempted allocates once however often it yields: the `go` statement
@@ -158,14 +158,10 @@ func TestSubmitFuncZeroAllocs(t *testing.T) {
 		{"one yield", yieldTimes(1), 1},
 		{"five yields", yieldTimes(5), 1},
 	}
-	for _, cfg := range []struct {
-		shards  int
-		timeout time.Duration
-	}{{1, 0}, {2, 0}, {4, 0}, {1, time.Hour}} {
+	for _, cfg := range []struct{ timeout time.Duration }{{0}, {time.Hour}} {
 		// An hour-long quantum: nothing signals but yieldNow. Work
 		// conservation only matters once every worker slot is held.
 		opts := testOptions(4, time.Hour)
-		opts.Shards = cfg.shards
 		opts.RequestTimeout = cfg.timeout
 		s := New(yieldTimesHandler{}, opts)
 		s.Start()

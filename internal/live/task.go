@@ -5,7 +5,6 @@ package live
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"concord/internal/sim"
@@ -149,12 +148,11 @@ type task struct {
 	// every request it carries: a deadline-heap entry records it and is
 	// stale once the two differ (see centralQueue.SweepExpired), so a
 	// recycled task is never expired by an entry from an earlier use.
-	// Only atomics touch it; recycling leaves it alone.
-	gen atomic.Uint64
+	// Only the dispatcher touches it; recycling leaves it alone.
+	gen uint64
 
-	// home is where place starts looking for an idle worker: the index,
-	// in its shard's worker list, of the worker the task was last placed
-	// on. Tasks are pooled per processor, so a caller mostly gets back
+	// home is where place starts looking for an idle worker: the
+	// worker the task was last placed on. Tasks are pooled per processor, so a caller mostly gets back
 	// the task it used last, and callers on different processors keep to
 	// different workers' occupancy lines.
 	home int
@@ -215,7 +213,7 @@ type taskState struct {
 
 	// dead marks a task the deadline sweep expired while it sat in a
 	// policy queue, which still holds it and drops it when it comes up
-	// (see queue.go). Guarded by that queue's mutex.
+	// (see queue.go). Written by the dispatcher only.
 	dead bool
 
 	// runNS is the accumulated running time: every slice charges the

@@ -517,20 +517,67 @@ func TestBinaryClassFrames(t *testing.T) {
 	}
 }
 
+// plug is a request that holds whatever runs it, worker or dispatcher,
+// without polling until release closes; sheddableFill is a sheddable
+// request that does nothing.
+type (
+	plug          struct{}
+	sheddableFill struct{}
+)
+
+func (sheddableFill) SLOClass() live.SLOClass { return live.ClassSheddable }
+
+// pluggableKV is KVHandler plus the plug and fill requests.
+type pluggableKV struct {
+	*KVHandler
+	entered, release chan struct{}
+}
+
+func (h pluggableKV) Handle(ctx *live.Ctx, payload any) (any, error) {
+	switch payload.(type) {
+	case plug:
+		h.entered <- struct{}{}
+		<-h.release
+		return nil, nil
+	case sheddableFill:
+		return nil, nil
+	}
+	return h.KVHandler.Handle(ctx, payload)
+}
+
 // TestBinaryShedOnWire: live.ErrShed crosses the wire as StShed. A
-// one-worker runtime with a tiny ingress buffer is plugged by a long
-// spin, then flooded with pipelined sheddable GETs — the overflow must
-// come back SHED (not OVERLOADED), and every frame is answered.
+// one-worker runtime is plugged — its worker and its dispatcher each run
+// a request that holds them, a third waits in the worker's queue — and
+// its ingress buffer filled with sheddable requests up to the sheddable
+// watermark; then it is flooded with pipelined sheddable GETs behind a
+// SPIN. The overflow must come back SHED (not OVERLOADED), and every
+// frame is answered once the plugs are let go.
 func TestBinaryShedOnWire(t *testing.T) {
 	store := kv.New()
 	store.Put([]byte("k"), []byte("v"))
-	rt := live.New(&KVHandler{Store: store, ScanBatch: 64}, live.Options{
+	h := pluggableKV{KVHandler: &KVHandler{Store: store, ScanBatch: 64},
+		entered: make(chan struct{}, 3), release: make(chan struct{})}
+	rt := live.New(h, live.Options{
 		Workers:        1,
-		SubmitBuffer:   4,
 		ClassAdmission: true,
 		PinThreads:     false,
 	})
 	rt.Start()
+	var once sync.Once
+	release := func() { once.Do(func() { close(h.release) }) }
+	defer release() // before the cleanups, whose Stop waits for the plugs
+	for i := 0; i < 3; i++ {
+		rt.Submit(plug{})
+	}
+	<-h.entered
+	<-h.entered // the worker and the dispatcher are held
+	for full := false; !full; {
+		rt.SubmitFunc(sheddableFill{}, func(r live.Response) {
+			if r.Err == live.ErrShed { // answered at once, on this goroutine
+				full = true
+			}
+		})
+	}
 	s := New(rt, Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -546,14 +593,19 @@ func TestBinaryShedOnWire(t *testing.T) {
 	conn := dial(t, ln)
 	const floods = 64
 	var wire []byte
-	wire = proto.AppendSpinRequest(wire, 1, 20_000) // plug the worker for 20ms
+	wire = proto.AppendSpinRequest(wire, 1, 20_000)
 	for i := uint64(0); i < floods; i++ {
 		wire = proto.AppendClassRequest(wire, proto.OpGet, byte(live.ClassSheddable), 100+i, []byte("k"), nil)
 	}
 	if _, err := conn.Write(wire); err != nil {
 		t.Fatal(err)
 	}
-	got := readResponses(t, proto.NewRespReader(conn, 0), floods+1)
+	rd := proto.NewRespReader(conn, 0)
+	got := readResponses(t, rd, floods) // every GET is refused at once
+	release()
+	for id, r := range readResponses(t, rd, 1) {
+		got[id] = r
+	}
 	if got[1].Status != proto.StOK {
 		t.Fatalf("spin: %+v", got[1])
 	}
@@ -569,7 +621,7 @@ func TestBinaryShedOnWire(t *testing.T) {
 		}
 	}
 	if shed == 0 {
-		t.Fatal("64 sheddable GETs through a 4-slot buffer behind a plugged worker and none were shed")
+		t.Fatal("64 sheddable GETs into an ingress at the sheddable watermark and none were shed")
 	}
 }
 

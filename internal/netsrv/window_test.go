@@ -3,7 +3,6 @@ package netsrv
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -17,12 +16,14 @@ import (
 	"concord/internal/proto"
 )
 
-// eachShardCount runs the test body against a fresh server at 1, 2 and
-// 4 dispatcher shards.
-func eachShardCount(t *testing.T, opts Options, body func(t *testing.T, s *Server, ln net.Listener)) {
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			s, ln := newTestServerLive(t, opts, live.Options{Workers: 4, Shards: shards})
+// onFreshServers runs the test body three times, each against a fresh
+// four-worker server. The rows keep the names of the dispatcher shard
+// counts they once ran at (1, 2 and 4); the server has one dispatcher
+// now, so they repeat the body.
+func onFreshServers(t *testing.T, opts Options, body func(t *testing.T, s *Server, ln net.Listener)) {
+	for _, name := range []string{"shards1", "shards2", "shards4"} {
+		t.Run(name, func(t *testing.T) {
+			s, ln := newTestServerLive(t, opts, live.Options{Workers: 4})
 			body(t, s, ln)
 		})
 	}
@@ -49,7 +50,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // four times over (at most a quarter of it was out when the GET was
 // answered, on two cores, with the dispatchers running requests too).
 func TestFloodHoldsOnlyItsWindow(t *testing.T) {
-	eachShardCount(t, Options{}, func(t *testing.T, s *Server, ln net.Listener) {
+	onFreshServers(t, Options{}, func(t *testing.T, s *Server, ln net.Listener) {
 		const flood = 40 * binaryWindow
 		var peak atomic.Int64
 		stop, sampled := make(chan struct{}), make(chan struct{})
@@ -125,7 +126,7 @@ func TestNeverReadingClientIsClosed(t *testing.T) {
 		{"binary", proto.AppendRequest(nil, proto.OpGet, 1, []byte("big"), nil)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eachShardCount(t, Options{WriteTimeout: 50 * time.Millisecond}, func(t *testing.T, s *Server, ln net.Listener) {
+			onFreshServers(t, Options{WriteTimeout: 50 * time.Millisecond}, func(t *testing.T, s *Server, ln net.Listener) {
 				if resp := s.rt.Do(&Request{Op: proto.OpPut, Key: []byte("big"), Val: big}); resp.Err != nil {
 					t.Fatal(resp.Err)
 				}
@@ -162,7 +163,7 @@ func TestNeverReadingClientIsClosed(t *testing.T) {
 // windows of requests still unanswered. Every frame it sent is answered
 // exactly once, then the server closes.
 func TestHalfOpenMidPipeline(t *testing.T) {
-	eachShardCount(t, Options{}, func(t *testing.T, s *Server, ln net.Listener) {
+	onFreshServers(t, Options{}, func(t *testing.T, s *Server, ln net.Listener) {
 		const frames = 3*binaryWindow + 7
 		conn := dial(t, ln)
 		var wire []byte
@@ -199,7 +200,7 @@ func TestHalfOpenMidPipeline(t *testing.T) {
 // connection — the runtime completes everything it was given, the
 // window comes back whole, nothing is left open.
 func TestResetMidBatch(t *testing.T) {
-	eachShardCount(t, Options{}, func(t *testing.T, s *Server, ln net.Listener) {
+	onFreshServers(t, Options{}, func(t *testing.T, s *Server, ln net.Listener) {
 		const frames = 3 * binaryWindow
 		conn := dial(t, ln)
 		var wire []byte
@@ -306,7 +307,7 @@ func TestReaderAnswersBeforeTornFrame(t *testing.T) {
 // is recorded on the client's ring, none on a dispatcher's.
 func TestReaderRunsPipelinedPointOps(t *testing.T) {
 	const gets = 16
-	tracer := obs.NewTracerSharded(2, 1, 1<<12)
+	tracer := obs.NewTracer(2, 1<<12)
 	_, ln := newTestServerLive(t, Options{Tracer: tracer}, live.Options{Workers: 2, Tracer: tracer})
 	conn := dial(t, ln)
 	var wire []byte

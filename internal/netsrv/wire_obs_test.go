@@ -31,14 +31,13 @@ func testWirePartition(t *testing.T, depth int) {
 		workers = 2
 		reqs    = 200
 	)
-	tracer := obs.NewTracerSharded(workers, 1, 4096)
+	tracer := obs.NewTracer(workers, 4096)
 	store := kv.New()
 	for i := 0; i < 100; i++ {
 		store.Put([]byte(fmt.Sprintf("key%03d", i)), []byte("value"))
 	}
 	rt := live.New(&KVHandler{Store: store, ScanBatch: 64}, live.Options{
 		Workers: workers,
-		Shards:  1,
 		Tracer:  tracer,
 	})
 	rt.Start()

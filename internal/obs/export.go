@@ -6,43 +6,37 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
-// shardTIDBase offsets dispatcher shards ≥ 1 into their own Chrome
-// thread-id range, far above any plausible worker count, so the
-// historical worker tids (2+w) never collide with shard dispatchers.
-const shardTIDBase = 1 << 16
+// netTID is the network frontend's Chrome thread id, far above any
+// worker's.
+const netTID = 1 << 17
 
 // tid maps a writer id onto a stable Chrome thread id: clients/ingress
-// on 0, the shard-0 dispatcher on 1, worker w on 2+w, dispatcher shard
-// s ≥ 1 on shardTIDBase+s, and the network frontend on 2*shardTIDBase.
+// on 0, the dispatcher on 1, worker w on 2+w, and the network frontend
+// on netTID.
 func tid(writer int) int {
-	switch {
-	case writer == WriterClient:
+	switch writer {
+	case WriterClient:
 		return 0
-	case writer == WriterDispatcher:
+	case WriterDispatcher:
 		return 1
-	case writer == WriterNet:
-		return 2 * shardTIDBase
-	case writer <= -3:
-		return shardTIDBase + dispatcherShard(writer)
+	case WriterNet:
+		return netTID
 	default:
 		return 2 + writer
 	}
 }
 
 func tidName(writer int) string {
-	switch {
-	case writer == WriterClient:
+	switch writer {
+	case WriterClient:
 		return "clients"
-	case writer == WriterDispatcher:
+	case WriterDispatcher:
 		return "dispatcher"
-	case writer == WriterNet:
+	case WriterNet:
 		return "net"
-	case writer <= -3:
-		return fmt.Sprintf("dispatcher %d", dispatcherShard(writer))
 	default:
 		return fmt.Sprintf("worker %d", writer)
 	}
@@ -90,17 +84,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			out = append(out, metaThread(writer))
 			delete(seen, writer)
 		}
-	}
-	var shardWriters []int
-	for w := range seen {
-		if w <= -3 {
-			shardWriters = append(shardWriters, w)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(shardWriters))) // -3, -4, … = shard 1, 2, …
-	for _, w := range shardWriters {
-		out = append(out, metaThread(w))
-		delete(seen, w)
 	}
 	for wkr := 0; ; wkr++ {
 		if len(seen) == 0 {

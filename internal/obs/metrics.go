@@ -34,7 +34,7 @@ type StatJoin uint8
 
 const (
 	// JoinComma prints every member's value, comma-separated in
-	// registration order (per-class, per-worker, per-shard fields).
+	// registration order (per-class and per-worker fields).
 	JoinComma StatJoin = iota
 	// JoinSum prints the sum of the members' values.
 	JoinSum

@@ -9,8 +9,8 @@
 //
 // # Ring design
 //
-// Each writer (one per worker, one per dispatcher shard, one shared by
-// client goroutines calling Submit) owns a power-of-two ring of slots.
+// Each writer (one per worker, one for the dispatcher, one shared by
+// client goroutines calling Submit, one for the network frontend) owns a power-of-two ring of slots.
 // A writer claims a ticket with one atomic fetch-add, claims the slot by
 // moving its sequence from an earlier lap's published (even) value to
 // this ticket's odd value (write in progress) with one compare-and-swap,
@@ -110,36 +110,11 @@ const (
 )
 
 // Writer ids for the non-worker rings. Worker w writes ring w.
-// WriterNet sits far outside the dispatcher-shard id space -(s+2), which
-// grows downward from -3.
 const (
 	WriterDispatcher = -1
 	WriterClient     = -2
 	WriterNet        = -(1 << 20) // network frontend (reader loops + flushers)
 )
-
-// DispatcherWriter returns the writer id for dispatcher shard s. Shard
-// 0 is WriterDispatcher, so single-shard servers keep the historical
-// id; shard s ≥ 1 maps to -(s+2), below WriterClient. Each shard's
-// dispatcher goroutine is a distinct writer and must own its own ring.
-func DispatcherWriter(s int) int {
-	if s == 0 {
-		return WriterDispatcher
-	}
-	return -(s + 2)
-}
-
-// dispatcherShard inverts DispatcherWriter; -1 when the writer is not a
-// dispatcher.
-func dispatcherShard(writer int) int {
-	switch {
-	case writer == WriterDispatcher:
-		return 0
-	case writer <= -3 && writer != WriterNet:
-		return -writer - 2
-	}
-	return -1
-}
 
 // Event is one decoded lifecycle event.
 type Event struct {
@@ -189,32 +164,20 @@ func (r *ring) write(n uint64, ts int64, kind Kind, req uint64, arg int64) {
 	s.seq.Store(2 * (n + 1)) // publish
 }
 
-// Tracer owns the per-writer rings. Create one with NewTracer (or
-// NewTracerSharded for a multi-shard server) and hand it to
-// live.Options.Tracer; Workers and Shards must match the server's.
+// Tracer owns the per-writer rings. Create one with NewTracer and hand
+// it to live.Options.Tracer; Workers must match the server's.
 type Tracer struct {
 	epoch   time.Time
 	workers int
-	shards  int
-	rings   []*ring // workers, then one per dispatcher shard, then client, then net
+	rings   []*ring // workers, then dispatcher, client and net
 }
 
-// NewTracer builds a tracer for a single-dispatcher server with the
-// given worker count. ringSize is the per-writer capacity in events,
-// rounded up to a power of two; <=0 selects the default 4096.
+// NewTracer builds a tracer for a server with the given worker count.
+// ringSize is the per-writer capacity in events, rounded up to a power
+// of two; <=0 selects the default 4096.
 func NewTracer(workers, ringSize int) *Tracer {
-	return NewTracerSharded(workers, 1, ringSize)
-}
-
-// NewTracerSharded builds a tracer for a server with the given worker
-// and dispatcher-shard counts: every shard's dispatcher is its own
-// writer (the rings are strictly single-writer).
-func NewTracerSharded(workers, shards, ringSize int) *Tracer {
 	if workers < 1 {
 		workers = 1
-	}
-	if shards < 1 {
-		shards = 1
 	}
 	if ringSize <= 0 {
 		ringSize = 4096
@@ -223,8 +186,8 @@ func NewTracerSharded(workers, shards, ringSize int) *Tracer {
 	for size < ringSize {
 		size <<= 1
 	}
-	t := &Tracer{epoch: time.Now(), workers: workers, shards: shards}
-	t.rings = make([]*ring, workers+shards+2)
+	t := &Tracer{epoch: time.Now(), workers: workers}
+	t.rings = make([]*ring, workers+3)
 	for i := range t.rings {
 		t.rings[i] = &ring{slots: make([]slot, size)}
 	}
@@ -234,21 +197,17 @@ func NewTracerSharded(workers, shards, ringSize int) *Tracer {
 // Workers returns the worker count the tracer was built for.
 func (t *Tracer) Workers() int { return t.workers }
 
-// Shards returns the dispatcher-shard count the tracer was built for.
-func (t *Tracer) Shards() int { return t.shards }
-
-// ringFor maps a writer id to its ring index.
+// ringFor maps a writer id to its ring.
 func (t *Tracer) ringFor(writer int) *ring {
-	if writer >= 0 {
-		return t.rings[writer]
-	}
 	switch writer {
+	case WriterDispatcher:
+		return t.rings[t.workers]
 	case WriterClient:
-		return t.rings[t.workers+t.shards]
+		return t.rings[t.workers+1]
 	case WriterNet:
-		return t.rings[t.workers+t.shards+1]
+		return t.rings[t.workers+2]
 	}
-	return t.rings[t.workers+dispatcherShard(writer)]
+	return t.rings[writer]
 }
 
 // Record appends one event to the writer's ring. It never allocates and
@@ -275,13 +234,8 @@ func (t *Tracer) Snapshot() []Event {
 	var out []Event
 	for ri, r := range t.rings {
 		writer := ri
-		switch {
-		case ri == t.workers+t.shards+1:
-			writer = WriterNet
-		case ri == t.workers+t.shards:
-			writer = WriterClient
-		case ri >= t.workers:
-			writer = DispatcherWriter(ri - t.workers)
+		if ri >= t.workers {
+			writer = [...]int{WriterDispatcher, WriterClient, WriterNet}[ri-t.workers]
 		}
 		size := uint64(len(r.slots))
 		pos := r.pos.Load()

@@ -216,15 +216,15 @@ func TestRingLappedWriterNeverPublishesClaimedSlot(t *testing.T) {
 
 // TestNetWriterRoundTrip: the net frontend has its own ring behind the
 // client ring; the wire event kinds survive the seqlock round trip and
-// never leak into the client, worker, or shard-dispatcher rings.
+// never leak into the client, worker, or dispatcher rings.
 func TestNetWriterRoundTrip(t *testing.T) {
-	tr := NewTracerSharded(2, 2, 64)
+	tr := NewTracer(2, 64)
 	tr.Record(WriterNet, EvFrameRead, 7, 0)
 	tr.Record(WriterNet, EvParsed, 7, 0)
 	tr.Record(WriterNet, EvFlushQueued, 7, 0)
 	tr.Record(WriterNet, EvFlushed, 7, 3)
 	tr.Record(WriterClient, EvSubmit, 7, 0)
-	tr.Record(DispatcherWriter(1), EvDispatch, 7, 0)
+	tr.Record(WriterDispatcher, EvDispatch, 7, 0)
 	tr.Record(1, EvStart, 7, 1)
 	byRing := map[int][]Event{}
 	for _, e := range tr.Snapshot() {
@@ -243,7 +243,7 @@ func TestNetWriterRoundTrip(t *testing.T) {
 	if net[3].Arg != 3 {
 		t.Fatalf("flushed batch-size arg = %d, want 3", net[3].Arg)
 	}
-	if len(byRing[WriterClient]) != 1 || len(byRing[DispatcherWriter(1)]) != 1 || len(byRing[1]) != 1 {
+	if len(byRing[WriterClient]) != 1 || len(byRing[WriterDispatcher]) != 1 || len(byRing[1]) != 1 {
 		t.Fatalf("net events polluted other rings: %+v", byRing)
 	}
 }
@@ -269,99 +269,42 @@ func TestRecordAtRetroactive(t *testing.T) {
 	}
 }
 
-// TestNetWriterDistinct: the net writer id must never collide with a
-// shard dispatcher's, and the shard decoder must not claim it.
+// TestNetWriterDistinct: the net writer id never collides with the
+// dispatcher's, the client's or any worker's, and each of them records
+// to a ring of its own.
 func TestNetWriterDistinct(t *testing.T) {
-	for s := 0; s < 1<<10; s++ {
-		if DispatcherWriter(s) == WriterNet {
-			t.Fatalf("DispatcherWriter(%d) collides with WriterNet", s)
-		}
+	const workers = 3
+	tr := NewTracer(workers, 64)
+	writers := []int{WriterNet, WriterDispatcher, WriterClient}
+	for w := 0; w < workers; w++ {
+		writers = append(writers, w)
 	}
-	if got := dispatcherShard(WriterNet); got != -1 {
-		t.Fatalf("dispatcherShard(WriterNet) = %d, want -1", got)
+	rings := map[*ring]int{}
+	for _, w := range writers {
+		if prev, ok := rings[tr.ringFor(w)]; ok {
+			t.Fatalf("writers %d and %d share a ring", prev, w)
+		}
+		rings[tr.ringFor(w)] = w
 	}
 }
 
+// TestDispatcherWriterRoundTrip: the dispatcher's events come back
+// attributed to WriterDispatcher, and only to it.
 func TestDispatcherWriterRoundTrip(t *testing.T) {
-	seen := map[int]bool{}
-	for s := 0; s < 8; s++ {
-		w := DispatcherWriter(s)
-		if w >= 0 || w == WriterClient || seen[w] {
-			t.Fatalf("DispatcherWriter(%d) = %d collides", s, w)
-		}
-		seen[w] = true
-		if got := dispatcherShard(w); got != s {
-			t.Fatalf("dispatcherShard(DispatcherWriter(%d)) = %d", s, got)
-		}
-	}
-	if DispatcherWriter(0) != WriterDispatcher {
-		t.Fatal("shard 0 must keep the historical dispatcher writer id")
-	}
-	if dispatcherShard(WriterClient) != -1 || dispatcherShard(3) != -1 {
-		t.Fatal("dispatcherShard must reject non-dispatcher writers")
-	}
-}
-
-// TestShardedTracerRings: every shard dispatcher is its own writer with
-// its own ring; events come back attributed to the right shard and the
-// client ring still works behind the shard block.
-func TestShardedTracerRings(t *testing.T) {
-	tr := NewTracerSharded(2, 3, 64)
-	if tr.Workers() != 2 || tr.Shards() != 3 {
-		t.Fatalf("dims = %d workers %d shards", tr.Workers(), tr.Shards())
-	}
-	for s := 0; s < 3; s++ {
-		tr.Record(DispatcherWriter(s), EvDispatch, uint64(100+s), int64(s))
-	}
+	tr := NewTracer(2, 64)
+	tr.Record(WriterDispatcher, EvDispatch, 100, 1)
 	tr.Record(WriterClient, EvSubmit, 7, 0)
 	tr.Record(1, EvStart, 7, 1)
 	byRing := map[int][]Event{}
 	for _, e := range tr.Snapshot() {
 		byRing[e.Ring] = append(byRing[e.Ring], e)
 	}
-	for s := 0; s < 3; s++ {
-		evs := byRing[DispatcherWriter(s)]
-		if len(evs) != 1 || evs[0].Req != uint64(100+s) || evs[0].Arg != int64(s) {
-			t.Fatalf("shard %d ring events = %+v", s, evs)
-		}
+	if evs := byRing[WriterDispatcher]; len(evs) != 1 || evs[0].Req != 100 || evs[0].Arg != 1 {
+		t.Fatalf("dispatcher ring events = %+v", evs)
 	}
-	if len(byRing[WriterClient]) != 1 || len(byRing[1]) != 1 {
-		t.Fatalf("client/worker rings polluted: %+v", byRing)
+	if len(byRing[WriterClient]) != 1 || len(byRing[1]) != 1 || len(byRing) != 3 {
+		t.Fatalf("rings polluted: %+v", byRing)
 	}
-}
-
-// TestShardedConcurrentDispatcherWriters drives all shard dispatcher
-// rings concurrently under -race: the single-writer-per-ring contract
-// must hold with the shard writers, not just the historical three.
-func TestShardedConcurrentDispatcherWriters(t *testing.T) {
-	const shards = 4
-	tr := NewTracerSharded(1, shards, 128)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 1; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				tr.Record(DispatcherWriter(s), EvDispatch, uint64(s)<<32|uint64(i), int64(s))
-			}
-		}(s)
-	}
-	deadline := time.Now().Add(100 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		for _, e := range tr.Snapshot() {
-			if int64(e.Req>>32) != e.Arg {
-				t.Fatalf("event attributed to wrong shard: %+v", e)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
 
 func BenchmarkRecord(b *testing.B) {
