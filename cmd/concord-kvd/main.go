@@ -98,6 +98,23 @@ import (
 // traceRingEvents is the per-writer trace ring capacity with -obs.
 const traceRingEvents = 4096
 
+// checkFlags rejects flag values the server would otherwise correct on
+// its own: live.New turns a non-positive worker count or JBSQ bound into
+// its default, but the tracer, the shadow replayer's config and the
+// start-up log are built from the flags, so each must already be the
+// value the server runs with.
+func checkFlags(workers, bound int, policyName string) error {
+	switch {
+	case workers < 1:
+		return fmt.Errorf("-workers: %d, want at least 1", workers)
+	case bound < 1:
+		return fmt.Errorf("-k: %d, want at least 1", bound)
+	case !live.ValidPolicy(policyName):
+		return fmt.Errorf("-policy: unknown discipline %q (have %s)", policyName, strings.Join(policy.Names(), ", "))
+	}
+	return nil
+}
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7070", "listen address")
@@ -123,8 +140,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if !live.ValidPolicy(*policyName) {
-		log.Fatalf("-policy: unknown discipline %q (have %s)", *policyName, strings.Join(policy.Names(), ", "))
+	if err := checkFlags(*workers, *bound, *policyName); err != nil {
+		log.Fatal(err)
 	}
 
 	store := kv.New()

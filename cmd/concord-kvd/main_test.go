@@ -444,3 +444,26 @@ func TestShadowControlVerb(t *testing.T) {
 		t.Fatalf("no-replayer reply = %q", out.String())
 	}
 }
+
+// TestCheckFlags: a worker count or JBSQ bound under 1 and an unknown
+// policy are refused at start-up, so nothing is built from a value the
+// server would replace.
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct {
+		workers, bound int
+		policy, want   string // want: a prefix of the error, "" for none
+	}{
+		{2, 2, live.PolicyFCFS, ""},
+		{1, 1, live.PolicySRPT, ""},
+		{0, 2, live.PolicyFCFS, "-workers"},
+		{-1, 2, live.PolicyFCFS, "-workers"},
+		{2, 0, live.PolicyFCFS, "-k"},
+		{2, -3, live.PolicyFCFS, "-k"},
+		{2, 2, "lifo", "-policy"},
+	} {
+		err := checkFlags(c.workers, c.bound, c.policy)
+		if ok := c.want == ""; err == nil != ok || err != nil && !strings.HasPrefix(err.Error(), c.want+":") {
+			t.Errorf("checkFlags(%d, %d, %q) = %v, want %q", c.workers, c.bound, c.policy, err, c.want)
+		}
+	}
+}

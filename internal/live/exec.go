@@ -429,14 +429,26 @@ func (c *Ctx) Poll() {
 }
 
 // check is Poll's slow path, kept out of line so that Poll inlines.
+//
+// On a server that timeshares (yieldEvery > 0) it first hands the thread
+// over — periodically, every yieldEvery polls, for fairness among the
+// goroutines that share it, and on demand, at any check of a worker's
+// slice that finds an accepted request the dispatcher has not yet taken
+// into its queue (inbound), so that the arrival waits one check, not the
+// rest of the period. A dispatcher-run slice never yields on demand: it
+// holds the dispatcher identity, so giving its thread away cannot run
+// the dispatcher loop.
 func (c *Ctx) check() {
-	if c.yieldEvery > 0 && c.polls%c.yieldEvery == 0 {
+	if c.yieldEvery > 0 && (c.polls%c.yieldEvery == 0 || (c.ex.id >= 0 && c.srv.disp.inbound.Load() > 0)) {
 		// Time-sharing, and nothing else: with fewer CPUs than the runtime
 		// has loops, request code hands its thread over now and then so
 		// that other runnable goroutines — a load generator busy-waiting
 		// on the other P, a dispatcher with work to place — are not held
 		// off for a whole quantum. This does not yield the request in the
 		// scheduling sense, and preemption does not need it.
+		if testYieldHook != nil {
+			testYieldHook(c.polls)
+		}
 		runtime.Gosched()
 	}
 	if c.noPreempt != 0 || !c.srv.sliceOver(c.ex, c.task) {

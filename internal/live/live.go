@@ -349,7 +349,8 @@ const cacheLinePad = 64
 // racy hand-off points, widening windows that are a few instructions
 // wide (and unobservable on single-CPU machines) so the lifecycle
 // regression tests can exercise them deterministically, or tell a test
-// that a dispatcher has parked, so it need not sleep to find out.
+// that a dispatcher has parked or a Poll has given its thread over, so
+// it need not sleep to find out.
 var (
 	testSubmitGate   func()      // between Submit's stop check and its enqueue
 	testPlaceGate    func()      // between place's occupancy CAS and its stop check
@@ -358,6 +359,7 @@ var (
 	testIngestGate   func()      // between the dispatcher's receive from the ingress and its push
 	testConserveGate func() bool // whether the dispatcher may run a queued request itself
 	testSubmitBuffer int         // when positive, the ingress capacity New uses
+	testYieldHook    func(int)   // as a timesharing Poll gives its thread over, with the poll count
 )
 
 // Server is a running Concord scheduling runtime. Its fields are laid
@@ -390,8 +392,12 @@ type Server struct {
 
 	// coopTimeshare makes request code call runtime.Gosched every that
 	// many polls, so that other runnable goroutines get the thread when
-	// there are fewer CPUs than runtime loops (see Poll). Derived at New
-	// from GOMAXPROCS; 0 when every loop can have a CPU.
+	// there are fewer CPUs than runtime loops (see Poll): periodically,
+	// for fairness, and on demand — at any check of a worker's slice
+	// while an accepted request waits to be ingested — for the
+	// dispatcher. A dispatcher-run slice never yields on demand (Ctx.check).
+	// Derived at New from GOMAXPROCS; 0 when every loop can have a CPU,
+	// and then request code never yields its thread.
 	coopTimeshare int
 
 	// classShrink arms critQuantumShrink: set at New by configuration

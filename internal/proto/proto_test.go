@@ -307,6 +307,27 @@ func TestRespRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRespReaderZeroAllocs pins the client's decode path: once the
+// payload buffer has grown to the largest payload, Next allocates
+// nothing — not the header, not the payload.
+func TestRespReaderZeroAllocs(t *testing.T) {
+	const runs = 200
+	var wire []byte
+	wire = AppendResponse(wire, StValue, 0, make([]byte, 64)) // grows the buffer in the warm-up run
+	for i := 1; i <= runs; i++ {
+		wire = AppendResponse(wire, StValue, uint64(i), make([]byte, i%64))
+	}
+	rr := NewRespReader(bytes.NewReader(wire), 0)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := rr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RespReader.Next: %v allocs per response, want 0", allocs)
+	}
+}
+
 func TestRespMidFrameEOF(t *testing.T) {
 	wire := AppendResponse(nil, StOK, 1, []byte("p"))
 	for _, cut := range []int{2, RespHeaderSize, RespHeaderSize - 1} {

@@ -221,9 +221,12 @@ type Resp struct {
 // RespReader decodes response frames on the client side. Unlike
 // FrameReader it does not pool: one grow-only payload buffer is reused
 // across responses, which is allocation-free in steady state for a
-// single-reader connection.
+// single-reader connection. The header is read into the reader too: a
+// header array local to Next would reach io.ReadFull through io.Reader
+// and be moved to the heap on every call.
 type RespReader struct {
 	br      *bufio.Reader
+	h       [RespHeaderSize]byte
 	payload []byte
 }
 
@@ -239,7 +242,7 @@ func NewRespReader(r io.Reader, bufSize int) *RespReader {
 // Next decodes the next response: io.EOF at a clean boundary,
 // io.ErrUnexpectedEOF mid-frame, ErrBadMagic on desync.
 func (rr *RespReader) Next() (Resp, error) {
-	var h [RespHeaderSize]byte
+	h := &rr.h
 	if _, err := io.ReadFull(rr.br, h[:1]); err != nil {
 		return Resp{}, err // io.EOF here is a clean boundary
 	}

@@ -3,27 +3,32 @@
 # one workload of BENCHMARK.json, interleaved.
 #
 #   bash scripts/pairs.sh [-r REV] [-n PAIRS] [-w WORKLOAD] [-s SECONDS]
-#                         [-e FIRST_SEED] [-d DIR]
+#                         [-e FIRST_SEED] [-d DIR] [-t] [-m METRICS]
 #
 # Run from the repository root. It clones REV (default HEAD~1) from this
 # repository into DIR/parent (default DIR: a new temporary directory) and
 # runs PAIRS (default 10) pairs of `bash benchmark/run.sh --workload
 # WORKLOAD --seed S --seconds SECONDS --trace 0`, one in the clone and one
 # here, with the seed rising by one per pair from FIRST_SEED (default
-# 101). Odd pairs run the parent first, even pairs the change, so neither
-# side always runs on a warmer or cooler host. Each run's output is kept
-# in DIR/logs.
+# 101). -t runs them with --trace 1, which reports the per-layer metrics
+# in place of the end-to-end ones. Odd pairs run the parent first, even
+# pairs the change, so neither side always runs on a warmer or cooler
+# host. Each run's output is kept in DIR/logs.
 #
-# It then prints, for each end-to-end metric (throughput_rps higher is
-# better; p50_us, tail_us and setup_s lower): every run, the change/parent
-# ratio of each pair, each side's median and quartiles, the number of
-# pairs the change won (ties count for neither), and whether the gap
-# between the medians is wider than the parent's interquartile range.
-# Quartiles interpolate linearly between the sorted runs.
+# It then prints, for each metric in METRICS (comma-separated names from
+# BENCHMARK.json; default the four end-to-end ones, throughput_rps,
+# p50_us, tail_us and setup_s, so name per-layer ones with -t): every
+# run, the change/parent ratio of each pair, each side's median and
+# quartiles, the number of pairs the change won (by the metric's
+# "better" direction in BENCHMARK.json; ties count for neither), and
+# whether the gap between the medians is wider than the parent's
+# interquartile range. Quartiles interpolate linearly between the sorted
+# runs.
 set -euo pipefail
 
-rev=HEAD~1 pairs=10 workload=dispatch_null seconds=20 seed0=101 dir=
-while getopts r:n:w:s:e:d: opt; do
+rev=HEAD~1 pairs=10 workload=dispatch_null seconds=20 seed0=101 dir= trace=0
+metrics=throughput_rps,p50_us,tail_us,setup_s
+while getopts r:n:w:s:e:d:tm: opt; do
 	case $opt in
 	r) rev=$OPTARG ;;
 	n) pairs=$OPTARG ;;
@@ -31,6 +36,8 @@ while getopts r:n:w:s:e:d: opt; do
 	s) seconds=$OPTARG ;;
 	e) seed0=$OPTARG ;;
 	d) dir=$OPTARG ;;
+	t) trace=1 ;;
+	m) metrics=$OPTARG ;;
 	*) sed -n '2,8p' "$0" >&2; exit 2 ;;
 	esac
 done
@@ -38,6 +45,19 @@ done
 	echo "pairs.sh: run from the repository root" >&2
 	exit 2
 }
+# better METRIC: the metric's "better" direction in BENCHMARK.json, whose
+# metric objects put "name" before "better".
+better() {
+	awk -v m="$1" '$1 == "\"name\":" { name = $2; gsub(/[",]/, "", name) }
+		$1 == "\"better\":" && name == m { b = $2; gsub(/[",]/, "", b); print b; exit }' BENCHMARK.json
+}
+metrics=${metrics//,/ }
+for m in $metrics; do
+	[ -n "$(better "$m")" ] || {
+		echo "pairs.sh: metric $m is not in BENCHMARK.json" >&2
+		exit 2
+	}
+done
 root=$PWD
 dir=${dir:-$(mktemp -d)}
 mkdir -p "$dir/logs"
@@ -54,15 +74,19 @@ run() { # side seed pair
 	local where=$root log=$dir/logs/$1-$2.log
 	[ "$1" = parent ] && where=$dir/parent
 	(cd "$where" && bash benchmark/run.sh --workload "$workload" --seed "$2" \
-		--seconds "$seconds" --trace 0) >"$log" 2>&1 || {
+		--seconds "$seconds" --trace "$trace") >"$log" 2>&1 || {
 		echo "pairs.sh: $1 run, seed $2 failed; see $log" >&2
 		exit 1
 	}
 	local json
 	json=$(grep '^{' "$log" | tail -n 1)
 	case $json in *'"correct":true'*) ;; *) echo "pairs.sh: $1 run, seed $2 not correct; see $log" >&2 ;; esac
-	for m in throughput_rps p50_us tail_us setup_s; do
-		v=$(printf '%s\n' "$json" | grep -o "\"$m\":{\"value\":[^,}]*" | sed 's/.*://')
+	for m in $metrics; do
+		v=$(printf '%s\n' "$json" | grep -o "\"$m\":{\"value\":[^,}]*" | sed 's/.*://') || true
+		[ -n "$v" ] || {
+			echo "pairs.sh: $1 run, seed $2 reports no $m (a traced run reports the per-layer metrics only, an untraced one the end-to-end ones); see $log" >&2
+			exit 1
+		}
 		printf '%s\t%s\t%s\t%s\t%s\n' "$3" "$2" "$1" "$m" "$v" >>"$results"
 	done
 	echo "pair $3 seed $2 $1 done" >&2
@@ -85,10 +109,9 @@ quartiles() {
 	END { printf "%.6g %.6g %.6g", q(0.25), q(0.5), q(0.75) }'
 }
 
-echo "workload $workload, $pairs pairs at $seconds s, seeds $seed0-$((seed0 + pairs - 1)), parent $sha"
-for m in throughput_rps p50_us tail_us setup_s; do
-	better=lower
-	[ $m = throughput_rps ] && better=higher
+echo "workload $workload, $pairs pairs at $seconds s, --trace $trace, seeds $seed0-$((seed0 + pairs - 1)), parent $sha"
+for m in $metrics; do
+	better=$(better "$m")
 	echo
 	echo "$m ($better is better)"
 	printf '  %-5s %-6s %-8s %-14s %-14s %s\n' pair seed first parent change change/parent
