@@ -62,6 +62,13 @@ fuzz-smoke:
 bench:
 	go test -run xxx -bench . -benchmem .
 
+# The placed path's cycle ledger (EXPERIMENTS.md): what each hop of an
+# untraced placed Do costs in ns and TSC ticks, the hops' sum and its
+# residual against the whole path, as a markdown table (≈ 2 min). A
+# record, not a gate: nothing asserts a duration.
+ledger:
+	bash scripts/ledger.sh
+
 # End-to-end observability smoke: builds concord-kvd and concord-load,
 # boots the server with -obs -shadow, scrapes /metrics, /healthz and
 # pprof, pulls a TRACE and SHADOW, asserts non-zero net-phase |OBS
@@ -87,4 +94,4 @@ bench-module:
 results-check:
 	go run ./cmd/concordsim -fig all -parallel 0 | diff - results_full.tsv
 
-.PHONY: tier1 race live-stress net-stress vet cross fuzz-smoke bench obs-smoke bench-module results-check
+.PHONY: tier1 race live-stress net-stress vet cross fuzz-smoke bench ledger obs-smoke bench-module results-check

@@ -233,7 +233,7 @@ func TestObsTrailerFormat(t *testing.T) {
 		},
 		Preemptions:  2,
 		OnDispatcher: true,
-		Done:         time.Now(),
+		Done:         live.NowStamp(),
 	}
 	got := obsTrailer(resp)
 	for _, want := range []string{" |OBS h=10.0 ", "q=20.0 ", "s=60.0 ", "p=0.0 ", "i=1.500 ", "e=", "n=2 ", "d=1"} {

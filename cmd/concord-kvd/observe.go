@@ -52,7 +52,7 @@ func (ob *kvObs) observe(op byte, resp live.Response) {
 		}
 		if ob.ring != nil {
 			ob.ring.Offer(shadow.CaptureRec{
-				ArrivalNS:  resp.Done.UnixNano() - int64(resp.Latency),
+				ArrivalNS:  int64(resp.Done) - int64(resp.Latency),
 				Class:      uint8(r.Class),
 				HintNS:     hint,
 				ServiceNS:  int64(resp.Service),

@@ -36,8 +36,8 @@ func newObserver(rate int) *kvObs {
 
 // doneAt is the i-th response's Done: a millisecond apart, so arrivals
 // (Done - Latency) sort in feed order.
-func doneAt(i int) time.Time {
-	return time.Unix(1_700_000_000, 0).Add(time.Duration(i) * time.Millisecond)
+func doneAt(i int) live.Stamp {
+	return live.Stamp(time.Hour + time.Duration(i)*time.Millisecond)
 }
 
 func getReq(class live.SLOClass) *netsrv.Request {
@@ -145,7 +145,7 @@ func TestSketchesAndCaptureFedFromCompletions(t *testing.T) {
 		latency, service := time.Duration(i+2)*100*time.Microsecond, time.Duration(i+1)*70*time.Microsecond
 		ob.feed(i, req, latency, service, nil)
 		want = append(want, shadow.CaptureRec{
-			ArrivalNS:  doneAt(i).UnixNano() - int64(latency),
+			ArrivalNS:  int64(doneAt(i)) - int64(latency),
 			Class:      uint8(req.Class),
 			HintNS:     int64(req.ServiceHint()),
 			ServiceNS:  int64(service),

@@ -26,7 +26,9 @@ func BenchmarkRoundTrip(b *testing.B) {
 // two goroutines call Do on a two-worker server with a zero-work
 // handler, so nearly every request is placed and ns/op is the placed
 // path's cost per request, two callers sharing the server. Each client
-// makes half of the b.N calls; they share no counter.
+// makes half of the b.N calls; they share no counter. With a CPU for
+// each client, one client's request costs twice ns/op (scripts/ledger.sh
+// sets that against BenchmarkLedger's hops).
 func BenchmarkDoTwoClients(b *testing.B) {
 	s := New(yieldTimesHandler{}, testOptions(2, 0))
 	s.Start()
@@ -48,6 +50,7 @@ func BenchmarkDoTwoClients(b *testing.B) {
 		}()
 	}
 	wg.Wait()
+	reportTicks(b)
 }
 
 // BenchmarkRoundTripSubmitFunc is BenchmarkRoundTrip through the
@@ -140,6 +143,7 @@ func BenchmarkPoll(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c.Poll()
 		}
+		reportTicks(b)
 	})
 }
 

@@ -219,8 +219,8 @@ func (s *Server) runSlice(ex *executor, t *task, start int64, resp *Response) (p
 		t.firstRunTS = start
 		s.tr.Record(ex.writer, obs.EvStart, t.id, 0)
 	}
-	// The Ctx lives inside the task (no allocation per request); the
-	// pool reset zeroes it with the rest of the task.
+	// The Ctx lives inside the task (no allocation per request), and is
+	// written whole here: release does not zero it.
 	ctx := &t.ctx
 	*ctx = Ctx{srv: s, task: t, ex: ex, yieldEvery: s.coopTimeshare}
 	s.handle(ctx, t, resp)
@@ -243,8 +243,16 @@ func (s *Server) runSlice(ex *executor, t *task, start int64, resp *Response) (p
 // turns its return values — or its panic: a handler bug, or the
 // taskAbort retire unwinds a parked request with — into resp's payload
 // and error.
+//
+// The deferred call runs on every request, but recover only runs when
+// the handler did not return: a recover is a call into the Go runtime,
+// and a handler that returned has nothing for it to find.
 func (s *Server) handle(ctx *Ctx, t *task, resp *Response) {
+	returned := false
 	defer func() {
+		if returned {
+			return
+		}
 		if r := recover(); r != nil {
 			if ab, ok := r.(taskAbort); ok {
 				resp.Err = ab.err
@@ -254,6 +262,7 @@ func (s *Server) handle(ctx *Ctx, t *task, resp *Response) {
 		}
 	}()
 	resp.Payload, resp.Err = s.handler.Handle(ctx, t.payload)
+	returned = true
 }
 
 // endSlice closes the slice ex gave t: it charges the slice to runNS
@@ -341,7 +350,7 @@ func (s *Server) finish(ex *executor, t *task, resp *Response, end int64) {
 	resp.Preemptions = t.preempts
 	resp.OnDispatcher = t.onDispatcher
 	resp.Req = t.payload
-	resp.Done = at(end)
+	resp.Done = Stamp(end)
 	resp.Latency = time.Duration(end - t.arrival)
 	resp.Service = time.Duration(t.runNS)
 	if s.tr != nil {

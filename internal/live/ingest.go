@@ -183,7 +183,7 @@ func (s *Server) reject(t *task, err error, status int64) {
 	if s.tr != nil {
 		s.tr.Record(obs.WriterClient, obs.EvReject, t.id, status)
 	}
-	resp := Response{ID: t.id, Err: err, Req: t.payload, Done: at(nanotime())}
+	resp := Response{ID: t.id, Err: err, Req: t.payload, Done: NowStamp()}
 	t.deliver(&resp)
 	t.release()
 }

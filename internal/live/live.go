@@ -235,13 +235,15 @@ type Response struct {
 	// for a request that never ran, Breakdown.Service when traced.
 	Service time.Duration
 	// Done is when the response was finalized (the terminal lifecycle
-	// event). Connection layers use it to attribute egress time
-	// (completion → bytes flushed to the socket). Always set. The
-	// runtime reads only the monotonic clock: Done is its start time plus
-	// the elapsed time, so Sub and Since on it are monotonic, and its
-	// wall reading drifts from the wall clock by however much that has
-	// been stepped since.
-	Done time.Time
+	// event), as a Stamp: a reading of the runtime's one clock, which is
+	// all the runtime takes. Connection layers subtract it from a later
+	// NowStamp to attribute egress time (completion → bytes flushed to
+	// the socket); Done − Latency is the arrival. Always set. Done.Time()
+	// builds the time.Time, on the clock Now reads: monotonic, so Sub and
+	// Since on it are too, and its wall reading drifts from the wall
+	// clock by however much that has been stepped since the runtime's
+	// epoch.
+	Done Stamp
 	// Preemptions counts how many times the request yielded.
 	Preemptions int
 	// OnDispatcher reports the request was executed by a

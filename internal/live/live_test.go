@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,15 +228,27 @@ func TestEndNoPreemptUnderflowPanics(t *testing.T) {
 	c.EndNoPreempt()
 }
 
+// TestHandlerPanicBecomesError: a handler's panic becomes the response
+// error, naming the panic value, whether the request was placed on its
+// caller or ran on a worker's own goroutine; the server serves on. (Stop
+// is not deferred: a panic that escaped the runtime would leave the
+// placed request's worker held, and a deferred Stop would wait on it
+// forever instead of letting the panic fail the test.)
 func TestHandlerPanicBecomesError(t *testing.T) {
-	h := panicHandler{}
-	s := New(h, testOptions(1, 0))
+	s := New(panicHandler{}, testOptions(1, 0))
 	s.Start()
-	defer s.Stop()
-	resp := s.Do("boom")
-	if resp.Err == nil {
-		t.Fatal("handler panic not converted to error")
+	for _, path := range []struct {
+		name string
+		do   func() Response
+	}{
+		{"placed Do", func() Response { return s.Do("boom") }},
+		{"Submit", func() Response { return <-s.Submit("boom") }},
+	} {
+		if resp := path.do(); resp.Err == nil || !strings.HasPrefix(resp.Err.Error(), "live: handler panicked: boom") {
+			t.Fatalf("%s: err %v, want live: handler panicked: boom", path.name, resp.Err)
+		}
 	}
+	s.Stop()
 }
 
 type panicHandler struct{}

@@ -136,10 +136,17 @@ type parkEvent struct {
 // task is one in-flight request and, once it has yielded, the handle on
 // its suspended continuation (the goroutine parked on resume). It is
 // pooled (taskPool): the request's state is zeroed when it is recycled,
-// and what outlives a request — the handshake channels and gen — sits
-// outside that state.
+// and what outlives a request — the Ctx its next first slice
+// overwrites, the handshake channels and gen — sits outside that state.
 type task struct {
 	taskState
+
+	// ctx is the request's Ctx, embedded so the first slice doesn't
+	// allocate one per request. Only the goroutine running the handler
+	// touches it, from the start of the first slice, which writes it
+	// whole (runSlice), to the handler's return. It is not part of the
+	// request's state: release leaves it, but for its server.
+	ctx Ctx
 
 	resume chan *executor
 	parked chan parkEvent
@@ -226,12 +233,6 @@ type taskState struct {
 	enqueueTS  int64 // first dispatcher ingest
 	firstRunTS int64 // first CPU hand-off
 	readTS     int64 // wire read (NetTimed payloads)
-
-	// ctx is the request's Ctx, embedded so the first slice doesn't
-	// allocate one per request. Only the goroutine running the handler
-	// touches it, from the start of the first slice to the handler's
-	// return.
-	ctx Ctx
 }
 
 // taskPool recycles tasks and their resume/parked handshake channels —
@@ -253,10 +254,12 @@ func newTask() *task { return taskPool.Get().(*task) }
 // release recycles the task when no policy queue still holds it; see
 // taskPool. The handshake channels are empty by construction: both are
 // unbuffered, and the final parked send has completed before finish
-// runs.
+// runs. The Ctx is left for runSlice to overwrite, all but its server:
+// a pooled task must not keep a stopped server reachable.
 func (t *task) release() {
 	if !t.dead {
 		t.taskState = taskState{}
+		t.ctx.srv = nil
 		taskPool.Put(t)
 	}
 }

@@ -246,16 +246,16 @@ func (c *connection) write(batch []*Request, buf []byte) []byte {
 	if tr, obsEg := c.s.tr, c.s.opts.ObserveEgress; tr != nil || obsEg != nil {
 		// One clock read covers the whole batch: every response in it
 		// reached the socket in the same write.
-		now := live.Now()
+		now := live.NowStamp()
 		for _, r := range batch {
 			if r.liveID == 0 {
 				continue // answered by the codec: never entered the runtime
 			}
 			if tr != nil {
-				tr.RecordAt(obs.WriterNet, obs.EvFlushed, r.liveID, int64(len(batch)), now)
+				tr.RecordAt(obs.WriterNet, obs.EvFlushed, r.liveID, int64(len(batch)), now.Time())
 			}
 			if obsEg != nil && !r.doneTS.IsZero() {
-				obsEg(r.Op, now.Sub(r.doneTS))
+				obsEg(r.Op, time.Duration(now-r.doneTS))
 			}
 		}
 	}

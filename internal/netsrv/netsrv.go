@@ -73,7 +73,10 @@ type Options struct {
 	// pinning the connection's goroutines forever. It also sets the idle
 	// timeout, idleWrites times as long: a client that sends nothing for
 	// that long while the reader waits for its next request is
-	// disconnected (NetStats.IdleClosed). 0 disables both.
+	// disconnected (NetStats.IdleClosed). 0 disables both, which is a
+	// sharp edge: with no idle deadline either, a client that connects
+	// and goes silent holds its connection, and the reader goroutine
+	// serving it, until it closes or the server drains.
 	WriteTimeout time.Duration
 	// BufSize is the pooled read-buffer size for binary connections
 	// (frames larger than it, up to MaxReq, take a one-off buffer).

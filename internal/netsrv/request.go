@@ -49,12 +49,13 @@ type Request struct {
 	// released when the response is encoded.
 	frame proto.Frame
 
-	// Wire-path observability, stamped only when the server traces
-	// (Options.Tracer set); zero otherwise.
-	readTS   time.Time // frame (or line) read off the socket
-	parsedTS time.Time // decoded into this Request
-	liveID   uint64    // runtime request id, for flush-event attribution
-	doneTS   time.Time // completion timestamp (live.Response.Done)
+	// Wire-path observability: readTS and parsedTS are stamped only when
+	// the server traces (Options.Tracer set), zero otherwise; liveID and
+	// doneTS are set for every request the runtime answered.
+	readTS   time.Time  // frame (or line) read off the socket
+	parsedTS time.Time  // decoded into this Request
+	liveID   uint64     // runtime request id, for flush-event attribution
+	doneTS   live.Stamp // completion stamp (live.Response.Done)
 }
 
 // NetTimes implements live.NetTimed: the runtime records the wire
