@@ -64,6 +64,13 @@ type executor struct {
 	// identity. A request that finishes a lent slice is counted once
 	// (finish).
 	lent bool
+	// spare is the task a request placed on this worker runs in
+	// (runPlaced). A request that finishes in its lent slice leaves it
+	// here, its state reset (finish); one that yields takes it along
+	// (adopt), and the next placement refills it from taskPool. Only a
+	// placer holding the identity, and adopt before it gives the slots
+	// back, touch it.
+	spare *task
 	// n is this executor's share of Stats.
 	n counters
 	_ [cacheLinePad]byte
@@ -299,10 +306,12 @@ func (s *Server) adopt(ex *executor, t *task) {
 	s.endSlice(ex, t, false, nil)
 	if ex.id >= 0 {
 		// A placed request is counted submitted here, before anyone else
-		// can finish it; its caller no longer runs as ex.
+		// can finish it; its caller no longer runs as ex. It takes the
+		// worker's spare with it, released when done like a pooled task.
 		lent := ex.lent
 		if lent {
 			ex.lent = false
+			ex.spare = nil
 			ex.n.classSubmitted[t.class].Add(1)
 		}
 		s.requeue(ex, t)
@@ -343,8 +352,10 @@ func (s *Server) retire(ex *executor, t *task, err error) {
 
 // finish completes a request's single response in resp, finalized at end
 // (a nanotime), delivers it, and counts it on ex, the executor completing
-// it. After delivery the task is recycled unless a policy queue still
-// holds it (see task.release).
+// it. A placed request that finishes in its lent slice has nothing to
+// deliver to — its caller reads resp — and runs in ex's spare, which
+// stays on ex with its state reset. Any other task is released after
+// delivery, unless a policy queue still holds it (see task.release).
 func (s *Server) finish(ex *executor, t *task, resp *Response, end int64) {
 	resp.ID = t.id
 	resp.Preemptions = t.preempts
@@ -362,9 +373,10 @@ func (s *Server) finish(ex *executor, t *task, resp *Response, end int64) {
 	}
 	if ex.lent { // a placed request's first slice: submitted and completed at once
 		ex.n.classPlaced[t.class].Add(1)
-	} else {
-		ex.n.classCompleted[t.class].Add(1)
+		t.reset()
+		return
 	}
+	ex.n.classCompleted[t.class].Add(1)
 	t.deliver(resp)
 	t.release()
 }

@@ -3,8 +3,8 @@
 // consumes them — the discipline, a class quantum — can change while
 // the request is queued), checks the stop gate, and places the task on
 // the ingress buffer — or, for a Do or TryDo that finds nothing queued
-// and an idle worker, hands it to the caller to run as that worker
-// (place).
+// and an idle worker, hands the request to the caller to run as that
+// worker, in the worker's own task (place, runPlaced).
 //
 // Admission is class-aware when Options.ClassAdmission is on: each
 // class has an ingress-occupancy watermark (Server.classLimit) and is
@@ -20,6 +20,8 @@
 package live
 
 import (
+	_ "unsafe" // go:linkname
+
 	"concord/internal/obs"
 )
 
@@ -31,7 +33,7 @@ import (
 // — ErrShed for sheddable payloads dropped by admission control.
 func (s *Server) Submit(payload any) <-chan Response {
 	ch := make(chan Response, 1)
-	s.ingress(s.newRequest(payload), ch, nil)
+	s.ingress(s.newRequest(payload, nanotime()), ch, nil)
 	return ch
 }
 
@@ -48,7 +50,7 @@ func (s *Server) Submit(payload any) <-chan Response {
 // so a single shared callback can correlate without a per-request
 // closure.
 func (s *Server) SubmitFunc(payload any, done func(Response)) {
-	s.ingress(s.newRequest(payload), nil, done)
+	s.ingress(s.newRequest(payload, nanotime()), nil, done)
 }
 
 // TryDo is Do for a request that can be placed and SubmitFunc for one
@@ -62,21 +64,29 @@ func (s *Server) SubmitFunc(payload any, done func(Response)) {
 // queue would stop reading, and a client pipelining behind the request
 // would be served as if in lockstep.
 func (s *Server) TryDo(payload any, done func(Response)) (resp Response, placed bool) {
-	t := s.newRequest(payload)
-	if placed = s.runPlaced(t, &resp); !placed {
-		s.ingress(t, nil, done)
+	arrival := nanotime()
+	if placed = s.runPlaced(payload, arrival, &resp); !placed {
+		s.ingress(s.newRequest(payload, arrival), nil, done)
 	}
 	return resp, placed
 }
 
-// newRequest builds the task for payload, stamped with its arrival: the
-// part of ingest every entry point shares, before the request is placed
-// or takes the ingress.
-func (s *Server) newRequest(payload any) *task {
+// newRequest builds a pooled task for payload, which arrived at arrival
+// (a nanotime): the task of a request that takes the ingress.
+func (s *Server) newRequest(payload any, arrival int64) *task {
 	t := newTask()
+	s.fill(t, payload, arrival)
+	return t
+}
+
+// fill writes the request for payload, which arrived at arrival, into t,
+// whose request state is zero: the part of ingest every entry point
+// shares, whether the request is placed (in its worker's spare) or takes
+// the ingress (in a pooled task).
+func (s *Server) fill(t *task, payload any, arrival int64) {
 	s.newID(t)
 	t.payload = payload
-	t.arrival = nanotime()
+	t.arrival = arrival
 	if d := s.opts.RequestTimeout; d > 0 {
 		t.deadline = t.arrival + int64(d)
 	}
@@ -104,30 +114,42 @@ func (s *Server) newRequest(payload any) *task {
 			}
 		}
 	}
-	return t
 }
 
-// runPlaced gives t its first slice on its caller, a Do or TryDo, when
-// place lends it an idle worker ex, and reports whether it did. It runs
-// as ex in every respect — quantum, trace, finish — while ex's own loop
-// stays blocked on its empty local queue, and nobody else places on ex:
-// place took every one of its JBSQ slots. The slice starts at t's
-// arrival: t was not queued, so it cannot have expired, a drain abort
-// ends it at its first check, and, traced, it has no hand-off or queue
-// wait. A request that finishes within the slice is answered up the
-// caller's stack, in *resp: no channel, two clock reads and three locked
-// operations in all — place's compare-and-swap, finish's one count on
-// ex's line, and the release of the slots. If it yields, adopt counts
-// it, requeues it and gives the slots back; otherwise they are given
-// back here.
-func (s *Server) runPlaced(t *task, resp *Response) bool {
-	w := s.place(t)
+// runPlaced gives the request for payload, which arrived at arrival, its
+// first slice on its caller, a Do or TryDo, when place lends it an idle
+// worker ex, and reports whether it did. The request runs in ex's spare
+// task, refilled from taskPool when the last request placed on ex took
+// it (adopt), and as ex in every respect — quantum, trace, finish —
+// while ex's own loop stays blocked on its empty local queue, and nobody
+// else places on ex: place took every one of its JBSQ slots. The slice
+// starts at the arrival: the request was not queued, so it cannot have
+// expired, a drain abort ends it at its first check, and, traced, it has
+// no hand-off or queue wait — its enqueue and dispatch events are
+// recorded here, on the client's ring, and its enqueue is stamped at
+// arrival, so Breakdown and obs.Analyze still add up. A request that
+// finishes within the slice is answered up the caller's stack, in *resp:
+// no channel, no pool, two clock reads and three locked operations in
+// all — place's compare-and-swap, finish's one count on ex's line, and
+// the release of the slots. If it yields, adopt counts it, requeues it
+// and gives the slots back; otherwise they are given back here.
+func (s *Server) runPlaced(payload any, arrival int64, resp *Response) bool {
+	w := s.place(s.home())
 	if w < 0 {
 		return false
 	}
 	ex := s.workers[w] // the caller holds the worker's identity now
+	t := ex.spare
+	if t == nil {
+		t = newTask()
+		ex.spare = t
+	}
+	s.fill(t, payload, arrival)
 	if s.tr != nil {
-		s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, t.id, 0, at(t.arrival))
+		t.enqueueTS = arrival
+		s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, t.id, 0, at(arrival))
+		s.tr.Record(obs.WriterClient, obs.EvEnqueueCentral, t.id, 0)
+		s.tr.Record(obs.WriterClient, obs.EvDispatch, t.id, int64(w))
 	}
 	ex.lent = true
 	if _, detached := s.runSlice(ex, t, t.arrival, resp); !detached {
@@ -194,13 +216,11 @@ func (s *Server) reject(t *task, err error, status int64) {
 // and none in the policy queue, so no queued request can be overtaken,
 // whatever the discipline — and one of its workers is idle, it takes
 // every JBSQ slot of that worker with one compare-and-swap and returns
-// the worker, whose first slice of t the caller then runs itself
-// (runPlaced); otherwise it returns -1 and t takes the ingress. Only those
-// two place: their callers run the request rather than hand it off,
-// where Submit and SubmitFunc promise never to run it on the caller. The
-// enqueue and dispatch events are recorded here, on the client's ring,
-// and stamped at arrival, so Breakdown and obs.Analyze still add up: a
-// placed request has no hand-off and no queue wait.
+// the worker, whose first slice of the request the caller then runs
+// itself (runPlaced); otherwise it returns -1 and the request takes the
+// ingress. Only those two place: their callers run the request rather
+// than hand it off, where Submit and SubmitFunc promise never to run it
+// on the caller. The scan starts at worker from (home) and wraps.
 //
 // A placed request does not take submitMu: place checks stopped after
 // its compare-and-swap instead, and gives the slots back and declines if
@@ -209,7 +229,7 @@ func (s *Server) reject(t *task, err error, status int64) {
 // the occupancies (drained) only after it has seen stopped set: either
 // the placer sees the stop, or the dispatcher sees the occupancy and
 // does not call the server drained until the request is answered.
-func (s *Server) place(t *task) int {
+func (s *Server) place(from int) int {
 	// Not before Start has set the workers up, and not under PinThreads:
 	// a lent slice would not run on the worker's pinned thread. inbound is
 	// read before the queue: a task leaves it only once pushed.
@@ -217,10 +237,9 @@ func (s *Server) place(t *task) int {
 	if s.opts.PinThreads || !s.started.Load() || d.inbound.Load() > 0 || d.q.Len() > 0 {
 		return -1
 	}
-	// From t's home (a pooled task may bring one from a bigger server),
-	// and with a load first: a compare-and-swap that fails still takes
-	// the line from the worker's holder.
-	for k, w := 0, t.home; k < len(s.occ); k, w = k+1, w+1 {
+	// With a load first: a compare-and-swap that fails still takes the
+	// line from the worker's holder.
+	for k, w := 0, from; k < len(s.occ); k, w = k+1, w+1 {
 		if w >= len(s.occ) {
 			w = 0
 		}
@@ -234,16 +253,38 @@ func (s *Server) place(t *task) int {
 			s.occ[w].Store(0)
 			return -1
 		}
-		if s.tr != nil {
-			t.enqueueTS = t.arrival
-			s.tr.Record(obs.WriterClient, obs.EvEnqueueCentral, t.id, 0)
-			s.tr.Record(obs.WriterClient, obs.EvDispatch, t.id, int64(w))
-		}
-		t.home = w
 		return w
 	}
 	return -1
 }
+
+// home is the worker place starts its scan at: the calling goroutine's
+// processor index P, modulo the workers. Two callers on two processors
+// start at two workers and keep to their own occupancy and executor
+// lines, where a scan from worker 0 would have them trade workers on
+// every request. It is a hint only: a goroutine that migrates between
+// reading it and placing costs locality, never correctness — the
+// compare-and-swap decides who holds a worker.
+func (s *Server) home() int {
+	p := procPin()
+	procUnpin()
+	if p >= len(s.occ) {
+		p %= len(s.occ)
+	}
+	return p
+}
+
+// procPin and procUnpin are the runtime's: procPin returns the index of
+// the processor (P) the calling goroutine runs on and keeps it there
+// until procUnpin. sync.Pool keys its per-P shards on the same index,
+// and the runtime keeps both linkable for packages outside it
+// (go.dev/issue/67401).
+//
+//go:linkname procPin runtime.procPin
+func procPin() int
+
+//go:linkname procUnpin runtime.procUnpin
+func procUnpin()
 
 // enqueue puts t on the ingress buffer if its occupancy is under t's
 // class watermark and the send does not block, counting t inbound from

@@ -6,7 +6,8 @@ import (
 
 // BenchmarkLedger is the placed path's cycle ledger: one row per hop of
 // an untraced Do that places its request and finishes it in the first
-// slice (newRequest → runPlaced → runSlice → handle → endSlice → finish),
+// slice (Do → runPlaced: home, place, fill → runSlice → handle → endSlice
+// → finish),
 // each timing what that hop costs, and reporting it in TSC ticks as well
 // as nanoseconds (reportTicks). A row runs the runtime's own function
 // where the hop is one, and the statement where it is a line inside one
@@ -19,7 +20,7 @@ import (
 // residual.
 func BenchmarkLedger(b *testing.B) {
 	// clock: one nanotime, an rdtsc mapped onto the monotonic clock.
-	// A request reads it twice: its arrival (newRequest) and its end
+	// A request reads it twice: its arrival (Do) and its end
 	// (endSlice).
 	b.Run("clock", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -37,7 +38,7 @@ func BenchmarkLedger(b *testing.B) {
 		}
 		reportTicks(b)
 	})
-	// probes: newRequest's reads of the payload (its deadline, hint and
+	// probes: fill's reads of the payload (its deadline, hint and
 	// class), copied from it.
 	b.Run("probes", func(b *testing.B) {
 		s, t := New(yieldTimesHandler{}, testOptions(2, 0)), &task{}
@@ -60,11 +61,12 @@ func BenchmarkLedger(b *testing.B) {
 		}
 		reportTicks(b)
 	})
-	// pool: the task from the pool (newTask) and back (release), which
-	// zeroes the request's state.
-	b.Run("pool", func(b *testing.B) {
+	// home: where place starts its scan, the caller's processor index
+	// (runtime.procPin and procUnpin) modulo the workers.
+	b.Run("home", func(b *testing.B) {
+		s := New(yieldTimesHandler{}, testOptions(2, 0))
 		for i := 0; i < b.N; i++ {
-			newTask().release()
+			sinkInt = s.home()
 		}
 		reportTicks(b)
 	})
@@ -75,10 +77,9 @@ func BenchmarkLedger(b *testing.B) {
 		s := New(yieldTimesHandler{}, testOptions(2, 0))
 		s.Start()
 		defer s.Stop()
-		t := newTask()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w := s.place(t)
+			w := s.place(0)
 			if w < 0 {
 				b.Fatal("an idle server did not place")
 			}
@@ -120,6 +121,15 @@ func BenchmarkLedger(b *testing.B) {
 		}
 		reportTicks(b)
 	})
+	// reset: finish's zeroing of the request's state in its worker's
+	// spare, which stays on the worker for the next placement.
+	b.Run("reset", func(b *testing.B) {
+		t := newTask()
+		for i := 0; i < b.N; i++ {
+			t.reset()
+		}
+		reportTicks(b)
+	})
 	// whole: the path itself, one caller's placed Do on
 	// BenchmarkDoTwoClients' server.
 	b.Run("whole", func(b *testing.B) {
@@ -137,7 +147,10 @@ func BenchmarkLedger(b *testing.B) {
 	})
 }
 
-var sinkResp Response
+var (
+	sinkResp Response
+	sinkInt  int
+)
 
 // reportTicks adds b's ns/op in TSC ticks, at the rate clock.go
 // calibrated (the slope of its last fit), as ticks/op. It reports

@@ -627,12 +627,12 @@ var respChans = sync.Pool{New: func() any { return make(chan Response, 1) }}
 // channel, and if the request is preempted it continues on the workers
 // like any other.
 func (s *Server) Do(payload any) (resp Response) {
-	t := s.newRequest(payload)
-	if s.runPlaced(t, &resp) {
+	arrival := nanotime()
+	if s.runPlaced(payload, arrival, &resp) {
 		return resp
 	}
 	ch := respChans.Get().(chan Response)
-	s.ingress(t, ch, nil)
+	s.ingress(s.newRequest(payload, arrival), ch, nil)
 	resp = <-ch
 	respChans.Put(ch)
 	return resp

@@ -8,6 +8,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -119,13 +120,12 @@ func TestDoPlacesOnIdleShard(t *testing.T) {
 		// alone moves tasks, and the worker is idle throughout.
 		s := New(&blockingHandler{release: make(chan struct{})}, testOptions(1, 0))
 		s.started.Store(true)
-		probe := newTask()
 		waiting := s.Submit(hintedSpin{hint: time.Millisecond})
-		if s.place(probe) >= 0 {
+		if s.place(0) >= 0 {
 			t.Fatal("placed past a request in the ingress buffer")
 		}
 		s.ingest(<-s.disp.submit)
-		if s.place(probe) >= 0 {
+		if s.place(0) >= 0 {
 			t.Fatal("placed past a request in the policy queue")
 		}
 		if o := s.occ[0].Load(); o != 0 {
@@ -686,8 +686,9 @@ func TestPlacedYieldingAnswersOnce(t *testing.T) {
 }
 
 // gatedYield is a request that closes started, waits for proceed without
-// polling, yields once and returns.
-type gatedYield struct{ started, proceed chan struct{} }
+// polling, yields once and returns — after waiting for hold, also without
+// polling, when it has one.
+type gatedYield struct{ started, proceed, hold chan struct{} }
 
 type gatedYieldHandler struct{ yieldTimesHandler }
 
@@ -699,6 +700,9 @@ func (gatedYieldHandler) Handle(ctx *Ctx, payload any) (any, error) {
 	close(g.started)
 	<-g.proceed
 	yieldNow(ctx)
+	if g.hold != nil {
+		<-g.hold
+	}
 	return nil, nil
 }
 
@@ -764,6 +768,119 @@ func TestPlacedDetachedRetiredByDrain(t *testing.T) {
 			}
 			if st := s.Stats(); st.Submitted != 2 || st.Completed != 2 || st.Aborted != 1 {
 				t.Fatalf("stats %+v; want 2 submitted and completed, 1 aborted", st)
+			}
+		})
+	}
+}
+
+// TestPlacedKeepsSpare: a placed request that finishes in its first
+// slice runs in its worker's spare task and leaves it there, so a
+// worker's placed requests all run in the one task — none comes from or
+// goes back to taskPool. Do and TryDo.
+func TestPlacedKeepsSpare(t *testing.T) {
+	s := New(yieldTimesHandler{}, testOptions(1, 0))
+	s.Start()
+	defer s.Stop()
+	ex := s.workers[0]
+	var spare *task
+	for i := 0; i < 100; i++ {
+		resp, placed := Response{}, true
+		if i%2 == 0 {
+			resp = s.Do(yieldTimes(0))
+		} else {
+			resp, placed = s.TryDo(yieldTimes(0), func(Response) { t.Error("TryDo called back for a placed request") })
+		}
+		if !placed || resp.Err != nil {
+			t.Fatalf("request %d: placed %v, err %v", i, placed, resp.Err)
+		}
+		if i == 0 {
+			spare = ex.spare
+		}
+		if ex.spare == nil || ex.spare != spare || !reflect.ValueOf(ex.spare.taskState).IsZero() {
+			t.Fatalf("request %d: the worker's spare is %p, want %p kept, its state reset", i, ex.spare, spare)
+		}
+	}
+	if n := ingressSubmitted(s); n != 0 {
+		t.Fatalf("%d requests took the ingress", n)
+	}
+}
+
+// TestPlacedYieldGivesUpSpare: a placed request runs in its worker's
+// spare task, and one that yields takes that task with it, so the next
+// request placed on the same worker runs in a task of its own. The first
+// request is placed on worker 1 (a blocker holds worker 0), yields, is
+// resumed on worker 0 (idle again by then, and the lowest) and waits
+// there; a second placed request then lands on worker 1 while the first
+// is still unanswered. Each is answered once, with its own payload and
+// its own id. Do and TryDo.
+func TestPlacedYieldGivesUpSpare(t *testing.T) {
+	for _, try := range []bool{false, true} {
+		t.Run(fmt.Sprintf("trydo=%v", try), func(t *testing.T) {
+			s := New(gatedYieldHandler{}, testOptions(2, time.Hour))
+			s.Start()
+			do := func(payload any, answered chan<- Response) {
+				if !try {
+					answered <- s.Do(payload)
+				} else if resp, placed := s.TryDo(payload, func(r Response) { t.Error("TryDo called back for a placed request") }); placed {
+					answered <- resp
+				} else {
+					t.Error("TryDo did not place")
+				}
+			}
+			await := func(what string, answered <-chan Response) Response {
+				t.Helper()
+				select {
+				case resp := <-answered:
+					return resp
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s was never answered", what)
+					return Response{}
+				}
+			}
+
+			release := make(chan struct{})
+			blocker := s.Submit(release)
+			waitUntil(t, "the blocker to hold worker 0", func() bool { return s.Depths().Workers[0] == 1 })
+			g := gatedYield{started: make(chan struct{}), proceed: make(chan struct{}), hold: make(chan struct{})}
+			first := make(chan Response, 2)
+			go do(g, first)
+			<-g.started // placed on worker 1, the one idle worker
+			close(release)
+			if r := <-blocker; r.Err != nil {
+				t.Fatalf("blocker: %v", r.Err)
+			}
+			waitUntil(t, "worker 0 idle", func() bool { return s.Depths().Workers[0] == 0 })
+			close(g.proceed)
+			waitUntil(t, "the yielded request to resume on worker 0 and worker 1 to idle", func() bool {
+				d := s.Depths()
+				return s.Stats().Preemptions == 1 && d.Workers[0] == 1 && d.Workers[1] == 0 && d.Central == 0
+			})
+
+			var second yieldTimes
+			answered := make(chan Response, 2)
+			go do(second, answered)
+			resp := await("the second request", answered)
+			if resp.Err != nil || resp.Req != any(second) || resp.Preemptions != 0 {
+				t.Fatalf("second request: err %v, Req %v, Preemptions %d; want its own payload, served in one slice",
+					resp.Err, resp.Req, resp.Preemptions)
+			}
+			close(g.hold)
+			got := await("the yielded request", first)
+			if got.Err != nil || got.Req != any(g) || got.Preemptions != 1 {
+				t.Fatalf("yielded request: err %v, Req %v, Preemptions %d; want its own payload, 1", got.Err, got.Req, got.Preemptions)
+			}
+			if got.ID == resp.ID {
+				t.Fatalf("both requests answered as id %d", got.ID)
+			}
+			if n := ingressSubmitted(s); n != 1 {
+				t.Fatalf("%d requests took the ingress, want only the blocker", n)
+			}
+			s.Stop()
+			if len(first)+len(answered) != 0 {
+				t.Fatal("a second response")
+			}
+			if st := s.Stats(); st.Submitted != 3 || st.Completed != 3 {
+				t.Fatalf("stats %+v; want 3 submitted and completed", st)
 			}
 		})
 	}

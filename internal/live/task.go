@@ -134,10 +134,12 @@ type parkEvent struct {
 }
 
 // task is one in-flight request and, once it has yielded, the handle on
-// its suspended continuation (the goroutine parked on resume). It is
-// pooled (taskPool): the request's state is zeroed when it is recycled,
-// and what outlives a request — the Ctx its next first slice
-// overwrites, the handshake channels and gen — sits outside that state.
+// its suspended continuation (the goroutine parked on resume). A task
+// outlives its request: a placed request runs in its worker's spare
+// (executor.spare), every other in a task from taskPool, and either way
+// only the request's state is zeroed when it is done. What outlives a
+// request — the Ctx its next first slice overwrites, the handshake
+// channels, gen and the id block — sits outside that state.
 type task struct {
 	taskState
 
@@ -158,19 +160,14 @@ type task struct {
 	// Only the dispatcher touches it; recycling leaves it alone.
 	gen uint64
 
-	// home is where place starts looking for an idle worker: the
-	// worker the task was last placed on. Tasks are pooled per processor, so a caller mostly gets back
-	// the task it used last, and callers on different processors keep to
-	// different workers' occupancy lines.
-	home int
 	// The task hands out request ids (idNext, idEnd], a block it claimed
 	// from the server whose serial is idSrv (newID).
 	idSrv, idNext, idEnd uint64
 
 	// A task fills whole cache lines (TestTaskWholeLines): 320 bytes is
-	// a size class whose objects start on line boundaries, so two pooled
-	// tasks, written by two callers, never share a line.
-	_ [56]byte
+	// a size class whose objects start on line boundaries, so two tasks,
+	// written by two callers, never share a line.
+	_ [64]byte
 }
 
 // idBlockLen is how many ids a task claims from its server at a time.
@@ -190,7 +187,7 @@ func (s *Server) newID(t *task) {
 	t.id = t.idNext
 }
 
-// taskState is one request's state: everything release zeroes.
+// taskState is one request's state: everything reset zeroes.
 type taskState struct {
 	id       uint64
 	payload  any
@@ -235,12 +232,15 @@ type taskState struct {
 	readTS     int64 // wire read (NetTimed payloads)
 }
 
-// taskPool recycles tasks and their resume/parked handshake channels —
-// the remaining fixed allocations on the per-request path. A task goes
-// back at finish unless a policy queue still holds it: one the deadline
-// sweep expired while queued stays there as a tombstone until it comes
-// up, and is left to the GC. A deadline-heap entry may outlive the
-// request too, but gen tells it the task has moved on.
+// taskPool recycles tasks and their resume/parked handshake channels
+// for the requests that do not run in a worker's spare: those that take
+// the ingress, and a placed request that yields, which takes its
+// worker's spare with it (adopt) and leaves a refill from here to the
+// next placement. A task goes back at finish unless a policy queue still
+// holds it: one the deadline sweep expired while queued stays there as a
+// tombstone until it comes up, and is left to the GC. A deadline-heap
+// entry may outlive the request too, but gen tells it the task has moved
+// on.
 var taskPool = sync.Pool{New: func() any {
 	return &task{
 		resume: make(chan *executor),
@@ -251,14 +251,19 @@ var taskPool = sync.Pool{New: func() any {
 // newTask returns a zeroed task with live handshake channels.
 func newTask() *task { return taskPool.Get().(*task) }
 
-// release recycles the task when no policy queue still holds it; see
-// taskPool. The handshake channels are empty by construction: both are
-// unbuffered, and the final parked send has completed before finish
-// runs. The Ctx is left for runSlice to overwrite, all but its server:
-// a pooled task must not keep a stopped server reachable.
+// reset zeroes the request's state, leaving the task ready for its next
+// request: finish's whole recycling of a worker's spare.
+func (t *task) reset() { t.taskState = taskState{} }
+
+// release puts a task that is not a worker's spare back in taskPool,
+// reset, when no policy queue still holds it. The handshake channels are
+// empty by construction: both are unbuffered, and the final parked send
+// has completed before finish runs. The Ctx is left for runSlice to
+// overwrite, all but its server: a pooled task must not keep a stopped
+// server reachable. (A spare keeps it: the spare is that server's.)
 func (t *task) release() {
 	if !t.dead {
-		t.taskState = taskState{}
+		t.reset()
 		t.ctx.srv = nil
 		taskPool.Put(t)
 	}

@@ -62,16 +62,17 @@ function ns(v) { return sprintf("%.1f", v) }
 }
 END {
 	# key, what it times, crossings per request, the paper'"'"'s cost
-	rows = 8
-	split("Ledger/clock Ledger/newID Ledger/probes Ledger/pool Ledger/place Ledger/handle Ledger/count Ledger/done", key, " ")
+	rows = 9
+	split("Ledger/clock Ledger/home Ledger/place Ledger/newID Ledger/probes Ledger/handle Ledger/count Ledger/done Ledger/reset", key, " ")
 	what[1] = "clock read: nanotime, an `RDTSC` mapped (arrival, end)"; per[1] = 2; paper[1] = "`rdtsc` ≈ 30"
-	what[2] = "`newID`: the id from the task'"'"'s block"; per[2] = 1
-	what[3] = "`newRequest`'"'"'s payload probes (deadline, hint, class)"; per[3] = 1
-	what[4] = "task pool: `newTask` + `release` (zeroes the state)"; per[4] = 1
-	what[5] = "`place`: checks + compare-and-swap, slot release"; per[5] = 1; paper[5] = "c_next ≈ 400 (the hand-off it replaces)"
+	what[2] = "`home`: the caller'"'"'s processor index (`procPin` + `procUnpin`), the scan'"'"'s start"; per[2] = 1
+	what[3] = "`place`: checks + compare-and-swap, slot release"; per[3] = 1; paper[3] = "c_next ≈ 400 (the hand-off it replaces)"
+	what[4] = "`newID`: the id from the task'"'"'s block"; per[4] = 1
+	what[5] = "`fill`'"'"'s payload probes (deadline, hint, class)"; per[5] = 1
 	what[6] = "`Ctx` write + `handle` (`defer`, `Handler` call)"; per[6] = 1
 	what[7] = "`finish`'"'"'s count (`classPlaced`)"; per[7] = 1
 	what[8] = "`Response.Done` stamp"; per[8] = 1
+	what[9] = "`reset`: the worker'"'"'s spare task'"'"'s state zeroed (`finish`)"; per[9] = 1
 	hz = median(ticksop["Ledger/clock"]) / median(nsop["Ledger/clock"])
 	printf "`bash scripts/ledger.sh -c %s -b %s`: %s, GOMAXPROCS %s, %s", count, benchtime, cpu, procs, gover
 	if (ticksop["Ledger/clock"] != "") printf ", TSC %.3f GHz", hz

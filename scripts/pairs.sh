@@ -3,7 +3,7 @@
 # one workload of BENCHMARK.json, interleaved.
 #
 #   bash scripts/pairs.sh [-r REV] [-n PAIRS] [-w WORKLOAD] [-s SECONDS]
-#                         [-e FIRST_SEED] [-d DIR] [-t] [-m METRICS]
+#                         [-e FIRST_SEED] [-d DIR] [-t] [-a] [-m METRICS]
 #
 # Run from the repository root. It clones REV (default HEAD~1) from this
 # repository into DIR/parent (default DIR: a new temporary directory) and
@@ -14,6 +14,13 @@
 # in place of the end-to-end ones. Odd pairs run the parent first, even
 # pairs the change, so neither side always runs on a warmer or cooler
 # host. Each run's output is kept in DIR/logs.
+#
+# -a adds an A/A arm: a second clone of REV, DIR/aa, runs on the same
+# seeds as a third side, the order of the three rotating by one each
+# pair (parent, change, aa; then change, aa, parent; ...). Its summary,
+# printed after the change's in the same form, is aa against the parent:
+# what identical code reads as a difference on this host and workload,
+# to set beside the change's.
 #
 # It then prints, for each metric in METRICS (comma-separated names from
 # BENCHMARK.json; default the four end-to-end ones, throughput_rps,
@@ -27,8 +34,8 @@
 set -euo pipefail
 
 rev=HEAD~1 pairs=10 workload=dispatch_null seconds=20 seed0=101 dir= trace=0
-metrics=throughput_rps,p50_us,tail_us,setup_s
-while getopts r:n:w:s:e:d:tm: opt; do
+metrics=throughput_rps,p50_us,tail_us,setup_s sides="parent change"
+while getopts r:n:w:s:e:d:tam: opt; do
 	case $opt in
 	r) rev=$OPTARG ;;
 	n) pairs=$OPTARG ;;
@@ -37,6 +44,7 @@ while getopts r:n:w:s:e:d:tm: opt; do
 	e) seed0=$OPTARG ;;
 	d) dir=$OPTARG ;;
 	t) trace=1 ;;
+	a) sides="parent change aa" ;;
 	m) metrics=$OPTARG ;;
 	*) sed -n '2,8p' "$0" >&2; exit 2 ;;
 	esac
@@ -62,17 +70,21 @@ root=$PWD
 dir=${dir:-$(mktemp -d)}
 mkdir -p "$dir/logs"
 sha=$(git rev-parse --verify "$rev^{commit}")
-if [ ! -d "$dir/parent/.git" ]; then
-	git clone --quiet --no-checkout "$root" "$dir/parent"
-fi
-git -C "$dir/parent" checkout --quiet --detach "$sha"
+for clone in parent aa; do
+	[[ " $sides " == *" $clone "* ]] || continue
+	if [ ! -d "$dir/$clone/.git" ]; then
+		git clone --quiet --no-checkout "$root" "$dir/$clone"
+	fi
+	git -C "$dir/$clone" checkout --quiet --detach "$sha"
+done
 echo "parent $rev = $sha in $dir/parent; change = working tree $root" >&2
+[ "$sides" = "parent change" ] || echo "A/A arm: aa = $sha again, in $dir/aa" >&2
 
 results=$dir/results.tsv
 : >"$results"
 run() { # side seed pair
 	local where=$root log=$dir/logs/$1-$2.log
-	[ "$1" = parent ] && where=$dir/parent
+	[ "$1" = change ] || where=$dir/$1
 	(cd "$where" && bash benchmark/run.sh --workload "$workload" --seed "$2" \
 		--seconds "$seconds" --trace "$trace") >"$log" 2>&1 || {
 		echo "pairs.sh: $1 run, seed $2 failed; see $log" >&2
@@ -91,15 +103,12 @@ run() { # side seed pair
 	done
 	echo "pair $3 seed $2 $1 done" >&2
 }
+read -ra side <<<"$sides"
 for ((i = 1; i <= pairs; i++)); do
 	seed=$((seed0 + i - 1))
-	if ((i % 2)); then
-		run parent "$seed" "$i"
-		run change "$seed" "$i"
-	else
-		run change "$seed" "$i"
-		run parent "$seed" "$i"
-	fi
+	for ((k = 0; k < ${#side[@]}; k++)); do
+		run "${side[(i - 1 + k) % ${#side[@]}]}" "$seed" "$i"
+	done
 done
 
 # quartiles FILE: the 25th, 50th and 75th percentiles of one number a line.
@@ -109,38 +118,50 @@ quartiles() {
 	END { printf "%.6g %.6g %.6g", q(0.25), q(0.5), q(0.75) }'
 }
 
-echo "workload $workload, $pairs pairs at $seconds s, --trace $trace, seeds $seed0-$((seed0 + pairs - 1)), parent $sha"
-for m in $metrics; do
-	better=$(better "$m")
-	echo
-	echo "$m ($better is better)"
-	printf '  %-5s %-6s %-8s %-14s %-14s %s\n' pair seed first parent change change/parent
-	awk -F'\t' -v m=$m -v better=$better '
-		$4 == m { v[$1, $3] = $5; seed[$1] = $2; if (!(($1) in first)) first[$1] = $3; n = $1 > n ? $1 : n }
-		END {
-			for (i = 1; i <= n; i++) {
-				p = v[i, "parent"]; c = v[i, "change"]
-				printf "  %-5d %-6d %-8s %-14.6g %-14.6g %.3f\n", i, seed[i], first[i], p, c, c / p
-				if ((better == "higher" && c > p) || (better == "lower" && c < p)) won++
-			}
-			printf "  change better in %d/%d pairs\n", won, n
-		}' "$results"
-	for side in parent change; do
-		awk -F'\t' -v m=$m -v s=$side '$4 == m && $3 == s { print $5 }' "$results" >"$dir/$side.$m"
+# summary SIDE: every metric's table, SIDE (change or aa) against the
+# parent.
+summary() {
+	local b=$1 m s better pq1 pmed pq3 cq1 cmed cq3 rmed
+	for m in $metrics; do
+		better=$(better "$m")
+		echo
+		echo "$m ($better is better)"
+		printf '  %-5s %-6s %-8s %-14s %-14s %s\n' pair seed first parent "$b" "$b/parent"
+		awk -F'\t' -v m="$m" -v b="$b" -v better="$better" '
+			$4 == m { v[$1, $3] = $5; seed[$1] = $2; if (!(($1) in first)) first[$1] = $3; n = $1 > n ? $1 : n }
+			END {
+				for (i = 1; i <= n; i++) {
+					p = v[i, "parent"]; c = v[i, b]
+					printf "  %-5d %-6d %-8s %-14.6g %-14.6g %.3f\n", i, seed[i], first[i], p, c, c / p
+					if ((better == "higher" && c > p) || (better == "lower" && c < p)) won++
+				}
+				printf "  %s better in %d/%d pairs\n", b, won, n
+			}' "$results"
+		for s in parent "$b"; do
+			awk -F'\t' -v m="$m" -v s="$s" '$4 == m && $3 == s { print $5 }' "$results" >"$dir/$s.$m"
+		done
+		awk -F'\t' -v m="$m" -v b="$b" '$4 == m { v[$1, $3] = $5; n = $1 > n ? $1 : n }
+			END { for (i = 1; i <= n; i++) print v[i, b] / v[i, "parent"] }' "$results" >"$dir/ratio.$b.$m"
+		read -r pq1 pmed pq3 <<<"$(quartiles "$dir/parent.$m")"
+		read -r cq1 cmed cq3 <<<"$(quartiles "$dir/$b.$m")"
+		read -r _ rmed _ <<<"$(quartiles "$dir/ratio.$b.$m")"
+		awk -v b="$b" -v pq1="$pq1" -v pmed="$pmed" -v pq3="$pq3" -v cq1="$cq1" -v cmed="$cmed" -v cq3="$cq3" -v rmed="$rmed" 'BEGIN {
+			printf "  parent median %.6g [q1 %.6g, q3 %.6g], IQR %.6g\n", pmed, pq1, pq3, pq3 - pq1
+			printf "  %s median %.6g [q1 %.6g, q3 %.6g]\n", b, cmed, cq1, cq3
+			gap = cmed - pmed
+			if (gap < 0) gap = -gap
+			verdict = "is within"
+			if (gap > pq3 - pq1) verdict = "exceeds"
+			printf "  median pair ratio %.3f; %s/parent of medians %.3f; |gap| %.6g %s the parent IQR\n",
+				rmed, b, cmed / pmed, gap, verdict
+		}'
 	done
-	awk -F'\t' -v m=$m '$4 == m { v[$1, $3] = $5; n = $1 > n ? $1 : n }
-		END { for (i = 1; i <= n; i++) print v[i, "change"] / v[i, "parent"] }' "$results" >"$dir/ratio.$m"
-	read -r pq1 pmed pq3 <<<"$(quartiles "$dir/parent.$m")"
-	read -r cq1 cmed cq3 <<<"$(quartiles "$dir/change.$m")"
-	read -r _ rmed _ <<<"$(quartiles "$dir/ratio.$m")"
-	awk -v pq1="$pq1" -v pmed="$pmed" -v pq3="$pq3" -v cq1="$cq1" -v cmed="$cmed" -v cq3="$cq3" -v rmed="$rmed" 'BEGIN {
-		printf "  parent median %.6g [q1 %.6g, q3 %.6g], IQR %.6g\n", pmed, pq1, pq3, pq3 - pq1
-		printf "  change median %.6g [q1 %.6g, q3 %.6g]\n", cmed, cq1, cq3
-		gap = cmed - pmed
-		if (gap < 0) gap = -gap
-		verdict = "is within"
-		if (gap > pq3 - pq1) verdict = "exceeds"
-		printf "  median pair ratio %.3f; change/parent of medians %.3f; |gap| %.6g %s the parent IQR\n",
-			rmed, cmed / pmed, gap, verdict
-	}'
-done
+}
+
+echo "workload $workload, $pairs pairs at $seconds s, --trace $trace, seeds $seed0-$((seed0 + pairs - 1)), parent $sha"
+summary change
+if [ "$sides" != "parent change" ]; then
+	echo
+	echo "A/A arm: aa (a second clone of the parent) against the parent, same seeds"
+	summary aa
+fi
