@@ -19,12 +19,13 @@ race:
 # Stress for the live runtime's concurrency-critical suites — lifecycle
 # tables, chaos, drain windows, the identity hand-off, caller
 # placement, dispatcher parking, slices that time themselves with the
-# dispatcher held, the work-conserving dispatcher's rule and the
-# timesharing hand-off on a core-scarce server — repeated under the race
-# detector: a lost request, a lost wake-up or a leaked goroutine shows
-# as a rare interleaving, not on the first run.
+# dispatcher held, the work-conserving dispatcher's rule, the
+# timesharing hand-off on a core-scarce server and the trace's agreement
+# with Response.Breakdown — repeated under the race detector: a lost
+# request, a lost wake-up or a leaked goroutine shows as a rare
+# interleaving, not on the first run.
 live-stress:
-	go test -race -count=20 -run 'Lifecycle|Chaos|Drain|Handoff|Park|Place|SelfTimed|Conserv|Timeshare' ./internal/live
+	go test -race -count=20 -run 'Lifecycle|Chaos|Drain|Handoff|Park|Place|SelfTimed|Conserv|Timeshare|TraceAgrees' ./internal/live
 
 # Stress for the connection loop's concurrency-critical tests — window
 # back-pressure, dead and half-open clients, resets, fan-in, drain, the

@@ -80,12 +80,16 @@ func checkConservation(t *testing.T, s *Server, attempts uint64) {
 	}
 }
 
-// receiveExactlyOne asserts the submission channel yields one response
-// and no second one.
-func receiveExactlyOne(t *testing.T, ch <-chan Response) bool {
+// receiveExactlyOne asserts the submission channel yields one response,
+// echoing the request numbered seq (0: any), and no second one.
+func receiveExactlyOne(t *testing.T, ch <-chan Response, seq int) bool {
 	t.Helper()
 	select {
-	case <-ch:
+	case resp := <-ch:
+		if r, ok := resp.Req.(chaosReq); seq != 0 && (!ok || r.seq != seq) {
+			t.Errorf("chaos: request %d answered with %v, not its own request", seq, resp.Req)
+			return false
+		}
 		select {
 		case <-ch:
 			t.Error("chaos: second response on one submission")
@@ -99,28 +103,40 @@ func receiveExactlyOne(t *testing.T, ch <-chan Response) bool {
 	}
 }
 
-// TestChaosLifecycle: chaos clients against five configurations. In the
-// last, half the clients place their own requests (Do and TryDo) beside
-// closed-loop Submit ones, on enough workers that they often can, and
-// the drain deadline is short enough that Stop retires placed requests
-// that have yielded and detached.
+// TestChaosLifecycle: chaos clients against eight configurations. In
+// "placing", half the clients place their own requests (Do and TryDo)
+// beside closed-loop Submit ones, on enough workers that they often can,
+// and the drain deadline is short enough that Stop retires placed
+// requests that have yielded and detached. "deadline" sets a request
+// timeout short enough that queued and parked requests expire,
+// "submitfunc" submits through SubmitFunc's callback instead of Submit's
+// channel, and "cascade" runs the class-tiered queue on requests of
+// every class. Every response must echo its own request.
 func TestChaosLifecycle(t *testing.T) {
 	configs := []struct {
 		name    string
 		opts    Options
 		placing bool
-		buffer  int // ingress capacity; 0 keeps the default
+		buffer  int  // ingress capacity; 0 keeps the default
+		viaFunc bool // submit through SubmitFunc
+		classed bool // draw each request's class at random
 	}{
 		{"k1-steal", Options{Workers: 1, Quantum: 100 * time.Microsecond, QueueBound: 1,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0, false, false},
 		{"w4", Options{Workers: 4, Quantum: 100 * time.Microsecond, QueueBound: 2,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0, false, false},
 		{"no-preempt", Options{Workers: 2, Quantum: 0,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0, false, false},
 		{"tiny-buffer", Options{Workers: 2, Quantum: 50 * time.Microsecond,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 4},
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 4, false, false},
 		{"placing", Options{Workers: 4, Quantum: 100 * time.Microsecond,
-			DrainTimeout: 100 * time.Microsecond, PinThreads: false}, true, 0},
+			DrainTimeout: 100 * time.Microsecond, PinThreads: false}, true, 0, false, false},
+		{"deadline", Options{Workers: 2, Quantum: 100 * time.Microsecond, RequestTimeout: 250 * time.Microsecond,
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0, false, false},
+		{"submitfunc", Options{Workers: 4, Quantum: 100 * time.Microsecond, QueueBound: 2,
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0, true, false},
+		{"cascade", Options{Workers: 2, Quantum: 100 * time.Microsecond, Policy: PolicyCascade,
+			DrainTimeout: 500 * time.Millisecond, PinThreads: false}, false, 0, false, true},
 	}
 
 	for _, cfg := range configs {
@@ -144,18 +160,37 @@ func TestChaosLifecycle(t *testing.T) {
 						callbacks[c] = chaosPlacer(t, s, rng, c, perClient, c%4 == 3, &attempts)
 						return
 					}
+					// submit sends request i, numbered c*perClient+i+1;
+					// a SubmitFunc callback feeds a channel kept to
+					// check after Stop that no second response came.
+					submit := func(i int) <-chan Response {
+						req := randomChaosReq(rng)
+						req.seq = c*perClient + i + 1
+						if cfg.classed {
+							req.class = SLOClass(rng.Intn(NumClasses))
+						}
+						attempts.Add(1)
+						if !cfg.viaFunc {
+							return s.Submit(req)
+						}
+						got := make(chan Response, 2)
+						callbacks[c] = append(callbacks[c], got)
+						s.SubmitFunc(req, func(r Response) { got <- r })
+						return got
+					}
 					if c%3 == 0 && !cfg.placing {
 						// Abusive client: batch-submit everything, then
 						// read late — responses must not be lost while
 						// nobody is listening (result channels buffer).
 						var chans []<-chan Response
 						for i := 0; i < perClient; i++ {
-							attempts.Add(1)
-							chans = append(chans, s.Submit(randomChaosReq(rng)))
+							chans = append(chans, submit(i))
 						}
+						// Kept on purpose: jitter in how late the
+						// client reads, not a wait for traffic.
 						time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
-						for _, ch := range chans {
-							if !receiveExactlyOne(t, ch) {
+						for i, ch := range chans {
+							if !receiveExactlyOne(t, ch, c*perClient+i+1) {
 								return
 							}
 						}
@@ -163,21 +198,25 @@ func TestChaosLifecycle(t *testing.T) {
 					}
 					// Closed-loop client with random think/read delays.
 					for i := 0; i < perClient; i++ {
-						attempts.Add(1)
-						ch := s.Submit(randomChaosReq(rng))
+						ch := submit(i)
 						if rng.Intn(4) == 0 {
+							// Kept on purpose: read-delay jitter.
 							time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
 						}
-						if !receiveExactlyOne(t, ch) {
+						if !receiveExactlyOne(t, ch, c*perClient+i+1) {
 							return
 						}
 					}
 				}(c)
 			}
 
-			// Stop mid-flight: some submissions are in queues, some are
+			// Stop mid-flight, once half the attempts have been accepted
+			// or rejected: some submissions are in queues, some are
 			// running, some haven't been made yet (those get rejected).
-			time.Sleep(2 * time.Millisecond)
+			waitUntil(t, "half the submissions", func() bool {
+				st := s.Stats()
+				return st.Submitted+st.Rejected >= clients*perClient/2
+			})
 			stopDone := make(chan struct{})
 			go func() { s.Stop(); close(stopDone) }()
 			wg.Wait()
@@ -189,11 +228,12 @@ func TestChaosLifecycle(t *testing.T) {
 			for c, calls := range callbacks {
 				for i, got := range calls {
 					if len(got) != 0 {
-						t.Errorf("chaos: client %d TryDo %d: a second response", c, i)
+						t.Errorf("chaos: client %d callback %d: a second response", c, i)
 					}
 				}
 			}
 			checkConservation(t, s, attempts.Load())
+			t.Logf("stats %+v", s.Stats())
 		})
 	}
 }
@@ -290,6 +330,8 @@ func TestChaosSheddingOverloadStop(t *testing.T) {
 			}
 
 			const clients, perClient = 8, 60
+			admitted := s.Stats()
+			before := admitted.Submitted + admitted.Rejected
 			var wg sync.WaitGroup
 			var shedWrongClass sync.Map
 			for c := 0; c < clients; c++ {
@@ -336,6 +378,7 @@ func TestChaosSheddingOverloadStop(t *testing.T) {
 							reqs[i] = classed()
 							chans[i] = s.Submit(reqs[i])
 						}
+						// Kept on purpose: read-delay jitter.
 						time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
 						for i := range reqs {
 							if !check(reqs[i], chans[i]) {
@@ -353,7 +396,12 @@ func TestChaosSheddingOverloadStop(t *testing.T) {
 				}(c)
 			}
 
-			time.Sleep(2 * time.Millisecond)
+			// Stop mid-load, once half the chaos phase's submissions
+			// have been admitted, shed or refused.
+			waitUntil(t, "half the submissions", func() bool {
+				st := s.Stats()
+				return st.Submitted+st.Rejected >= before+clients*perClient/2
+			})
 			stopDone := make(chan struct{})
 			go func() { s.Stop(); close(stopDone) }()
 			wg.Wait()
@@ -408,7 +456,7 @@ func TestChaosRepeatedStopIdempotent(t *testing.T) {
 // response per submission; Submitted == Completed after Stop) on four
 // workers at JBSQ(2), JBSQ(1) and under SRPT, under the names of the
 // shard counts the rows once ran at. Stop lands while traffic is in
-// flight: once the first request has been answered.
+// flight: once half the submissions have been accepted.
 func TestShardedChaosLifecycle(t *testing.T) {
 	configs := []struct {
 		name string
@@ -434,14 +482,15 @@ func TestShardedChaosLifecycle(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(c)*7919 + 1))
 					for i := 0; i < perClient; i++ {
-						ch := s.Submit(randomChaosReq(rng))
-						if !receiveExactlyOne(t, ch) {
+						req := randomChaosReq(rng)
+						req.seq = c*perClient + i + 1
+						if !receiveExactlyOne(t, s.Submit(req), req.seq) {
 							return
 						}
 					}
 				}(c)
 			}
-			waitUntil(t, "a first answer", func() bool { return s.Stats().Completed > 0 })
+			waitUntil(t, "half the submissions", func() bool { return s.Stats().Submitted >= clients*perClient/2 })
 			stopDone := make(chan struct{})
 			go func() { s.Stop(); close(stopDone) }()
 			wg.Wait()

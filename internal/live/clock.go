@@ -14,9 +14,9 @@ import (
 
 // epoch is the runtime's time origin: every stamp it takes is nanoseconds
 // since epoch on the monotonic clock (nanotime), and it never reads the
-// wall clock. A time.Time it hands out (Now, Stamp.Time, a traced stamp)
-// is epoch plus the elapsed time (at), so it keeps a monotonic reading
-// and Sub and Since on it stay monotonic.
+// wall clock. The one time.Time it hands out, Stamp.Time, is epoch plus
+// the elapsed time, so it keeps a monotonic reading and Sub and Since on
+// it stay monotonic.
 var epoch = time.Now()
 
 // clockShift is added to every reading. It stays zero except in a test
@@ -38,14 +38,6 @@ func nanotime() int64 {
 	return int64(time.Since(epoch)) + clockShift.Load()
 }
 
-// at is the time.Time of a nanotime stamp.
-func at(ns int64) time.Time { return epoch.Add(time.Duration(ns)) }
-
-// Now is the runtime's clock as a time.Time. A time compared with one
-// the runtime hands out (Stamp.Time, a NetTimed payload's times, a traced
-// event) should come from Now, so that both are readings of one clock.
-func Now() time.Time { return at(nanotime()) }
-
 // Stamp is one reading of the runtime's clock, as the runtime takes it:
 // nanoseconds since its epoch, monotonic only. The runtime stamps each
 // response's completion with one (Response.Done) and builds no time.Time
@@ -54,17 +46,19 @@ func Now() time.Time { return at(nanotime()) }
 type Stamp int64
 
 // NowStamp is the runtime's clock as a Stamp: a reading to subtract a
-// Response.Done from.
+// Response.Done from, or to stamp a NetTimed payload with.
 func NowStamp() Stamp { return Stamp(nanotime()) }
 
-// Time is the reading as a time.Time, on the clock Now reads.
-func (s Stamp) Time() time.Time { return at(int64(s)) }
+// Time is the reading as a time.Time: epoch plus the stamp, so it keeps
+// epoch's monotonic reading.
+func (s Stamp) Time() time.Time { return epoch.Add(time.Duration(s)) }
 
 // IsZero reports whether s is no reading.
 func (s Stamp) IsZero() bool { return s == 0 }
 
 // Sub is s.Time().Sub(t): the monotonic distance from t when t has a
-// monotonic reading (time.Now, Now), and the wall distance otherwise.
+// monotonic reading (time.Now, Stamp.Time), and the wall distance
+// otherwise.
 func (s Stamp) Sub(t time.Time) time.Duration { return s.Time().Sub(t) }
 
 // useTSC is decided once, at start-up: the TSC ticks at a constant rate

@@ -150,7 +150,7 @@ func (s *Server) serveDispatcher() {
 					continue
 				}
 				if s.tr != nil {
-					s.tr.Record(obs.WriterDispatcher, obs.EvDispatch, t.id, int64(w))
+					s.tr.Record(obs.WriterDispatcher, obs.EvDispatch, t.id, int64(w), nanotime())
 				}
 				s.locals[w] <- t
 				progress = true
@@ -194,10 +194,11 @@ func (s *Server) serveDispatcher() {
 // queue.
 func (s *Server) ingest(t *task) {
 	if s.tr != nil {
+		now := nanotime()
 		if t.enqueueTS == 0 {
-			t.enqueueTS = nanotime()
+			t.enqueueTS = now
 		}
-		s.tr.Record(obs.WriterDispatcher, obs.EvEnqueueCentral, t.id, 0)
+		s.tr.Record(obs.WriterDispatcher, obs.EvEnqueueCentral, t.id, 0, now)
 	}
 	if testIngestGate != nil {
 		testIngestGate()

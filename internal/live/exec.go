@@ -184,7 +184,7 @@ func (s *Server) requeue(ex *executor, t *task) {
 		testRequeueGate()
 	}
 	if s.tr != nil {
-		s.tr.Record(ex.writer, obs.EvRequeue, t.id, 0)
+		s.tr.Record(ex.writer, obs.EvRequeue, t.id, int64(t.preempts), nanotime())
 	}
 	s.disp.inbound.Add(1)
 	s.disp.submit <- t
@@ -213,7 +213,7 @@ func (s *Server) runSlice(ex *executor, t *task, start int64, resp *Response) (p
 	ex.sliceStart = start
 	if t.started {
 		if s.tr != nil {
-			s.tr.Record(ex.writer, obs.EvResume, t.id, int64(t.preempts))
+			s.tr.Record(ex.writer, obs.EvResume, t.id, int64(t.preempts), start)
 		}
 		t.resume <- ex
 		ev := <-t.parked
@@ -224,7 +224,7 @@ func (s *Server) runSlice(ex *executor, t *task, start int64, resp *Response) (p
 	t.onDispatcher = ex.id < 0
 	if s.tr != nil {
 		t.firstRunTS = start
-		s.tr.Record(ex.writer, obs.EvStart, t.id, 0)
+		s.tr.Record(ex.writer, obs.EvStart, t.id, 0, start)
 	}
 	// The Ctx lives inside the task (no allocation per request), and is
 	// written whole here: release does not zero it.
@@ -285,7 +285,7 @@ func (s *Server) endSlice(ex *executor, t *task, done bool, resp *Response) (pre
 	t.preempts++
 	ex.n.preemptions.Add(1)
 	if s.tr != nil {
-		s.tr.Record(ex.writer, obs.EvYield, t.id, 0)
+		s.tr.Record(ex.writer, obs.EvYield, t.id, int64(t.preempts), end)
 	}
 	return true
 }
@@ -369,7 +369,7 @@ func (s *Server) finish(ex *executor, t *task, resp *Response, end int64) {
 		// Stamped at end, like the submit event at arrival, so the
 		// event total equals Latency.
 		kind, status := completionEvent(resp.Err)
-		s.tr.RecordAt(ex.writer, kind, t.id, status, at(end))
+		s.tr.Record(ex.writer, kind, t.id, status, end)
 	}
 	if ex.lent { // a placed request's first slice: submitted and completed at once
 		ex.n.classPlaced[t.class].Add(1)

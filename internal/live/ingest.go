@@ -103,13 +103,13 @@ func (s *Server) fill(t *task, payload any, arrival int64) {
 	if s.tr != nil {
 		// Wire-path attribution: the frontend stamped the request before
 		// it had an id, so record its events retroactively. Snapshot
-		// sorts by timestamp, so late recording is invisible downstream.
+		// sorts by stamp, so late recording is invisible downstream.
 		if nt, ok := payload.(NetTimed); ok {
 			if read, parsed := nt.NetTimes(); !read.IsZero() {
-				t.readTS = int64(read.Sub(epoch))
-				s.tr.RecordAt(obs.WriterNet, obs.EvFrameRead, t.id, 0, read)
+				t.readTS = int64(read)
+				s.tr.Record(obs.WriterNet, obs.EvFrameRead, t.id, 0, int64(read))
 				if !parsed.IsZero() {
-					s.tr.RecordAt(obs.WriterNet, obs.EvParsed, t.id, 0, parsed)
+					s.tr.Record(obs.WriterNet, obs.EvParsed, t.id, 0, int64(parsed))
 				}
 			}
 		}
@@ -125,9 +125,9 @@ func (s *Server) fill(t *task, payload any, arrival int64) {
 // else places on ex: place took every one of its JBSQ slots. The slice
 // starts at the arrival: the request was not queued, so it cannot have
 // expired, a drain abort ends it at its first check, and, traced, it has
-// no hand-off or queue wait — its enqueue and dispatch events are
-// recorded here, on the client's ring, and its enqueue is stamped at
-// arrival, so Breakdown and obs.Analyze still add up. A request that
+// no hand-off or queue wait — its submit, enqueue and dispatch events
+// are recorded here, on the client's ring, all stamped at arrival like
+// its start, so Breakdown and obs.Analyze both read 0 for them. A request that
 // finishes within the slice is answered up the caller's stack, in *resp:
 // no channel, no pool, two clock reads and three locked operations in
 // all — place's compare-and-swap, finish's one count on ex's line, and
@@ -147,9 +147,9 @@ func (s *Server) runPlaced(payload any, arrival int64, resp *Response) bool {
 	s.fill(t, payload, arrival)
 	if s.tr != nil {
 		t.enqueueTS = arrival
-		s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, t.id, 0, at(arrival))
-		s.tr.Record(obs.WriterClient, obs.EvEnqueueCentral, t.id, 0)
-		s.tr.Record(obs.WriterClient, obs.EvDispatch, t.id, int64(w))
+		s.tr.Record(obs.WriterClient, obs.EvSubmit, t.id, 0, arrival)
+		s.tr.Record(obs.WriterClient, obs.EvEnqueueCentral, t.id, 0, arrival)
+		s.tr.Record(obs.WriterClient, obs.EvDispatch, t.id, int64(w), arrival)
 	}
 	ex.lent = true
 	if _, detached := s.runSlice(ex, t, t.arrival, resp); !detached {
@@ -183,7 +183,7 @@ func (s *Server) ingress(t *task, ch chan Response, done func(Response)) {
 			// Stamped at arrival, not now: by now the dispatcher may have
 			// ingested the task, and an EvEnqueueCentral that sorts before
 			// its EvSubmit makes the analyzer count the ingress twice.
-			s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, id, 0, at(arrival))
+			s.tr.Record(obs.WriterClient, obs.EvSubmit, id, 0, arrival)
 		}
 		s.submitMu.RUnlock()
 	} else {
@@ -202,10 +202,11 @@ func (s *Server) ingress(t *task, ch chan Response, done func(Response)) {
 // alias it).
 func (s *Server) reject(t *task, err error, status int64) {
 	s.stats.classRejected[t.class].Add(1)
+	done := nanotime()
 	if s.tr != nil {
-		s.tr.Record(obs.WriterClient, obs.EvReject, t.id, status)
+		s.tr.Record(obs.WriterClient, obs.EvReject, t.id, status, done)
 	}
-	resp := Response{ID: t.id, Err: err, Req: t.payload, Done: NowStamp()}
+	resp := Response{ID: t.id, Err: err, Req: t.payload, Done: Stamp(done)}
 	t.deliver(&resp)
 	t.release()
 }

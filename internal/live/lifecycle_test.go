@@ -67,6 +67,8 @@ func TestSubmitNeverBlocksAgainstStop(t *testing.T) {
 				}
 			}()
 		}
+		// Kept on purpose: each iteration lands Stop at another point of
+		// the traffic, not a wait for it.
 		time.Sleep(time.Duration(iter%4) * 500 * time.Microsecond)
 		stopDone := make(chan struct{})
 		go func() { s.Stop(); close(stopDone) }()
@@ -99,6 +101,8 @@ func TestDrainWindowNoTaskLoss(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			chans = append(chans, s.Submit(300*time.Microsecond))
 		}
+		// Kept on purpose: each iteration lands Stop at another point of
+		// the preemption traffic.
 		time.Sleep(time.Duration(iter%5) * 100 * time.Microsecond)
 		stopDone := make(chan struct{})
 		go func() { s.Stop(); close(stopDone) }()

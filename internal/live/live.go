@@ -238,8 +238,9 @@ type Response struct {
 	// event), as a Stamp: a reading of the runtime's one clock, which is
 	// all the runtime takes. Connection layers subtract it from a later
 	// NowStamp to attribute egress time (completion → bytes flushed to
-	// the socket); Done − Latency is the arrival. Always set. Done.Time()
-	// builds the time.Time, on the clock Now reads: monotonic, so Sub and
+	// the socket); Done − Latency is the arrival. Always set. A traced
+	// request's terminal event carries Done, and its submit event the
+	// arrival. Done.Time() builds the time.Time: monotonic, so Sub and
 	// Since on it are too, and its wall reading drifts from the wall
 	// clock by however much that has been stepped since the runtime's
 	// epoch.

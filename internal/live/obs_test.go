@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +116,118 @@ func TestBreakdownSumsToLatency(t *testing.T) {
 	}
 	if checked < n {
 		t.Fatalf("only %d/%d requests fully traced (ring too small?)", checked, n)
+	}
+}
+
+// TestTraceAgreesWithBreakdown: a traced request's events and its
+// Response.Breakdown read one clock, on every path a request can take —
+// a placed Do and TryDo, Submit, SubmitFunc, a preempted request placed
+// or not, and one whose deadline passes while it is queued. For each,
+// obs.Analyze's components equal the Breakdown's up to float rounding,
+// the submit event carries the arrival (Done − Latency) and the terminal
+// event Done, and a placed request has no hand-off or queue wait in
+// either.
+func TestTraceAgreesWithBreakdown(t *testing.T) {
+	rows := []struct {
+		name   string
+		placed bool
+		run    func(t *testing.T, s *Server, h *yieldHandler) Response
+	}{
+		{"placed Do", true, func(t *testing.T, s *Server, _ *yieldHandler) Response {
+			return s.Do(yieldReq{})
+		}},
+		{"placed TryDo", true, func(t *testing.T, s *Server, _ *yieldHandler) Response {
+			resp, placed := s.TryDo(yieldReq{}, func(Response) { t.Error("TryDo on an idle server did not place") })
+			if !placed {
+				t.Fatal("TryDo on an idle server did not place")
+			}
+			return resp
+		}},
+		{"Submit", false, func(t *testing.T, s *Server, _ *yieldHandler) Response {
+			return <-s.Submit(yieldReq{})
+		}},
+		{"SubmitFunc", false, func(t *testing.T, s *Server, _ *yieldHandler) Response {
+			ch := make(chan Response, 1)
+			s.SubmitFunc(yieldReq{}, func(r Response) { ch <- r })
+			return <-ch
+		}},
+		{"preempted Submit", false, func(t *testing.T, s *Server, _ *yieldHandler) Response {
+			return <-s.Submit(yieldReq{yields: 2, await: true})
+		}},
+		{"preempted placed Do", true, func(t *testing.T, s *Server, _ *yieldHandler) Response {
+			return s.Do(yieldReq{yields: 2, await: true})
+		}},
+		{"expired while queued", false, func(t *testing.T, s *Server, h *yieldHandler) Response {
+			quietDispatcher(t)
+			blocked := s.Submit("block")
+			waitUntil(t, "blocker to occupy the worker", func() bool { return s.Depths().Workers[0] == 1 })
+			late := s.Submit(yieldReq{})
+			waitUntil(t, "late request to reach the worker's local queue", func() bool { return s.Depths().Workers[0] == 2 })
+			advanceClock(t, s.opts.RequestTimeout+time.Millisecond)
+			close(h.release)
+			<-blocked
+			resp := <-late
+			if !errors.Is(resp.Err, ErrDeadlineExceeded) {
+				t.Fatalf("late request: err %v, want ErrDeadlineExceeded", resp.Err)
+			}
+			return resp
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			opts := tracedOptions(1, 100*time.Microsecond, 1<<12)
+			opts.RequestTimeout = time.Hour
+			h := &yieldHandler{release: make(chan struct{})}
+			s := New(h, opts)
+			s.Start()
+			resp := row.run(t, s, h)
+			s.Stop()
+			if resp.Err != nil && !errors.Is(resp.Err, ErrDeadlineExceeded) {
+				t.Fatal(resp.Err)
+			}
+			if (resp.Preemptions > 0) != strings.HasPrefix(row.name, "preempted") {
+				t.Fatalf("%d preemptions", resp.Preemptions)
+			}
+			events := opts.Tracer.Snapshot()
+			var got *obs.Breakdown
+			for _, b := range obs.Analyze(events) {
+				if b.Req == resp.ID {
+					got = &b
+				}
+			}
+			if got == nil || got.Partial {
+				t.Fatalf("request %d: no whole breakdown in the trace (%+v)", resp.ID, got)
+			}
+			want := resp.Breakdown
+			us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"ingress", got.IngressUS, us(want.Ingress)},
+				{"handoff", got.HandoffUS, us(want.Handoff)},
+				{"queue", got.QueueUS, us(want.Queue)},
+				{"service", got.ServiceUS, us(want.Service)},
+				{"preempted", got.PreemptedUS, us(want.Preempted)},
+				{"total", got.TotalUS(), us(resp.Latency)},
+			} {
+				if math.Abs(c.got-c.want) > 1e-6 {
+					t.Errorf("%s: trace %vµs, Breakdown %vµs", c.name, c.got, c.want)
+				}
+			}
+			if row.placed && (got.HandoffUS != 0 || got.QueueUS != 0) {
+				t.Errorf("placed request: trace hand-off %vµs, queue %vµs, want 0", got.HandoffUS, got.QueueUS)
+			}
+			for _, e := range events {
+				switch {
+				case e.Req != resp.ID:
+				case e.Kind == obs.EvSubmit && Stamp(e.TS) != resp.Done-Stamp(resp.Latency):
+					t.Errorf("submit stamped %d, want the arrival Done − Latency = %d", e.TS, resp.Done-Stamp(resp.Latency))
+				case e.Kind.Terminal() && Stamp(e.TS) != resp.Done:
+					t.Errorf("%v stamped %d, want Done = %d", e.Kind, e.TS, resp.Done)
+				}
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"concord/internal/obs"
+	"concord/internal/policy"
 )
 
 // TestObserversDoNotArmClassPreemption pins what arms the ÷4 quantum
@@ -94,7 +95,7 @@ func TestSRPTQueuePopOrderProperty(t *testing.T) {
 				t.Fatalf("trial %d: pop %d key %d after key %d — not nondecreasing", trial, i, key, lastKey)
 			}
 			lastKey = key
-			if key == unhintedKey {
+			if key == int64(policy.UnhintedKey) {
 				if tk.id <= lastUnhintedID {
 					t.Fatalf("trial %d: un-hinted id %d popped after id %d — not FIFO", trial, i, lastUnhintedID)
 				}
@@ -218,7 +219,7 @@ func TestSRPTShardedMixInvariants(t *testing.T) {
 				}
 			}
 			for i, ch := range chans {
-				if !receiveExactlyOne(t, ch) {
+				if !receiveExactlyOne(t, ch, 0) {
 					t.Fatalf("request %d violated exactly-one-response", i)
 				}
 			}

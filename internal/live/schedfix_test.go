@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"concord/internal/policy"
 	"concord/internal/sim"
 )
 
@@ -43,21 +44,21 @@ func TestSRPTKeyBands(t *testing.T) {
 	}
 	// Over-budget: banded above any in-budget key, ordered by overage.
 	ob1, ob2 := key(1000, 1500), key(1000, 9000)
-	if ob1 < overBudgetKeyBase || ob2 < overBudgetKeyBase {
-		t.Fatalf("over-budget keys %d, %d below band base %d", ob1, ob2, overBudgetKeyBase)
+	if ob1 < int64(policy.OverBudgetKeyBase) || ob2 < int64(policy.OverBudgetKeyBase) {
+		t.Fatalf("over-budget keys %d, %d below band base %d", ob1, ob2, policy.OverBudgetKeyBase)
 	}
 	if ob1 >= ob2 {
 		t.Fatalf("larger overage must sort later: %d >= %d", ob1, ob2)
 	}
 	// Un-hinted: the max-key sentinel, above every over-budget key.
-	if got := key(0, 12345); got != unhintedKey {
-		t.Fatalf("un-hinted key = %d, want sentinel %d", got, unhintedKey)
+	if got := key(0, 12345); got != int64(policy.UnhintedKey) {
+		t.Fatalf("un-hinted key = %d, want sentinel %d", got, policy.UnhintedKey)
 	}
-	if ob2 >= unhintedKey {
+	if ob2 >= int64(policy.UnhintedKey) {
 		t.Fatalf("over-budget key %d reached the un-hinted sentinel", ob2)
 	}
 	// Pathological overage saturates below the sentinel, never wraps.
-	if got := key(1, int64(^uint64(0)>>1)); got >= unhintedKey || got < overBudgetKeyBase {
+	if got := key(1, int64(^uint64(0)>>1)); got >= int64(policy.UnhintedKey) || got < int64(policy.OverBudgetKeyBase) {
 		t.Fatalf("saturated over-budget key %d escaped the band", got)
 	}
 }

@@ -19,7 +19,7 @@ func (h *arrivalHandler) Handle(ctx *Ctx, _ any) (any, error) {
 
 // TestResponseDoneStamp: Done is a reading of the runtime's clock taken
 // as the request completes, on a placed Do and through the ingress
-// alike: it lies between two Now reads taken around the request, Done −
+// alike: it lies between two reads taken around the request, Done −
 // Latency is exactly the arrival the runtime stamped, and Sub reads as
 // the time.Time Time builds.
 func TestResponseDoneStamp(t *testing.T) {
@@ -35,14 +35,14 @@ func TestResponseDoneStamp(t *testing.T) {
 		{"Submit", func() Response { return <-s.Submit(nil) }},
 	} {
 		t.Run(path.name, func(t *testing.T) {
-			before := Now()
+			before := NowStamp().Time()
 			resp := path.do()
-			after := Now()
+			after := NowStamp().Time()
 			if resp.Err != nil {
 				t.Fatal(resp.Err)
 			}
 			if done := resp.Done.Time(); done.Before(before) || done.After(after) {
-				t.Fatalf("Done %v outside the Now reads around the request [%v, %v]", done, before, after)
+				t.Fatalf("Done %v outside the reads around the request [%v, %v]", done, before, after)
 			}
 			if arrival := resp.Done - Stamp(resp.Latency); arrival != Stamp(h.arrival.Load()) {
 				t.Fatalf("Done − Latency = %d, want the arrival %d", arrival, h.arrival.Load())

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"concord/internal/policy"
 	"concord/internal/sim"
 )
 
@@ -119,13 +120,14 @@ type SLOClassed interface {
 
 // NetTimed is implemented by payloads that crossed a network frontend
 // before Submit. When the server runs with a Tracer, Submit records the
-// wire timestamps retroactively as EvFrameRead/EvParsed events (writer
+// wire stamps retroactively as EvFrameRead/EvParsed events (writer
 // obs.WriterNet) and the response Breakdown gains the Ingress
-// component. Zero times mean the frontend did not stamp the request
-// (tracing off at the connection layer). Untraced servers have nowhere
-// to record the timestamps and do not ask for them.
+// component. The stamps are readings of the runtime's clock (NowStamp);
+// zero stamps mean the frontend did not stamp the request (tracing off
+// at the connection layer). Untraced servers have nowhere to record the
+// stamps and do not ask for them.
 type NetTimed interface {
-	NetTimes() (read, parsed time.Time)
+	NetTimes() (read, parsed Stamp)
 }
 
 type parkEvent struct {
@@ -290,48 +292,12 @@ func (t *task) expired(now int64) bool {
 	return t.deadline != 0 && now > t.deadline
 }
 
-// SRPT key bands. Keys live in three disjoint ranges so the queue can
-// never invert priorities across kinds:
-//
-//   - in-budget hinted requests key by remaining work, [0, hint];
-//   - requests that have outrun their hint key by elapsed overage in a
-//     band above any realistic remaining hint — the estimate is spent,
-//     and under the inspection-paradox logic of scheduling with
-//     estimated sizes, the longer a request has overrun the longer it
-//     is likely to keep running, so larger overage sorts later;
-//   - unhinted requests take the max-key sentinel: the runtime knows
-//     nothing about them, so they run last among queued peers, FIFO
-//     among themselves (the SRPT heap's seq tie-break).
-//
-// The old behavior clamped hint−run at zero, which sorted unhinted and
-// over-budget requests to the *head* of the heap: a long request that
-// exhausted its estimate became and stayed top priority, starving
-// genuinely short requests — the classic underestimated-size pathology.
-const (
-	// overBudgetKeyBase opens the over-budget band: above any credible
-	// remaining hint (2^60 ns ≈ 36 years), below the unhinted sentinel.
-	overBudgetKeyBase = int64(1) << 60
-	// unhintedKey is the max-key sentinel for hintless requests.
-	unhintedKey = int64(^uint64(0) >> 1) // math.MaxInt64
-)
-
 // RemainingCycles keys the central queue under SRPT (cycles are
-// nanoseconds here; only the ordering matters). The policy queue calls
-// it during Push, when the pushing goroutine owns the task. See the key
-// bands above for the contract.
+// nanoseconds here; only the ordering matters): policy.HintedKey of the
+// payload's hint and the time run so far. The policy queue calls it
+// during Push, when the pushing goroutine owns the task.
 func (t *task) RemainingCycles() sim.Cycles {
-	if t.hintNS <= 0 {
-		return sim.Cycles(unhintedKey)
-	}
-	rem := t.hintNS - t.runNS
-	if rem < 0 {
-		over := -rem
-		if over >= unhintedKey-overBudgetKeyBase {
-			over = unhintedKey - overBudgetKeyBase - 1 // stay below the sentinel
-		}
-		return sim.Cycles(overBudgetKeyBase + over)
-	}
-	return sim.Cycles(rem)
+	return policy.HintedKey(sim.Cycles(t.hintNS), sim.Cycles(t.runNS))
 }
 
 // taskAbort is the panic payload used to unwind an aborted request's

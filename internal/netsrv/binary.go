@@ -49,7 +49,7 @@ func (bc *binaryCodec) next(r *Request) (bool, error) {
 		}
 	}
 	if s.tr != nil {
-		r.readTS = live.Now()
+		r.readTS = live.NowStamp()
 	}
 	if !r.decodeOp() {
 		// Unknown opcode or undecodable body: the frame was
@@ -60,7 +60,7 @@ func (bc *binaryCodec) next(r *Request) (bool, error) {
 		return false, nil
 	}
 	if s.tr != nil {
-		r.parsedTS = live.Now()
+		r.parsedTS = live.NowStamp()
 	}
 	return true, nil
 }

@@ -196,7 +196,7 @@ func (c *connection) record(resp live.Response) *Request {
 		r.trailer = c.s.opts.Trailer(resp)
 	}
 	if tr := c.s.tr; tr != nil {
-		tr.Record(obs.WriterNet, obs.EvFlushQueued, r.liveID, 0)
+		tr.Record(obs.WriterNet, obs.EvFlushQueued, r.liveID, 0, int64(live.NowStamp()))
 	}
 	return r
 }
@@ -252,7 +252,7 @@ func (c *connection) write(batch []*Request, buf []byte) []byte {
 				continue // answered by the codec: never entered the runtime
 			}
 			if tr != nil {
-				tr.RecordAt(obs.WriterNet, obs.EvFlushed, r.liveID, int64(len(batch)), now.Time())
+				tr.Record(obs.WriterNet, obs.EvFlushed, r.liveID, int64(len(batch)), int64(now))
 			}
 			if obsEg != nil && !r.doneTS.IsZero() {
 				obsEg(r.Op, time.Duration(now-r.doneTS))

@@ -2,6 +2,7 @@ package netsrv
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -434,14 +435,14 @@ func TestDrainAnswersStopped(t *testing.T) {
 	if _, err := conn.Write(wire); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); rt.Stats().Submitted == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("spin was never submitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the spin's submission", func() bool { return rt.Stats().Submitted > 0 })
 	go rt.Stop()
-	time.Sleep(5 * time.Millisecond)
+	// The get goes out once Stop has taken effect: a probe submitted
+	// from here is refused.
+	waitFor(t, "Stop to take effect", func() bool {
+		probe := &Request{Op: proto.OpGet, Key: []byte("probe")}
+		return errors.Is((<-rt.Submit(probe)).Err, live.ErrServerStopped)
+	})
 	wire = proto.AppendRequest(nil, proto.OpGet, 2, []byte("k"), nil)
 	if _, err := conn.Write(wire); err != nil {
 		t.Fatal(err)
@@ -451,8 +452,8 @@ func TestDrainAnswersStopped(t *testing.T) {
 	if got[1].Status != proto.StOK {
 		t.Fatalf("spin during drain: %s", proto.StatusString(got[1].Status))
 	}
-	if st := got[2].Status; st != proto.StStopped && st != proto.StNotFound {
-		t.Fatalf("request after stop: %s, want STOPPED (or NOTFOUND if it won the race)", proto.StatusString(st))
+	if st := got[2].Status; st != proto.StStopped {
+		t.Fatalf("request after stop: %s, want STOPPED", proto.StatusString(st))
 	}
 	ln.Close()
 	s.Drain(200 * time.Millisecond)

@@ -49,18 +49,19 @@ type Request struct {
 	// released when the response is encoded.
 	frame proto.Frame
 
-	// Wire-path observability: readTS and parsedTS are stamped only when
-	// the server traces (Options.Tracer set), zero otherwise; liveID and
+	// Wire-path observability, all readings of the runtime's clock
+	// (live.NowStamp): readTS and parsedTS are stamped only when the
+	// server traces (Options.Tracer set), zero otherwise; liveID and
 	// doneTS are set for every request the runtime answered.
-	readTS   time.Time  // frame (or line) read off the socket
-	parsedTS time.Time  // decoded into this Request
+	readTS   live.Stamp // frame (or line) read off the socket
+	parsedTS live.Stamp // decoded into this Request
 	liveID   uint64     // runtime request id, for flush-event attribution
 	doneTS   live.Stamp // completion stamp (live.Response.Done)
 }
 
 // NetTimes implements live.NetTimed: the runtime records the wire
-// timestamps retroactively at Submit, once the request has an id.
-func (r *Request) NetTimes() (read, parsed time.Time) {
+// stamps retroactively at Submit, once the request has an id.
+func (r *Request) NetTimes() (read, parsed live.Stamp) {
 	return r.readTS, r.parsedTS
 }
 

@@ -46,12 +46,12 @@ func (tc *textCodec) next(r *Request) (bool, error) {
 	}
 	s.textLines.Add(1)
 	if s.tr != nil {
-		r.readTS = live.Now()
+		r.readTS = live.NowStamp()
 	}
 	perr := parseText(line, r)
 	if perr == nil {
 		if s.tr != nil {
-			r.parsedTS = live.Now()
+			r.parsedTS = live.NowStamp()
 		}
 		r.obsOn = tc.obsOn
 		return true, nil

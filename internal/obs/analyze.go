@@ -24,7 +24,7 @@ import (
 // (zero when the snapshot holds no EvFlushed for the request).
 type Breakdown struct {
 	Req         uint64
-	SubmitTS    time.Duration // first event's timestamp (tracer epoch)
+	SubmitTS    time.Duration // first event's stamp (the writers' clock)
 	EndTS       time.Duration // last event's timestamp (flush if recorded, else terminal)
 	IngressUS   float64
 	HandoffUS   float64

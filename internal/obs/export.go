@@ -49,7 +49,7 @@ type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"` // microseconds since tracer epoch
+	TS   float64        `json:"ts"` // Event.TS in microseconds
 	Dur  *float64       `json:"dur,omitempty"`
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`

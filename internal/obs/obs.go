@@ -1,11 +1,12 @@
 // Package obs is the always-on observability layer for the live
 // Concord runtime: per-writer fixed-size ring buffers that record
-// timestamped request-lifecycle events without allocating or taking
-// shared locks on the hot path, a snapshot API that merges the rings
-// into one time-ordered trace, breakdown analysis that attributes each
-// request's latency to queueing / service / preemption / dispatcher
-// hand-off, exporters for Chrome trace_event JSON (Perfetto) and plain
-// text timelines, and a small Prometheus-text metrics registry.
+// request-lifecycle events, each stamped by its writer, without
+// allocating, taking shared locks or reading a clock on the hot path, a
+// snapshot API that merges the rings into one time-ordered trace,
+// breakdown analysis that attributes each request's latency to queueing
+// / service / preemption / dispatcher hand-off, exporters for Chrome
+// trace_event JSON (Perfetto) and plain text timelines, and a small
+// Prometheus-text metrics registry.
 //
 // # Ring design
 //
@@ -37,26 +38,28 @@ import (
 // Kind identifies one request lifecycle transition.
 type Kind uint8
 
-// Lifecycle event kinds, in rough lifecycle order.
+// Lifecycle event kinds, in lifecycle order: the order Snapshot gives
+// one request's events that share a stamp (see Event.order).
 const (
-	EvSubmit         Kind = 1 + iota // client called Submit
-	EvReject                         // never accepted (arg: Status*)
-	EvEnqueueCentral                 // dispatcher ingested into central FIFO
-	EvDispatch                       // JBSQ push to a worker (arg: worker)
-	EvStart                          // first CPU hand-off; goroutine begins
-	EvYield                          // slice ran out; request parked at a Poll
-	EvRequeue                        // worker re-submitted a preempted request
-	EvResume                         // subsequent CPU hand-off
-	EvExpire                         // completed with ErrDeadlineExceeded
-	EvAbort                          // completed with ErrServerStopped
-	EvComplete                       // completed normally (arg: Status*)
-
 	// Wire-path events recorded by the network frontend (writer
 	// WriterNet). FrameRead/Parsed are stamped before the request has a
-	// runtime id, so the frontend carries the timestamps on the request
-	// and the runtime records them retroactively at Submit (RecordAt).
-	EvFrameRead   // frame (or text line) read off the socket
-	EvParsed      // frame decoded into a request
+	// runtime id, so the frontend carries the stamps on the request and
+	// the runtime records them retroactively at Submit.
+	EvFrameRead Kind = 1 + iota // frame (or text line) read off the socket
+	EvParsed                    // frame decoded into a request
+
+	EvSubmit         // client called Submit
+	EvEnqueueCentral // dispatcher ingested into central FIFO
+	EvDispatch       // JBSQ push to a worker (arg: worker)
+	EvStart          // first CPU hand-off; goroutine begins
+	EvYield          // slice ran out; request parked at a Poll (arg: preemptions so far)
+	EvRequeue        // worker re-submitted a preempted request (arg: preemptions so far)
+	EvResume         // subsequent CPU hand-off (arg: preemptions so far)
+	EvExpire         // completed with ErrDeadlineExceeded
+	EvAbort          // completed with ErrServerStopped
+	EvComplete       // completed normally (arg: Status*)
+	EvReject         // never accepted (arg: Status*)
+
 	EvFlushQueued // completion handed to the connection flusher
 	EvFlushed     // response bytes written to the socket (arg: batch size)
 
@@ -118,11 +121,30 @@ const (
 
 // Event is one decoded lifecycle event.
 type Event struct {
-	TS   time.Duration // since the tracer's epoch
+	// TS is the stamp the writer supplied: a reading of the writer's
+	// clock in nanoseconds from that clock's own origin (the live
+	// runtime's nanotime). Only differences between stamps mean anything.
+	TS   time.Duration
 	Req  uint64
 	Kind Kind
 	Ring int   // writer: worker index, WriterDispatcher, or WriterClient
 	Arg  int64 // kind-specific: worker id, status code, preemptions so far
+}
+
+// order places e among one request's events that share its stamp: by
+// slice — a yield, requeue or resume by the preemptions it carries (the
+// yield that ends slice k−1, its requeue and the resume that starts
+// slice k all carry k), the events before the first slice at 0, the
+// terminal and flush events after every slice — then by kind.
+func (e Event) order() int64 {
+	slice := int64(0)
+	switch {
+	case e.Kind == EvYield || e.Kind == EvRequeue || e.Kind == EvResume:
+		slice = e.Arg
+	case e.Kind >= EvExpire:
+		slice = 1 << 40
+	}
+	return slice<<8 | int64(e.Kind)
 }
 
 const argBits = 56
@@ -165,9 +187,9 @@ func (r *ring) write(n uint64, ts int64, kind Kind, req uint64, arg int64) {
 }
 
 // Tracer owns the per-writer rings. Create one with NewTracer and hand
-// it to live.Options.Tracer; Workers must match the server's.
+// it to live.Options.Tracer; Workers must match the server's. It reads
+// no clock: every event carries the stamp its writer took.
 type Tracer struct {
-	epoch   time.Time
 	workers int
 	rings   []*ring // workers, then dispatcher, client and net
 }
@@ -186,7 +208,7 @@ func NewTracer(workers, ringSize int) *Tracer {
 	for size < ringSize {
 		size <<= 1
 	}
-	t := &Tracer{epoch: time.Now(), workers: workers}
+	t := &Tracer{workers: workers}
 	t.rings = make([]*ring, workers+3)
 	for i := range t.rings {
 		t.rings[i] = &ring{slots: make([]slot, size)}
@@ -210,26 +232,31 @@ func (t *Tracer) ringFor(writer int) *ring {
 	return t.rings[writer]
 }
 
-// Record appends one event to the writer's ring. It never allocates and
-// never blocks: one fetch-add, a load and a compare-and-swap to claim
-// the slot, and four atomic stores. An event whose slot another writer
-// is still filling is dropped.
-func (t *Tracer) Record(writer int, kind Kind, req uint64, arg int64) {
-	t.ringFor(writer).record(int64(time.Since(t.epoch)), kind, req, arg)
-}
-
-// RecordAt is Record with an explicit wall-clock timestamp, for events
-// observed before the request had a runtime id (the network frontend
-// stamps frame-read/parse times on the request and the runtime records
-// them retroactively at Submit). Snapshot sorts by timestamp, so
-// out-of-order recording is fine.
-func (t *Tracer) RecordAt(writer int, kind Kind, req uint64, arg int64, at time.Time) {
-	t.ringFor(writer).record(int64(at.Sub(t.epoch)), kind, req, arg)
+// Record appends one event, stamped ts, to the writer's ring. ts is a
+// reading the writer already holds of its clock (the live runtime's
+// nanotime): the tracer reads none, so an event recorded late — the
+// frontend's frame-read, recorded once the request has an id — sorts
+// where it happened. Record never allocates and never blocks: one
+// fetch-add, a load and a compare-and-swap to claim the slot, and four
+// atomic stores. An event whose slot another writer is still filling is
+// dropped.
+func (t *Tracer) Record(writer int, kind Kind, req uint64, arg, ts int64) {
+	t.ringFor(writer).record(ts, kind, req, arg)
 }
 
 // Snapshot copies every currently valid event out of every ring and
-// returns them merged in timestamp order. It is safe to call while
-// writers are active; events overwritten mid-copy are dropped.
+// returns them merged in stamp order. Events that share a stamp sort in
+// lifecycle order (Event.order): a placed request's submit,
+// enqueue-central, dispatch and start all carry its arrival, and a clock
+// that holds a reading (the live runtime's TSC clock holds at its floor
+// after the TSC steps) can give a whole slice or a whole park one stamp;
+// the order then still walks the request through its lifecycle, and the
+// interval between such events is 0 in the trace as in
+// live.Response.Breakdown, which read the same stamps. (A requeued
+// request's later enqueue-central and dispatch carry no slice and sort
+// with the first slice's; Analyze reads only the first enqueue.) Events
+// that compare equal keep ring order. It is safe to call while writers
+// are active; events overwritten mid-copy are dropped.
 func (t *Tracer) Snapshot() []Event {
 	var out []Event
 	for ri, r := range t.rings {
@@ -264,6 +291,9 @@ func (t *Tracer) Snapshot() []Event {
 			})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		return a.TS < b.TS || a.TS == b.TS && a.order() < b.order()
+	})
 	return out
 }

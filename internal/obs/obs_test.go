@@ -22,10 +22,10 @@ func TestKindStrings(t *testing.T) {
 
 func TestRecordSnapshotRoundTrip(t *testing.T) {
 	tr := NewTracer(2, 64)
-	tr.Record(0, EvStart, 7, 3)
-	tr.Record(1, EvYield, 8, 0)
-	tr.Record(WriterDispatcher, EvDispatch, 7, 1)
-	tr.Record(WriterClient, EvSubmit, 9, -2)
+	tr.Record(0, EvStart, 7, 3, 40)
+	tr.Record(1, EvYield, 8, 0, 10)
+	tr.Record(WriterDispatcher, EvDispatch, 7, 1, 30)
+	tr.Record(WriterClient, EvSubmit, 9, -2, 20)
 	evs := tr.Snapshot()
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4", len(evs))
@@ -47,9 +47,12 @@ func TestRecordSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	for i := 1; i < len(evs); i++ {
-		if evs[i].TS < evs[i-1].TS {
-			t.Fatalf("snapshot not time-ordered: %+v", evs)
+		if evs[i].TS <= evs[i-1].TS {
+			t.Fatalf("snapshot not in stamp order: %+v", evs)
 		}
+	}
+	if evs[0].TS != 10 || evs[3].TS != 40 {
+		t.Fatalf("events must carry the stamps their writers gave: %+v", evs)
 	}
 }
 
@@ -59,7 +62,7 @@ func TestRingWraparound(t *testing.T) {
 	tr := NewTracer(1, 8) // ring capacity 8
 	const total = 20
 	for i := 1; i <= total; i++ {
-		tr.Record(0, EvComplete, uint64(i), int64(i))
+		tr.Record(0, EvComplete, uint64(i), int64(i), int64(i))
 	}
 	evs := tr.Snapshot()
 	if len(evs) != 8 {
@@ -79,7 +82,7 @@ func TestRingSizeRounding(t *testing.T) {
 		t.Fatalf("workers = %d", tr.Workers())
 	}
 	for i := 0; i < 8; i++ {
-		tr.Record(0, EvSubmit, uint64(i+1), 0)
+		tr.Record(0, EvSubmit, uint64(i+1), 0, int64(i))
 	}
 	if got := len(tr.Snapshot()); got != 8 {
 		t.Fatalf("rounded ring kept %d events, want 8", got)
@@ -110,7 +113,7 @@ func TestConcurrentWritersSnapshot(t *testing.T) {
 				default:
 				}
 				req := uint64(g)<<32 | uint64(i)
-				tr.Record(writer, EvSubmit, req, int64(req&0xffff))
+				tr.Record(writer, EvSubmit, req, int64(req&0xffff), int64(i))
 			}
 		}(g)
 	}
@@ -163,7 +166,7 @@ func TestRingLappedWriterNeverPublishesClaimedSlot(t *testing.T) {
 
 	// A fast writer laps it: its last ticket lands on the same slot.
 	for i := uint64(1); i <= size; i++ {
-		tr.Record(WriterClient, EvSubmit, 1000+i, int64(1000+i))
+		tr.Record(WriterClient, EvSubmit, 1000+i, int64(1000+i), int64(i))
 	}
 	if got := s.seq.Load(); got != claim {
 		t.Fatalf("lapping writer took a slot mid-fill: seq %d, want the slow writer's claim %d", got, claim)
@@ -189,7 +192,7 @@ func TestRingLappedWriterNeverPublishesClaimedSlot(t *testing.T) {
 	// slot a later lap has already published, must not overwrite it.
 	stale := r.pos.Add(1) - 1
 	for i := uint64(1); i <= size; i++ {
-		tr.Record(WriterClient, EvSubmit, 2000+i, int64(2000+i))
+		tr.Record(WriterClient, EvSubmit, 2000+i, int64(2000+i), int64(i))
 	}
 	slot := &r.slots[stale&(size-1)]
 	published := slot.seq.Load()
@@ -219,13 +222,13 @@ func TestRingLappedWriterNeverPublishesClaimedSlot(t *testing.T) {
 // never leak into the client, worker, or dispatcher rings.
 func TestNetWriterRoundTrip(t *testing.T) {
 	tr := NewTracer(2, 64)
-	tr.Record(WriterNet, EvFrameRead, 7, 0)
-	tr.Record(WriterNet, EvParsed, 7, 0)
-	tr.Record(WriterNet, EvFlushQueued, 7, 0)
-	tr.Record(WriterNet, EvFlushed, 7, 3)
-	tr.Record(WriterClient, EvSubmit, 7, 0)
-	tr.Record(WriterDispatcher, EvDispatch, 7, 0)
-	tr.Record(1, EvStart, 7, 1)
+	tr.Record(WriterNet, EvFrameRead, 7, 0, 1)
+	tr.Record(WriterNet, EvParsed, 7, 0, 2)
+	tr.Record(WriterNet, EvFlushQueued, 7, 0, 6)
+	tr.Record(WriterNet, EvFlushed, 7, 3, 7)
+	tr.Record(WriterClient, EvSubmit, 7, 0, 3)
+	tr.Record(WriterDispatcher, EvDispatch, 7, 0, 4)
+	tr.Record(1, EvStart, 7, 1, 5)
 	byRing := map[int][]Event{}
 	for _, e := range tr.Snapshot() {
 		byRing[e.Ring] = append(byRing[e.Ring], e)
@@ -248,15 +251,15 @@ func TestNetWriterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordAtRetroactive: RecordAt stamps the caller's timestamp, so a
+// TestRecordAtRetroactive: Record keeps the writer's stamp, so a
 // frame-read recorded late (at Submit, once the request has an id)
-// still sorts before events that happened after it on the wall clock.
+// still sorts before events that were stamped after it.
 func TestRecordAtRetroactive(t *testing.T) {
 	tr := NewTracer(1, 64)
 	const gap = time.Millisecond
-	readAt := time.Now()
-	tr.RecordAt(WriterClient, EvSubmit, 5, 0, readAt.Add(gap)) // later stamp
-	tr.RecordAt(WriterNet, EvFrameRead, 5, 0, readAt)          // recorded last, happened first
+	const readAt = int64(5 * time.Second)
+	tr.Record(WriterClient, EvSubmit, 5, 0, readAt+int64(gap)) // later stamp
+	tr.Record(WriterNet, EvFrameRead, 5, 0, readAt)            // recorded last, happened first
 	evs := tr.Snapshot()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
@@ -266,6 +269,55 @@ func TestRecordAtRetroactive(t *testing.T) {
 	}
 	if d := evs[1].TS - evs[0].TS; d != gap {
 		t.Fatalf("stamped gap = %v, want %v", d, gap)
+	}
+}
+
+// TestSnapshotTiesLifecycleOrder: events of one request that share a
+// stamp sort in lifecycle order, whatever order their rings hold them
+// in. A placed request stamps its submit, enqueue, dispatch and start
+// with its arrival; a clock that holds a reading can give a whole slice
+// (resume and yield) or a whole park (yield, requeue and resume) one
+// stamp. Analyze then reads a zero interval for each, and its
+// components still partition the total.
+func TestSnapshotTiesLifecycleOrder(t *testing.T) {
+	tr := NewTracer(2, 64)
+	// Worker 0 runs the first slice [100, 200], then a park held at 200
+	// and a slice held at 200, then a park [200, 300] and the last
+	// slice [300, 400]. The worker ring is written first, so ring order
+	// alone would put the start before the submit.
+	tr.Record(0, EvStart, 7, 0, 100)
+	tr.Record(0, EvYield, 7, 1, 200)
+	tr.Record(0, EvRequeue, 7, 1, 200)
+	tr.Record(1, EvYield, 7, 2, 200)
+	tr.Record(1, EvResume, 7, 1, 200)
+	tr.Record(1, EvRequeue, 7, 2, 200)
+	tr.Record(0, EvComplete, 7, StatusOK, 400)
+	tr.Record(0, EvResume, 7, 2, 300)
+	tr.Record(WriterClient, EvDispatch, 7, 0, 100)
+	tr.Record(WriterClient, EvEnqueueCentral, 7, 0, 100)
+	tr.Record(WriterClient, EvSubmit, 7, 0, 100)
+	var got []Kind
+	for _, e := range tr.Snapshot() {
+		got = append(got, e.Kind)
+	}
+	want := []Kind{EvSubmit, EvEnqueueCentral, EvDispatch, EvStart,
+		EvYield, EvRequeue, EvResume, EvYield, EvRequeue, EvResume, EvComplete}
+	if len(got) != len(want) {
+		t.Fatalf("kinds %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("kinds %v, want %v", got, want)
+		}
+	}
+	bds := Analyze(tr.Snapshot())
+	if len(bds) != 1 {
+		t.Fatalf("breakdowns %+v, want one", bds)
+	}
+	b := bds[0]
+	if b.Partial || b.HandoffUS != 0 || b.QueueUS != 0 || b.ServiceUS != 0.2 ||
+		b.PreemptedUS != 0.1 || b.Preemptions != 2 || b.TotalUS() != 0.3 {
+		t.Fatalf("breakdown %+v, want handoff 0, queue 0, service 0.2µs, preempted 0.1µs, 2 preemptions", b)
 	}
 }
 
@@ -292,9 +344,9 @@ func TestNetWriterDistinct(t *testing.T) {
 // attributed to WriterDispatcher, and only to it.
 func TestDispatcherWriterRoundTrip(t *testing.T) {
 	tr := NewTracer(2, 64)
-	tr.Record(WriterDispatcher, EvDispatch, 100, 1)
-	tr.Record(WriterClient, EvSubmit, 7, 0)
-	tr.Record(1, EvStart, 7, 1)
+	tr.Record(WriterDispatcher, EvDispatch, 100, 1, 1)
+	tr.Record(WriterClient, EvSubmit, 7, 0, 2)
+	tr.Record(1, EvStart, 7, 1, 3)
 	byRing := map[int][]Event{}
 	for _, e := range tr.Snapshot() {
 		byRing[e.Ring] = append(byRing[e.Ring], e)
@@ -313,7 +365,7 @@ func BenchmarkRecord(b *testing.B) {
 		i := uint64(0)
 		for pb.Next() {
 			i++
-			tr.Record(WriterClient, EvSubmit, i, 0)
+			tr.Record(WriterClient, EvSubmit, i, 0, int64(i))
 		}
 	})
 }

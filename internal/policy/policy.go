@@ -14,6 +14,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 
 	"concord/internal/sim"
 )
@@ -40,6 +41,47 @@ type Queue[T Item] interface {
 	PopNonStarted() (item T, ok bool)
 	// Len returns the number of queued requests.
 	Len() int
+}
+
+// Hinted-SRPT key bands. A request that carries a service hint (an
+// estimate of its size) keys the SRPT queue in one of three disjoint
+// ranges, so the queue can never invert priorities across kinds:
+//
+//   - in-budget hinted requests key by remaining estimate, [0, hint];
+//   - requests that have outrun their hint key by elapsed overage in a
+//     band above any credible remaining hint — the estimate is spent,
+//     and under the inspection-paradox logic of scheduling with
+//     estimated sizes, the longer a request has overrun the longer it
+//     is likely to keep running, so larger overage sorts later;
+//   - unhinted requests take the max-key sentinel: nothing is known
+//     about them, so they run last among queued peers, FIFO among
+//     themselves (the SRPT heap's sequence tie-break).
+//
+// Clamping hint−run at zero instead would sort unhinted and over-budget
+// requests to the head of the heap: a long request that exhausted its
+// estimate would stay top priority and starve genuinely short ones, the
+// classic underestimated-size pathology.
+const (
+	// OverBudgetKeyBase opens the over-budget band: above any credible
+	// remaining hint (2^60 ns ≈ 36 years), below the unhinted sentinel.
+	OverBudgetKeyBase = sim.Cycles(1) << 60
+	// UnhintedKey is the max-key sentinel for hintless requests.
+	UnhintedKey = sim.Cycles(math.MaxInt64)
+)
+
+// HintedKey is the SRPT key of a request whose hint is hint (0 or less:
+// none) after run of it has executed, in the bands above. The live
+// runtime keys every SRPT task by it, in nanoseconds, and the simulator
+// keys by it under hinted SRPT, in cycles.
+func HintedKey(hint, run sim.Cycles) sim.Cycles {
+	switch {
+	case hint <= 0:
+		return UnhintedKey
+	case run <= hint:
+		return hint - run
+	}
+	// The overage saturates below the sentinel.
+	return OverBudgetKeyBase + min(run-hint, UnhintedKey-OverBudgetKeyBase-1)
 }
 
 // NewQueue resolves a central-queue discipline by name: "fcfs" (also

@@ -165,11 +165,15 @@ func New(cfg Config, wl Workload, p RunParams) *Machine {
 	} else {
 		m.collector = stats.NewReservoir(stats.DefaultReservoirSize, p.Requests, p.Seed)
 	}
+	discipline := "fcfs"
 	if cfg.SRPT {
-		m.central = policy.NewSRPT[*Request]()
-	} else {
-		m.central = policy.NewFCFS[*Request]()
+		discipline = "srpt"
 	}
+	central, err := policy.NewQueue[*Request](discipline)
+	if err != nil {
+		panic(err)
+	}
+	m.central = central
 	m.workers = make([]*worker, cfg.Workers)
 	m.occ = make([]int, cfg.Workers)
 	m.roomy = cfg.Workers

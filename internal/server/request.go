@@ -16,6 +16,7 @@
 package server
 
 import (
+	"concord/internal/policy"
 	"concord/internal/sim"
 )
 
@@ -67,39 +68,14 @@ type Request struct {
 	useHint    bool
 }
 
-// Hinted-SRPT key bands, mirroring the live runtime's task keys: three
-// disjoint ranges so the queue can never invert priorities across
-// kinds. In-budget hinted requests key by remaining estimate; requests
-// that have outrun their hint key by elapsed overage in a band above
-// any credible hint (the estimate is spent, and the longer a request
-// has overrun the longer it is likely to keep running); unhinted
-// requests take the max-key sentinel and run last, FIFO among
-// themselves via the SRPT heap's sequence tie-break.
-const (
-	overBudgetKeyBase = sim.Cycles(1) << 60
-	unhintedKey       = sim.Cycles(int64(^uint64(0) >> 1)) // math.MaxInt64
-)
-
 // RemainingCycles implements policy.Item. Oracle SRPT keys on the true
 // un-instrumented work left; hinted SRPT (Config.HintedSRPT) keys on
-// the hint minus work executed so far, in the three-band space above.
+// policy.HintedKey of the hint and the work executed so far.
 func (r *Request) RemainingCycles() sim.Cycles {
 	if !r.useHint {
 		return r.remainingBase
 	}
-	if r.hintCycles <= 0 {
-		return unhintedKey
-	}
-	executed := r.serviceCycles - r.remainingBase
-	rem := r.hintCycles - executed
-	if rem < 0 {
-		over := -rem
-		if over >= unhintedKey-overBudgetKeyBase {
-			over = unhintedKey - overBudgetKeyBase - 1 // stay below the sentinel
-		}
-		return overBudgetKeyBase + over
-	}
-	return rem
+	return policy.HintedKey(r.hintCycles, r.serviceCycles-r.remainingBase)
 }
 
 // wallFor returns the wall-clock cycles needed to execute base work at

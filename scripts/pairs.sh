@@ -30,7 +30,20 @@
 # "better" direction in BENCHMARK.json; ties count for neither), and
 # whether the gap between the medians is wider than the parent's
 # interquartile range. Quartiles interpolate linearly between the sorted
-# runs.
+# runs. Under each table it prints a sign test over the decisive pairs
+# (the pairs whose two runs differ; two-sided p under a fair coin) and
+# an interval for the median pair ratio taken from the order statistics
+# of the ratios: the narrowest [r(l), r(n+1-l)] whose coverage,
+# 1 - 2 P(Binomial(n, 1/2) <= l-1), is at least 95 % (97.85 % at n = 10,
+# l = 2), or the whole range, with its smaller coverage, when n is too
+# small for that. It needs no assumption about the ratios' distribution.
+# A ratio means nothing when a run reads 0 or below (a difference such
+# as obs.tracer_overhead_pct can), so then no interval is printed.
+#
+# Last comes one verdict a metric: "resolved" when the change's interval
+# excludes 1 and, with -a, the A/A arm's interval includes 1 (identical
+# code reads as no difference on this host); otherwise "unresolved",
+# with the reason.
 set -euo pipefail
 
 rev=HEAD~1 pairs=10 workload=dispatch_null seconds=20 seed0=101 dir= trace=0
@@ -118,6 +131,38 @@ quartiles() {
 	END { printf "%.6g %.6g %.6g", q(0.25), q(0.5), q(0.75) }'
 }
 
+# signci SIDE METRIC BETTER: for SIDE's pairs with the parent on METRIC,
+# whose better direction is BETTER, "won decisive p lo hi coverage": the
+# sign test over the decisive pairs and the order-statistic interval for
+# the median pair ratio (see the header); lo and hi are nan when a run
+# reads 0 or below.
+signci() {
+	awk -F'\t' -v m="$2" -v b="$1" '$4 == m { v[$1, $3] = $5; n = $1 > n ? $1 : n }
+		END { for (i = 1; i <= n; i++) { p = v[i, "parent"]; c = v[i, b]; print (p > 0 && c > 0 ? c / p : "nan"), p, c } }' "$results" |
+		sort -g | awk -v better="$3" '
+	{ r[NR] = $1; if ($1 == "nan") bad++ }
+	$2 != $3 { d++; if ((better == "higher") == ($3 > $2)) w++ }
+	function cdf(n, k,   i, c, s) { # P(Binomial(n, 1/2) <= k)
+		if (k < 0) return 0
+		c = 1
+		for (i = 0; i <= k && i <= n; i++) { s += c; c = c * (n - i) / (i + 1) }
+		return s / 2 ^ n
+	}
+	END {
+		n = NR; w += 0; d += 0
+		p = 1
+		if (d > 0) {
+			p = 2 * cdf(d, w < d - w ? w : d - w)
+			if (p > 1) p = 1
+		}
+		l = 1
+		while (l + 1 <= n - l && 1 - 2 * cdf(n, l) >= 0.95) l++
+		lo = sprintf("%.6g", r[l]); hi = sprintf("%.6g", r[n + 1 - l])
+		if (bad) lo = hi = "nan"
+		printf "%d %d %.3g %s %s %.6f\n", w, d, p, lo, hi, 1 - 2 * cdf(n, l - 1)
+	}'
+}
+
 # summary SIDE: every metric's table, SIDE (change or aa) against the
 # parent.
 summary() {
@@ -155,6 +200,36 @@ summary() {
 			printf "  median pair ratio %.3f; %s/parent of medians %.3f; |gap| %.6g %s the parent IQR\n",
 				rmed, b, cmed / pmed, gap, verdict
 		}'
+		signci "$b" "$m" "$better" >"$dir/ci.$b.$m"
+		read -r won decisive p lo hi cov <"$dir/ci.$b.$m"
+		printf '  sign test: %s better in %d of %d decisive pairs, two-sided p %s\n' "$b" "$won" "$decisive" "$p"
+		if [ "$lo" = nan ]; then
+			echo "  no interval for the median pair ratio: a run reads 0 or below"
+		else
+			printf '  median pair ratio interval [%s, %s], coverage %.2f %%\n' "$lo" "$hi" "$(awk -v c="$cov" 'BEGIN { print 100 * c }')"
+		fi
+	done
+}
+
+# verdict: one line a metric, from the intervals summary left behind.
+verdict() {
+	local m better lo hi alo ahi
+	echo
+	echo "verdict (change against parent${1:+; A/A arm as the control})"
+	for m in $metrics; do
+		better=$(better "$m")
+		read -r _ _ _ lo hi _ <"$dir/ci.change.$m"
+		alo=1 ahi=1
+		[ -z "$1" ] || read -r _ _ _ alo ahi _ <"$dir/ci.aa.$m"
+		awk -v m="$m" -v better="$better" -v lo="$lo" -v hi="$hi" -v alo="$alo" -v ahi="$ahi" -v aa="$1" 'BEGIN {
+			line = sprintf("  %-28s change [%.4g, %.4g]", m, lo, hi)
+			if (aa != "") line = line sprintf(", aa [%.4g, %.4g]", alo, ahi)
+			if (lo == "nan" || alo == "nan") v = "unresolved: a run reads 0 or below, so the ratio means nothing"
+			else if (lo <= 1 && hi >= 1) v = "unresolved: the change'"'"'s interval includes 1"
+			else if (alo > 1 || ahi < 1) v = "unresolved: the A/A interval excludes 1"
+			else v = "resolved: change " (((lo > 1) == (better == "higher")) ? "better" : "worse")
+			print line " -> " v
+		}'
 	done
 }
 
@@ -164,4 +239,7 @@ if [ "$sides" != "parent change" ]; then
 	echo
 	echo "A/A arm: aa (a second clone of the parent) against the parent, same seeds"
 	summary aa
+	verdict aa
+else
+	verdict ""
 fi
